@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-full test-log bench bench-log bench-paper \
+.PHONY: install test test-full test-log bench bench-micro bench-log bench-paper \
         figures figures-quick examples coverage clean profile \
         perf-record perf-check perf-scale lint serve loadgen top soak \
         sanitize
@@ -41,7 +41,13 @@ lint:
 test-log:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
+# The repo benchmark (BENCHMARK.json + bench/README.md): every workload,
+# every metric, output checks on.  The only basis for performance claims.
 bench:
+	$(PYTHON) bench/run.py
+
+# pytest-benchmark micro/meso benches (paper figures, kernels).
+bench-micro:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-log:

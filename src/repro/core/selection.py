@@ -43,7 +43,10 @@ import numpy as np
 
 from repro.core.resources import ResourceVector
 
-__all__ = ["PeerInfo", "PerformanceView", "PhiWeights", "PeerSelector", "SelectionOutcome"]
+__all__ = [
+    "ObservedBlock", "PeerInfo", "PerformanceView", "PhiWeights",
+    "PeerSelector", "SelectionOutcome",
+]
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,16 @@ class PeerInfo:
     bandwidth_to_observer: float
     uptime: float
     latency: float
+
+
+#: One observer's array view of a candidate list, as returned by a
+#: view's optional ``observe_block``: ``(known, avail, betas, uptimes,
+#: latencies)`` -- the positions in the candidate list the observer has
+#: information about (ascending), and aligned with them the ``(k, m)``
+#: availability block, β, uptime and (only when asked for) latency.
+ObservedBlock = Tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
+]
 
 
 class PerformanceView(Protocol):
@@ -336,7 +349,10 @@ class PeerSelector:
 
         observe_block = getattr(self.view, "observe_block", None)
         if observe_block is not None:
-            block = observe_block(selecting_peer, candidates)
+            block = observe_block(
+                selecting_peer, candidates,
+                latency=self.weights.latency_weight > 0,
+            )
             if block is not None:
                 return self._select_hop_block(
                     candidates, requirement, bandwidth_req,
@@ -422,7 +438,7 @@ class PeerSelector:
         bandwidth_req: float,
         session_duration: float,
         rng: np.random.Generator,
-        block: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        block: ObservedBlock,
     ) -> SelectionOutcome:
         """One selection step over an ``observe_block`` array view.
 
@@ -434,8 +450,8 @@ class PeerSelector:
         branch conditions.
         """
         n_candidates = len(candidates)
-        known_mask, avail, betas, uptimes, latencies = block
-        n_known = len(betas)
+        kpos, avail, betas, uptimes, latencies = block
+        n_known = len(kpos)
         if n_known == 0:
             pick = int(rng.integers(n_candidates))
             return SelectionOutcome(candidates[pick], True, n_candidates, 0)
@@ -446,12 +462,9 @@ class PeerSelector:
         if self.feasibility_filter:
             qual &= (avail >= requirement.values).all(axis=1)
             qual &= betas >= bandwidth_req
-        n_qual = int(qual.sum())
+        qidx = np.flatnonzero(qual)
 
-        # Positions (in `candidates`) of the known occurrences, aligned
-        # with the block arrays.
-        kpos = np.flatnonzero(known_mask)
-        if n_qual == 0:
+        if len(qidx) == 0:
             known_ids = {candidates[i] for i in kpos}
             unknown = [pid for pid in candidates if pid not in known_ids]
             if unknown:
@@ -459,27 +472,24 @@ class PeerSelector:
                 return SelectionOutcome(
                     unknown[pick], True, n_candidates, n_known
                 )
-            qual[:] = True
-            n_qual = n_known
+            qidx = np.arange(n_known)
 
-        if n_qual == 1:
-            j = int(np.argmax(qual))
+        if len(qidx) == 1:
+            j = qidx[0]
             availability = ResourceVector.__new__(ResourceVector)
             availability.names = requirement.names
             availability.values = avail[j]
             phi = self.weights.phi(
                 availability, requirement, betas[j], bandwidth_req,
-                latency_ms=latencies[j],
+                latency_ms=0.0 if latencies is None else latencies[j],
             )
             return SelectionOutcome(
                 candidates[kpos[j]], False, n_candidates, n_known, phi
             )
 
-        qidx = np.flatnonzero(qual)
         scores = self.weights.phi_batch(
             avail[qidx], requirement.values, betas[qidx], bandwidth_req,
-            latencies_ms=latencies[qidx]
-            if self.weights.latency_weight > 0 else None,
+            latencies_ms=None if latencies is None else latencies[qidx],
         )
         best = int(np.argmax(scores))
         return SelectionOutcome(

@@ -9,24 +9,27 @@ between two peers, which is initialized randomly as 10M, 500k, 100k, or
 A literal N x N matrix is 10^8 entries at the paper's 10^4-peer scale, so
 pairwise classes are *derived*, not stored: a deterministic BLAKE2b hash
 of ``(seed, min(a,b), max(a,b))`` indexes into the class table.  This has
-the same marginal distribution as random initialization, is symmetric,
-uses O(1) memory, and is reproducible.
+the same marginal distribution as random initialization, is symmetric
+and reproducible, and needs no per-pair storage; :class:`NetworkModel`
+keeps one fixed-size direct-mapped memo of recently derived classes
+(``MEMO_SLOTS`` slots, a few MB at any N) so hot pairs are not re-hashed.
 
 End-to-end *available* bandwidth additionally accounts for consumption:
 
 ``beta(a, b) = min(pair_class(a,b) - reserved(a,b), a.avail_up, b.avail_down)``
 
-where per-pair reservations live in a sparse dict (only pairs with active
-flows appear) and the access-link residuals live on the peers.  The
-access-link terms are our substitution for shared-path contention -- see
-DESIGN.md §4.
+where per-pair reservations live in a sparse per-peer adjacency (only
+pairs with active flows appear) and the access-link residuals live on
+the peers.  The access-link terms are our substitution for shared-path
+contention -- see DESIGN.md §4.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Dict, Optional, Tuple
+from operator import eq
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,13 +61,9 @@ class PairwiseClasses:
     broadband classes measured for real P2P populations [17]); ``None``
     gives the uniform distribution.
 
-    ``class_index`` is a pure function of the unordered pair, so results
-    are memoized unconditionally; the memo stops growing at
-    ``MEMO_CAP`` (selection re-reads the same hot pairs, so a soft cap
-    keeps memory bounded without eviction bookkeeping).
+    ``class_index`` is a pure function of the unordered pair and keeps no
+    state; :class:`NetworkModel` owns the (single, bounded) memo.
     """
-
-    MEMO_CAP = 1 << 18
 
     def __init__(
         self,
@@ -83,33 +82,37 @@ class PairwiseClasses:
             # A plain list + bisect matches np.searchsorted(side="right")
             # bit-for-bit while skipping numpy's scalar-call overhead.
             self._cumulative = np.cumsum(w / w.sum()).tolist()
-        self._memo: Dict[Tuple[int, int], int] = {}
 
     def class_index(self, a: int, b: int) -> int:
         """The class index for the unordered pair ``{a, b}``."""
-        pair = (a, b) if a <= b else (b, a)
-        memo = self._memo
-        idx = memo.get(pair)
-        if idx is not None:
-            return idx
-        digest = hashlib.blake2b(
-            f"{self.seed}:{pair[0]}:{pair[1]}".encode(), digest_size=4
-        ).digest()
-        raw = int.from_bytes(digest, "little")
-        if self._cumulative is None:
-            idx = raw % self.n_classes
-        else:
-            idx = min(
-                bisect_right(self._cumulative, raw / 2**32),
-                self.n_classes - 1,
+        lo, hi = (a, b) if a <= b else (b, a)
+        return self.class_indices((lo,), (hi,))[0]
+
+    def class_indices(self, los: Sequence[int], his: Sequence[int]) -> List[int]:
+        """:meth:`class_index` of each pair ``los[i] <= his[i]``."""
+        seed, blake2b, from_bytes = self.seed, hashlib.blake2b, int.from_bytes
+        raws = [
+            from_bytes(
+                blake2b(b"%d:%d:%d" % (seed, lo, hi), digest_size=4).digest(),
+                "little",
             )
-        if len(memo) < self.MEMO_CAP:
-            memo[pair] = idx
-        return idx
+            for lo, hi in zip(los, his)
+        ]
+        cumulative, last = self._cumulative, self.n_classes - 1
+        if cumulative is None:
+            return [raw % self.n_classes for raw in raws]
+        return [min(bisect_right(cumulative, raw / 2**32), last) for raw in raws]
 
 
 class NetworkModel:
     """End-to-end bandwidth/latency plus reservation accounting."""
+
+    #: Slots of the pair memo (a prime, so ``key % MEMO_SLOTS`` spreads
+    #: the packed keys).  The memo is direct-mapped and fixed-size (8
+    #: bytes per slot, 4 MB): a colliding pair overwrites the slot, so it
+    #: never holds more than ``MEMO_SLOTS`` pairs, never stops admitting
+    #: new ones, and a miss only costs a re-hash.
+    MEMO_SLOTS = 524_269
 
     def __init__(
         self,
@@ -122,53 +125,97 @@ class NetworkModel:
         self.peers = peers
         self.bandwidth_classes = tuple(bandwidth_classes)
         self.latency_classes = tuple(latency_classes)
+        if max(len(self.bandwidth_classes), len(self.latency_classes)) > 14:
+            raise ValueError("at most 14 bandwidth/latency classes")
         if bandwidth_weights is None:
             bandwidth_weights = DEFAULT_BANDWIDTH_WEIGHTS
         self._bw_hash = PairwiseClasses(
             seed * 2 + 1, len(self.bandwidth_classes), bandwidth_weights
         )
         self._lat_hash = PairwiseClasses(seed * 2 + 2, len(self.latency_classes))
-        #: Active per-pair reservations (sparse; unordered pair -> bps).
-        self._reserved: Dict[Tuple[int, int], float] = {}
-        #: Combined (capacity, latency) memo for the probing hot path.
-        self._static_memo: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        #: Active reservations as a symmetric sparse adjacency
+        #: (peer -> {other peer -> bps}); only pairs with flows appear.
+        self._reserved: Dict[int, Dict[int, float]] = {}
+        # The pair memo: one int64 per slot, ``(lo << 28 | hi) << 8 | word``
+        # (-1 = empty; peer ids stay below 2**28).  The word's low nibble
+        # is the bandwidth class, its high nibble the latency class + 1 --
+        # 0 until a caller first asks for the latency, which the default
+        # Φ never does.  The one-past-the-end class of each table is the
+        # local (self) pair: infinite capacity, 0 ms.
+        self._memo = np.full(self.MEMO_SLOTS, -1, dtype=np.int64)
+        self._capacity_of = np.array(self.bandwidth_classes + (np.inf,))
+        self._latency_of = np.array((np.nan,) + self.latency_classes + (0.0,))
 
     # -- static pairwise properties -----------------------------------------
-    @staticmethod
-    def _key(a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
+    def _hash_words(self, los: list, his: list, latency: bool) -> list:
+        """Memo words of pairs ``los[i] <= his[i]``, derived from scratch."""
+        if his and max(his) >> 28:
+            raise OverflowError("peer ids must stay below 2**28")
+        bw, lat = self._bw_hash, self._lat_hash
+        words = bw.class_indices(los, his)
+        local = bw.n_classes
+        if latency:
+            words = [
+                w | c + 1 << 4 for w, c in zip(words, lat.class_indices(los, his))
+            ]
+            local |= lat.n_classes + 1 << 4
+        if any(map(eq, los, his)):  # local pairs get the one-past-the-end classes
+            words = [local if a == b else w for w, a, b in zip(words, los, his)]
+        return words
+
+    def _pair_word(self, a: int, b: int, latency: bool) -> int:
+        lo, hi = (int(a), int(b)) if a <= b else (int(b), int(a))
+        key = lo << 28 | hi
+        slot = key % len(self._memo)
+        entry = int(self._memo[slot])
+        if entry >> 8 != key or (latency and entry & 0xF0 == 0):
+            entry = key << 8 | self._hash_words([lo], [hi], latency)[0]
+            self._memo[slot] = entry
+        return entry & 0xFF
+
+    def _pair_words(
+        self, observer: int, targets: np.ndarray, latency: bool
+    ) -> np.ndarray:
+        """Memo words of ``{observer, t}`` for an int64 id array.
+
+        Everything is bound once per block; the only per-target Python
+        is the BLAKE2b of pairs the memo does not hold.
+        """
+        lo = np.minimum(targets, observer)
+        hi = np.maximum(targets, observer)
+        keys = lo << 28
+        keys |= hi
+        slots = keys % len(self._memo)
+        entries = self._memo[slots]
+        words = entries & 0xFF
+        miss = entries >> 8 != keys
+        if latency:
+            miss |= words < 16
+        if miss.any():
+            at = np.flatnonzero(miss)
+            words[at] = self._hash_words(lo[at].tolist(), hi[at].tolist(), latency)
+            self._memo[slots[at]] = keys[at] << 8 | words[at]
+        return words
 
     def pair_capacity(self, a: int, b: int) -> float:
         """The bottleneck-class capacity of the path between ``a``, ``b``."""
-        return self.pair_static(a, b)[0]
+        return float(self._capacity_of[self._pair_word(a, b, False) & 0xF])
 
     def latency_ms(self, a: int, b: int) -> float:
-        return self.pair_static(a, b)[1]
+        return float(self._latency_of[self._pair_word(a, b, True) >> 4])
 
-    def pair_static(self, a: int, b: int) -> Tuple[float, float]:
-        """``(pair_capacity, latency_ms)`` memoized per unordered pair.
+    def pair_capacities(self, observer: int, targets: np.ndarray) -> np.ndarray:
+        """:meth:`pair_capacity` of ``observer`` to each id in ``targets``."""
+        return self._capacity_of[self._pair_words(observer, targets, False) & 0xF]
 
-        Both values are pure functions of the pair; one combined memo
-        spares the hot paths (probing, admission) two hash walks per
-        touch.
-        """
-        if a == b:
-            return (float("inf"), 0.0)  # local connection
-        key = (a, b) if a <= b else (b, a)
-        memo = self._static_memo
-        entry = memo.get(key)
-        if entry is None:
-            entry = (
-                self.bandwidth_classes[self._bw_hash.class_index(a, b)],
-                self.latency_classes[self._lat_hash.class_index(a, b)],
-            )
-            if len(memo) < PairwiseClasses.MEMO_CAP:
-                memo[key] = entry
-        return entry
+    def pair_latencies(self, observer: int, targets: np.ndarray) -> np.ndarray:
+        """:meth:`latency_ms` of ``observer`` to each id in ``targets``."""
+        return self._latency_of[self._pair_words(observer, targets, True) >> 4]
 
     # -- availability ---------------------------------------------------------
     def pair_reserved(self, a: int, b: int) -> float:
-        return self._reserved.get(self._key(a, b), 0.0)
+        flows = self._reserved.get(a)
+        return flows.get(b, 0.0) if flows else 0.0
 
     def available_bandwidth(self, src: int, dst: int) -> float:
         """β: end-to-end available bandwidth for a ``src -> dst`` flow."""
@@ -178,6 +225,38 @@ class NetworkModel:
         up = self.peers[src].avail_up
         down = self.peers[dst].avail_down
         return max(0.0, min(path_avail, up, down))
+
+    def available_bandwidth_batch(
+        self,
+        sources: np.ndarray,
+        dst: int,
+        uplinks: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """β for many candidate sources towards one destination peer.
+
+        Elementwise :meth:`available_bandwidth` (same subtraction, same
+        minima, so bit-identical).  ``uplinks`` replaces the sources'
+        live uplink residuals -- the prober passes its epoch snapshots.
+        A ``dst`` the directory has never seen imposes no downlink bound.
+        """
+        betas = self.pair_capacities(dst, sources)
+        flows = self._reserved.get(dst)
+        if flows:
+            for other, bw in flows.items():
+                betas[sources == other] -= bw
+        if uplinks is None:
+            peers = self.peers
+            uplinks = np.fromiter(
+                (peers[s].avail_up for s in sources.tolist()),
+                np.float64, len(sources),
+            )
+        np.minimum(betas, uplinks, out=betas)
+        dst_peer = self.peers.get(dst)
+        if dst_peer is not None:
+            np.minimum(betas, dst_peer.avail_down, out=betas)
+        np.maximum(betas, 0.0, out=betas)
+        betas[sources == dst] = np.inf  # local connection
+        return betas
 
     # -- reservations ---------------------------------------------------------
     def reserve(self, src: int, dst: int, bw: float) -> bool:
@@ -194,20 +273,24 @@ class NetworkModel:
         if not dst_peer.reserve_down(bw):
             src_peer.release_up(bw)
             return False
-        key = self._key(src, dst)
-        self._reserved[key] = self._reserved.get(key, 0.0) + bw
+        total = self.pair_reserved(src, dst) + bw
+        self._reserved.setdefault(src, {})[dst] = total
+        self._reserved.setdefault(dst, {})[src] = total
         return True
 
     def release(self, src: int, dst: int, bw: float) -> None:
         """Release a prior reservation (tolerates departed peers)."""
         if src == dst or bw == 0.0:
             return
-        key = self._key(src, dst)
-        remaining = self._reserved.get(key, 0.0) - bw
-        if remaining <= 1e-9:
-            self._reserved.pop(key, None)
-        else:
-            self._reserved[key] = remaining
+        remaining = self.pair_reserved(src, dst) - bw
+        for a, b in ((src, dst), (dst, src)):
+            flows = self._reserved.get(a)
+            if remaining > 1e-9:
+                self._reserved.setdefault(a, {})[b] = remaining
+            elif flows is not None:
+                flows.pop(b, None)
+                if not flows:
+                    del self._reserved[a]
         src_peer = self.peers.get(src)
         if src_peer is not None:
             src_peer.release_up(bw)
@@ -217,14 +300,4 @@ class NetworkModel:
 
     @property
     def n_reserved_pairs(self) -> int:
-        return len(self._reserved)
-
-    # -- vectorized helpers ----------------------------------------------------
-    def available_bandwidth_batch(
-        self, sources: np.ndarray, dst: int
-    ) -> np.ndarray:
-        """β for many candidate sources towards one destination peer."""
-        out = np.empty(len(sources), dtype=np.float64)
-        for i, src in enumerate(sources):
-            out[i] = self.available_bandwidth(int(src), dst)
-        return out
+        return sum(len(flows) for flows in self._reserved.values()) // 2

@@ -9,13 +9,20 @@ probing order ("any peer first probes its 1-hop direct neighbors, then
 
 (lower is better).  Ties are broken by recency -- fresher entries win.
 Entries are soft state: each carries an expiry time and expired entries
-are treated as absent (and lazily pruned).
+are treated as absent (and lazily pruned when touched).
+
+Layout: three parallel arrays in insertion order (``pids``, ``prio``,
+``expires``; hop and directness are the two halves of the priority), so
+one selection hop resolves and looks up its whole candidate block with a
+handful of array operations.  The scalar methods are thin views over the
+same arrays; ``tests/probing/reference_table.py`` is the dict-of-objects
+table this one must match entry for entry, order included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +31,7 @@ __all__ = ["NeighborEntry", "NeighborTable"]
 
 @dataclass(slots=True)
 class NeighborEntry:
-    """One (soft-state) neighbor relationship."""
+    """One (soft-state) neighbor relationship -- a copy of a table row."""
 
     peer_id: int
     hop: int
@@ -44,47 +51,88 @@ class NeighborTable:
         if budget < 0:
             raise ValueError("budget must be non-negative")
         self.budget = budget
-        self._entries: Dict[int, NeighborEntry] = {}
-        self._pid_cache: Optional[np.ndarray] = None
+        self.pids = np.empty(0, dtype=np.int64)
+        self.prio = np.empty(0, dtype=np.int64)
+        self.expires = np.empty(0, dtype=np.float64)
+        #: ``(sorted pids, sorter)`` for membership; rebuilt after a change.
+        self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def pid_array(self) -> np.ndarray:
-        """Member ids as an int64 array, for vectorized membership tests.
-
-        Rebuilt lazily after inserts (:meth:`resolve`); *deletions* do
-        not invalidate it, so it may be a stale **superset** of the live
-        keys -- callers prefiltering candidates with it must still treat
-        a ``_entries`` miss as unknown.  (A superset can only add probe
-        positions whose dict lookup then fails exactly like the
-        unfiltered loop; a subset would silently hide members, so every
-        insert path invalidates.)
-        """
-        cache = self._pid_cache
-        if cache is None:
-            cache = self._pid_cache = np.fromiter(
-                self._entries, np.int64, len(self._entries)
-            )
-        return cache
+        return len(self.pids)
 
     def __contains__(self, peer_id: int) -> bool:
-        return peer_id in self._entries
+        return bool((self.pids == peer_id).any())
 
     def entries(self) -> List[NeighborEntry]:
-        return list(self._entries.values())
+        return [
+            NeighborEntry(pid, prio >> 1, not prio & 1, expires_at)
+            for pid, prio, expires_at in zip(
+                self.pids.tolist(), self.prio.tolist(), self.expires.tolist()
+            )
+        ]
+
+    def active_ids(self, now: float) -> List[int]:
+        return self.pids[self.expires >= now].tolist()
+
+    # -- membership -----------------------------------------------------------
+    def _rows(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(member, rows)``: which targets have a row (expired or not),
+        and that row (arbitrary where ``member`` is False)."""
+        n = len(self.pids)
+        if n == 0:
+            none = np.zeros(len(targets), dtype=np.intp)
+            return none.astype(bool), none
+        if self._index is None:
+            sorter = self.pids.argsort()
+            self._index = (self.pids[sorter], sorter)
+        sorted_pids, sorter = self._index
+        at = sorted_pids.searchsorted(targets)
+        np.minimum(at, n - 1, out=at)
+        return sorted_pids[at] == targets, sorter[at]
+
+    def _keep(self, keep: np.ndarray) -> None:
+        self.pids = self.pids[keep]
+        self.prio = self.prio[keep]
+        self.expires = self.expires[keep]
+        self._index = None
+
+    def drop(self, peer_id: int) -> None:
+        keep = self.pids != peer_id
+        if not keep.all():
+            self._keep(keep)
 
     def get(self, peer_id: int, now: float) -> Optional[NeighborEntry]:
         """The active entry for ``peer_id``, or ``None`` (expired counts
         as absent and is pruned)."""
-        entry = self._entries.get(peer_id)
-        if entry is None:
+        rows = np.flatnonzero(self.pids == peer_id)
+        if not len(rows):
             return None
-        if entry.expires_at < now:
-            del self._entries[peer_id]
+        row = rows[0]
+        if self.expires[row] < now:
+            self.drop(peer_id)
             return None
-        return entry
+        prio = int(self.prio[row])
+        return NeighborEntry(
+            peer_id, prio >> 1, not prio & 1, float(self.expires[row])
+        )
 
+    def lookup(self, targets: np.ndarray, now: float) -> np.ndarray:
+        """Positions in ``targets`` that name an active entry, ascending.
+
+        Block form of :meth:`get`: exactly the expired entries the
+        targets touch are pruned, nothing else.
+        """
+        member, rows = self._rows(targets)
+        pos = np.flatnonzero(member)
+        expired = self.expires[rows[pos]] < now
+        if expired.any():
+            keep = np.ones(len(self.pids), dtype=bool)
+            keep[rows[pos[expired]]] = False
+            self._keep(keep)
+            pos = pos[~expired]
+        return pos
+
+    # -- resolution -----------------------------------------------------------
     def resolve(
         self,
         neighbors: Iterable[Tuple[int, int, bool]],
@@ -97,88 +145,77 @@ class NeighborTable:
         the better (lower) priority of old vs. new.  Returns the number
         of entries *newly added* (refreshes are free under the budget).
         """
-        expires = now + ttl
-        self._pid_cache = None  # inserts below may add members
-        entries = self._entries
-        # Pending inserts are staged (pid -> [priority, hop, direct]) so
-        # entries doomed by the budget are never constructed: the staged
-        # view plus the refreshed existing entries rank exactly like the
-        # insert-everything-then-evict spelling, including its stable
-        # (priority desc, expiry asc, insertion order) tie-breaks.
-        staged: Dict[int, list] = {}
-        for peer_id, hop, direct in neighbors:
-            if hop < 1:
-                raise ValueError(f"hop must be >= 1, got {hop}")
-            priority = 2 * hop + (0 if direct else 1)
-            entry = entries.get(peer_id)
-            if entry is not None:
-                if expires > entry.expires_at:
-                    entry.expires_at = expires
-                if priority < 2 * entry.hop + (0 if entry.direct else 1):
-                    entry.hop, entry.direct = hop, direct
-            else:
-                pending = staged.get(peer_id)
-                if pending is None:
-                    staged[peer_id] = [priority, hop, direct]
-                elif priority < pending[0]:
-                    pending[0], pending[1], pending[2] = priority, hop, direct
-        added = len(staged)
-        if len(entries) + added <= self.budget:
-            for peer_id, (_, hop, direct) in staged.items():
-                entries[peer_id] = NeighborEntry(peer_id, hop, direct, expires)
-            return added
-        # Over budget: expired entries go first (staged ones are fresh by
-        # construction), then rank the union by (priority desc, expiry
-        # asc) with insertion order -- existing entries before staged
-        # ones -- breaking ties, and keep the best ``budget``.
-        for pid in [p for p, e in entries.items() if e.expires_at < now]:
-            del entries[pid]
-        overflow = len(entries) + added - self.budget
-        if overflow <= 0:
-            for peer_id, (_, hop, direct) in staged.items():
-                entries[peer_id] = NeighborEntry(peer_id, hop, direct, expires)
-            return added
-        ranked = [
-            (-2 * e.hop - (0 if e.direct else 1), e.expires_at, i, pid)
-            for i, (pid, e) in enumerate(entries.items())
-        ]
-        base = len(ranked)
-        ranked.extend(
-            (-pending[0], expires, base + i, pid)
-            for i, (pid, pending) in enumerate(staged.items())
-        )
-        ranked.sort()
-        for _, _, i, pid in ranked[:overflow]:
-            if i < base:
-                del entries[pid]
-            else:
-                del staged[pid]
-        for peer_id, (_, hop, direct) in staged.items():
-            entries[peer_id] = NeighborEntry(peer_id, hop, direct, expires)
-        return added
+        triples = np.array(list(neighbors), dtype=np.int64).reshape(-1, 3)
+        if not len(triples):
+            return 0
+        prio = 2 * triples[:, 1] + 1 - triples[:, 2]
+        return self._merge(triples[:, 0], prio, now, ttl)[0]
 
-    def _evict(self, now: float) -> None:
-        """Drop expired entries, then worst-priority ones, down to budget."""
-        # Pass 1: expired entries go first.
-        expired = [pid for pid, e in self._entries.items() if e.expires_at < now]
-        for pid in expired:
-            del self._entries[pid]
-        overflow = len(self._entries) - self.budget
-        if overflow <= 0:
-            return
-        # Pass 2: evict by (priority desc, expiry asc) -- least beneficial,
-        # then stalest.  Sorting bare tuples (with the enumeration index
-        # reproducing the stable sort's insertion-order tie-break) skips
-        # the per-comparison key-lambda overhead of the obvious spelling.
-        ranked = sorted(
-            (-2 * e.hop - (0 if e.direct else 1), e.expires_at, i, pid)
-            for i, (pid, e) in enumerate(self._entries.items())
-        )
-        for _, _, _, pid in ranked[:overflow]:
-            del self._entries[pid]
+    def resolve_block(
+        self,
+        pids: np.ndarray,
+        hops: np.ndarray,
+        direct: bool,
+        now: float,
+        ttl: float,
+    ) -> int:
+        """:meth:`resolve` for ``(pids[i], hops[i], direct)`` relations.
 
-    def drop(self, peer_id: int) -> None:
-        self._entries.pop(peer_id, None)
+        Returns the number of notifications the block *needed*: refreshes
+        of entries not already fresh until ``now + ttl`` at an equal or
+        better priority, plus the distinct newcomers the budget could
+        hold.  (The rest would change neither the table nor any later
+        eviction, so a resolver need not send them.)
+        """
+        return self._merge(pids, 2 * hops + (0 if direct else 1), now, ttl)[1]
 
-    def active_ids(self, now: float) -> List[int]:
-        return [pid for pid, e in self._entries.items() if e.expires_at >= now]
+    def _merge(
+        self, pids: np.ndarray, prio: np.ndarray, now: float, ttl: float
+    ) -> Tuple[int, int]:
+        """Apply relations in array order; ``(newly added, needed)``."""
+        if prio.min() < 2:
+            raise ValueError("hop must be >= 1")
+        expires_at = now + ttl
+        needed = 0
+        member, rows = self._rows(pids)
+        if member.any():
+            rows, known = rows[member], prio[member]
+            until = self.expires[rows]
+            stale = until < expires_at
+            stale |= self.prio[rows] > known
+            needed = int(np.count_nonzero(stale))
+            self.expires[rows] = np.maximum(until, expires_at)
+            np.minimum.at(self.prio, rows, known)
+            pids, prio = pids[~member], prio[~member]
+            if not len(pids):
+                return 0, needed
+        # Newcomers: first position, best priority of their occurrences
+        # (a stable sort groups repeats with the first occurrence leading).
+        order = pids.argsort(kind="stable")
+        grouped = pids[order]
+        leads = np.ones(len(grouped), dtype=bool)
+        leads[1:] = grouped[1:] != grouped[:-1]
+        if not leads.all():
+            starts = np.flatnonzero(leads)
+            best = np.minimum.reduceat(prio[order], starts)
+            first = order[starts]
+            arrival = first.argsort()
+            pids, prio = pids[first[arrival]], best[arrival]
+        added = len(pids)
+        needed += min(added, self.budget)
+        total = len(self.pids) + added
+        pids = np.concatenate((self.pids, pids))
+        prio = np.concatenate((self.prio, prio))
+        expires = np.concatenate((self.expires, np.full(added, expires_at)))
+        if total > self.budget:
+            # Over budget: every expired entry goes (newcomers are fresh),
+            # then the worst by (priority desc, expiry asc), insertion
+            # order -- held before new -- breaking ties (lexsort is stable).
+            expired = expires < now
+            n_out = max(int(np.count_nonzero(expired)), total - self.budget)
+            keep = np.ones(total, dtype=bool)
+            keep[np.lexsort((expires, -prio, ~expired))[:n_out]] = False
+            pids, prio, expires = pids[keep], prio[keep], expires[keep]
+        self.pids, self.prio, self.expires = pids, prio, expires
+        self._index = None
+        return added, needed

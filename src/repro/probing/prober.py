@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.resources import ResourceVector
-from repro.core.selection import PeerInfo
+from repro.core.selection import ObservedBlock, PeerInfo
 from repro.faults.backoff import RetryPolicy
 from repro.network.peer import PeerDirectory
 from repro.network.topology import NetworkModel
@@ -100,12 +100,11 @@ class ProbingService:
     """Bounded-neighborhood, epoch-snapshotted performance information."""
 
     #: Resolution fast path (synced with ``GridConfig.fast_paths`` by the
-    #: grid): :meth:`resolve_selection_hops` skips re-resolving targets
-    #: whose soft-state entries are still fresh and at least as good --
-    #: the table refresh would be a pure no-op (``expires_at`` is already
-    #: past ``now + ttl`` and the priority cannot upgrade), so table
-    #: state and all downstream selection stay bit-identical; only the
-    #: duplicate notification messages disappear.
+    #: grid): :meth:`resolve_selection_hops` merges each candidate flood
+    #: into the observer's table as one array block and does not count
+    #: notifications that could change nothing (already-fresh soft state,
+    #: newcomers the budget cannot hold).  Table state and all downstream
+    #: selection stay bit-identical; only ``resolution_messages`` differs.
     fast_paths = True
 
     def __init__(
@@ -151,17 +150,20 @@ class ProbingService:
         self,
         observer: int,
         neighbors: Iterable[Tuple[int, int, bool]],
-        ) -> int:
+    ) -> int:
         """Resolve ``(peer_id, hop, direct)`` relations at ``observer``."""
         triples = list(neighbors)
         added = self.table(observer).resolve(triples, self.sim.now, self.config.ttl)
-        self.resolution_messages += len(triples)
+        self._count_resolution(len(triples))
+        return added
+
+    def _count_resolution(self, n_messages: int) -> None:
+        self.resolution_messages += n_messages
         tel = self.telemetry
         if tel is not None:
             m = tel.metrics
-            m.counter("probe.resolution_messages").inc(len(triples))
+            m.counter("probe.resolution_messages").inc(n_messages)
             m.gauge("probe.tables").set(len(self._tables))
-        return added
 
     def selection_plan(
         self, hop_candidates: Sequence[Sequence[int]]
@@ -213,89 +215,28 @@ class ProbingService:
             if triples:
                 self.resolve(observer, triples)
             return
-        # Fast path.  Two exact reductions before the table sees anything:
-        # * targets whose existing soft state is fresh (expiry already
-        #   past now + ttl) and at least as good are skipped -- resolving
-        #   them again would change neither the entry nor its expiry;
-        # * new targets are merged (best priority, first position) and
-        #   only the top ``budget`` kept: a new entry outranked by
-        #   ``budget`` same-call newcomers loses the table eviction no
-        #   matter what the table holds, so it can never survive, and
-        #   dropping it cannot change which other entries do.
-        # Only the notification-message count differs from the plain path.
-        #
-        # Vectorized: the candidate flood is a numpy array; membership in
-        # the (budget-bounded, so tiny) table is one ``isin`` against its
-        # cached pid array, and the staged merge exploits that priority
-        # ``2 * hop + bias`` grows monotonically with position -- the
-        # first occurrence of a pid is always its best, so the scalar
-        # "update on strictly lower priority" branch can never fire.
-        if plan is not None:
-            flat, hops_arr = plan
-            if not len(flat):
-                return
-        else:
-            lens = [len(c) for c in hop_candidates]
-            total = sum(lens)
-            if total == 0:
-                return
-            flat = np.fromiter(
-                (pid for cands in hop_candidates for pid in cands),
-                np.int64, total,
-            )
-            hops_arr = np.repeat(np.arange(1, len(lens) + 1), lens)
+        # Fast path: the whole candidate flood is one block merge into
+        # the observer's table.  Table state is identical to the plain
+        # path; only the notification count differs -- relations that
+        # could change nothing (see NeighborTable.resolve_block) are not
+        # sent.
+        if plan is None:
+            plan = self.selection_plan(hop_candidates)[:2]
+        flat, hops = plan
         keep = flat != observer
         if not keep.all():
-            flat = flat[keep]
-            hops_arr = hops_arr[keep]
-            if not len(flat):
-                return
+            flat, hops = flat[keep], hops[keep]
+        if not len(flat):
+            return
         tbl = self._tables.get(observer)
-        entries = tbl._entries if tbl is not None else None
-        fresh_after = self.sim.now + self.config.ttl
-        bias = 0 if direct else 1
-        triples: List[Tuple[int, int, bool]] = []
-        staged_mask = np.ones(len(flat), dtype=bool)
-        if entries:
-            # Broadcast equality beats np.isin's sort path at table sizes
-            # bounded by the probe budget (tens of entries).
-            member = (flat[:, None] == tbl.pid_array()).any(axis=1)
-            for i in np.flatnonzero(member):
-                pid = int(flat[i])
-                entry = entries.get(pid)
-                if entry is None:
-                    continue  # stale superset hit: really unknown
-                staged_mask[i] = False
-                hop = int(hops_arr[i])
-                if not (
-                    entry.expires_at >= fresh_after
-                    and 2 * entry.hop + (0 if entry.direct else 1)
-                    <= 2 * hop + bias
-                ):
-                    triples.append((pid, hop, direct))
-        s_pids = flat[staged_mask]
-        if len(s_pids):
-            s_hops = hops_arr[staged_mask]
-            _, first_idx = np.unique(s_pids, return_index=True)
-            first_idx.sort()  # first occurrence per pid, arrival order
-            u_pids = s_pids[first_idx]
-            u_hops = s_hops[first_idx]
-            budget = self.config.budget
-            if len(u_pids) > budget:
-                # Keep the eviction's best ``budget`` newcomers: lowest
-                # priority, latest position on ties (same-call entries
-                # share an expiry, so later insertion wins the stable
-                # tie-break) -- then back to arrival order.
-                arrival = np.arange(len(u_pids))
-                sel = np.lexsort((-arrival, 2 * u_hops + bias))[:budget]
-                sel.sort()
-                u_pids = u_pids[sel]
-                u_hops = u_hops[sel]
-            triples.extend(
-                (int(p), int(h), direct) for p, h in zip(u_pids, u_hops)
-            )
-        if triples:
-            self.resolve(observer, triples)
+        if tbl is None:
+            tbl = NeighborTable(self.config.budget)
+        needed = tbl.resolve_block(
+            flat, hops, direct, self.sim.now, self.config.ttl
+        )
+        if needed:
+            self._tables[observer] = tbl
+            self._count_resolution(needed)
 
     def drop_peer(self, peer_id: int) -> None:
         """Forget a departed peer everywhere (lazy tables stay lazy)."""
@@ -379,26 +320,40 @@ class ProbingService:
     def _row_snapshot(self, target: int, epoch: int) -> int:
         """Array-plane :meth:`_snapshot`: refresh ``target``'s store row.
 
-        Returns the store row (refreshed to ``epoch`` if stale, with the
-        same probe accounting and ``probe.refresh`` event the dict plane
-        records) or ``-1`` when the peer is departed.  Only called with
-        no injector attached, so a refresh never fails.
+        Returns the store row (refreshed to ``epoch`` if stale) or ``-1``
+        when the peer is departed.  Only called with no injector
+        attached, so a refresh never fails.
         """
         row = self.directory.row_of(target)
-        if row < 0:
-            return -1
-        store = self._store
-        if store.snap_epoch[row] != epoch:
-            self._record_probe()
-            store.snap_avail[row] = store.available[row]
-            store.snap_up[row] = store.avail_up[row]
-            uptime = self.sim.now - store.joined_at[row]
-            store.snap_uptime[row] = uptime if uptime > 0.0 else 0.0
-            store.snap_epoch[row] = epoch
-            tel = self.telemetry
-            if tel is not None:
-                tel.bus.emit("probe.refresh", target=target, epoch=epoch)
+        if row >= 0 and self._store.snap_epoch[row] != epoch:
+            self._refresh_rows(np.array([target]), np.array([row]), epoch)
         return row
+
+    def _refresh_rows(
+        self, targets: np.ndarray, rows: np.ndarray, epoch: int
+    ) -> None:
+        """Probe ``targets`` (store ``rows``) into the epoch snapshot.
+
+        One probe message and one ``probe.refresh`` event per distinct
+        target, in block order -- the accounting of a per-target refresh.
+        """
+        if len(rows) > 1 and len(set(rows.tolist())) < len(rows):
+            first = np.unique(rows, return_index=True)[1]
+            first.sort()
+            targets, rows = targets[first], rows[first]
+        store = self._store
+        store.snap_avail[rows] = store.available[rows]
+        store.snap_up[rows] = store.avail_up[rows]
+        store.snap_uptime[rows] = np.maximum(
+            self.sim.now - store.joined_at[rows], 0.0
+        )
+        store.snap_epoch[rows] = epoch
+        self.probe_messages += len(rows)
+        tel = self.telemetry
+        if tel is not None:
+            tel.metrics.counter("probe.messages_sent").inc(len(rows))
+            for target in targets.tolist():
+                tel.bus.emit("probe.refresh", target=target, epoch=epoch)
 
     def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
         """The observer's (stale, bounded) view of target; None if unknown."""
@@ -435,18 +390,9 @@ class ProbingService:
             self.network.pair_reserved(target, observer)
         )
         beta = max(0.0, min(pair_avail, snap.avail_up, observer_down))
-        # Fast-path ResourceVector construction: observe() runs for every
-        # candidate of every hop, and the snapshot array is read-only by
-        # contract, so skip the validating constructor and the copy.
-        availability = ResourceVector.__new__(ResourceVector)
-        availability.names = self.directory.resource_names
-        availability.values = snap.availability
-        return PeerInfo(
-            peer_id=target,
-            availability=availability,
-            bandwidth_to_observer=beta,
-            uptime=snap.uptime,
-            latency=self.network.latency_ms(target, observer),
+        return self._peer_info(
+            target, snap.availability, beta, snap.uptime,
+            self.network.latency_ms(target, observer),
         )
 
     def _observe_row(self, observer: int, target: int, tbl) -> Optional[PeerInfo]:
@@ -462,133 +408,70 @@ class ProbingService:
         observer_down = (
             store.avail_down[orow] if orow >= 0 else float("inf")
         )
-        capacity, latency = self.network.pair_static(target, observer)
-        beta = capacity - self.network.pair_reserved(target, observer)
+        beta = self.network.pair_capacity(target, observer) - (
+            self.network.pair_reserved(target, observer)
+        )
         if store.snap_up[row] < beta:
             beta = store.snap_up[row]
         if observer_down < beta:
             beta = observer_down
         if beta < 0.0:
             beta = 0.0
-        availability = ResourceVector.__new__(ResourceVector)
-        availability.names = self.directory.resource_names
-        availability.values = store.snap_avail[row]
-        return PeerInfo(
-            peer_id=target,
-            availability=availability,
-            bandwidth_to_observer=beta,
-            uptime=store.snap_uptime[row],
-            latency=latency,
+        return self._peer_info(
+            target, store.snap_avail[row], beta, store.snap_uptime[row],
+            self.network.latency_ms(target, observer),
         )
 
+    def _peer_info(self, target, values, beta, uptime, latency) -> PeerInfo:
+        # Fast-path ResourceVector construction: this runs for every
+        # candidate of every scalar hop, and snapshot arrays are read-only
+        # by contract, so skip the validating constructor and the copy.
+        availability = ResourceVector.__new__(ResourceVector)
+        availability.names = self.directory.resource_names
+        availability.values = values
+        return PeerInfo(target, availability, beta, uptime, latency)
+
     def observe_block(
-        self, observer: int, targets: Sequence[int]
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        self, observer: int, targets: Sequence[int], latency: bool = False
+    ) -> Optional[ObservedBlock]:
         """Array view of :meth:`observe_many` for SoA directories.
 
-        Returns ``(known, avail, betas, uptimes, latencies)`` where
-        ``known`` is a bool mask over ``targets`` and the other arrays
-        align with ``known``'s True positions (candidate order):
-        ``avail`` is the ``(k, m)`` snapshot availability block, the rest
-        are ``(k,)``.  Values are bitwise-identical to what the
-        per-target :meth:`observe` chain produces -- batch refresh copies
-        the same rows, and the β clamp chain uses the same elementwise
-        minima.  ``None`` when the array plane is unavailable (object
-        directory or fault injection); callers fall back to
-        :meth:`observe_many`.
+        An :data:`~repro.core.selection.ObservedBlock`; its latencies
+        are ``None`` unless asked for -- the default Φ never reads them,
+        and deriving one costs a hash per first-seen pair.  Values are
+        bitwise-identical to what the per-target :meth:`observe` chain
+        produces, and so are the side effects (expired/departed entries
+        pruned, stale rows probed once, in target order).  ``None`` when
+        the array plane is unavailable (object directory or fault
+        injection); callers fall back to :meth:`observe_many`.
         """
-        if self._store is None or self.injector is not None:
-            return None
         store = self._store
-        n = len(targets)
-        known = np.zeros(n, dtype=bool)
+        if store is None or self.injector is not None:
+            return None
         tbl = self._tables.get(observer)
-        m = len(self.directory.resource_names)
-        if tbl is None:
-            empty = np.empty(0, dtype=np.float64)
-            return known, np.empty((0, m)), empty, empty, empty
-        now = self.sim.now
-        entries = tbl._entries
-        epoch = int(now / self.config.period)
-        row_of = self.directory.row_of
-        snap_epoch = store.snap_epoch
-        pair_static = self.network.pair_static
-        pair_reserved = self.network.pair_reserved
-        rows: List[int] = []
-        caps: List[float] = []
-        lats: List[float] = []
-        resv: List[float] = []
-        stale: List[int] = []  # positions in `targets` needing a refresh
-        stale_rows: set = set()
-        # Budget-bounded tables are tiny next to the candidate flood, so
-        # membership is one vectorized isin against the cached pid array
-        # (a stale superset only adds positions whose dict probe fails,
-        # exactly like the unfiltered scalar loop).
-        if not entries:
-            empty = np.empty(0, dtype=np.float64)
-            return known, np.empty((0, m)), empty, empty, empty
-        t_arr = np.fromiter(targets, np.int64, n)
-        member = (t_arr[:, None] == tbl.pid_array()).any(axis=1)
-        for i in np.flatnonzero(member):
-            target = targets[i]
-            entry = entries.get(target)
-            if entry is None:
-                continue
-            if entry.expires_at < now:
-                del entries[target]
-                continue
-            row = row_of(target)
-            if row < 0:
-                del entries[target]  # probe discovered the departure
+        ids = np.fromiter(targets, np.int64, len(targets))
+        known = tbl.lookup(ids, self.sim.now) if tbl is not None else ids[:0]
+        ids = ids[known]
+        rows = self.directory.rows_for(ids)
+        departed = rows < 0
+        if departed.any():
+            for target in ids[departed].tolist():
+                tbl.drop(target)  # probe discovered the departure
                 self._snapshots.pop(target, None)
-                continue
-            if snap_epoch[row] != epoch and row not in stale_rows:
-                stale_rows.add(row)
-                stale.append(i)
-            known[i] = True
-            rows.append(row)
-            capacity, latency = pair_static(target, observer)
-            caps.append(capacity)
-            lats.append(latency)
-            resv.append(pair_reserved(target, observer))
-        k = len(rows)
-        if k == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return known, np.empty((0, m)), empty, empty, empty
-        if stale:
-            # Batch soft-state refresh of the stale rows: same values
-            # (and the same per-target probe.refresh events, in candidate
-            # order) as the scalar per-target refresh.
-            srows = np.fromiter(
-                (row_of(targets[i]) for i in stale), np.int64, len(stale)
-            )
-            store.snap_avail[srows] = store.available[srows]
-            store.snap_up[srows] = store.avail_up[srows]
-            uptimes = now - store.joined_at[srows]
-            np.maximum(uptimes, 0.0, out=uptimes)
-            store.snap_uptime[srows] = uptimes
-            store.snap_epoch[srows] = epoch
-            self.probe_messages += len(stale)
-            tel = self.telemetry
-            if tel is not None:
-                tel.metrics.counter("probe.messages_sent").inc(len(stale))
-                bus = tel.bus
-                for i in stale:
-                    bus.emit("probe.refresh", target=targets[i], epoch=epoch)
-        krows = np.fromiter(rows, np.int64, k)
-        betas = np.fromiter(caps, np.float64, k)
-        betas -= np.fromiter(resv, np.float64, k)
-        np.minimum(betas, store.snap_up[krows], out=betas)
-        orow = row_of(observer)
-        if orow >= 0:
-            np.minimum(betas, store.avail_down[orow], out=betas)
-        np.maximum(betas, 0.0, out=betas)
+            known, ids, rows = known[~departed], ids[~departed], rows[~departed]
+        epoch = int(self.sim.now / self.config.period)
+        stale = store.snap_epoch[rows] != epoch
+        if stale.any():
+            self._refresh_rows(ids[stale], rows[stale], epoch)
+        betas = self.network.available_bandwidth_batch(
+            ids, observer, uplinks=store.snap_up[rows]
+        )
         return (
             known,
-            store.snap_avail[krows],
+            store.snap_avail[rows],
             betas,
-            store.snap_uptime[krows],
-            np.fromiter(lats, np.float64, k),
+            store.snap_uptime[rows],
+            self.network.pair_latencies(observer, ids) if latency else None,
         )
 
     def observe_many(
@@ -596,92 +479,16 @@ class ProbingService:
     ) -> List[Optional[PeerInfo]]:
         """Batched :meth:`observe` over one observer's candidate list.
 
-        Produces exactly ``[observe(observer, t) for t in targets]`` --
-        selection's per-hop fan-out is the hottest call site, so the
-        per-observer work (table lookup, downlink residual, resource
-        names) is hoisted out of the loop.  Falls back to the scalar
-        path under fault injection, where per-target injector draws must
-        happen in the scalar order.
+        Produces exactly ``[observe(observer, t) for t in targets]``; on
+        the array plane it is one :meth:`observe_block` re-materialized
+        as PeerInfo objects.
         """
-        if self.injector is not None:
+        block = self.observe_block(observer, targets, latency=True)
+        if block is None:
             return [self.observe(observer, t) for t in targets]
-        if self._store is not None:
-            # SoA plane: one observe_block call, re-materialized as
-            # PeerInfo objects so the public contract is unchanged.
-            known, avail, betas, uptimes, lats = self.observe_block(
-                observer, targets
-            )
-            resource_names = self.directory.resource_names
-            out: List[Optional[PeerInfo]] = []
-            j = 0
-            for i, target in enumerate(targets):
-                if not known[i]:
-                    out.append(None)
-                    continue
-                availability = ResourceVector.__new__(ResourceVector)
-                availability.names = resource_names
-                availability.values = avail[j]
-                out.append(PeerInfo(
-                    peer_id=target,
-                    availability=availability,
-                    bandwidth_to_observer=betas[j],
-                    uptime=uptimes[j],
-                    latency=lats[j],
-                ))
-                j += 1
-            return out
-        tbl = self._tables.get(observer)
-        if tbl is None:
-            return [None] * len(targets)
-        now = self.sim.now
-        entries = tbl._entries
-        observer_peer = self.directory.get(observer)
-        observer_down = (
-            observer_peer.avail_down if observer_peer is not None else float("inf")
-        )
-        resource_names = self.directory.resource_names
-        network = self.network
-        snapshots = self._snapshots
-        # Injector-free departures always pass through drop_peer(), which
-        # pops the snapshot -- so an epoch-fresh snapshot implies a live
-        # peer and the directory re-check can be skipped inline.
-        epoch = int(now / self.config.period)
-        out: List[Optional[PeerInfo]] = []
-        for target in targets:
-            entry = entries.get(target)
-            if entry is None:
-                out.append(None)
-                continue
-            if entry.expires_at < now:
-                del entries[target]
-                out.append(None)
-                continue
-            snap = snapshots.get(target)
-            if snap is None or snap.epoch != epoch:
-                snap = self._snapshot(target)
-                if snap is None:
-                    tbl.drop(target)  # probe discovered the departure
-                    snapshots.pop(target, None)
-                    out.append(None)
-                    continue
-            capacity, latency = network.pair_static(target, observer)
-            beta = capacity - network.pair_reserved(target, observer)
-            if snap.avail_up < beta:
-                beta = snap.avail_up
-            if observer_down < beta:
-                beta = observer_down
-            if beta < 0.0:
-                beta = 0.0
-            availability = ResourceVector.__new__(ResourceVector)
-            availability.names = resource_names
-            availability.values = snap.availability
-            out.append(PeerInfo(
-                peer_id=target,
-                availability=availability,
-                bandwidth_to_observer=beta,
-                uptime=snap.uptime,
-                latency=latency,
-            ))
+        out: List[Optional[PeerInfo]] = [None] * len(targets)
+        for i, values, beta, uptime, lat in zip(block[0].tolist(), *block[1:]):
+            out[i] = self._peer_info(targets[i], values, beta, uptime, lat)
         return out
 
     # -- overhead metrics ------------------------------------------------------

@@ -152,3 +152,105 @@ class TestNetworkModel:
                 total += 300.0
         assert total <= 1000.0
         assert d[0].avail_up == pytest.approx(1000.0 - total)
+
+
+class TestPairMemo:
+    """The one pair memo: bounded, never stops admitting, values exact.
+
+    Regression for the ``MEMO_CAP = 2**18`` cliff: the old dict memos
+    stopped admitting entries once full, so every pair first touched
+    after the cliff was re-hashed (twice) on every later touch.
+    """
+
+    @staticmethod
+    def _count_hashes(monkeypatch):
+        import repro.network.topology as topology
+
+        calls = []
+        real = topology.hashlib.blake2b
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(topology.hashlib, "blake2b", counting)
+        return calls
+
+    def test_survives_more_than_2_18_distinct_pairs(self, monkeypatch):
+        _, net = make_net(n=4, seed=5)
+        fresh = PairwiseClasses(5 * 2 + 1, len(BANDWIDTH_CLASSES),
+                                (0.35, 0.35, 0.2, 0.1))
+        n_pairs = 0
+        for observer in range(700):  # 700 x 400 = 280 000 > 2**18 pairs
+            targets = np.arange(1000 + observer, 1400 + observer, dtype=np.int64)
+            caps = net.pair_capacities(observer, targets)
+            n_pairs += len(targets)
+            if observer % 100 == 0:  # (a) values equal a fresh hasher
+                expected = [BANDWIDTH_CLASSES[fresh.class_index(observer, int(t))]
+                            for t in targets]
+                assert caps.tolist() == expected
+        assert n_pairs > 2**18
+        # (b) the entry count stays under the stated bound.
+        assert len(net._memo) == NetworkModel.MEMO_SLOTS
+        assert int((net._memo >= 0).sum()) <= NetworkModel.MEMO_SLOTS
+        # (c) a pair first touched *after* the flood is admitted: hashed
+        # once (capacity only -- nobody asked for its latency), then
+        # served from the memo on the scalar and on the batch path.
+        calls = self._count_hashes(monkeypatch)
+        first = net.pair_capacity(5000, 5001)
+        assert len(calls) == 1
+        assert net.pair_capacity(5001, 5000) == first
+        again = net.pair_capacities(5000, np.array([5001], dtype=np.int64))
+        assert again.tolist() == [first]
+        assert len(calls) == 1
+
+    def test_colliding_pairs_evict_but_never_lie(self, monkeypatch):
+        _, wide = make_net(n=4, seed=2)
+        monkeypatch.setattr(NetworkModel, "MEMO_SLOTS", 7)
+        _, net = make_net(n=4, seed=2)
+        targets = np.arange(40, dtype=np.int64)
+        for _ in range(2):  # second sweep re-reads evicted slots
+            for observer in range(20):
+                assert (net.pair_capacities(observer, targets).tolist()
+                        == wide.pair_capacities(observer, targets).tolist())
+                assert (net.pair_latencies(observer, targets).tolist()
+                        == wide.pair_latencies(observer, targets).tolist())
+                assert net.latency_ms(observer, 3) == wide.latency_ms(observer, 3)
+        assert len(net._memo) == 7
+
+    def test_latency_is_hashed_only_on_request(self, monkeypatch):
+        _, net = make_net()
+        calls = self._count_hashes(monkeypatch)
+        targets = np.array([1, 2, 3], dtype=np.int64)
+        caps = net.pair_capacities(0, targets)
+        assert len(calls) == 3  # one bandwidth hash per pair, no latency
+        lats = net.pair_latencies(0, targets)
+        assert len(calls) == 3 + 6  # completing re-derives both classes
+        assert lats.tolist() == [net.latency_ms(0, t) for t in (1, 2, 3)]
+        assert net.pair_capacities(0, targets).tolist() == caps.tolist()
+        assert len(calls) == 9  # everything memoized now
+
+    def test_local_pair_in_a_block(self):
+        _, net = make_net()
+        targets = np.array([1, 0, 2], dtype=np.int64)
+        assert net.pair_capacities(0, targets)[1] == float("inf")
+        assert net.pair_latencies(0, targets)[1] == 0.0
+        assert net.pair_capacities(0, targets).tolist() == [
+            net.pair_capacity(0, t) for t in (1, 0, 2)
+        ]
+
+    def test_batch_beta_handles_reservations_and_self(self):
+        d, net = make_net(n=6)
+        assert net.reserve(2, 5, 300.0)
+        assert net.reserve(5, 1, 200.0)
+        sources = np.array([0, 1, 2, 5, 2], dtype=np.int64)
+        batch = net.available_bandwidth_batch(sources, dst=5)
+        assert batch.tolist() == [
+            net.available_bandwidth(int(s), 5) for s in sources
+        ]
+        snapshot = np.array([50.0, 1e9, 1e9, 1e9, 0.0])
+        capped = net.available_bandwidth_batch(sources, 5, uplinks=snapshot)
+        assert capped[0] == 50.0 and capped[4] == 0.0
+        assert capped[2] == (
+            min(net.pair_capacity(2, 5) - 300.0, d[5].avail_down)
+        )

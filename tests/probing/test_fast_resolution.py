@@ -10,14 +10,15 @@ through a fast and a slow instance side by side.
 
 import numpy as np
 
+from repro.core.selection import PhiWeights
 from repro.grid import GridConfig, P2PGrid
 from repro.probing.prober import ProbingService
 
 
 def _table_state(service):
     return {
-        observer: [(pid, e.hop, e.direct, e.expires_at)
-                   for pid, e in tbl._entries.items()]
+        observer: [(e.peer_id, e.hop, e.direct, e.expires_at)
+                   for e in tbl.entries()]
         for observer, tbl in service._tables.items()
     }
 
@@ -49,23 +50,50 @@ def test_resolve_selection_hops_fast_path_is_exact():
 
 
 def test_observe_many_matches_scalar_observe():
+    _check_block_and_many_match_scalar(latency_weighted=False)
+    _check_block_and_many_match_scalar(latency_weighted=True)
+
+
+def _check_block_and_many_match_scalar(latency_weighted):
     grid = P2PGrid(GridConfig(n_peers=120, seed=5))
     prober = grid.probing
     agg = grid.make_aggregator("qsa")
+    if latency_weighted:
+        # A latency-weighted Φ makes the selector ask observe_block for
+        # latencies; the default Φ never does.
+        agg.selector.weights = PhiWeights.latency_aware(
+            grid.directory.resource_names
+        )
     rng = np.random.default_rng(7)
     for _ in range(10):  # populate tables + snapshots through real traffic
         req = grid.make_request("video-on-demand", qos_level="average",
                                 duration=3.0)
         agg.aggregate(req)
+    grid.sim.run(until=grid.sim.now + 1.5)  # next epoch: snapshots go stale
     observers = [o for o, t in prober._tables.items() if len(t)]
     assert observers
     pids = list(grid.directory.alive_ids)
     for observer in observers:
         targets = ([int(p) for p in rng.choice(pids, size=20)]
-                   + list(prober._tables[observer]._entries)[:10])
+                   + [e.peer_id for e in prober.table(observer).entries()][:10])
+        # The block first: it probes the stale rows, the scalar chain
+        # then reads the same epoch snapshot.
+        known, avail, betas, uptimes, lats = prober.observe_block(
+            observer, targets, latency=latency_weighted
+        )
+        assert (lats is not None) == latency_weighted
         batched = prober.observe_many(observer, targets)
         scalar = [prober.observe(observer, t) for t in targets]
         assert len(batched) == len(scalar)
+        assert known.tolist() == [
+            i for i, s in enumerate(scalar) if s is not None
+        ]
+        for j, i in enumerate(known.tolist()):
+            assert betas[j] == scalar[i].bandwidth_to_observer
+            assert uptimes[j] == scalar[i].uptime
+            assert np.array_equal(avail[j], scalar[i].availability.values)
+            if latency_weighted:
+                assert lats[j] == scalar[i].latency
         for b, s in zip(batched, scalar):
             if s is None:
                 assert b is None

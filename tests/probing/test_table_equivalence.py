@@ -1,0 +1,107 @@
+"""Differential proof: the array NeighborTable is the reference table.
+
+Hypothesis drives random schedules of ``resolve`` / ``resolve_block`` /
+``get`` / ``lookup`` / ``drop`` / ``active_ids`` / time advances through
+the production parallel-array table and the dict-of-objects reference
+(``reference_table.py``, the table this repo shipped before), and after
+every step requires identical return values and identical
+``(pid, hop, direct, expires_at)`` sequences *including order* -- later
+evictions break ties on insertion order, so an order slip would surface
+as a different neighbor set many steps later.
+
+Small id and hop ranges make collisions (refreshes, upgrades, duplicate
+newcomers, over-budget floods, expired-but-unpruned entries) the common
+case rather than the rare one.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.probing.neighbors import NeighborTable
+
+from tests.probing.reference_table import NeighborTable as ReferenceTable
+
+_pid = st.integers(min_value=0, max_value=24)
+_hop = st.integers(min_value=1, max_value=4)
+_triples = st.lists(st.tuples(_pid, _hop, st.booleans()), max_size=30)
+_ttl = st.sampled_from((0.5, 2.0, 10.0))
+
+_step = st.one_of(
+    st.tuples(st.just("resolve"), _triples, _ttl),
+    st.tuples(st.just("block"), st.lists(st.tuples(_pid, _hop), min_size=1,
+                                         max_size=30), st.booleans(), _ttl),
+    st.tuples(st.just("get"), _pid),
+    st.tuples(st.just("lookup"), st.lists(_pid, max_size=12)),
+    st.tuples(st.just("drop"), _pid),
+    st.tuples(st.just("active")),
+    st.tuples(st.just("advance"), st.sampled_from((0.0, 0.25, 1.0, 3.0))),
+)
+
+
+def _state(table):
+    return [(e.peer_id, e.hop, e.direct, e.expires_at) for e in table.entries()]
+
+
+def _row(entry):
+    if entry is None:
+        return None
+    return (entry.peer_id, entry.hop, entry.direct, entry.expires_at,
+            entry.priority)
+
+
+def _reference_needed(ref, pairs, direct, now, ttl):
+    """What ``resolve_block`` must report, counted on the reference
+    *before* the call: refreshes that change something, plus the distinct
+    newcomers the budget could hold."""
+    bias = 0 if direct else 1
+    held = {e.peer_id: e for e in ref.entries()}
+    needed, newcomers = 0, set()
+    for pid, hop in pairs:
+        entry = held.get(pid)
+        if entry is None:
+            newcomers.add(pid)
+        elif entry.expires_at < now + ttl or entry.priority > 2 * hop + bias:
+            needed += 1
+    return needed + min(len(newcomers), ref.budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget=st.integers(min_value=0, max_value=8),
+       steps=st.lists(_step, max_size=40))
+def test_array_table_matches_reference(budget, steps):
+    arr, ref = NeighborTable(budget), ReferenceTable(budget)
+    now = 0.0
+    for step in steps:
+        op = step[0]
+        if op == "resolve":
+            _, triples, ttl = step
+            assert arr.resolve(triples, now, ttl) == ref.resolve(triples, now, ttl)
+        elif op == "block":
+            _, pairs, direct, ttl = step
+            expected = _reference_needed(ref, pairs, direct, now, ttl)
+            ref.resolve([(p, h, direct) for p, h in pairs], now, ttl)
+            got = arr.resolve_block(
+                np.array([p for p, _ in pairs], dtype=np.int64),
+                np.array([h for _, h in pairs], dtype=np.int64),
+                direct, now, ttl,
+            )
+            assert got == expected
+        elif op == "get":
+            assert _row(arr.get(step[1], now)) == _row(ref.get(step[1], now))
+        elif op == "lookup":
+            targets = step[1]
+            expected = [i for i, t in enumerate(targets)
+                        if ref.get(t, now) is not None]
+            got = arr.lookup(np.array(targets, dtype=np.int64), now)
+            assert got.tolist() == expected
+        elif op == "drop":
+            arr.drop(step[1])
+            ref.drop(step[1])
+        elif op == "active":
+            assert arr.active_ids(now) == ref.active_ids(now)
+        else:
+            now += step[1]
+        assert _state(arr) == _state(ref)
+        assert len(arr) == len(ref) <= budget
+        for pid in (0, 7, 24):
+            assert (pid in arr) == (pid in ref)
