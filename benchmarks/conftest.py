@@ -38,6 +38,7 @@ BENCH_ORDER = {
     "bench_flash_crowd": 17,
     "bench_latency_aware": 18,
     "bench_soa_scale": 19,
+    "bench_membership": 20,
 }
 
 

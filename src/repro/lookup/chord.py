@@ -16,12 +16,13 @@ implementation covers the pieces the aggregation model exercises:
   classic O(log N) hop behaviour (verified by the ``bench_chord_lookup``
   bench and unit tests).
 
-Fingers are *derived* from the current ring membership (equivalent to a
-fully converged stabilization protocol) rather than incrementally
-maintained -- the simplification and its rationale are recorded in
-DESIGN.md §4.  Ring membership itself is explicit: ``join``/``leave``
-mutate a sorted id list (bisect-based, O(log N) search, O(N) splice --
-cheap at the churn rates simulated).
+Fingers are *computed per hop from the sorted id list* (equivalent to a
+fully converged stabilization protocol) rather than stored or
+incrementally maintained -- the simplification and its rationale are
+recorded in DESIGN.md §4.  No finger table exists, so a membership
+change has nothing to invalidate there.  Ring membership itself is
+explicit: ``join``/``leave`` mutate a sorted id list (bisect-based,
+O(log N) search plus a C-speed splice).
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.lookup.cache import BoundedCache
 
@@ -57,13 +56,20 @@ class ChordNode:
 
 
 class ChordRing:
-    """The ring: membership, responsibility, storage and routing."""
+    """The ring: membership, responsibility, storage and routing.
+
+    All of it hangs off one sorted id list: responsibility is a bisect,
+    and each greedy routing step computes its finger per hop from that
+    list (:meth:`_closest_preceding`), so membership changes splice the
+    list and invalidate nothing but the route memo.
+    """
 
     #: Optional :class:`repro.telemetry.Telemetry`; set by the grid when
     #: telemetry is enabled (per-lookup hop events + histograms).
     telemetry = None
     #: Route-memo fast path (synced with ``GridConfig.fast_paths`` by the
-    #: grid).  The memo is *exact*: with a fixed membership, the greedy
+    #: grid); the greedy step itself has one implementation and does not
+    #: read this.  The memo is *exact*: with a fixed membership, the greedy
     #: finger walk's next hop is a pure function of (current node, key),
     #: so ``(key, node) -> (remaining hops, target)`` entries reproduce
     #: the uncached walk's hop count to the digit.  Every ``join``/
@@ -71,8 +77,6 @@ class ChordRing:
     fast_paths = True
     #: Route-memo entry cap ((key, node) pairs; LRU beyond this).
     ROUTE_CACHE_CAP = 1 << 16
-    #: Finger-table memo cap (nodes; cleared wholesale on churn).
-    FINGER_CACHE_CAP = 1 << 14
 
     def __init__(self, bits: int = 32, seed: int = 0) -> None:
         if not 8 <= bits <= 64:
@@ -87,19 +91,6 @@ class ChordRing:
         #: treat a generation mismatch as wholesale invalidation.
         self.generation = 0
         self._route_cache = BoundedCache(self.ROUTE_CACHE_CAP)
-        #: Memoized finger tables (node id -> fingers, farthest first).
-        #: Fingers are derived from the current membership, so they are a
-        #: pure function of (node, generation) -- same invalidation rule
-        #: as the route memo.
-        self._finger_cache: Dict[int, List[int]] = {}
-        self._finger_gen = -1
-        #: Sorted ids as a numpy array (rebuilt lazily per generation)
-        #: for the vectorized finger build.
-        self._ids_arr: Optional[np.ndarray] = None
-        #: Finger offsets 2^(bits-1) .. 2^0, matching the probe order.
-        self._pow2 = np.array(
-            [1 << i for i in range(bits - 1, -1, -1)], dtype=np.uint64
-        )
         #: key -> key_id memo (pure function of the key for a fixed seed).
         self._key_ids: Dict[str, int] = {}
         #: Routing statistics.
@@ -184,17 +175,11 @@ class ChordRing:
             idx = 0
         return self._nodes[self._ids[idx]]
 
-    def _responsible_id(self, key_id: int, extra: Optional[int] = None) -> int:
-        """Node id responsible for ``key_id``; ``extra`` simulates a
-        candidate member not yet inserted (used during join handoff)."""
+    def _responsible_id(self, key_id: int) -> int:
+        """Node id responsible for ``key_id`` (its successor on the ring)."""
         ids = self._ids
-        if extra is not None:
-            pos = bisect.bisect_left(ids, extra)
-            ids = ids[:pos] + [extra] + ids[pos:]
         idx = bisect.bisect_left(ids, key_id)
-        if idx == len(ids):
-            idx = 0
-        return ids[idx]
+        return ids[idx] if idx < len(ids) else ids[0]
 
     def responsible_node(self, key: str) -> ChordNode:
         if not self._ids:
@@ -223,52 +208,25 @@ class ChordRing:
             return a < x < b
         return x > a or x < b
 
-    def _fingers(self, node_id: int) -> List[int]:
-        """``node_id``'s finger targets, farthest (2^(bits-1)) first."""
-        if self._finger_gen != self.generation:
-            self._finger_cache.clear()
-            self._finger_gen = self.generation
-            self._ids_arr = None
-        fingers = self._finger_cache.get(node_id)
-        if fingers is None:
-            # Vectorized successor resolution: one searchsorted over the
-            # sorted id array replaces ``bits`` bisect+dict probes.  The
-            # values are exactly ``successor(node_id + 2^i)`` -- wrap
-            # handled by sending end-of-array hits back to index 0.
-            ids = self._ids_arr
-            if ids is None:
-                ids = self._ids_arr = np.array(self._ids, dtype=np.uint64)
-            targets = self._pow2 + np.uint64(node_id)
-            if self.bits < 64:
-                targets &= np.uint64((1 << self.bits) - 1)
-            idx = np.searchsorted(ids, targets, side="left")
-            idx[idx == len(ids)] = 0
-            fingers = ids[idx].tolist()
-            if len(self._finger_cache) < self.FINGER_CACHE_CAP:
-                self._finger_cache[node_id] = fingers
-        return fingers
-
     def _closest_preceding(self, node_id: int, key_id: int) -> int:
-        """Greedy step: the farthest finger of ``node_id`` preceding key."""
-        if self.fast_paths:
-            # Memoized fingers + the interval test inlined: this probes
-            # up to ``bits`` fingers per routing step, making it the
-            # walk's innermost loop.
-            if node_id < key_id:
-                for finger in self._fingers(node_id):
-                    if node_id < finger < key_id:
-                        return finger
-            else:
-                for finger in self._fingers(node_id):
-                    if finger > node_id or finger < key_id:
-                        return finger
-            return node_id
+        """Greedy step: the farthest finger of ``node_id`` preceding key.
+
+        Finger ``i`` is ``successor(node_id + 2^i)``, so it lies in
+        ``(node_id, key_id)`` exactly when some member sits at clockwise
+        distance ``2^i .. reach``, where ``reach`` is the distance to
+        the key's strict predecessor (the farthest member inside the
+        interval).  The largest such ``i`` is ``bit_length(reach) - 1``:
+        two bisects name the finger a ``bits``-probe table scan would
+        (``tests/lookup/reference_fingers.py`` is that scan).
+        """
+        ids = self._ids
         space = 1 << self.bits
-        for i in range(self.bits - 1, -1, -1):
-            finger = self._successor_node((node_id + (1 << i)) % space).node_id
-            if self._in_open_interval(finger, node_id, key_id, space):
-                return finger
-        return node_id
+        reach = (ids[bisect.bisect_left(ids, key_id) - 1] - node_id) % space
+        if not 0 < reach < ((key_id - node_id) % space or space):
+            return node_id  # no member strictly between us and the key
+        return self._responsible_id(
+            (node_id + (1 << (reach.bit_length() - 1))) % space
+        )
 
     def lookup(self, key: str, from_peer: int) -> Tuple[ChordNode, int]:
         """Route from ``from_peer`` to the node holding ``key``.

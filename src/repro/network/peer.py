@@ -23,6 +23,7 @@ loops.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,8 +125,8 @@ class PeerDirectory:
     def __init__(self, resource_names: Sequence[str] = ("cpu", "memory")) -> None:
         self.resource_names = tuple(resource_names)
         self._peers: Dict[int, Peer] = {}
+        #: Alive ids, ascending (ids are allocated monotonically).
         self._alive_ids: List[int] = []
-        self._alive_dirty = False
         self._next_id = 0
         #: Membership generation: bumped on every create/depart, mirrors
         #: :attr:`repro.network.soa.PeerStore.generation` so the two
@@ -153,7 +154,7 @@ class PeerDirectory:
         if not peer.alive:
             raise ValueError(f"peer {peer_id} already departed")
         peer.departed_at = now
-        self._alive_dirty = True
+        del self._alive_ids[bisect_left(self._alive_ids, peer_id)]
         self.generation += 1
         if self.sanitizer is not None:
             self.sanitizer.note_write("network", "peer-depart", self.generation)
@@ -178,17 +179,12 @@ class PeerDirectory:
 
     @property
     def alive_ids(self) -> List[int]:
-        """Ids of currently alive peers (cached; O(1) when no churn)."""
-        if self._alive_dirty:
-            self._alive_ids = [
-                pid for pid in self._alive_ids if self._peers[pid].alive
-            ]
-            self._alive_dirty = False
+        """Ids of currently alive peers, ascending (maintained in place)."""
         return self._alive_ids
 
     @property
     def n_alive(self) -> int:
-        return len(self.alive_ids)
+        return len(self._alive_ids)
 
     def alive_peers(self) -> Iterator[Peer]:
         return (self._peers[pid] for pid in self.alive_ids)

@@ -42,6 +42,7 @@ byte-identical telemetry per seed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +51,13 @@ from repro.core.resources import ResourceVector
 from repro.network.peer import Peer
 
 __all__ = ["PeerStore", "PeerRowView", "SoAPeerDirectory"]
+
+
+def _doubled(index: np.ndarray) -> np.ndarray:
+    """``index`` (an int64 row index) at twice the length, -1 padded."""
+    grown = np.full(2 * len(index), -1, dtype=np.int64)
+    grown[: len(index)] = index
+    return grown
 
 
 class PeerStore:
@@ -311,9 +319,11 @@ class SoAPeerDirectory:
         #: detached object-backend ``Peer`` tombstone after departure.
         self._views: Dict[int, object] = {}
         self._departed: Dict[int, Peer] = {}
+        #: Alive ids, ascending (ids are allocated monotonically), and
+        #: their store rows in the aligned prefix of a doubling buffer;
+        #: every create/depart keeps the two in step.
         self._alive_ids: List[int] = []
-        self._alive_dirty = False
-        self._alive_rows_cache: Optional[np.ndarray] = None
+        self._alive_rows = np.full(max(initial_rows, 16), -1, dtype=np.int64)
         self._next_id = 0
         self._n_total = 0
         #: Optional :class:`repro.sim.sanitizer.Sanitizer` write barrier.
@@ -338,12 +348,13 @@ class SoAPeerDirectory:
         row = self.store.alloc_row()
         self.store.init_row(row, capacity.values, float(access_bw), float(joined_at))
         if pid >= len(self._row_of):
-            grown = np.full(2 * len(self._row_of), -1, dtype=np.int64)
-            grown[: len(self._row_of)] = self._row_of
-            self._row_of = grown
+            self._row_of = _doubled(self._row_of)
         self._row_of[pid] = row
+        n_alive = len(self._alive_ids)
+        if n_alive >= len(self._alive_rows):
+            self._alive_rows = _doubled(self._alive_rows)
+        self._alive_rows[n_alive] = row
         self._alive_ids.append(pid)
-        self._alive_rows_cache = None
         view = PeerRowView(pid, self.store, row)
         self._views[pid] = view
         if self.sanitizer is not None:
@@ -377,13 +388,13 @@ class SoAPeerDirectory:
         self._row_of[peer_id] = -1
         self._departed[peer_id] = corpse
         self._views[peer_id] = corpse
-        # In-place removal preserves the alive-id ordering the workload
-        # RNG indexes into, at C scan speed (vs. a Python refilter).
-        try:
-            self._alive_ids.remove(peer_id)
-        except ValueError:
-            self._alive_dirty = True
-        self._alive_rows_cache = None
+        # Splice the id out of the ascending alive sequence (the order
+        # the workload RNG indexes into) and its row out of the aligned
+        # array: one bisect plus two C-speed shifts per departure.
+        idx = bisect_left(self._alive_ids, peer_id)
+        del self._alive_ids[idx]
+        n_alive = len(self._alive_ids)
+        self._alive_rows[idx:n_alive] = self._alive_rows[idx + 1 : n_alive + 1]
         if self.sanitizer is not None:
             self.sanitizer.note_write(
                 "network", "peer-depart", self.store.generation
@@ -423,27 +434,17 @@ class SoAPeerDirectory:
     # -- alive views ------------------------------------------------------
     @property
     def alive_ids(self) -> List[int]:
-        """Ids of currently alive peers (cached; O(1) when no churn)."""
-        if self._alive_dirty:
-            row_of = self._row_of
-            self._alive_ids = [
-                pid for pid in self._alive_ids if row_of[pid] >= 0
-            ]
-            self._alive_dirty = False
+        """Ids of currently alive peers, ascending (maintained in place)."""
         return self._alive_ids
 
     def alive_rows(self) -> np.ndarray:
-        """Store rows of the alive peers, aligned with :attr:`alive_ids`."""
-        if self._alive_rows_cache is None:
-            ids = self.alive_ids
-            self._alive_rows_cache = self._row_of[
-                np.asarray(ids, dtype=np.int64)
-            ] if ids else np.empty(0, dtype=np.int64)
-        return self._alive_rows_cache
+        """Store rows of the alive peers, aligned with :attr:`alive_ids`
+        (a view: valid until the next membership change)."""
+        return self._alive_rows[: len(self._alive_ids)]
 
     @property
     def n_alive(self) -> int:
-        return len(self.alive_ids)
+        return len(self._alive_ids)
 
     def alive_peers(self) -> Iterator[object]:
         return (self._views[pid] for pid in self.alive_ids)

@@ -1,0 +1,136 @@
+"""Differential proof: the finger-free greedy step is the finger scan.
+
+``ChordRing._closest_preceding`` names the farthest preceding finger
+with two bisects on the sorted id list; ``reference_fingers.py`` probes
+all ``bits`` fingers the way the ring did before.  Hypothesis drives
+random join/leave schedules and, after every membership change, requires
+the same finger for every (member, key) pair probed and the same
+``(responsible node, hop count)`` from full ``lookup()`` calls, with the
+route memo on and off.
+
+``bits = 8`` with up to 24 peers makes the hard cases common: id
+collisions (re-seated by +1), wrap-around intervals, fingers that wrap
+all the way back to the node itself, and 1-, 2- and 3-member rings;
+``bits = 64`` exercises the widest offsets.  Keys are aimed at the
+boundaries: every member id (``key_id == node_id`` included), its
+neighbours, and every ``n + 2^i`` finger target.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.lookup.chord import ChordRing
+
+from tests.lookup import reference_fingers as ref
+
+_bits = st.sampled_from((8, 16, 32, 64))
+_peer = st.integers(min_value=0, max_value=23)
+_schedule = st.lists(
+    st.one_of(
+        st.tuples(st.just("join"), _peer),
+        st.tuples(st.just("leave"), _peer),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _probe_keys(ring, extra):
+    """Boundary-heavy key ids for the ring's current membership."""
+    space = 1 << ring.bits
+    if ring.bits == 8:
+        return range(space)  # the whole identifier circle
+    keys = set(extra)
+    for n in ring._ids:
+        keys.update(((n - 1) % space, n, (n + 1) % space))
+        for i in range(ring.bits):
+            target = (n + (1 << i)) % space
+            keys.update(((target - 1) % space, target, (target + 1) % space))
+    return sorted(keys)
+
+
+def _check_ring(ring, plain, extra, step):
+    ids = ring._ids
+    assert ids == sorted(set(ids))
+    bits = ring.bits
+    keys = _probe_keys(ring, extra)
+    for n in ids:
+        for k in keys:
+            assert ring._closest_preceding(n, k) == ref.closest_preceding(
+                ids, n, k, bits
+            ), (step, n, k)
+    # Full lookups: pin the key id through the key->id memo so the walk
+    # is aimed at the same boundary ids, then compare target and hops.
+    members = ring.peers()
+    for j, k in enumerate(keys[:: max(1, len(keys) // 24)]):
+        key = f"k{k}"
+        ring._key_ids[key] = plain._key_ids[key] = k
+        for from_peer in (members[j % len(members)], 1000 + j):
+            start = ring._peer_to_id.get(from_peer)
+            if start is None:  # outsider: bootstraps via its hashed spot
+                start = ref.successor(ids, ring.node_id_for(from_peer))
+            want = ref.walk(ids, start, k, bits)
+            for r in (ring, plain):
+                node, hops = r.lookup(key, from_peer)
+                assert (node.node_id, hops) == want, (step, from_peer, k)
+            assert ring.cached_route_hops(key, from_peer) == want[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=_bits,
+    seed=st.integers(min_value=0, max_value=3),
+    schedule=_schedule,
+    extra=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                   max_size=8),
+)
+def test_finger_free_step_matches_reference_scan(bits, seed, schedule, extra):
+    ring = ChordRing(bits=bits, seed=seed)
+    plain = ChordRing(bits=bits, seed=seed)
+    plain.fast_paths = False
+    extra = [k % (1 << bits) for k in extra]
+    for step, (op, pid) in enumerate(schedule):
+        if op == "join":
+            if pid in ring:
+                continue
+            ring.join(pid)
+            plain.join(pid)
+        else:
+            if pid not in ring:
+                continue
+            ring.leave(pid)
+            plain.leave(pid)
+        assert ring._ids == plain._ids
+        if ring._ids:
+            _check_ring(ring, plain, extra, step)
+
+
+def test_small_rings_and_self_keys():
+    """1-, 2- and 3-member rings, every key on an 8-bit circle."""
+    for size in (1, 2, 3):
+        ring = ChordRing(bits=8, seed=1)
+        for pid in range(size):
+            ring.join(pid)
+        ids = ring._ids
+        for n in ids:
+            for k in range(256):
+                assert ring._closest_preceding(n, k) == ref.closest_preceding(
+                    ids, n, k, 8
+                ), (size, n, k)
+        for n in ids:  # key_id == node_id: the interval is the full circle
+            want = ref.closest_preceding(ids, n, n, 8)
+            assert ring._closest_preceding(n, n) == want
+            assert (want == n) == (size == 1)
+
+
+def test_step_is_exact_for_a_non_member_start():
+    """The step never assumes ``node_id`` is itself on the ring."""
+    ring = ChordRing(bits=8, seed=0)
+    for pid in range(12):
+        ring.join(pid)
+    ids = ring._ids
+    outsiders = [n for n in range(256) if n not in ring._nodes]
+    for n in outsiders:
+        for k in range(256):
+            assert ring._closest_preceding(n, k) == ref.closest_preceding(
+                ids, n, k, 8
+            ), (n, k)

@@ -1,0 +1,96 @@
+"""Exactness guard for churn-proportional membership.
+
+One seeded 300-peer run at 10 membership events per minute, four ways:
+{SoA directory, object directory} x {fast paths on, off}.  Every join
+and leave goes through the incrementally maintained alive set (bisect
+splice, aligned row prefix) and every routed lookup through the
+finger-free greedy step; the four runs must export byte-identical
+telemetry JSONL *and* byte-identical determinism-sanitizer ledgers.
+
+Byte-equality between today's paths only proves they agree with each
+other, so the run is also pinned against *before*: the goldens below
+were recorded from the parent commit (70be2c3: ``list.remove`` +
+``np.asarray`` alive set, memoised 32-finger tables) with this same
+configuration.
+"""
+
+import itertools
+import json
+
+import pytest
+
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
+from repro.grid import GridConfig
+from repro.network.churn import ChurnConfig
+from repro.workload.generator import WorkloadConfig
+
+#: Recorded from the parent commit; identical for all four variants there.
+GOLDEN = {
+    "psi": 0.77551,
+    "lookups": 3082,
+    "lookup_hops": 15236,
+    "arrivals": 117,
+    "departures": 112,
+}
+
+
+def _run(tmp_path, backend, fast):
+    stem = f"{backend}-{'fast' if fast else 'plain'}"
+    config = ExperimentConfig(
+        grid=GridConfig(
+            n_peers=300,
+            churn=ChurnConfig(rate_per_min=10.0),
+            seed=23,
+            fast_paths=fast,
+            peer_state_backend=backend,
+        ),
+        workload=WorkloadConfig(
+            rate_per_min=40.0, horizon=12.0, duration_range=(1.0, 6.0)
+        ),
+        drain_minutes=10.0,
+        telemetry_export=str(tmp_path / f"{stem}.jsonl"),
+        sanitize_export=str(tmp_path / f"{stem}.ledger"),
+    )
+    result = run_experiment(config)
+    return (
+        result,
+        (tmp_path / f"{stem}.jsonl").read_bytes(),
+        (tmp_path / f"{stem}.ledger").read_bytes(),
+    )
+
+
+def _observed(result, jsonl):
+    hops = [
+        record["hops"]
+        for record in map(json.loads, jsonl.splitlines())
+        if record["event"] == "lookup.done"
+    ]
+    return {
+        "psi": round(result.success_ratio, 6),
+        "lookups": len(hops),
+        "lookup_hops": sum(hops),
+        "arrivals": result.n_arrivals,
+        "departures": result.n_departures,
+    }
+
+
+def test_churn_run_matches_the_parent_commit(tmp_path):
+    """Fast lane: the default path against the committed goldens."""
+    result, jsonl, _ = _run(tmp_path, "soa", True)
+    assert result.n_departures > 0 and result.n_arrivals > 0
+    assert _observed(result, jsonl) == GOLDEN
+
+
+@pytest.mark.slow
+def test_churn_run_is_byte_identical_across_backends_and_paths(tmp_path):
+    runs = {
+        (backend, fast): _run(tmp_path, backend, fast)
+        for backend, fast in itertools.product(("soa", "object"), (True, False))
+    }
+    result, jsonl, ledger = runs["soa", True]
+    for key, (other, other_jsonl, other_ledger) in runs.items():
+        assert other_jsonl == jsonl, key
+        assert other_ledger == ledger, key
+        assert other.success_ratio == result.success_ratio, key
+    assert _observed(result, jsonl) == GOLDEN
