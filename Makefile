@@ -2,10 +2,12 @@
 
 PYTHON ?= python
 
+# The package runs from the checkout: no target needs `make install`.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test test-full test-log bench bench-micro bench-log bench-paper \
         figures figures-quick examples coverage clean profile \
-        perf-record perf-check perf-scale lint serve loadgen top soak \
-        sanitize
+        lint serve loadgen top soak sanitize
 
 # Coverage floor enforced by `make coverage` and the CI test job.
 COV_MIN ?= 70
@@ -59,43 +61,24 @@ bench-paper:
 profile:
 	$(PYTHON) -m repro profile run --rate 100 --horizon 20 --cprofile
 
-perf-record:
-	$(PYTHON) -m repro perf record
-
-# The scaling-curve probe on its own (scale-1x = the paper's 10^4
-# peers, scale-10x = 10^5): records to a gitignored scratch document
-# so it never claims a BENCH_<n> slot by accident.
-perf-scale:
-	PYTHONPATH=src $(PYTHON) -m repro perf record \
-		--scenarios scale-1x scale-10x --out BENCH_scale_local.json
-
-perf-check:
-	@latest=$$(ls BENCH_*.json | sort -V | tail -1); \
-	tmp=$$(mktemp /tmp/bench.XXXXXX.json); \
-	echo "recording current checkout vs $$latest ..."; \
-	$(PYTHON) -m repro perf record --scenarios smoke baseline churn heavy \
-		--out $$tmp >/dev/null && \
-	$(PYTHON) -m repro perf compare $$latest $$tmp; \
-	status=$$?; rm -f $$tmp; exit $$status
-
 # Serving plane (docs/serving.md): a resident grid behind HTTP, and the
 # closed-loop load generator that drives it.  Override knobs like
 # `make serve SERVE_ARGS="--scenario churn --port 9000"`.
 serve:
-	PYTHONPATH=src $(PYTHON) -m repro serve $(SERVE_ARGS)
+	$(PYTHON) -m repro serve $(SERVE_ARGS)
 
 loadgen:
-	PYTHONPATH=src $(PYTHON) -m repro loadgen $(LOADGEN_ARGS)
+	$(PYTHON) -m repro loadgen $(LOADGEN_ARGS)
 
 # Live operator view of a running server (docs/observability.md):
 # windowed rates, SLO burn, worst traces.  `make top TOP_ARGS="--port 9000"`.
 top:
-	PYTHONPATH=src $(PYTHON) -m repro top $(TOP_ARGS)
+	$(PYTHON) -m repro top $(TOP_ARGS)
 
 # Sustained-load soak with RSS/latency drift detection against a running
 # server; `make soak SOAK_ARGS="--duration 60 --rate 50"`.
 soak:
-	PYTHONPATH=src $(PYTHON) -m repro loadgen --soak $(SOAK_ARGS)
+	$(PYTHON) -m repro loadgen --soak $(SOAK_ARGS)
 
 # The runtime determinism contract (docs/static-analysis.md): same-seed
 # and object-vs-soa runs must export byte-identical draw/write ledgers,
@@ -104,15 +87,15 @@ sanitize:
 	@tmp=$$(mktemp -d /tmp/sanitize.XXXXXX); \
 	trap 'rm -rf $$tmp' EXIT; \
 	set -e; \
-	PYTHONPATH=src $(PYTHON) -m repro run --rate 100 --horizon 10 \
+	$(PYTHON) -m repro run --rate 100 --horizon 10 \
 		--churn 25 --seed 0 --sanitize $$tmp/a.jsonl >/dev/null; \
-	PYTHONPATH=src $(PYTHON) -m repro run --rate 100 --horizon 10 \
+	$(PYTHON) -m repro run --rate 100 --horizon 10 \
 		--churn 25 --seed 0 --sanitize $$tmp/b.jsonl >/dev/null; \
-	PYTHONPATH=src $(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/b.jsonl; \
-	PYTHONPATH=src $(PYTHON) -m repro run --rate 100 --horizon 10 \
+	$(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/b.jsonl; \
+	$(PYTHON) -m repro run --rate 100 --horizon 10 \
 		--churn 25 --seed 0 --backend object --sanitize $$tmp/obj.jsonl >/dev/null; \
-	PYTHONPATH=src $(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/obj.jsonl; \
-	PYTHONPATH=src $(PYTHON) -m repro sanitize overhead --rate 100 \
+	$(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/obj.jsonl; \
+	$(PYTHON) -m repro sanitize overhead --rate 100 \
 		--horizon 20 --seed 0 --repeat 3
 
 figures:

@@ -27,7 +27,7 @@ def run(algorithm: str, seed: int = 0):
     grid = P2PGrid(cfg.grid)
     aggregator = grid.make_aggregator(algorithm)
     metrics = MetricsCollector()
-    grid.on_session_outcome(metrics.on_session)
+    metrics.attach(grid.telemetry.bus)
     profile = FlashCrowd(
         base_rate=cfg.workload.rate_per_min,
         start=BURST[0],
@@ -39,7 +39,7 @@ def run(algorithm: str, seed: int = 0):
         grid.sim, profile, HORIZON,
         grid.applications,
         alive_peer_ids=lambda: grid.directory.alive_ids,
-        sink=lambda req: metrics.on_setup(aggregator.aggregate(req)),
+        sink=aggregator.aggregate,
         rng=grid.rngs.stream("workload"),
         duration_range=(1.0, 15.0),
     )

@@ -28,13 +28,11 @@ def run_variant(phi_weights=None, rate=200.0, horizon=20.0, seed=0):
         options["phi_weights"] = phi_weights
     aggregator = grid.make_aggregator("qsa", **options)
     metrics = MetricsCollector()
-    grid.on_session_outcome(metrics.on_session)
+    metrics.attach(grid.telemetry.bus)
     results = []
 
     def sink(request):
-        result = aggregator.aggregate(request)
-        metrics.on_setup(result)
-        results.append(result)
+        results.append(aggregator.aggregate(request))
 
     generator = RequestGenerator(
         grid.sim, cfg.workload, grid.applications,

@@ -34,11 +34,11 @@ def run_with_sampler(algorithm: str, rate: float = 400.0,
     grid = P2PGrid(cfg.grid)
     aggregator = grid.make_aggregator(algorithm)
     metrics = MetricsCollector()
-    grid.on_session_outcome(metrics.on_session)
+    metrics.attach(grid.telemetry.bus)
     generator = RequestGenerator(
         grid.sim, cfg.workload, grid.applications,
         alive_peer_ids=lambda: grid.directory.alive_ids,
-        sink=lambda req: metrics.on_setup(aggregator.aggregate(req)),
+        sink=aggregator.aggregate,
         rng=grid.rngs.stream("workload"),
     )
     generator.start()

@@ -29,13 +29,13 @@ def run(recovery, tracing=False, seed=31):
     grid = P2PGrid(config)
     aggregator = grid.make_aggregator("qsa")
     metrics = MetricsCollector()
-    grid.on_session_outcome(metrics.on_session)
+    metrics.attach(grid.telemetry.bus)
     generator = RequestGenerator(
         grid.sim,
         WorkloadConfig(rate_per_min=15.0, horizon=30.0),
         grid.applications,
         alive_peer_ids=lambda: grid.directory.alive_ids,
-        sink=lambda req: metrics.on_setup(aggregator.aggregate(req)),
+        sink=aggregator.aggregate,
         rng=grid.rngs.stream("workload"),
     )
     generator.start()

@@ -1,6 +1,6 @@
 """Determinism rules: the invariants behind bit-identical seeded runs.
 
-DET001  no wall-clock reads outside the profiling/perf layers
+DET001  no wall-clock reads outside the profiling layer
 DET002  all randomness flows through the seeded streams of sim/rng.py
 DET003  no iteration over unordered containers in hot sim paths
 
@@ -37,22 +37,18 @@ class NoWallClock(Rule):
     """DET001 -- wall-clock reads poison seeded reproducibility.
 
     Simulated time comes from the engine clock; wall time may only be
-    observed by the profiling layer (``telemetry/profiling.py``), the
-    perf harness (``perf/``) and the benchmarks, none of which feed the
-    deterministic event stream.
+    observed by the profiling layer (``telemetry/profiling.py``) and
+    the benchmarks, neither of which feeds the deterministic event
+    stream.
     """
 
     id = "DET001"
     name = "no-wall-clock"
-    invariant = ("wall-clock reads only in telemetry/profiling.py, perf/ "
-                 "and benchmarks/")
+    invariant = ("wall-clock reads only in telemetry/profiling.py and "
+                 "benchmarks/")
 
     def applies(self, ctx: FileContext) -> bool:
-        if ctx.is_benchmarks:
-            return False
-        return ctx.pkg not in ("telemetry/profiling.py",) and not (
-            ctx.pkg is not None and ctx.pkg.startswith("perf/")
-        )
+        return not ctx.is_benchmarks and ctx.pkg != "telemetry/profiling.py"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         modules = ctx.imports
@@ -81,7 +77,7 @@ class NoWallClock(Rule):
                 yield ctx.finding(
                     self, node,
                     f"wall-clock read {called}() breaks seeded determinism; "
-                    "route wall time through telemetry/profiling.py or perf/ "
+                    "route wall time through telemetry/profiling.py "
                     "(or justify with a pragma)",
                 )
 
@@ -147,7 +143,7 @@ class SeededStreamsOnly(Rule):
 
 #: Package prefixes outside the hot sim plane (reporting/tooling layers,
 #: where output ordering is already fixed by explicit sorts/tables).
-_DET003_EXEMPT = ("telemetry/", "experiments/", "analysis/", "perf/")
+_DET003_EXEMPT = ("telemetry/", "experiments/", "analysis/")
 
 _SET_METHODS = frozenset({
     "intersection", "union", "difference", "symmetric_difference",

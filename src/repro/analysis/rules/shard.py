@@ -39,9 +39,9 @@ from repro.analysis.rules.determinism import _is_set_typed
 from repro.analysis.registry import Rule, register
 
 #: Planes that are offline tooling, not part of the sharded runtime:
-#: their module-level registries (lint rules, experiment tables, bench
-#: scenario maps) never cross a shard boundary.
-_OFFLINE_PLANES = frozenset({"analysis", "experiments", "perf", "cli", "top"})
+#: their module-level registries (lint rules, experiment and scenario
+#: tables) never cross a shard boundary.
+_OFFLINE_PLANES = frozenset({"analysis", "experiments", "cli", "top"})
 
 
 def _arm(ctx: FileContext) -> bool:

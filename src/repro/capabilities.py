@@ -3,8 +3,8 @@
 ``repro info`` (CLI) and ``GET /status`` (the serving plane) both need to
 answer "what is this thing and what can it do" -- version, whether the
 discovery fast paths default on, which fault kinds the injector
-understands, which named perf scenarios exist, which aggregation
-algorithms and lookup protocols are wired.  Before this module each
+understands, which named scenarios ``repro serve`` loads, which
+aggregation algorithms and lookup protocols are wired.  Before this module each
 surface assembled its own ad-hoc strings; now they all render
 :func:`build_descriptor`, so the two can never drift (tested in
 ``tests/serve/test_capabilities.py``).
@@ -25,12 +25,12 @@ SERVE_API_VERSION = "serve/1"
 
 def build_descriptor() -> Dict[str, Any]:
     """Assemble the capability descriptor (fresh dict per call)."""
-    # Imported lazily: the perf harness pulls in the experiment stack,
+    # Imported lazily: the scenario table pulls in the experiment stack,
     # which this leaf module must not load at import time.
     import repro
+    from repro.experiments.config import SCENARIOS
     from repro.faults.plan import FAULT_KINDS
     from repro.grid import GridConfig
-    from repro.perf.harness import SCENARIOS
 
     return {
         "name": "repro",

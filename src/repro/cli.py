@@ -25,11 +25,6 @@ Commands
     Run one experiment under wall-clock profiling: hot-path span
     attribution, throughput counters, optional cProfile top-N, optional
     wall-trace export for the ``trace`` commands.
-``perf``
-    The perf-regression harness: ``record`` runs named scenarios into a
-    schema-validated ``BENCH_<n>.json``, ``compare`` diffs two documents
-    and exits non-zero on regressions, ``scenarios`` lists what's
-    available.
 ``lint``
     The determinism & invariant linter (see
     :mod:`repro.analysis`): AST rules DET001/DET002/DET003 (wall clock,
@@ -57,8 +52,6 @@ Examples::
     python -m repro trace critical-path events.jsonl
     python -m repro profile run --rate 100 --cprofile --trace-out prof.jsonl
     python -m repro trace flame prof.jsonl --out prof.folded
-    python -m repro perf record --out BENCH_1.json
-    python -m repro perf compare BENCH_0.json BENCH_1.json
     python -m repro lint src tests
     python -m repro lint --select DET001 --format json src
     python -m repro serve --scenario baseline --port 8177 --telemetry serve.jsonl
@@ -202,34 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof_run.add_argument("--trace-out", metavar="PATH", default=None,
                           help="export the wall-span trace as JSONL "
                                "(feed to `repro trace`)")
-
-    perf = sub.add_parser("perf", help="perf-regression harness")
-    perf_sub = perf.add_subparsers(dest="perf_action", required=True)
-    perf_rec = perf_sub.add_parser(
-        "record", help="run scenarios into a BENCH_<n>.json document"
-    )
-    perf_rec.add_argument("--scenarios", nargs="+", default=None,
-                          metavar="NAME",
-                          help="scenario names (default: baseline churn heavy)")
-    perf_rec.add_argument("--seed", type=int, default=0)
-    perf_rec.add_argument("--algorithm",
-                          choices=("qsa", "random", "fixed"), default="qsa")
-    perf_rec.add_argument("--out", default=None, metavar="PATH",
-                          help="output path (default: next free "
-                               "BENCH_<n>.json in the current directory)")
-    perf_cmp = perf_sub.add_parser(
-        "compare", help="diff two bench documents; non-zero on regression"
-    )
-    perf_cmp.add_argument("old", help="baseline BENCH json")
-    perf_cmp.add_argument("new", help="candidate BENCH json")
-    perf_cmp.add_argument("--threshold", type=float, default=0.25,
-                          help="max tolerated throughput/latency drift "
-                               "ratio (default 0.25)")
-    perf_cmp.add_argument("--psi-tolerance", type=float, default=0.02,
-                          help="max tolerated absolute ψ drop (default 0.02)")
-    perf_cmp.add_argument("--warn-only", action="store_true",
-                          help="report regressions but exit zero (CI smoke)")
-    perf_sub.add_parser("scenarios", help="list the named scenarios")
 
     lint = sub.add_parser("lint", help="determinism & invariant linter")
     lint.add_argument("paths", nargs="*", default=["src", "tests"],
@@ -609,63 +574,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from repro.perf import (
-        SCENARIOS,
-        compare_benches,
-        load_bench,
-        next_bench_path,
-        record_bench,
-        write_bench,
-    )
-
-    if args.perf_action == "scenarios":
-        width = max(len(n) for n in SCENARIOS)
-        for name, sc in sorted(SCENARIOS.items()):
-            print(f"{name:<{width}}  {sc.description}")
-        return 0
-    if args.perf_action == "record":
-        try:
-            doc = record_bench(
-                scenario_names=args.scenarios,
-                seed=args.seed,
-                algorithm=args.algorithm,
-                progress=lambda msg: print(msg, file=sys.stderr),
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        out = args.out or next_bench_path(".")
-        write_bench(doc, out)
-        print(f"bench document -> {out}")
-        for name, sc in doc["scenarios"].items():
-            lat = sc["setup_latency_us"]
-            print(f"  {name}: ψ={sc['psi']:.3f} "
-                  f"{sc['throughput']['requests_per_sec']:.1f} req/s "
-                  f"setup p95={lat['p95']:.0f}µs "
-                  f"({sc['wall_seconds']:.2f}s wall)")
-        return 0
-    # compare <old> <new>
-    try:
-        old = load_bench(args.old)
-        new = load_bench(args.new)
-    except OSError as exc:
-        print(f"cannot read bench document: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    comparison = compare_benches(
-        old, new, threshold=args.threshold, psi_tolerance=args.psi_tolerance
-    )
-    print(f"comparing {args.old} (old) vs {args.new} (new), "
-          f"threshold {args.threshold:.0%}")
-    print(comparison.render())
-    if not comparison.ok and not args.warn_only:
-        return 1
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis import all_rules, lint_paths
 
@@ -791,7 +699,6 @@ _COMMANDS = {
     "telemetry": _cmd_telemetry,
     "trace": _cmd_trace,
     "profile": _cmd_profile,
-    "perf": _cmd_perf,
     "lint": _cmd_lint,
     "sanitize": _cmd_sanitize,
     "info": _cmd_info,

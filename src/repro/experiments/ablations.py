@@ -116,14 +116,19 @@ def _run_custom(config: ExperimentConfig, make_aggregator) -> ExperimentResult:
     t0 = time.perf_counter()  # lint: disable=DET001 -- wall_seconds is display-only
     grid = P2PGrid(config.grid)
     aggregator = make_aggregator(grid)
+    aggregator.bus = grid.telemetry.bus
     metrics = MetricsCollector()
-    grid.on_session_outcome(metrics.on_session)
+    metrics.attach(grid.telemetry.bus)
+
+    def sink(request):
+        aggregator.aggregate(request)
+
     generator = RequestGenerator(
         grid.sim,
         config.workload,
         grid.applications,
         alive_peer_ids=lambda: grid.directory.alive_ids,
-        sink=lambda req: metrics.on_setup(aggregator.aggregate(req)),
+        sink=sink,
         rng=grid.rngs.stream("workload"),
     )
     generator.start()

@@ -1,4 +1,4 @@
-"""Experiment configuration and the two standard scales.
+"""Experiment configuration, the two standard scales, the named scenarios.
 
 The paper simulates 10^4 peers; the full-horizon figure runs take hours
 of wall-clock in pure Python at that scale, so the default scale shrinks
@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig
 from repro.probing.prober import ProbingConfig
+from repro.services.catalog import CatalogConfig
 from repro.workload.generator import WorkloadConfig
 
 __all__ = [
     "ExperimentConfig",
+    "SCENARIOS",
     "default_scale",
     "paper_scale",
     "scale_factor",
@@ -131,3 +133,52 @@ def paper_scale(
     )
     workload = WorkloadConfig(rate_per_min=rate_per_min, horizon=horizon)
     return ExperimentConfig(grid=grid, workload=workload)
+
+
+def _smoke(seed: int) -> ExperimentConfig:
+    # Deliberately tiny (a few hundred peers, short horizon, short
+    # sessions): the grid the repo benchmark's smoke tests serve.
+    return ExperimentConfig(
+        grid=GridConfig(
+            n_peers=250, probing=ProbingConfig(budget=10), seed=seed
+        ),
+        workload=WorkloadConfig(
+            rate_per_min=30.0, horizon=10.0, duration_range=(1.0, 8.0)
+        ),
+        drain_minutes=10.0,
+    )
+
+
+def _compose_stress(seed: int) -> ExperimentConfig:
+    # Composition-bound: 3-5x the default candidate instances per
+    # abstract service makes the QCS kernel (graph build + relaxation)
+    # dominate each request, the way `heavy` isolates admission
+    # contention.
+    return ExperimentConfig(
+        grid=GridConfig(
+            n_peers=1000,
+            probing=ProbingConfig(budget=10),
+            catalog=CatalogConfig(instances_per_service=(50, 60)),
+            seed=seed,
+        ),
+        workload=WorkloadConfig(
+            rate_per_min=120.0, horizon=15.0, duration_range=(1.0, 8.0)
+        ),
+        drain_minutes=10.0,
+    )
+
+
+#: The named grid + workload shapes, ``name -> (seed -> config)``:
+#: ``repro serve --scenario NAME`` keeps that grid resident, ``repro
+#: info`` / ``GET /status`` advertise the names, and
+#: ``tests/test_psi_goldens.py`` pins each one's seeded ψ exactly.
+#: Rates are paper units (see :func:`default_scale`).
+SCENARIOS: Dict[str, Callable[[int], ExperimentConfig]] = {
+    "smoke": _smoke,
+    # Steady §4.1 load, no churn.
+    "baseline": lambda seed: default_scale(100.0, 20.0, 0.0, seed),
+    "churn": lambda seed: default_scale(100.0, 20.0, 50.0, seed),
+    # 4x request rate, the contention regime of Fig. 5's right edge.
+    "heavy": lambda seed: default_scale(400.0, 20.0, 0.0, seed),
+    "compose-stress": _compose_stress,
+}

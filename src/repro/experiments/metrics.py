@@ -10,19 +10,11 @@ outcome (completion -> success, departure -> failure).  Besides the
 overall ratio it provides the windowed time series used by the
 fluctuation figures (Fig. 6/8) and a status breakdown for diagnosis.
 
-Two intake paths feed the same internals:
-
-* :meth:`MetricsCollector.attach` subscribes to a telemetry
-  :class:`~repro.telemetry.bus.EventBus` (``request.setup`` /
-  ``session.resolved``) -- how :func:`repro.experiments.runner.run_experiment`
-  wires it.  The bus dispatches these events whether or not full
-  telemetry recording is enabled, so the figures cost nothing extra.
-* :meth:`on_setup` / :meth:`on_session` take the
-  :class:`~repro.core.aggregation.AggregationResult` and
-  :class:`~repro.sessions.session.Session` objects directly -- for
-  callers that drive an aggregator by hand (examples, benches).
-
-Use one path per collector; feeding both double-counts.
+Intake is the telemetry bus: :meth:`MetricsCollector.attach`
+subscribes to ``request.setup`` (published by every aggregator that has
+a ``bus``) and ``session.resolved`` (published by the grid).  The bus
+dispatches both whether or not full telemetry recording is enabled, so
+the figures cost nothing extra.
 """
 
 from __future__ import annotations
@@ -33,8 +25,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.aggregation import AggregationResult
-from repro.sessions.session import Session, SessionState
+from repro.sessions.session import SessionState
 
 __all__ = ["RequestRecord", "MetricsCollector"]
 
@@ -61,46 +52,6 @@ class MetricsCollector:
         self.n_setup_failures = 0
         self.n_admitted = 0
 
-    # -- shared intake internals -------------------------------------------
-    def _record_setup(
-        self,
-        request_id: int,
-        arrival_time: float,
-        application: str,
-        qos_level: str,
-        status: str,
-        admitted: bool,
-        lookup_hops: int,
-        random_fallbacks: int,
-    ) -> None:
-        self.records[request_id] = RequestRecord(
-            request_id=request_id,
-            arrival_time=arrival_time,
-            application=application,
-            qos_level=qos_level,
-            status=status,
-            success=None if admitted else False,
-            lookup_hops=lookup_hops,
-            random_fallbacks=random_fallbacks,
-        )
-        if admitted:
-            self.n_admitted += 1
-        else:
-            self.n_setup_failures += 1
-
-    def _record_resolution(
-        self, request_id: int, completed: bool, reason: Optional[str]
-    ) -> None:
-        record = self.records.get(request_id)
-        if record is None:  # session admitted outside this experiment
-            return
-        if completed:
-            record.success = True
-            record.status = "completed"
-        else:
-            record.success = False
-            record.status = f"session-failed ({reason})"
-
     # -- bus intake ---------------------------------------------------------
     def attach(self, bus) -> None:
         """Subscribe to a telemetry bus (``request.setup`` /
@@ -110,45 +61,33 @@ class MetricsCollector:
 
     def _on_setup_event(self, event) -> None:
         f = event.fields
-        self._record_setup(
+        admitted = f["admitted"]
+        self.records[f["request_id"]] = RequestRecord(
             request_id=f["request_id"],
             arrival_time=f["arrival_time"],
             application=f["application"],
             qos_level=f["level"],
             status=f["status"],
-            admitted=f["admitted"],
+            success=None if admitted else False,
             lookup_hops=f["lookup_hops"],
             random_fallbacks=f["random_fallbacks"],
         )
+        if admitted:
+            self.n_admitted += 1
+        else:
+            self.n_setup_failures += 1
 
     def _on_resolved_event(self, event) -> None:
         f = event.fields
-        self._record_resolution(
-            request_id=f["request_id"],
-            completed=f["state"] == SessionState.COMPLETED.value,
-            reason=f["reason"],
-        )
-
-    # -- direct intake ------------------------------------------------------
-    def on_setup(self, result: AggregationResult) -> None:
-        req = result.request
-        self._record_setup(
-            request_id=req.request_id,
-            arrival_time=req.arrival_time,
-            application=req.application,
-            qos_level=req.qos_level,
-            status=result.status.value,
-            admitted=result.admitted,
-            lookup_hops=result.lookup_hops,
-            random_fallbacks=result.random_fallbacks,
-        )
-
-    def on_session(self, session: Session) -> None:
-        self._record_resolution(
-            request_id=session.request_id,
-            completed=session.state is SessionState.COMPLETED,
-            reason=session.failure_reason,
-        )
+        record = self.records.get(f["request_id"])
+        if record is None:  # session admitted outside this experiment
+            return
+        if f["state"] == SessionState.COMPLETED.value:
+            record.success = True
+            record.status = "completed"
+        else:
+            record.success = False
+            record.status = f"session-failed ({f['reason']})"
 
     # -- ψ -------------------------------------------------------------------
     @property

@@ -12,10 +12,11 @@ Fingerprints include ψ, the request count and the status breakdown;
 exact-match mode (``tolerance=0``) detects *any* behavioural change of a
 seeded run, loose mode tracks statistical drift.
 
-Typical CI usage::
+The repo's ψ goldens use it in exact mode
+(``tests/test_psi_goldens.py`` against ``tests/goldens/psi-*.json``)::
 
     result = run_experiment(config)
-    problems = compare_to_baseline(result, "baselines/qsa-200.json",
+    problems = compare_to_baseline(result, "tests/goldens/psi-baseline.json",
                                    tolerance=0.0)
     assert not problems, "\\n".join(problems)
 """

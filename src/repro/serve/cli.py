@@ -32,8 +32,8 @@ __all__ = [
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default="baseline",
-                        help="perf-harness scenario shaping the resident "
-                             "grid (default: baseline)")
+                        help="named scenario shaping the resident grid "
+                             "(`repro info` lists them; default: baseline)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8177,

@@ -61,9 +61,9 @@ __all__ = [
 #: -- and those collections, not the plane's own compute, dominate the
 #: marginal cost of anything that allocates on the request path (the
 #: observability plane's window buckets, span records and trace index
-#: included; see the ``serving-slo`` perf scenario).  A resident server
-#: trades rarer, slightly longer collections for a request path that
-#: almost never pays one.
+#: included; docs/observability.md, "What the plane costs").  A resident
+#: server trades rarer, slightly longer collections for a request path
+#: that almost never pays one.
 _SERVING_GC_THRESHOLDS = (50_000, 20, 20)
 
 
@@ -83,8 +83,8 @@ def tune_gc_for_serving() -> None:
 class ServeConfig:
     """Configuration of one ``repro serve`` instance."""
 
-    #: Named perf-harness scenario whose grid shape to load (ignored
-    #: when :attr:`grid` is given explicitly).
+    #: Named scenario (``repro.experiments.config.SCENARIOS``) whose grid
+    #: shape to load (ignored when :attr:`grid` is given explicitly).
     scenario: str = "baseline"
     #: Root seed (overrides the scenario's).
     seed: int = 0
@@ -208,15 +208,15 @@ def _resolve_grid_config(config: ServeConfig) -> GridConfig:
     if config.grid is not None:
         grid_config = config.grid
     else:
-        from repro.perf.harness import SCENARIOS
+        from repro.experiments.config import SCENARIOS
 
-        scenario = SCENARIOS.get(config.scenario)
-        if scenario is None or scenario.make is None:
+        make = SCENARIOS.get(config.scenario)
+        if make is None:
             raise ValueError(
                 f"unknown serve scenario {config.scenario!r}; "
-                f"available: {', '.join(sorted(n for n, s in SCENARIOS.items() if s.make is not None))}"
+                f"available: {', '.join(sorted(SCENARIOS))}"
             )
-        grid_config = scenario.make(config.seed).grid
+        grid_config = make(config.seed).grid
     if config.seed != grid_config.seed:
         grid_config = replace(grid_config, seed=config.seed)
     if config.telemetry_path is not None and not grid_config.telemetry:
@@ -556,10 +556,9 @@ class ServeServer:
 class ServerHandle:
     """An in-process server running on a background thread.
 
-    Used by the endpoint tests and the ``serving`` perf scenario: the
-    asyncio loop lives on its own daemon thread, clients talk real TCP
-    from the calling thread, and :meth:`stop` shuts everything down and
-    exports telemetry.
+    Used by the endpoint tests: the asyncio loop lives on its own daemon
+    thread, clients talk real TCP from the calling thread, and
+    :meth:`stop` shuts everything down and exports telemetry.
     """
 
     def __init__(

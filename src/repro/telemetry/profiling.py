@@ -72,11 +72,6 @@ class Profiler:
             self._detach()
             self._detach = None
 
-    @property
-    def grid(self):
-        """The grid this profiler observed (``None`` before attach)."""
-        return self._grid
-
     def _on_close(self, span, wall_start: float, wall_end: float) -> None:
         if span.detached:
             # Detached spans (session lifetimes) measure *sim* intervals;

@@ -253,8 +253,9 @@ class WindowedMetrics:
         This runs on every counter increment and histogram observation
         in the grid (~dozens per serving request), so the bucket-filing
         logic of :meth:`SlidingWindow.observe` is inlined here -- the
-        observability plane's overhead budget (<3% end-to-end, measured
-        by the ``serving-slo`` perf scenario) is mostly this function.
+        observability plane's overhead budget (<3% end-to-end; see
+        docs/observability.md, "What the plane costs") is mostly this
+        function.
         """
         if kind == "gauge":
             return  # gauges are last-write-wins; a window adds nothing

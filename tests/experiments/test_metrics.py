@@ -3,74 +3,77 @@
 import numpy as np
 import pytest
 
-from repro.core.aggregation import AggregationResult, AggregationStatus
+from repro.core.aggregation import AggregationStatus
 from repro.experiments.metrics import MetricsCollector
-from repro.services.qoscompiler import UserRequest
-from repro.sessions.session import Session, SessionState
+from repro.sessions.session import SessionState
+from repro.telemetry.bus import EventBus
 
 
-def request(rid, arrival=0.0, level="average"):
-    return UserRequest(
+def collector():
+    """A collector attached to a bus: the aggregator's and the grid's
+    two events are the only intake there is."""
+    bus = EventBus(clock=lambda: 0.0, record=False)
+    m = MetricsCollector()
+    m.attach(bus)
+    return m, bus
+
+
+def setup(bus, rid, status, arrival=0.0, hops=3):
+    bus.emit(
+        "request.setup",
         request_id=rid,
-        peer_id=0,
+        peer=0,
         application="video-on-demand",
-        qos_level=level,
-        session_duration=5.0,
+        level="average",
+        status=status.value,
+        admitted=status is AggregationStatus.ADMITTED,
+        lookup_hops=hops,
+        random_fallbacks=0,
         arrival_time=arrival,
+        duration=5.0,
     )
 
 
-def setup_result(rid, status, arrival=0.0, hops=3):
-    return AggregationResult(
-        request=request(rid, arrival), status=status, lookup_hops=hops
-    )
-
-
-def session_for(rid, state, reason=None):
-    s = Session(
+def resolved(bus, rid, state, reason=None):
+    bus.emit(
+        "session.resolved",
         session_id=rid,
         request_id=rid,
-        user_peer=0,
-        instances=(),
-        peers=(),
-        start=0.0,
-        duration=5.0,
-        state=state,
-        failure_reason=reason,
+        state=state.value,
+        reason=reason,
     )
-    return s
 
 
 class TestOutcomes:
     def test_rejection_resolves_immediately(self):
-        m = MetricsCollector()
-        m.on_setup(setup_result(0, AggregationStatus.RESOURCES_DENIED))
+        m, bus = collector()
+        setup(bus, 0, AggregationStatus.RESOURCES_DENIED)
         assert m.n_requests == 1
         assert m.n_resolved == 1
         assert m.success_ratio() == 0.0
 
     def test_admitted_pending_until_session(self):
-        m = MetricsCollector()
-        m.on_setup(setup_result(0, AggregationStatus.ADMITTED))
+        m, bus = collector()
+        setup(bus, 0, AggregationStatus.ADMITTED)
         assert m.n_resolved == 0
-        m.on_session(session_for(0, SessionState.COMPLETED))
+        resolved(bus, 0, SessionState.COMPLETED)
         assert m.n_resolved == 1
         assert m.success_ratio() == 1.0
 
     def test_session_failure_counts_against(self):
-        m = MetricsCollector()
-        m.on_setup(setup_result(0, AggregationStatus.ADMITTED))
-        m.on_session(session_for(0, SessionState.FAILED, "peer 3 departed"))
+        m, bus = collector()
+        setup(bus, 0, AggregationStatus.ADMITTED)
+        resolved(bus, 0, SessionState.FAILED, "peer 3 departed")
         assert m.success_ratio() == 0.0
         assert "departed" in m.records[0].status
 
     def test_unknown_session_ignored(self):
-        m = MetricsCollector()
-        m.on_session(session_for(99, SessionState.COMPLETED))
+        m, bus = collector()
+        resolved(bus, 99, SessionState.COMPLETED)
         assert m.n_requests == 0
 
     def test_mixed_ratio(self):
-        m = MetricsCollector()
+        m, bus = collector()
         for rid, status in enumerate(
             [
                 AggregationStatus.ADMITTED,
@@ -79,16 +82,16 @@ class TestOutcomes:
                 AggregationStatus.COMPOSITION_FAILED,
             ]
         ):
-            m.on_setup(setup_result(rid, status))
-        m.on_session(session_for(0, SessionState.COMPLETED))
-        m.on_session(session_for(1, SessionState.FAILED, "x"))
+            setup(bus, rid, status)
+        resolved(bus, 0, SessionState.COMPLETED)
+        resolved(bus, 1, SessionState.FAILED, "x")
         assert m.success_ratio() == pytest.approx(0.25)
 
     def test_breakdown(self):
-        m = MetricsCollector()
-        m.on_setup(setup_result(0, AggregationStatus.ADMITTED))
-        m.on_setup(setup_result(1, AggregationStatus.BANDWIDTH_DENIED))
-        m.on_session(session_for(0, SessionState.COMPLETED))
+        m, bus = collector()
+        setup(bus, 0, AggregationStatus.ADMITTED)
+        setup(bus, 1, AggregationStatus.BANDWIDTH_DENIED)
+        resolved(bus, 0, SessionState.COMPLETED)
         b = m.breakdown()
         assert b["completed"] == 1
         assert b["bandwidth-denied"] == 1
@@ -96,7 +99,7 @@ class TestOutcomes:
 
 class TestSeries:
     def test_binning_by_arrival(self):
-        m = MetricsCollector()
+        m, bus = collector()
         # Two requests in bin 0 (one success), one in bin 2 (success).
         for rid, (arrival, ok) in enumerate(
             [(0.5, True), (1.5, False), (5.0, True)]
@@ -105,9 +108,9 @@ class TestSeries:
                 AggregationStatus.ADMITTED if ok
                 else AggregationStatus.RESOURCES_DENIED
             )
-            m.on_setup(setup_result(rid, status, arrival=arrival))
+            setup(bus, rid, status, arrival=arrival)
             if ok:
-                m.on_session(session_for(rid, SessionState.COMPLETED))
+                resolved(bus, rid, SessionState.COMPLETED)
         times, ratios = m.time_series(bin_minutes=2.0, horizon=6.0)
         assert list(times) == [2.0, 4.0, 6.0]
         assert ratios[0] == pytest.approx(0.5)
@@ -115,12 +118,12 @@ class TestSeries:
         assert ratios[2] == pytest.approx(1.0)
 
     def test_empty_series(self):
-        m = MetricsCollector()
+        m, bus = collector()
         times, ratios = m.time_series()
         assert len(times) == 0 and len(ratios) == 0
 
     def test_hops_and_fallbacks(self):
-        m = MetricsCollector()
-        m.on_setup(setup_result(0, AggregationStatus.ADMITTED, hops=7))
+        m, bus = collector()
+        setup(bus, 0, AggregationStatus.ADMITTED, hops=7)
         assert m.mean_lookup_hops() == 7.0
         assert m.fallback_rate() == 0.0

@@ -1,10 +1,14 @@
 """The build/capability descriptor: one source of truth for info + /status."""
 
+import pytest
+
 import repro
 from repro.capabilities import SERVE_API_VERSION, build_descriptor
 from repro.cli import main
+from repro.experiments.config import SCENARIOS
 from repro.faults.plan import FAULT_KINDS
-from repro.perf.harness import SCENARIOS
+from repro.grid import GridConfig
+from repro.serve.core import ServeConfig, _resolve_grid_config
 
 
 class TestDescriptor:
@@ -16,11 +20,21 @@ class TestDescriptor:
         assert isinstance(desc["fast_paths_default"], bool)
         assert desc["fault_kinds"] == sorted(FAULT_KINDS)
         assert desc["scenarios"] == sorted(SCENARIOS)
-        assert "serving" in desc["scenarios"]
         assert set(desc["algorithms"]) == {"qsa", "random", "fixed"}
         assert desc["composition_kernels"] == ["dijkstra", "dp", "vectorized"]
         assert desc["composition_kernel_default"] in desc["composition_kernels"]
         assert set(desc["lookup_protocols"]) == {"chord", "can"}
+
+    def test_every_advertised_scenario_loads(self):
+        for name in build_descriptor()["scenarios"]:
+            grid = _resolve_grid_config(ServeConfig(scenario=name, seed=3))
+            assert isinstance(grid, GridConfig) and grid.seed == 3
+
+    def test_unknown_scenario_lists_the_loadable_ones(self):
+        with pytest.raises(ValueError) as exc:
+            _resolve_grid_config(ServeConfig(scenario="serving"))
+        assert "unknown serve scenario 'serving'" in str(exc.value)
+        assert ", ".join(build_descriptor()["scenarios"]) in str(exc.value)
 
     def test_descriptor_is_json_able(self):
         import json

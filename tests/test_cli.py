@@ -38,6 +38,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["telemetry"])
 
+    def test_perf_subcommand_is_gone(self):
+        # bench/run.py is the one perf system; the old subcommand is
+        # gone, not aliased.
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "record"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -164,37 +171,3 @@ class TestProfileCommand:
         # The exported trace feeds the same analytics commands.
         assert main(["trace", "critical-path", str(trace)]) == 0
         assert "wall seconds" in capsys.readouterr().out
-
-
-class TestPerfCommands:
-    def test_scenarios_listing(self, capsys):
-        assert main(["perf", "scenarios"]) == 0
-        out = capsys.readouterr().out
-        assert "smoke" in out and "baseline" in out
-
-    def test_record_unknown_scenario(self, capsys):
-        assert main(["perf", "record", "--scenarios", "bogus"]) == 1
-
-    def test_record_and_compare(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        old = tmp_path / "BENCH_old.json"
-        assert main(["perf", "record", "--scenarios", "smoke",
-                     "--out", str(old)]) == 0
-        capsys.readouterr()
-        assert main(["perf", "compare", str(old), str(old)]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-        import json
-        doc = json.loads(old.read_text())
-        doc["scenarios"]["smoke"]["throughput"]["requests_per_sec"] *= 0.3
-        regressed = tmp_path / "BENCH_new.json"
-        regressed.write_text(json.dumps(doc))
-        assert main(["perf", "compare", str(old), str(regressed)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        # --warn-only reports but does not fail (the CI mode).
-        assert main(["perf", "compare", str(old), str(regressed),
-                     "--warn-only"]) == 0
-
-    def test_compare_missing_file(self, capsys, tmp_path):
-        assert main(["perf", "compare", str(tmp_path / "a.json"),
-                     str(tmp_path / "b.json")]) == 1

@@ -26,6 +26,11 @@ class TestPaperScale:
         assert paper_grid.directory.n_alive == 10_000
         assert len(paper_grid.ring) == 10_000
 
+    def test_store_footprint(self, paper_grid):
+        # ~1.1 MB measured; a per-peer object creeping back into the
+        # struct-of-arrays store costs an order of magnitude more.
+        assert paper_grid.directory.store.memory_bytes() < 8_000_000
+
     def test_catalog_statistics(self, paper_grid):
         catalog = paper_grid.catalog
         for service, instances in catalog.by_service.items():

@@ -1,0 +1,62 @@
+"""The ψ goldens: every named scenario's seeded outcome, pinned exactly.
+
+``tests/goldens/psi-<name>.json`` are :func:`save_baseline` fingerprints
+(ψ, request count, full status breakdown) of seed 0 under ``qsa``.  Any
+refactor that perturbs an RNG draw order, a tie-break or an admission
+decision moves at least one of them; a change that *means* to move them
+re-records with ``save_baseline`` and says so.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.config import SCENARIOS, ExperimentConfig, default_scale
+from repro.experiments.regression import compare_to_baseline
+from repro.experiments.runner import run_experiment
+from repro.grid import GridConfig
+from repro.probing.prober import ProbingConfig
+from repro.services.catalog import CatalogConfig
+from repro.workload.generator import WorkloadConfig
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_psi_golden(name, monkeypatch):
+    monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+    result = run_experiment(SCENARIOS[name](0).with_algorithm("qsa"))
+    assert compare_to_baseline(
+        result, GOLDENS / f"psi-{name}.json", tolerance=0.0
+    ) == []
+
+
+def test_scenario_shapes(monkeypatch):
+    """The grids ``repro serve --scenario`` (and so the repo benchmark's
+    ``serve-mixed`` workload) loads cannot drift silently."""
+    monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+    seed = 7
+    expected = {
+        "baseline": default_scale(100.0, 20.0, 0.0, seed),
+        "churn": default_scale(100.0, 20.0, 50.0, seed),
+        "heavy": default_scale(400.0, 20.0, 0.0, seed),
+        "smoke": ExperimentConfig(
+            grid=GridConfig(n_peers=250, probing=ProbingConfig(budget=10),
+                            seed=seed),
+            workload=WorkloadConfig(rate_per_min=30.0, horizon=10.0,
+                                    duration_range=(1.0, 8.0)),
+            drain_minutes=10.0,
+        ),
+        "compose-stress": ExperimentConfig(
+            grid=GridConfig(
+                n_peers=1000,
+                probing=ProbingConfig(budget=10),
+                catalog=CatalogConfig(instances_per_service=(50, 60)),
+                seed=seed,
+            ),
+            workload=WorkloadConfig(rate_per_min=120.0, horizon=15.0,
+                                    duration_range=(1.0, 8.0)),
+            drain_minutes=10.0,
+        ),
+    }
+    assert {name: make(seed) for name, make in SCENARIOS.items()} == expected
