@@ -7,9 +7,11 @@ the *same function* as batched array operations:
 
 * the Eq. 1 ``Qout ⊇ Qin`` consistency checks between two services'
   instance populations become one boolean **adjacency matrix** per
-  service pair, computed once per (catalog) instance universe and
-  *patched row-by-row* when churn/admission introduces instances the
-  index has not seen (never rebuilt wholesale);
+  service pair, filled by :func:`~repro.core.qos.satisfies_matrix` --
+  the scalar relation asked once per distinct (offered value, required
+  value) of each QoS dimension, not once per instance pair -- and
+  *patched* with only the new rows/columns when churn/admission
+  introduces instances the index has not seen (never rebuilt wholesale);
 * the Def. 3.1 sink→source relaxation becomes, per layer, one masked
   outer add + ``argmin`` row reduction over the scalar
   :class:`~repro.core.resources.WeightProfile` scores.
@@ -39,21 +41,23 @@ Incremental maintenance
 :class:`ConsistencyIndex` keys everything by ``instance_id`` (service
 records are immutable after catalog populate -- the same assumption the
 reference row/edge memos rely on).  Each service's instance *universe*
-carries a generation counter bumped per admission; pair matrices patch
-only the new rows/columns, and the per-``user_qos`` sink rows reuse the
-PR-4 :class:`~repro.lookup.cache.BoundedCache` generation invalidation
-(cleared only when their service's universe actually grew).  Departures
-need no patching at all: a request's candidate sets select matrix
-rows/columns by index, so absent instances are simply never selected.
+only ever grows; pair matrices record the size they were filled
+against and patch only the new rows/columns.  The per-request sink row
+(layer-0 outputs against the user's QoS vector) is a handful of clause
+checks plus one gather, so it is recomputed per plan, not cached.
+Departures need no patching at all: a request's candidate sets select
+matrix rows/columns by index, so absent instances are simply never
+selected.  ``ConsistencyIndex.eq1_evaluations`` counts the scalar clause
+evaluations all of this spent (the work the paper's ``O(K V^2)`` bounds).
 
 All caches here are owned and gated by ``QSAAggregator.compose`` (the
 ``fast_paths`` gate); with the gate off, composition falls back to the
 memo-free reference kernel.
 """
 
-# lint: disable-file=CACHE001 -- every cache in this module (pair
-# matrices, sink rows, composition plans) is constructed for and gated
-# by QSAAggregator.compose, which owns the fast_paths switch and falls
+# lint: disable-file=CACHE001 -- both caches in this module (pair
+# matrices, composition plans) are constructed for and gated by
+# QSAAggregator.compose, which owns the fast_paths switch and falls
 # back to the memo-free reference kernel when it is off; hit paths are
 # counter-only (CacheStats / metrics counters).
 
@@ -65,7 +69,7 @@ from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.composition import ComposedPath, CompositionError
-from repro.core.qos import QoSVector, satisfies
+from repro.core.qos import QoSVector, satisfies_matrix_counted
 from repro.core.resources import ResourceTuple, WeightProfile
 from repro.lookup.cache import BoundedCache, CacheStats
 from repro.services.model import AbstractServicePath, ServiceInstance
@@ -77,11 +81,14 @@ __all__ = ["ConsistencyIndex", "VectorizedComposer", "compose_qcs_vec"]
 class _Universe:
     """One service's known instance population, in admission order.
 
-    ``version`` counts admissions; pair matrices and sink rows record
-    the version they were computed against and patch the difference.
+    ``version`` counts admissions; pair matrices record the version
+    they were computed against and patch the difference.
     """
 
-    __slots__ = ("service", "ids", "instances", "index", "scores", "costs")
+    __slots__ = (
+        "service", "ids", "instances", "index", "scores", "costs",
+        "qins", "qouts",
+    )
 
     def __init__(self, service: str) -> None:
         self.service = service
@@ -94,6 +101,10 @@ class _Universe:
         self.scores: List[float] = []
         #: Per-instance edge cost tuples ``(R, b)``, aligned.
         self.costs: List[ResourceTuple] = []
+        #: Per-instance ``Qin`` / ``Qout`` vectors, aligned (the
+        #: populations :func:`satisfies_matrix` runs over).
+        self.qins: List[QoSVector] = []
+        self.qouts: List[QoSVector] = []
 
     @property
     def version(self) -> int:
@@ -108,6 +119,8 @@ class _Universe:
         cost = ResourceTuple(inst.resources, inst.bandwidth)
         self.scores.append(weights.score(cost))
         self.costs.append(cost)
+        self.qins.append(inst.qin)
+        self.qouts.append(inst.qout)
         return i
 
 
@@ -120,32 +133,33 @@ class _PairMatrix:
     matrix by exactly the rows/columns admitted since the last call.
     """
 
-    __slots__ = ("matrix", "n_cur", "n_pred", "patched_rows")
+    __slots__ = ("matrix", "n_cur", "n_pred", "patched_rows", "evaluations")
 
     def __init__(self) -> None:
         self.matrix = np.zeros((0, 0), dtype=bool)
         self.n_cur = 0
         self.n_pred = 0
         self.patched_rows = 0
+        #: Scalar Eq. 1 clause evaluations spent filling this matrix.
+        self.evaluations = 0
 
     def sync(self, cur: _Universe, pred: _Universe) -> np.ndarray:
         nc, np_ = cur.version, pred.version
-        if nc == self.n_cur and np_ == self.n_pred:
+        n_cur, n_pred = self.n_cur, self.n_pred
+        if nc == n_cur and np_ == n_pred:
             return self.matrix
         grown = np.zeros((nc, np_), dtype=bool)
-        grown[: self.n_cur, : self.n_pred] = self.matrix
-        # New current-layer rows: check against every predecessor.
-        for i in range(self.n_cur, nc):
-            qin = cur.instances[i].qin
-            row = grown[i]
-            for j in range(np_):
-                row[j] = satisfies(pred.instances[j].qout, qin)
-        # New predecessor columns for the pre-existing rows.
-        for j in range(self.n_pred, np_):
-            qout = pred.instances[j].qout
-            for i in range(self.n_cur):
-                grown[i, j] = satisfies(qout, cur.instances[i].qin)
-        self.patched_rows += (nc - self.n_cur) + (np_ - self.n_pred)
+        grown[:n_cur, :n_pred] = self.matrix
+        # New current-layer rows against every predecessor, then the new
+        # predecessor columns for the pre-existing rows.
+        grown[n_cur:], rows = satisfies_matrix_counted(
+            pred.qouts, cur.qins[n_cur:]
+        )
+        grown[:n_cur, n_pred:], cols = satisfies_matrix_counted(
+            pred.qouts[n_pred:], cur.qins[:n_cur]
+        )
+        self.evaluations += rows + cols
+        self.patched_rows += (nc - n_cur) + (np_ - n_pred)
         self.matrix = grown
         self.n_cur, self.n_pred = nc, np_
         return self.matrix
@@ -181,27 +195,18 @@ class _Plan:
 class ConsistencyIndex:
     """Incrementally maintained candidate matrices over the catalog.
 
-    Owns the per-service universes, the pairwise adjacency matrices and
-    the per-``user_qos`` sink rows.  Everything is keyed by
-    ``instance_id`` and assumes service records are immutable after
-    catalog populate (the reference memos' assumption); universes only
-    ever *grow* -- departures are handled by requests simply not
-    selecting the absent rows.
+    Owns the per-service universes and the pairwise adjacency matrices.
+    Everything is keyed by ``instance_id`` and assumes service records
+    are immutable after catalog populate (the reference memos'
+    assumption); universes only ever *grow* -- departures are handled by
+    requests simply not selecting the absent rows.
     """
-
-    #: LRU cap for distinct user-QoS sink rows per service.
-    SINK_CACHE_CAP = 64
 
     def __init__(self, weights: WeightProfile) -> None:
         self.weights = weights
         self._universes: Dict[str, _Universe] = {}
         self._pairs: Dict[Tuple[str, str], _PairMatrix] = {}
-        #: service -> BoundedCache[user_qos key -> bool sink row].  The
-        #: cache generation is the universe version: admissions clear
-        #: the service's rows (PR-4 generation invalidation) instead of
-        #: any wholesale rebuild of the index.
-        self._sink_rows: Dict[str, BoundedCache] = {}
-        self.sink_stats = CacheStats()
+        self._sink_evaluations = 0
 
     # -- universe maintenance ------------------------------------------------
     def universe(self, service: str) -> _Universe:
@@ -231,25 +236,18 @@ class ConsistencyIndex:
 
     def sink_row(self, uni: _Universe, user_qos: QoSVector) -> np.ndarray:
         """Boolean "satisfies the user requirement" row over a universe."""
-        cache = self._sink_rows.get(uni.service)
-        if cache is None:
-            cache = self._sink_rows[uni.service] = BoundedCache(
-                self.SINK_CACHE_CAP
-            )
-        cache.check_generation(uni.version)
-        key = user_qos.as_tuple()
-        row = cache.get(key)
-        if row is None:
-            self.sink_stats.misses += 1
-            row = np.fromiter(
-                (satisfies(inst.qout, user_qos) for inst in uni.instances),
-                dtype=bool,
-                count=uni.version,
-            )
-            cache.put(key, row)
-        else:
-            self.sink_stats.hits += 1
-        return row
+        matrix, evaluations = satisfies_matrix_counted(uni.qouts, (user_qos,))
+        self._sink_evaluations += evaluations
+        return matrix[0]
+
+    @property
+    def eq1_evaluations(self) -> int:
+        """Scalar Eq. 1 clause evaluations spent so far (monotone): one
+        per distinct (offered value, required value) of a dimension each
+        time a pair matrix is filled/patched or a sink row computed."""
+        return self._sink_evaluations + sum(
+            p.evaluations for p in self._pairs.values()
+        )
 
     @property
     def patched_rows(self) -> int:
@@ -325,7 +323,9 @@ class VectorizedComposer:
 
         for t in range(len(layers) - 1):
             full = index.pair_matrix(universes[t], universes[t + 1])
-            adjacency.append(full[np.ix_(idx_arrays[t], idx_arrays[t + 1])])
+            adjacency.append(
+                full.take(idx_arrays[t], axis=0).take(idx_arrays[t + 1], axis=1)
+            )
 
         sink_full = index.sink_row(universes[0], user_qos)
         sink_mask = sink_full[idx_arrays[0]]

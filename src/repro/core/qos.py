@@ -23,9 +23,18 @@ Extra dimensions in ``Qout_A`` that ``Qin_B`` does not mention are allowed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-__all__ = ["Interval", "QoSValue", "QoSVector", "satisfies"]
+import numpy as np
+
+__all__ = [
+    "Interval",
+    "QoSValue",
+    "QoSVector",
+    "satisfies",
+    "satisfies_matrix",
+    "satisfies_matrix_counted",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -177,3 +186,75 @@ def satisfies(offered: QoSVector, required: QoSVector) -> bool:
         if not _value_satisfies(off_value, req_value):
             return False
     return True
+
+
+def satisfies_matrix(
+    offered: Sequence[QoSVector], required: Sequence[QoSVector]
+) -> np.ndarray:
+    """Eq. 1 over two populations: ``M[i, j] == satisfies(offered[j], required[i])``.
+
+    Returns ``bool[len(required), len(offered)]``.  See
+    :func:`satisfies_matrix_counted` for how it avoids asking the scalar
+    relation once per cell.
+    """
+    return satisfies_matrix_counted(offered, required)[0]
+
+
+def satisfies_matrix_counted(
+    offered: Sequence[QoSVector], required: Sequence[QoSVector]
+) -> Tuple[np.ndarray, int]:
+    """:func:`satisfies_matrix` plus the scalar clause evaluations it spent.
+
+    Eq. 1 is a conjunction of independent per-dimension clauses, and a
+    clause sees nothing of a vector but the one value it carries under
+    that name.  So, per dimension name any requirement mentions, the
+    distinct values on each side are interned by Python equality
+    ("absent" -- ``None``, which no vector can carry -- is a class of
+    its own: an absent requirement admits everything, an absent offer
+    nothing), :func:`_value_satisfies` is asked once per distinct
+    (offered value, required value), and the small class table is
+    gathered back to instance shape and ANDed in.  Values equal under
+    ``==`` (``1`` and ``1.0``, ``Interval(1, 2)`` and ``Interval(1.0,
+    2.0)``) share a class only because every comparison the clause
+    makes is exact on them, i.e. the clause cannot tell them apart;
+    ints that merely collide as floats differ under ``==`` and do not.
+
+    The second element is the number of ``_value_satisfies`` calls:
+    ``sum over dimensions of |required values| * |offered values|``,
+    against ``len(required) * len(offered)`` vector checks cell by cell.
+    """
+    result = np.ones((len(required), len(offered)), dtype=bool)
+    if not result.size:
+        return result, 0
+    evaluations = 0
+    names: Dict[str, QoSValue] = {}  # an ordered set; values unused
+    for vector in required:
+        names.update(vector._params)
+    for name in names:
+        req_classes: Dict[Optional[QoSValue], int] = {}
+        req_codes = [
+            req_classes.setdefault(v._params.get(name), len(req_classes))
+            for v in required
+        ]
+        off_classes: Dict[Optional[QoSValue], int] = {}
+        off_codes = [
+            off_classes.setdefault(v._params.get(name), len(off_classes))
+            for v in offered
+        ]
+        table: List[List[bool]] = []
+        for req_value in req_classes:
+            if req_value is None:
+                table.append([True] * len(off_classes))
+                continue
+            table.append([
+                off_value is not None and _value_satisfies(off_value, req_value)
+                for off_value in off_classes
+            ])
+            evaluations += len(off_classes) - (None in off_classes)
+        # Two takes, not one 2-D fancy index: ~5x cheaper at this size.
+        result &= (
+            np.array(table, dtype=bool)
+            .take(req_codes, axis=0)
+            .take(off_codes, axis=1)
+        )
+    return result, evaluations

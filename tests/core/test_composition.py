@@ -9,8 +9,9 @@ from repro.core.composition import (
     compose_qcs,
 )
 from repro.core.qos import Interval, QoSVector
-from repro.core.resources import ResourceTuple, ResourceVector, WeightProfile
+from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core.reference_bruteforce import best_path
 
 NAMES = ("cpu", "memory")
 
@@ -192,30 +193,10 @@ class TestComposeQCS:
                     for j in range(3)
                 ]
             apath = AbstractServicePath(f"t{trial}", services)
-            # Brute force over the 27 combinations.
-            best = None
-            from repro.core.qos import satisfies
-
-            for ia in cat["a"]:
-                for ib in cat["b"]:
-                    for ic in cat["c"]:
-                        if not satisfies(ic.qout, USER):
-                            continue
-                        if not satisfies(ib.qout, ic.qin):
-                            continue
-                        if not satisfies(ia.qout, ib.qin):
-                            continue
-                        total = (
-                            ResourceTuple(ia.resources, ia.bandwidth)
-                            + ResourceTuple(ib.resources, ib.bandwidth)
-                            + ResourceTuple(ic.resources, ic.bandwidth)
-                        )
-                        s = WEIGHTS.score(total)
-                        if best is None or s < best[0]:
-                            best = (s, (ia, ib, ic))
-            if best is None:
+            expected = best_path(apath, cat, USER, WEIGHTS)  # 27 combinations
+            if expected is None:
                 with pytest.raises(CompositionError):
                     compose_qcs(apath, cat, USER, WEIGHTS)
             else:
                 got = compose_qcs(apath, cat, USER, WEIGHTS)
-                assert np.isclose(got.score, best[0])
+                assert (got.instances, got.score) == expected[:2]

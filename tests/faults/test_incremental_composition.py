@@ -16,6 +16,12 @@ all three must agree exactly (path, score, total, error behaviour).  A
 final bookkeeping check asserts the index really is incremental: the
 instance universes only ever grow, and adjacency rows are patched in
 (never rebuilt wholesale) as admissions land.
+
+Pair matrices are filled per *value class* (``satisfies_matrix``), and a
+patch interns only the new rows/columns against the old population --
+so admissions here also bring values no earlier instance carried
+(quality 4, 2.5) and a dimension name (``codec``) the index had never
+seen, on either side, mid-history.
 """
 
 import itertools
@@ -48,18 +54,31 @@ ops_strategy = st.lists(
 )
 
 
-def _mint(service_index, quality, cpu, consistent):
+def _mint(service_index, quality, cpu, consistent, codec_in=None,
+          codec_out=None):
     k = service_index
+    qin = {"format": f"f{k}", "quality": Interval(1, 3)}
+    qout = {
+        "format": f"f{k + 1}" if consistent else "off", "quality": quality
+    }
+    if codec_in is not None:  # a requirement on a brand-new dimension
+        qin["codec"] = codec_in
+    if codec_out is not None:  # ... and an offer of it
+        qout["codec"] = codec_out
     return ServiceInstance(
         instance_id=f"inc{next(_IDS)}",
         service=SERVICES[k],
-        qin=QoSVector(format=f"f{k}", quality=Interval(1, 3)),
-        qout=QoSVector(
-            format=f"f{k + 1}" if consistent else "off", quality=quality
-        ),
+        qin=QoSVector(qin),
+        qout=QoSVector(qout),
         resources=ResourceVector(NAMES, [cpu, cpu]),
         bandwidth=100.0,
     )
+
+
+#: Qualities an admission may carry: 4 and 2.5 never occur in the seed
+#: membership (2.5 is inside every [c, 3] requirement for c <= 2, 4 in none).
+_QUALITIES = (1, 2, 3, 4, 2.5)
+_CODECS = (None, None, None, "x", "y")
 
 
 def _compose_all_ways(live, candidates, user_qos):
@@ -93,15 +112,18 @@ def test_patched_index_equals_from_scratch_rebuild(ops, seed):
         k = a % len(SERVICES)
         service = SERVICES[k]
         if kind == 0:  # admission: a brand-new instance becomes visible
-            visible[service].append(
-                _mint(k, 1 + b % 3, 10.0 * (1 + b % 8), b % 5 != 0)
-            )
+            visible[service].append(_mint(
+                k, _QUALITIES[b % 5], 10.0 * (1 + b % 8), b % 7 != 0,
+                codec_in=_CODECS[(b // 5) % 5],
+                codec_out=_CODECS[(b // 25) % 5],
+            ))
         elif kind == 1 and len(visible[service]) > 1:  # departure
             visible[service].pop(b % len(visible[service]))
         else:  # compose against the current membership
-            user_qos = QoSVector(
-                format=f"f{len(SERVICES)}", quality=Interval(c, 3)
-            )
+            user = {"format": f"f{len(SERVICES)}", "quality": Interval(c, 3)}
+            if kind == 3 and b % 4 == 0:
+                user["codec"] = "x"
+            user_qos = QoSVector(user)
             candidates = {s: list(v) for s, v in visible.items()}
             patched, scratch, reference = _compose_all_ways(
                 live, candidates, user_qos
@@ -145,3 +167,20 @@ def test_admissions_patch_rows_instead_of_rebuilding():
     assert second.instances == reference.instances
     assert second.score == reference.score
     assert second.total == reference.total
+    # A third wave carries an unseen value (quality 2.5) and an unseen
+    # dimension name (codec) on both sides: same bookkeeping, and the
+    # cheaper newcomers -- only they can feed one another's codec
+    # requirement -- are what both kernels now pick.
+    for k, s in enumerate(SERVICES):
+        visible[s].append(_mint(
+            k, 2.5, 5.0, True, codec_in="x" if k else None, codec_out="x"
+        ))
+    third = live.compose(PATH, visible, user_qos)
+    assert live.index.n_pair_matrices == matrices
+    assert live.index.patched_rows - baseline_rows == 4 * (len(SERVICES) - 1)
+    reference = compose_qcs(PATH, visible, user_qos, WEIGHTS, method="dp")
+    assert third.instances == reference.instances == tuple(
+        visible[s][-1] for s in SERVICES
+    )
+    assert third.score == reference.score
+    assert third.total == reference.total
