@@ -2,8 +2,8 @@
 
 The claim behind the ``churn-paper`` gain is about *shape*, not one data
 point: a membership event costs O(log N) search plus a C-speed splice,
-and the first lookup after it costs an ordinary finger-free walk (two
-bisects per hop) instead of rebuilding memoised finger tables.  This
+and the first lookup after it costs an ordinary finger-free walk (one
+bisect per hop) instead of rebuilding memoised finger tables.  This
 bench sweeps the population over three decades -- 10^3, 10^4 (the
 paper's §4.1 scale) and 10^5 peers -- and times, per event,
 
@@ -11,8 +11,8 @@ paper's §4.1 scale) and 10^5 peers -- and times, per event,
   one ``uptimes()`` read (what ``ChurnProcess.pick_departing_peer``
   reads, and where the old rebuild-on-read cost landed),
 * ``ring``: ``ChordRing.join`` + ``leave`` of the same peers,
-* ``lookup``: the first routed lookup after the event (route memo just
-  flushed by the generation bump).
+* ``lookup``: the first routed lookup after the event (uncached, like
+  every lookup).
 
 Best of five repetitions of 200 events each; absolute numbers are host
 dependent, the growth between decades is the assertion.

@@ -1,27 +1,25 @@
-"""CACHE001 -- discovery-plane caches stay behind ``fast_paths``.
+"""CACHE001 -- probing and composition caches stay behind ``fast_paths``.
 
 The exactness contract (docs/performance.md) lets the fast paths cache
-routed work only because (a) every cache can be switched off via
+work only because (a) every cache can be switched off via
 ``GridConfig.fast_paths`` to re-derive the ground truth, and (b) a
 cache hit's only side effects are counters -- never bus events, spans
 or RNG draws, which would re-order the deterministic stream.
 
-Two static approximations of that contract, scoped to ``lookup/``,
-``probing/`` and ``core/``:
+Two static approximations of that contract, scoped to ``probing/`` and
+``core/`` (discovery in ``lookup/`` holds no cache to police):
 
 * **gate present** -- a module that builds a :class:`BoundedCache`,
   calls :func:`trim_mapping`, or touches a ``*cache*``/``*memo*``
-  attribute must reference ``fast_paths`` or ``cache_active``
-  somewhere; a cache with no switch cannot honour the contract.
-  (Modules whose caches are injected and gated by their *caller* carry
-  a justified ``# lint: disable-file=CACHE001`` pragma instead.)
+  attribute must reference ``fast_paths`` somewhere; a cache with no
+  switch cannot honour the contract.  (Modules whose caches are
+  injected and gated by their *caller* carry a justified
+  ``# lint: disable-file=CACHE001`` pragma instead.)
 * **counter-only** -- inside a conditional whose test mentions
-  ``fast_paths``/``cache_active`` (or a ``cache`` variable), direct bus
-  emits, tracer spans and ``rng`` draws are flagged.  Counter
-  increments (``metrics.counter(...).inc()``, ``stats.hits += 1``) pass
-  untouched, as do calls into accounting helpers -- replaying identical
-  telemetry through e.g. ``note_cached_lookup`` is the contract's
-  sanctioned mechanism and lives behind its own tests.
+  ``fast_paths`` (or a ``cache`` variable), direct bus emits, tracer
+  spans and ``rng`` draws are flagged.  Counter increments
+  (``metrics.counter(...).inc()``, ``stats.hits += 1``) pass untouched,
+  as do calls into accounting helpers.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Iterable
 from repro.analysis.engine import FileContext, Finding
 from repro.analysis.registry import Rule, register
 
-_GUARD_NAMES = frozenset({"fast_paths", "cache_active"})
+_GUARD_NAMES = frozenset({"fast_paths"})
 _CACHE_CALLS = frozenset({"BoundedCache", "trim_mapping"})
 _CACHE_METHODS = frozenset({"get", "put", "check_generation", "clear", "pop"})
 
@@ -58,13 +56,12 @@ class FastPathCaches(Rule):
 
     id = "CACHE001"
     name = "fast-path-caches"
-    invariant = ("lookup/probing/core caches are switchable via fast_paths "
+    invariant = ("probing/core caches are switchable via fast_paths "
                  "and their guarded branches have counter-only side effects")
 
     def applies(self, ctx: FileContext) -> bool:
         return ctx.pkg is not None \
-            and ctx.pkg.startswith(("lookup/", "probing/", "core/")) \
-            and ctx.pkg != "lookup/cache.py"
+            and ctx.pkg.startswith(("probing/", "core/"))
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         has_gate = any(
@@ -81,7 +78,7 @@ class FastPathCaches(Rule):
                     yield ctx.finding(
                         self, node,
                         f"{chain[-1]} used but this module never consults "
-                        "fast_paths/cache_active; caches must be "
+                        "fast_paths; caches must be "
                         "switchable to re-derive the uncached ground truth",
                     )
                 elif (
@@ -92,7 +89,7 @@ class FastPathCaches(Rule):
                     yield ctx.finding(
                         self, node,
                         f"cache access {'.'.join(chain[-2:])}() in a module "
-                        "that never consults fast_paths/cache_active; gate "
+                        "that never consults fast_paths; gate "
                         "the cache or justify with a pragma",
                     )
 

@@ -367,13 +367,9 @@ def _cmd_run(args) -> int:
         config = config.with_sanitize(args.sanitize)
     result = run_experiment(config)
     print(result.summary())
-    print(f"mean DHT lookup hops: {result.mean_lookup_hops:.2f}")
+    print(f"DHT lookups:          {result.n_routed_discoveries} routed, "
+          f"{result.mean_lookup_hops:.2f} mean hops per request")
     print(f"probing overhead:     {result.probe_overhead:.2%}")
-    n_disc = result.n_routed_discoveries + result.n_cached_discoveries
-    if n_disc:
-        hit_rate = result.n_cached_discoveries / n_disc
-        print(f"discovery cache:      {result.n_cached_discoveries}/{n_disc} "
-              f"hits ({hit_rate:.1%}), {result.n_routed_discoveries} routed")
     if result.n_arrivals or result.n_departures:
         print(f"churn events:         {result.n_arrivals} arrivals, "
               f"{result.n_departures} departures")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,7 +137,7 @@ class BaseAggregator:
         self,
         request: UserRequest,
         composed: ComposedPath,
-        hosts_selection_order: List[List[int]],
+        hosts_selection_order: List[Sequence[int]],
     ) -> Optional[Tuple[int, ...]]:
         """Map instances to peers.
 
@@ -211,30 +211,16 @@ class BaseAggregator:
             ))
 
         # Host discovery, selection order (user-adjacent instance first).
-        # A composed path may repeat an instance; with the fast paths on,
-        # repeats are served from the first answer (accounting replayed
-        # by the registry so hop totals and telemetry stay identical).
-        dedupe = getattr(self.registry, "cache_active", False)
-        host_memo: Dict[str, Tuple] = {}
-        hosts_selection_order: List[List[int]] = []
+        # Each hop's candidates are the instance's host record itself
+        # (an ascending tuple), not a copy.
+        hosts_selection_order: List[Sequence[int]] = []
         with tracer.span("lookup.hosts", instances=len(composed.instances)):
             for inst in reversed(composed.instances):
-                cached = host_memo.get(inst.instance_id) if dedupe else None
-                if cached is None:
-                    host_set, h = self.registry.discover_hosts(
-                        inst.instance_id, request.peer_id
-                    )
-                    if dedupe:
-                        host_memo[inst.instance_id] = (host_set, h)
-                else:
-                    host_set, h = cached
-                    self.registry.replay_discovery(
-                        self.registry.INSTANCE_PREFIX + inst.instance_id,
-                        request.peer_id,
-                        h,
-                    )
+                hosts, h = self.registry.discover_hosts(
+                    inst.instance_id, request.peer_id
+                )
                 hops += h
-                hosts_selection_order.append(sorted(host_set))
+                hosts_selection_order.append(hosts)
 
         peers = self.select_peers(request, composed, hosts_selection_order)
         if peers is None:
@@ -424,7 +410,7 @@ class QSAAggregator(BaseAggregator):
         self,
         request: UserRequest,
         composed: ComposedPath,
-        hosts_selection_order: List[List[int]],
+        hosts_selection_order: List[Sequence[int]],
     ) -> Optional[Tuple[int, ...]]:
         """Distributed hop-by-hop selection in reverse flow order (§3.3)."""
         self._fallbacks = 0
@@ -440,7 +426,7 @@ class QSAAggregator(BaseAggregator):
         self,
         request: UserRequest,
         composed: ComposedPath,
-        hosts_selection_order: List[List[int]],
+        hosts_selection_order: List[Sequence[int]],
     ) -> Optional[Tuple[int, ...]]:
         tel = self.telemetry
         tracer = tel.tracer if tel is not None else NULL_TRACER

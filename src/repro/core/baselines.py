@@ -14,7 +14,7 @@ same atomic admission) and differ only in the two strategy hooks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class RandomAggregator(BaseAggregator):
         self,
         request: UserRequest,
         composed: ComposedPath,
-        hosts_selection_order: List[List[int]],
+        hosts_selection_order: List[Sequence[int]],
     ) -> Optional[Tuple[int, ...]]:
         selected_reverse: List[int] = []
         for candidates in hosts_selection_order:
@@ -241,7 +241,7 @@ class FixedAggregator(BaseAggregator):
         self,
         request: UserRequest,
         composed: ComposedPath,
-        hosts_selection_order: List[List[int]],
+        hosts_selection_order: List[Sequence[int]],
     ) -> Optional[Tuple[int, ...]]:
         plan = self._plans.get((request.application, composed.instances[-1].qout["format"]))
         if plan is None:

@@ -121,13 +121,11 @@ def _check_registry(grid: P2PGrid, problems: List[str]) -> None:
     prefix = grid.registry.INSTANCE_PREFIX
     for iid in catalog.instances:
         record, _ = grid.ring.get(prefix + iid, from_peer=next(iter(alive)))
-        expected = frozenset(catalog.hosts(iid))
-        if record is None:
-            record = frozenset()
-        if frozenset(record) != expected:
+        expected = catalog.hosts(iid)
+        if (record or ()) != expected:
             problems.append(
-                f"registry: host record for {iid} is {sorted(record)}, "
-                f"catalog says {sorted(expected)}"
+                f"registry: host record for {iid} is {record}, "
+                f"catalog says {expected}"
             )
 
 

@@ -39,10 +39,8 @@ class ExperimentResult:
     n_arrivals: int
     n_departures: int
     wall_seconds: float
-    #: Discovery-plane split: lookups that walked the overlay vs. lookups
-    #: served from the generation-checked value cache (fast paths).
+    #: Registry discoveries, each one routed DHT read.
     n_routed_discoveries: int = 0
-    n_cached_discoveries: int = 0
     #: Sessions admitted at setup (ψ's numerator before churn failures).
     n_admitted: int = 0
     #: Set when the config asked for a telemetry export.
@@ -140,7 +138,6 @@ def run_experiment(
         n_departures=grid.churn.n_departures if grid.churn else 0,
         wall_seconds=time.perf_counter() - t0,  # lint: disable=DET001 -- display-only
         n_routed_discoveries=grid.registry.n_routed_discoveries,
-        n_cached_discoveries=grid.registry.n_cached_discoveries,
         n_admitted=metrics.n_admitted,
         n_telemetry_events=n_events,
         telemetry_summary=telemetry_summary,

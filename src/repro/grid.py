@@ -119,11 +119,10 @@ class GridConfig:
     telemetry: bool = False
     #: Retain at most this many bus events (None = unbounded).
     telemetry_capacity: Optional[int] = None
-    #: Discovery-plane fast paths: generation-invalidated route memos in
-    #: the DHTs, the registry's record cache + batched discovery, and the
-    #: prober's fresh-entry resolution skip.  Semantics are byte-identical
-    #: on or off (seeded telemetry exports, ψ, hop counts -- proven by the
-    #: differential test); off trades wall-clock speed for simpler
+    #: Fast paths: the prober's block resolution (fresh-entry skip) and
+    #: the QCS composition memos / vectorized kernel.  Semantics are
+    #: byte-identical on or off (seeded telemetry exports, ψ -- proven by
+    #: the differential tests); off trades wall-clock speed for simpler
     #: debugging.  See docs/performance.md.
     fast_paths: bool = True
     #: QCS composition kernel for the ``qsa`` aggregator:
@@ -248,11 +247,9 @@ class P2PGrid:
                 f"unknown lookup protocol {config.lookup_protocol!r} "
                 "(chord/can)"
             )
-        self.ring.fast_paths = config.fast_paths
         for pid in self.directory.alive_ids:
             self.ring.join(pid)
         self.registry = ServiceRegistry(self.ring, self.catalog)
-        self.registry.fast_paths = config.fast_paths
 
         # -- tracing -----------------------------------------------------------
         self.tracer = (
@@ -327,7 +324,7 @@ class P2PGrid:
                 self.network,
                 self.ledger,
                 PeerSelector(self.probing, self.phi_weights, telemetry=_tel),
-                hosts_of=lambda iid: sorted(self.catalog.hosts(iid)),
+                hosts_of=self.catalog.hosts,
                 resolve_neighbors=self.probing.resolve_selection_hops,
                 rng=self.rngs.stream("recovery"),
                 config=config.recovery,

@@ -1,24 +1,20 @@
-"""Bounded, generation-invalidated caches for the discovery fast paths.
+"""Bounded caches with hit/miss accounting.
 
-The discovery plane re-walks the DHT for records that only change on
-churn.  These helpers make repeated lookups O(1) wall-clock while
-keeping the *simulated* semantics byte-identical:
+Discovery itself holds no cache (every registry read is one routed DHT
+walk); what remains here serves the QCS composition memos:
 
 * :class:`BoundedCache` -- an LRU-evicting mapping with a hard size cap
-  and hit/miss accounting, plus a **generation** tag.  Membership events
-  (ring ``join``/``leave``) bump the owner's generation counter; a cache
-  whose generation does not match the ring's is cleared wholesale before
-  use, so no entry can survive a membership change.
+  and hit/miss accounting (the vectorized composer's plan cache), plus
+  a **generation** tag for owners that invalidate wholesale.
 * :class:`CacheStats` -- plain hit/miss counters shared by every cache
-  site (route memo, record cache, QCS edge cache).
+  site (QCS plan cache, QCS edge cache).
 * :func:`trim_mapping` -- cap an ordinary dict used as an insertion-
   ordered memo (the QCS edge/cost caches keep their zero-overhead plain
   dict hot loops; the cap is enforced between compositions).
 
 None of these draw RNG, advance the simulator or emit bus events --
 instrumentation is metrics-counters only, so a cached run's telemetry
-JSONL export stays byte-identical to an uncached one (the differential
-test in ``tests/perf/test_fast_paths.py`` proves it).
+JSONL export stays byte-identical to an uncached one.
 """
 
 from __future__ import annotations
@@ -61,15 +57,11 @@ class CacheStats:
 class BoundedCache:
     """An LRU mapping with a size cap and a generation tag.
 
-    The owner decides what a generation means (for the DHT route memos
-    it is the ring-membership counter).  :meth:`check_generation` clears
-    the cache when the tag moved, which is the *only* invalidation the
-    route memos need: every entry is a pure function of (key, membership).
+    The owner decides what a generation means; :meth:`check_generation`
+    clears the cache when the tag moved.
 
     Hit/miss accounting is explicit (``stats``) rather than implicit in
-    :meth:`get`, because call sites count at different granularities --
-    the Chord walk probes the memo once per visited node but records one
-    hit/miss per *lookup*.
+    :meth:`get`, because call sites count at different granularities.
     """
 
     __slots__ = ("cap", "generation", "stats", "_data")

@@ -32,8 +32,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.lookup.cache import BoundedCache
-
 __all__ = ["Zone", "CanNode", "CanNetwork"]
 
 
@@ -153,14 +151,6 @@ class CanNetwork:
     #: Optional :class:`repro.telemetry.Telemetry`; set by the grid when
     #: telemetry is enabled (per-lookup hop events + histograms).
     telemetry = None
-    #: Route-cache fast path (synced with ``GridConfig.fast_paths`` by
-    #: the grid).  Unlike Chord's per-node suffix memo, CAN's greedy step
-    #: depends on the ``visited`` history, so only *whole* routes are
-    #: cacheable: ``(key, from_peer) -> (owner peer, hops)``.  Every
-    #: ``join``/``leave`` bumps :attr:`generation`, clearing the cache.
-    fast_paths = True
-    #: Route-cache entry cap ((key, from_peer) pairs; LRU beyond this).
-    ROUTE_CACHE_CAP = 1 << 16
 
     def __init__(self, dimensions: int = 2, seed: int = 0) -> None:
         if not 1 <= dimensions <= 10:
@@ -168,9 +158,6 @@ class CanNetwork:
         self.d = dimensions
         self.seed = seed
         self._nodes: Dict[int, CanNode] = {}
-        #: Membership generation (see :class:`~repro.lookup.cache.BoundedCache`).
-        self.generation = 0
-        self._route_cache = BoundedCache(self.ROUTE_CACHE_CAP)
         self.n_lookups = 0
         self.total_hops = 0
 
@@ -201,7 +188,6 @@ class CanNetwork:
         """Join at the zone containing the peer's hashed point."""
         if peer_id in self._nodes:
             raise ValueError(f"peer {peer_id} already in the CAN")
-        self.generation += 1
         if not self._nodes:
             node = CanNode(
                 peer_id, [Zone(np.zeros(self.d), np.ones(self.d))]
@@ -235,7 +221,6 @@ class CanNetwork:
         node = self._nodes.pop(peer_id, None)
         if node is None:
             raise KeyError(f"peer {peer_id} is not in the CAN")
-        self.generation += 1
         if not self._nodes:
             return  # the space empties with the last node
         touched = set()
@@ -313,33 +298,6 @@ class CanNetwork:
         """Greedy-route to the key's owner; returns ``(node, hops)``."""
         if not self._nodes:
             raise RuntimeError("CAN is empty")
-        cache = self._route_cache if self.fast_paths else None
-        if cache is not None:
-            cache.check_generation(self.generation)
-            entry = cache.get((key, from_peer))
-            if entry is not None:
-                owner, hops = entry
-                cache.stats.hits += 1
-                tel = self.telemetry
-                if tel is not None:
-                    tel.metrics.counter("cache.route.hits").inc()
-                self._account_lookup(key, from_peer, hops)
-                return self._nodes[owner], hops
-            cache.stats.misses += 1
-            tel = self.telemetry
-            if tel is not None:
-                tel.metrics.counter("cache.route.misses").inc()
-        current, hops = self._route(key, from_peer, cache)
-        self._account_lookup(key, from_peer, hops)
-        return current, hops
-
-    def _route(self, key: str, from_peer: int, cache) -> Tuple[CanNode, int]:
-        """The greedy zone walk; pure w.r.t. simulated state.
-
-        Only the route memo (metrics-invisible) is written, so this is
-        shared by :meth:`lookup` and the dry probe
-        :meth:`cached_route_hops`.
-        """
         point = self.point_for_key(key)
         start = self._nodes.get(from_peer)
         hops = 0
@@ -375,12 +333,6 @@ class CanNetwork:
             current = best
             visited.add(current.peer_id)
             hops += 1
-        if cache is not None:
-            cache.put((key, from_peer), (current.peer_id, hops))
-        return current, hops
-
-    def _account_lookup(self, key: str, from_peer: int, hops: int) -> None:
-        """Per-lookup statistics + telemetry, identical cached/uncached."""
         self.n_lookups += 1
         self.total_hops += hops
         tel = self.telemetry
@@ -391,34 +343,7 @@ class CanNetwork:
                 "lookup.done",
                 key=key, from_peer=from_peer, hops=hops, protocol="can",
             )
-
-    def note_cached_lookup(self, key: str, from_peer: int, hops: int) -> None:
-        """Replay lookup accounting for a read served from a value cache
-        (see :meth:`repro.lookup.chord.ChordRing.note_cached_lookup`)."""
-        self._account_lookup(key, from_peer, hops)
-
-    def cached_route_hops(self, key: str, from_peer: int) -> Optional[int]:
-        """The exact hop count a routed lookup would report, if memoized.
-
-        Greedy zone routing is a pure function of (key, start peer) for
-        a fixed membership, so the answer is exact: served from the
-        route memo, or computed by a dry :meth:`_route` (no statistics,
-        no telemetry, no store access; see
-        :meth:`repro.lookup.chord.ChordRing.cached_route_hops`).
-        """
-        if not self.fast_paths or not self._nodes:
-            return None
-        cache = self._route_cache
-        cache.check_generation(self.generation)
-        entry = cache.get((key, from_peer))
-        if entry is not None:
-            return entry[1]
-        _, hops = self._route(key, from_peer, cache)
-        return hops
-
-    @property
-    def route_cache_stats(self):
-        return self._route_cache.stats
+        return current, hops
 
     def get(self, key: str, from_peer: int) -> Tuple[Any, int]:
         node, hops = self.lookup(key, from_peer)

@@ -10,9 +10,13 @@ churn by the ring's key handoff):
 
 * ``service:<name>``  -> tuple of candidate :class:`ServiceInstance`
   specs (the co-located QoS specifications of assumption 1, §3.1);
-* ``instance:<id>``   -> frozenset of hosting peer ids (the locations).
+* ``instance:<id>``   -> the instance's host record, an ascending tuple
+  of hosting peer ids (the locations).  At populate time it is the
+  catalog's own tuple, not a copy.
 
-Host sets change under churn; :meth:`ServiceRegistry.peer_departed` and
+Every discovery is one routed read: nothing is cached, so plain, churned
+and faulted runs take the same path.  Host records change under churn;
+:meth:`ServiceRegistry.peer_departed` and
 :meth:`ServiceRegistry.peer_joined` keep them in sync with the catalog's
 ground truth while exercising real DHT update paths.
 
@@ -29,10 +33,9 @@ found", which the composition layer already treats as NO_CANDIDATES.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Protocol, Tuple
+from typing import Any, Dict, Iterable, Protocol, Tuple
 
-from repro.lookup.cache import BoundedCache
-from repro.services.catalog import ServiceCatalog
+from repro.services.catalog import ServiceCatalog, hosts_with, hosts_without
 from repro.services.model import ServiceInstance
 
 __all__ = ["DhtProtocol", "ServiceRegistry"]
@@ -43,13 +46,7 @@ class DhtProtocol(Protocol):
 
     Satisfied by both :class:`~repro.lookup.chord.ChordRing` and
     :class:`~repro.lookup.can.CanNetwork` (the paper's "Chord or CAN").
-    ``generation``/``note_cached_lookup`` power the registry's record
-    cache; a substrate without them (checked via ``getattr``) simply
-    runs with the value-layer cache disabled.
     """
-
-    #: Membership generation, bumped by every join/leave.
-    generation: int
 
     def put(self, key: str, value: Any) -> None: ...
     def get(self, key: str, from_peer: int) -> Tuple[Any, int]: ...
@@ -57,8 +54,6 @@ class DhtProtocol(Protocol):
     def update(self, key: str, fn) -> Any: ...
     def join(self, peer_id: int): ...
     def leave(self, peer_id: int) -> None: ...
-    def note_cached_lookup(self, key: str, from_peer: int, hops: int) -> None: ...
-    def cached_route_hops(self, key: str, from_peer: int) -> Optional[int]: ...
     def __contains__(self, peer_id: int) -> bool: ...
 
 
@@ -68,41 +63,22 @@ class ServiceRegistry:
     SERVICE_PREFIX = "service:"
     INSTANCE_PREFIX = "instance:"
 
-    #: Value-layer record cache (synced with ``GridConfig.fast_paths`` by
-    #: the grid).  An entry ``key -> value`` is valid only while *both*
-    #: the ring-membership generation and the record's per-key generation
-    #: (bumped by ``peer_joined``/``peer_departed`` content updates) are
-    #: unchanged.  A hit additionally needs the substrate's route memo to
-    #: answer :meth:`~repro.lookup.chord.ChordRing.cached_route_hops` for
-    #: the requesting peer -- that exact hop count (and the matching
-    #: ``lookup.done`` telemetry) is replayed, so any peer whose start
-    #: node lay on an earlier routed trail is served without a walk.
-    #: (Keying the value layer per ``(key, from_peer)`` made the hit rate
-    #: collapse to ~0: requesters are drawn at random, so the same pair
-    #: almost never recurs.)  Disabled whenever a fault injector is
-    #: attached -- every routed attempt must keep drawing its fault RNG.
-    fast_paths = True
-    #: Optional :class:`repro.telemetry.Telemetry`; set by the grid (cache
-    #: and discovery counters are metrics-only, never bus events).
+    #: Optional :class:`repro.telemetry.Telemetry`; set by the grid (the
+    #: discovery counter is metrics-only, never a bus event).
     telemetry = None
-    RECORD_CACHE_CAP = 1 << 14
+    #: Always 0: nothing is served from a cache.  Read only by
+    #: ``bench/inproc.py``, until a ``benchmark`` PR drops its
+    #: ``lookup.cached`` / ``lookup.cache_hit_ratio`` metrics.
+    n_cached_discoveries = 0
 
     def __init__(self, ring: DhtProtocol, catalog: ServiceCatalog) -> None:
         self.ring = ring
         self.catalog = catalog
-        #: Discovery accounting: totals plus the routed/cached split
-        #: (``n_discoveries == n_routed_discoveries + n_cached_discoveries``).
-        self.n_discoveries = 0
-        self.discovery_hops = 0
+        #: Discovery accounting: every discovery is one routed read.
         self.n_routed_discoveries = 0
-        self.n_cached_discoveries = 0
-        self.routed_discovery_hops = 0
-        self.cached_discovery_hops = 0
+        self.discovery_hops = 0
         self.injector = None
         self.retry = None
-        self._record_cache = BoundedCache(self.RECORD_CACHE_CAP)
-        #: Per-key content generations (missing key = generation 0).
-        self._key_gens: Dict[str, int] = {}
         self._populate()
 
     def configure_faults(self, injector, retry) -> None:
@@ -114,7 +90,7 @@ class ServiceRegistry:
         for service, instances in self.catalog.by_service.items():
             self.ring.put(self.SERVICE_PREFIX + service, tuple(instances))
         for iid, hosts in self.catalog.replicas.items():
-            self.ring.put(self.INSTANCE_PREFIX + iid, frozenset(hosts))
+            self.ring.put(self.INSTANCE_PREFIX + iid, hosts)
 
     # -- discovery (routed; costs hops) -----------------------------------
     def _routed_get(self, key: str, from_peer: int) -> Tuple[Any, int]:
@@ -138,122 +114,40 @@ class ServiceRegistry:
                 "lookup", attempts, retry.delay(attempts, inj.rng), key=key
             )
 
-    # -- record cache (fast path) ------------------------------------------
-    @property
-    def cache_active(self) -> bool:
-        """True when reads may be served/deduped from cached values.
-
-        Requires ``fast_paths``, a substrate that exposes a membership
-        generation, and *no* fault injector -- with faults attached every
-        routed attempt draws from the fault RNG stream, which a cached
-        answer would skip (diverging the seeded fault schedule).
-        """
-        return (
-            self.fast_paths
-            and self.injector is None
-            and getattr(self.ring, "generation", None) is not None
-        )
-
-    def _cached_get(self, key: str, from_peer: int) -> Tuple[Any, int, bool]:
-        """One read, preferring the record cache: ``(value, hops, cached)``."""
-        if not self.cache_active:
-            value, hops = self._routed_get(key, from_peer)
-            return value, hops, False
-        cache = self._record_cache
-        cache.check_generation(self.ring.generation)
-        key_gen = self._key_gens.get(key, 0)
-        entry = cache.get(key)
-        tel = self.telemetry
-        if entry is not None and entry[1] == key_gen:
-            hops = self.ring.cached_route_hops(key, from_peer)
-            if hops is not None:
-                cache.stats.hits += 1
-                if tel is not None:
-                    tel.metrics.counter("cache.record.hits").inc()
-                # Replay the routed walk's accounting exactly (same
-                # lookup.done event, same hop count, same ring stats).
-                self.ring.note_cached_lookup(key, from_peer, hops)
-                return entry[0], hops, True
-        cache.stats.misses += 1
-        if tel is not None:
-            tel.metrics.counter("cache.record.misses").inc()
+    def _discover(self, key: str, from_peer: int) -> Tuple[Any, int]:
+        """One accounted discovery: ``(record or None, hops)``."""
         value, hops = self._routed_get(key, from_peer)
-        cache.put(key, (value, key_gen))
-        return value, hops, False
-
-    def _account_discovery(self, hops: int, cached: bool) -> None:
-        self.n_discoveries += 1
+        self.n_routed_discoveries += 1
         self.discovery_hops += hops
-        if cached:
-            self.n_cached_discoveries += 1
-            self.cached_discovery_hops += hops
-        else:
-            self.n_routed_discoveries += 1
-            self.routed_discovery_hops += hops
         tel = self.telemetry
         if tel is not None:
-            tel.metrics.counter(
-                "discovery.cached" if cached else "discovery.routed"
-            ).inc()
-
-    def replay_discovery(self, key: str, from_peer: int, hops: int) -> None:
-        """Account one discovery served from an upstream dedupe.
-
-        Callers (batched path discovery, the aggregator's duplicate-
-        instance dedupe) hold a value fetched moments ago in the same
-        operation; this replays the lookup telemetry and discovery
-        accounting the repeated read would have produced.  Only legal
-        while :attr:`cache_active` (the caller's dedupe must be too).
-        """
-        self.ring.note_cached_lookup(key, from_peer, hops)
-        self._account_discovery(hops, cached=True)
+            tel.metrics.counter("discovery.routed").inc()
+        return value, hops
 
     def discover_service(
         self, service: str, from_peer: int
     ) -> Tuple[Tuple[ServiceInstance, ...], int]:
         """All candidate instances of ``service``: ``(specs, hops)``."""
-        value, hops, cached = self._cached_get(
-            self.SERVICE_PREFIX + service, from_peer
-        )
-        self._account_discovery(hops, cached)
+        value, hops = self._discover(self.SERVICE_PREFIX + service, from_peer)
         return (value or ()), hops
 
     def discover_hosts(
         self, instance_id: str, from_peer: int
-    ) -> Tuple[FrozenSet[int], int]:
-        """Peers hosting ``instance_id``: ``(host set, hops)``."""
-        value, hops, cached = self._cached_get(
+    ) -> Tuple[Tuple[int, ...], int]:
+        """Peers hosting ``instance_id``: ``(host record, hops)``."""
+        value, hops = self._discover(
             self.INSTANCE_PREFIX + instance_id, from_peer
         )
-        self._account_discovery(hops, cached)
-        return (value or frozenset()), hops
+        return (value or ()), hops
 
     def discover_path_candidates(
         self, services: Iterable[str], from_peer: int
     ) -> Tuple[Dict[str, Tuple[ServiceInstance, ...]], int]:
-        """One routed lookup per abstract service; total hops returned.
-
-        Batched: with the fast paths active, a service repeated in the
-        path is resolved by the first lookup and the repeats are served
-        from that answer -- the query already routed to the responsible
-        node -- with per-occurrence accounting replayed so hop totals
-        and telemetry match the unbatched walks.
-        """
+        """One routed lookup per abstract service; total hops returned."""
         out: Dict[str, Tuple[ServiceInstance, ...]] = {}
         total = 0
-        dedupe = self.cache_active
-        seen: Dict[str, int] = {}
         for service in services:
-            prior_hops = seen.get(service) if dedupe else None
-            if prior_hops is None:
-                specs, hops = self.discover_service(service, from_peer)
-                if dedupe:
-                    seen[service] = hops
-            else:
-                specs, hops = out[service], prior_hops
-                self.replay_discovery(
-                    self.SERVICE_PREFIX + service, from_peer, hops
-                )
+            specs, hops = self.discover_service(service, from_peer)
             out[service] = specs
             total += hops
         return out, total
@@ -266,12 +160,11 @@ class ServiceRegistry:
         content updates stay ordered like the real protocol (the
         successor inherits already-cleaned records).
         """
+        def drop(hosts):
+            return hosts_without(hosts or (), peer_id)
+
         for iid in hosted:
-            key = self.INSTANCE_PREFIX + iid
-            self._key_gens[key] = self._key_gens.get(key, 0) + 1
-            self.ring.update(
-                key, lambda hosts: frozenset((hosts or frozenset()) - {peer_id})
-            )
+            self.ring.update(self.INSTANCE_PREFIX + iid, drop)
         if peer_id in self.ring:
             self.ring.leave(peer_id)
 
@@ -279,26 +172,15 @@ class ServiceRegistry:
         """Add an arriving peer to the ring and its hosted records."""
         if peer_id not in self.ring:
             self.ring.join(peer_id)
+
+        def add(hosts):
+            return hosts_with(hosts or (), peer_id)
+
         for iid in hosted:
-            key = self.INSTANCE_PREFIX + iid
-            self._key_gens[key] = self._key_gens.get(key, 0) + 1
-            self.ring.update(
-                key, lambda hosts: frozenset((hosts or frozenset()) | {peer_id})
-            )
+            self.ring.update(self.INSTANCE_PREFIX + iid, add)
 
     @property
     def mean_discovery_hops(self) -> float:
-        if self.n_discoveries == 0:
+        if self.n_routed_discoveries == 0:
             return 0.0
-        return self.discovery_hops / self.n_discoveries
-
-    @property
-    def record_cache_stats(self):
-        return self._record_cache.stats
-
-    @property
-    def discovery_cache_hit_rate(self) -> float:
-        """Fraction of discoveries served without a routed walk."""
-        if self.n_discoveries == 0:
-            return 0.0
-        return self.n_cached_discoveries / self.n_discoveries
+        return self.discovery_hops / self.n_routed_discoveries

@@ -122,9 +122,14 @@ class ChurnProcess:
         if self.config.departure_bias == 0.0:
             idx = int(self.rng.integers(len(ids)))
         else:
+            # Scalar-draw spelling of rng.choice(len(ids), p=weights): the
+            # same single random() over the same cdf, minus choice's
+            # per-call validation of p.
             weights = (1.0 + uptimes) ** (-self.config.departure_bias)
             weights /= weights.sum()
-            idx = int(self.rng.choice(len(ids), p=weights))
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(self.rng.random(), side="right"))
         return ids[idx]
 
     def depart(self) -> Optional[int]:

@@ -66,8 +66,7 @@ class PeerStore:
     Rows are allocated by :meth:`alloc_row` (free list first, then the
     append cursor; arrays grow by doubling) and returned by
     :meth:`free_row`.  ``generation`` increments on every allocation
-    and every free, mirroring the membership-generation discipline of
-    the discovery caches.
+    and every free.
     """
 
     def __init__(self, resource_names: Sequence[str], initial_rows: int = 256) -> None:

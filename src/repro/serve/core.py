@@ -411,7 +411,7 @@ class GridRuntime:
             "grid": {
                 "n_peers": grid.directory.n_alive,
                 "n_instances": grid.catalog.n_instances,
-                "generation": getattr(grid.ring, "generation", 0),
+                "generation": grid.directory.generation,
                 "peer_state_backend": grid.config.peer_state_backend,
                 "peer_store_bytes": (
                     store.memory_bytes()
@@ -447,7 +447,6 @@ class GridRuntime:
             "caches": {
                 "fast_paths": grid.config.fast_paths,
                 "discovery_routed": grid.registry.n_routed_discoveries,
-                "discovery_cached": grid.registry.n_cached_discoveries,
                 "qcs_edge_hits": stats.hits if stats is not None else 0,
                 "qcs_edge_misses": stats.misses if stats is not None else 0,
             },

@@ -20,11 +20,16 @@ genuinely harder to compose than low-quality ones.
 
 The replica map is *mutable*: churn removes departed peers' replicas and
 assigns fresh replicas to arriving peers (:meth:`ServiceCatalog.remove_peer`
-and :meth:`ServiceCatalog.assign_new_peer`).
+and :meth:`ServiceCatalog.assign_new_peer`).  Each instance's **host
+record** is one immutable ascending ``tuple`` of peer ids, held once: the
+registry puts the same object on the DHT, discovery returns it and peer
+selection reads it as the hop's candidates.  Churn replaces a record
+(:func:`hosts_with` / :func:`hosts_without`), never edits one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -35,7 +40,29 @@ from repro.services.applications import ApplicationTemplate
 from repro.services.model import ServiceInstance
 from repro.services.translator import AnalyticTranslator
 
-__all__ = ["CatalogConfig", "ServiceCatalog", "generate_catalog"]
+__all__ = [
+    "CatalogConfig",
+    "ServiceCatalog",
+    "generate_catalog",
+    "hosts_with",
+    "hosts_without",
+]
+
+
+def hosts_with(hosts: Tuple[int, ...], peer_id: int) -> Tuple[int, ...]:
+    """The host record ``hosts`` with ``peer_id`` in its sorted place."""
+    i = bisect_left(hosts, peer_id)
+    if i < len(hosts) and hosts[i] == peer_id:
+        return hosts
+    return hosts[:i] + (peer_id,) + hosts[i:]
+
+
+def hosts_without(hosts: Tuple[int, ...], peer_id: int) -> Tuple[int, ...]:
+    """The host record ``hosts`` minus ``peer_id`` (unchanged if absent)."""
+    i = bisect_left(hosts, peer_id)
+    if i < len(hosts) and hosts[i] == peer_id:
+        return hosts[:i] + hosts[i + 1:]
+    return hosts
 
 
 @dataclass(frozen=True)
@@ -74,7 +101,7 @@ class ServiceCatalog:
         self,
         applications: Sequence[ApplicationTemplate],
         instances: Dict[str, ServiceInstance],
-        replicas: Dict[str, Set[int]],
+        replicas: Dict[str, Tuple[int, ...]],
     ) -> None:
         self.applications = list(applications)
         self.app_by_name = {a.name: a for a in applications}
@@ -100,13 +127,8 @@ class ServiceCatalog:
         return self.by_service.get(service, [])
 
     def hosts(self, instance_id: str) -> Tuple[int, ...]:
-        """Peers hosting a replica of ``instance_id``, ascending.
-
-        Sorted tuple (not the live set): callers iterate this across the
-        module boundary, and handing out the internal set leaked both
-        hash ordering and mutable aliasing (TEL002).
-        """
-        return tuple(sorted(self.replicas.get(instance_id, ())))
+        """Peers hosting a replica of ``instance_id``: the host record."""
+        return self.replicas.get(instance_id, ())
 
     def hosted_instances(self, peer_id: int) -> Tuple[str, ...]:
         """Instance ids replicated on ``peer_id``, sorted."""
@@ -123,10 +145,9 @@ class ServiceCatalog:
     # -- churn support ------------------------------------------------------
     def remove_peer(self, peer_id: int) -> None:
         """Drop every replica hosted by a departing peer."""
-        for iid in self.hosted_by.pop(peer_id, set()):
-            peers = self.replicas.get(iid)
-            if peers is not None:
-                peers.discard(peer_id)
+        replicas = self.replicas
+        for iid in self.hosted_by.pop(peer_id, ()):
+            replicas[iid] = hosts_without(replicas[iid], peer_id)
 
     def assign_new_peer(self, peer_id: int, rng: np.random.Generator) -> None:
         """Give an arriving peer a typical share of instance replicas.
@@ -144,7 +165,7 @@ class ServiceCatalog:
         chosen = rng.choice(len(all_iids), size=k, replace=False)
         for idx in chosen:
             iid = all_iids[int(idx)]
-            self.replicas.setdefault(iid, set()).add(peer_id)
+            self.replicas[iid] = hosts_with(self.replicas.get(iid, ()), peer_id)
             self.hosted_by[peer_id].add(iid)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -182,7 +203,7 @@ def generate_catalog(
         raise ValueError("need at least one peer to host replicas")
 
     instances: Dict[str, ServiceInstance] = {}
-    replicas: Dict[str, Set[int]] = {}
+    replicas: Dict[str, Tuple[int, ...]] = {}
     ilo, ihi = config.instances_per_service
     rlo, rhi = config.replicas_per_instance
     # Scalar-draw spellings of rng.choice that consume the identical
@@ -192,6 +213,10 @@ def generate_catalog(
     quality_cdf = np.cumsum(config.quality_weights)
     quality_cdf /= quality_cdf[-1]
     max_quality = max(config.quality_levels)
+    # QoSVector is immutable, so every instance with the same (format,
+    # quality) shares one Qin / one Qout object.
+    qins: Dict[Tuple[str, int], QoSVector] = {}
+    qouts: Dict[Tuple[str, int], QoSVector] = {}
 
     for app in applications:
         for k, service in enumerate(app.services):
@@ -202,14 +227,19 @@ def generate_catalog(
                 quality = int(config.quality_levels[
                     quality_cdf.searchsorted(rng.random(), side="right")
                 ])
-                qin = QoSVector(
-                    format=str(in_formats[int(rng.integers(len(in_formats)))]),
-                    quality=Interval(quality, max_quality),
-                )
-                qout = QoSVector(
-                    format=str(out_formats[int(rng.integers(len(out_formats)))]),
-                    quality=quality,
-                )
+                in_format = str(in_formats[int(rng.integers(len(in_formats)))])
+                qin = qins.get((in_format, quality))
+                if qin is None:
+                    qin = qins[in_format, quality] = QoSVector(
+                        format=in_format,
+                        quality=Interval(quality, max_quality),
+                    )
+                out_format = str(out_formats[int(rng.integers(len(out_formats)))])
+                qout = qouts.get((out_format, quality))
+                if qout is None:
+                    qout = qouts[out_format, quality] = QoSVector(
+                        format=out_format, quality=quality
+                    )
                 iid = f"{service}/{j}"
                 instances[iid] = ServiceInstance(
                     instance_id=iid,
@@ -221,6 +251,6 @@ def generate_catalog(
                 )
                 n_rep = min(int(rng.integers(rlo, rhi + 1)), len(peer_ids))
                 chosen = rng.choice(len(peer_ids), size=n_rep, replace=False)
-                replicas[iid] = {peer_ids[c] for c in chosen.tolist()}
+                replicas[iid] = tuple(sorted(peer_ids[c] for c in chosen.tolist()))
 
     return ServiceCatalog(applications, instances, replicas)

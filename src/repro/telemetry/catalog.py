@@ -115,16 +115,11 @@ METRIC_CATALOG: Dict[str, tuple] = {
     "probe.tables": ("gauge", "neighbor tables currently materialized"),
     "lookup.count": ("counter", "routed DHT lookups"),
     "lookup.hops": ("histogram", "application-level hops per lookup"),
-    "cache.route.hits": ("counter", "ring lookups answered at the start node"),
-    "cache.route.misses": ("counter", "ring lookups that walked the overlay"),
-    "cache.record.hits": ("counter", "registry reads served from the record cache"),
-    "cache.record.misses": ("counter", "registry reads that routed to the DHT"),
     "cache.qcs_edge.hits": ("counter", "QCS consistency edges reused across compositions"),
     "cache.qcs_edge.misses": ("counter", "QCS consistency edges computed fresh"),
     "cache.qcs_plan.hits": ("counter", "vectorized-QCS composition plans reused"),
     "cache.qcs_plan.misses": ("counter", "vectorized-QCS composition plans sliced fresh"),
-    "discovery.routed": ("counter", "discoveries that paid a routed walk"),
-    "discovery.cached": ("counter", "discoveries served from cache/dedupe"),
+    "discovery.routed": ("counter", "registry discoveries (one routed read each)"),
     "store.generation": ("gauge", "SoA peer-store membership generation"),
     "store.rows_recycled": ("gauge", "SoA peer-store rows reused after departures"),
     "session.admitted": ("counter", "sessions admitted"),

@@ -274,7 +274,7 @@ class TestCACHE001:
             "    def f(self):\n"
             "        if self.fast_paths:\n"
             "            self.bus.emit('lookup.done', hops=0)\n",
-            relpath="repro/lookup/bad_hit.py",
+            relpath="repro/probing/bad_hit.py",
         )
         assert [f.rule for f in report.findings] == ["CACHE001"]
 
@@ -285,23 +285,25 @@ class TestCACHE001:
             "class C:\n"
             "    fast_paths = True\n"
             "    def __init__(self):\n"
-            "        self._route_cache = BoundedCache(64)\n"
+            "        self._plan_cache = BoundedCache(64)\n"
             "    def f(self, tel):\n"
             "        if self.fast_paths:\n"
-            "            self._route_cache.get('k')\n"
-            "            tel.metrics.counter('cache.route.hits').inc()\n",
-            relpath="repro/lookup/good_cache.py",
+            "            self._plan_cache.get('k')\n"
+            "            tel.metrics.counter('cache.qcs_plan.hits').inc()\n",
+            relpath="repro/core/good_cache.py",
         )
         assert report.ok
 
     def test_out_of_scope_module_is_ignored(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "from repro.lookup.cache import BoundedCache\n"
-            "CACHE = BoundedCache(64)\n",
-            relpath="repro/workload/not_discovery_plane.py",
-        )
-        assert report.ok
+        for relpath in ("repro/workload/not_a_cached_plane.py",
+                        "repro/lookup/cache.py"):
+            report = lint_snippet(
+                tmp_path,
+                "from repro.lookup.cache import BoundedCache\n"
+                "CACHE = BoundedCache(64)\n",
+                relpath=relpath,
+            )
+            assert report.ok, relpath
 
 
 class TestSelectDisable:

@@ -1,15 +1,13 @@
-"""Property tests: no cache may ever serve stale membership state.
+"""Model-based test: a discovered host record is never stale.
 
-Hypothesis drives randomized join/leave/lookup interleavings against
-
-* a fast-path :class:`~repro.lookup.chord.ChordRing` mirrored by an
-  uncached twin -- every lookup must land on the same node with the same
-  hop count, and the responsible node must match a brute-force successor
-  computation over the *current* membership (a joined/departed peer can
-  therefore never be served from a stale route entry);
-* a :class:`~repro.lookup.registry.ServiceRegistry` under host-set churn
-  -- a departed peer must never appear in a discovered host set, and a
-  joined peer must appear immediately.
+Discovery holds no cache, so there is nothing to invalidate; what must
+hold instead is that the one host record per instance -- an immutable
+ascending tuple shared by the catalog and the DHT -- tracks membership
+exactly.  Hypothesis drives randomized depart / join / read
+interleavings against a dict-of-sets model: after every step
+``discover_hosts`` is an ascending tuple equal to the model, a departed
+peer never appears in it, a joined peer appears immediately, and the
+catalog and the registry agree.
 
 Run under ``HYPOTHESIS_PROFILE=chaos`` for the CI chaos budget.
 """
@@ -21,67 +19,6 @@ from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.services.applications import default_applications
 from repro.services.catalog import CatalogConfig, generate_catalog
-
-# op = (kind, a, b): kind 0 = join, 1 = leave, 2 = lookup
-ops_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-KEYS = [f"key/{i}" for i in range(12)]
-
-
-def _brute_force_responsible(ring, key):
-    """Successor responsibility recomputed from scratch every call."""
-    key_id = ring.key_id(key)
-    ids = sorted(ring._ids)
-    for node_id in ids:
-        if node_id >= key_id:
-            return node_id
-    return ids[0]
-
-
-@settings(deadline=None)
-@given(ops=ops_strategy, seed=st.integers(min_value=0, max_value=7))
-def test_route_cache_never_stale_under_churn(ops, seed):
-    fast = ChordRing(bits=16, seed=seed)
-    slow = ChordRing(bits=16, seed=seed)
-    slow.fast_paths = False
-    members = []
-    next_pid = 0
-    for _ in range(8):  # seed membership
-        fast.join(next_pid)
-        slow.join(next_pid)
-        members.append(next_pid)
-        next_pid += 1
-    for kind, a, b in ops:
-        if kind == 0:
-            fast.join(next_pid)
-            slow.join(next_pid)
-            members.append(next_pid)
-            next_pid += 1
-        elif kind == 1 and len(members) > 2:
-            pid = members.pop(a % len(members))
-            fast.leave(pid)
-            slow.leave(pid)
-        else:
-            key = KEYS[a % len(KEYS)]
-            from_peer = members[b % len(members)]
-            node_f, hops_f = fast.lookup(key, from_peer)
-            node_s, hops_s = slow.lookup(key, from_peer)
-            assert node_f.node_id == node_s.node_id
-            assert hops_f == hops_s
-            # ... and both answers reflect the *current* membership.
-            assert node_f.node_id == _brute_force_responsible(fast, key)
-            assert node_f.peer_id in members
-    assert fast.n_lookups == slow.n_lookups
-    assert fast.total_hops == slow.total_hops
-
 
 # op = (kind, a, b): kind 0 = depart a host, 1 = rejoin, 2 = discover
 registry_ops = st.lists(
@@ -113,37 +50,47 @@ def test_host_sets_never_stale_under_churn(ops):
         ring.join(pid)
     registry = ServiceRegistry(ring, catalog)
 
-    iids = sorted(catalog.instances)[:8]
-    expected = {iid: set(catalog.hosts(iid)) for iid in iids}
-    hosted_by = {}
-    for iid in iids:
-        for pid in expected[iid]:
-            hosted_by.setdefault(pid, []).append(iid)
-    departed = []
+    # One record per instance, held once: the ring stores the catalog's
+    # own tuple, not a copy.
+    for iid, record in catalog.replicas.items():
+        assert ring.get_local(registry.INSTANCE_PREFIX + iid) is record
 
+    model = {iid: set(hosts) for iid, hosts in catalog.replicas.items()}
+    iids = sorted(model)
+
+    def check(iid, from_peer):
+        found, _ = registry.discover_hosts(iid, from_peer)
+        assert isinstance(found, tuple)
+        assert found == tuple(sorted(model[iid]))  # ascending, no repeats
+        assert found == catalog.hosts(iid)
+
+    departed = []
     for kind, a, b in ops:
-        if kind == 0 and hosted_by:
-            pid = sorted(hosted_by)[a % len(hosted_by)]
-            if pid in core:
+        from_peer = core[b % len(core)]
+        if kind == 0:
+            pool = [p for p in sorted(catalog.hosted_by) if p not in core]
+            if not pool:
                 continue
-            hosted = hosted_by.pop(pid)
+            pid = pool[a % len(pool)]
+            hosted = catalog.hosted_instances(pid)
+            catalog.remove_peer(pid)
             registry.peer_departed(pid, hosted)
             for iid in hosted:
-                expected[iid].discard(pid)
+                model[iid].discard(pid)
             departed.append((pid, hosted))
+            touched = hosted
         elif kind == 1 and departed:
             pid, hosted = departed.pop(a % len(departed))
+            catalog.assign_new_peer(pid, rng)  # a fresh share of replicas
+            hosted = catalog.hosted_instances(pid)
             registry.peer_joined(pid, hosted)
-            hosted_by[pid] = hosted
             for iid in hosted:
-                expected[iid].add(pid)
+                model[iid].add(pid)
+            touched = hosted
         else:
-            iid = iids[a % len(iids)]
-            from_peer = core[b % len(core)]
-            found, _ = registry.discover_hosts(iid, from_peer)
-            # Exactness: never a departed peer, always every joined one.
-            assert found == frozenset(expected[iid])
-    # The cache was actually exercised along the way (or no repeat reads
-    # happened -- either way the split bookkeeping must balance).
-    assert (registry.n_routed_discoveries + registry.n_cached_discoveries
-            == registry.n_discoveries)
+            touched = (iids[a % len(iids)],)
+        for iid in touched:
+            check(iid, from_peer)
+    for iid in iids:
+        check(iid, core[0])
+    assert registry.n_cached_discoveries == 0

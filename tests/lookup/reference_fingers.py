@@ -1,8 +1,8 @@
 """Executable specification of Chord's greedy routing step.
 
 This is the ``bits``-probe finger scan ``repro.lookup.chord`` shipped
-before ``ChordRing._closest_preceding`` started naming the same finger
-with two bisects and no table.  Stoica et al.'s definition, verbatim:
+before ``ChordRing._walk`` started naming the same finger with one
+bisect per hop and no table.  Stoica et al.'s definition, verbatim:
 node ``n``'s ``i``-th finger is ``successor(n + 2^i)``; the greedy step
 forwards to the *farthest* finger inside the open circular interval
 ``(n, key)``, or stays put when no finger falls inside it.

@@ -1,12 +1,14 @@
-"""Differential proof: the finger-free greedy step is the finger scan.
+"""Differential proof: the one-bisect greedy walk is the finger scan.
 
-``ChordRing._closest_preceding`` names the farthest preceding finger
-with two bisects on the sorted id list; ``reference_fingers.py`` probes
-all ``bits`` fingers the way the ring did before.  Hypothesis drives
-random join/leave schedules and, after every membership change, requires
-the same finger for every (member, key) pair probed and the same
-``(responsible node, hop count)`` from full ``lookup()`` calls, with the
-route memo on and off.
+``ChordRing._walk`` hoists the key-side bisects out of the loop, carries
+the current node's index and names each hop's finger with one bisect on
+the sorted id list; ``reference_fingers.py`` probes all ``bits`` fingers
+per hop the way the ring did originally.  Hypothesis drives random
+join/leave schedules and, after every membership change, requires the
+same ``(responsible node, hop count)`` from every member start for every
+key probed, and the same answer from full ``lookup()`` calls by members
+and by non-member peers (which bootstrap at the successor of their
+hashed position).
 
 ``bits = 8`` with up to 24 peers makes the hard cases common: id
 collisions (re-seated by +1), wrap-around intervals, fingers that wrap
@@ -48,31 +50,32 @@ def _probe_keys(ring, extra):
     return sorted(keys)
 
 
-def _check_ring(ring, plain, extra, step):
+def _check_ring(ring, extra, step):
     ids = ring._ids
     assert ids == sorted(set(ids))
     bits = ring.bits
     keys = _probe_keys(ring, extra)
-    for n in ids:
+    for at, n in enumerate(ids):
         for k in keys:
-            assert ring._closest_preceding(n, k) == ref.closest_preceding(
-                ids, n, k, bits
-            ), (step, n, k)
+            assert ring._walk(at, k) == ref.walk(ids, n, k, bits), (step, n, k)
     # Full lookups: pin the key id through the key->id memo so the walk
-    # is aimed at the same boundary ids, then compare target and hops.
+    # is aimed at the same boundary ids, then compare target, hops and
+    # the ring's own statistics.
     members = ring.peers()
     for j, k in enumerate(keys[:: max(1, len(keys) // 24)]):
         key = f"k{k}"
-        ring._key_ids[key] = plain._key_ids[key] = k
+        ring._key_ids[key] = k
         for from_peer in (members[j % len(members)], 1000 + j):
             start = ring._peer_to_id.get(from_peer)
             if start is None:  # outsider: bootstraps via its hashed spot
                 start = ref.successor(ids, ring.node_id_for(from_peer))
             want = ref.walk(ids, start, k, bits)
-            for r in (ring, plain):
-                node, hops = r.lookup(key, from_peer)
-                assert (node.node_id, hops) == want, (step, from_peer, k)
-            assert ring.cached_route_hops(key, from_peer) == want[1]
+            before = ring.n_lookups, ring.total_hops
+            node, hops = ring.lookup(key, from_peer)
+            assert (node.node_id, hops) == want, (step, from_peer, k)
+            assert (ring.n_lookups, ring.total_hops) == (
+                before[0] + 1, before[1] + hops
+            )
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,23 +88,18 @@ def _check_ring(ring, plain, extra, step):
 )
 def test_finger_free_step_matches_reference_scan(bits, seed, schedule, extra):
     ring = ChordRing(bits=bits, seed=seed)
-    plain = ChordRing(bits=bits, seed=seed)
-    plain.fast_paths = False
     extra = [k % (1 << bits) for k in extra]
     for step, (op, pid) in enumerate(schedule):
         if op == "join":
             if pid in ring:
                 continue
             ring.join(pid)
-            plain.join(pid)
         else:
             if pid not in ring:
                 continue
             ring.leave(pid)
-            plain.leave(pid)
-        assert ring._ids == plain._ids
         if ring._ids:
-            _check_ring(ring, plain, extra, step)
+            _check_ring(ring, extra, step)
 
 
 def test_small_rings_and_self_keys():
@@ -111,26 +109,32 @@ def test_small_rings_and_self_keys():
         for pid in range(size):
             ring.join(pid)
         ids = ring._ids
-        for n in ids:
+        for at, n in enumerate(ids):
             for k in range(256):
-                assert ring._closest_preceding(n, k) == ref.closest_preceding(
-                    ids, n, k, 8
-                ), (size, n, k)
-        for n in ids:  # key_id == node_id: the interval is the full circle
-            want = ref.closest_preceding(ids, n, n, 8)
-            assert ring._closest_preceding(n, n) == want
-            assert (want == n) == (size == 1)
+                assert ring._walk(at, k) == ref.walk(ids, n, k, 8), (size, n, k)
+        for at, n in enumerate(ids):
+            # key_id == node_id: the node is responsible, zero hops.
+            assert ring._walk(at, n) == (n, 0)
+            # One past it: the whole circle lies between node and key.
+            target, hops = ring._walk(at, (n + 1) % 256)
+            assert target == ref.successor(ids, (n + 1) % 256)
+            assert (hops == 0) == (size == 1)
 
 
 def test_step_is_exact_for_a_non_member_start():
-    """The step never assumes ``node_id`` is itself on the ring."""
+    """Every non-member bootstraps at the successor of its hashed spot."""
     ring = ChordRing(bits=8, seed=0)
     for pid in range(12):
         ring.join(pid)
     ids = ring._ids
-    outsiders = [n for n in range(256) if n not in ring._nodes]
-    for n in outsiders:
+    outsiders = range(100, 356)
+    # The outsiders' hashed positions land on members and between them.
+    spots = {ring.node_id_for(pid) for pid in outsiders}
+    assert spots & set(ids) and spots - set(ids)
+    for pid in outsiders:
+        start = ref.successor(ids, ring.node_id_for(pid))
         for k in range(256):
-            assert ring._closest_preceding(n, k) == ref.closest_preceding(
-                ids, n, k, 8
-            ), (n, k)
+            key = f"k{k}"
+            ring._key_ids[key] = k
+            node, hops = ring.lookup(key, pid)
+            assert (node.node_id, hops) == ref.walk(ids, start, k, 8), (pid, k)

@@ -46,7 +46,7 @@ class TestDiscovery:
         apps, catalog, _, registry = setup
         iid = next(iter(catalog.instances))
         hosts, _ = registry.discover_hosts(iid, from_peer=3)
-        assert hosts == frozenset(catalog.hosts(iid))
+        assert hosts == catalog.hosts(iid) == tuple(sorted(set(hosts)))
 
     def test_discover_path_accumulates_hops(self, setup):
         apps, _, _, registry = setup
@@ -54,7 +54,7 @@ class TestDiscovery:
         candidates, hops = registry.discover_path_candidates(services, from_peer=9)
         assert set(candidates) == set(services)
         assert hops >= 0
-        assert registry.n_discoveries >= len(services)
+        assert registry.n_routed_discoveries == len(services)
 
     def test_mean_discovery_hops(self, setup):
         _, catalog, _, registry = setup
