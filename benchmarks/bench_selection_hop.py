@@ -1,0 +1,178 @@
+"""One selection hop, in isolation (PR 21).
+
+``resolve_selection_hops`` + ``select_hop`` at the ``steady-paper``
+shape -- 10^4 peers, ``M = 100``, a walk of three hops with 40-80
+candidate hosts each -- timed for the two table states a hop meets:
+
+* ``fresh``  -- the observer has no neighbour table yet (41 % of the
+                hops of ``steady-paper``): the merge is an insert +
+                eviction of the block itself, no membership search;
+* ``full``   -- the observer already holds ``M`` other neighbours: the
+                merge searches the table, refreshes the members and
+                evicts across held and new rows.
+
+Wall times are printed, not gated (they are host-dependent; the
+repository benchmark ``bench/run.py`` is the basis for speed claims).
+What is asserted is host-independent: the walk's probing and hashing
+*work* -- a repeated walk hashes zero pairs (every pair class is in the
+memo), and the probe messages of a walk equal its distinct stale
+targets (none on a repeat in the same epoch, all of them again in the
+next).
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.core.resources import ResourceVector
+from repro.core.selection import PeerSelector, PhiWeights
+from repro.experiments.reporting import banner
+from repro.network.soa import SoAPeerDirectory
+from repro.network.topology import NetworkModel, PairwiseClasses
+from repro.probing.prober import ProbingConfig, ProbingService
+from repro.sim import Simulator
+
+NAMES = ("cpu", "memory")
+N_PEERS = 10_000
+BUDGET = 100
+N_OBSERVERS = 150
+REQUIREMENT = ResourceVector(NAMES, [20.0, 20.0])
+BANDWIDTH_REQ = 56e3
+DURATION = 5.0
+
+
+def make_plane(seed=0):
+    rng = np.random.default_rng(seed)
+    sim = Simulator()
+    directory = SoAPeerDirectory(NAMES, initial_rows=N_PEERS)
+    for _ in range(N_PEERS):
+        scale = float(rng.uniform(100.0, 1000.0))
+        directory.create_peer(
+            ResourceVector(NAMES, [scale, scale]), 10e6,
+            joined_at=-float(rng.uniform(0.0, 60.0)),
+        )
+    network = NetworkModel(directory, seed=seed)
+    probing = ProbingService(
+        sim, directory, network, ProbingConfig(budget=BUDGET)
+    )
+    selector = PeerSelector(probing, PhiWeights.uniform(NAMES))
+    return rng, sim, probing, selector
+
+
+def make_hops(rng):
+    """Three ascending host tuples of 40-80 peers, like three records."""
+    return [
+        tuple(sorted(rng.choice(N_PEERS, size=int(rng.integers(40, 81)),
+                                replace=False).tolist()))
+        for _ in range(3)
+    ]
+
+
+def one_hop(probing, selector, observer, hops, rng, plan_entry):
+    known = probing.resolve_selection_hops(
+        observer, hops, direct=True, plan=plan_entry
+    )
+    return known, selector.select_hop(
+        observer, hops[0], REQUIREMENT, BANDWIDTH_REQ, DURATION, rng,
+        known=known,
+    )
+
+
+def walk(probing, selector, requester, hops, rng):
+    """The aggregator's reverse-flow walk; returns (peers, known ids)."""
+    plan = probing.selection_plan(hops)
+    current, peers, seen = requester, [], set()
+    for i in range(len(hops)):
+        known = probing.resolve_selection_hops(
+            current, hops[i:], direct=(current == requester), plan=plan[i]
+        )
+        seen.update(hops[i][p] for p in known.tolist())
+        outcome = selector.select_hop(
+            current, hops[i], REQUIREMENT, BANDWIDTH_REQ, DURATION, rng,
+            known=known,
+        )
+        peers.append(outcome.peer_id)
+        current = outcome.peer_id
+    return peers, seen
+
+
+def time_hops(full: bool, repeats=5):
+    rng, sim, probing, selector = make_plane()
+    hops = make_hops(rng)
+    other = make_hops(rng)  # what a full table holds beforehand
+    # New observers every repeat: every (observer, candidate) pair of a
+    # timed hop is first-seen, so its BLAKE2b is inside the figure.
+    observers = [
+        o for o in rng.choice(
+            N_PEERS, size=repeats * N_OBSERVERS, replace=False
+        ).tolist()
+        if all(o not in h for h in hops + other)
+    ]
+    entry = probing.selection_plan(hops)[0]
+    best = float("inf")
+    for r in range(repeats):
+        batch = observers[r::repeats]
+        if full:
+            for o in batch:
+                probing.resolve_selection_hops(o, other, direct=False)
+                assert len(probing.table(o)) == BUDGET
+        t0 = time.perf_counter()
+        for o in batch:
+            one_hop(probing, selector, o, hops, rng, entry)
+        best = min(best, (time.perf_counter() - t0) / len(batch))
+    return best
+
+
+@pytest.mark.benchmark(group="claims")
+def test_selection_hop_fresh_and_full_table(benchmark):
+    def run():
+        return time_hops(full=False), time_hops(full=True)
+
+    fresh, full = benchmark.pedantic(run, rounds=1, iterations=1)
+    print()
+    print(banner(
+        "PR 21 -- one resolve + select hop",
+        f"{N_PEERS} peers, M = {BUDGET}, 3 hops x 40-80 candidates; "
+        "microseconds per hop, best-of-5, first-seen pairs hashed",
+    ))
+    print(f"fresh observer (no table) : {fresh * 1e6:8.1f}")
+    print(f"observer with a full table: {full * 1e6:8.1f}")
+
+
+@pytest.mark.benchmark(group="claims")
+def test_selection_hop_walk_work_is_exact(benchmark, monkeypatch):
+    """Host-independent: the hashing and probing work of a walk."""
+    hashed = []
+    real = PairwiseClasses.class_indices
+
+    def counting(self, los, his):
+        hashed.extend(zip(los, his))
+        return real(self, los, his)
+
+    monkeypatch.setattr(PairwiseClasses, "class_indices", counting)
+    rng, sim, probing, selector = make_plane(seed=3)
+    hops = make_hops(rng)
+    requester = next(o for o in range(N_PEERS) if all(o not in h for h in hops))
+
+    peers, seen = benchmark.pedantic(
+        walk, (probing, selector, requester, hops, rng), rounds=1, iterations=1
+    )
+    assert None not in peers
+    # Everything known was stale (never probed): one probe per distinct
+    # target, however many hops it appears in.
+    assert probing.probe_messages == len(seen) > 0
+    assert len(hashed) == len(set(hashed)) > 0  # each first-seen pair once
+
+    hashed.clear()
+    probed = probing.probe_messages
+    again, seen_again = walk(probing, selector, requester, hops, rng)
+    assert again == peers and seen_again == seen
+    assert hashed == []  # every pair class is in the memo
+    assert probing.probe_messages == probed  # same epoch: nothing stale
+
+    sim.timeout(probing.config.period)
+    sim.run()  # next epoch: every snapshot is stale again
+    walk(probing, selector, requester, hops, rng)
+    assert hashed == []
+    assert probing.probe_messages == probed + len(seen)

@@ -39,6 +39,7 @@ BENCH_ORDER = {
     "bench_latency_aware": 18,
     "bench_soa_scale": 19,
     "bench_membership": 20,
+    "bench_selection_hop": 21,
 }
 
 

@@ -434,38 +434,29 @@ class QSAAggregator(BaseAggregator):
         selected_reverse: List[int] = []
         current = request.peer_id
         # Flatten the candidate lists once; each hop's resolve gets its
-        # suffix as an array slice instead of re-flattening.
-        plan_fn = getattr(self.probing, "selection_plan", None)
-        plan = plan_fn(hosts_selection_order) if plan_fn is not None else None
+        # suffix as a ready block instead of re-flattening.
+        plan = self.probing.selection_plan(hosts_selection_order)
         for i in range(n):
             inst = composed.instances[n - 1 - i]  # i hops from the user
-            candidates = hosts_selection_order[i]
             # Dynamic neighbor resolution: the selecting peer learns the
             # remaining hops' candidate providers (direct neighbors at
-            # the requesting host, indirect along the chain).
+            # the requesting host, indirect along the chain) -- and hands
+            # what it learned about this hop's own to the selector.
             with tracer.span("probing.resolve", peer=current):
-                if plan is None:
-                    self.probing.resolve_selection_hops(
-                        current,
-                        hosts_selection_order[i:],
-                        direct=(current == request.peer_id),
-                    )
-                else:
-                    flat_all, hops_all, off = plan
-                    start = off[i]
-                    self.probing.resolve_selection_hops(
-                        current,
-                        hosts_selection_order[i:],
-                        direct=(current == request.peer_id),
-                        plan=(flat_all[start:], hops_all[start:] - i),
-                    )
+                known = self.probing.resolve_selection_hops(
+                    current,
+                    hosts_selection_order[i:],
+                    direct=(current == request.peer_id),
+                    plan=None if plan is None else plan[i],
+                )
             outcome = self.selector.select_hop(
                 selecting_peer=current,
-                candidates=candidates,
+                candidates=hosts_selection_order[i],
                 requirement=inst.resources,
                 bandwidth_req=inst.bandwidth,
                 session_duration=request.session_duration,
                 rng=self.rng,
+                known=known,
             )
             self._hop_outcomes.append(outcome)
             if outcome.peer_id is None:

@@ -72,6 +72,8 @@ class PeerInfo:
 #: latencies)`` -- the positions in the candidate list the observer has
 #: information about (ascending), and aligned with them the ``(k, m)``
 #: availability block, β, uptime and (only when asked for) latency.
+#: ``known`` is what ``resolve_selection_hops`` reported for the hop
+#: (``select_hop(known=...)``) or a table lookup, minus the departed.
 ObservedBlock = Tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
 ]
@@ -214,10 +216,13 @@ class PhiWeights:
         latencies_ms: ``(n,)`` candidate->selector latencies (only used
             when the profile carries a latency weight).
         """
-        # divide(out=CAP, where=req>0) is bitwise np.where(req>0, a/r, CAP)
-        # without materializing the infinities (or the errstate guard).
-        ratios = np.full_like(availability, _RATIO_CAP)
-        np.divide(availability, requirement, out=ratios, where=requirement > 0)
+        if requirement.min() > 0:
+            ratios = availability / requirement
+        else:
+            # divide(out=CAP, where=req>0) is bitwise np.where(req>0, a/r, CAP)
+            # without materializing the infinities (or the errstate guard).
+            ratios = np.full_like(availability, _RATIO_CAP)
+            np.divide(availability, requirement, out=ratios, where=requirement > 0)
         np.minimum(ratios, _RATIO_CAP, out=ratios)
         if bandwidth_req > 0:
             bw = np.minimum(betas / bandwidth_req, _RATIO_CAP)
@@ -300,22 +305,25 @@ class PeerSelector:
         bandwidth_req: float,
         session_duration: float,
         rng: np.random.Generator,
+        known: Optional[np.ndarray] = None,
     ) -> SelectionOutcome:
         """Choose the next-hop peer from ``candidates``.
 
         Implements, in order: the local-knowledge restriction, the uptime
         and feasibility matches, Φ ranking, and the random fallback.
+        ``known``: what the view's ``resolve_selection_hops`` returned for
+        these candidates at ``selecting_peer`` just now, for ``observe_block``.
         """
         tel = self.telemetry
         if tel is None:
             return self._select_hop(
                 selecting_peer, candidates, requirement, bandwidth_req,
-                session_duration, rng,
+                session_duration, rng, known,
             )
         with tel.tracer.span("selection.hop", selecting_peer=selecting_peer):
             outcome = self._select_hop(
                 selecting_peer, candidates, requirement, bandwidth_req,
-                session_duration, rng,
+                session_duration, rng, known,
             )
         m = tel.metrics
         m.counter("selection.steps").inc()
@@ -342,6 +350,7 @@ class PeerSelector:
         bandwidth_req: float,
         session_duration: float,
         rng: np.random.Generator,
+        known_positions: Optional[np.ndarray] = None,
     ) -> SelectionOutcome:
         n_candidates = len(candidates)
         if n_candidates == 0:
@@ -352,6 +361,7 @@ class PeerSelector:
             block = observe_block(
                 selecting_peer, candidates,
                 latency=self.weights.latency_weight > 0,
+                known=known_positions,
             )
             if block is not None:
                 return self._select_hop_block(
@@ -360,16 +370,10 @@ class PeerSelector:
                 )
 
         known: list[Tuple[int, PeerInfo]] = []
-        observe_many = getattr(self.view, "observe_many", None)
-        if observe_many is not None:
-            for pid, info in zip(candidates, observe_many(selecting_peer, candidates)):
-                if info is not None:
-                    known.append((pid, info))
-        else:
-            for pid in candidates:
-                info = self.view.observe(selecting_peer, pid)
-                if info is not None:
-                    known.append((pid, info))
+        for pid in candidates:
+            info = self.view.observe(selecting_peer, pid)
+            if info is not None:
+                known.append((pid, info))
 
         if not known:
             # Random fallback: the selecting peer knows nothing about any
@@ -456,13 +460,12 @@ class PeerSelector:
             pick = int(rng.integers(n_candidates))
             return SelectionOutcome(candidates[pick], True, n_candidates, 0)
 
-        qual = np.ones(n_known, dtype=bool)
-        if self.uptime_filter:
-            qual &= uptimes >= session_duration
+        qual = uptimes >= session_duration if self.uptime_filter else True
         if self.feasibility_filter:
             qual &= (avail >= requirement.values).all(axis=1)
             qual &= betas >= bandwidth_req
-        qidx = np.flatnonzero(qual)
+        # ``True``: no filter is on, every known candidate qualifies.
+        qidx = np.arange(n_known) if qual is True else qual.nonzero()[0]
 
         if len(qidx) == 0:
             known_ids = {candidates[i] for i in kpos}
@@ -491,7 +494,7 @@ class PeerSelector:
             avail[qidx], requirement.values, betas[qidx], bandwidth_req,
             latencies_ms=None if latencies is None else latencies[qidx],
         )
-        best = int(np.argmax(scores))
+        best = int(scores.argmax())
         return SelectionOutcome(
             candidates[kpos[qidx[best]]], False, n_candidates, n_known,
             float(scores[best]),

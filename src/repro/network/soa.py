@@ -22,9 +22,8 @@ Layout
   that makes a snapshot current (see ``probing/prober.py``).
 
 Rows are recycled through a free list when peers depart; ``generation``
-bumps on every membership change (the same invalidation discipline the
-discovery-plane caches use, see ``lookup/cache.py``), so anything
-holding row indices can cheaply detect staleness.
+bumps on every membership change, so anything holding row indices can
+cheaply detect staleness.
 
 Departure semantics
 -------------------

@@ -27,9 +27,8 @@ contention -- see DESIGN.md §4.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from operator import eq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,35 +72,35 @@ class PairwiseClasses:
     ) -> None:
         self.seed = int(seed)
         self.n_classes = int(n_classes)
+        # Every pair's message is ``b"<seed>:<lo>:<hi>"``: the seed prefix
+        # is absorbed once, each pair copies that state and adds its tail.
+        self._prefix = hashlib.blake2b(b"%d:" % self.seed, digest_size=4)
         if weights is None:
-            self._cumulative: Optional[list] = None
+            self._cumulative: Optional[np.ndarray] = None
         else:
             w = np.asarray(weights, dtype=np.float64)
             if w.shape != (n_classes,) or np.any(w < 0) or w.sum() <= 0:
                 raise ValueError(f"bad class weights {weights!r}")
-            # A plain list + bisect matches np.searchsorted(side="right")
-            # bit-for-bit while skipping numpy's scalar-call overhead.
-            self._cumulative = np.cumsum(w / w.sum()).tolist()
+            self._cumulative = np.cumsum(w / w.sum())
 
     def class_index(self, a: int, b: int) -> int:
         """The class index for the unordered pair ``{a, b}``."""
         lo, hi = (a, b) if a <= b else (b, a)
-        return self.class_indices((lo,), (hi,))[0]
+        return int(self.class_indices((lo,), (hi,))[0])
 
-    def class_indices(self, los: Sequence[int], his: Sequence[int]) -> List[int]:
+    def class_indices(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
         """:meth:`class_index` of each pair ``los[i] <= his[i]``."""
-        seed, blake2b, from_bytes = self.seed, hashlib.blake2b, int.from_bytes
-        raws = [
-            from_bytes(
-                blake2b(b"%d:%d:%d" % (seed, lo, hi), digest_size=4).digest(),
-                "little",
-            )
-            for lo, hi in zip(los, his)
-        ]
-        cumulative, last = self._cumulative, self.n_classes - 1
-        if cumulative is None:
-            return [raw % self.n_classes for raw in raws]
-        return [min(bisect_right(cumulative, raw / 2**32), last) for raw in raws]
+        fresh = self._prefix.copy
+        digests = []
+        for pair in zip(los, his):
+            h = fresh()
+            h.update(b"%d:%d" % pair)
+            digests.append(h.digest())
+        raws = np.frombuffer(b"".join(digests), "<u4")
+        if self._cumulative is None:
+            return raws % self.n_classes
+        at = self._cumulative.searchsorted(raws / 2.0**32, side="right")
+        return np.minimum(at, self.n_classes - 1, out=at)
 
 
 class NetworkModel:
@@ -147,7 +146,7 @@ class NetworkModel:
         self._latency_of = np.array((np.nan,) + self.latency_classes + (0.0,))
 
     # -- static pairwise properties -----------------------------------------
-    def _hash_words(self, los: list, his: list, latency: bool) -> list:
+    def _hash_words(self, los: list, his: list, latency: bool) -> np.ndarray:
         """Memo words of pairs ``los[i] <= his[i]``, derived from scratch."""
         if his and max(his) >> 28:
             raise OverflowError("peer ids must stay below 2**28")
@@ -155,12 +154,10 @@ class NetworkModel:
         words = bw.class_indices(los, his)
         local = bw.n_classes
         if latency:
-            words = [
-                w | c + 1 << 4 for w, c in zip(words, lat.class_indices(los, his))
-            ]
+            words |= lat.class_indices(los, his) + 1 << 4
             local |= lat.n_classes + 1 << 4
         if any(map(eq, los, his)):  # local pairs get the one-past-the-end classes
-            words = [local if a == b else w for w, a, b in zip(words, los, his)]
+            words[np.equal(los, his)] = local
         return words
 
     def _pair_word(self, a: int, b: int, latency: bool) -> int:
@@ -169,7 +166,7 @@ class NetworkModel:
         slot = key % len(self._memo)
         entry = int(self._memo[slot])
         if entry >> 8 != key or (latency and entry & 0xF0 == 0):
-            entry = key << 8 | self._hash_words([lo], [hi], latency)[0]
+            entry = key << 8 | int(self._hash_words([lo], [hi], latency)[0])
             self._memo[slot] = entry
         return entry & 0xFF
 
@@ -191,10 +188,11 @@ class NetworkModel:
         miss = entries >> 8 != keys
         if latency:
             miss |= words < 16
-        if miss.any():
-            at = np.flatnonzero(miss)
-            words[at] = self._hash_words(lo[at].tolist(), hi[at].tolist(), latency)
-            self._memo[slots[at]] = keys[at] << 8 | words[at]
+        if np.count_nonzero(miss):
+            at = miss.nonzero()[0]
+            hashed = self._hash_words(lo[at].tolist(), hi[at].tolist(), latency)
+            words[at] = hashed
+            self._memo[slots[at]] = keys[at] << 8 | hashed
         return words
 
     def pair_capacity(self, a: int, b: int) -> float:
@@ -243,7 +241,9 @@ class NetworkModel:
         flows = self._reserved.get(dst)
         if flows:
             for other, bw in flows.items():
-                betas[sources == other] -= bw
+                hit = sources == other
+                if np.count_nonzero(hit):  # most flows end elsewhere
+                    betas[hit] -= bw
         if uplinks is None:
             peers = self.peers
             uplinks = np.fromiter(

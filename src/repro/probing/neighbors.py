@@ -149,7 +149,7 @@ class NeighborTable:
         if not len(triples):
             return 0
         prio = 2 * triples[:, 1] + 1 - triples[:, 2]
-        return self._merge(triples[:, 0], prio, now, ttl)[0]
+        return self.merge(triples[:, 0], prio, now, ttl)[0]
 
     def resolve_block(
         self,
@@ -159,63 +159,103 @@ class NeighborTable:
         now: float,
         ttl: float,
     ) -> int:
-        """:meth:`resolve` for ``(pids[i], hops[i], direct)`` relations.
+        """:meth:`merge` of ``(pids[i], hops[i], direct)`` relations; returns
+        the number of notifications the block needed."""
+        return self.merge(pids, 2 * hops + (0 if direct else 1), now, ttl)[1]
 
-        Returns the number of notifications the block *needed*: refreshes
-        of entries not already fresh until ``now + ttl`` at an equal or
-        better priority, plus the distinct newcomers the budget could
-        hold.  (The rest would change neither the table nor any later
-        eviction, so a resolver need not send them.)
+    def merge(
+        self,
+        pids: np.ndarray,
+        prio: np.ndarray,
+        now: float,
+        ttl: float,
+        lead: int = 0,
+        distinct: bool = False,
+    ) -> Tuple[int, int, Optional[np.ndarray]]:
+        """:meth:`resolve` for relations ``(pids[i], prio[i])``, in array order.
+
+        Returns ``(newly added, needed, active)``.  ``needed`` counts the
+        notifications that could change anything: refreshes of entries
+        not already fresh until ``now + ttl`` at an equal or better
+        priority, plus the distinct newcomers the budget could hold (a
+        resolver need not send the rest).  ``active`` says which of the
+        block's first ``lead`` ids hold a row afterwards, as ascending
+        positions -- what ``lookup(pids[:lead], now)`` would answer next
+        (every row the block touched is fresh), read off the eviction
+        instead of a second search; ``None`` when ``lead`` is 0 or a
+        leading newcomer repeats.  ``distinct`` promises that no id
+        repeats in ``pids`` and spares the duplicate grouping.
         """
-        return self._merge(pids, 2 * hops + (0 if direct else 1), now, ttl)[1]
-
-    def _merge(
-        self, pids: np.ndarray, prio: np.ndarray, now: float, ttl: float
-    ) -> Tuple[int, int]:
-        """Apply relations in array order; ``(newly added, needed)``."""
         if prio.min() < 2:
             raise ValueError("hop must be >= 1")
         expires_at = now + ttl
+        n = len(self.pids)
         needed = 0
-        member, rows = self._rows(pids)
-        if member.any():
-            rows, known = rows[member], prio[member]
-            until = self.expires[rows]
-            stale = until < expires_at
-            stale |= self.prio[rows] > known
-            needed = int(np.count_nonzero(stale))
-            self.expires[rows] = np.maximum(until, expires_at)
-            np.minimum.at(self.prio, rows, known)
-            pids, prio = pids[~member], prio[~member]
-            if not len(pids):
-                return 0, needed
-        # Newcomers: first position, best priority of their occurrences
-        # (a stable sort groups repeats with the first occurrence leading).
-        order = pids.argsort(kind="stable")
-        grouped = pids[order]
-        leads = np.ones(len(grouped), dtype=bool)
-        leads[1:] = grouped[1:] != grouped[:-1]
-        if not leads.all():
-            starts = np.flatnonzero(leads)
-            best = np.minimum.reduceat(prio[order], starts)
-            first = order[starts]
-            arrival = first.argsort()
-            pids, prio = pids[first[arrival]], best[arrival]
+        lead_rows = None  # merged-array row per leading id; None: n, n+1, ...
+        if n:
+            member, rows = self._rows(pids)
+            n_members = np.count_nonzero(member)
+            if n_members:
+                at, known = rows[member], prio[member]
+                until, held = self.expires[at], self.prio[at]
+                stale = until < expires_at
+                stale |= held > known
+                needed = int(np.count_nonzero(stale))
+                self.expires[at] = np.maximum(until, expires_at)
+                np.minimum.at(self.prio, at, known)
+                if n_members == len(pids):
+                    return 0, needed, np.arange(lead) if lead else None
+                fresh = ~member
+                pids, prio = pids[fresh], prio[fresh]
+                if lead:
+                    lead_rows = fresh[:lead].cumsum()
+                    lead_rows += n - 1
+                    np.copyto(lead_rows, rows[:lead], where=member[:lead])
+        if not distinct:
+            # Newcomers: first position, best priority of their occurrences
+            # (a stable sort groups repeats with the first occurrence leading).
+            order = pids.argsort(kind="stable")
+            grouped = pids[order]
+            leads = np.ones(len(grouped), dtype=bool)
+            leads[1:] = grouped[1:] != grouped[:-1]
+            if np.count_nonzero(leads) < len(leads):
+                starts = leads.nonzero()[0]
+                best = np.minimum.reduceat(prio[order], starts)
+                first = order[starts]
+                arrival = first.argsort()
+                first = first[arrival]
+                if lead:
+                    # Leading newcomers keep their rank among the survivors
+                    # only if each is its id's first occurrence.
+                    ahead = lead - np.count_nonzero(member[:lead]) if n else lead
+                    if not np.array_equal(first[:ahead], np.arange(ahead)):
+                        lead = 0
+                pids, prio = pids[first], best[arrival]
         added = len(pids)
         needed += min(added, self.budget)
-        total = len(self.pids) + added
-        pids = np.concatenate((self.pids, pids))
-        prio = np.concatenate((self.prio, prio))
-        expires = np.concatenate((self.expires, np.full(added, expires_at)))
+        total = n + added
+        expires = np.full(added, expires_at)
+        if n:
+            pids = np.concatenate((self.pids, pids))
+            prio = np.concatenate((self.prio, prio))
+            expires = np.concatenate((self.expires, expires))
+        elif total <= self.budget:
+            pids, prio = pids.copy(), prio.copy()  # still the caller's arrays
+        active = np.arange(lead) if lead else None
         if total > self.budget:
             # Over budget: every expired entry goes (newcomers are fresh),
             # then the worst by (priority desc, expiry asc), insertion
             # order -- held before new -- breaking ties (lexsort is stable).
             expired = expires < now
-            n_out = max(int(np.count_nonzero(expired)), total - self.budget)
+            n_expired = int(np.count_nonzero(expired))
+            keys = (expires, -prio, ~expired) if n_expired else (expires, -prio)
             keep = np.ones(total, dtype=bool)
-            keep[np.lexsort((expires, -prio, ~expired))[:n_out]] = False
+            keep[np.lexsort(keys)[:max(n_expired, total - self.budget)]] = False
+            if lead:
+                active = (
+                    keep[n:n + lead] if lead_rows is None else keep[lead_rows]
+                ).nonzero()[0]
             pids, prio, expires = pids[keep], prio[keep], expires[keep]
         self.pids, self.prio, self.expires = pids, prio, expires
         self._index = None
-        return added, needed
+        return added, needed, active

@@ -42,6 +42,7 @@ are virtual (the setup exchange is synchronous); they are recorded on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,43 +168,53 @@ class ProbingService:
 
     def selection_plan(
         self, hop_candidates: Sequence[Sequence[int]]
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Optional[List[Tuple[np.ndarray, np.ndarray, bool]]]:
         """Pre-flatten a selection walk's candidate lists, once.
 
-        ``_select_walk`` calls :meth:`resolve_selection_hops` with the
-        suffix ``hop_candidates[i:]`` at every hop; flattening the full
-        list once and slicing ``(flat[off[i]:], hops[off[i]:] - i)`` per
-        suffix spares the per-hop re-flatten.  Returns ``(flat, hops,
-        offsets)`` or ``None`` when the fast path is off (the scalar
-        path never uses a plan).
+        ``_select_walk`` resolves the suffix ``hop_candidates[i:]`` at hop
+        ``i``; entry ``i`` of the plan is that suffix as one block, ``(ids,
+        prio, distinct)``: the flattened ids, each one's priority as a
+        *direct* relation of that hop's selector (``2 * hop``; an indirect
+        one is 1 more) and whether no id repeats in the block -- decided
+        here, once per walk, so the table merge groups duplicates only when
+        there are any.  ``None`` when the fast path is off.
         """
         if not self.fast_paths:
             return None
         lens = [len(c) for c in hop_candidates]
-        total = sum(lens)
-        flat = np.fromiter(
-            (pid for cands in hop_candidates for pid in cands),
-            np.int64, total,
-        )
-        hops = np.repeat(np.arange(1, len(lens) + 1), lens)
-        offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        return flat, hops, offsets
+        flat = np.fromiter(chain.from_iterable(hop_candidates), np.int64, sum(lens))
+        prio = np.repeat(np.arange(2, 2 * len(lens) + 2, 2), lens)
+        plan, seen, start = [], set(), len(flat)
+        for i in range(len(lens) - 1, -1, -1):
+            start -= lens[i]
+            seen.update(hop_candidates[i])
+            plan.append(
+                (flat[start:], prio[start:] - 2 * i, len(seen) == len(flat) - start)
+            )
+        plan.reverse()
+        return plan
 
     def resolve_selection_hops(
         self,
         observer: int,
         hop_candidates: Sequence[Sequence[int]],
         direct: bool,
-        plan: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
+        plan: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None,
+    ) -> Optional[np.ndarray]:
         """Resolve the candidate providers of the next hops at ``observer``.
 
         ``hop_candidates[i]`` are the peers able to provide the service
         ``i+1`` hops away from the observer (reverse flow direction).
         ``direct=True`` when the observer is the requesting host itself
         (its own application), ``False`` for peers along someone else's
-        path (indirect neighbors).
+        path (indirect neighbors).  ``plan`` is this hop's entry of
+        :meth:`selection_plan`, when the caller flattened the walk.
+
+        Returns the positions in ``hop_candidates[0]`` (ascending) the
+        observer now holds an active entry for -- what the merge learned
+        about the hop about to be selected, for ``observe_block(known=)``
+        -- or ``None`` when it cannot say (plain path, the observer or a
+        repeat among those candidates) and the selector must look up.
         """
         if not self.fast_paths:
             triples: List[Tuple[int, int, bool]] = []
@@ -214,29 +225,31 @@ class ProbingService:
                         triples.append((pid, hop, direct))
             if triples:
                 self.resolve(observer, triples)
-            return
-        # Fast path: the whole candidate flood is one block merge into
-        # the observer's table.  Table state is identical to the plain
-        # path; only the notification count differs -- relations that
-        # could change nothing (see NeighborTable.resolve_block) are not
-        # sent.
+            return None
+        # Fast path (see ``fast_paths``): the whole flood is one block merge.
         if plan is None:
-            plan = self.selection_plan(hop_candidates)[:2]
-        flat, hops = plan
-        keep = flat != observer
-        if not keep.all():
-            flat, hops = flat[keep], hops[keep]
+            plan = self.selection_plan(hop_candidates)[0]
+        flat, prio, distinct = plan
+        lead = len(hop_candidates[0])
+        own = flat == observer
+        if np.count_nonzero(own):
+            if np.count_nonzero(own[:lead]):
+                lead = 0
+            keep = ~own
+            flat, prio = flat[keep], prio[keep]
         if not len(flat):
-            return
+            return None
         tbl = self._tables.get(observer)
         if tbl is None:
             tbl = NeighborTable(self.config.budget)
-        needed = tbl.resolve_block(
-            flat, hops, direct, self.sim.now, self.config.ttl
+        _, needed, known = tbl.merge(
+            flat, prio if direct else prio + 1,
+            self.sim.now, self.config.ttl, lead, distinct,
         )
         if needed:
             self._tables[observer] = tbl
             self._count_resolution(needed)
+        return known
 
     def drop_peer(self, peer_id: int) -> None:
         """Forget a departed peer everywhere (lazy tables stay lazy)."""
@@ -317,18 +330,6 @@ class ProbingService:
                 target=target,
             )
 
-    def _row_snapshot(self, target: int, epoch: int) -> int:
-        """Array-plane :meth:`_snapshot`: refresh ``target``'s store row.
-
-        Returns the store row (refreshed to ``epoch`` if stale) or ``-1``
-        when the peer is departed.  Only called with no injector
-        attached, so a refresh never fails.
-        """
-        row = self.directory.row_of(target)
-        if row >= 0 and self._store.snap_epoch[row] != epoch:
-            self._refresh_rows(np.array([target]), np.array([row]), epoch)
-        return row
-
     def _refresh_rows(
         self, targets: np.ndarray, rows: np.ndarray, epoch: int
     ) -> None:
@@ -357,14 +358,17 @@ class ProbingService:
 
     def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
         """The observer's (stale, bounded) view of target; None if unknown."""
+        if self._store is not None and self.injector is None:
+            block = self.observe_block(observer, (target,), latency=True)
+            if not len(block[0]):
+                return None
+            return self._peer_info(target, *(column[0] for column in block[1:]))
         tbl = self._tables.get(observer)
         if tbl is None:
             return None
         entry = tbl.get(target, self.sim.now)
         if entry is None:
             return None
-        if self._store is not None and self.injector is None:
-            return self._observe_row(observer, target, tbl)
         inj = self.injector
         if inj is not None and inj.partitioned(observer, target):
             # The probe cannot cross the cut; the entry stays (soft
@@ -395,33 +399,6 @@ class ProbingService:
             self.network.latency_ms(target, observer),
         )
 
-    def _observe_row(self, observer: int, target: int, tbl) -> Optional[PeerInfo]:
-        """Array-plane :meth:`observe` body (store present, no injector)."""
-        epoch = int(self.sim.now / self.config.period)
-        row = self._row_snapshot(target, epoch)
-        if row < 0:
-            tbl.drop(target)  # probe discovered the departure
-            self._snapshots.pop(target, None)
-            return None
-        store = self._store
-        orow = self.directory.row_of(observer)
-        observer_down = (
-            store.avail_down[orow] if orow >= 0 else float("inf")
-        )
-        beta = self.network.pair_capacity(target, observer) - (
-            self.network.pair_reserved(target, observer)
-        )
-        if store.snap_up[row] < beta:
-            beta = store.snap_up[row]
-        if observer_down < beta:
-            beta = observer_down
-        if beta < 0.0:
-            beta = 0.0
-        return self._peer_info(
-            target, store.snap_avail[row], beta, store.snap_uptime[row],
-            self.network.latency_ms(target, observer),
-        )
-
     def _peer_info(self, target, values, beta, uptime, latency) -> PeerInfo:
         # Fast-path ResourceVector construction: this runs for every
         # candidate of every scalar hop, and snapshot arrays are read-only
@@ -432,36 +409,43 @@ class ProbingService:
         return PeerInfo(target, availability, beta, uptime, latency)
 
     def observe_block(
-        self, observer: int, targets: Sequence[int], latency: bool = False
+        self,
+        observer: int,
+        targets: Sequence[int],
+        latency: bool = False,
+        known: Optional[np.ndarray] = None,
     ) -> Optional[ObservedBlock]:
-        """Array view of :meth:`observe_many` for SoA directories.
+        """Array form of :meth:`observe` over one candidate list.
 
         An :data:`~repro.core.selection.ObservedBlock`; its latencies
         are ``None`` unless asked for -- the default Φ never reads them,
         and deriving one costs a hash per first-seen pair.  Values are
         bitwise-identical to what the per-target :meth:`observe` chain
         produces, and so are the side effects (expired/departed entries
-        pruned, stale rows probed once, in target order).  ``None`` when
-        the array plane is unavailable (object directory or fault
-        injection); callers fall back to :meth:`observe_many`.
+        pruned, stale rows probed once, in target order).  ``known`` is
+        what :meth:`resolve_selection_hops` just returned for these
+        targets at this observer; without it the table is searched.
+        ``None`` when the array plane is unavailable (object directory
+        or fault injection); callers fall back to :meth:`observe`.
         """
         store = self._store
         if store is None or self.injector is not None:
             return None
-        tbl = self._tables.get(observer)
         ids = np.fromiter(targets, np.int64, len(targets))
-        known = tbl.lookup(ids, self.sim.now) if tbl is not None else ids[:0]
+        if known is None:
+            tbl = self._tables.get(observer)
+            known = tbl.lookup(ids, self.sim.now) if tbl is not None else ids[:0]
         ids = ids[known]
         rows = self.directory.rows_for(ids)
         departed = rows < 0
-        if departed.any():
+        if np.count_nonzero(departed):
+            tbl = self._tables[observer]
             for target in ids[departed].tolist():
                 tbl.drop(target)  # probe discovered the departure
-                self._snapshots.pop(target, None)
             known, ids, rows = known[~departed], ids[~departed], rows[~departed]
         epoch = int(self.sim.now / self.config.period)
         stale = store.snap_epoch[rows] != epoch
-        if stale.any():
+        if np.count_nonzero(stale):
             self._refresh_rows(ids[stale], rows[stale], epoch)
         betas = self.network.available_bandwidth_batch(
             ids, observer, uplinks=store.snap_up[rows]
@@ -473,23 +457,6 @@ class ProbingService:
             store.snap_uptime[rows],
             self.network.pair_latencies(observer, ids) if latency else None,
         )
-
-    def observe_many(
-        self, observer: int, targets: Sequence[int]
-    ) -> List[Optional[PeerInfo]]:
-        """Batched :meth:`observe` over one observer's candidate list.
-
-        Produces exactly ``[observe(observer, t) for t in targets]``; on
-        the array plane it is one :meth:`observe_block` re-materialized
-        as PeerInfo objects.
-        """
-        block = self.observe_block(observer, targets, latency=True)
-        if block is None:
-            return [self.observe(observer, t) for t in targets]
-        out: List[Optional[PeerInfo]] = [None] * len(targets)
-        for i, values, beta, uptime, lat in zip(block[0].tolist(), *block[1:]):
-            out[i] = self._peer_info(targets[i], values, beta, uptime, lat)
-        return out
 
     # -- overhead metrics ------------------------------------------------------
     def overhead_ratio(self) -> float:

@@ -57,6 +57,38 @@ class TestPairwiseClasses:
         frac = counts / counts.sum()
         assert np.all(np.abs(frac - np.array(w)) < 0.02)
 
+    @pytest.mark.parametrize("weights", [None, (0.35, 0.35, 0.2, 0.1),
+                                         (0.0, 0.5, 0.0, 0.5)])
+    def test_prefix_state_digest_is_the_whole_message_digest(self, weights):
+        """The hash input is golden-pinned: copying a state that absorbed
+        ``b"<seed>:"`` and adding ``b"<lo>:<hi>"`` must digest exactly
+        ``b"<seed>:<lo>:<hi>"``, and the class must be the scalar
+        ``bisect_right`` / modulo of that digest."""
+        import hashlib
+        from bisect import bisect_right
+
+        rng = np.random.default_rng(17)
+        for seed in (0, 7, 2**31 + 5):
+            pc = PairwiseClasses(seed, 4, weights)
+            los = rng.integers(0, 2**28, size=300).tolist()
+            his = [lo + int(d) for lo, d in
+                   zip(los, rng.integers(0, 10**4, size=300))]
+            his[::50] = los[::50]  # local pairs hash like any other
+            expected = []
+            for lo, hi in zip(los, his):
+                raw = int.from_bytes(hashlib.blake2b(
+                    b"%d:%d:%d" % (seed, lo, hi), digest_size=4
+                ).digest(), "little")
+                if weights is None:
+                    expected.append(raw % 4)
+                else:
+                    w = np.asarray(weights, dtype=np.float64)
+                    cumulative = np.cumsum(w / w.sum()).tolist()
+                    expected.append(min(bisect_right(cumulative, raw / 2**32), 3))
+            assert pc.class_indices(los, his).tolist() == expected
+            assert [pc.class_index(hi, lo) for lo, hi in
+                    zip(los[:20], his[:20])] == expected[:20]
+
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
             PairwiseClasses(0, 4, weights=(1.0, 0.0))
@@ -164,16 +196,16 @@ class TestPairMemo:
 
     @staticmethod
     def _count_hashes(monkeypatch):
-        import repro.network.topology as topology
-
+        """One list entry per pair handed to ``class_indices``, the only
+        place a pair is hashed (one BLAKE2b digest each)."""
         calls = []
-        real = topology.hashlib.blake2b
+        real = PairwiseClasses.class_indices
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(self, los, his):
+            calls.extend([1] * len(los))
+            return real(self, los, his)
 
-        monkeypatch.setattr(topology.hashlib, "blake2b", counting)
+        monkeypatch.setattr(PairwiseClasses, "class_indices", counting)
         return calls
 
     def test_survives_more_than_2_18_distinct_pairs(self, monkeypatch):

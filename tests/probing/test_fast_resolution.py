@@ -1,10 +1,10 @@
 """Equivalence tests for the probing-plane fast paths.
 
 ``resolve_selection_hops``'s fast path pre-trims the triple list before
-the neighbor table sees it, and ``observe_many`` batches the per-target
+the neighbor table sees it, and ``observe_block`` batches the per-target
 loop of ``observe``.  Both are claimed *exact*: identical table state
 (contents AND iteration order, which future evictions depend on) and
-identical PeerInfo streams.  These tests drive randomized schedules
+identical observed values.  These tests drive randomized schedules
 through a fast and a slow instance side by side.
 """
 
@@ -50,13 +50,12 @@ def test_resolve_selection_hops_fast_path_is_exact():
 
 
 def test_observe_many_matches_scalar_observe():
-    _check_block_and_many_match_scalar(latency_weighted=False)
-    _check_block_and_many_match_scalar(latency_weighted=True)
+    _check_block_matches_object_scalar(latency_weighted=False)
+    _check_block_matches_object_scalar(latency_weighted=True)
 
 
-def _check_block_and_many_match_scalar(latency_weighted):
-    grid = P2PGrid(GridConfig(n_peers=120, seed=5))
-    prober = grid.probing
+def _twin(backend, latency_weighted):
+    grid = P2PGrid(GridConfig(n_peers=120, seed=5, peer_state_backend=backend))
     agg = grid.make_aggregator("qsa")
     if latency_weighted:
         # A latency-weighted Φ makes the selector ask observe_block for
@@ -64,45 +63,55 @@ def _check_block_and_many_match_scalar(latency_weighted):
         agg.selector.weights = PhiWeights.latency_aware(
             grid.directory.resource_names
         )
-    rng = np.random.default_rng(7)
     for _ in range(10):  # populate tables + snapshots through real traffic
         req = grid.make_request("video-on-demand", qos_level="average",
                                 duration=3.0)
         agg.aggregate(req)
     grid.sim.run(until=grid.sim.now + 1.5)  # next epoch: snapshots go stale
-    observers = [o for o, t in prober._tables.items() if len(t)]
+    return grid.probing
+
+
+def _check_block_matches_object_scalar(latency_weighted):
+    """The array plane's block against the object backend's scalar chain
+    (per-peer ``_Snapshot`` objects, ``get`` one target at a time) on a
+    twin grid driven by the same seeded traffic."""
+    block_side = _twin("soa", latency_weighted)
+    scalar_side = _twin("object", latency_weighted)
+    assert block_side._store is not None and scalar_side._store is None
+    assert _table_state(block_side) == _table_state(scalar_side)
+    observers = [o for o, t in block_side._tables.items() if len(t)]
     assert observers
-    pids = list(grid.directory.alive_ids)
+    rng = np.random.default_rng(7)
+    pids = list(block_side.directory.alive_ids)
     for observer in observers:
         targets = ([int(p) for p in rng.choice(pids, size=20)]
-                   + [e.peer_id for e in prober.table(observer).entries()][:10])
-        # The block first: it probes the stale rows, the scalar chain
-        # then reads the same epoch snapshot.
-        known, avail, betas, uptimes, lats = prober.observe_block(
+                   + [e.peer_id for e in block_side.table(observer).entries()][:10])
+        known, avail, betas, uptimes, lats = block_side.observe_block(
             observer, targets, latency=latency_weighted
         )
         assert (lats is not None) == latency_weighted
-        batched = prober.observe_many(observer, targets)
-        scalar = [prober.observe(observer, t) for t in targets]
-        assert len(batched) == len(scalar)
+        scalar = [scalar_side.observe(observer, t) for t in targets]
         assert known.tolist() == [
             i for i, s in enumerate(scalar) if s is not None
         ]
         for j, i in enumerate(known.tolist()):
+            assert scalar[i].peer_id == targets[i]
             assert betas[j] == scalar[i].bandwidth_to_observer
             assert uptimes[j] == scalar[i].uptime
             assert np.array_equal(avail[j], scalar[i].availability.values)
             if latency_weighted:
                 assert lats[j] == scalar[i].latency
-        for b, s in zip(batched, scalar):
-            if s is None:
-                assert b is None
-                continue
-            assert b is not None
-            assert b.peer_id == s.peer_id
-            assert b.bandwidth_to_observer == s.bandwidth_to_observer
-            assert b.uptime == s.uptime
-            assert b.latency == s.latency
-            assert b.availability.names == s.availability.names
-            assert np.array_equal(b.availability.values,
-                                  s.availability.values)
+        # The array plane's own scalar view is a one-target block.
+        for i, t in enumerate(targets):
+            own = block_side.observe(observer, t)
+            assert (own is None) == (scalar[i] is None)
+            if own is not None:
+                assert own.peer_id == t
+                assert own.bandwidth_to_observer == scalar[i].bandwidth_to_observer
+                assert own.uptime == scalar[i].uptime
+                assert own.latency == scalar[i].latency
+                assert own.availability.names == scalar[i].availability.names
+                assert np.array_equal(own.availability.values,
+                                      scalar[i].availability.values)
+        assert block_side.probe_messages == scalar_side.probe_messages
+    assert _table_state(block_side) == _table_state(scalar_side)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.resources import ResourceVector
 from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.sim import Simulator
@@ -15,9 +16,9 @@ def rv(cpu, mem):
     return ResourceVector(NAMES, [cpu, mem])
 
 
-def make(n=10, budget=100, period=1.0, ttl=10.0):
+def make(n=10, budget=100, period=1.0, ttl=10.0, soa=False):
     sim = Simulator()
-    d = PeerDirectory(NAMES)
+    d = SoAPeerDirectory(NAMES, initial_rows=n) if soa else PeerDirectory(NAMES)
     for i in range(n):
         d.create_peer(rv(100, 100), 1e6, joined_at=-float(i))
     net = NetworkModel(d, seed=0)
@@ -155,3 +156,65 @@ class TestOverhead:
         probing.observe(0, 1)
         probing.drop_peer(0)
         assert probing.n_tables == 0
+
+
+class TestResolutionReport:
+    """``resolve_selection_hops`` -> ``observe_block(known=...)``: the
+    positions must index the hop's candidate list as the selector holds
+    it, whatever the resolver filtered on the way to the table."""
+
+    @staticmethod
+    def make_soa(n=12, budget=100):
+        sim, _, _, probing = make(n=n, budget=budget, soa=True)
+        return sim, probing
+
+    @staticmethod
+    def known_by_lookup(probing, observer, candidates):
+        """What the selector finds when it searches the table itself."""
+        return probing.observe_block(observer, candidates)[0].tolist()
+
+    def test_reports_the_leading_candidates_it_holds(self):
+        _, probing = self.make_soa(budget=3)
+        hops = [(1, 4, 6, 9), (2, 4), (7,)]
+        known = probing.resolve_selection_hops(
+            5, hops, direct=True, plan=probing.selection_plan(hops)[0]
+        )
+        # Budget 3 < 4 leading candidates: insertion order evicts the first.
+        assert known.tolist() == [1, 2, 3]
+        assert known.tolist() == self.known_by_lookup(probing, 5, hops[0])
+        block = probing.observe_block(5, hops[0], known=known)
+        assert block[0].tolist() == [1, 2, 3] and len(block[2]) == 3
+
+    def test_observer_among_its_own_leading_candidates(self):
+        """The resolver drops the observer from the block, so block
+        positions sit one below candidate positions after it."""
+        for budget in (100, 2):
+            _, probing = self.make_soa(budget=budget)
+            hops = [(1, 5, 6, 9), (2, 5)]
+            known = probing.resolve_selection_hops(5, hops, direct=True)
+            assert 5 not in probing.table(5)
+            expected = [0, 2, 3] if budget == 100 else [2, 3]
+            block = probing.observe_block(5, hops[0], known=known)
+            assert block[0].tolist() == expected
+            assert self.known_by_lookup(probing, 5, hops[0]) == expected
+
+    def test_every_id_already_a_fresh_member(self):
+        _, probing = self.make_soa()
+        hops = [(1, 4, 6), (2, 4)]
+        first = probing.resolve_selection_hops(0, hops, direct=True)
+        messages = probing.resolution_messages
+        state = [(e.peer_id, e.hop, e.direct, e.expires_at)
+                 for e in probing.table(0).entries()]
+        again = probing.resolve_selection_hops(0, hops, direct=True)
+        assert first.tolist() == again.tolist() == [0, 1, 2]
+        assert probing.resolution_messages == messages  # nothing needed
+        assert state == [(e.peer_id, e.hop, e.direct, e.expires_at)
+                         for e in probing.table(0).entries()]
+
+    def test_plain_path_and_repeated_candidates_report_nothing(self):
+        _, probing = self.make_soa()
+        assert probing.resolve_selection_hops(0, [[3, 3, 4]], True) is None
+        assert self.known_by_lookup(probing, 0, [3, 3, 4]) == [0, 1, 2]
+        probing.fast_paths = False
+        assert probing.resolve_selection_hops(0, [(5, 6)], True) is None
+        assert self.known_by_lookup(probing, 0, (5, 6)) == [0, 1]

@@ -1,7 +1,8 @@
 """Differential proof: the array NeighborTable is the reference table.
 
 Hypothesis drives random schedules of ``resolve`` / ``resolve_block`` /
-``get`` / ``lookup`` / ``drop`` / ``active_ids`` / time advances through
+``merge`` with a reported leading segment / ``get`` / ``lookup`` /
+``drop`` / ``active_ids`` / time advances through
 the production parallel-array table and the dict-of-objects reference
 (``reference_table.py``, the table this repo shipped before), and after
 every step requires identical return values and identical
@@ -11,7 +12,12 @@ as a different neighbor set many steps later.
 
 Small id and hop ranges make collisions (refreshes, upgrades, duplicate
 newcomers, over-budget floods, expired-but-unpruned entries) the common
-case rather than the rare one.
+case rather than the rare one.  The ``lead`` step is a selection hop's
+flood: a leading segment of (mostly) distinct ids at hop 1 -- often
+longer than the budget, so the hop's own candidates evict each other on
+insertion-order ties -- followed by later hops that may name the same
+ids again; ``merge`` must say which leading ids hold a row afterwards,
+exactly as ``get`` on the reference does.
 """
 
 import numpy as np
@@ -26,10 +32,21 @@ _hop = st.integers(min_value=1, max_value=4)
 _triples = st.lists(st.tuples(_pid, _hop, st.booleans()), max_size=30)
 _ttl = st.sampled_from((0.5, 2.0, 10.0))
 
+#: (leading ids, later-hop pairs, direct, ttl, claim distinctness when true).
+_lead = st.tuples(
+    st.just("lead"),
+    st.one_of(st.lists(_pid, min_size=1, max_size=12, unique=True),
+              st.lists(_pid, min_size=1, max_size=6)),
+    st.lists(st.tuples(_pid, st.integers(min_value=2, max_value=4)),
+             max_size=16),
+    st.booleans(), _ttl, st.booleans(),
+)
+
 _step = st.one_of(
     st.tuples(st.just("resolve"), _triples, _ttl),
     st.tuples(st.just("block"), st.lists(st.tuples(_pid, _hop), min_size=1,
                                          max_size=30), st.booleans(), _ttl),
+    _lead,
     st.tuples(st.just("get"), _pid),
     st.tuples(st.just("lookup"), st.lists(_pid, max_size=12)),
     st.tuples(st.just("drop"), _pid),
@@ -65,6 +82,34 @@ def _reference_needed(ref, pairs, direct, now, ttl):
     return needed + min(len(newcomers), ref.budget)
 
 
+def _merge_hop_flood(arr, ref, lead_ids, later, direct, now, ttl, claim=True):
+    """A hop's flood through ``merge`` and the reference: leading ids at
+    hop 1, then ``later``.  Checks ``added`` / ``needed`` and the
+    leading-segment report (``resolve`` the triples, then ``get`` each
+    leading id); returns the report."""
+    pairs = [(p, 1) for p in lead_ids] + later
+    ids = [p for p, _ in pairs]
+    held = {e.peer_id for e in ref.entries()}
+    needed = _reference_needed(ref, pairs, direct, now, ttl)
+    added = ref.resolve([(p, h, direct) for p, h in pairs], now, ttl)
+    got = arr.merge(
+        np.array(ids, dtype=np.int64),
+        2 * np.array([h for _, h in pairs], dtype=np.int64) + (0 if direct else 1),
+        now, ttl, lead=len(lead_ids),
+        distinct=claim and len(set(ids)) == len(ids),
+    )
+    assert got[:2] == (added, needed)
+    if got[2] is None:
+        # Only a repeated leading newcomer may go unreported.
+        fresh = [p for p in lead_ids if p not in held]
+        assert len(set(fresh)) < len(fresh)
+        return None
+    assert got[2].tolist() == [
+        i for i, p in enumerate(lead_ids) if ref.get(p, now) is not None
+    ]
+    return got[2].tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(budget=st.integers(min_value=0, max_value=8),
        steps=st.lists(_step, max_size=40))
@@ -86,6 +131,9 @@ def test_array_table_matches_reference(budget, steps):
                 direct, now, ttl,
             )
             assert got == expected
+        elif op == "lead":
+            _, lead_ids, later, direct, ttl, claim = step
+            _merge_hop_flood(arr, ref, lead_ids, later, direct, now, ttl, claim)
         elif op == "get":
             assert _row(arr.get(step[1], now)) == _row(ref.get(step[1], now))
         elif op == "lookup":
@@ -105,3 +153,33 @@ def test_array_table_matches_reference(budget, steps):
         assert len(arr) == len(ref) <= budget
         for pid in (0, 7, 24):
             assert (pid in arr) == (pid in ref)
+
+
+def _lead_case(budget, setup, now, lead_ids, later, direct=True, ttl=2.0):
+    """One hop flood after the ``setup`` resolves; returns merge's report."""
+    arr, ref = NeighborTable(budget), ReferenceTable(budget)
+    for at, triples in setup:
+        arr.resolve(triples, at, 2.0)
+        ref.resolve(triples, at, 2.0)
+    report = _merge_hop_flood(arr, ref, lead_ids, later, direct, now, ttl)
+    assert _state(arr) == _state(ref)
+    return report
+
+
+def test_merge_reports_leading_segment_hard_cases():
+    # Empty table, everything fits / budget 0 / budget below the leading
+    # segment: the hop's own candidates tie on (priority, expiry), so
+    # insertion order evicts the *first* ones.
+    assert _lead_case(8, [], 0.0, [5, 3, 9], [(4, 2)]) == [0, 1, 2]
+    assert _lead_case(0, [], 0.0, [5, 3, 9], [(4, 2)]) == []
+    assert _lead_case(2, [], 0.0, [5, 3, 9, 1], [(4, 2)]) == [2, 3]
+    # The same id in two hops keeps its hop-1 priority and its position.
+    assert _lead_case(3, [], 0.0, [5, 3], [(3, 2), (7, 2), (5, 3), (8, 2)]) == [0, 1]
+    # Held members among the leading ids (a better-priority held row
+    # survives where a newcomer does not), all of them already members,
+    # and a member whose entry expired but was never pruned.
+    held = [(0.0, [(3, 1, True), (6, 1, True), (7, 3, False)])]
+    assert _lead_case(2, held, 1.0, [9, 3, 8, 6], [], direct=False) == [1, 3]
+    assert _lead_case(3, held, 1.0, [9, 3, 8, 6], [], direct=False) == [1, 2, 3]
+    assert _lead_case(3, held, 1.0, [6, 3], []) == [0, 1]
+    assert _lead_case(2, held, 5.0, [9, 3, 8], [(7, 2)]) == [0, 2]
