@@ -1,4 +1,5 @@
-"""Kernel shoot-out: vectorized QCS vs the reference DP (PR 7, PR 18).
+"""Kernel shoot-out: the QCS kernel vs the test-side reference DP
+(``tests/core/reference_kernels.py``; PR 7, PR 18).
 
 Four regimes on identical layered catalogs (best-of-N wall time, so
 host noise cancels).  The catalog has the ``compose-cold`` benchmark's
@@ -36,12 +37,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.composition import compose_qcs
 from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.experiments.reporting import banner, format_sweep_table
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core.reference_kernels import compose_qcs
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)

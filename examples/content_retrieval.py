@@ -14,8 +14,8 @@ Run:  python examples/content_retrieval.py
 
 import numpy as np
 
-from repro import GridConfig, P2PGrid
-from repro.core.composition import ConsistencyGraph, compose_qcs
+from repro import GridConfig, P2PGrid, compose_qcs
+from repro.core.composition import ConsistencyGraph
 
 
 def main() -> None:

@@ -1,16 +1,15 @@
 """Static analysis for the QSA stack: the ``repro lint`` subsystem.
 
 The paper's results only reproduce when every seeded run is
-bit-deterministic, the telemetry stream is byte-stable, and the
-discovery fast paths stay exact.  Those invariants were previously
-enforced by convention plus differential tests; this package makes them
-machine-checked:
+bit-deterministic and the telemetry stream is byte-stable.  Those
+invariants were previously enforced by convention plus differential
+tests; this package makes them machine-checked:
 
 * :mod:`repro.analysis.engine` -- AST scan engine: discovery, pragmas,
   process-parallel file checks, text/JSON reports.
 * :mod:`repro.analysis.registry` -- the plugin registry rules hook into.
 * :mod:`repro.analysis.rules` -- the built-in rules (DET001/2/3,
-  TEL001, CACHE001).
+  TEL001, SHARD001).
 
 CLI: ``repro lint [paths ...] [--format json] [--select/--disable RULE]``.
 Docs: docs/static-analysis.md (rule ids, pragma syntax, adding rules).

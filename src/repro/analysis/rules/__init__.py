@@ -7,6 +7,6 @@ subclasses, then import it below.  See docs/static-analysis.md.
 
 from __future__ import annotations
 
-from repro.analysis.rules import caches, determinism, shard, telemetry
+from repro.analysis.rules import determinism, shard, telemetry
 
-__all__ = ["caches", "determinism", "shard", "telemetry"]
+__all__ = ["determinism", "shard", "telemetry"]

@@ -1,10 +1,10 @@
 """The build/capability descriptor: one source of truth about this build.
 
 ``repro info`` (CLI) and ``GET /status`` (the serving plane) both need to
-answer "what is this thing and what can it do" -- version, whether the
-discovery fast paths default on, which fault kinds the injector
-understands, which named scenarios ``repro serve`` loads, which
-aggregation algorithms and lookup protocols are wired.  Before this module each
+answer "what is this thing and what can it do" -- version, which fault
+kinds the injector understands, which named scenarios ``repro serve``
+loads, which aggregation algorithms and lookup protocols are wired.
+Before this module each
 surface assembled its own ad-hoc strings; now they all render
 :func:`build_descriptor`, so the two can never drift (tested in
 ``tests/serve/test_capabilities.py``).
@@ -40,12 +40,9 @@ def build_descriptor() -> Dict[str, Any]:
             "Peer-to-Peer Computing Grids (HPDC 2002)"
         ),
         "serve_api": SERVE_API_VERSION,
-        "fast_paths_default": GridConfig().fast_paths,
         "fault_kinds": sorted(FAULT_KINDS),
         "scenarios": sorted(SCENARIOS),
         "algorithms": ["fixed", "qsa", "random"],
-        "composition_kernels": ["dijkstra", "dp", "vectorized"],
-        "composition_kernel_default": GridConfig().composition_kernel,
         "lookup_protocols": ["can", "chord"],
         "peer_state_backends": ["object", "soa"],
         "peer_state_backend_default": GridConfig().peer_state_backend,

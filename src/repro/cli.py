@@ -28,9 +28,9 @@ Commands
 ``lint``
     The determinism & invariant linter (see
     :mod:`repro.analysis`): AST rules DET001/DET002/DET003 (wall clock,
-    un-streamed RNG, unordered iteration), TEL001 (two-way event/span
-    catalog check) and CACHE001 (fast-path cache contract).  Exits
-    non-zero on findings; ``--format json`` for machine consumption.
+    un-streamed RNG, unordered iteration) and TEL001 (two-way
+    event/span catalog check).  Exits non-zero on findings;
+    ``--format json`` for machine consumption.
 ``serve``
     Run the grid as a long-lived QoS-composition service over HTTP
     (see :mod:`repro.serve` and docs/serving.md): ``POST /compose``,
@@ -668,12 +668,8 @@ def _cmd_info(args) -> int:
     print(f"paper: {desc['paper']}")
     print(f"algorithms:       {', '.join(desc['algorithms'])}")
     print(f"lookup protocols: {', '.join(desc['lookup_protocols'])}")
-    print(f"QCS kernels:      {', '.join(desc['composition_kernels'])} "
-          f"(default {desc['composition_kernel_default']})")
     print(f"peer state:       {', '.join(desc['peer_state_backends'])} "
           f"(default {desc['peer_state_backend_default']})")
-    print(f"fast paths:       "
-          f"{'on' if desc['fast_paths_default'] else 'off'} by default")
     print(f"fault kinds:      {', '.join(desc['fault_kinds'])}")
     print(f"scenarios:        {', '.join(desc['scenarios'])}")
     print(f"paper scale active: {is_paper_scale()} "

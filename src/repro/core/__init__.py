@@ -9,9 +9,10 @@ Sub-modules
     End-system resource vectors, the resource tuple ``(R, b)`` attached to
     composition-graph edges, and the weighted-normalized tuple comparison
     of Definition 3.1 (Eq. 2-3).
-``composition``
+``composition``, ``composition_vec``
     The QCS ("QoS Consistent and Shortest") on-demand service composition
-    algorithm (paper §3.2, Fig. 3).
+    algorithm (paper §3.2, Fig. 3): result types and the explicit
+    consistency graph; the kernel (``compose_qcs``).
 ``selection``
     The dynamic peer selection tier: the Φ metric (Eq. 4-5), uptime filter
     and distributed hop-by-hop selection (paper §3.3, Fig. 4).
@@ -27,8 +28,8 @@ from repro.core.composition import (
     CompositionError,
     ComposedPath,
     ConsistencyGraph,
-    compose_qcs,
 )
+from repro.core.composition_vec import compose_qcs
 from repro.core.selection import PeerSelector, PhiWeights, SelectionOutcome
 from repro.core.aggregation import QSAAggregator, AggregationResult
 from repro.core.baselines import FixedAggregator, RandomAggregator

@@ -30,10 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.composition import ComposedPath, CompositionError, compose_qcs
+from repro.core.composition import ComposedPath, CompositionError
 from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import QoSVector
-from repro.lookup.cache import CacheStats, trim_mapping
 from repro.core.resources import WeightProfile
 from repro.core.selection import PeerSelector, PhiWeights
 from repro.lookup.registry import ServiceRegistry
@@ -270,15 +269,6 @@ class QSAAggregator(BaseAggregator):
     """The paper's algorithm: QCS composition + Φ/uptime peer selection."""
 
     name = "qsa"
-    #: Size caps for the composition memos (insertion-order eviction,
-    #: enforced between compositions so the edge loop stays a plain dict).
-    EDGE_CACHE_CAP = 1 << 16
-    COST_CACHE_CAP = 1 << 16
-    #: Composition-memo fast path (synced with ``GridConfig.fast_paths``
-    #: by the grid factory).  Off: every composition rebuilds edges and
-    #: costs from scratch -- the memo-free ground truth the exactness
-    #: contract (docs/performance.md) is checked against.
-    fast_paths = True
 
     def __init__(
         self,
@@ -291,39 +281,16 @@ class QSAAggregator(BaseAggregator):
         phi_weights: PhiWeights,
         rng: np.random.Generator,
         uptime_filter: bool = True,
-        composition_method: str = "vectorized",
     ) -> None:
         super().__init__(compiler, registry, directory, ledger, rng)
         self.probing = probing
         self.composition_weights = composition_weights
-        if composition_method not in ("vectorized", "dp", "dijkstra"):
-            raise ValueError(
-                f"unknown composition method {composition_method!r} "
-                "(vectorized/dp/dijkstra)"
-            )
-        self.composition_method = composition_method
-        # The vectorized kernel's incremental index + plan cache; only
-        # consulted with fast_paths on (off falls back to the memo-free
-        # reference kernel, the exactness ground truth).
-        self._vec: Optional[VectorizedComposer] = (
-            VectorizedComposer(composition_weights)
-            if composition_method == "vectorized"
-            else None
-        )
+        # The QCS kernel: incremental consistency index + plan LRU, held
+        # for the aggregator's life so both amortize across requests.
+        self.composer = VectorizedComposer(composition_weights)
         self.selector = PeerSelector(
             probing, phi_weights, uptime_filter=uptime_filter
         )
-        # Instance-pair consistency and edge costs are catalog-immutable;
-        # memoizing them across requests removes the dominant cost of
-        # graph construction (profiling notes in DESIGN.md).  Both memos
-        # are bounded: compose() trims them to the *_CACHE_CAP sizes.
-        self._edge_cache: Dict[Tuple[str, str], bool] = {}
-        self._cost_cache: Dict[str, Tuple] = {}
-        # Whole adjacency rows keyed (instance_id, predecessor service):
-        # service records are immutable after populate, so a row is valid
-        # for the life of the catalog (see ConsistencyGraph).
-        self._row_cache: Dict[Tuple[str, str], list] = {}
-        self.edge_cache_stats = CacheStats()
 
     def compose(
         self,
@@ -332,67 +299,9 @@ class QSAAggregator(BaseAggregator):
         user_qos: QoSVector,
         request: UserRequest,
     ) -> ComposedPath:
-        if not self.fast_paths:
-            # Memo-free ground truth.  The vectorized kernel is itself a
-            # fast path (incremental index + plan cache), so it degrades
-            # to the exact-equivalent reference DP here.
-            method = self.composition_method
-            return compose_qcs(
-                path,
-                candidates,
-                user_qos,
-                self.composition_weights,
-                method="dp" if method == "vectorized" else method,
-                telemetry=self.telemetry,
-            )
-        if self._vec is not None:
-            return self._compose_vectorized(path, candidates, user_qos)
-        edge_cache = self._edge_cache
-        before = len(edge_cache)
-        composed = compose_qcs(
-            path,
-            candidates,
-            user_qos,
-            self.composition_weights,
-            method=self.composition_method,
-            edge_cache=edge_cache,
-            cost_cache=self._cost_cache,
-            row_cache=self._row_cache,
-            telemetry=self.telemetry,
-        )
-        # Hit/miss accounting via cache growth -- misses are exactly the
-        # pairs memoized during this build, hits the remaining non-sink
-        # pair checks -- so the edge loop itself stays uninstrumented.
-        sizes = [len(candidates.get(s) or ()) for s in path.reversed()]
-        pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
-        misses = len(edge_cache) - before
-        stats = self.edge_cache_stats
-        stats.misses += misses
-        stats.hits += pairs - misses
-        tel = self.telemetry
-        if tel is not None:
-            m = tel.metrics
-            if pairs > misses:
-                m.counter("cache.qcs_edge.hits").inc(pairs - misses)
-            if misses:
-                m.counter("cache.qcs_edge.misses").inc(misses)
-        trim_mapping(edge_cache, self.EDGE_CACHE_CAP)
-        trim_mapping(self._cost_cache, self.COST_CACHE_CAP)
-        trim_mapping(self._row_cache, self.EDGE_CACHE_CAP)
-        return composed
-
-    def _compose_vectorized(
-        self,
-        path: AbstractServicePath,
-        candidates: Dict[str, Tuple[ServiceInstance, ...]],
-        user_qos: QoSVector,
-    ) -> ComposedPath:
-        """The numpy kernel (composition_vec), plan-cache accounting only."""
-        vec = self._vec
-        assert vec is not None
-        stats = vec.plan_stats
+        stats = self.composer.plan_stats
         before_hits, before_misses = stats.hits, stats.misses
-        composed = vec.compose(
+        composed = self.composer.compose(
             path, candidates, user_qos, telemetry=self.telemetry
         )
         tel = self.telemetry
@@ -447,7 +356,7 @@ class QSAAggregator(BaseAggregator):
                     current,
                     hosts_selection_order[i:],
                     direct=(current == request.peer_id),
-                    plan=None if plan is None else plan[i],
+                    plan=plan[i],
                 )
             outcome = self.selector.select_hop(
                 selecting_peer=current,

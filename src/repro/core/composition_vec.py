@@ -1,9 +1,9 @@
-"""Vectorized + incremental QCS kernel (the §3.2 algorithm as numpy).
+"""The QCS kernel: §3.2 as numpy, vectorized and incremental.
 
-:mod:`repro.core.composition` builds the Fig. 3 consistency graph as
-per-node adjacency lists and relaxes it with a python DP/Dijkstra sweep
--- ``O(K V^2)`` interpreted python per request.  This module computes
-the *same function* as batched array operations:
+The Fig. 3 consistency graph as per-node adjacency lists, relaxed by a
+python Dijkstra / dp sweep, is ``O(K V^2)`` interpreted python per
+request (that transcription is ``tests/core/reference_kernels.py``).
+This module computes the *same function* as batched array operations:
 
 * the Eq. 1 ``Qout ⊇ Qin`` consistency checks between two services'
   instance populations become one boolean **adjacency matrix** per
@@ -24,8 +24,8 @@ spans/events with the same values.  Two properties make that literal
 instead of approximate:
 
 1. every scalar score is produced by the same
-   ``WeightProfile.score(ResourceTuple(...))`` call the reference cost
-   cache uses, and the relaxation performs the same IEEE adds in the
+   ``WeightProfile.score(ResourceTuple(...))`` call the reference graph
+   makes, and the relaxation performs the same IEEE adds in the
    same order (``dist[i] + w[j]`` per candidate edge, min taken over
    the *summed* values, first-index tie-breaking exactly like the
    reference DP's strict-improvement scan);
@@ -33,36 +33,28 @@ instead of approximate:
    ``zero + e1 + e2 + ...`` :class:`ResourceTuple` chain.
 
 The equivalence property suite
-(``tests/core/test_composition_equivalence.py``) and the fast-path
-differential tests hold all three kernels to that bar.
+(``tests/core/test_composition_equivalence.py``) and the whole-run
+differentials under ``tests/perf/`` (reference kernel patched in for
+``QSAAggregator.compose``) hold it to that bar; optimality is
+``tests/core/reference_bruteforce.py``'s.
 
 Incremental maintenance
 -----------------------
 :class:`ConsistencyIndex` keys everything by ``instance_id`` (service
-records are immutable after catalog populate -- the same assumption the
-reference row/edge memos rely on).  Each service's instance *universe*
-only ever grows; pair matrices record the size they were filled
-against and patch only the new rows/columns.  The per-request sink row
-(layer-0 outputs against the user's QoS vector) is a handful of clause
-checks plus one gather, so it is recomputed per plan, not cached.
+records are immutable after catalog populate).  Each service's instance
+*universe* only ever grows; pair matrices record the size they were
+filled against and patch only the new rows/columns.  The per-request
+sink row (layer-0 outputs against the user's QoS vector) is a handful of
+clause checks plus one gather, so it is recomputed per plan, not cached.
 Departures need no patching at all: a request's candidate sets select
 matrix rows/columns by index, so absent instances are simply never
 selected.  ``ConsistencyIndex.eq1_evaluations`` counts the scalar clause
 evaluations all of this spent (the work the paper's ``O(K V^2)`` bounds).
-
-All caches here are owned and gated by ``QSAAggregator.compose`` (the
-``fast_paths`` gate); with the gate off, composition falls back to the
-memo-free reference kernel.
 """
-
-# lint: disable-file=CACHE001 -- both caches in this module (pair
-# matrices, composition plans) are constructed for and gated by
-# QSAAggregator.compose, which owns the fast_paths switch and falls
-# back to the memo-free reference kernel when it is off; hit paths are
-# counter-only (CacheStats / metrics counters).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,11 +63,21 @@ import numpy as np
 from repro.core.composition import ComposedPath, CompositionError
 from repro.core.qos import QoSVector, satisfies_matrix_counted
 from repro.core.resources import ResourceTuple, WeightProfile
-from repro.lookup.cache import BoundedCache, CacheStats
 from repro.services.model import AbstractServicePath, ServiceInstance
 from repro.telemetry.spans import NULL_TRACER
 
-__all__ = ["ConsistencyIndex", "VectorizedComposer", "compose_qcs_vec"]
+__all__ = ["CacheStats", "ConsistencyIndex", "VectorizedComposer", "compose_qcs"]
+
+
+class CacheStats:
+    """Hit/miss tallies of the plan LRU (counters only: a hit emits no
+    event, so a seeded run's telemetry export does not depend on it)."""
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
 
 
 class _Universe:
@@ -197,9 +199,9 @@ class ConsistencyIndex:
 
     Owns the per-service universes and the pairwise adjacency matrices.
     Everything is keyed by ``instance_id`` and assumes service records
-    are immutable after catalog populate (the reference memos'
-    assumption); universes only ever *grow* -- departures are handled by
-    requests simply not selecting the absent rows.
+    are immutable after catalog populate; universes only ever *grow* --
+    departures are handled by requests simply not selecting the absent
+    rows.
     """
 
     def __init__(self, weights: WeightProfile) -> None:
@@ -277,11 +279,9 @@ class VectorizedComposer:
     def __init__(self, weights: WeightProfile) -> None:
         self.weights = weights
         self.index = ConsistencyIndex(weights)
-        self._plans = BoundedCache(self.PLAN_CACHE_CAP)
-
-    @property
-    def plan_stats(self) -> CacheStats:
-        return self._plans.stats
+        #: Least recently used first.
+        self._plans: OrderedDict[Hashable, _Plan] = OrderedDict()
+        self.plan_stats = CacheStats()
 
     def invalidate_plans(self) -> None:
         """Drop every memoized plan (the incremental index is kept).
@@ -361,13 +361,17 @@ class VectorizedComposer:
             layer_candidates.append(cands)
             key_parts.append(tuple(inst.instance_id for inst in cands))
         key = tuple(key_parts)
-        plan = self._plans.get(key)
+        plans = self._plans
+        plan = plans.get(key)
         if plan is None:
-            self._plans.stats.misses += 1
+            self.plan_stats.misses += 1
             plan = self._build_plan(path, layer_candidates, user_qos)
-            self._plans.put(key, plan)
+            if len(plans) >= self.PLAN_CACHE_CAP:
+                plans.popitem(last=False)
+            plans[key] = plan
         else:
-            self._plans.stats.hits += 1
+            self.plan_stats.hits += 1
+            plans.move_to_end(key)
         return plan
 
     # -- the relaxation ------------------------------------------------------
@@ -410,12 +414,14 @@ class VectorizedComposer:
         user_qos: QoSVector,
         telemetry: Optional[Any] = None,
     ) -> ComposedPath:
-        """Run vectorized QCS; the exact contract of ``compose_qcs``.
+        """Run QCS and return the QoS-consistent, resource-shortest path.
 
         Raises :class:`CompositionError` for missing candidates or an
-        infeasible requirement, and emits the same telemetry spans
-        (``qcs.compose`` / ``qcs.graph_build`` / ``qcs.solve``),
-        counters and bus events as the reference kernels.
+        infeasible requirement.  ``telemetry`` (an optional
+        :class:`repro.telemetry.Telemetry`) instruments the graph-build
+        and solve phases (``qcs.compose`` / ``qcs.graph_build`` /
+        ``qcs.solve`` spans, counters, ``qcs.composed`` / ``qcs.failed``
+        events) -- the same stream the reference kernels emit.
         """
         tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
         with tracer.span("qcs.compose", application=path.application):
@@ -471,7 +477,7 @@ class VectorizedComposer:
         return composed
 
 
-def compose_qcs_vec(
+def compose_qcs(
     path: AbstractServicePath,
     candidates: Mapping[str, Sequence[ServiceInstance]],
     user_qos: QoSVector,
@@ -479,11 +485,15 @@ def compose_qcs_vec(
     composer: Optional[VectorizedComposer] = None,
     telemetry: Optional[Any] = None,
 ) -> ComposedPath:
-    """One-shot convenience wrapper (tests, tools).
+    """One-shot QCS: ``path`` in flow order, ``candidates`` per abstract
+    service, the user's end-to-end ``user_qos`` and the Def. 3.1
+    ``weights``; raises :class:`CompositionError` when no consistent
+    path exists.
 
-    Long-lived callers (the aggregator) should hold a
+    Long-lived callers (the aggregator) hold a
     :class:`VectorizedComposer` so the incremental index and plan cache
-    amortize across requests; this wrapper builds a throwaway one.
+    amortize across requests; without ``composer`` this builds a
+    throwaway one.
     """
     if composer is None:
         composer = VectorizedComposer(weights)

@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence
 from repro.core.aggregation import QSAAggregator
 from repro.core.baselines import RandomAggregator, random_consistent_path
 from repro.core.composition import ComposedPath, ConsistencyGraph
+from repro.core.composition_vec import compose_qcs
 from repro.experiments.config import ExperimentConfig, default_scale
 from repro.experiments.metrics import MetricsCollector
 from repro.experiments.runner import ExperimentResult, run_experiment
@@ -92,8 +93,6 @@ class HybridCompositionOnly(RandomAggregator):
     name = "qcs+random-peers"
 
     def compose(self, path, candidates, user_qos, request) -> ComposedPath:
-        from repro.core.composition import compose_qcs
-
         return compose_qcs(path, candidates, user_qos, self.weights)
 
 

@@ -119,22 +119,6 @@ class GridConfig:
     telemetry: bool = False
     #: Retain at most this many bus events (None = unbounded).
     telemetry_capacity: Optional[int] = None
-    #: Fast paths: the prober's block resolution (fresh-entry skip) and
-    #: the QCS composition memos / vectorized kernel.  Semantics are
-    #: byte-identical on or off (seeded telemetry exports, ψ -- proven by
-    #: the differential tests); off trades wall-clock speed for simpler
-    #: debugging.  See docs/performance.md.
-    fast_paths: bool = True
-    #: QCS composition kernel for the ``qsa`` aggregator:
-    #: ``"vectorized"`` (numpy candidate matrices + incremental
-    #: consistency index, see repro.core.composition_vec), ``"dp"``
-    #: (reference layered-DAG sweep) or ``"dijkstra"`` (the paper's
-    #: formulation).  All three are exact-equivalent (bit-identical
-    #: paths, scores and telemetry -- proven by
-    #: tests/core/test_composition_equivalence.py); the vectorized
-    #: kernel additionally requires ``fast_paths`` and degrades to the
-    #: reference DP when the gate is off.
-    composition_kernel: str = "vectorized"
     #: Peer-state representation: ``"soa"`` (struct-of-arrays
     #: :class:`repro.network.soa.PeerStore` -- contiguous numpy state
     #: matrices driving vectorized selection/probing/admission planes)
@@ -144,7 +128,7 @@ class GridConfig:
     #: backend the 10^4..10^5-peer scenarios require.
     peer_state_backend: str = "soa"
     #: Fault injection plan; ``None`` (or an empty plan) keeps every
-    #: substrate operation reliable and the fast paths fault-check-free.
+    #: substrate operation reliable and the hot paths fault-check-free.
     faults: Optional[FaultPlan] = None
     #: Retry budget + backoff for faulted DHT lookups.
     lookup_retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -168,11 +152,6 @@ class GridConfig:
         lo, hi = self.capacity_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad capacity range ({lo}, {hi})")
-        if self.composition_kernel not in ("vectorized", "dp", "dijkstra"):
-            raise ValueError(
-                f"unknown composition kernel {self.composition_kernel!r} "
-                "(vectorized/dp/dijkstra)"
-            )
         if self.peer_state_backend not in ("soa", "object"):
             raise ValueError(
                 f"unknown peer state backend {self.peer_state_backend!r} "
@@ -292,7 +271,6 @@ class P2PGrid:
             telemetry=_tel,
             injector=self.injector,
         )
-        self.probing.fast_paths = config.fast_paths
         self.session_observers: List[Callable[[Session], None]] = []
         self.ledger = SessionLedger(
             self.sim,
@@ -435,12 +413,17 @@ class P2PGrid:
     def make_aggregator(self, name: str, **options) -> BaseAggregator:
         """Build one of the §4.1 algorithms: ``qsa``, ``random``, ``fixed``.
 
-        ``qsa`` accepts ``uptime_filter`` (bool) and ``composition_method``
-        (``"dp"``/``"dijkstra"``) keyword options for the ablations.
+        ``qsa`` accepts ``uptime_filter`` (bool, ablation A1) and
+        ``phi_weights`` keyword options; any other option is a
+        ``TypeError`` -- nothing is dropped silently.
         """
         rng = self.rngs.stream(f"aggregator-{name}")
         aggregator = self._build_aggregator(name, rng, options)
-        aggregator.fast_paths = self.config.fast_paths
+        if options:
+            raise TypeError(
+                f"make_aggregator({name!r}) got unexpected option(s): "
+                + ", ".join(sorted(options))
+            )
         aggregator.tracer = self.tracer
         aggregator.bus = self.telemetry.bus
         _tel = self.telemetry if self.config.telemetry else None
@@ -462,9 +445,6 @@ class P2PGrid:
                 options.pop("phi_weights", self.phi_weights),
                 rng,
                 uptime_filter=options.pop("uptime_filter", True),
-                composition_method=options.pop(
-                    "composition_method", self.config.composition_kernel
-                ),
             )
         if name == "random":
             return RandomAggregator(

@@ -151,18 +151,6 @@ class NeighborTable:
         prio = 2 * triples[:, 1] + 1 - triples[:, 2]
         return self.merge(triples[:, 0], prio, now, ttl)[0]
 
-    def resolve_block(
-        self,
-        pids: np.ndarray,
-        hops: np.ndarray,
-        direct: bool,
-        now: float,
-        ttl: float,
-    ) -> int:
-        """:meth:`merge` of ``(pids[i], hops[i], direct)`` relations; returns
-        the number of notifications the block needed."""
-        return self.merge(pids, 2 * hops + (0 if direct else 1), now, ttl)[1]
-
     def merge(
         self,
         pids: np.ndarray,

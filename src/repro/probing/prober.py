@@ -21,9 +21,10 @@ Semantics
 Overhead accounting
 -------------------
 ``probe_messages`` counts one message per probe attempt (including
-fault-triggered retries) and ``resolution_messages`` counts
-neighbor-resolution notifications, so the benches can verify the
-paper's "probing overhead within M/N = 1%" claim.
+fault-triggered retries) and ``resolution_messages`` counts the
+neighbor-resolution notifications a candidate flood needed to send
+(:meth:`ProbingService.resolve_selection_hops`), so the benches can
+verify the paper's "probing overhead within M/N = 1%" claim.
 
 Fault tolerance
 ---------------
@@ -100,14 +101,6 @@ class _Snapshot:
 class ProbingService:
     """Bounded-neighborhood, epoch-snapshotted performance information."""
 
-    #: Resolution fast path (synced with ``GridConfig.fast_paths`` by the
-    #: grid): :meth:`resolve_selection_hops` merges each candidate flood
-    #: into the observer's table as one array block and does not count
-    #: notifications that could change nothing (already-fresh soft state,
-    #: newcomers the budget cannot hold).  Table state and all downstream
-    #: selection stay bit-identical; only ``resolution_messages`` differs.
-    fast_paths = True
-
     def __init__(
         self,
         sim: Simulator,
@@ -168,7 +161,7 @@ class ProbingService:
 
     def selection_plan(
         self, hop_candidates: Sequence[Sequence[int]]
-    ) -> Optional[List[Tuple[np.ndarray, np.ndarray, bool]]]:
+    ) -> List[Tuple[np.ndarray, np.ndarray, bool]]:
         """Pre-flatten a selection walk's candidate lists, once.
 
         ``_select_walk`` resolves the suffix ``hop_candidates[i:]`` at hop
@@ -177,10 +170,8 @@ class ProbingService:
         *direct* relation of that hop's selector (``2 * hop``; an indirect
         one is 1 more) and whether no id repeats in the block -- decided
         here, once per walk, so the table merge groups duplicates only when
-        there are any.  ``None`` when the fast path is off.
+        there are any.
         """
-        if not self.fast_paths:
-            return None
         lens = [len(c) for c in hop_candidates]
         flat = np.fromiter(chain.from_iterable(hop_candidates), np.int64, sum(lens))
         prio = np.repeat(np.arange(2, 2 * len(lens) + 2, 2), lens)
@@ -210,23 +201,19 @@ class ProbingService:
         path (indirect neighbors).  ``plan`` is this hop's entry of
         :meth:`selection_plan`, when the caller flattened the walk.
 
+        The whole flood -- every candidate but the observer itself, hop
+        ``i + 1`` for ``hop_candidates[i]`` -- is one block merge into the
+        observer's table, and ``resolution_messages`` counts only the
+        notifications that could change anything (``needed`` of
+        :meth:`NeighborTable.merge`: not already-fresh soft state, not
+        newcomers the budget cannot hold).
+
         Returns the positions in ``hop_candidates[0]`` (ascending) the
         observer now holds an active entry for -- what the merge learned
         about the hop about to be selected, for ``observe_block(known=)``
-        -- or ``None`` when it cannot say (plain path, the observer or a
-        repeat among those candidates) and the selector must look up.
+        -- or ``None`` when it cannot say (the observer or a repeat among
+        those candidates) and the selector must look up.
         """
-        if not self.fast_paths:
-            triples: List[Tuple[int, int, bool]] = []
-            for i, cands in enumerate(hop_candidates):
-                hop = i + 1
-                for pid in cands:
-                    if pid != observer:
-                        triples.append((pid, hop, direct))
-            if triples:
-                self.resolve(observer, triples)
-            return None
-        # Fast path (see ``fast_paths``): the whole flood is one block merge.
         if plan is None:
             plan = self.selection_plan(hop_candidates)[0]
         flat, prio, distinct = plan

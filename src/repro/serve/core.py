@@ -397,7 +397,10 @@ class GridRuntime:
         grid = self.grid
         ledger = grid.ledger
         churn = grid.churn
-        stats = getattr(self.aggregator, "edge_cache_stats", None)
+        # Only ``qsa`` holds a composer (and so a plan LRU).
+        stats = getattr(
+            getattr(self.aggregator, "composer", None), "plan_stats", None
+        )
         return {
             "service": build_descriptor(),
             "api": SERVE_API_VERSION,
@@ -445,10 +448,9 @@ class GridRuntime:
                 ),
             },
             "caches": {
-                "fast_paths": grid.config.fast_paths,
                 "discovery_routed": grid.registry.n_routed_discoveries,
-                "qcs_edge_hits": stats.hits if stats is not None else 0,
-                "qcs_edge_misses": stats.misses if stats is not None else 0,
+                "qcs_plan_hits": stats.hits if stats is not None else 0,
+                "qcs_plan_misses": stats.misses if stats is not None else 0,
             },
             "process": {"rss_kb": _rss_kb()},
             "slo_state": (

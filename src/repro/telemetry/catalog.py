@@ -115,8 +115,6 @@ METRIC_CATALOG: Dict[str, tuple] = {
     "probe.tables": ("gauge", "neighbor tables currently materialized"),
     "lookup.count": ("counter", "routed DHT lookups"),
     "lookup.hops": ("histogram", "application-level hops per lookup"),
-    "cache.qcs_edge.hits": ("counter", "QCS consistency edges reused across compositions"),
-    "cache.qcs_edge.misses": ("counter", "QCS consistency edges computed fresh"),
     "cache.qcs_plan.hits": ("counter", "vectorized-QCS composition plans reused"),
     "cache.qcs_plan.misses": ("counter", "vectorized-QCS composition plans sliced fresh"),
     "discovery.routed": ("counter", "registry discoveries (one routed read each)"),
@@ -160,8 +158,8 @@ SPAN_CATALOG: Dict[str, str] = {
     "qcs.graph_build": "consistency-graph construction inside qcs.compose",
     "qcs.solve": (
         "shortest-path sweep inside qcs.compose (kernel-neutral: the "
-        "dp, dijkstra and vectorized kernels all emit this name so "
-        "their telemetry exports stay byte-identical)"
+        "test-side dp / Dijkstra references emit this name too, so a "
+        "run with one patched in exports byte-identical telemetry)"
     ),
     "lookup.candidates": "DHT candidate discovery for one request",
     "lookup.hosts": "DHT host-record fetches for the composed path",

@@ -166,7 +166,7 @@ class TestCli:
     def test_list_rules(self):
         proc = self.run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule_id in ("DET001", "DET002", "DET003", "TEL001", "CACHE001"):
+        for rule_id in ("DET001", "DET002", "DET003", "TEL001", "SHARD001"):
             assert rule_id in proc.stdout
 
 

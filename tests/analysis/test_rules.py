@@ -1,10 +1,5 @@
 """Fixture snippets: each built-in rule fires exactly once, and the
 matching clean twin stays silent.
-
-CACHE001 is package-scoped (``lookup/``, ``probing/``, ``core/``), so
-its fixtures are written under a ``repro/core/`` directory inside the
-tmp tree -- the engine resolves scope from the path, not the import
-system.
 """
 
 from __future__ import annotations
@@ -16,10 +11,8 @@ import pytest
 from repro.analysis import lint_paths
 
 
-def lint_snippet(tmp_path: Path, source: str, relpath: str = "snippet.py",
-                 **kwargs):
-    path = tmp_path / relpath
-    path.parent.mkdir(parents=True, exist_ok=True)
+def lint_snippet(tmp_path: Path, source: str, **kwargs):
+    path = tmp_path / "snippet.py"
     path.write_text(source)
     return lint_paths([path], jobs=1, **kwargs)
 
@@ -255,55 +248,6 @@ class TestTEL001:
 
         report = lint_paths([Path(repro.__file__).parent], jobs=1)
         assert report.ok, [f.render() for f in report.findings]
-
-
-class TestCACHE001:
-    def test_ungated_cache_fires_once(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "from repro.lookup.cache import BoundedCache\n"
-            "CACHE = BoundedCache(64)\n",
-            relpath="repro/core/bad_cache.py",
-        )
-        assert [f.rule for f in report.findings] == ["CACHE001"]
-
-    def test_emit_in_guarded_branch_fires_once(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "class C:\n"
-            "    def f(self):\n"
-            "        if self.fast_paths:\n"
-            "            self.bus.emit('lookup.done', hops=0)\n",
-            relpath="repro/probing/bad_hit.py",
-        )
-        assert [f.rule for f in report.findings] == ["CACHE001"]
-
-    def test_gated_counter_only_is_clean(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "from repro.lookup.cache import BoundedCache\n"
-            "class C:\n"
-            "    fast_paths = True\n"
-            "    def __init__(self):\n"
-            "        self._plan_cache = BoundedCache(64)\n"
-            "    def f(self, tel):\n"
-            "        if self.fast_paths:\n"
-            "            self._plan_cache.get('k')\n"
-            "            tel.metrics.counter('cache.qcs_plan.hits').inc()\n",
-            relpath="repro/core/good_cache.py",
-        )
-        assert report.ok
-
-    def test_out_of_scope_module_is_ignored(self, tmp_path):
-        for relpath in ("repro/workload/not_a_cached_plane.py",
-                        "repro/lookup/cache.py"):
-            report = lint_snippet(
-                tmp_path,
-                "from repro.lookup.cache import BoundedCache\n"
-                "CACHE = BoundedCache(64)\n",
-                relpath=relpath,
-            )
-            assert report.ok, relpath
 
 
 class TestSelectDisable:

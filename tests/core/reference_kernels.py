@@ -1,0 +1,248 @@
+"""The reference QCS kernels: §3.2's Dijkstra and the one-sweep dp.
+
+Moved here from ``repro.core.composition`` unchanged: the line-for-line
+Dijkstra from the sink that §3.2 prescribes, the layered-DAG dynamic
+programme that gives the same answer in ``O(E)``, and the
+``compose_qcs(method=...)`` entry around them *with* its span, counter
+and bus-event emission -- so a whole run with this function patched in
+for ``QSAAggregator.compose`` must export the same telemetry, byte for
+byte, as the production kernel
+(:func:`repro.core.composition_vec.compose_qcs`).  Both walk the
+explicit :class:`~repro.core.composition.ConsistencyGraph`; neither
+shares code with the numpy relaxation they judge.  Optimality itself is
+``reference_bruteforce.py``'s job.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.core.aggregation import QSAAggregator
+from repro.core.composition import (
+    ComposedPath,
+    CompositionError,
+    ConsistencyGraph,
+)
+from repro.core.qos import QoSVector
+from repro.core.resources import ResourceTuple, WeightProfile
+from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.telemetry.spans import NULL_TRACER
+
+
+def _shortest_dp(
+    graph: ConsistencyGraph,
+) -> Optional[Tuple[List[int], float, ResourceTuple]]:
+    """Layer-by-layer DP sweep (the DAG fast path)."""
+    # dist[(layer, i)] = (score, predecessor index in layer-1 sense).
+    # Only scores drive the relaxations; the accumulated resource tuple
+    # is recomputed once along the chosen path by _extract.
+    dist: Dict[Tuple[int, int], Tuple[float, Optional[int]]] = {
+        (0, 0): (0.0, None)
+    }
+    edges = graph.edges
+    for layer in range(0, graph.n_layers - 1):
+        n_here = 1 if layer == 0 else len(graph.layers[layer])
+        next_layer = layer + 1
+        for i in range(n_here):
+            here = dist.get((layer, i))
+            if here is None:
+                continue
+            score_here = here[0]
+            for j, edge_score, _edge_tuple in edges.get((layer, i), ()):
+                cand = score_here + edge_score
+                existing = dist.get((next_layer, j))
+                if existing is None or cand < existing[0]:
+                    dist[(next_layer, j)] = (cand, i)
+    return _extract(graph, dist)
+
+
+def _shortest_dijkstra(
+    graph: ConsistencyGraph,
+) -> Optional[Tuple[List[int], float, ResourceTuple]]:
+    """Dijkstra from the sink, as §3.2 prescribes."""
+    dist: Dict[Tuple[int, int], Tuple[float, Optional[int]]] = {
+        (0, 0): (0.0, None)
+    }
+    done: set = set()
+    heap: List[Tuple[float, int, int]] = [(0.0, 0, 0)]
+    while heap:
+        score_here, layer, i = heapq.heappop(heap)
+        node = (layer, i)
+        if node in done:
+            continue
+        done.add(node)
+        for j, edge_score, _edge_tuple in graph.edges.get(node, ()):
+            nxt = (layer + 1, j)
+            if nxt in done:
+                continue
+            cand = score_here + edge_score
+            existing = dist.get(nxt)
+            # Tie-break on equal scores toward the smaller predecessor
+            # index: the DP's first-strict-improvement scan keeps the
+            # smallest minimizing index, and edge scores are positive,
+            # so every tying predecessor settles before ``nxt`` pops --
+            # making the three kernels path-identical even on exact
+            # score ties, as the compose_qcs contract promises.
+            if (
+                existing is None
+                or cand < existing[0]
+                or (cand == existing[0]
+                    and existing[1] is not None
+                    and i < existing[1])
+            ):
+                dist[nxt] = (cand, i)
+                heapq.heappush(heap, (cand, layer + 1, j))
+    return _extract(graph, dist)
+
+
+def _extract(
+    graph: ConsistencyGraph,
+    dist: Dict[Tuple[int, int], Tuple[float, Optional[int]]],
+) -> Optional[Tuple[List[int], float, ResourceTuple]]:
+    """Pick the best source-layer node and backtrack the chosen indices."""
+    source_layer = graph.n_layers - 1
+    best_j: Optional[int] = None
+    best: Optional[Tuple[float, Optional[int]]] = None
+    for j in range(len(graph.layers[source_layer])):
+        entry = dist.get((source_layer, j))
+        if entry is not None and (best is None or entry[0] < best[0]):
+            best, best_j = entry, j
+    if best is None:
+        return None
+    # Backtrack: indices[k] = chosen instance index in layer k (1-based layers).
+    indices = [0] * (graph.n_layers - 1)
+    layer, j = source_layer, best_j
+    entry = best
+    while layer >= 1:
+        indices[layer - 1] = j
+        j = entry[1]
+        layer -= 1
+        if layer >= 1:
+            entry = dist[(layer, j)]
+    # Re-accumulate the resource tuple along the chosen path in the same
+    # zero + e1 + e2 + ... order the relaxations used to carry it, so the
+    # reported total is bit-identical to the carried spelling.
+    total = ResourceTuple.zero(graph.weights.resource_names)
+    prev_i = 0
+    for layer in range(0, source_layer):
+        nxt_j = indices[layer]
+        for j2, _edge_score, edge_tuple in graph.edges[(layer, prev_i)]:
+            if j2 == nxt_j:
+                total = total + edge_tuple
+                break
+        prev_i = nxt_j
+    return indices, best[0], total
+
+
+def compose_qcs(
+    path: AbstractServicePath,
+    candidates: Mapping[str, Sequence[ServiceInstance]],
+    user_qos: QoSVector,
+    weights: WeightProfile,
+    method: str = "dp",
+    telemetry: Optional[Any] = None,
+) -> ComposedPath:
+    """Run QCS and return the QoS-consistent, resource-shortest path.
+
+    Parameters
+    ----------
+    path:
+        Abstract service path in flow order.
+    candidates:
+        Discovered instances per abstract service.
+    user_qos:
+        The user's end-to-end QoS requirement (checked against the
+        user-adjacent instance's ``Qout``).
+    weights:
+        Def. 3.1 weight profile used for the tuple order.
+    method:
+        ``"dp"`` (default, layered-DAG sweep) or ``"dijkstra"``
+        (the paper's formulation).  Both return identical paths.
+    telemetry:
+        Optional :class:`repro.telemetry.Telemetry`; instruments the
+        graph-build and shortest-path phases at phase granularity only
+        (never inside the edge loops).
+
+    Raises
+    ------
+    CompositionError
+        If some service has no candidates or no QoS-consistent path
+        exists.
+    """
+    tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
+    with tracer.span("qcs.compose", application=path.application):
+        with tracer.span("qcs.graph_build"):
+            graph = ConsistencyGraph(path, candidates, user_qos, weights)
+        if telemetry is not None:
+            m = telemetry.metrics
+            m.counter("qcs.compositions").inc()
+            m.counter("qcs.graph_nodes").inc(graph.n_nodes)
+            m.counter("qcs.graph_edges").inc(graph.n_edges)
+        # One kernel-neutral span name: the exactness contract demands
+        # byte-identical telemetry across kernels (dp / dijkstra /
+        # vectorized), so the solver phase may not leak the method.
+        if method == "dp":
+            with tracer.span("qcs.solve"):
+                result = _shortest_dp(graph)
+        elif method == "dijkstra":
+            with tracer.span("qcs.solve"):
+                result = _shortest_dijkstra(graph)
+        else:
+            raise ValueError(
+                f"unknown method {method!r} (use 'dp' or 'dijkstra')"
+            )
+    if result is None:
+        if telemetry is not None:
+            telemetry.metrics.counter("qcs.no_path").inc()
+            telemetry.bus.emit(
+                "qcs.failed",
+                application=path.application,
+                n_nodes=graph.n_nodes,
+                n_edges=graph.n_edges,
+            )
+        raise CompositionError(
+            f"no QoS-consistent service path for application "
+            f"{path.application!r} at requirement {user_qos!r}"
+        )
+    indices, score, total = result
+    # indices[k] indexes graph.layers[k+1] (reverse flow order); flip to
+    # flow order for the ComposedPath contract.
+    chosen_reverse = [
+        graph.layers[k + 1][indices[k]] for k in range(len(indices))
+    ]
+    if telemetry is not None:
+        telemetry.bus.emit(
+            "qcs.composed",
+            application=path.application,
+            n_nodes=graph.n_nodes,
+            n_edges=graph.n_edges,
+            score=score,
+            hops=len(chosen_reverse),
+        )
+    return ComposedPath(
+        instances=tuple(reversed(chosen_reverse)), total=total, score=score
+    )
+
+
+#: Whole-run differentials (``tests/perf/``): ``(peer-state backend,
+#: reference kernel to compose with, or None for the production one)``.
+WHOLE_RUN_VARIANTS = [
+    ("soa", None), ("object", None),
+    ("soa", "dp"), ("object", "dp"), ("soa", "dijkstra"),
+]
+
+
+def patch_compose(monkeypatch, method: Optional[str]) -> None:
+    """Make every ``QSAAggregator`` compose with this module's kernel
+    (same weights, same telemetry handle); ``None`` patches nothing."""
+    if method is None:
+        return
+
+    def compose(self, path, candidates, user_qos, request):
+        return compose_qcs(
+            path, candidates, user_qos, self.composition_weights,
+            method=method, telemetry=self.telemetry,
+        )
+
+    monkeypatch.setattr(QSAAggregator, "compose", compose)

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.composition import (
-    CompositionError,
-    ConsistencyGraph,
-    compose_qcs,
-)
+from repro.core.composition import CompositionError, ConsistencyGraph
+from repro.core.composition_vec import VectorizedComposer, compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core import reference_kernels
 from tests.core.reference_bruteforce import best_path
 
 NAMES = ("cpu", "memory")
@@ -79,6 +77,47 @@ class TestConsistencyGraph:
         assert (0, 0) in g.edges
         assert len(g.edges[(0, 0)]) == 3  # all three satisfy the sink
         assert (1, 2) not in g.edges  # wrongin has no consistent predecessor
+
+
+def sparse_catalog(seed):
+    """Three services of eight instances with random formats and quality
+    floors: most pairs are inconsistent."""
+    rng = np.random.default_rng(seed)
+    services = ("s0", "s1", "s2")
+    cat = {}
+    for k, svc in enumerate(services):
+        cat[svc] = []
+        for j in range(8):
+            fmt_in = f"if{k}/{rng.integers(2)}"
+            fmt_out = f"if{k+1}/{rng.integers(2)}" if k < 2 else "final"
+            q = int(rng.integers(1, 4))
+            cat[svc].append(ServiceInstance(
+                f"{svc}/{j}", svc,
+                qin=QoSVector(format=fmt_in, quality=Interval(q, 3)),
+                qout=QoSVector(format=fmt_out, quality=q),
+                resources=ResourceVector(NAMES, rng.uniform(1, 500, 2)),
+                bandwidth=float(rng.uniform(1e3, 5e4)),
+            ))
+    return AbstractServicePath("sparse", services), cat
+
+
+class TestGraphStats:
+    def test_node_edge_counts_consistent(self):
+        path, cat = sparse_catalog(seed=2)
+        g = ConsistencyGraph(path, cat, USER, WEIGHTS)
+        assert g.n_nodes == 1 + sum(len(v) for v in cat.values())
+        assert g.n_edges == sum(len(v) for v in g.edges.values())
+
+    def test_dense_catalog_has_full_interior_edges(self):
+        """All-compatible formats/qualities give complete bipartite layers."""
+        cat = {
+            "a": [inst(f"a/{j}", "a", "origin", "mid") for j in range(4)],
+            "b": [inst(f"b/{j}", "b", "mid", "final") for j in range(5)],
+        }
+        path = AbstractServicePath("dense", ("a", "b"))
+        g = ConsistencyGraph(path, cat, USER, WEIGHTS)
+        # sink->b: 5 edges; each b->a: 4 edges.
+        assert g.n_edges == 5 + 5 * 4
 
 
 class TestComposeQCS:
@@ -159,8 +198,10 @@ class TestComposeQCS:
                     for j in range(int(rng.integers(1, 8)))
                 ]
             apath = AbstractServicePath(f"t{trial}", services)
-            a = compose_qcs(apath, cat, USER, WEIGHTS, method="dp")
-            b = compose_qcs(apath, cat, USER, WEIGHTS, method="dijkstra")
+            a = reference_kernels.compose_qcs(
+                apath, cat, USER, WEIGHTS, method="dp")
+            b = reference_kernels.compose_qcs(
+                apath, cat, USER, WEIGHTS, method="dijkstra")
             assert [i.instance_id for i in a.instances] == [
                 i.instance_id for i in b.instances
             ]
@@ -168,7 +209,8 @@ class TestComposeQCS:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            compose_qcs(PATH2, two_hop_catalog(), USER, WEIGHTS, method="bogus")
+            reference_kernels.compose_qcs(
+                PATH2, two_hop_catalog(), USER, WEIGHTS, method="bogus")
 
     def test_exhaustive_agreement_on_small_instances(self):
         """QCS result equals brute-force minimum over all consistent paths."""
@@ -200,3 +242,46 @@ class TestComposeQCS:
             else:
                 got = compose_qcs(apath, cat, USER, WEIGHTS)
                 assert (got.instances, got.score) == expected[:2]
+
+
+class TestPlanLRU:
+    """The composer's plan LRU at ``PLAN_CACHE_CAP = 2``.  Requests ``a``
+    / ``b`` / ``c`` differ in the user's quality floor, so each is its
+    own plan; the policy is the one ``cache.qcs_plan.hits`` / ``.misses``
+    of every seeded run were recorded under."""
+
+    USERS = {
+        name: QoSVector(format="final", quality=Interval(floor, 3))
+        for name, floor in (("a", 1), ("b", 2), ("c", 3))
+    }
+
+    @pytest.fixture()
+    def composer(self, monkeypatch):
+        monkeypatch.setattr(VectorizedComposer, "PLAN_CACHE_CAP", 2)
+        return VectorizedComposer(WEIGHTS)
+
+    def compose(self, composer, names):
+        """Compose the named requests in order; returns the ``(hits,
+        misses)`` they added."""
+        stats = composer.plan_stats
+        before = stats.hits, stats.misses
+        for name in names:
+            composer.compose(PATH2, two_hop_catalog(), self.USERS[name])
+        return stats.hits - before[0], stats.misses - before[1]
+
+    def test_cap_evicts_oldest(self, composer):
+        assert self.compose(composer, "abc") == (0, 3)
+        assert self.compose(composer, "bc") == (2, 0)
+        assert self.compose(composer, "a") == (0, 1)
+
+    def test_hit_refreshes_lru_position(self, composer):
+        self.compose(composer, "ab")
+        self.compose(composer, "a")    # now "b" is the least recently used
+        self.compose(composer, "c")
+        assert self.compose(composer, "a") == (1, 0)
+        assert self.compose(composer, "b") == (0, 1)
+
+    def test_hit_at_the_cap_does_not_evict(self, composer):
+        self.compose(composer, "ab")
+        assert self.compose(composer, "a") == (1, 0)
+        assert self.compose(composer, "ba") == (2, 0)

@@ -1,5 +1,5 @@
-"""Optimality, not only agreement: the vectorized kernel (and both
-reference kernels) against brute-force enumeration.
+"""Optimality, not only agreement: the production kernel (and both
+test-side reference kernels) against brute-force enumeration.
 
 ``test_composition_equivalence.py`` proves the three kernels agree;
 this suite proves what they agree *on* is the Def. 3.1 minimum over all
@@ -17,11 +17,12 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.composition import CompositionError, compose_qcs
-from repro.core.composition_vec import compose_qcs_vec
+from repro.core.composition import CompositionError
+from repro.core.composition_vec import compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core import reference_kernels
 from tests.core.reference_bruteforce import best_path
 from tests.core.test_qos_matrix import BIG, qos_vectors
 
@@ -33,9 +34,9 @@ _POOL = (1, 1.0, "1", 2, Interval(1, 1), Interval(1, 3), BIG, BIG + 1)
 _VECTORS = qos_vectors(_POOL, ("format", "quality"))
 _IDS = itertools.count()
 _KERNELS = (
-    compose_qcs_vec,
-    lambda *args: compose_qcs(*args, method="dp"),
-    lambda *args: compose_qcs(*args, method="dijkstra"),
+    compose_qcs,
+    lambda *args: reference_kernels.compose_qcs(*args, method="dp"),
+    lambda *args: reference_kernels.compose_qcs(*args, method="dijkstra"),
 )
 
 

@@ -1,4 +1,5 @@
-"""Property proof that all three QCS kernels compute the same function.
+"""Property proof that the production QCS kernel and both test-side
+reference kernels compute the same function.
 
 Hypothesis generates layered candidate sets with varying path length
 (K), per-layer population (V, including empty layers), satisfaction
@@ -15,20 +16,21 @@ second compose of the same request must hit the plan cache and still
 return the identical result.
 
 This is the oracle-differential methodology of docs/performance.md: the
-reference kernels are slow but obviously faithful to §3.2, so agreement
-over hundreds of adversarial inputs is the exactness evidence for the
-numpy rewrite.
+reference kernels (``tests/core/reference_kernels.py``) are slow but
+obviously faithful to §3.2, so agreement over hundreds of adversarial
+inputs is the exactness evidence for the numpy kernel.
 """
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.composition import CompositionError, compose_qcs
-from repro.core.composition_vec import VectorizedComposer, compose_qcs_vec
+from repro.core.composition import CompositionError
+from repro.core.composition_vec import VectorizedComposer, compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core import reference_kernels
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e7)
@@ -110,14 +112,15 @@ class TestThreeKernelEquivalence:
     def test_vectorized_matches_both_references(self, case):
         path, candidates, user_qos = case
         dp, dp_err = _outcome(
-            compose_qcs, path, candidates, user_qos, WEIGHTS, method="dp"
+            reference_kernels.compose_qcs, path, candidates, user_qos,
+            WEIGHTS, method="dp",
         )
         dj, dj_err = _outcome(
-            compose_qcs, path, candidates, user_qos, WEIGHTS,
-            method="dijkstra",
+            reference_kernels.compose_qcs, path, candidates, user_qos,
+            WEIGHTS, method="dijkstra",
         )
         vec, vec_err = _outcome(
-            compose_qcs_vec, path, candidates, user_qos, WEIGHTS
+            compose_qcs, path, candidates, user_qos, WEIGHTS
         )
         _assert_same(case, dp, dp_err, dj, dj_err, "dp-vs-dijkstra")
         _assert_same(case, dp, dp_err, vec, vec_err, "dp-vs-vectorized")
@@ -137,7 +140,8 @@ class TestThreeKernelEquivalence:
         assert composer.plan_stats.hits == hits_before + 1
         _assert_same(case, first, first_err, second, second_err, "hit-path")
         dp, dp_err = _outcome(
-            compose_qcs, path, candidates, user_qos, WEIGHTS, method="dp"
+            reference_kernels.compose_qcs, path, candidates, user_qos,
+            WEIGHTS, method="dp",
         )
         _assert_same(case, dp, dp_err, second, second_err, "hit-vs-dp")
 
@@ -164,11 +168,13 @@ class TestTieBreaking:
         }
         user_qos = QoSVector(format="f2", quality=Interval(1, 3))
         results = [
-            compose_qcs(path, candidates, user_qos, WEIGHTS, method="dp"),
-            compose_qcs(
+            reference_kernels.compose_qcs(
+                path, candidates, user_qos, WEIGHTS, method="dp"
+            ),
+            reference_kernels.compose_qcs(
                 path, candidates, user_qos, WEIGHTS, method="dijkstra"
             ),
-            compose_qcs_vec(path, candidates, user_qos, WEIGHTS),
+            compose_qcs(path, candidates, user_qos, WEIGHTS),
         ]
         ids = [
             tuple(i.instance_id for i in r.instances) for r in results

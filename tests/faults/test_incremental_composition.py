@@ -28,11 +28,12 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.composition import CompositionError, compose_qcs
+from repro.core.composition import CompositionError
 from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core.reference_kernels import compose_qcs
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e7)

@@ -99,3 +99,42 @@ class TestChurnMaintenance:
             registry.peer_departed(pid, hosted)
         after, _ = registry.discover_service(service, from_peer=150)
         assert {s.instance_id for s in after} == {s.instance_id for s in before}
+
+
+class TestRegistryRecordCache:
+    """The registry keeps no record cache: repeated reads route again."""
+
+    def test_accounting_invariant(self, setup):
+        apps, catalog, ring, registry = setup
+        calls = total_hops = 0
+        for app in apps:
+            for service in app.services:
+                for _ in range(2):  # a repeat costs a second routed read
+                    _, hops = registry.discover_service(service, from_peer=7)
+                    calls += 1
+                    total_hops += hops
+        for iid in list(catalog.instances)[:10]:
+            _, hops = registry.discover_hosts(iid, from_peer=3)
+            calls += 1
+            total_hops += hops
+        assert registry.n_routed_discoveries == ring.n_lookups == calls
+        assert registry.discovery_hops == ring.total_hops == total_hops
+        assert registry.n_cached_discoveries == 0
+
+    def test_departure_invalidates_host_set(self, setup):
+        _, catalog, _, registry = setup
+        iid = next(iter(catalog.instances))
+        hosts, _ = registry.discover_hosts(iid, from_peer=2)
+        victim = hosts[0]
+        registry.peer_departed(victim, [iid])
+        after, _ = registry.discover_hosts(iid, from_peer=2)
+        assert after == hosts[1:]
+
+    def test_join_invalidates_host_set(self, setup):
+        _, catalog, _, registry = setup
+        iid = next(iter(catalog.instances))
+        hosts, _ = registry.discover_hosts(iid, from_peer=2)
+        newcomer = 10_000
+        registry.peer_joined(newcomer, [iid])
+        after, _ = registry.discover_hosts(iid, from_peer=2)
+        assert after == hosts + (newcomer,)

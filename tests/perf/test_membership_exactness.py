@@ -1,11 +1,13 @@
 """Exactness guard for churn-proportional membership.
 
-One seeded 300-peer run at 10 membership events per minute, four ways:
-{SoA directory, object directory} x {fast paths on, off}.  Every join
-and leave goes through the incrementally maintained alive set (bisect
-splice, aligned row prefix) and every routed lookup through the
-finger-free greedy step; the four runs must export byte-identical
-telemetry JSONL *and* byte-identical determinism-sanitizer ledgers.
+One seeded 300-peer run at 10 membership events per minute, five ways:
+{SoA directory, object directory} x {production QCS kernel, reference
+dp patched in for ``QSAAggregator.compose``}, plus the reference
+Dijkstra on SoA.  Every join and leave goes through the incrementally
+maintained alive set (bisect splice, aligned row prefix) and every
+routed lookup through the finger-free greedy step; the five runs must
+export byte-identical telemetry JSONL *and* byte-identical
+determinism-sanitizer ledgers.
 
 Byte-equality between today's paths only proves they agree with each
 other, so the run is also pinned against *before*: the goldens below
@@ -14,7 +16,6 @@ were recorded from the parent commit (70be2c3: ``list.remove`` +
 configuration.
 """
 
-import itertools
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from repro.experiments.runner import run_experiment
 from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig
 from repro.workload.generator import WorkloadConfig
+from tests.core.reference_kernels import WHOLE_RUN_VARIANTS, patch_compose
 
 #: Recorded from the parent commit; identical for all four variants there.
 GOLDEN = {
@@ -35,14 +37,15 @@ GOLDEN = {
 }
 
 
-def _run(tmp_path, backend, fast):
-    stem = f"{backend}-{'fast' if fast else 'plain'}"
+def _run(tmp_path, monkeypatch, backend, reference=None):
+    """One run; ``reference`` names the test-side kernel to compose with
+    (``None``: the production one)."""
+    stem = f"{backend}-{reference or 'production'}"
     config = ExperimentConfig(
         grid=GridConfig(
             n_peers=300,
             churn=ChurnConfig(rate_per_min=10.0),
             seed=23,
-            fast_paths=fast,
             peer_state_backend=backend,
         ),
         workload=WorkloadConfig(
@@ -52,7 +55,9 @@ def _run(tmp_path, backend, fast):
         telemetry_export=str(tmp_path / f"{stem}.jsonl"),
         sanitize_export=str(tmp_path / f"{stem}.ledger"),
     )
-    result = run_experiment(config)
+    with monkeypatch.context() as patch:
+        patch_compose(patch, reference)
+        result = run_experiment(config)
     return (
         result,
         (tmp_path / f"{stem}.jsonl").read_bytes(),
@@ -75,20 +80,21 @@ def _observed(result, jsonl):
     }
 
 
-def test_churn_run_matches_the_parent_commit(tmp_path):
+def test_churn_run_matches_the_parent_commit(tmp_path, monkeypatch):
     """Fast lane: the default path against the committed goldens."""
-    result, jsonl, _ = _run(tmp_path, "soa", True)
+    result, jsonl, _ = _run(tmp_path, monkeypatch, "soa")
     assert result.n_departures > 0 and result.n_arrivals > 0
     assert _observed(result, jsonl) == GOLDEN
 
 
 @pytest.mark.slow
-def test_churn_run_is_byte_identical_across_backends_and_paths(tmp_path):
+def test_churn_run_is_byte_identical_across_backends_and_paths(
+    tmp_path, monkeypatch
+):
     runs = {
-        (backend, fast): _run(tmp_path, backend, fast)
-        for backend, fast in itertools.product(("soa", "object"), (True, False))
+        key: _run(tmp_path, monkeypatch, *key) for key in WHOLE_RUN_VARIANTS
     }
-    result, jsonl, ledger = runs["soa", True]
+    result, jsonl, ledger = runs["soa", None]
     for key, (other, other_jsonl, other_ledger) in runs.items():
         assert other_jsonl == jsonl, key
         assert other_ledger == ledger, key

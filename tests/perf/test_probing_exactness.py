@@ -1,17 +1,17 @@
 """Exactness guard for the array-native probing hot path.
 
-One seeded 300-peer churn scenario, four ways: {fast paths on, off} x
-{SoA directory, object directory}.  The SoA + fast run resolves and
-observes whole candidate blocks on the parallel-array neighbor table;
-the other three reach the same table through its scalar views (triples
-in, ``get``/``observe`` one target at a time).  All four must export
+One seeded 300-peer churn scenario, five ways: {SoA directory, object
+directory} x {production QCS kernel, reference dp patched in for
+``QSAAggregator.compose``}, plus the reference Dijkstra on SoA.  The SoA
+runs observe whole candidate blocks on the parallel-array neighbor
+table; the object runs reach the same table through its scalar views
+(``get``/``observe`` one target at a time).  All five must export
 byte-identical telemetry JSONL *and* byte-identical determinism-sanitizer
 ledgers (every RNG draw count and state hash, every directory/ledger
-write) -- which pins the block path to the scalar semantics without
+write) -- which pins the block path to the scalar semantics, and the
+numpy kernel to §3.2's transcriptions over a whole churned run, without
 reference to any earlier commit.
 """
-
-import itertools
 
 import pytest
 
@@ -21,10 +21,13 @@ from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig
 from repro.probing.prober import ProbingConfig
 from repro.workload.generator import WorkloadConfig
+from tests.core.reference_kernels import WHOLE_RUN_VARIANTS, patch_compose
 
 
-def _run(tmp_path, fast, backend):
-    stem = f"{backend}-{'fast' if fast else 'plain'}"
+def _run(tmp_path, monkeypatch, backend, reference):
+    """One run; ``reference`` names the test-side kernel to compose with
+    (``None``: the production one)."""
+    stem = f"{backend}-{reference or 'production'}"
     config = ExperimentConfig(
         grid=GridConfig(
             n_peers=300,
@@ -33,7 +36,6 @@ def _run(tmp_path, fast, backend):
             probing=ProbingConfig(budget=12, ttl=4.0),
             churn=ChurnConfig(rate_per_min=8.0),
             seed=11,
-            fast_paths=fast,
             peer_state_backend=backend,
         ),
         workload=WorkloadConfig(
@@ -43,7 +45,9 @@ def _run(tmp_path, fast, backend):
         telemetry_export=str(tmp_path / f"{stem}.jsonl"),
         sanitize_export=str(tmp_path / f"{stem}.ledger"),
     )
-    result = run_experiment(config)
+    with monkeypatch.context() as patch:
+        patch_compose(patch, reference)
+        result = run_experiment(config)
     return (
         result,
         (tmp_path / f"{stem}.jsonl").read_bytes(),
@@ -52,12 +56,11 @@ def _run(tmp_path, fast, backend):
 
 
 @pytest.mark.slow
-def test_block_path_matches_scalar_views_byte_for_byte(tmp_path):
+def test_block_path_matches_scalar_views_byte_for_byte(tmp_path, monkeypatch):
     runs = {
-        (fast, backend): _run(tmp_path, fast, backend)
-        for fast, backend in itertools.product((True, False), ("soa", "object"))
+        key: _run(tmp_path, monkeypatch, *key) for key in WHOLE_RUN_VARIANTS
     }
-    block_result, block_jsonl, block_ledger = runs[True, "soa"]
+    block_result, block_jsonl, block_ledger = runs["soa", None]
     assert block_result.n_departures > 0  # churn actually happened
     assert block_result.n_admitted > 0
     for key, (result, jsonl, ledger) in runs.items():

@@ -1,36 +1,39 @@
-"""Equivalence tests for the probing-plane fast paths.
+"""Equivalence tests for the probing plane's block paths.
 
-``resolve_selection_hops``'s fast path pre-trims the triple list before
-the neighbor table sees it, and ``observe_block`` batches the per-target
-loop of ``observe``.  Both are claimed *exact*: identical table state
-(contents AND iteration order, which future evictions depend on) and
-identical observed values.  These tests drive randomized schedules
-through a fast and a slow instance side by side.
+``resolve_selection_hops`` merges a whole candidate flood into the
+observer's table as one array block, and ``observe_block`` batches the
+per-target loop of ``observe``.  Both are claimed *exact*: identical
+table state (contents AND iteration order, which future evictions
+depend on) and identical observed values.  These tests drive randomized
+schedules through the block path and an independent scalar one side by
+side.
 """
 
 import numpy as np
 
 from repro.core.selection import PhiWeights
 from repro.grid import GridConfig, P2PGrid
-from repro.probing.prober import ProbingService
+from tests.probing.reference_table import NeighborTable as ReferenceTable
 
 
 def _table_state(service):
     return {
-        observer: [(e.peer_id, e.hop, e.direct, e.expires_at)
-                   for e in tbl.entries()]
-        for observer, tbl in service._tables.items()
+        observer: _rows(tbl) for observer, tbl in service._tables.items()
     }
 
 
+def _rows(table):
+    return [(e.peer_id, e.hop, e.direct, e.expires_at) for e in table.entries()]
+
+
 def test_resolve_selection_hops_fast_path_is_exact():
+    """The block merge against one dict-of-objects reference table per
+    observer, fed the triples the flood means: every candidate but the
+    observer itself, hop ``i + 1`` for ``hop_candidates[i]``."""
     grid = P2PGrid(GridConfig(n_peers=120, seed=5))
-    slow = ProbingService(
-        grid.sim, grid.directory, grid.network, grid.probing.config
-    )
-    slow.fast_paths = False
-    fast = grid.probing
-    assert fast.fast_paths
+    probing = grid.probing
+    budget, ttl = probing.config.budget, probing.config.ttl
+    reference = {}
 
     rng = np.random.default_rng(42)
     pids = list(grid.directory.alive_ids)
@@ -42,11 +45,22 @@ def test_resolve_selection_hops_fast_path_is_exact():
             for _ in range(n_hops)
         ]
         direct = bool(rng.integers(0, 2))
-        fast.resolve_selection_hops(observer, hop_candidates, direct)
-        slow.resolve_selection_hops(observer, hop_candidates, direct)
+        probing.resolve_selection_hops(observer, hop_candidates, direct)
+        triples = [
+            (pid, i + 1, direct)
+            for i, cands in enumerate(hop_candidates)
+            for pid in cands
+            if pid != observer
+        ]
+        if triples:
+            reference.setdefault(observer, ReferenceTable(budget)).resolve(
+                triples, grid.sim.now, ttl
+            )
         if step % 20 == 19:
             grid.sim.run(until=grid.sim.now + 2.0)  # let soft state age
-        assert _table_state(fast) == _table_state(slow)
+        assert _table_state(probing) == {
+            observer: _rows(tbl) for observer, tbl in reference.items()
+        }
 
 
 def test_observe_many_matches_scalar_observe():

@@ -215,6 +215,3 @@ class TestResolutionReport:
         _, probing = self.make_soa()
         assert probing.resolve_selection_hops(0, [[3, 3, 4]], True) is None
         assert self.known_by_lookup(probing, 0, [3, 3, 4]) == [0, 1, 2]
-        probing.fast_paths = False
-        assert probing.resolve_selection_hops(0, [(5, 6)], True) is None
-        assert self.known_by_lookup(probing, 0, (5, 6)) == [0, 1]

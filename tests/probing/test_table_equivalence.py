@@ -1,9 +1,9 @@
 """Differential proof: the array NeighborTable is the reference table.
 
-Hypothesis drives random schedules of ``resolve`` / ``resolve_block`` /
-``merge`` with a reported leading segment / ``get`` / ``lookup`` /
-``drop`` / ``active_ids`` / time advances through
-the production parallel-array table and the dict-of-objects reference
+Hypothesis drives random schedules of ``resolve`` / ``merge`` of a plain
+block / ``merge`` with a reported leading segment / ``get`` /
+``lookup`` / ``drop`` / ``active_ids`` / time advances through the
+production parallel-array table and the dict-of-objects reference
 (``reference_table.py``, the table this repo shipped before), and after
 every step requires identical return values and identical
 ``(pid, hop, direct, expires_at)`` sequences *including order* -- later
@@ -67,7 +67,7 @@ def _row(entry):
 
 
 def _reference_needed(ref, pairs, direct, now, ttl):
-    """What ``resolve_block`` must report, counted on the reference
+    """The ``needed`` a ``merge`` must report, counted on the reference
     *before* the call: refreshes that change something, plus the distinct
     newcomers the budget could hold."""
     bias = 0 if direct else 1
@@ -125,12 +125,12 @@ def test_array_table_matches_reference(budget, steps):
             _, pairs, direct, ttl = step
             expected = _reference_needed(ref, pairs, direct, now, ttl)
             ref.resolve([(p, h, direct) for p, h in pairs], now, ttl)
-            got = arr.resolve_block(
+            hops = np.array([h for _, h in pairs], dtype=np.int64)
+            got = arr.merge(
                 np.array([p for p, _ in pairs], dtype=np.int64),
-                np.array([h for _, h in pairs], dtype=np.int64),
-                direct, now, ttl,
+                2 * hops + (0 if direct else 1), now, ttl,
             )
-            assert got == expected
+            assert got[1] == expected
         elif op == "lead":
             _, lead_ids, later, direct, ttl, claim = step
             _merge_hop_flood(arr, ref, lead_ids, later, direct, now, ttl, claim)

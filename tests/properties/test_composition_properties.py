@@ -3,11 +3,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.composition import CompositionError, ConsistencyGraph, compose_qcs
+from repro.core.composition import CompositionError, ConsistencyGraph
+from repro.core.composition_vec import compose_qcs
 from repro.core.baselines import random_consistent_path
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core import reference_kernels
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)
@@ -50,14 +52,15 @@ def catalogs(draw):
 def test_dp_and_dijkstra_agree(path_cat):
     path, cat = path_cat
     try:
-        a = compose_qcs(path, cat, USER, WEIGHTS, method="dp")
+        a = reference_kernels.compose_qcs(path, cat, USER, WEIGHTS, method="dp")
     except CompositionError:
         try:
-            compose_qcs(path, cat, USER, WEIGHTS, method="dijkstra")
+            reference_kernels.compose_qcs(
+                path, cat, USER, WEIGHTS, method="dijkstra")
             raise AssertionError("dijkstra found a path dp did not")
         except CompositionError:
             return
-    b = compose_qcs(path, cat, USER, WEIGHTS, method="dijkstra")
+    b = reference_kernels.compose_qcs(path, cat, USER, WEIGHTS, method="dijkstra")
     assert np.isclose(a.score, b.score)
     assert [i.instance_id for i in a.instances] == [
         i.instance_id for i in b.instances

@@ -17,12 +17,10 @@ class TestDescriptor:
         assert desc["name"] == "repro"
         assert desc["version"] == repro.__version__
         assert desc["serve_api"] == SERVE_API_VERSION
-        assert isinstance(desc["fast_paths_default"], bool)
         assert desc["fault_kinds"] == sorted(FAULT_KINDS)
         assert desc["scenarios"] == sorted(SCENARIOS)
         assert set(desc["algorithms"]) == {"qsa", "random", "fixed"}
-        assert desc["composition_kernels"] == ["dijkstra", "dp", "vectorized"]
-        assert desc["composition_kernel_default"] in desc["composition_kernels"]
+        assert desc["peer_state_backend_default"] in desc["peer_state_backends"]
         assert set(desc["lookup_protocols"]) == {"chord", "can"}
 
     def test_every_advertised_scenario_loads(self):

@@ -146,6 +146,16 @@ class TestStatusAndMetrics:
         )
         assert "discovery_routed" in st["caches"]
 
+    def test_status_reports_the_plan_cache(self, client):
+        """Every request that reached composition is one plan hit or
+        miss (the counters it replaced read a constant 0)."""
+        for _ in range(8):
+            client.compose(APP, qos_level="average", duration=2.0)
+        caches = client.status()["caches"]
+        composed = client.metrics()["metrics"]["counters"]["qcs.compositions"]
+        assert caches["qcs_plan_hits"] + caches["qcs_plan_misses"] == composed
+        assert composed >= 8 and caches["qcs_plan_hits"] > 0
+
     def test_status_embeds_the_capability_descriptor(self, client):
         # Satellite contract: `repro info` and GET /status share one
         # build/capability descriptor.

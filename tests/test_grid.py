@@ -1,8 +1,11 @@
 """Integration tests for the P2PGrid facade."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.grid import GridConfig, P2PGrid
 from repro.network.churn import ChurnConfig
 
@@ -22,6 +25,30 @@ class TestConstruction:
             GridConfig(n_peers=1)
         with pytest.raises(ValueError):
             GridConfig(capacity_range=(0, 10))
+
+    def test_config_surface(self):
+        """Every way to configure a run, pinned: a new ``GridConfig``
+        field or ``repro run`` flag shows up as a diff here, not as a
+        default nobody notices."""
+        assert sorted(f.name for f in dataclasses.fields(GridConfig)) == [
+            "access_capacity", "admission_retry", "applications",
+            "can_dimensions", "capacity_range", "catalog", "chord_bits",
+            "churn", "faults", "initial_uptime_max", "lookup_protocol",
+            "lookup_retry", "n_peers", "peer_state_backend", "probing",
+            "recovery", "resource_names", "sanitize", "sanitize_epoch",
+            "seed", "telemetry", "telemetry_capacity", "trace_capacity",
+            "tracing",
+        ]
+        commands = next(
+            a for a in build_parser()._actions if a.dest == "command"
+        ).choices
+        assert sorted(
+            s for a in commands["run"]._actions for s in a.option_strings
+        ) == [
+            "--algorithm", "--backend", "--churn", "--faults", "--help",
+            "--horizon", "--no-uptime-filter", "--rate", "--sanitize",
+            "--seed", "--telemetry", "-h",
+        ]
 
     def test_config_applications_used(self):
         from repro.services.applications import ApplicationTemplate
@@ -93,10 +120,13 @@ class TestAggregatorFactory:
             grid.make_aggregator("bogus")
 
     def test_qsa_options(self, grid):
-        agg = grid.make_aggregator("qsa", uptime_filter=False,
-                                   composition_method="dijkstra")
+        agg = grid.make_aggregator("qsa", uptime_filter=False)
         assert not agg.selector.uptime_filter
-        assert agg.composition_method == "dijkstra"
+        # An option the algorithm does not take is an error, not a no-op.
+        with pytest.raises(TypeError, match="composition_method"):
+            grid.make_aggregator("qsa", composition_method="dijkstra")
+        with pytest.raises(TypeError, match="uptime_filter"):
+            grid.make_aggregator("random", uptime_filter=False)
 
 
 class TestChurnIntegration:

@@ -1,10 +1,12 @@
 """The ψ goldens: every named scenario's seeded outcome, pinned exactly.
 
 ``tests/goldens/psi-<name>.json`` are :func:`save_baseline` fingerprints
-(ψ, request count, full status breakdown) of seed 0 under ``qsa``.  Any
-refactor that perturbs an RNG draw order, a tie-break or an admission
-decision moves at least one of them; a change that *means* to move them
-re-records with ``save_baseline`` and says so.
+(ψ, request count, full status breakdown) of seed 0 under ``qsa``;
+``psi-smoke-random.json`` / ``psi-smoke-fixed.json`` pin the two §4.1
+comparators, which compose over :class:`ConsistencyGraph` rather than
+the QCS kernel.  Any refactor that perturbs an RNG draw order, a
+tie-break or an admission decision moves at least one of them; a change
+that *means* to move them re-records with ``save_baseline`` and says so.
 """
 
 from pathlib import Path
@@ -22,10 +24,19 @@ from repro.workload.generator import WorkloadConfig
 GOLDENS = Path(__file__).parent / "goldens"
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+#: golden name -> (scenario, algorithm)
+GOLDEN_RUNS = {name: (name, "qsa") for name in SCENARIOS}
+GOLDEN_RUNS.update(
+    {f"smoke-{algorithm}": ("smoke", algorithm)
+     for algorithm in ("random", "fixed")}
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_psi_golden(name, monkeypatch):
     monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-    result = run_experiment(SCENARIOS[name](0).with_algorithm("qsa"))
+    scenario, algorithm = GOLDEN_RUNS[name]
+    result = run_experiment(SCENARIOS[scenario](0).with_algorithm(algorithm))
     assert compare_to_baseline(
         result, GOLDENS / f"psi-{name}.json", tolerance=0.0
     ) == []
