@@ -81,8 +81,9 @@ soak:
 	$(PYTHON) -m repro loadgen --soak $(SOAK_ARGS)
 
 # The runtime determinism contract (docs/static-analysis.md): same-seed
-# and object-vs-soa runs must export byte-identical draw/write ledgers,
-# and arming the sanitizer must cost < 10% wall with telemetry unchanged.
+# runs, plain and under the CI chaos plan, must export byte-identical
+# draw/write ledgers, and arming the sanitizer must cost < 10% wall with
+# telemetry unchanged.
 sanitize:
 	@tmp=$$(mktemp -d /tmp/sanitize.XXXXXX); \
 	trap 'rm -rf $$tmp' EXIT; \
@@ -92,9 +93,12 @@ sanitize:
 	$(PYTHON) -m repro run --rate 100 --horizon 10 \
 		--churn 25 --seed 0 --sanitize $$tmp/b.jsonl >/dev/null; \
 	$(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/b.jsonl; \
-	$(PYTHON) -m repro run --rate 100 --horizon 10 \
-		--churn 25 --seed 0 --backend object --sanitize $$tmp/obj.jsonl >/dev/null; \
-	$(PYTHON) -m repro sanitize compare $$tmp/a.jsonl $$tmp/obj.jsonl; \
+	for run in fa fb; do \
+		$(PYTHON) -m repro run --rate 100 --horizon 20 --churn 25 --seed 0 \
+			--faults examples/plans/ci-chaos.json \
+			--sanitize $$tmp/$$run.jsonl >/dev/null; \
+	done; \
+	$(PYTHON) -m repro sanitize compare $$tmp/fa.jsonl $$tmp/fb.jsonl; \
 	$(PYTHON) -m repro sanitize overhead --rate 100 \
 		--horizon 20 --seed 0 --repeat 3
 

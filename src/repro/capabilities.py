@@ -30,7 +30,6 @@ def build_descriptor() -> Dict[str, Any]:
     import repro
     from repro.experiments.config import SCENARIOS
     from repro.faults.plan import FAULT_KINDS
-    from repro.grid import GridConfig
 
     return {
         "name": "repro",
@@ -44,6 +43,4 @@ def build_descriptor() -> Dict[str, Any]:
         "scenarios": sorted(SCENARIOS),
         "algorithms": ["fixed", "qsa", "random"],
         "lookup_protocols": ["can", "chord"],
-        "peer_state_backends": ["object", "soa"],
-        "peer_state_backend_default": GridConfig().peer_state_backend,
     }

@@ -130,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sanitize", metavar="PATH", default=None,
                      help="run under the determinism sanitizer and export "
                           "the draw/write ledger as JSONL")
-    run.add_argument("--backend", choices=("soa", "object"), default=None,
-                     help="peer-state backend (default: GridConfig default; "
-                          "the backends are sanitize-ledger-identical)")
 
     tel = sub.add_parser("telemetry", help="telemetry catalog and tools")
     tel_sub = tel.add_subparsers(dest="telemetry_action", required=True)
@@ -329,8 +326,6 @@ def _cmd_run(args) -> int:
     if args.algorithm == "qsa" and args.no_uptime_filter:
         options["uptime_filter"] = False
     config = config.with_algorithm(args.algorithm, **options)
-    if args.backend is not None:
-        config = config.with_backend(args.backend)
     if args.faults is not None:
         from repro.faults.plan import FaultPlan
 
@@ -668,8 +663,6 @@ def _cmd_info(args) -> int:
     print(f"paper: {desc['paper']}")
     print(f"algorithms:       {', '.join(desc['algorithms'])}")
     print(f"lookup protocols: {', '.join(desc['lookup_protocols'])}")
-    print(f"peer state:       {', '.join(desc['peer_state_backends'])} "
-          f"(default {desc['peer_state_backend_default']})")
     print(f"fault kinds:      {', '.join(desc['fault_kinds'])}")
     print(f"scenarios:        {', '.join(desc['scenarios'])}")
     print(f"paper scale active: {is_paper_scale()} "

@@ -36,7 +36,7 @@ from repro.core.qos import QoSVector
 from repro.core.resources import WeightProfile
 from repro.core.selection import PeerSelector, PhiWeights
 from repro.lookup.registry import ServiceRegistry
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.probing.prober import ProbingService
 from repro.services.model import AbstractServicePath, ServiceInstance
 from repro.services.qoscompiler import QoSCompiler, UserRequest
@@ -111,7 +111,7 @@ class BaseAggregator:
         self,
         compiler: QoSCompiler,
         registry: ServiceRegistry,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         ledger: SessionLedger,
         rng: np.random.Generator,
     ) -> None:
@@ -274,7 +274,7 @@ class QSAAggregator(BaseAggregator):
         self,
         compiler: QoSCompiler,
         registry: ServiceRegistry,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         ledger: SessionLedger,
         probing: ProbingService,
         composition_weights: WeightProfile,

@@ -27,7 +27,7 @@ from repro.core.composition import (
 from repro.core.qos import QoSVector, satisfies
 from repro.core.resources import ResourceTuple, WeightProfile
 from repro.lookup.registry import ServiceRegistry
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.services.model import AbstractServicePath, ServiceInstance
 from repro.services.qoscompiler import QoSCompiler, UserRequest
 from repro.sessions.session import SessionLedger
@@ -92,7 +92,7 @@ class RandomAggregator(BaseAggregator):
         self,
         compiler: QoSCompiler,
         registry: ServiceRegistry,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         ledger: SessionLedger,
         weights: WeightProfile,
         rng: np.random.Generator,
@@ -146,7 +146,7 @@ class FixedAggregator(BaseAggregator):
         self,
         compiler: QoSCompiler,
         registry: ServiceRegistry,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         ledger: SessionLedger,
         weights: WeightProfile,
         rng: np.random.Generator,

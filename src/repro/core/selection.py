@@ -68,7 +68,7 @@ class PeerInfo:
 
 
 #: One observer's array view of a candidate list, as returned by a
-#: view's optional ``observe_block``: ``(known, avail, betas, uptimes,
+#: view's ``observe_block``: ``(known, avail, betas, uptimes,
 #: latencies)`` -- the positions in the candidate list the observer has
 #: information about (ascending), and aligned with them the ``(k, m)``
 #: availability block, β, uptime and (only when asked for) latency.
@@ -86,9 +86,16 @@ class PerformanceView(Protocol):
     simple dict-backed fakes in tests.
     """
 
-    def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
-        """The observer's (possibly stale) info about target, or ``None``
-        if the target is outside the observer's probed neighbor set."""
+    def observe_block(
+        self,
+        observer: int,
+        targets: Sequence[int],
+        latency: bool = False,
+        known: Optional[np.ndarray] = None,
+    ) -> ObservedBlock:
+        """The observer's (possibly stale) info about the targets inside
+        its probed neighbor set; latencies only when asked for.  ``known``:
+        the positions a ``resolve_selection_hops`` just reported."""
         ...
 
 
@@ -315,15 +322,16 @@ class PeerSelector:
         these candidates at ``selecting_peer`` just now, for ``observe_block``.
         """
         tel = self.telemetry
+        latency = self.weights.latency_weight > 0
         if tel is None:
-            return self._select_hop(
-                selecting_peer, candidates, requirement, bandwidth_req,
-                session_duration, rng, known,
+            return self._select_hop_block(
+                candidates, requirement, bandwidth_req, session_duration, rng,
+                self.view.observe_block(selecting_peer, candidates, latency, known),
             )
         with tel.tracer.span("selection.hop", selecting_peer=selecting_peer):
-            outcome = self._select_hop(
-                selecting_peer, candidates, requirement, bandwidth_req,
-                session_duration, rng, known,
+            outcome = self._select_hop_block(
+                candidates, requirement, bandwidth_req, session_duration, rng,
+                self.view.observe_block(selecting_peer, candidates, latency, known),
             )
         m = tel.metrics
         m.counter("selection.steps").inc()
@@ -342,99 +350,6 @@ class PeerSelector:
         )
         return outcome
 
-    def _select_hop(
-        self,
-        selecting_peer: int,
-        candidates: Sequence[int],
-        requirement: ResourceVector,
-        bandwidth_req: float,
-        session_duration: float,
-        rng: np.random.Generator,
-        known_positions: Optional[np.ndarray] = None,
-    ) -> SelectionOutcome:
-        n_candidates = len(candidates)
-        if n_candidates == 0:
-            return SelectionOutcome(None, False, 0, 0)
-
-        observe_block = getattr(self.view, "observe_block", None)
-        if observe_block is not None:
-            block = observe_block(
-                selecting_peer, candidates,
-                latency=self.weights.latency_weight > 0,
-                known=known_positions,
-            )
-            if block is not None:
-                return self._select_hop_block(
-                    candidates, requirement, bandwidth_req,
-                    session_duration, rng, block,
-                )
-
-        known: list[Tuple[int, PeerInfo]] = []
-        for pid in candidates:
-            info = self.view.observe(selecting_peer, pid)
-            if info is not None:
-                known.append((pid, info))
-
-        if not known:
-            # Random fallback: the selecting peer knows nothing about any
-            # candidate -- pick uniformly at random.
-            pick = int(rng.integers(n_candidates))
-            return SelectionOutcome(candidates[pick], True, n_candidates, 0)
-
-        qualified: list[Tuple[int, PeerInfo]] = []
-        for pid, info in known:
-            if self.uptime_filter and info.uptime < session_duration:
-                continue
-            if self.feasibility_filter and not (
-                info.availability.covers(requirement)
-                and info.bandwidth_to_observer >= bandwidth_req
-            ):
-                continue
-            qualified.append((pid, info))
-
-        if not qualified:
-            # All known candidates were filtered out; fall back to the
-            # unknown candidates at random if any exist, else give up on
-            # the filters and rank every known candidate by Φ (a peer
-            # with the least-bad Φ still beats outright failure).
-            unknown = [pid for pid in candidates if all(pid != k for k, _ in known)]
-            if unknown:
-                pick = int(rng.integers(len(unknown)))
-                return SelectionOutcome(
-                    unknown[pick], True, n_candidates, len(known)
-                )
-            qualified = known
-
-        if len(qualified) == 1:
-            pid, info = qualified[0]
-            phi = self.weights.phi(
-                info.availability, requirement, info.bandwidth_to_observer,
-                bandwidth_req, latency_ms=info.latency,
-            )
-            return SelectionOutcome(pid, False, n_candidates, len(known), phi)
-
-        avail = np.stack([info.availability.values for _, info in qualified])
-        betas = np.fromiter(
-            (info.bandwidth_to_observer for _, info in qualified),
-            dtype=np.float64,
-            count=len(qualified),
-        )
-        latencies = None
-        if self.weights.latency_weight > 0:
-            latencies = np.fromiter(
-                (info.latency for _, info in qualified),
-                dtype=np.float64,
-                count=len(qualified),
-            )
-        scores = self.weights.phi_batch(
-            avail, requirement.values, betas, bandwidth_req,
-            latencies_ms=latencies,
-        )
-        best = int(np.argmax(scores))
-        return SelectionOutcome(
-            qualified[best][0], False, n_candidates, len(known), float(scores[best])
-        )
-
     def _select_hop_block(
         self,
         candidates: Sequence[int],
@@ -446,14 +361,18 @@ class PeerSelector:
     ) -> SelectionOutcome:
         """One selection step over an ``observe_block`` array view.
 
-        Replicates every branch, filter, RNG draw and Φ evaluation of the
-        per-PeerInfo path bit-for-bit: the uptime/covers/β filters become
-        masked reductions over the block, the Φ ranking a single
-        ``phi_batch`` over the qualified sub-block, and the two random
-        fallbacks consume the same ``rng.integers`` draws on the same
-        branch conditions.
+        The uptime/covers/β filters are masked reductions over the block
+        and the Φ ranking a single ``phi_batch`` over the qualified
+        sub-block.  With nothing known the pick is uniform over the
+        candidates; with everything known filtered out it is uniform over
+        the unknown ones if there are any, else the filters are given up
+        and every known candidate is ranked by Φ (a peer with the
+        least-bad Φ still beats outright failure).  The scalar
+        transcription it is held to is ``tests/core/test_selection_block.py``.
         """
         n_candidates = len(candidates)
+        if n_candidates == 0:
+            return SelectionOutcome(None, False, 0, 0)
         kpos, avail, betas, uptimes, latencies = block
         n_known = len(kpos)
         if n_known == 0:

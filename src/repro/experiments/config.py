@@ -64,11 +64,6 @@ class ExperimentConfig:
         """The same run with the determinism sanitizer recording."""
         return replace(self, sanitize_export=export_path)
 
-    def with_backend(self, backend: str) -> "ExperimentConfig":
-        """The same run on the given peer-state backend (object / soa)."""
-        return replace(self, grid=replace(self.grid,
-                                          peer_state_backend=backend))
-
     def with_faults(self, plan) -> "ExperimentConfig":
         """The same run under a :class:`~repro.faults.FaultPlan`."""
         return replace(self, grid=replace(self.grid, faults=plan))

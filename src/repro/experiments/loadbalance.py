@@ -24,7 +24,7 @@ from typing import Iterator, List
 
 import numpy as np
 
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -75,7 +75,7 @@ class UtilizationSampler:
     def __init__(
         self,
         sim: Simulator,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         period: float = 5.0,
         horizon: float | None = None,
     ) -> None:

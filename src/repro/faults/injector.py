@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict
 
+import numpy as np
+
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import derive_seed
 
@@ -184,8 +186,15 @@ class FaultInjector:
 
     # -- stale soft state ---------------------------------------------------
     def note_departure(self, peer_id: int) -> None:
-        """Called once per departure; may leave lingering soft state."""
+        """Called once per departure; may leave lingering soft state.
+
+        Also releases the ghosts that expired unobserved.  (Not a sim
+        timer: one would outlive the session drain and move the clock
+        the sanitizer ledger's final record stamps.)
+        """
         now = self.sim.now
+        for pid in [p for p, until in self._ghosts.items() if now >= until]:
+            del self._ghosts[pid]
         for spec in self._stale_state:
             if spec.active(now) and self._roll(spec.rate):
                 self._ghosts[peer_id] = now + spec.staleness
@@ -198,17 +207,27 @@ class FaultInjector:
     def ghost_active(self, peer_id: int) -> bool:
         """Whether observers still believe departed ``peer_id`` is alive."""
         expires = self._ghosts.get(peer_id)
-        if expires is None:
-            return False
-        if self.sim.now >= expires:
-            del self._ghosts[peer_id]
-            return False
-        return True
+        return expires is not None and self.sim.now < expires
 
     # -- partitions ---------------------------------------------------------
     def _minority(self, spec_index: int, fraction: float, peer_id: int) -> bool:
         h = derive_seed(self._partition_salt, f"region/{spec_index}/{peer_id}")
         return h / _HASH_SPACE < fraction
+
+    def cut_mask(self, observer: int, peer_ids: np.ndarray) -> np.ndarray:
+        """Which of ``peer_ids`` sit across an active cut from ``observer``:
+        :meth:`partitioned`, one candidate block at a time."""
+        now = self.sim.now
+        mask = np.zeros(len(peer_ids), dtype=bool)
+        for i, spec in enumerate(self._partitions):
+            if spec.active(now):
+                side = self._minority(i, spec.fraction, observer)
+                mask |= np.fromiter(
+                    (self._minority(i, spec.fraction, pid) != side
+                     for pid in peer_ids.tolist()),
+                    bool, len(peer_ids),
+                )
+        return mask
 
     def partitioned(self, a: int, b: int) -> bool:
         """Whether peers ``a`` and ``b`` sit across an active cut."""

@@ -39,7 +39,7 @@ from repro.lookup.can import CanNetwork
 from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.network.churn import ChurnConfig, ChurnProcess
-from repro.network.peer import Peer, PeerDirectory
+from repro.network.peer import Peer
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
@@ -119,14 +119,6 @@ class GridConfig:
     telemetry: bool = False
     #: Retain at most this many bus events (None = unbounded).
     telemetry_capacity: Optional[int] = None
-    #: Peer-state representation: ``"soa"`` (struct-of-arrays
-    #: :class:`repro.network.soa.PeerStore` -- contiguous numpy state
-    #: matrices driving vectorized selection/probing/admission planes)
-    #: or ``"object"`` (one Python ``Peer`` per host -- the differential
-    #: oracle).  Both produce byte-identical telemetry per seed (proven
-    #: by tests/perf/test_soa_differential.py); ``"soa"`` is the scale
-    #: backend the 10^4..10^5-peer scenarios require.
-    peer_state_backend: str = "soa"
     #: Fault injection plan; ``None`` (or an empty plan) keeps every
     #: substrate operation reliable and the hot paths fault-check-free.
     faults: Optional[FaultPlan] = None
@@ -152,11 +144,6 @@ class GridConfig:
         lo, hi = self.capacity_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad capacity range ({lo}, {hi})")
-        if self.peer_state_backend not in ("soa", "object"):
-            raise ValueError(
-                f"unknown peer state backend {self.peer_state_backend!r} "
-                "(soa/object)"
-            )
 
 
 class P2PGrid:
@@ -187,12 +174,9 @@ class P2PGrid:
         self.translator = AnalyticTranslator(config.resource_names)
 
         # -- peers -------------------------------------------------------
-        if config.peer_state_backend == "soa":
-            self.directory = SoAPeerDirectory(
-                config.resource_names, initial_rows=config.n_peers
-            )
-        else:
-            self.directory = PeerDirectory(config.resource_names)
+        self.directory = SoAPeerDirectory(
+            config.resource_names, initial_rows=config.n_peers
+        )
         self.directory.sanitizer = self.sanitizer
         peer_rng = self.rngs.stream("peers")
         for _ in range(config.n_peers):

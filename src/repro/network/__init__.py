@@ -1,7 +1,9 @@
 """The P2P network substrate (paper §2.2 network model, §4.1 setup).
 
-* :mod:`~repro.network.peer` -- heterogeneous peers with end-system
-  resource capacity/availability, access-link bandwidth and uptime.
+* :mod:`~repro.network.peer` / :mod:`~repro.network.soa` -- heterogeneous
+  peers with end-system resource capacity/availability, access-link
+  bandwidth and uptime, stored as struct-of-arrays rows behind
+  :class:`SoAPeerDirectory`.
 * :mod:`~repro.network.topology` -- O(1)-memory pairwise bottleneck
   bandwidth / latency classes and end-to-end available-bandwidth
   computation with reservation accounting.
@@ -11,7 +13,8 @@
   (matching the measurement study the paper builds on [17]).
 """
 
-from repro.network.peer import Peer, PeerDirectory
+from repro.network.peer import Peer
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import (
     BANDWIDTH_CLASSES,
     LATENCY_CLASSES_MS,
@@ -28,5 +31,5 @@ __all__ = [
     "NetworkModel",
     "PairwiseClasses",
     "Peer",
-    "PeerDirectory",
+    "SoAPeerDirectory",
 ]

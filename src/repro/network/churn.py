@@ -25,7 +25,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.network.peer import Peer, PeerDirectory
+from repro.network.peer import Peer
+from repro.network.soa import SoAPeerDirectory
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -84,7 +85,7 @@ class ChurnProcess:
     def __init__(
         self,
         sim: Simulator,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         config: ChurnConfig,
         spawn_peer: Callable[[float], Peer],
         on_departure: Callable[[int], None],
@@ -147,16 +148,8 @@ class ChurnProcess:
         return pid
 
     def _update_store_gauges(self) -> None:
-        """Mirror the SoA store's membership bookkeeping into gauges.
-
-        Counters/gauges sit outside the event stream, so this is
-        backend-divergent by design (the exactness contract covers
-        events only); the object directory simply has no store and
-        skips the gauges entirely.
-        """
-        store = getattr(self.directory, "store", None)
-        if store is None:
-            return
+        """Mirror the peer store's membership bookkeeping into gauges."""
+        store = self.directory.store
         metrics = self.telemetry.metrics
         metrics.gauge("store.generation").set(store.generation)
         metrics.gauge("store.rows_recycled").set(store.rows_recycled)

@@ -15,22 +15,22 @@ A :class:`Peer` tracks
 * ``joined_at`` -- for uptime (= ``now - joined_at``), the peer-selection
   longevity signal.
 
-:class:`PeerDirectory` owns the id space and the alive set, and provides
-vectorized views (capacity / availability matrices) so that scoring and
-churn sampling stay O(alive peers) numpy operations rather than Python
-loops.
+Live peers are rows of :class:`repro.network.soa.PeerStore`, reached
+through :class:`repro.network.soa.SoAPeerDirectory` (which owns the id
+space and the alive set); a :class:`Peer` object is what a departed
+peer's final state is frozen into -- the tombstone that session rollback
+credits after its row has been recycled.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.resources import ResourceVector
 
-__all__ = ["Peer", "PeerDirectory"]
+__all__ = ["Peer"]
 
 
 class Peer:
@@ -117,95 +117,3 @@ class Peer:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "departed"
         return f"<Peer {self.peer_id} {state} avail={self.available.values}>"
-
-
-class PeerDirectory:
-    """The id space and alive-set of the grid, with vectorized views."""
-
-    def __init__(self, resource_names: Sequence[str] = ("cpu", "memory")) -> None:
-        self.resource_names = tuple(resource_names)
-        self._peers: Dict[int, Peer] = {}
-        #: Alive ids, ascending (ids are allocated monotonically).
-        self._alive_ids: List[int] = []
-        self._next_id = 0
-        #: Membership generation: bumped on every create/depart, mirrors
-        #: :attr:`repro.network.soa.PeerStore.generation` so the two
-        #: backends stamp identical provenance into a sanitizer ledger.
-        self.generation = 0
-        #: Optional :class:`repro.sim.sanitizer.Sanitizer` write barrier.
-        self.sanitizer = None
-
-    # -- population ----------------------------------------------------------
-    def create_peer(
-        self, capacity: ResourceVector, access_bw: float, joined_at: float
-    ) -> Peer:
-        pid = self._next_id
-        self._next_id += 1
-        peer = Peer(pid, capacity, access_bw, joined_at)
-        self._peers[pid] = peer
-        self._alive_ids.append(pid)
-        self.generation += 1
-        if self.sanitizer is not None:
-            self.sanitizer.note_write("network", "peer-create", self.generation)
-        return peer
-
-    def depart(self, peer_id: int, now: float) -> Peer:
-        peer = self._peers[peer_id]
-        if not peer.alive:
-            raise ValueError(f"peer {peer_id} already departed")
-        peer.departed_at = now
-        del self._alive_ids[bisect_left(self._alive_ids, peer_id)]
-        self.generation += 1
-        if self.sanitizer is not None:
-            self.sanitizer.note_write("network", "peer-depart", self.generation)
-        return peer
-
-    # -- lookup ----------------------------------------------------------
-    def __getitem__(self, peer_id: int) -> Peer:
-        return self._peers[peer_id]
-
-    def get(self, peer_id: int) -> Optional[Peer]:
-        return self._peers.get(peer_id)
-
-    def __contains__(self, peer_id: int) -> bool:
-        return peer_id in self._peers
-
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def is_alive(self, peer_id: int) -> bool:
-        peer = self._peers.get(peer_id)
-        return peer is not None and peer.alive
-
-    @property
-    def alive_ids(self) -> List[int]:
-        """Ids of currently alive peers, ascending (maintained in place)."""
-        return self._alive_ids
-
-    @property
-    def n_alive(self) -> int:
-        return len(self._alive_ids)
-
-    def alive_peers(self) -> Iterator[Peer]:
-        return (self._peers[pid] for pid in self.alive_ids)
-
-    # -- vectorized views ---------------------------------------------------
-    def uptimes(self, now: float) -> Tuple[np.ndarray, List[int]]:
-        """``(uptimes, ids)`` arrays over alive peers, aligned."""
-        ids = self.alive_ids
-        up = np.fromiter(
-            (now - self._peers[pid].joined_at for pid in ids),
-            dtype=np.float64,
-            count=len(ids),
-        )
-        return up, ids
-
-    def availability_matrix(self, peer_ids: Iterable[int]) -> np.ndarray:
-        """Rows of ``available`` vectors for the given peers."""
-        rows = [self._peers[pid].available.values for pid in peer_ids]
-        if not rows:
-            return np.empty((0, len(self.resource_names)))
-        return np.stack(rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<PeerDirectory {self.n_alive} alive / {len(self._peers)} total>"

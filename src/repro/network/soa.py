@@ -1,13 +1,13 @@
-"""Struct-of-arrays peer state: the 10^4..10^5-peer representation.
+"""Struct-of-arrays peer state: the one peer-state representation.
 
-The object-backed :class:`~repro.network.peer.PeerDirectory` keeps one
-Python ``Peer`` per host, which makes every hot plane -- candidate
+One Python object per host would make every hot plane -- candidate
 selection, prober snapshot refresh, admission accounting -- a Python
-loop over objects.  This module stores the same state as contiguous
-numpy arrays (:class:`PeerStore`) so those planes can operate on array
-slices, and keeps the ``Peer`` surface alive as a thin row-view facade
-(:class:`PeerRowView`) so every existing caller of ``PeerDirectory``'s
-public API keeps working unchanged.
+loop over objects.  This module stores per-peer state as contiguous
+numpy arrays (:class:`PeerStore`) so those planes operate on array
+slices, and offers the ``Peer`` surface as a thin row-view facade
+(:class:`PeerRowView`) for callers that want one peer at a time.  The
+dict-of-objects directory this replaced is the model in
+``tests/network/reference_directory.py``.
 
 Layout
 ------
@@ -27,16 +27,14 @@ cheaply detect staleness.
 
 Departure semantics
 -------------------
-The object directory keeps departed ``Peer`` corpses forever (session
-rollback deliberately credits them; the stale-state fault serves their
-last snapshot).  Here a departing peer's final state is copied into a
-detached object-backend ``Peer`` tombstone before its row returns to
+Departed peers stay addressable forever (session rollback deliberately
+credits them).  A departing peer's final state is copied into a detached
+:class:`~repro.network.peer.Peer` tombstone before its row returns to
 the free list -- mutations on the corpse (rollback credits) hit the
 tombstone, never a recycled row, and the directory keeps answering
-``get``/``__getitem__``/``__contains__`` for departed ids exactly like
-the object backend.  The differential suite
-(tests/perf/test_soa_differential.py) proves the two backends produce
-byte-identical telemetry per seed.
+``get``/``__getitem__``/``__contains__`` for departed ids.  (The
+stale-state fault's last snapshot is the prober's to keep:
+``ProbingService.drop_peer``.)
 """
 
 from __future__ import annotations
@@ -297,11 +295,11 @@ class PeerRowView:
 
 
 class SoAPeerDirectory:
-    """Drop-in :class:`~repro.network.peer.PeerDirectory` on a PeerStore.
+    """The id space and alive set of the grid, on a :class:`PeerStore`.
 
-    Same public API (create/depart/get/alive views); additionally
-    exposes :attr:`store` plus vectorized row resolution so the hot
-    planes (selection, probing, admission) can bypass the facade.
+    Per-peer access (create/depart/get/alive views) goes through row
+    views; :attr:`store` plus vectorized row resolution let the hot
+    planes (selection, probing, admission) bypass the facade.
     """
 
     def __init__(
@@ -314,7 +312,7 @@ class SoAPeerDirectory:
         #: pid -> row for alive peers; -1 once departed (grown with ids).
         self._row_of = np.full(max(initial_rows, 16), -1, dtype=np.int64)
         #: Lazily materialized facades: PeerRowView while alive, a
-        #: detached object-backend ``Peer`` tombstone after departure.
+        #: detached ``Peer`` tombstone after departure.
         self._views: Dict[int, object] = {}
         self._departed: Dict[int, Peer] = {}
         #: Alive ids, ascending (ids are allocated monotonically), and

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 
 __all__ = [
     "BANDWIDTH_CLASSES",
@@ -115,7 +115,7 @@ class NetworkModel:
 
     def __init__(
         self,
-        peers: PeerDirectory,
+        peers: SoAPeerDirectory,
         seed: int = 0,
         bandwidth_classes: Tuple[float, ...] = BANDWIDTH_CLASSES,
         latency_classes: Tuple[float, ...] = LATENCY_CLASSES_MS,

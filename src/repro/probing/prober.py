@@ -5,15 +5,17 @@ top of per-peer :class:`~repro.probing.neighbors.NeighborTable`\\ s.
 
 Semantics
 ---------
-* ``observe(observer, target)`` returns information only when ``target``
-  is an active neighbor of ``observer`` -- the scalability constraint of
-  §2.2 (no peer knows more than ``M`` others).
+* ``observe_block(observer, targets)`` returns information only about the
+  targets that are active neighbors of ``observer`` -- the scalability
+  constraint of §2.2 (no peer knows more than ``M`` others);
+  ``observe(observer, target)`` is its one-target view.
 * The returned state is the target's state **as of the start of the
   current probing epoch** (``epoch = floor(now / period)``): a periodic
   prober refreshes once per period, so every observer within an epoch
-  sees the same, possibly stale snapshot.  Snapshots are taken lazily on
-  first access per epoch, making the simulation cost proportional to
-  queries rather than ``peers x neighbors x epochs``.
+  sees the same, possibly stale snapshot.  Snapshots live in the peer
+  store's ``snap_*`` arrays and are taken lazily on first access per
+  epoch, making the simulation cost proportional to queries rather than
+  ``peers x neighbors x epochs``.
 * The available bandwidth β combines the snapshot's uplink residual with
   the (current) pair bottleneck and the observer's own downlink -- the
   observer always knows its own side precisely.
@@ -33,11 +35,17 @@ messages may be lost or delayed.  An attempt whose injected delay
 exceeds ``ProbingConfig.timeout`` counts as lost; lost attempts retry
 with the capped exponential backoff of ``ProbingConfig.retry``.  When
 the retry budget runs dry the prober degrades instead of failing: it
-keeps serving the previous epoch's snapshot (marked stale) or, with no
-snapshot to fall back on, reports the target as unknown -- which sends
-the selector down its plain random-fallback path.  The backoff delays
-are virtual (the setup exchange is synchronous); they are recorded on
-``retry.attempt`` telemetry events rather than the sim clock.
+keeps serving the previous epoch's snapshot row (re-stamped, values
+kept) or, with no snapshot to fall back on, reports the target as
+unknown -- which sends the selector down its plain random-fallback path.
+The backoff delays are virtual (the setup exchange is synchronous); they
+are recorded on ``retry.attempt`` telemetry events rather than the sim
+clock.  A partition is a mask over the observer's known candidates, and
+a departed peer whose soft state lingers (``stale_state``) keeps serving
+the last snapshot row the prober copied out when it left.  Faults only
+change *which* candidates are known: the faulted hop is the same array
+hop (:meth:`ProbingService._observe_faulted`).  The scalar plane this
+replaced is the executable spec in ``tests/probing/reference_prober.py``.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import numpy as np
 from repro.core.resources import ResourceVector
 from repro.core.selection import ObservedBlock, PeerInfo
 from repro.faults.backoff import RetryPolicy
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.neighbors import NeighborTable
 from repro.sim.engine import Simulator
@@ -84,27 +92,13 @@ class ProbingConfig:
             raise ValueError("probe timeout must be positive")
 
 
-#: Sentinel: the probe failed this epoch but the peer is not known dead.
-_LOST = object()
-
-
-@dataclass
-class _Snapshot:
-    epoch: int
-    availability: np.ndarray
-    avail_up: float
-    uptime: float
-    #: True when the refresh failed and these are a prior epoch's values.
-    stale: bool = False
-
-
 class ProbingService:
     """Bounded-neighborhood, epoch-snapshotted performance information."""
 
     def __init__(
         self,
         sim: Simulator,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         network: NetworkModel,
         config: ProbingConfig | None = None,
         telemetry=None,
@@ -121,14 +115,13 @@ class ProbingService:
         #: keeps the probe fast path loss-free and allocation-identical.
         self.injector = injector
         self._tables: Dict[int, NeighborTable] = {}
-        self._snapshots: Dict[int, _Snapshot] = {}
-        #: Struct-of-arrays backing (``None`` on the object directory).
-        #: With a store AND no injector, epoch snapshots live in the
-        #: store's ``snap_*`` arrays (refreshed per neighbor block)
-        #: instead of per-peer ``_Snapshot`` objects; fault injection
-        #: keeps the dict plane, whose ghost/degrade semantics are
-        #: per-object by nature.
-        self._store = getattr(directory, "store", None)
+        #: The directory's peer store: epoch snapshots live in its
+        #: ``snap_*`` arrays, refreshed per neighbor block.
+        self._store = directory.store
+        #: ``(availability, uplink, uptime)`` last snapshot rows of departed
+        #: peers whose soft state lingers (``stale_state`` faults), by peer
+        #: id; released when the ghost expires.
+        self._ghost_rows: Dict[int, Tuple[np.ndarray, float, float]] = {}
         self.probe_messages = 0
         self.resolution_messages = 0
 
@@ -239,15 +232,29 @@ class ProbingService:
         return known
 
     def drop_peer(self, peer_id: int) -> None:
-        """Forget a departed peer everywhere (lazy tables stay lazy)."""
+        """Forget a departing peer everywhere (lazy tables stay lazy).
+
+        Runs before ``directory.depart`` frees the peer's store row.  Entries
+        pointing *to* the peer are pruned lazily by ``observe_block``
+        (observers discover the death on probe) -- unless a ``stale_state``
+        fault left its soft state lingering: then the last snapshot row is
+        copied out here and served until the ghost expires.  Rows of ghosts
+        that have expired are released here too, observed again or not.
+        """
         self._tables.pop(peer_id, None)
         inj = self.injector
-        if inj is None or not inj.ghost_active(peer_id):
-            self._snapshots.pop(peer_id, None)
-        # A ghost-active peer keeps its last snapshot: the stale_state
-        # fault makes observers serve it until the lingering soft state
-        # expires.  Entries pointing *to* the departed peer are pruned
-        # lazily on observe() (observers discover the death on probe).
+        if inj is None:
+            return
+        ghosts = self._ghost_rows
+        for pid in [p for p in ghosts if not inj.ghost_active(p)]:
+            del ghosts[pid]
+        store, row = self._store, self.directory.row_of(peer_id)
+        if row >= 0 and store.snap_epoch[row] >= 0 and inj.ghost_active(peer_id):
+            ghosts[peer_id] = (
+                store.snap_avail[row].copy(),
+                float(store.snap_up[row]),
+                float(store.snap_uptime[row]),
+            )
 
     # -- the PerformanceView protocol -------------------------------------
     def _record_probe(self) -> None:
@@ -256,66 +263,16 @@ class ProbingService:
         if tel is not None:
             tel.metrics.counter("probe.messages_sent").inc()
 
-    def _take_snapshot(self, peer, target: int, epoch: int) -> _Snapshot:
-        snap = _Snapshot(
-            epoch=epoch,
-            availability=peer.available.values.copy(),
-            avail_up=peer.avail_up,
-            uptime=peer.uptime(self.sim.now),
+    def _snapshot_rows(self, rows: np.ndarray, epoch: int) -> None:
+        """Copy the live state of (distinct) store ``rows`` into the epoch
+        snapshot."""
+        store = self._store
+        store.snap_avail[rows] = store.available[rows]
+        store.snap_up[rows] = store.avail_up[rows]
+        store.snap_uptime[rows] = np.maximum(
+            self.sim.now - store.joined_at[rows], 0.0
         )
-        self._snapshots[target] = snap
-        tel = self.telemetry
-        if tel is not None:
-            tel.bus.emit("probe.refresh", target=target, epoch=epoch)
-        return snap
-
-    def _snapshot(self, target: int):
-        """The current-epoch snapshot of ``target``.
-
-        Returns ``None`` when the peer is dead, the sentinel ``_LOST``
-        when the probe failed this epoch but the peer may still be
-        alive, or a (possibly stale) :class:`_Snapshot` otherwise.
-        """
-        peer = self.directory.get(target)
-        if peer is None or not peer.alive:
-            return None
-        epoch = int(self.sim.now / self.config.period)
-        snap = self._snapshots.get(target)
-        if snap is not None and snap.epoch == epoch:
-            return snap
-        inj = self.injector
-        if inj is None:
-            self._record_probe()
-            return self._take_snapshot(peer, target, epoch)
-        return self._probe_with_faults(peer, target, epoch, snap, inj)
-
-    def _probe_with_faults(self, peer, target, epoch, prev, inj):
-        """One refresh under fault injection: timeout, retry, degrade."""
-        retry = self.config.retry
-        attempts = 0
-        while True:
-            self._record_probe()
-            lost = inj.probe_lost(target)
-            if not lost:
-                delay = inj.probe_delay(target)
-                if delay <= self.config.timeout:
-                    return self._take_snapshot(peer, target, epoch)
-                # The reply missed the timeout window: count as a loss.
-            attempts += 1
-            if attempts > retry.max_retries:
-                inj.retry_exhausted("probe", attempts=attempts, target=target)
-                if prev is not None:
-                    # Degrade to the previous epoch's values; marking the
-                    # current epoch avoids re-burning the budget on every
-                    # observe() within it.
-                    prev.epoch = epoch
-                    prev.stale = True
-                    return prev
-                return _LOST
-            inj.retry_attempt(
-                "probe", attempts, retry.delay(attempts, inj.rng),
-                target=target,
-            )
+        store.snap_epoch[rows] = epoch
 
     def _refresh_rows(
         self, targets: np.ndarray, rows: np.ndarray, epoch: int
@@ -329,13 +286,7 @@ class ProbingService:
             first = np.unique(rows, return_index=True)[1]
             first.sort()
             targets, rows = targets[first], rows[first]
-        store = self._store
-        store.snap_avail[rows] = store.available[rows]
-        store.snap_up[rows] = store.avail_up[rows]
-        store.snap_uptime[rows] = np.maximum(
-            self.sim.now - store.joined_at[rows], 0.0
-        )
-        store.snap_epoch[rows] = epoch
+        self._snapshot_rows(rows, epoch)
         self.probe_messages += len(rows)
         tel = self.telemetry
         if tel is not None:
@@ -343,57 +294,94 @@ class ProbingService:
             for target in targets.tolist():
                 tel.bus.emit("probe.refresh", target=target, epoch=epoch)
 
-    def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
-        """The observer's (stale, bounded) view of target; None if unknown."""
-        if self._store is not None and self.injector is None:
-            block = self.observe_block(observer, (target,), latency=True)
-            if not len(block[0]):
-                return None
-            return self._peer_info(target, *(column[0] for column in block[1:]))
-        tbl = self._tables.get(observer)
-        if tbl is None:
-            return None
-        entry = tbl.get(target, self.sim.now)
-        if entry is None:
-            return None
-        inj = self.injector
-        if inj is not None and inj.partitioned(observer, target):
-            # The probe cannot cross the cut; the entry stays (soft
-            # state survives a partition, unlike a discovered death).
-            inj.inject("partition", "probe", observer=observer, target=target)
-            return None
-        snap = self._snapshot(target)
-        if snap is _LOST:
-            return None  # probe failed; keep the entry, report unknown
-        if snap is None and inj is not None and inj.ghost_active(target):
-            # stale_state fault: the departure has not propagated yet, so
-            # the observer still trusts the last snapshot it holds.
-            snap = self._snapshots.get(target)
-        if snap is None:
-            tbl.drop(target)  # probe discovered the departure
-            self._snapshots.pop(target, None)
-            return None
-        observer_peer = self.directory.get(observer)
-        observer_down = (
-            observer_peer.avail_down if observer_peer is not None else float("inf")
-        )
-        pair_avail = self.network.pair_capacity(target, observer) - (
-            self.network.pair_reserved(target, observer)
-        )
-        beta = max(0.0, min(pair_avail, snap.avail_up, observer_down))
-        return self._peer_info(
-            target, snap.availability, beta, snap.uptime,
-            self.network.latency_ms(target, observer),
-        )
+    def _probe_with_faults(self, target: int, epoch: int, inj) -> bool:
+        """The messages of one refresh under fault injection: timeout,
+        retry, give up.  True when a probe got through."""
+        retry = self.config.retry
+        tel = self.telemetry
+        attempts = 0
+        while True:
+            self._record_probe()
+            # A reply that misses the timeout window counts as a loss.
+            if not inj.probe_lost(target) and (
+                inj.probe_delay(target) <= self.config.timeout
+            ):
+                if tel is not None:
+                    tel.bus.emit("probe.refresh", target=target, epoch=epoch)
+                return True
+            attempts += 1
+            if attempts > retry.max_retries:
+                inj.retry_exhausted("probe", attempts=attempts, target=target)
+                return False
+            inj.retry_attempt(
+                "probe", attempts, retry.delay(attempts, inj.rng), target=target
+            )
 
-    def _peer_info(self, target, values, beta, uptime, latency) -> PeerInfo:
-        # Fast-path ResourceVector construction: this runs for every
-        # candidate of every scalar hop, and snapshot arrays are read-only
-        # by contract, so skip the validating constructor and the copy.
-        availability = ResourceVector.__new__(ResourceVector)
-        availability.names = self.directory.resource_names
-        availability.values = values
-        return PeerInfo(target, availability, beta, uptime, latency)
+    def _observe_faulted(
+        self, observer: int, known: np.ndarray, ids: np.ndarray,
+        rows: np.ndarray, epoch: int, inj,
+    ) -> Tuple[np.ndarray, ...]:
+        """The departed check and refresh of :meth:`observe_block` with an
+        injector attached; returns ``(known, ids, avail, uplinks, uptimes)``.
+
+        Faults only change which of the known candidates stay known.  The
+        partition cut is a mask applied first (a candidate across it is
+        neither probed nor dropped); a departed candidate stays while its
+        ghost row does; stale ones are probed one by one in block order,
+        so each target's ``fault.injected`` / ``retry.*`` /
+        ``probe.refresh`` events are contiguous.  A probe that gives up
+        re-stamps the row's previous snapshot (values kept) or, with none,
+        leaves the target unknown and unstamped; the rows whose probe got
+        through are copied in one block afterwards.
+        """
+        store = self._store
+        snap_epoch = store.snap_epoch
+        cut = inj.cut_mask(observer, ids)
+        alive = rows >= 0
+        keep = alive & ~cut
+        gone = ~(alive | cut)
+        if np.count_nonzero(gone):
+            tbl = self._tables[observer]
+            for j in gone.nonzero()[0].tolist():
+                target = int(ids[j])
+                if inj.ghost_active(target) and target in self._ghost_rows:
+                    keep[j] = True
+                else:
+                    tbl.drop(target)  # probe discovered the departure
+        todo = cut | (alive & (snap_epoch[rows] != epoch))
+        fresh = []
+        for j, target, row in zip(
+            todo.nonzero()[0].tolist(), ids[todo].tolist(), rows[todo].tolist()
+        ):
+            if cut[j]:
+                inj.inject("partition", "probe", observer=observer, target=target)
+            # Re-read the stamp: an earlier repeat of this target in the
+            # block may have settled it.
+            elif snap_epoch[row] != epoch:
+                if self._probe_with_faults(target, epoch, inj):
+                    fresh.append(row)
+                elif snap_epoch[row] < 0:
+                    keep[j] = False
+                    continue
+                snap_epoch[row] = epoch
+        if fresh:
+            self._snapshot_rows(np.array(fresh), epoch)
+        known, ids, rows = known[keep], ids[keep], rows[keep]
+        avail, uplinks, uptimes = (
+            store.snap_avail[rows], store.snap_up[rows], store.snap_uptime[rows]
+        )
+        for j in (rows < 0).nonzero()[0].tolist():  # ghosts
+            avail[j], uplinks[j], uptimes[j] = self._ghost_rows[int(ids[j])]
+        return known, ids, avail, uplinks, uptimes
+
+    def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
+        """The observer's (stale, bounded) view of target, ``None`` if
+        unknown: the one-target view of :meth:`observe_block`."""
+        block = self.observe_block(observer, (target,), latency=True)
+        if not len(block[0]):
+            return None
+        availability = ResourceVector(self.directory.resource_names, block[1][0])
+        return PeerInfo(target, availability, *(col[0] for col in block[2:]))
 
     def observe_block(
         self,
@@ -401,47 +389,49 @@ class ProbingService:
         targets: Sequence[int],
         latency: bool = False,
         known: Optional[np.ndarray] = None,
-    ) -> Optional[ObservedBlock]:
-        """Array form of :meth:`observe` over one candidate list.
+    ) -> ObservedBlock:
+        """What ``observer`` knows about one candidate list.
 
         An :data:`~repro.core.selection.ObservedBlock`; its latencies
         are ``None`` unless asked for -- the default Φ never reads them,
-        and deriving one costs a hash per first-seen pair.  Values are
-        bitwise-identical to what the per-target :meth:`observe` chain
-        produces, and so are the side effects (expired/departed entries
-        pruned, stale rows probed once, in target order).  ``known`` is
-        what :meth:`resolve_selection_hops` just returned for these
-        targets at this observer; without it the table is searched.
-        ``None`` when the array plane is unavailable (object directory
-        or fault injection); callers fall back to :meth:`observe`.
+        and deriving one costs a hash per first-seen pair.  Side effects:
+        expired/departed entries are pruned and stale rows probed once,
+        in target order.  ``known`` is what :meth:`resolve_selection_hops`
+        just returned for these targets at this observer; without it the
+        table is searched.
         """
         store = self._store
-        if store is None or self.injector is not None:
-            return None
         ids = np.fromiter(targets, np.int64, len(targets))
         if known is None:
             tbl = self._tables.get(observer)
             known = tbl.lookup(ids, self.sim.now) if tbl is not None else ids[:0]
         ids = ids[known]
         rows = self.directory.rows_for(ids)
-        departed = rows < 0
-        if np.count_nonzero(departed):
-            tbl = self._tables[observer]
-            for target in ids[departed].tolist():
-                tbl.drop(target)  # probe discovered the departure
-            known, ids, rows = known[~departed], ids[~departed], rows[~departed]
         epoch = int(self.sim.now / self.config.period)
-        stale = store.snap_epoch[rows] != epoch
-        if np.count_nonzero(stale):
-            self._refresh_rows(ids[stale], rows[stale], epoch)
-        betas = self.network.available_bandwidth_batch(
-            ids, observer, uplinks=store.snap_up[rows]
-        )
+        inj = self.injector
+        if inj is not None:
+            known, ids, avail, uplinks, uptimes = self._observe_faulted(
+                observer, known, ids, rows, epoch, inj
+            )
+        else:
+            departed = rows < 0
+            if np.count_nonzero(departed):
+                tbl = self._tables[observer]
+                for target in ids[departed].tolist():
+                    tbl.drop(target)  # probe discovered the departure
+                known, ids, rows = known[~departed], ids[~departed], rows[~departed]
+            stale = store.snap_epoch[rows] != epoch
+            if np.count_nonzero(stale):
+                self._refresh_rows(ids[stale], rows[stale], epoch)
+            avail, uplinks, uptimes = (
+                store.snap_avail[rows], store.snap_up[rows], store.snap_uptime[rows]
+            )
+        betas = self.network.available_bandwidth_batch(ids, observer, uplinks)
         return (
             known,
-            store.snap_avail[rows],
+            avail,
             betas,
-            store.snap_uptime[rows],
+            uptimes,
             self.network.pair_latencies(observer, ids) if latency else None,
         )
 

@@ -397,6 +397,7 @@ class GridRuntime:
         grid = self.grid
         ledger = grid.ledger
         churn = grid.churn
+        store = grid.directory.store
         # Only ``qsa`` holds a composer (and so a plan LRU).
         stats = getattr(
             getattr(self.aggregator, "composer", None), "plan_stats", None
@@ -415,16 +416,8 @@ class GridRuntime:
                 "n_peers": grid.directory.n_alive,
                 "n_instances": grid.catalog.n_instances,
                 "generation": grid.directory.generation,
-                "peer_state_backend": grid.config.peer_state_backend,
-                "peer_store_bytes": (
-                    store.memory_bytes()
-                    if (store := getattr(grid.directory, "store", None))
-                    is not None
-                    else None
-                ),
-                "peer_rows_recycled": (
-                    store.rows_recycled if store is not None else 0
-                ),
+                "peer_store_bytes": store.memory_bytes(),
+                "peer_rows_recycled": store.rows_recycled,
                 "churn_arrivals": churn.n_arrivals if churn is not None else 0,
                 "churn_departures": churn.n_departures if churn is not None else 0,
             },

@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.services.model import ServiceInstance
 
@@ -75,7 +75,7 @@ def _edges(
 
 
 def reserve_session(
-    directory: PeerDirectory,
+    directory: SoAPeerDirectory,
     network: NetworkModel,
     instances: Sequence[ServiceInstance],
     peers: Sequence[int],
@@ -124,28 +124,28 @@ def reserve_session(
 
 
 def _soa_reserve(
-    directory,
+    directory: SoAPeerDirectory,
     network: NetworkModel,
     instances: Sequence[ServiceInstance],
     peers: Sequence[int],
     user_peer: int,
 ) -> bool:
-    """Vectorized resource stage over a struct-of-arrays directory.
+    """Vectorized resource stage over the peer store.
 
     Returns ``True`` when the whole reservation was handled here.
     Returns ``False`` -- with *no state mutated* -- whenever the scalar
-    path must run instead: object-backed directory, duplicate peers
-    (NumPy fancy-index writes do not accumulate), a dead/unknown peer,
-    or a resource shortage.  The last two matter for bit-exactness: the
+    path must run instead: duplicate peers (NumPy fancy-index writes do
+    not accumulate), a dead/unknown peer, or a resource shortage.  The
+    last two matter for bit-exactness: the
     scalar attempt mutates earlier peers and then rolls them back, and
     ``(a - r) + r`` need not equal ``a`` in floats, so the failure path
     must replay the exact mutate-then-rollback sequence.  On the success
     path an elementwise fancy-index subtract over *distinct* rows is
     bitwise-identical to the sequential per-peer subtracts.
     """
-    store = getattr(directory, "store", None)
-    if store is None or not peers:
+    if not peers:
         return False
+    store = directory.store
     row_of = directory.row_of
     rows: List[int] = []
     for pid in peers:
@@ -180,7 +180,7 @@ def _soa_reserve(
 
 
 def _reserve_attempt(
-    directory: PeerDirectory,
+    directory: SoAPeerDirectory,
     network: NetworkModel,
     instances: Sequence[ServiceInstance],
     peers: Sequence[int],
@@ -229,7 +229,7 @@ def _reserve_attempt(
 
 
 def rollback_session(
-    directory: PeerDirectory,
+    directory: SoAPeerDirectory,
     network: NetworkModel,
     held_res: Sequence[Tuple[int, ResourceVector]],
     held_bw: Sequence[Tuple[int, int, float]],
@@ -241,15 +241,15 @@ def rollback_session(
     when that peer departed (its ledger died with it; releasing onto the
     corpse would be harmless but misleading in stats).
     """
-    store = getattr(directory, "store", None)
-    if store is not None and skip_peer is None and held_res:
-        # SoA credit: one fancy-index add over distinct live rows is
+    if skip_peer is None and held_res:
+        # Block credit: one fancy-index add over distinct live rows is
         # bitwise-identical to the sequential per-peer releases.  Any
         # corpse (row -1), duplicate peer, or over-release (the scalar
         # guard would raise peer-by-peer) falls through to the exact
         # scalar sequence.
         rows = [directory.row_of(pid) for pid, _ in held_res]
         if min(rows) >= 0 and len(set(rows)) == len(rows):
+            store = directory.store
             rows_arr = np.fromiter(rows, np.int64, len(rows))
             reqs = np.stack([req.values for _, req in held_res])
             new = store.available[rows_arr] + reqs

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.selection import PeerSelector
 from repro.faults.backoff import RetryPolicy
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.sessions.session import Session, SessionLedger
 from repro.sim.engine import Simulator
@@ -96,7 +96,7 @@ class RecoveryManager:
     def __init__(
         self,
         sim: Simulator,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         network: NetworkModel,
         ledger: SessionLedger,
         selector: PeerSelector,

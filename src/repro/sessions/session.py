@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.services.model import ServiceInstance
 from repro.sessions.admission import reserve_session, rollback_session
@@ -74,7 +74,7 @@ class SessionLedger:
     def __init__(
         self,
         sim: Simulator,
-        directory: PeerDirectory,
+        directory: SoAPeerDirectory,
         network: NetworkModel,
         on_outcome: Optional[Callable[[Session], None]] = None,
         tracer=None,

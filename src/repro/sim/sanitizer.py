@@ -15,12 +15,13 @@ proves each *run* actually behaved: it records, in order,
 into one ordered ledger exported as canonical JSONL.  Two runs are
 behaviourally identical iff their ledgers are byte-identical;
 :func:`compare_ledgers` names the first divergent record (and, inside
-an epoch record, the first divergent stream) so a cross-backend or
-cross-shard regression points at the plane that drifted.
+an epoch record, the first divergent stream) so a cross-implementation
+or cross-shard regression points at the plane that drifted.
 
 This is the differential instrument the sharded engine (ROADMAP item 1)
 will be validated with: N shards vs 1 shard must produce the same
-ledger, exactly as ``object`` vs ``soa`` peer-state backends must today
+ledger, exactly as the production prober and the scalar reference
+prober of ``tests/probing/reference_prober.py`` must today
 (``tests/sim/test_sanitizer.py``).
 
 Design constraints, in order:
@@ -136,8 +137,8 @@ class Sanitizer:
         """Open the ledger with the run's identity record.
 
         Deliberately excludes anything equivalence classes of runs are
-        *allowed* to differ in (peer-state backend, fast-path gates):
-        the compare contract is that those knobs produce byte-identical
+        *allowed* to differ in (which implementation of a plane ran):
+        the compare contract is that those produce byte-identical
         ledgers, so they must not appear in the bytes.
         """
         self._records.append({

@@ -225,11 +225,12 @@ def compose_qcs(
     )
 
 
-#: Whole-run differentials (``tests/perf/``): ``(peer-state backend,
-#: reference kernel to compose with, or None for the production one)``.
+#: Whole-run differentials (``tests/perf/``): ``(prober -- a key of
+#: tests/probing/reference_prober.py::PROBERS --, reference kernel to
+#: compose with, or None for the production one)``.
 WHOLE_RUN_VARIANTS = [
-    ("soa", None), ("object", None),
-    ("soa", "dp"), ("object", "dp"), ("soa", "dijkstra"),
+    ("production", None), ("reference", None),
+    ("production", "dp"), ("reference", "dp"), ("production", "dijkstra"),
 ]
 
 

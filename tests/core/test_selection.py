@@ -19,8 +19,17 @@ class DictView:
     def __init__(self, infos):
         self.infos = {i.peer_id: i for i in infos}
 
-    def observe(self, observer, target):
-        return self.infos.get(target)
+    def observe_block(self, observer, targets, latency=False, known=None):
+        at = [i for i, pid in enumerate(targets) if pid in self.infos]
+        infos = [self.infos[targets[i]] for i in at]
+        return (
+            np.array(at, dtype=np.intp),
+            np.array([i.availability.values for i in infos]).reshape(-1, len(NAMES)),
+            np.array([i.bandwidth_to_observer for i in infos], dtype=np.float64),
+            np.array([i.uptime for i in infos], dtype=np.float64),
+            np.array([i.latency for i in infos], dtype=np.float64)
+            if latency else None,
+        )
 
 
 def info(pid, cpu=100.0, mem=100.0, bw=1e6, uptime=1e9, latency=20.0):

@@ -1,4 +1,5 @@
-"""The block selector against a scalar transcription of §3.3.
+"""The block selector, and a whole selection walk, against a scalar
+transcription of §3.3.
 
 ``PeerSelector._select_hop_block`` is masked reductions and one
 ``phi_batch``; ``scalar_hop`` below is the same step written as a loop
@@ -15,12 +16,18 @@ multiply-adds -- a matrix product happens to use: the scalar sum must
 match the kernel to the last bit.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.resources import ResourceVector
 from repro.core.selection import PeerSelector, PhiWeights
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.grid import GridConfig, P2PGrid
+from repro.probing.prober import ProbingConfig
+from tests.probing.reference_prober import patch_prober
 
 NAMES = ("cpu", "memory", "disk")
 CAP = 1e6  # selection._RATIO_CAP
@@ -175,3 +182,130 @@ def test_named_branches():
     near = ((16.0, 8.0, 8.0), 512.0, 30.0, 1.0)
     assert _both(_case([BETTER, near])).peer_id == 10
     assert _both(_case([BETTER, near], w=LATENCY_AWARE)).peer_id == 11
+
+
+# -- a whole reverse-flow walk ------------------------------------------------
+#
+# ``QSAAggregator._select_walk`` is resolve -> observe -> filter -> Φ ->
+# fallback, hop by hop, each hop run by the peer the previous one chose
+# (Fig. 4).  ``scalar_walk`` is that loop with nothing array-shaped in it:
+# the flood as ``(peer, hop, direct)`` triples, one ``observe`` per
+# candidate on the scalar reference prober, then ``scalar_hop`` above.  It
+# is the only scalar selection code in the repository.  The grids are real
+# ones whose capacities are floored to integers (requirements are powers
+# of two and the §4.1 bandwidth classes whole numbers), so Eq. 4 stays
+# exact in binary floating point as the module docstring requires.
+
+WALK_PLAN = FaultPlan((
+    FaultSpec(kind="probe_loss", rate=0.5),
+    FaultSpec(kind="probe_delay", rate=0.3, delay=0.25),
+    FaultSpec(kind="partition", start=1.0, end=3.0, fraction=0.4),
+), name="walk")
+
+
+def scalar_walk(grid, requester, hops, instances, duration, w, rng):
+    """``[(peer, random_fallback, n_known, phi)]`` per hop, reverse flow."""
+    probing, outcomes, current = grid.probing, [], requester
+    for i, cands in enumerate(hops):
+        triples = [
+            (pid, j + 1, current == requester)
+            for j, later in enumerate(hops[i:]) for pid in later
+            if pid != current
+        ]
+        if triples:
+            probing.resolve(current, triples)
+        known = []
+        for position, pid in enumerate(cands):
+            info = probing.observe(current, pid)
+            if info is not None:
+                known.append((
+                    position, tuple(info.availability.values.tolist()),
+                    info.bandwidth_to_observer, info.uptime, info.latency,
+                ))
+        req, b = instances[len(hops) - 1 - i]
+        outcome = scalar_hop(cands, known, req, b, duration, w, rng, True, True)
+        outcomes.append(outcome)
+        current = outcome[0]
+    return outcomes
+
+
+def _walk_grid(monkeypatch, prober, seed, faulted):
+    with monkeypatch.context() as patch:
+        patch_prober(patch, prober)
+        grid = P2PGrid(GridConfig(
+            n_peers=80, resource_names=NAMES, seed=seed,
+            probing=ProbingConfig(budget=6, ttl=3.0),
+            faults=WALK_PLAN if faulted else None,
+        ))
+    store = grid.directory.store
+    store.capacity[:] = np.floor(store.capacity)
+    store.available[:] = store.capacity
+    return grid
+
+
+_walks = st.lists(
+    st.tuples(
+        st.integers(0, 79),                                      # requester
+        st.lists(                                                # hops
+            st.lists(st.integers(0, 79), min_size=1, max_size=9, unique=True),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from((0.5, 5.0, 60.0)),                       # duration
+        st.sampled_from((0.0, 0.4, 1.2)),                        # then wait
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+@pytest.mark.parametrize("faulted", [False, True], ids=["plain", "injector"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), walks=_walks,
+       w=st.sampled_from((UNIFORM, LATENCY_AWARE)))
+def test_walk_matches_scalar_transcription(faulted, seed, walks, w):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        kernel = _walk_grid(monkeypatch, "production", seed, faulted)
+        scalar = _walk_grid(monkeypatch, "reference", seed, faulted)
+    agg = kernel.make_aggregator("qsa", phi_weights=w)
+    agg.rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    draw = np.random.default_rng(seed + 1)
+    for requester, hops, duration, wait in walks:
+        hops = [tuple(h) for h in hops]
+        instances = [  # flow order, like ComposedPath.instances
+            (tuple(draw.choice((0.0, 0.5, 2.0, 8.0), size=3).tolist()),
+             float(draw.choice((0.0, 8.0, 1024.0))))
+            for _ in hops
+        ]
+        agg._hop_outcomes = []
+        chosen = agg._select_walk(
+            SimpleNamespace(peer_id=requester, session_duration=duration),
+            SimpleNamespace(instances=[
+                SimpleNamespace(resources=ResourceVector(NAMES, req), bandwidth=b)
+                for req, b in instances
+            ]),
+            hops,
+        )
+        expected = scalar_walk(scalar, requester, hops, instances, duration, w, rng)
+        got = [
+            (o.peer_id, o.random_fallback, o.n_known,
+             None if o.phi is None else float(o.phi).hex())
+            for o in agg._hop_outcomes
+        ]
+        want = [
+            (*e[:3], None if e[3] is None else float(e[3]).hex())
+            for e in expected
+        ]
+        assert got == want
+        assert chosen == tuple(reversed([e[0] for e in expected]))
+        assert agg.rng.bit_generator.state == rng.bit_generator.state
+        for grid in (kernel, scalar):
+            # Load the chosen peers (whole units, so Φ stays exact) and
+            # let snapshots go stale / soft state expire.
+            for pid in chosen:
+                grid.directory[pid].reserve(ResourceVector(NAMES, (8.0, 4.0, 2.0)))
+            grid.sim.run(until=grid.sim.now + wait)
+        if faulted:
+            assert (kernel.rngs.stream("faults").bit_generator.state
+                    == scalar.rngs.stream("faults").bit_generator.state)
+            assert kernel.injector.counts == scalar.injector.counts

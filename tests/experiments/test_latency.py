@@ -12,6 +12,7 @@ from repro.experiments.latency import (
     setup_latency_ms,
 )
 from repro.grid import GridConfig, P2PGrid
+from tests.core.test_selection import DictView
 
 NAMES = ("cpu", "memory")
 
@@ -76,21 +77,14 @@ class TestLatencyAwarePhi:
             )
 
     def test_selector_prefers_near_peer_when_latency_aware(self):
-        class View:
-            def __init__(self, infos):
-                self.infos = {i.peer_id: i for i in infos}
-
-            def observe(self, observer, target):
-                return self.infos.get(target)
-
         infos = [
             PeerInfo(1, rv(100, 100), 1e6, 1e9, 1.0),     # near
             PeerInfo(2, rv(110, 110), 1e6, 1e9, 200.0),   # slightly richer, far
         ]
         aware = PeerSelector(
-            View(infos), PhiWeights.latency_aware(NAMES, latency_weight=0.4)
+            DictView(infos), PhiWeights.latency_aware(NAMES, latency_weight=0.4)
         )
-        blind = PeerSelector(View(infos), PhiWeights.uniform(NAMES))
+        blind = PeerSelector(DictView(infos), PhiWeights.uniform(NAMES))
         rng = np.random.default_rng(0)
         assert aware.select_hop(0, [1, 2], rv(50, 50), 1e4, 1.0, rng).peer_id == 1
         assert blind.select_hop(0, [1, 2], rv(50, 50), 1e4, 1.0, rng).peer_id == 2

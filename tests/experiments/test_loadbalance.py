@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.resources import ResourceVector
 from repro.experiments.loadbalance import UtilizationSampler, jain_index
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.sim import Simulator
 
 NAMES = ("cpu", "memory")
@@ -45,7 +45,7 @@ class TestJainIndex:
 class TestUtilizationSampler:
     def make(self, n=4, period=1.0, horizon=None):
         sim = Simulator()
-        d = PeerDirectory(NAMES)
+        d = SoAPeerDirectory(NAMES)
         for _ in range(n):
             d.create_peer(ResourceVector(NAMES, [100, 100]), 1e6, 0.0)
         return sim, d, UtilizationSampler(sim, d, period, horizon)

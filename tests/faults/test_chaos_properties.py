@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.qos import QoSVector
 from repro.core.resources import ResourceVector
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec, RetryPolicy
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.services.model import ServiceInstance
 from repro.sessions.admission import AdmissionError
@@ -91,7 +91,7 @@ def assert_drained(directory, network, ledger):
 def test_faulted_ledger_conserves_resources(plan, schedule, seed):
     """Random (plan, schedule): no fault may unbalance the books."""
     sim = Simulator()
-    directory = PeerDirectory(NAMES)
+    directory = SoAPeerDirectory(NAMES)
     for _ in range(N_PEERS):
         directory.create_peer(
             ResourceVector(NAMES, [CAPACITY, CAPACITY]), ACCESS, 0.0

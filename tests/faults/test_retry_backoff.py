@@ -6,7 +6,7 @@ import pytest
 from repro.core.resources import ResourceVector
 from repro.core.qos import QoSVector
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.services.model import ServiceInstance
@@ -70,7 +70,7 @@ class TestRetryPolicy:
 
 def build_world(n_peers=4):
     sim = Simulator()
-    directory = PeerDirectory(NAMES)
+    directory = SoAPeerDirectory(NAMES)
     for _ in range(n_peers):
         directory.create_peer(
             ResourceVector(NAMES, [100.0, 100.0]), 1e6, 0.0
@@ -127,6 +127,47 @@ class TestProberExhaustion:
         exhausted_before = inj.n_exhausted
         assert prober.observe(a, b) is not None
         assert inj.n_exhausted == exhausted_before
+
+    def test_ghost_row_served_then_released_without_another_observation(self):
+        """A departed peer whose ``stale_state`` ghost nobody observes again
+        must not keep soft state for the rest of the run: the injector's
+        expiry entry and the prober's copied snapshot row are both gone
+        once the clock is past ``staleness`` and membership moves again
+        (the release rides on the next departure -- a sim timer would
+        outlive the session drain and move the ledger's final clock)."""
+        sim, directory, network = build_world(n_peers=5)
+        # Ghosts only for departures before t=5; they linger 3 minutes.
+        inj = injector_for(sim, FaultSpec(
+            kind="stale_state", rate=1.0, staleness=3.0, end=5.0,
+        ))
+        prober = self.make_prober(sim, directory, network, inj)
+        a, b, c = directory.alive_ids[:3]
+        prober.resolve(a, [(b, 1, True)])
+        fresh = prober.observe(a, b)
+        sim.run(until=1.0)
+
+        def depart(pid):  # the grid's order: injector, prober, directory
+            inj.note_departure(pid)
+            prober.drop_peer(pid)
+            directory.depart(pid, sim.now)
+
+        depart(b)
+        directory.create_peer(  # b's store row is recycled at once
+            ResourceVector(NAMES, [7.0, 7.0]), 1e6, sim.now
+        )
+        assert set(inj._ghosts) == set(prober._ghost_rows) == {b}
+        sim.run(until=2.5)  # a later epoch: a ghost is served, not probed
+        ghost = prober.observe(a, b)
+        assert ghost is not None and prober.probe_messages == 1
+        assert np.array_equal(ghost.availability.values,
+                              fresh.availability.values)
+        assert ghost.uptime == fresh.uptime
+
+        sim.run(until=6.0)  # past staleness and nobody observed b again
+        depart(c)  # outside the fault window: leaves no ghost of its own
+        assert inj._ghosts == {} and prober._ghost_rows == {}
+        assert prober.observe(a, b) is None  # the death is discovered now
+        assert b not in prober.table(a)
 
     def test_budget_counts_attempts(self):
         sim, directory, network = build_world()

@@ -1,9 +1,10 @@
 """Model-based checks for the incrementally maintained alive set.
 
-Both directories keep ``alive_ids`` as an ascending list edited in place
-(append on create, bisect + splice on depart); the SoA directory also
-keeps the aligned store-row prefix ``alive_rows()`` in step instead of
-rebuilding it.  Hypothesis drives random create/depart sequences (rows
+The SoA directory and the dict-of-objects reference directory
+(``tests/network/reference_directory.py``, in ``src/`` until PR 23) keep
+``alive_ids`` as an ascending list edited in place (append on create,
+bisect + splice on depart); the SoA directory also keeps the aligned
+store-row prefix ``alive_rows()`` in step instead of rebuilding it.  Hypothesis drives random create/depart sequences (rows
 recycle LIFO, so rows stop being monotone in the id almost immediately)
 against a plain dict model, and after *every* step requires
 
@@ -26,9 +27,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.resources import ResourceVector
 from repro.network.churn import ChurnConfig, ChurnProcess
-from repro.network.peer import PeerDirectory
 from repro.network.soa import SoAPeerDirectory
 from repro.sim import Simulator
+from tests.network.reference_directory import PeerDirectory
 
 NAMES = ("cpu", "memory")
 

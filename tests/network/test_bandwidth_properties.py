@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 
 NAMES = ("cpu", "memory")
@@ -13,7 +13,7 @@ ACCESS = 1e5
 
 
 def build():
-    d = PeerDirectory(NAMES)
+    d = SoAPeerDirectory(NAMES)
     for _ in range(N_PEERS):
         d.create_peer(ResourceVector(NAMES, [100, 100]), ACCESS, 0.0)
     return d, NetworkModel(d, seed=0)

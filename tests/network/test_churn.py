@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.resources import ResourceVector
 from repro.network.churn import ChurnConfig, ChurnProcess
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.sim import Simulator
 
 NAMES = ("cpu", "memory")
@@ -13,7 +13,7 @@ NAMES = ("cpu", "memory")
 
 def make(n=50, rate=10.0, bias=1.0, min_alive=2, seed=0):
     sim = Simulator()
-    d = PeerDirectory(NAMES)
+    d = SoAPeerDirectory(NAMES)
     for i in range(n):
         d.create_peer(ResourceVector(NAMES, [100, 100]), 1e6, joined_at=-float(i))
     departures = []

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import Peer, PeerDirectory
+from repro.network.peer import Peer
+from repro.network.soa import SoAPeerDirectory
 
 NAMES = ("cpu", "memory")
 
@@ -69,7 +70,7 @@ class TestPeer:
 
 class TestPeerDirectory:
     def make(self, n=5):
-        d = PeerDirectory(NAMES)
+        d = SoAPeerDirectory(NAMES)
         for i in range(n):
             d.create_peer(rv(100 + i, 100 + i), 1e6, joined_at=float(i))
         return d

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import (
     BANDWIDTH_CLASSES,
     LATENCY_CLASSES_MS,
@@ -16,7 +16,7 @@ NAMES = ("cpu", "memory")
 
 
 def make_net(n=10, access=1e6, seed=0, weights=None):
-    d = PeerDirectory(NAMES)
+    d = SoAPeerDirectory(NAMES)
     for _ in range(n):
         d.create_peer(ResourceVector(NAMES, [100, 100]), access, 0.0)
     return d, NetworkModel(d, seed=seed, bandwidth_weights=weights)

@@ -1,9 +1,11 @@
 """Exactness guard for churn-proportional membership.
 
 One seeded 300-peer run at 10 membership events per minute, five ways:
-{SoA directory, object directory} x {production QCS kernel, reference
-dp patched in for ``QSAAggregator.compose``}, plus the reference
-Dijkstra on SoA.  Every join and leave goes through the incrementally
+{production prober, scalar reference prober of
+``tests/probing/reference_prober.py`` patched into the grid} x
+{production QCS kernel, reference dp patched in for
+``QSAAggregator.compose``}, plus the reference Dijkstra with the
+production prober.  Every join and leave goes through the incrementally
 maintained alive set (bisect splice, aligned row prefix) and every
 routed lookup through the finger-free greedy step; the five runs must
 export byte-identical telemetry JSONL *and* byte-identical
@@ -26,6 +28,7 @@ from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig
 from repro.workload.generator import WorkloadConfig
 from tests.core.reference_kernels import WHOLE_RUN_VARIANTS, patch_compose
+from tests.probing.reference_prober import patch_prober
 
 #: Recorded from the parent commit; identical for all four variants there.
 GOLDEN = {
@@ -37,16 +40,15 @@ GOLDEN = {
 }
 
 
-def _run(tmp_path, monkeypatch, backend, reference=None):
-    """One run; ``reference`` names the test-side kernel to compose with
-    (``None``: the production one)."""
-    stem = f"{backend}-{reference or 'production'}"
+def _run(tmp_path, monkeypatch, prober, reference=None):
+    """One run; ``prober`` names the probing plane and ``reference`` the
+    test-side kernel to compose with (``None``: the production one)."""
+    stem = f"{prober}-{reference or 'production'}"
     config = ExperimentConfig(
         grid=GridConfig(
             n_peers=300,
             churn=ChurnConfig(rate_per_min=10.0),
             seed=23,
-            peer_state_backend=backend,
         ),
         workload=WorkloadConfig(
             rate_per_min=40.0, horizon=12.0, duration_range=(1.0, 6.0)
@@ -56,6 +58,7 @@ def _run(tmp_path, monkeypatch, backend, reference=None):
         sanitize_export=str(tmp_path / f"{stem}.ledger"),
     )
     with monkeypatch.context() as patch:
+        patch_prober(patch, prober)
         patch_compose(patch, reference)
         result = run_experiment(config)
     return (
@@ -82,7 +85,7 @@ def _observed(result, jsonl):
 
 def test_churn_run_matches_the_parent_commit(tmp_path, monkeypatch):
     """Fast lane: the default path against the committed goldens."""
-    result, jsonl, _ = _run(tmp_path, monkeypatch, "soa")
+    result, jsonl, _ = _run(tmp_path, monkeypatch, "production")
     assert result.n_departures > 0 and result.n_arrivals > 0
     assert _observed(result, jsonl) == GOLDEN
 
@@ -94,7 +97,7 @@ def test_churn_run_is_byte_identical_across_backends_and_paths(
     runs = {
         key: _run(tmp_path, monkeypatch, *key) for key in WHOLE_RUN_VARIANTS
     }
-    result, jsonl, ledger = runs["soa", None]
+    result, jsonl, ledger = runs["production", None]
     for key, (other, other_jsonl, other_ledger) in runs.items():
         assert other_jsonl == jsonl, key
         assert other_ledger == ledger, key

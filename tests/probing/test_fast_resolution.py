@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.selection import PhiWeights
 from repro.grid import GridConfig, P2PGrid
+from tests.probing.reference_prober import ReferenceProber, patch_prober
 from tests.probing.reference_table import NeighborTable as ReferenceTable
 
 
@@ -63,13 +64,15 @@ def test_resolve_selection_hops_fast_path_is_exact():
         }
 
 
-def test_observe_many_matches_scalar_observe():
-    _check_block_matches_object_scalar(latency_weighted=False)
-    _check_block_matches_object_scalar(latency_weighted=True)
+def test_observe_many_matches_scalar_observe(monkeypatch):
+    _check_block_matches_reference_scalar(monkeypatch, latency_weighted=False)
+    _check_block_matches_reference_scalar(monkeypatch, latency_weighted=True)
 
 
-def _twin(backend, latency_weighted):
-    grid = P2PGrid(GridConfig(n_peers=120, seed=5, peer_state_backend=backend))
+def _twin(monkeypatch, prober, latency_weighted):
+    with monkeypatch.context() as patch:
+        patch_prober(patch, prober)
+        grid = P2PGrid(GridConfig(n_peers=120, seed=5))
     agg = grid.make_aggregator("qsa")
     if latency_weighted:
         # A latency-weighted Φ makes the selector ask observe_block for
@@ -85,13 +88,14 @@ def _twin(backend, latency_weighted):
     return grid.probing
 
 
-def _check_block_matches_object_scalar(latency_weighted):
-    """The array plane's block against the object backend's scalar chain
+def _check_block_matches_reference_scalar(monkeypatch, latency_weighted):
+    """The array plane's block against the reference prober's scalar chain
     (per-peer ``_Snapshot`` objects, ``get`` one target at a time) on a
     twin grid driven by the same seeded traffic."""
-    block_side = _twin("soa", latency_weighted)
-    scalar_side = _twin("object", latency_weighted)
-    assert block_side._store is not None and scalar_side._store is None
+    block_side = _twin(monkeypatch, "production", latency_weighted)
+    scalar_side = _twin(monkeypatch, "reference", latency_weighted)
+    assert not isinstance(block_side, ReferenceProber)
+    assert isinstance(scalar_side, ReferenceProber)
     assert _table_state(block_side) == _table_state(scalar_side)
     observers = [o for o, t in block_side._tables.items() if len(t)]
     assert observers

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import PeerDirectory
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
@@ -16,9 +15,9 @@ def rv(cpu, mem):
     return ResourceVector(NAMES, [cpu, mem])
 
 
-def make(n=10, budget=100, period=1.0, ttl=10.0, soa=False):
+def make(n=10, budget=100, period=1.0, ttl=10.0):
     sim = Simulator()
-    d = SoAPeerDirectory(NAMES, initial_rows=n) if soa else PeerDirectory(NAMES)
+    d = SoAPeerDirectory(NAMES, initial_rows=n)
     for i in range(n):
         d.create_peer(rv(100, 100), 1e6, joined_at=-float(i))
     net = NetworkModel(d, seed=0)
@@ -165,7 +164,7 @@ class TestResolutionReport:
 
     @staticmethod
     def make_soa(n=12, budget=100):
-        sim, _, _, probing = make(n=n, budget=budget, soa=True)
+        sim, _, _, probing = make(n=n, budget=budget)
         return sim, probing
 
     @staticmethod

@@ -20,8 +20,13 @@ class TestDescriptor:
         assert desc["fault_kinds"] == sorted(FAULT_KINDS)
         assert desc["scenarios"] == sorted(SCENARIOS)
         assert set(desc["algorithms"]) == {"qsa", "random", "fixed"}
-        assert desc["peer_state_backend_default"] in desc["peer_state_backends"]
         assert set(desc["lookup_protocols"]) == {"chord", "can"}
+        # The whole surface: there is one peer-state representation, so
+        # nothing about it is advertised (or printed by ``repro info``).
+        assert sorted(desc) == [
+            "algorithms", "fault_kinds", "lookup_protocols", "name", "paper",
+            "scenarios", "serve_api", "version",
+        ]
 
     def test_every_advertised_scenario_loads(self):
         for name in build_descriptor()["scenarios"]:
@@ -56,3 +61,4 @@ class TestInfoCommand:
         assert desc["serve_api"] in out
         assert all(kind in out for kind in desc["fault_kinds"])
         assert all(name in out for name in desc["scenarios"])
+        assert "peer state" not in out

@@ -139,6 +139,11 @@ class TestStatusAndMetrics:
         assert st["grid"]["n_peers"] == 120
         assert st["grid"]["n_instances"] > 0
         assert st["grid"]["generation"] >= 120
+        # One peer-state representation: the store is always there to
+        # report, and no backend name is.
+        assert st["grid"]["peer_store_bytes"] > 0
+        assert st["grid"]["peer_rows_recycled"] == 0  # no churn here
+        assert "peer_state_backend" not in st["grid"]
         assert st["sessions"]["admitted"] >= 1
         assert st["requests"]["http"] >= 1
         assert st["requests"]["compose"] == (

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.qos import QoSVector
 from repro.core.resources import ResourceVector
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.services.model import ServiceInstance
 from repro.sessions.admission import AdmissionError, reserve_session
@@ -23,7 +23,7 @@ def inst(iid, cpu=10.0, mem=10.0, bw=100.0):
 
 
 def make_grid(n=5, capacity=100.0, access=1e6):
-    d = PeerDirectory(NAMES)
+    d = SoAPeerDirectory(NAMES)
     for _ in range(n):
         d.create_peer(rv(capacity, capacity), access, 0.0)
     return d, NetworkModel(d, seed=0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.qos import QoSVector
 from repro.core.resources import ResourceVector
-from repro.network.peer import PeerDirectory
+from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.services.model import ServiceInstance
 from repro.sessions.admission import AdmissionError
@@ -46,7 +46,7 @@ events = st.lists(
 @given(events)
 def test_ledger_conserves_resources(schedule):
     sim = Simulator()
-    directory = PeerDirectory(NAMES)
+    directory = SoAPeerDirectory(NAMES)
     for _ in range(N_PEERS):
         directory.create_peer(
             ResourceVector(NAMES, [CAPACITY, CAPACITY]), ACCESS, 0.0

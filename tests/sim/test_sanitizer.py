@@ -3,9 +3,10 @@
 The differential tests are the tentpole contract of ``repro sanitize``:
 
 * two runs with identical seeds export **byte-identical** ledgers,
-* the ``object`` and ``soa`` peer-state backends export byte-identical
-  ledgers for the same seed (the ledger deliberately records no backend
-  identity),
+* the production prober and the scalar reference prober
+  (``tests/probing/reference_prober.py``) export byte-identical ledgers
+  for the same seed and fault plan (the ledger deliberately records no
+  implementation identity),
 * a seed or config change is named at its *first* divergent record, and
 * turning the sanitizer on leaves the telemetry export byte-identical
   (the instrument never feeds back into the run).
@@ -22,6 +23,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.faults.plan import FaultPlan
 from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig
 from repro.probing.prober import ProbingConfig
@@ -33,6 +35,7 @@ from repro.sim.sanitizer import (
     compare_ledgers,
 )
 from repro.workload.generator import WorkloadConfig
+from tests.probing.reference_prober import patch_prober
 
 
 class FakeClock:
@@ -196,11 +199,10 @@ class TestCompare:
             compare_ledgers([], [])
 
 
-def small_config(seed: int = 11, backend: str = "soa") -> ExperimentConfig:
+def small_config(seed: int = 11) -> ExperimentConfig:
     grid = GridConfig(
         n_peers=200,
         seed=seed,
-        peer_state_backend=backend,
         probing=ProbingConfig(budget=10),
         churn=ChurnConfig(rate_per_min=4.0),
     )
@@ -222,10 +224,17 @@ class TestRunDifferential:
         assert a.read_bytes() == b.read_bytes()
         assert compare_ledger_files(str(a), str(b)).identical
 
-    def test_object_and_soa_backends_agree(self, tmp_path):
-        a, b = tmp_path / "soa.jsonl", tmp_path / "obj.jsonl"
-        run_with_ledger(small_config(backend="soa"), a)
-        run_with_ledger(small_config(backend="object"), b)
+    def test_production_and_reference_probers_agree(self, tmp_path, monkeypatch):
+        """The cross-implementation pair: the array probing plane against
+        the scalar reference prober, same seed, under the CI chaos plan."""
+        plan = FaultPlan.load(str(
+            Path(__file__).parents[2] / "examples" / "plans" / "ci-chaos.json"
+        ))
+        config = small_config().with_faults(plan)
+        a, b = tmp_path / "production.jsonl", tmp_path / "reference.jsonl"
+        run_with_ledger(config, a)
+        patch_prober(monkeypatch, "reference")
+        run_with_ledger(config, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_mismatch_is_named_at_the_first_record(self, tmp_path):

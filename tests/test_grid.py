@@ -34,21 +34,20 @@ class TestConstruction:
             "access_capacity", "admission_retry", "applications",
             "can_dimensions", "capacity_range", "catalog", "chord_bits",
             "churn", "faults", "initial_uptime_max", "lookup_protocol",
-            "lookup_retry", "n_peers", "peer_state_backend", "probing",
-            "recovery", "resource_names", "sanitize", "sanitize_epoch",
-            "seed", "telemetry", "telemetry_capacity", "trace_capacity",
-            "tracing",
-        ]
+            "lookup_retry", "n_peers", "probing", "recovery",
+            "resource_names", "sanitize", "sanitize_epoch", "seed",
+            "telemetry", "telemetry_capacity", "trace_capacity", "tracing",
+        ]  # 23 (24 until PR 23 took ``peer_state_backend``)
         commands = next(
             a for a in build_parser()._actions if a.dest == "command"
         ).choices
         assert sorted(
             s for a in commands["run"]._actions for s in a.option_strings
         ) == [
-            "--algorithm", "--backend", "--churn", "--faults", "--help",
-            "--horizon", "--no-uptime-filter", "--rate", "--sanitize",
-            "--seed", "--telemetry", "-h",
-        ]
+            "--algorithm", "--churn", "--faults", "--help", "--horizon",
+            "--no-uptime-filter", "--rate", "--sanitize", "--seed",
+            "--telemetry", "-h",
+        ]  # 11: no ``--backend``
 
     def test_config_applications_used(self):
         from repro.services.applications import ApplicationTemplate
