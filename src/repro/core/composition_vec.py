@@ -43,9 +43,9 @@ Incremental maintenance
 :class:`ConsistencyIndex` keys everything by ``instance_id`` (service
 records are immutable after catalog populate).  Each service's instance
 *universe* only ever grows; pair matrices record the size they were
-filled against and patch only the new rows/columns.  The per-request
-sink row (layer-0 outputs against the user's QoS vector) is a handful of
-clause checks plus one gather, so it is recomputed per plan, not cached.
+filled against and patch only the new rows/columns.  The user's sink
+row (layer-0 outputs against the user's QoS vector) is a handful of
+clause checks plus one gather, asked once per (candidate set, user QoS).
 Departures need no patching at all: a request's candidate sets select
 matrix rows/columns by index, so absent instances are simply never
 selected.  ``ConsistencyIndex.eq1_evaluations`` counts the scalar clause
@@ -70,8 +70,9 @@ __all__ = ["CacheStats", "ConsistencyIndex", "VectorizedComposer", "compose_qcs"
 
 
 class CacheStats:
-    """Hit/miss tallies of the plan LRU (counters only: a hit emits no
-    event, so a seeded run's telemetry export does not depend on it)."""
+    """Hit/miss tallies of the plan LRU: a hit is a compose that sliced,
+    gathered and relaxed nothing (counters only: a hit emits no event,
+    so a seeded run's telemetry export does not depend on it)."""
 
     __slots__ = ("hits", "misses")
 
@@ -89,7 +90,7 @@ class _Universe:
 
     __slots__ = (
         "service", "ids", "instances", "index", "scores", "costs",
-        "qins", "qouts",
+        "qins", "qouts", "_keyed", "_keyed_ids",
     )
 
     def __init__(self, service: str) -> None:
@@ -107,10 +108,23 @@ class _Universe:
         #: populations :func:`satisfies_matrix` runs over).
         self.qins: List[QoSVector] = []
         self.qouts: List[QoSVector] = []
+        #: The last candidate tuple keyed and its ids (see ``ids_of``).
+        self._keyed: Tuple[ServiceInstance, ...] = ()
+        self._keyed_ids: Tuple[str, ...] = ()
 
     @property
     def version(self) -> int:
         return len(self.ids)
+
+    def ids_of(self, cands: Tuple[ServiceInstance, ...]) -> Tuple[str, ...]:
+        """The plan-key part of a candidate tuple, built once per tuple
+        *object*: the registry hands back one immutable record until
+        membership replaces it, and holding the reference keeps ``is``
+        sound (a list's fresh ``tuple()`` copy is re-read every call)."""
+        if cands is not self._keyed:
+            self._keyed = cands
+            self._keyed_ids = tuple(inst.instance_id for inst in cands)
+        return self._keyed_ids
 
     def admit(self, inst: ServiceInstance, weights: WeightProfile) -> int:
         """Register one unseen instance; returns its index."""
@@ -169,29 +183,27 @@ class _PairMatrix:
 
 @dataclass
 class _Plan:
-    """A fully sliced, ready-to-relax composition instance.
+    """The sliced consistency graph of one candidate set, minus its sink.
 
     ``layers[0]`` is the user-adjacent service's candidates (reference
     layer 1), ``layers[-1]`` the source service's.  ``adjacency[t]`` is
     the boolean matrix from ``layers[t]`` rows to ``layers[t + 1]``
-    predecessor columns; ``sink_mask`` the per-request Eq. 1 check of
-    ``layers[0]`` outputs against the user's QoS vector.
+    predecessor columns.  The user's QoS only adds the sink's edges
+    (``sink_universe`` rows ``sink_rows`` against the requirement), so
+    ``outcomes`` holds, per ``user_qos.as_tuple()`` asked here, that
+    request's edge count and its :class:`ComposedPath` (``None``: no
+    consistent path) -- constants, since instance records are immutable.
     """
 
     layers: List[Tuple[ServiceInstance, ...]]
     weights: List[np.ndarray]
     costs: List[List[ResourceTuple]]
-    sink_mask: np.ndarray
     adjacency: List[np.ndarray]
+    sink_universe: _Universe
+    sink_rows: np.ndarray
     n_nodes: int
-    n_edges: int
-    #: Lazily solved once per plan: the plan key captures the full
-    #: semantic input (services, user QoS, candidate ids) and instance
-    #: records are immutable, so the relaxation's outcome -- and the
-    #: :class:`ComposedPath` built from it -- are constants of the plan.
-    solved: bool = False
-    solution: Optional[Tuple[List[int], float]] = None
-    composed: Optional[ComposedPath] = None
+    n_adjacent: int
+    outcomes: Dict[Hashable, Tuple[int, Optional[ComposedPath]]]
 
 
 class ConsistencyIndex:
@@ -264,16 +276,19 @@ class ConsistencyIndex:
 class VectorizedComposer:
     """QCS over a :class:`ConsistencyIndex`, with a composition-plan LRU.
 
-    A *plan* is the per-request slice of the index: candidate index
-    arrays, adjacency sub-matrices, score vectors and the sink mask.
-    Candidate sets are stable between membership events, so plans are
-    memoized under a key that captures the full semantic input --
-    ``(services, user_qos, per-layer candidate id tuples)`` -- making
-    staleness impossible by construction: any churn/admission that
-    changes a candidate set changes the key.
+    A *plan* is the slice of the index one candidate set selects:
+    candidate index arrays, adjacency sub-matrices and score vectors --
+    the Fig. 3 graph before the user's requirement is attached at the
+    sink.  Candidate sets are stable between membership events, so plans
+    are memoized under ``(services, per-layer candidate id tuples)`` and
+    each plan memoizes its outcome per user QoS vector; together the two
+    keys capture the full semantic input, making staleness impossible by
+    construction: any churn/admission that changes a candidate set
+    changes the key.
     """
 
-    #: LRU cap for memoized composition plans.
+    #: LRU cap for memoized composition plans, and the cap on the user
+    #: QoS outcomes one plan keeps (oldest dropped; re-solved if re-asked).
     PLAN_CACHE_CAP = 512
 
     def __init__(self, weights: WeightProfile) -> None:
@@ -297,61 +312,48 @@ class VectorizedComposer:
         self,
         path: AbstractServicePath,
         layer_candidates: List[Tuple[ServiceInstance, ...]],
-        user_qos: QoSVector,
     ) -> _Plan:
         index = self.index
-        layers: List[Tuple[ServiceInstance, ...]] = []
         weights_per_layer: List[np.ndarray] = []
         costs_per_layer: List[List[ResourceTuple]] = []
-        adjacency: List[np.ndarray] = []
         universes: List[_Universe] = []
         idx_arrays: List[np.ndarray] = []
 
         for service, cands in zip(path.reversed(), layer_candidates):
             uni = index.admit_candidates(service, cands)
-            uindex = uni.index
-            rows = [uindex[inst.instance_id] for inst in cands]
-            scores = uni.scores
-            costs = uni.costs
-            layers.append(cands)
+            rows = [uni.index[inst.instance_id] for inst in cands]
             weights_per_layer.append(
-                np.array([scores[i] for i in rows], dtype=np.float64)
+                np.array([uni.scores[i] for i in rows], dtype=np.float64)
             )
-            costs_per_layer.append([costs[i] for i in rows])
+            costs_per_layer.append([uni.costs[i] for i in rows])
             universes.append(uni)
             idx_arrays.append(np.asarray(rows, dtype=np.intp))
 
-        for t in range(len(layers) - 1):
-            full = index.pair_matrix(universes[t], universes[t + 1])
-            adjacency.append(
-                full.take(idx_arrays[t], axis=0).take(idx_arrays[t + 1], axis=1)
-            )
-
-        sink_full = index.sink_row(universes[0], user_qos)
-        sink_mask = sink_full[idx_arrays[0]]
-
-        n_nodes = 1 + sum(len(layer) for layer in layers)
-        n_edges = int(sink_mask.sum()) + sum(
-            int(a.sum()) for a in adjacency
-        )
+        adjacency = [
+            index.pair_matrix(universes[t], universes[t + 1])
+            .take(idx_arrays[t], axis=0).take(idx_arrays[t + 1], axis=1)
+            for t in range(len(universes) - 1)
+        ]
         return _Plan(
-            layers=layers,
+            layers=layer_candidates,
             weights=weights_per_layer,
             costs=costs_per_layer,
-            sink_mask=sink_mask,
             adjacency=adjacency,
-            n_nodes=n_nodes,
-            n_edges=n_edges,
+            sink_universe=universes[0],
+            sink_rows=idx_arrays[0],
+            n_nodes=1 + sum(len(layer) for layer in layer_candidates),
+            n_adjacent=sum(int(a.sum()) for a in adjacency),
+            outcomes={},
         )
 
     def _plan_for(
         self,
         path: AbstractServicePath,
         candidates: Mapping[str, Sequence[ServiceInstance]],
-        user_qos: QoSVector,
     ) -> _Plan:
+        universe = self.index.universe
         layer_candidates: List[Tuple[ServiceInstance, ...]] = []
-        key_parts: List[Hashable] = [path.services, user_qos.as_tuple()]
+        key_parts: List[Hashable] = [path.services]
         for service in path.reversed():
             cands = tuple(candidates.get(service, ()))
             if not cands:
@@ -359,25 +361,22 @@ class VectorizedComposer:
                     f"no candidate instances discovered for service {service!r}"
                 )
             layer_candidates.append(cands)
-            key_parts.append(tuple(inst.instance_id for inst in cands))
+            key_parts.append(universe(service).ids_of(cands))
         key = tuple(key_parts)
         plans = self._plans
         plan = plans.get(key)
         if plan is None:
-            self.plan_stats.misses += 1
-            plan = self._build_plan(path, layer_candidates, user_qos)
+            plan = self._build_plan(path, layer_candidates)
             if len(plans) >= self.PLAN_CACHE_CAP:
                 plans.popitem(last=False)
             plans[key] = plan
         else:
-            self.plan_stats.hits += 1
             plans.move_to_end(key)
         return plan
 
     # -- the relaxation ------------------------------------------------------
-    @staticmethod
-    def _solve(plan: _Plan) -> Optional[Tuple[List[int], float]]:
-        """Sink→source sweep; returns per-layer choices + score, or None.
+    def _solve(self, plan: _Plan, sink_mask: np.ndarray) -> Optional[ComposedPath]:
+        """Sink→source sweep from one sink row; the best path, or None.
 
         Performs the identical IEEE adds as the reference DP (``dist[i]
         + w[j]`` per consistent edge, minimum over the summed values)
@@ -385,9 +384,7 @@ class VectorizedComposer:
         returns the first occurrence of the minimum; the reference scan
         only replaces on strict improvement).
         """
-        dist = np.where(
-            plan.sink_mask, 0.0 + plan.weights[0], np.inf
-        )
+        dist = np.where(sink_mask, 0.0 + plan.weights[0], np.inf)
         preds: List[np.ndarray] = []
         for t in range(len(plan.layers) - 1):
             cand = dist[:, None] + plan.weights[t + 1][None, :]
@@ -399,12 +396,14 @@ class VectorizedComposer:
         if not dist.size or not np.isfinite(dist[j]):
             return None
         score = float(dist[j])
-        indices = [0] * len(plan.layers)
-        indices[-1] = j
-        for t in range(len(plan.layers) - 2, -1, -1):
-            j = int(preds[t][j])
-            indices[t] = j
-        return indices, score
+        indices = [j]
+        for best in reversed(preds):
+            indices.insert(0, int(best[indices[0]]))
+        total = ResourceTuple.zero(self.weights.resource_names)
+        for costs, choice in zip(plan.costs, indices):
+            total = total + costs[choice]
+        chosen = [layer[i] for layer, i in zip(plan.layers, indices)]
+        return ComposedPath(tuple(reversed(chosen)), total=total, score=score)
 
     # -- public API ----------------------------------------------------------
     def compose(
@@ -426,51 +425,48 @@ class VectorizedComposer:
         tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
         with tracer.span("qcs.compose", application=path.application):
             with tracer.span("qcs.graph_build"):
-                plan = self._plan_for(path, candidates, user_qos)
+                plan = self._plan_for(path, candidates)
+                qos_key = user_qos.as_tuple()
+                outcome = plan.outcomes.get(qos_key)
+                if outcome is None:
+                    self.plan_stats.misses += 1
+                    sink_mask = self.index.sink_row(
+                        plan.sink_universe, user_qos
+                    )[plan.sink_rows]
+                    n_edges = int(sink_mask.sum()) + plan.n_adjacent
+                else:
+                    self.plan_stats.hits += 1
+                    n_edges, composed = outcome
             if telemetry is not None:
                 m = telemetry.metrics
                 m.counter("qcs.compositions").inc()
                 m.counter("qcs.graph_nodes").inc(plan.n_nodes)
-                m.counter("qcs.graph_edges").inc(plan.n_edges)
+                m.counter("qcs.graph_edges").inc(n_edges)
             with tracer.span("qcs.solve"):
-                if not plan.solved:
-                    plan.solution = self._solve(plan)
-                    plan.solved = True
-                result = plan.solution
-        if result is None:
+                if outcome is None:
+                    composed = self._solve(plan, sink_mask)
+                    if len(plan.outcomes) >= self.PLAN_CACHE_CAP:
+                        del plan.outcomes[next(iter(plan.outcomes))]
+                    plan.outcomes[qos_key] = n_edges, composed
+        if composed is None:
             if telemetry is not None:
                 telemetry.metrics.counter("qcs.no_path").inc()
                 telemetry.bus.emit(
                     "qcs.failed",
                     application=path.application,
                     n_nodes=plan.n_nodes,
-                    n_edges=plan.n_edges,
+                    n_edges=n_edges,
                 )
             raise CompositionError(
                 f"no QoS-consistent service path for application "
                 f"{path.application!r} at requirement {user_qos!r}"
             )
-        composed = plan.composed
-        if composed is None:
-            indices, score = result
-            chosen_reverse = [
-                plan.layers[t][indices[t]] for t in range(len(indices))
-            ]
-            total = ResourceTuple.zero(self.weights.resource_names)
-            for t, choice in enumerate(indices):
-                total = total + plan.costs[t][choice]
-            composed = ComposedPath(
-                instances=tuple(reversed(chosen_reverse)),
-                total=total,
-                score=score,
-            )
-            plan.composed = composed
         if telemetry is not None:
             telemetry.bus.emit(
                 "qcs.composed",
                 application=path.application,
                 n_nodes=plan.n_nodes,
-                n_edges=plan.n_edges,
+                n_edges=n_edges,
                 score=composed.score,
                 hops=composed.hops,
             )

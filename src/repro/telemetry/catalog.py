@@ -115,8 +115,10 @@ METRIC_CATALOG: Dict[str, tuple] = {
     "probe.tables": ("gauge", "neighbor tables currently materialized"),
     "lookup.count": ("counter", "routed DHT lookups"),
     "lookup.hops": ("histogram", "application-level hops per lookup"),
-    "cache.qcs_plan.hits": ("counter", "vectorized-QCS composition plans reused"),
-    "cache.qcs_plan.misses": ("counter", "vectorized-QCS composition plans sliced fresh"),
+    "cache.qcs_plan.hits": ("counter", "QCS composes answered from a held plan"),
+    "cache.qcs_plan.misses": (
+        "counter", "QCS composes that relaxed a new (candidate set, user QoS)"
+    ),
     "discovery.routed": ("counter", "registry discoveries (one routed read each)"),
     "store.generation": ("gauge", "SoA peer-store membership generation"),
     "store.rows_recycled": ("gauge", "SoA peer-store rows reused after departures"),

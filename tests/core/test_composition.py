@@ -10,6 +10,7 @@ from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
 from tests.core import reference_kernels
 from tests.core.reference_bruteforce import best_path
+from tests.core.test_qos_matrix import class_bound
 
 NAMES = ("cpu", "memory")
 
@@ -34,16 +35,16 @@ WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e7)
 USER = QoSVector(format="final", quality=Interval(1, 3))
 
 
-def two_hop_catalog():
-    """source: raw -> mid; last: mid -> final."""
+def two_hop_catalog(p=""):
+    """source: raw -> mid; last: mid -> final (``p`` prefixes the ids)."""
     return {
         "src": [
-            inst("src/cheap", "src", "nothing", "mid", cpu=10, mem=10, bw=100),
-            inst("src/costly", "src", "nothing", "mid", cpu=500, mem=500, bw=1e6),
+            inst(p + "src/cheap", "src", "nothing", "mid", cpu=10, mem=10, bw=100),
+            inst(p + "src/costly", "src", "nothing", "mid", cpu=500, mem=500, bw=1e6),
         ],
         "last": [
-            inst("last/cheap", "last", "mid", "final", cpu=20, mem=20, bw=200),
-            inst("last/costly", "last", "mid", "final", cpu=400, mem=400, bw=5e5),
+            inst(p + "last/cheap", "last", "mid", "final", cpu=20, mem=20, bw=200),
+            inst(p + "last/costly", "last", "mid", "final", cpu=400, mem=400, bw=5e5),
         ],
     }
 
@@ -245,10 +246,14 @@ class TestComposeQCS:
 
 
 class TestPlanLRU:
-    """The composer's plan LRU at ``PLAN_CACHE_CAP = 2``.  Requests ``a``
-    / ``b`` / ``c`` differ in the user's quality floor, so each is its
-    own plan; the policy is the one ``cache.qcs_plan.hits`` / ``.misses``
-    of every seeded run were recorded under."""
+    """The composer's plan LRU at ``PLAN_CACHE_CAP = 2``.  A plan is a
+    candidate set: ``x`` / ``y`` / ``z`` are the two-hop catalog under
+    three id prefixes, ``a`` / ``b`` / ``c`` differ only in the user's
+    quality floor, and a request is one of each (``"xa"``).  A hit is a
+    compose that found its candidate set's plan *and* that plan's
+    outcome for the user QoS; below the cap nothing is evicted, so the
+    ``cache.qcs_plan.*`` counters of seeded runs equal those of the old
+    ``(services, user QoS, candidates)`` key."""
 
     USERS = {
         name: QoSVector(format="final", quality=Interval(floor, 3))
@@ -260,28 +265,58 @@ class TestPlanLRU:
         monkeypatch.setattr(VectorizedComposer, "PLAN_CACHE_CAP", 2)
         return VectorizedComposer(WEIGHTS)
 
-    def compose(self, composer, names):
-        """Compose the named requests in order; returns the ``(hits,
-        misses)`` they added."""
+    def compose(self, composer, requests):
+        """Compose the space-separated requests in order; returns the
+        ``(hits, misses)`` they added."""
         stats = composer.plan_stats
         before = stats.hits, stats.misses
-        for name in names:
-            composer.compose(PATH2, two_hop_catalog(), self.USERS[name])
+        for prefix, user in requests.split():
+            composer.compose(PATH2, two_hop_catalog(prefix), self.USERS[user])
         return stats.hits - before[0], stats.misses - before[1]
 
     def test_cap_evicts_oldest(self, composer):
-        assert self.compose(composer, "abc") == (0, 3)
-        assert self.compose(composer, "bc") == (2, 0)
-        assert self.compose(composer, "a") == (0, 1)
+        assert self.compose(composer, "xa ya za") == (0, 3)
+        assert self.compose(composer, "ya za") == (2, 0)
+        assert self.compose(composer, "xa") == (0, 1)
 
     def test_hit_refreshes_lru_position(self, composer):
-        self.compose(composer, "ab")
-        self.compose(composer, "a")    # now "b" is the least recently used
-        self.compose(composer, "c")
-        assert self.compose(composer, "a") == (1, 0)
-        assert self.compose(composer, "b") == (0, 1)
+        self.compose(composer, "xa ya")
+        self.compose(composer, "xa")    # now "y" is the least recently used
+        self.compose(composer, "za")
+        assert self.compose(composer, "xa") == (1, 0)
+        assert self.compose(composer, "ya") == (0, 1)
 
     def test_hit_at_the_cap_does_not_evict(self, composer):
-        self.compose(composer, "ab")
-        assert self.compose(composer, "a") == (1, 0)
-        assert self.compose(composer, "ba") == (2, 0)
+        self.compose(composer, "xa ya")
+        assert self.compose(composer, "xa") == (1, 0)
+        assert self.compose(composer, "ya xa") == (2, 0)
+
+    def test_user_qos_shares_the_plan_and_never_evicts_one(self, composer):
+        self.compose(composer, "xa ya")
+        # New requirements on a held candidate set: misses (a sink row
+        # and a relaxation each), but no new plan, so "y" stays.
+        assert self.compose(composer, "xb xc") == (0, 2)
+        assert len(composer._plans) == 2
+        assert self.compose(composer, "ya xc xb") == (3, 0)
+
+    def test_outcomes_of_one_plan_are_bounded_by_the_same_cap(self, composer):
+        catalog = two_hop_catalog("x")
+        sink_row = {
+            name: class_bound([i.qout for i in catalog["last"]], [user])
+            for name, user in self.USERS.items()
+        }
+        first = composer.compose(PATH2, catalog, self.USERS["a"])
+        assert self.compose(composer, "xb xc") == (0, 2)   # "c" drops "a"
+        (plan,) = composer._plans.values()
+        assert list(plan.outcomes) == [
+            self.USERS["b"].as_tuple(), self.USERS["c"].as_tuple()
+        ]
+        # A dropped outcome is simply re-solved: one sink row of Eq. 1
+        # work, no pair-matrix work, the same answer bit for bit.
+        before = composer.index.eq1_evaluations
+        assert self.compose(composer, "xa") == (0, 1)
+        assert composer.index.eq1_evaluations - before == sink_row["a"] > 0
+        again = composer.compose(PATH2, catalog, self.USERS["a"])
+        assert again.instances == first.instances
+        assert again.score.hex() == first.score.hex()
+        assert again.total == first.total

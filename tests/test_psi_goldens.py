@@ -9,6 +9,7 @@ tie-break or an admission decision moves at least one of them; a change
 that *means* to move them re-records with ``save_baseline`` and says so.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,10 @@ import pytest
 from repro.experiments.config import SCENARIOS, ExperimentConfig, default_scale
 from repro.experiments.regression import compare_to_baseline
 from repro.experiments.runner import run_experiment
-from repro.grid import GridConfig
+from repro.grid import GridConfig, P2PGrid
 from repro.probing.prober import ProbingConfig
 from repro.services.catalog import CatalogConfig
-from repro.workload.generator import WorkloadConfig
+from repro.workload.generator import RequestGenerator, WorkloadConfig
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -40,6 +41,26 @@ def test_psi_golden(name, monkeypatch):
     assert compare_to_baseline(
         result, GOLDENS / f"psi-{name}.json", tolerance=0.0
     ) == []
+
+
+def test_smoke_plan_cache_counters(monkeypatch):
+    """``cache.qcs_plan.hits`` / ``.misses`` of the seeded ``smoke`` run,
+    as recorded at PR 22.  The plan LRU never reaches its cap here, so
+    nothing about how plans are keyed may move them: a hit is a request
+    whose (services, user QoS, candidate ids) was composed before."""
+    monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+    config = SCENARIOS["smoke"](0)
+    grid = P2PGrid(replace(config.grid, telemetry=True))
+    aggregator = grid.make_aggregator("qsa")
+    RequestGenerator(
+        grid.sim, config.workload, grid.applications,
+        alive_peer_ids=lambda: grid.directory.alive_ids,
+        sink=aggregator.aggregate, rng=grid.rngs.stream("workload"),
+    ).start()
+    grid.sim.run()
+    counter = grid.telemetry.metrics.counter
+    assert counter("cache.qcs_plan.hits").value == 169
+    assert counter("cache.qcs_plan.misses").value == 75
 
 
 def test_scenario_shapes(monkeypatch):
