@@ -1,4 +1,4 @@
-"""One selection hop, in isolation (PR 21).
+"""One selection hop, in isolation.
 
 ``resolve_selection_hops`` + ``select_hop`` at the ``steady-paper``
 shape -- 10^4 peers, ``M = 100``, a walk of three hops with 40-80
@@ -13,11 +13,11 @@ candidate hosts each -- timed for the two table states a hop meets:
 
 Wall times are printed, not gated (they are host-dependent; the
 repository benchmark ``bench/run.py`` is the basis for speed claims).
-What is asserted is host-independent: the walk's probing and hashing
-*work* -- a repeated walk hashes zero pairs (every pair class is in the
-memo), and the probe messages of a walk equal its distinct stale
-targets (none on a repeat in the same epoch, all of them again in the
-next).
+What is asserted is host-independent: the walk's probing work -- the
+probe messages of a walk equal its distinct stale targets (none on a
+repeat in the same epoch, all of them again in the next) -- and its
+answers: every β the walk's blocks computed equals the per-target
+``available_bandwidth`` of that candidate towards the observer.
 """
 
 import time
@@ -29,7 +29,7 @@ from repro.core.resources import ResourceVector
 from repro.core.selection import PeerSelector, PhiWeights
 from repro.experiments.reporting import banner
 from repro.network.soa import SoAPeerDirectory
-from repro.network.topology import NetworkModel, PairwiseClasses
+from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.sim import Simulator
 
@@ -101,8 +101,8 @@ def time_hops(full: bool, repeats=5):
     rng, sim, probing, selector = make_plane()
     hops = make_hops(rng)
     other = make_hops(rng)  # what a full table holds beforehand
-    # New observers every repeat: every (observer, candidate) pair of a
-    # timed hop is first-seen, so its BLAKE2b is inside the figure.
+    # New observers every repeat: no timed hop finds its observer's
+    # table already holding the block.
     observers = [
         o for o in rng.choice(
             N_PEERS, size=repeats * N_OBSERVERS, replace=False
@@ -132,9 +132,9 @@ def test_selection_hop_fresh_and_full_table(benchmark):
     fresh, full = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
     print(banner(
-        "PR 21 -- one resolve + select hop",
+        "one resolve + select hop",
         f"{N_PEERS} peers, M = {BUDGET}, 3 hops x 40-80 candidates; "
-        "microseconds per hop, best-of-5, first-seen pairs hashed",
+        "microseconds per hop, best-of-5",
     ))
     print(f"fresh observer (no table) : {fresh * 1e6:8.1f}")
     print(f"observer with a full table: {full * 1e6:8.1f}")
@@ -142,15 +142,16 @@ def test_selection_hop_fresh_and_full_table(benchmark):
 
 @pytest.mark.benchmark(group="claims")
 def test_selection_hop_walk_work_is_exact(benchmark, monkeypatch):
-    """Host-independent: the hashing and probing work of a walk."""
-    hashed = []
-    real = PairwiseClasses.class_indices
+    """Host-independent: the probing work and the β of a walk."""
+    blocks = []
+    real = NetworkModel.available_bandwidth_batch
 
-    def counting(self, los, his):
-        hashed.extend(zip(los, his))
-        return real(self, los, his)
+    def recording(self, sources, dst, uplinks=None):
+        betas = real(self, sources, dst, uplinks)
+        blocks.append((sources.tolist(), dst, betas.tolist()))
+        return betas
 
-    monkeypatch.setattr(PairwiseClasses, "class_indices", counting)
+    monkeypatch.setattr(NetworkModel, "available_bandwidth_batch", recording)
     rng, sim, probing, selector = make_plane(seed=3)
     hops = make_hops(rng)
     requester = next(o for o in range(N_PEERS) if all(o not in h for h in hops))
@@ -162,17 +163,19 @@ def test_selection_hop_walk_work_is_exact(benchmark, monkeypatch):
     # Everything known was stale (never probed): one probe per distinct
     # target, however many hops it appears in.
     assert probing.probe_messages == len(seen) > 0
-    assert len(hashed) == len(set(hashed)) > 0  # each first-seen pair once
+    # Nothing was reserved, so each block's β (from this epoch's uplink
+    # snapshots) is the live per-target β towards the observer.
+    network = probing.network
+    assert sum(len(sources) for sources, _, _ in blocks) > 0
+    for sources, dst, betas in blocks:
+        assert betas == [network.available_bandwidth(s, dst) for s in sources]
 
-    hashed.clear()
     probed = probing.probe_messages
     again, seen_again = walk(probing, selector, requester, hops, rng)
     assert again == peers and seen_again == seen
-    assert hashed == []  # every pair class is in the memo
     assert probing.probe_messages == probed  # same epoch: nothing stale
 
     sim.timeout(probing.config.period)
     sim.run()  # next epoch: every snapshot is stale again
     walk(probing, selector, requester, hops, rng)
-    assert hashed == []
     assert probing.probe_messages == probed + len(seen)

@@ -25,9 +25,7 @@ def main() -> None:
     request = grid.make_request(
         "content-retrieval", qos_level="average", duration=8.0
     )
-    path, user_qos = grid.compiler.compile(
-        request, grid.rngs.stream("example")
-    )
+    path, user_qos = grid.compiler.compile(request)
     print(f"abstract path: {' -> '.join(path.services)} -> user")
     print(f"user QoS requirement: {user_qos!r}\n")
 

@@ -191,7 +191,7 @@ class BaseAggregator:
     def _aggregate(self, request: UserRequest) -> AggregationResult:
         tel = self.telemetry
         tracer = tel.tracer if tel is not None else NULL_TRACER
-        path, user_qos = self.compiler.compile(request, self.rng)
+        path, user_qos = self.compiler.compile(request)
 
         with tracer.span("lookup.candidates", services=len(path.services)):
             candidates, hops = self.registry.discover_path_candidates(

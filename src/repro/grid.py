@@ -196,7 +196,9 @@ class P2PGrid:
             config.catalog,
             self.translator,
         )
-        self.compiler = QoSCompiler.from_templates(self.applications)
+        self.compiler = QoSCompiler.from_templates(
+            self.applications, self.rngs.stream("compiler")
+        )
 
         # -- lookup -------------------------------------------------------------
         if config.lookup_protocol == "chord":

@@ -339,6 +339,8 @@ class SoAPeerDirectory:
                 f"peer {self._next_id}: access bandwidth must be positive"
             )
         pid = self._next_id
+        if pid >> 28:  # a pair class keys the pair as ``lo << 28 | hi``
+            raise OverflowError("peer ids must stay below 2**28")
         self._next_id += 1
         self._n_total += 1
         row = self.store.alloc_row()

@@ -7,12 +7,13 @@ between two peers, which is initialized randomly as 10M, 500k, 100k, or
 200, 150, 80, 20, or 1 ms [12]."
 
 A literal N x N matrix is 10^8 entries at the paper's 10^4-peer scale, so
-pairwise classes are *derived*, not stored: a deterministic BLAKE2b hash
-of ``(seed, min(a,b), max(a,b))`` indexes into the class table.  This has
-the same marginal distribution as random initialization, is symmetric
-and reproducible, and needs no per-pair storage; :class:`NetworkModel`
-keeps one fixed-size direct-mapped memo of recently derived classes
-(``MEMO_SLOTS`` slots, a few MB at any N) so hot pairs are not re-hashed.
+pairwise classes are *derived*, not stored: the 64-bit key ``lo << 28 |
+hi`` of the unordered pair, XORed with a salt derived from the seed, goes
+through SplitMix64's finalizer, and the top 32 bits of the result pick
+the class by integer thresholds of the class CDF.  This has the same
+marginal distribution as random initialization, is symmetric and
+reproducible, needs no per-pair storage, and is cheap enough to derive
+for a whole candidate block in numpy every time it is asked for.
 
 End-to-end *available* bandwidth additionally accounts for consumption:
 
@@ -26,9 +27,8 @@ contention -- see DESIGN.md §4.
 
 from __future__ import annotations
 
-import hashlib
-from operator import eq
-from typing import Dict, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,15 +53,23 @@ LATENCY_CLASSES_MS: Tuple[float, ...] = (200.0, 150.0, 80.0, 20.0, 1.0)
 DEFAULT_BANDWIDTH_WEIGHTS: Tuple[float, ...] = (0.35, 0.35, 0.2, 0.1)
 
 
+def _mix(z):
+    """SplitMix64's finalizer of ``z``: a Python int in ``[0, 2**64)`` or
+    a ``uint64`` array (whose multiplies wrap, so the masks are no-ops).
+    One function for both is what makes scalar and block classes equal."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return z ^ z >> 31
+
+
 class PairwiseClasses:
     """Deterministic, symmetric pairwise class assignment via hashing.
 
     ``weights`` optionally skews the class distribution (e.g. towards the
     broadband classes measured for real P2P populations [17]); ``None``
-    gives the uniform distribution.
-
-    ``class_index`` is a pure function of the unordered pair and keeps no
-    state; :class:`NetworkModel` owns the (single, bounded) memo.
+    gives the uniform distribution.  Peer ids must stay below ``2**28``
+    (the directory refuses to mint a larger one).  The local pair
+    ``{a, a}`` is the one-past-the-end class ``n_classes``.
     """
 
     def __init__(
@@ -72,46 +80,38 @@ class PairwiseClasses:
     ) -> None:
         self.seed = int(seed)
         self.n_classes = int(n_classes)
-        # Every pair's message is ``b"<seed>:<lo>:<hi>"``: the seed prefix
-        # is absorbed once, each pair copies that state and adds its tail.
-        self._prefix = hashlib.blake2b(b"%d:" % self.seed, digest_size=4)
-        if weights is None:
-            self._cumulative: Optional[np.ndarray] = None
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (n_classes,) or np.any(w < 0) or w.sum() <= 0:
-                raise ValueError(f"bad class weights {weights!r}")
-            self._cumulative = np.cumsum(w / w.sum())
+        w = np.asarray(
+            (1.0,) * n_classes if weights is None else weights, dtype=np.float64
+        )
+        if w.shape != (n_classes,) or np.any(w < 0) or w.sum() <= 0:
+            raise ValueError(f"bad class weights {weights!r}")
+        # The salt is SplitMix64's first output from state ``seed``.
+        self._salt = _mix((self.seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+        # A class is the number of cuts at or below a hash's top 32 bits.
+        self._cuts = [
+            round(c * 2**32) for c in np.cumsum(w / w.sum())[:-1].tolist()
+        ]
+        self._cut_array = np.array(self._cuts, dtype=np.uint64)
 
     def class_index(self, a: int, b: int) -> int:
         """The class index for the unordered pair ``{a, b}``."""
-        lo, hi = (a, b) if a <= b else (b, a)
-        return int(self.class_indices((lo,), (hi,))[0])
+        lo, hi = (int(a), int(b)) if a <= b else (int(b), int(a))
+        if lo == hi:
+            return self.n_classes
+        return bisect_right(self._cuts, _mix((lo << 28 | hi) ^ self._salt) >> 32)
 
-    def class_indices(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
-        """:meth:`class_index` of each pair ``los[i] <= his[i]``."""
-        fresh = self._prefix.copy
-        digests = []
-        for pair in zip(los, his):
-            h = fresh()
-            h.update(b"%d:%d" % pair)
-            digests.append(h.digest())
-        raws = np.frombuffer(b"".join(digests), "<u4")
-        if self._cumulative is None:
-            return raws % self.n_classes
-        at = self._cumulative.searchsorted(raws / 2.0**32, side="right")
-        return np.minimum(at, self.n_classes - 1, out=at)
+    def class_indices(self, a, b) -> np.ndarray:
+        """:meth:`class_index` elementwise over ``int64`` ids (``a`` or
+        ``b`` may be one id, broadcast against the other's array)."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = (lo << 28 | hi).view(np.uint64) ^ self._salt
+        at = self._cut_array.searchsorted(_mix(keys) >> 32, side="right")
+        at[lo == hi] = self.n_classes
+        return at
 
 
 class NetworkModel:
     """End-to-end bandwidth/latency plus reservation accounting."""
-
-    #: Slots of the pair memo (a prime, so ``key % MEMO_SLOTS`` spreads
-    #: the packed keys).  The memo is direct-mapped and fixed-size (8
-    #: bytes per slot, 4 MB): a colliding pair overwrites the slot, so it
-    #: never holds more than ``MEMO_SLOTS`` pairs, never stops admitting
-    #: new ones, and a miss only costs a re-hash.
-    MEMO_SLOTS = 524_269
 
     def __init__(
         self,
@@ -124,8 +124,6 @@ class NetworkModel:
         self.peers = peers
         self.bandwidth_classes = tuple(bandwidth_classes)
         self.latency_classes = tuple(latency_classes)
-        if max(len(self.bandwidth_classes), len(self.latency_classes)) > 14:
-            raise ValueError("at most 14 bandwidth/latency classes")
         if bandwidth_weights is None:
             bandwidth_weights = DEFAULT_BANDWIDTH_WEIGHTS
         self._bw_hash = PairwiseClasses(
@@ -135,80 +133,26 @@ class NetworkModel:
         #: Active reservations as a symmetric sparse adjacency
         #: (peer -> {other peer -> bps}); only pairs with flows appear.
         self._reserved: Dict[int, Dict[int, float]] = {}
-        # The pair memo: one int64 per slot, ``(lo << 28 | hi) << 8 | word``
-        # (-1 = empty; peer ids stay below 2**28).  The word's low nibble
-        # is the bandwidth class, its high nibble the latency class + 1 --
-        # 0 until a caller first asks for the latency, which the default
-        # Φ never does.  The one-past-the-end class of each table is the
-        # local (self) pair: infinite capacity, 0 ms.
-        self._memo = np.full(self.MEMO_SLOTS, -1, dtype=np.int64)
+        # The one-past-the-end class of each table is the local (self)
+        # pair: infinite capacity, 0 ms.
         self._capacity_of = np.array(self.bandwidth_classes + (np.inf,))
-        self._latency_of = np.array((np.nan,) + self.latency_classes + (0.0,))
+        self._latency_of = np.array(self.latency_classes + (0.0,))
 
     # -- static pairwise properties -----------------------------------------
-    def _hash_words(self, los: list, his: list, latency: bool) -> np.ndarray:
-        """Memo words of pairs ``los[i] <= his[i]``, derived from scratch."""
-        if his and max(his) >> 28:
-            raise OverflowError("peer ids must stay below 2**28")
-        bw, lat = self._bw_hash, self._lat_hash
-        words = bw.class_indices(los, his)
-        local = bw.n_classes
-        if latency:
-            words |= lat.class_indices(los, his) + 1 << 4
-            local |= lat.n_classes + 1 << 4
-        if any(map(eq, los, his)):  # local pairs get the one-past-the-end classes
-            words[np.equal(los, his)] = local
-        return words
-
-    def _pair_word(self, a: int, b: int, latency: bool) -> int:
-        lo, hi = (int(a), int(b)) if a <= b else (int(b), int(a))
-        key = lo << 28 | hi
-        slot = key % len(self._memo)
-        entry = int(self._memo[slot])
-        if entry >> 8 != key or (latency and entry & 0xF0 == 0):
-            entry = key << 8 | int(self._hash_words([lo], [hi], latency)[0])
-            self._memo[slot] = entry
-        return entry & 0xFF
-
-    def _pair_words(
-        self, observer: int, targets: np.ndarray, latency: bool
-    ) -> np.ndarray:
-        """Memo words of ``{observer, t}`` for an int64 id array.
-
-        Everything is bound once per block; the only per-target Python
-        is the BLAKE2b of pairs the memo does not hold.
-        """
-        lo = np.minimum(targets, observer)
-        hi = np.maximum(targets, observer)
-        keys = lo << 28
-        keys |= hi
-        slots = keys % len(self._memo)
-        entries = self._memo[slots]
-        words = entries & 0xFF
-        miss = entries >> 8 != keys
-        if latency:
-            miss |= words < 16
-        if np.count_nonzero(miss):
-            at = miss.nonzero()[0]
-            hashed = self._hash_words(lo[at].tolist(), hi[at].tolist(), latency)
-            words[at] = hashed
-            self._memo[slots[at]] = keys[at] << 8 | hashed
-        return words
-
     def pair_capacity(self, a: int, b: int) -> float:
         """The bottleneck-class capacity of the path between ``a``, ``b``."""
-        return float(self._capacity_of[self._pair_word(a, b, False) & 0xF])
+        return float(self._capacity_of[self._bw_hash.class_index(a, b)])
 
     def latency_ms(self, a: int, b: int) -> float:
-        return float(self._latency_of[self._pair_word(a, b, True) >> 4])
+        return float(self._latency_of[self._lat_hash.class_index(a, b)])
 
     def pair_capacities(self, observer: int, targets: np.ndarray) -> np.ndarray:
         """:meth:`pair_capacity` of ``observer`` to each id in ``targets``."""
-        return self._capacity_of[self._pair_words(observer, targets, False) & 0xF]
+        return self._capacity_of[self._bw_hash.class_indices(observer, targets)]
 
     def pair_latencies(self, observer: int, targets: np.ndarray) -> np.ndarray:
         """:meth:`latency_ms` of ``observer`` to each id in ``targets``."""
-        return self._latency_of[self._pair_words(observer, targets, True) >> 4]
+        return self._latency_of[self._lat_hash.class_indices(observer, targets)]
 
     # -- availability ---------------------------------------------------------
     def pair_reserved(self, a: int, b: int) -> float:

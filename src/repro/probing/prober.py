@@ -394,7 +394,7 @@ class ProbingService:
 
         An :data:`~repro.core.selection.ObservedBlock`; its latencies
         are ``None`` unless asked for -- the default Φ never reads them,
-        and deriving one costs a hash per first-seen pair.  Side effects:
+        so the default run never derives them.  Side effects:
         expired/departed entries are pruned and stale rows probed once,
         in target order.  ``known`` is what :meth:`resolve_selection_hops`
         just returned for these targets at this observer; without it the

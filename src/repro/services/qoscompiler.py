@@ -68,17 +68,30 @@ class UserRequest:
 
 
 class QoSCompiler:
-    """Maps :class:`UserRequest` onto ``(AbstractServicePath, QoSVector)``."""
+    """Maps :class:`UserRequest` onto ``(AbstractServicePath, QoSVector)``.
 
-    def __init__(self, applications: Mapping[str, ApplicationTemplate]) -> None:
+    ``rng`` draws the output format of requests that leave it unset.  The
+    grid hands the compiler its own stream (``"compiler"``), so the user
+    QoS a request compiles to depends on the request sequence alone --
+    never on how many draws the aggregator's selection made before it.
+    """
+
+    def __init__(
+        self,
+        applications: Mapping[str, ApplicationTemplate],
+        rng: Optional[np.random.Generator] = None,
+    ) -> None:
         self.applications = dict(applications)
+        self.rng = rng
 
     @classmethod
-    def from_templates(cls, templates) -> "QoSCompiler":
-        return cls({t.name: t for t in templates})
+    def from_templates(
+        cls, templates, rng: Optional[np.random.Generator] = None
+    ) -> "QoSCompiler":
+        return cls({t.name: t for t in templates}, rng)
 
     def compile(
-        self, request: UserRequest, rng: Optional[np.random.Generator] = None
+        self, request: UserRequest
     ) -> tuple[AbstractServicePath, QoSVector]:
         """Translate a request; unknown applications raise ``KeyError``.
 
@@ -94,11 +107,11 @@ class QoSCompiler:
             ) from None
         fmt = request.out_format
         if fmt is None:
-            if rng is None:
+            if self.rng is None:
                 raise ValueError(
                     "out_format unset and no rng provided to choose one"
                 )
-            fmt = str(rng.choice(app.user_formats()))
+            fmt = str(self.rng.choice(app.user_formats()))
         elif fmt not in app.user_formats():
             raise ValueError(
                 f"format {fmt!r} is not offered by {app.name!r} "

@@ -1,5 +1,7 @@
 """Unit tests for pairwise classes and bandwidth accounting."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.resources import ResourceVector
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import (
     BANDWIDTH_CLASSES,
+    DEFAULT_BANDWIDTH_WEIGHTS,
     LATENCY_CLASSES_MS,
     NetworkModel,
     PairwiseClasses,
@@ -20,6 +23,24 @@ def make_net(n=10, access=1e6, seed=0, weights=None):
     for _ in range(n):
         d.create_peer(ResourceVector(NAMES, [100, 100]), access, 0.0)
     return d, NetworkModel(d, seed=seed, bandwidth_weights=weights)
+
+
+def _transcribed_class(seed, weights, n_classes, a, b):
+    """One pair's class, from the SplitMix64 definition in plain ints."""
+    lo, hi = min(a, b), max(a, b)
+    if lo == hi:
+        return n_classes
+
+    def finalize(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    salt = finalize((seed + 0x9E3779B97F4A7C15) % 2**64)
+    top32 = finalize(((lo << 28) | hi) ^ salt) >> 32
+    w = weights or (1.0,) * n_classes
+    cuts = [round(c * 2**32) for c in accumulate(x / sum(w) for x in w)]
+    return sum(top32 >= cut for cut in cuts[:-1])
 
 
 class TestPairwiseClasses:
@@ -59,35 +80,62 @@ class TestPairwiseClasses:
 
     @pytest.mark.parametrize("weights", [None, (0.35, 0.35, 0.2, 0.1),
                                          (0.0, 0.5, 0.0, 0.5)])
-    def test_prefix_state_digest_is_the_whole_message_digest(self, weights):
-        """The hash input is golden-pinned: copying a state that absorbed
-        ``b"<seed>:"`` and adding ``b"<lo>:<hi>"`` must digest exactly
-        ``b"<seed>:<lo>:<hi>"``, and the class must be the scalar
-        ``bisect_right`` / modulo of that digest."""
-        import hashlib
-        from bisect import bisect_right
-
+    def test_python_transcription_equals_numpy_block(self, weights):
+        """The hash is golden-pinned: the numpy block and the scalar path
+        must equal an independent transcription of SplitMix64's finalizer
+        over ``(lo << 28 | hi) ^ salt`` with integer CDF cuts, for random
+        pairs, key 0 and ids next to the ``2**28`` bound."""
         rng = np.random.default_rng(17)
+        top = 2**28 - 1
         for seed in (0, 7, 2**31 + 5):
             pc = PairwiseClasses(seed, 4, weights)
-            los = rng.integers(0, 2**28, size=300).tolist()
-            his = [lo + int(d) for lo, d in
-                   zip(los, rng.integers(0, 10**4, size=300))]
-            his[::50] = los[::50]  # local pairs hash like any other
-            expected = []
-            for lo, hi in zip(los, his):
-                raw = int.from_bytes(hashlib.blake2b(
-                    b"%d:%d:%d" % (seed, lo, hi), digest_size=4
-                ).digest(), "little")
-                if weights is None:
-                    expected.append(raw % 4)
-                else:
-                    w = np.asarray(weights, dtype=np.float64)
-                    cumulative = np.cumsum(w / w.sum()).tolist()
-                    expected.append(min(bisect_right(cumulative, raw / 2**32), 3))
+            los = rng.integers(0, 2**28, size=300)
+            his = np.minimum(los + rng.integers(1, 10**4, size=300), top)
+            los[:6] = (0, 0, top - 1, top - 2, 0, 5)
+            his[:6] = (1, top, top, top - 1, 0, 5)
+            expected = [_transcribed_class(seed, weights, 4, lo, hi)
+                        for lo, hi in zip(los.tolist(), his.tolist())]
             assert pc.class_indices(los, his).tolist() == expected
+            assert pc.class_indices(his, los).tolist() == expected
             assert [pc.class_index(hi, lo) for lo, hi in
-                    zip(los[:20], his[:20])] == expected[:20]
+                    zip(los.tolist(), his.tolist())] == expected
+
+    def test_salt_is_the_reference_splitmix64_output(self):
+        """SplitMix64 from state 0 first returns 0xE220A8397B1DCDAF (the
+        published reference value), which anchors the transcription."""
+        assert PairwiseClasses(0, 4)._salt == 0xE220A8397B1DCDAF
+
+    def test_scalar_equals_block_and_local_pair_is_one_past_the_end(self):
+        pc = PairwiseClasses(seed=11, n_classes=5)
+        targets = np.arange(0, 400, 7, dtype=np.int64)
+        for observer in (0, 3, 49, 399):
+            block = pc.class_indices(observer, targets).tolist()
+            assert block == [pc.class_index(observer, t)
+                             for t in targets.tolist()]
+            assert block == pc.class_indices(targets, observer).tolist()
+        assert pc.class_index(42, 42) == 5
+        assert pc.class_indices(42, np.array([42, 43])).tolist()[0] == 5
+
+    def test_class_shares_over_all_pairs_of_2000_ids(self):
+        """Bandwidth shares follow the default weights, latency shares are
+        uniform, and the two tables are independent: the joint table is
+        the product of the marginals (within 0.003 everywhere)."""
+        _, net = make_net(n=2)
+        n_bw = len(BANDWIDTH_CLASSES)
+        n_lat = len(LATENCY_CLASSES_MS)
+        ids = np.arange(2000, dtype=np.int64)
+        joint = np.zeros((n_bw, n_lat))
+        for observer in range(1999):
+            others = ids[observer + 1:]
+            bw = net._bw_hash.class_indices(observer, others)
+            lat = net._lat_hash.class_indices(observer, others)
+            joint += np.bincount(bw * n_lat + lat, minlength=n_bw * n_lat
+                                 ).reshape(n_bw, n_lat)
+        joint /= joint.sum()
+        bw_share, lat_share = joint.sum(axis=1), joint.sum(axis=0)
+        assert np.all(np.abs(bw_share - DEFAULT_BANDWIDTH_WEIGHTS) < 0.003)
+        assert np.all(np.abs(lat_share - 1.0 / n_lat) < 0.003)
+        assert np.all(np.abs(joint - np.outer(bw_share, lat_share)) < 0.003)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -186,81 +234,8 @@ class TestNetworkModel:
         assert d[0].avail_up == pytest.approx(1000.0 - total)
 
 
-class TestPairMemo:
-    """The one pair memo: bounded, never stops admitting, values exact.
-
-    Regression for the ``MEMO_CAP = 2**18`` cliff: the old dict memos
-    stopped admitting entries once full, so every pair first touched
-    after the cliff was re-hashed (twice) on every later touch.
-    """
-
-    @staticmethod
-    def _count_hashes(monkeypatch):
-        """One list entry per pair handed to ``class_indices``, the only
-        place a pair is hashed (one BLAKE2b digest each)."""
-        calls = []
-        real = PairwiseClasses.class_indices
-
-        def counting(self, los, his):
-            calls.extend([1] * len(los))
-            return real(self, los, his)
-
-        monkeypatch.setattr(PairwiseClasses, "class_indices", counting)
-        return calls
-
-    def test_survives_more_than_2_18_distinct_pairs(self, monkeypatch):
-        _, net = make_net(n=4, seed=5)
-        fresh = PairwiseClasses(5 * 2 + 1, len(BANDWIDTH_CLASSES),
-                                (0.35, 0.35, 0.2, 0.1))
-        n_pairs = 0
-        for observer in range(700):  # 700 x 400 = 280 000 > 2**18 pairs
-            targets = np.arange(1000 + observer, 1400 + observer, dtype=np.int64)
-            caps = net.pair_capacities(observer, targets)
-            n_pairs += len(targets)
-            if observer % 100 == 0:  # (a) values equal a fresh hasher
-                expected = [BANDWIDTH_CLASSES[fresh.class_index(observer, int(t))]
-                            for t in targets]
-                assert caps.tolist() == expected
-        assert n_pairs > 2**18
-        # (b) the entry count stays under the stated bound.
-        assert len(net._memo) == NetworkModel.MEMO_SLOTS
-        assert int((net._memo >= 0).sum()) <= NetworkModel.MEMO_SLOTS
-        # (c) a pair first touched *after* the flood is admitted: hashed
-        # once (capacity only -- nobody asked for its latency), then
-        # served from the memo on the scalar and on the batch path.
-        calls = self._count_hashes(monkeypatch)
-        first = net.pair_capacity(5000, 5001)
-        assert len(calls) == 1
-        assert net.pair_capacity(5001, 5000) == first
-        again = net.pair_capacities(5000, np.array([5001], dtype=np.int64))
-        assert again.tolist() == [first]
-        assert len(calls) == 1
-
-    def test_colliding_pairs_evict_but_never_lie(self, monkeypatch):
-        _, wide = make_net(n=4, seed=2)
-        monkeypatch.setattr(NetworkModel, "MEMO_SLOTS", 7)
-        _, net = make_net(n=4, seed=2)
-        targets = np.arange(40, dtype=np.int64)
-        for _ in range(2):  # second sweep re-reads evicted slots
-            for observer in range(20):
-                assert (net.pair_capacities(observer, targets).tolist()
-                        == wide.pair_capacities(observer, targets).tolist())
-                assert (net.pair_latencies(observer, targets).tolist()
-                        == wide.pair_latencies(observer, targets).tolist())
-                assert net.latency_ms(observer, 3) == wide.latency_ms(observer, 3)
-        assert len(net._memo) == 7
-
-    def test_latency_is_hashed_only_on_request(self, monkeypatch):
-        _, net = make_net()
-        calls = self._count_hashes(monkeypatch)
-        targets = np.array([1, 2, 3], dtype=np.int64)
-        caps = net.pair_capacities(0, targets)
-        assert len(calls) == 3  # one bandwidth hash per pair, no latency
-        lats = net.pair_latencies(0, targets)
-        assert len(calls) == 3 + 6  # completing re-derives both classes
-        assert lats.tolist() == [net.latency_ms(0, t) for t in (1, 2, 3)]
-        assert net.pair_capacities(0, targets).tolist() == caps.tolist()
-        assert len(calls) == 9  # everything memoized now
+class TestPairBlocks:
+    """Block queries answer what the scalar ones do, local pair included."""
 
     def test_local_pair_in_a_block(self):
         _, net = make_net()
@@ -270,6 +245,23 @@ class TestPairMemo:
         assert net.pair_capacities(0, targets).tolist() == [
             net.pair_capacity(0, t) for t in (1, 0, 2)
         ]
+
+    def test_block_latencies_equal_scalar(self):
+        _, net = make_net(seed=4)
+        targets = np.array([9, 0, 2, 2**28 - 1, 7], dtype=np.int64)
+        for observer in (0, 7, 2**28 - 1):
+            assert net.pair_latencies(observer, targets).tolist() == [
+                net.latency_ms(observer, t) for t in targets.tolist()
+            ]
+
+    def test_directory_refuses_to_mint_id_2_28(self):
+        """The pair key packs two ids into 56 bits; the bound is checked
+        once, where ids are minted, not on every hop."""
+        d, _ = make_net(n=2)
+        d._next_id = 2**28
+        with pytest.raises(OverflowError):
+            d.create_peer(ResourceVector(NAMES, [1, 1]), 1e6, 0.0)
+        assert d.n_alive == 2
 
     def test_batch_beta_handles_reservations_and_self(self):
         d, net = make_net(n=6)

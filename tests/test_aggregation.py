@@ -38,7 +38,7 @@ class TestQSA:
 
         agg = grid.make_aggregator("qsa")
         req, res = admit_one(grid, agg, level="high")
-        _, user_qos = grid.compiler.compile(req, np.random.default_rng(0))
+        _, user_qos = grid.compiler.compile(req)
         # compile() draws a fresh format; check against the composed path's
         # own final output instead.
         last = res.composed.instances[-1]

@@ -8,10 +8,14 @@ a seed pins every draw, and simultaneous events fire FIFO.
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+import repro.grid
+from repro.core.selection import PhiWeights
+from repro.experiments.config import SCENARIOS, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.grid import GridConfig, P2PGrid
 from repro.network.churn import ChurnConfig
+from repro.network.topology import NetworkModel
+from repro.services.qoscompiler import QoSCompiler
 from repro.workload.generator import WorkloadConfig
 
 
@@ -105,3 +109,51 @@ class TestPairedWorkloads:
         grid.rngs.stream("aggregator-random").random(10_000)
         qsa_rng_b = grid.rngs.fresh("aggregator-qsa")
         assert (qsa_rng_a.random(8) == qsa_rng_b.random(8)).all()
+
+
+class TestCompilerStream:
+    """The compiler draws unset output formats from its own stream, so
+    the user QoS a request compiles to depends on the request sequence
+    alone -- not on the algorithm, on Φ or on the pair classes selection
+    saw (all of which change how many draws selection takes)."""
+
+    @staticmethod
+    def _smoke(monkeypatch, algorithm="qsa"):
+        """Every ``(request_id, user QoS)`` the seeded ``smoke`` run
+        compiles, and its ``composition-failed`` count."""
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        compiled = []
+        real = QoSCompiler.compile
+
+        def recording(self, request):
+            path, user_qos = real(self, request)
+            compiled.append((request.request_id, user_qos.as_tuple()))
+            return path, user_qos
+
+        with monkeypatch.context() as patch:
+            patch.setattr(QoSCompiler, "compile", recording)
+            result = run_experiment(
+                SCENARIOS["smoke"](0).with_algorithm(algorithm)
+            )
+        return compiled, result.metrics.breakdown()["composition-failed"]
+
+    def test_three_algorithms_compile_the_same_requests(self, monkeypatch):
+        qsa = self._smoke(monkeypatch)
+        assert len(qsa[0]) == 271
+        for algorithm in ("random", "fixed"):
+            compiled, _ = self._smoke(monkeypatch, algorithm)
+            assert compiled == qsa[0], algorithm
+
+    def test_selection_inputs_do_not_move_composition(self, monkeypatch):
+        reference = self._smoke(monkeypatch)
+        names = SCENARIOS["smoke"](0).grid.resource_names
+        with monkeypatch.context() as patch:
+            patch.setattr(PhiWeights, "uniform", classmethod(
+                lambda cls, _: cls.latency_aware(names, latency_weight=0.5)
+            ))
+            assert self._smoke(monkeypatch) == reference
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.grid, "NetworkModel", lambda peers, seed: (
+                NetworkModel(peers, seed=seed + 1000)
+            ))
+            assert self._smoke(monkeypatch) == reference

@@ -7,6 +7,13 @@ comparators, which compose over :class:`ConsistencyGraph` rather than
 the QCS kernel.  Any refactor that perturbs an RNG draw order, a
 tie-break or an admission decision moves at least one of them; a change
 that *means* to move them re-records with ``save_baseline`` and says so.
+
+Last re-recorded on top of ``3c7918f``, by the change that derives pair
+classes from SplitMix64 instead of BLAKE2b (every pair's bandwidth and
+latency class is a new realization of the same distribution) and gives
+the QoS compiler its own RNG stream (every request's output-format draw
+moved off the aggregator's stream, so ``qsa``, ``random`` and ``fixed``
+now compile the same user QoS for each request).
 """
 
 from dataclasses import replace
@@ -45,9 +52,11 @@ def test_psi_golden(name, monkeypatch):
 
 def test_smoke_plan_cache_counters(monkeypatch):
     """``cache.qcs_plan.hits`` / ``.misses`` of the seeded ``smoke`` run,
-    as recorded at PR 22.  The plan LRU never reaches its cap here, so
-    nothing about how plans are keyed may move them: a hit is a request
-    whose (services, user QoS, candidate ids) was composed before."""
+    re-recorded with the ψ goldens (see the module docstring): the user
+    QoS each request compiles to moved with the compiler's stream.  The
+    plan LRU never reaches its cap here, so nothing about how plans are
+    keyed may move them: a hit is a request whose (services, user QoS,
+    candidate ids) was composed before."""
     monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
     config = SCENARIOS["smoke"](0)
     grid = P2PGrid(replace(config.grid, telemetry=True))
@@ -59,7 +68,7 @@ def test_smoke_plan_cache_counters(monkeypatch):
     ).start()
     grid.sim.run()
     counter = grid.telemetry.metrics.counter
-    assert counter("cache.qcs_plan.hits").value == 169
+    assert counter("cache.qcs_plan.hits").value == 174
     assert counter("cache.qcs_plan.misses").value == 75
 
 
