@@ -24,7 +24,7 @@ order compatible with addition).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,30 @@ class ResourceVector:
             )
         if (self.values < 0).any():
             raise ValueError(f"negative resource amounts: {self.values}")
+
+    @classmethod
+    def rows(cls, names: Sequence[str], block: np.ndarray) -> List["ResourceVector"]:
+        """One vector per row of the ``(n, len(names))`` array ``block``.
+
+        The constructor's shape and non-negativity checks run once on the
+        whole block; every vector's ``values`` is a row of one private
+        copy of it, so callers cannot alias any of them either.
+        """
+        names = tuple(names)
+        values = np.asarray(block).astype(np.float64)
+        if values.ndim != 2 or values.shape[1] != len(names):
+            raise ValueError(
+                f"{len(names)} names but a block of shape {values.shape}"
+            )
+        if (values < 0).any():
+            raise ValueError(f"negative resource amounts: {values.min()}")
+        out: List[ResourceVector] = []
+        for row in values:
+            vector = cls.__new__(cls)
+            vector.names = names
+            vector.values = row
+            out.append(vector)
+        return out
 
     @classmethod
     def zeros_like(cls, other: "ResourceVector") -> "ResourceVector":

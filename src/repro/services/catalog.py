@@ -30,12 +30,14 @@ selection reads it as the hop's candidates.  Churn replaces a record
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.qos import Interval, QoSVector
+from repro.core.resources import ResourceVector
 from repro.services.applications import ApplicationTemplate
 from repro.services.model import ServiceInstance
 from repro.services.translator import AnalyticTranslator
@@ -176,6 +178,51 @@ class ServiceCatalog:
         )
 
 
+def _distinct_rows(
+    counts: np.ndarray, n_peers: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniform ``counts[i]``-subsets of ``range(n_peers)``, one per row.
+
+    A row that wants more than half the peers draws the ones it leaves
+    out instead (the complement of a uniform subset is uniform), so no
+    draw covers more than half the peers.  The draws are one ``(n,
+    width)`` block of indices with replacement (row ``i`` uses its first
+    ``draws[i]`` slots); then only the slots that repeat an earlier slot
+    of their row are redrawn, until no row repeats.  Every step commutes
+    with relabelling the peers, so each row's set is a uniform subset;
+    at most half full, a row finishes in a few rounds, in ``O(n * width)``
+    time and memory.  Returned rows are ascending, row ``i``'s subset
+    being its last ``counts[i]`` entries (the unused slots hold negative
+    padding, which sorts first).
+    """
+    flip = 2 * counts > n_peers
+    draws = np.where(flip, n_peers - counts, counts)
+    width = int(draws.max())
+    block = rng.integers(n_peers, size=(len(counts), width))
+    pad = np.arange(width) >= draws[:, None]
+    block[pad] = -1 - pad.nonzero()[1]
+    while True:
+        # Stable, so of equal slots the earliest sorts first and keeps
+        # its peer; each later one is redrawn.
+        order = block.argsort(axis=1, kind="stable")
+        ranked = np.take_along_axis(block, order, axis=1)
+        rows, cols = (ranked[:, 1:] == ranked[:, :-1]).nonzero()
+        if not len(rows):
+            break
+        block[rows, order[rows, cols + 1]] = rng.integers(n_peers, size=len(rows))
+    if not flip.any():
+        return ranked
+    # Fewer than twice max(counts) peers, so an (n, n_peers) membership
+    # block is small: flip the complemented rows and right-align.
+    member = np.zeros((len(counts), n_peers), dtype=bool)
+    rows, cols = (ranked >= 0).nonzero()
+    member[rows, ranked[rows, cols]] = True
+    member[flip] = ~member[flip]
+    ids = np.where(member, np.arange(n_peers), -1)
+    ids.sort(axis=1)
+    return ids[:, n_peers - int(counts.max()):]
+
+
 def generate_catalog(
     applications: Sequence[ApplicationTemplate],
     peer_ids: Sequence[int],
@@ -194,22 +241,39 @@ def generate_catalog(
     * ``R`` and ``b`` from the analytic translator at quality ``q``.
 
     Placement: each instance lands on ``U[replicas_per_instance]``
-    distinct peers chosen uniformly.
+    distinct peers chosen uniformly (all of them, when there are fewer).
+
+    Draws come in blocks: one instance count per service for the whole
+    catalog, then per service one array each for quality, input format,
+    output format, ``R`` (an ``(n, m)`` block), ``b``, replica count and
+    the replica sets (:func:`_distinct_rows`), in that order.  The arrays
+    become Python ``int`` / ``float`` / ``str`` fields one service at a
+    time, and each host record is built from the caller's own peer-id
+    objects.
+
+    Instance ids are ``"<service>/<j>"``, so two applications may not
+    name the same service: that raises :class:`ValueError`.
     """
     config = config or CatalogConfig()
     translator = translator or AnalyticTranslator()
-    peer_ids = list(peer_ids)
-    if not peer_ids:
+    # Index i of a replica row is the i-th smallest peer id, so an
+    # ascending index row is an ascending host record.
+    peers = sorted(peer_ids)
+    if not peers:
         raise ValueError("need at least one peer to host replicas")
+    services = [service for app in applications for service in app.services]
+    shared = sorted(s for s, n in Counter(services).items() if n > 1)
+    if shared:
+        raise ValueError(
+            f"service name(s) {shared} appear in more than one place across "
+            "the applications; instance ids are keyed by service name"
+        )
 
     instances: Dict[str, ServiceInstance] = {}
     replicas: Dict[str, Tuple[int, ...]] = {}
     ilo, ihi = config.instances_per_service
     rlo, rhi = config.replicas_per_instance
-    # Scalar-draw spellings of rng.choice that consume the identical
-    # bit-generator state (choice(p=) is cumsum+searchsorted over one
-    # random(); choice without p is one integers()) but skip choice's
-    # per-call validation -- catalog generation makes thousands of draws.
+    levels = np.asarray(config.quality_levels)
     quality_cdf = np.cumsum(config.quality_weights)
     quality_cdf /= quality_cdf[-1]
     max_quality = max(config.quality_levels)
@@ -217,24 +281,35 @@ def generate_catalog(
     # quality) shares one Qin / one Qout object.
     qins: Dict[Tuple[str, int], QoSVector] = {}
     qouts: Dict[Tuple[str, int], QoSVector] = {}
+    n_instances = iter(rng.integers(ilo, ihi + 1, size=len(services)).tolist())
 
     for app in applications:
         for k, service in enumerate(app.services):
             in_formats = app.interface_formats(k - 1)
             out_formats = app.interface_formats(k)
-            n_inst = int(rng.integers(ilo, ihi + 1))
-            for j in range(n_inst):
-                quality = int(config.quality_levels[
-                    quality_cdf.searchsorted(rng.random(), side="right")
-                ])
-                in_format = str(in_formats[int(rng.integers(len(in_formats)))])
+            n = next(n_instances)
+            qualities = levels[quality_cdf.searchsorted(rng.random(n), side="right")]
+            in_index = rng.integers(len(in_formats), size=n)
+            out_index = rng.integers(len(out_formats), size=n)
+            resources = ResourceVector.rows(
+                translator.resource_names, translator.resources_for(qualities, rng)
+            )
+            bandwidths = translator.bandwidth_for(qualities, rng)
+            n_hosts = np.minimum(rng.integers(rlo, rhi + 1, size=n), len(peers))
+            hosts = _distinct_rows(n_hosts, len(peers), rng)
+            width = hosts.shape[1]
+            for j, (quality, i_in, i_out, r, b, n_rep, row) in enumerate(zip(
+                qualities.tolist(), in_index.tolist(), out_index.tolist(),
+                resources, bandwidths.tolist(), n_hosts.tolist(), hosts.tolist(),
+            )):
+                in_format = in_formats[i_in]
                 qin = qins.get((in_format, quality))
                 if qin is None:
                     qin = qins[in_format, quality] = QoSVector(
                         format=in_format,
                         quality=Interval(quality, max_quality),
                     )
-                out_format = str(out_formats[int(rng.integers(len(out_formats)))])
+                out_format = out_formats[i_out]
                 qout = qouts.get((out_format, quality))
                 if qout is None:
                     qout = qouts[out_format, quality] = QoSVector(
@@ -246,11 +321,9 @@ def generate_catalog(
                     service=service,
                     qin=qin,
                     qout=qout,
-                    resources=translator.resources_for(quality, rng),
-                    bandwidth=translator.bandwidth_for(quality, rng),
+                    resources=r,
+                    bandwidth=b,
                 )
-                n_rep = min(int(rng.integers(rlo, rhi + 1)), len(peer_ids))
-                chosen = rng.choice(len(peer_ids), size=n_rep, replace=False)
-                replicas[iid] = tuple(sorted(peer_ids[c] for c in chosen.tolist()))
+                replicas[iid] = tuple([peers[p] for p in row[width - n_rep:]])
 
     return ServiceCatalog(applications, instances, replicas)

@@ -18,6 +18,13 @@ The randomness models instance-to-instance implementation diversity
 ("each service instance is also randomly assigned values for its Qin,
 Qout and R parameters", §4.1); it is driven by the caller's RNG stream so
 catalogs are reproducible.
+
+Both draws take a *block* of output qualities -- one per instance of a
+service -- and return one block: :meth:`AnalyticTranslator.resources_for`
+an ``(n, m)`` array whose row ``i`` is instance ``i``'s ``R``,
+:meth:`AnalyticTranslator.bandwidth_for` an ``(n,)`` array of ``b``.  The
+catalog therefore draws each column with one call per service instead of
+one call per instance.
 """
 
 from __future__ import annotations
@@ -25,8 +32,6 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-
-from repro.core.resources import ResourceVector
 
 __all__ = ["AnalyticTranslator", "DEFAULT_BANDWIDTH_RANGES"]
 
@@ -79,31 +84,48 @@ class AnalyticTranslator:
             if not 0 < blo <= bhi:
                 raise ValueError(f"invalid bandwidth range for quality {q}")
 
-    def quality_scale(self, quality: int) -> float:
-        """Demand multiplier for an output quality level."""
+    def quality_scale(self, quality: int | np.ndarray) -> float | np.ndarray:
+        """Demand multiplier for an output quality level (or a block of them)."""
         return 1.0 + self.quality_factor * (quality - 1)
 
     def resources_for(
-        self, quality: int, rng: np.random.Generator
-    ) -> ResourceVector:
-        """Draw an end-system requirement ``R = f(Qin, Qout)``."""
-        base = rng.uniform(*self.base_demand, size=len(self.resource_names))
-        return ResourceVector(self.resource_names, base * self.quality_scale(quality))
+        self, qualities: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Draw ``R = f(Qin, Qout)`` for a block of output qualities.
 
-    def bandwidth_for(self, quality: int, rng: np.random.Generator) -> float:
-        """Draw the outgoing bandwidth requirement ``b`` (bps)."""
+        One ``(len(qualities), len(resource_names))`` uniform draw of base
+        demands, each row scaled by its quality; row ``i`` is instance
+        ``i``'s requirement vector.
+        """
+        qualities = np.asarray(qualities)
+        base = rng.uniform(
+            *self.base_demand, size=(len(qualities), len(self.resource_names))
+        )
+        return base * self.quality_scale(qualities)[:, None]
+
+    def bandwidth_for(
+        self, qualities: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Draw the outgoing bandwidth ``b`` (bps) for a block of qualities.
+
+        One uniform draw per entry, between the bounds of its quality's
+        range.
+        """
         try:
-            lo, hi = self.bandwidth_ranges[quality]
-        except KeyError:
+            bounds = np.array(
+                [self.bandwidth_ranges[q] for q in np.asarray(qualities).tolist()],
+                dtype=np.float64,
+            ).reshape(-1, 2)
+        except KeyError as err:
             raise ValueError(
-                f"no bandwidth range configured for quality level {quality}"
+                f"no bandwidth range configured for quality level {err.args[0]}"
             ) from None
-        return float(rng.uniform(lo, hi))
+        return rng.uniform(bounds[:, 0], bounds[:, 1])
 
     def max_resource_demand(self) -> float:
         """Upper bound of any single dimension's demand (for normalizers)."""
         max_quality = max(self.bandwidth_ranges)
-        return self.base_demand[1] * self.quality_scale(max_quality)
+        return float(self.base_demand[1] * self.quality_scale(max_quality))
 
     def max_bandwidth_demand(self) -> float:
         """Upper bound of the bandwidth requirement (for normalizers)."""

@@ -73,6 +73,22 @@ class TestResourceVector:
     def test_hashable(self):
         assert hash(rv(1, 2)) == hash(rv(1, 2))
 
+    def test_rows_match_the_constructor(self):
+        block = np.array([[1, 2], [3, 4]])
+        rows = ResourceVector.rows(NAMES, block)
+        assert rows == [rv(1, 2), rv(3, 4)]
+        assert all(r.values.dtype == np.float64 for r in rows)
+        block[0, 0] = 99
+        assert rows[0] == rv(1, 2)
+
+    def test_rows_check_the_whole_block(self):
+        with pytest.raises(ValueError):
+            ResourceVector.rows(NAMES, np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            ResourceVector.rows(NAMES, np.ones(2))
+        with pytest.raises(ValueError):
+            ResourceVector.rows(NAMES, np.array([[1.0, 2.0], [3.0, -4.0]]))
+
 
 class TestResourceTuple:
     def test_add(self):

@@ -15,10 +15,12 @@ Byte-equality between today's paths only proves they agree with each
 other, so the run is also pinned against *before*: the goldens below
 were first recorded from 70be2c3 (``list.remove`` + ``np.asarray``
 alive set, memoised 32-finger tables) with this same configuration, and
-re-recorded once on top of 3c7918f, when pair classes moved from BLAKE2b
-to SplitMix64 and the QoS compiler got its own RNG stream (a new
-realization of every pair class and of every request's output format;
-arrivals and departures did not move).
+re-recorded on top of 3c7918f, when pair classes moved from BLAKE2b to
+SplitMix64 and the QoS compiler got its own RNG stream (a new
+realization of every pair class and of every request's output format),
+and again on top of c4b5cab, when the catalog came to be drawn as one
+block per column per service (a new realization of every instance and
+replica set).  Arrivals and departures moved neither time.
 """
 
 import json
@@ -35,9 +37,9 @@ from tests.probing.reference_prober import patch_prober
 
 #: Identical for every variant; see the module docstring for provenance.
 GOLDEN = {
-    "psi": 0.785714,
-    "lookups": 3073,
-    "lookup_hops": 15147,
+    "psi": 0.844898,
+    "lookups": 3241,
+    "lookup_hops": 16204,
     "arrivals": 117,
     "departures": 112,
 }

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.qos import Interval
-from repro.services.applications import default_applications
+from repro.services.applications import ApplicationTemplate, default_applications
 from repro.services.catalog import CatalogConfig, generate_catalog
+from tests.services import reference_catalog
 
 
 @pytest.fixture()
@@ -76,6 +77,56 @@ class TestGeneration:
             generate_catalog(
                 default_applications()[:1], [], np.random.default_rng(0)
             )
+
+    def test_fields_are_plain_python_objects(self):
+        """No numpy scalar reaches an instance, and every host record is
+        built from the caller's own peer-id objects, ascending whatever
+        order they came in."""
+        peer_ids = [10**6 + i for i in range(300)][::-1]
+        ids = {id(p) for p in peer_ids}
+        catalog = generate_catalog(
+            default_applications()[:2], peer_ids, np.random.default_rng(4)
+        )
+        for inst in catalog.instances.values():
+            assert type(inst.bandwidth) is float
+            assert type(inst.qout["quality"]) is int
+            assert type(inst.qin["format"]) is str
+            assert type(inst.qout["format"]) is str
+            assert inst.resources.values.dtype == np.float64
+            hosts = catalog.hosts(inst.instance_id)
+            assert list(hosts) == sorted(hosts)
+            assert all(type(p) is int and id(p) in ids for p in hosts)
+
+    def test_replicas_clip_to_the_population(self):
+        catalog = generate_catalog(
+            default_applications()[:2], range(30), np.random.default_rng(2),
+            CatalogConfig(replicas_per_instance=(20, 80)),
+        )
+        sizes = {len(hosts) for hosts in catalog.replicas.values()}
+        assert 30 in sizes and sizes <= set(range(20, 31))
+        for hosts in catalog.replicas.values():
+            assert len(set(hosts)) == len(hosts)
+
+    def test_shared_service_names_rejected(self):
+        """Instance ids are ``<service>/<j>``, so a service shared by two
+        applications used to have the second application's instances
+        overwrite the first's and mix both vocabularies in one candidate
+        list (the scalar generator kept in ``reference_catalog`` still
+        does)."""
+        apps = (
+            ApplicationTemplate("a", ("shared", "x1")),
+            ApplicationTemplate("b", ("shared", "y1")),
+        )
+        merged = reference_catalog.generate_catalog(
+            apps, range(200), np.random.default_rng(0)
+        )
+        owners = {
+            inst.qin["format"].split("/")[0]
+            for inst in merged.candidates("shared")
+        }
+        assert owners == {"a", "b"}
+        with pytest.raises(ValueError, match="'shared'"):
+            generate_catalog(apps, range(200), np.random.default_rng(0))
 
     def test_reproducible(self):
         a = generate_catalog(

@@ -5,6 +5,9 @@ import pytest
 
 from repro.services.translator import DEFAULT_BANDWIDTH_RANGES, AnalyticTranslator
 
+#: 50 instances at each quality level, interleaved.
+QUALITIES = np.tile([1, 2, 3], 50)
+
 
 class TestValidation:
     def test_bad_base_demand(self):
@@ -25,35 +28,44 @@ class TestValidation:
 class TestDraws:
     def test_resources_within_scaled_envelope(self):
         t = AnalyticTranslator(base_demand=(10, 50), quality_factor=0.5)
-        rng = np.random.default_rng(0)
+        block = t.resources_for(QUALITIES, np.random.default_rng(0))
+        assert block.shape == (len(QUALITIES), 2)
         for quality in (1, 2, 3):
             scale = t.quality_scale(quality)
-            for _ in range(50):
-                r = t.resources_for(quality, rng)
-                assert np.all(r.values >= 10 * scale - 1e-9)
-                assert np.all(r.values <= 50 * scale + 1e-9)
+            rows = block[QUALITIES == quality]
+            assert np.all(rows >= 10 * scale - 1e-9)
+            assert np.all(rows <= 50 * scale + 1e-9)
 
     def test_quality_scale_monotone(self):
         t = AnalyticTranslator()
         assert t.quality_scale(1) < t.quality_scale(2) < t.quality_scale(3)
+        assert list(t.quality_scale(np.array([1, 2, 3]))) == [
+            t.quality_scale(q) for q in (1, 2, 3)
+        ]
 
     def test_bandwidth_within_range(self):
         t = AnalyticTranslator()
-        rng = np.random.default_rng(1)
+        b = t.bandwidth_for(QUALITIES, np.random.default_rng(1))
+        assert b.shape == QUALITIES.shape
         for quality, (lo, hi) in DEFAULT_BANDWIDTH_RANGES.items():
-            for _ in range(50):
-                b = t.bandwidth_for(quality, rng)
-                assert lo <= b <= hi
+            values = b[QUALITIES == quality]
+            assert np.all((lo <= values) & (values <= hi))
 
     def test_unknown_quality_rejected(self):
         t = AnalyticTranslator()
-        with pytest.raises(ValueError):
-            t.bandwidth_for(42, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="42"):
+            t.bandwidth_for(np.array([1, 42]), np.random.default_rng(0))
+
+    def test_empty_block(self):
+        t = AnalyticTranslator()
+        rng = np.random.default_rng(0)
+        assert t.resources_for(np.array([], dtype=int), rng).shape == (0, 2)
+        assert t.bandwidth_for(np.array([], dtype=int), rng).shape == (0,)
 
     def test_resource_names_respected(self):
         t = AnalyticTranslator(resource_names=("cpu", "memory", "disk"))
-        r = t.resources_for(1, np.random.default_rng(0))
-        assert r.names == ("cpu", "memory", "disk")
+        block = t.resources_for(np.array([1]), np.random.default_rng(0))
+        assert block.shape == (1, 3)
 
     def test_envelopes(self):
         t = AnalyticTranslator(base_demand=(10, 50), quality_factor=0.5)
@@ -64,6 +76,7 @@ class TestDraws:
 
     def test_deterministic_under_seeded_rng(self):
         t = AnalyticTranslator()
-        a = t.resources_for(2, np.random.default_rng(5))
-        b = t.resources_for(2, np.random.default_rng(5))
-        assert a == b
+        for draw in (t.resources_for, t.bandwidth_for):
+            a = draw(QUALITIES, np.random.default_rng(5))
+            b = draw(QUALITIES, np.random.default_rng(5))
+            assert np.array_equal(a, b)

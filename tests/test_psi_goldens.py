@@ -8,12 +8,15 @@ the QCS kernel.  Any refactor that perturbs an RNG draw order, a
 tie-break or an admission decision moves at least one of them; a change
 that *means* to move them re-records with ``save_baseline`` and says so.
 
-Last re-recorded on top of ``3c7918f``, by the change that derives pair
-classes from SplitMix64 instead of BLAKE2b (every pair's bandwidth and
-latency class is a new realization of the same distribution) and gives
-the QoS compiler its own RNG stream (every request's output-format draw
-moved off the aggregator's stream, so ``qsa``, ``random`` and ``fixed``
-now compile the same user QoS for each request).
+Last re-recorded on top of ``c4b5cab``, by the change that draws the
+service catalog as one block per column per service instead of one
+scalar draw per instance field: every instance's formats, quality,
+``R``, ``b`` and replica set are a new realization of the same §4.1
+distribution (``tests/services/test_catalog_distribution.py`` holds
+both generators to it).  Before that, on top of ``3c7918f``, by the
+change that derives pair classes from SplitMix64 instead of BLAKE2b and
+gives the QoS compiler its own RNG stream (so ``qsa``, ``random`` and
+``fixed`` compile the same user QoS for each request).
 """
 
 from dataclasses import replace
@@ -52,8 +55,8 @@ def test_psi_golden(name, monkeypatch):
 
 def test_smoke_plan_cache_counters(monkeypatch):
     """``cache.qcs_plan.hits`` / ``.misses`` of the seeded ``smoke`` run,
-    re-recorded with the ψ goldens (see the module docstring): the user
-    QoS each request compiles to moved with the compiler's stream.  The
+    re-recorded with the ψ goldens (see the module docstring): a new
+    catalog is a new set of candidate instances per service.  The
     plan LRU never reaches its cap here, so nothing about how plans are
     keyed may move them: a hit is a request whose (services, user QoS,
     candidate ids) was composed before."""
@@ -68,8 +71,8 @@ def test_smoke_plan_cache_counters(monkeypatch):
     ).start()
     grid.sim.run()
     counter = grid.telemetry.metrics.counter
-    assert counter("cache.qcs_plan.hits").value == 174
-    assert counter("cache.qcs_plan.misses").value == 75
+    assert counter("cache.qcs_plan.hits").value == 181
+    assert counter("cache.qcs_plan.misses").value == 79
 
 
 def test_scenario_shapes(monkeypatch):
