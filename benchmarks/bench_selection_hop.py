@@ -4,7 +4,7 @@
 shape -- 10^4 peers, ``M = 100``, a walk of three hops with 40-80
 candidate hosts each -- timed for the two table states a hop meets:
 
-* ``fresh``  -- the observer has no neighbour table yet (41 % of the
+* ``fresh``  -- the observer has no neighbour table yet (39 % of the
                 hops of ``steady-paper``): the merge is an insert +
                 eviction of the block itself, no membership search;
 * ``full``   -- the observer already holds ``M`` other neighbours: the
@@ -15,9 +15,13 @@ Wall times are printed, not gated (they are host-dependent; the
 repository benchmark ``bench/run.py`` is the basis for speed claims).
 What is asserted is host-independent: the walk's probing work -- the
 probe messages of a walk equal its distinct stale targets (none on a
-repeat in the same epoch, all of them again in the next) -- and its
+repeat in the same epoch, all of them again in the next) -- its
 answers: every β the walk's blocks computed equals the per-target
-``available_bandwidth`` of that candidate towards the observer.
+``available_bandwidth`` of that candidate towards the observer -- and
+its dedup: a walk whose hops share peers hands every table merge the
+plan's first-occurrence mask, so ``merge``'s regrouping path runs zero
+times, and it leaves the tables a walk resolved without the plan
+leaves, hop by hop.
 """
 
 import time
@@ -30,6 +34,7 @@ from repro.core.selection import PeerSelector, PhiWeights
 from repro.experiments.reporting import banner
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
+from repro.probing.neighbors import NeighborTable
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.sim import Simulator
 
@@ -79,15 +84,25 @@ def one_hop(probing, selector, observer, hops, rng, plan_entry):
     )
 
 
-def walk(probing, selector, requester, hops, rng):
-    """The aggregator's reverse-flow walk; returns (peers, known ids)."""
-    plan = probing.selection_plan(hops)
+def walk(probing, selector, requester, hops, rng, planned=True, tables=None):
+    """The aggregator's reverse-flow walk; returns (peers, known ids).
+
+    ``planned=False`` resolves every hop without the walk's plan;
+    ``tables`` collects the resolving peer's table rows after each hop.
+    """
+    plan = probing.selection_plan(hops) if planned else [None] * len(hops)
     current, peers, seen = requester, [], set()
     for i in range(len(hops)):
         known = probing.resolve_selection_hops(
             current, hops[i:], direct=(current == requester), plan=plan[i]
         )
-        seen.update(hops[i][p] for p in known.tolist())
+        if tables is not None:
+            tables.append([
+                (e.peer_id, e.hop, e.direct, e.expires_at)
+                for e in probing.table(current).entries()
+            ])
+        if known is not None:  # None: the observer is among its candidates
+            seen.update(hops[i][p] for p in known.tolist())
         outcome = selector.select_hop(
             current, hops[i], REQUIREMENT, BANDWIDTH_REQ, DURATION, rng,
             known=known,
@@ -179,3 +194,39 @@ def test_selection_hop_walk_work_is_exact(benchmark, monkeypatch):
     sim.run()  # next epoch: every snapshot is stale again
     walk(probing, selector, requester, hops, rng)
     assert probing.probe_messages == probed + len(seen)
+
+
+@pytest.mark.benchmark(group="claims")
+def test_selection_hop_walk_dedup_is_planned(benchmark, monkeypatch):
+    """Host-independent: a walk whose hops share peers never regroups."""
+    regrouped = []
+    real = NeighborTable.merge
+
+    def counting(self, pids, prio, now, ttl, lead=0, distinct=False):
+        if distinct is False:
+            regrouped.append(len(pids))
+        return real(self, pids, prio, now, ttl, lead, distinct)
+
+    monkeypatch.setattr(NeighborTable, "merge", counting)
+
+    def twin_walk(planned):
+        rng, sim, probing, selector = make_plane(seed=5)
+        hops = make_hops(rng)
+        # One peer in every hop, and a peer of hop 2 again in hop 3.
+        shared, again = hops[0][0], hops[1][-1]
+        hops = [hops[0], tuple(sorted({*hops[1], shared})),
+                tuple(sorted({*hops[2], shared, again}))]
+        assert all(e[2] is not None for e in probing.selection_plan(hops)[:2])
+        requester = next(
+            o for o in range(N_PEERS) if all(o not in h for h in hops)
+        )
+        tables = []
+        peers, _ = walk(probing, selector, requester, hops, rng, planned, tables)
+        return peers, tables
+
+    planned = benchmark.pedantic(twin_walk, (True,), rounds=1, iterations=1)
+    assert regrouped == []
+    assert None not in planned[0]
+    # The same walk with every hop planning only its own suffix.
+    assert twin_walk(False) == planned
+    assert regrouped == []

@@ -53,13 +53,30 @@ LATENCY_CLASSES_MS: Tuple[float, ...] = (200.0, 150.0, 80.0, 20.0, 1.0)
 DEFAULT_BANDWIDTH_WEIGHTS: Tuple[float, ...] = (0.35, 0.35, 0.2, 0.1)
 
 
-def _mix(z):
-    """SplitMix64's finalizer of ``z``: a Python int in ``[0, 2**64)`` or
-    a ``uint64`` array (whose multiplies wrap, so the masks are no-ops).
-    One function for both is what makes scalar and block classes equal."""
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's finalizer of a Python int ``z`` in ``[0, 2**64)``."""
+    z = (z ^ z >> 30) * _MIX1 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ z >> 27) * _MIX2 & 0xFFFFFFFFFFFFFFFF
     return z ^ z >> 31
+
+
+def _mix_block(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix` of a ``uint64`` array, in place: the same operators on
+    ``uint64`` constants, whose multiplies wrap at 64 bits by themselves,
+    so the masks the Python ints need are left out -- bit-identical."""
+    t = z >> 30
+    z ^= t
+    z *= _MIX1_U64
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX2_U64
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
 
 
 class PairwiseClasses:
@@ -87,6 +104,7 @@ class PairwiseClasses:
             raise ValueError(f"bad class weights {weights!r}")
         # The salt is SplitMix64's first output from state ``seed``.
         self._salt = _mix((self.seed + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+        self._salt_u64 = np.uint64(self._salt)
         # A class is the number of cuts at or below a hash's top 32 bits.
         self._cuts = [
             round(c * 2**32) for c in np.cumsum(w / w.sum())[:-1].tolist()
@@ -102,10 +120,18 @@ class PairwiseClasses:
 
     def class_indices(self, a, b) -> np.ndarray:
         """:meth:`class_index` elementwise over ``int64`` ids (``a`` or
-        ``b`` may be one id, broadcast against the other's array)."""
+        ``b`` may be one id, broadcast against the other's array).
+
+        The key is built and mixed in place, one ``uint64`` array for the
+        whole block (:func:`_mix_block`)."""
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keys = (lo << 28 | hi).view(np.uint64) ^ self._salt
-        at = self._cut_array.searchsorted(_mix(keys) >> 32, side="right")
+        keys = lo << 28
+        keys |= hi
+        keys = keys.view(np.uint64)
+        keys ^= self._salt_u64
+        keys = _mix_block(keys)
+        keys >>= 32
+        at = self._cut_array.searchsorted(keys, side="right")
         at[lo == hi] = self.n_classes
         return at
 

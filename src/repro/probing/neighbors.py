@@ -22,7 +22,7 @@ table this one must match entry for entry, order included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -149,6 +149,8 @@ class NeighborTable:
         if not len(triples):
             return 0
         prio = 2 * triples[:, 1] + 1 - triples[:, 2]
+        if prio.min() < 2:
+            raise ValueError("hop must be >= 1")
         return self.merge(triples[:, 0], prio, now, ttl)[0]
 
     def merge(
@@ -158,9 +160,12 @@ class NeighborTable:
         now: float,
         ttl: float,
         lead: int = 0,
-        distinct: bool = False,
+        distinct: Union[bool, np.ndarray] = False,
     ) -> Tuple[int, int, Optional[np.ndarray]]:
         """:meth:`resolve` for relations ``(pids[i], prio[i])``, in array order.
+
+        Every ``prio`` is a relation at hop >= 1 (``resolve`` checks the
+        triples it is handed; a selection walk's hops start at 1).
 
         Returns ``(newly added, needed, active)``.  ``needed`` counts the
         notifications that could change anything: refreshes of entries
@@ -171,13 +176,25 @@ class NeighborTable:
         positions -- what ``lookup(pids[:lead], now)`` would answer next
         (every row the block touched is fresh), read off the eviction
         instead of a second search; ``None`` when ``lead`` is 0 or a
-        leading newcomer repeats.  ``distinct`` promises that no id
-        repeats in ``pids`` and spares the duplicate grouping.
+        leading newcomer repeats.
+
+        ``distinct`` says how ids repeat in ``pids``.  ``False``: unknown,
+        so newcomers are grouped here (first position, best priority of
+        their occurrences).  ``True``: no id repeats.  A boolean array:
+        a selection walk's first-occurrence mask
+        (:meth:`~repro.probing.prober.ProbingService.selection_plan`),
+        True where ``pids[i]`` is its id's first occurrence in the block;
+        the walk's priorities are non-decreasing, so a first occurrence
+        already has its id's best priority and the mask alone keeps the
+        newcomers, with no grouping.  Held rows take the better priority
+        by one ``minimum.at`` only when an id may repeat (not ``True``);
+        asking the mask whether a *member* repeats costs more than the
+        ``minimum.at`` it would spare.
         """
-        if prio.min() < 2:
-            raise ValueError("hop must be >= 1")
         expires_at = now + ttl
         n = len(self.pids)
+        mask = distinct if isinstance(distinct, np.ndarray) else None
+        newcomers = mask  # the positions to append; None: all of them
         needed = 0
         lead_rows = None  # merged-array row per leading id; None: n, n+1, ...
         if n:
@@ -190,16 +207,29 @@ class NeighborTable:
                 stale |= held > known
                 needed = int(np.count_nonzero(stale))
                 self.expires[at] = np.maximum(until, expires_at)
-                np.minimum.at(self.prio, at, known)
+                if distinct is True:
+                    self.prio[at] = np.minimum(held, known)
+                else:
+                    np.minimum.at(self.prio, at, known)
                 if n_members == len(pids):
                     return 0, needed, np.arange(lead) if lead else None
                 fresh = ~member
-                pids, prio = pids[fresh], prio[fresh]
                 if lead:
                     lead_rows = fresh[:lead].cumsum()
                     lead_rows += n - 1
                     np.copyto(lead_rows, rows[:lead], where=member[:lead])
-        if not distinct:
+                newcomers = fresh if mask is None else fresh & mask
+        if mask is not None and lead and np.count_nonzero(mask[:lead]) < lead:
+            # Leading newcomers keep their rank among the survivors only
+            # if none repeats an earlier leading id.
+            repeats = ~mask[:lead]
+            if n:
+                repeats &= ~member[:lead]
+            if repeats.any():
+                lead = 0
+        if newcomers is not None:
+            pids, prio = pids[newcomers], prio[newcomers]
+        if distinct is False:
             # Newcomers: first position, best priority of their occurrences
             # (a stable sort groups repeats with the first occurrence leading).
             order = pids.argsort(kind="stable")
@@ -227,7 +257,7 @@ class NeighborTable:
             pids = np.concatenate((self.pids, pids))
             prio = np.concatenate((self.prio, prio))
             expires = np.concatenate((self.expires, expires))
-        elif total <= self.budget:
+        elif newcomers is None and total <= self.budget:
             pids, prio = pids.copy(), prio.copy()  # still the caller's arrays
         active = np.arange(lead) if lead else None
         if total > self.budget:

@@ -66,6 +66,9 @@ from repro.sim.engine import Simulator
 
 __all__ = ["ProbingConfig", "ProbingService"]
 
+#: One hop of :meth:`ProbingService.selection_plan`: ``(ids, prio, first)``.
+PlanEntry = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
 
 @dataclass(frozen=True)
 class ProbingConfig:
@@ -154,28 +157,42 @@ class ProbingService:
 
     def selection_plan(
         self, hop_candidates: Sequence[Sequence[int]]
-    ) -> List[Tuple[np.ndarray, np.ndarray, bool]]:
+    ) -> List[PlanEntry]:
         """Pre-flatten a selection walk's candidate lists, once.
 
         ``_select_walk`` resolves the suffix ``hop_candidates[i:]`` at hop
         ``i``; entry ``i`` of the plan is that suffix as one block, ``(ids,
-        prio, distinct)``: the flattened ids, each one's priority as a
+        prio, first)``: the flattened ids, each one's priority as a
         *direct* relation of that hop's selector (``2 * hop``; an indirect
-        one is 1 more) and whether no id repeats in the block -- decided
-        here, once per walk, so the table merge groups duplicates only when
-        there are any.
+        one is 1 more) and which of them is its id's first occurrence in
+        the block -- ``None`` when no id repeats in it.
+
+        The repeats are found here, once per walk: one stable sort of the
+        flattened ids gives each position ``j`` the last earlier position
+        naming the same id, ``prev[j]`` (-1 if none), and the suffix
+        starting at ``start`` sees ``j`` first exactly when ``prev[j] <
+        start``.  The table merge keeps newcomers by that mask instead of
+        grouping the repeats again at every hop.
         """
         lens = [len(c) for c in hop_candidates]
         flat = np.fromiter(chain.from_iterable(hop_candidates), np.int64, sum(lens))
         prio = np.repeat(np.arange(2, 2 * len(lens) + 2, 2), lens)
-        plan, seen, start = [], set(), len(flat)
-        for i in range(len(lens) - 1, -1, -1):
-            start -= lens[i]
-            seen.update(hop_candidates[i])
-            plan.append(
-                (flat[start:], prio[start:] - 2 * i, len(seen) == len(flat) - start)
-            )
-        plan.reverse()
+        order = flat.argsort(kind="stable")
+        grouped = flat[order]
+        again = grouped[1:] == grouped[:-1]
+        prev = None
+        if np.count_nonzero(again):
+            prev = np.full(len(flat), -1)
+            prev[order[1:][again]] = order[:-1][again]
+        plan, start = [], 0
+        for i, n in enumerate(lens):
+            first = None
+            if prev is not None:
+                first = prev[start:] < start
+                if np.count_nonzero(first) == len(first):
+                    first = prev = None  # so is every later suffix
+            plan.append((flat[start:], prio[start:] - 2 * i, first))
+            start += n
         return plan
 
     def resolve_selection_hops(
@@ -183,7 +200,7 @@ class ProbingService:
         observer: int,
         hop_candidates: Sequence[Sequence[int]],
         direct: bool,
-        plan: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None,
+        plan: Optional[PlanEntry] = None,
     ) -> Optional[np.ndarray]:
         """Resolve the candidate providers of the next hops at ``observer``.
 
@@ -209,7 +226,7 @@ class ProbingService:
         """
         if plan is None:
             plan = self.selection_plan(hop_candidates)[0]
-        flat, prio, distinct = plan
+        flat, prio, first = plan
         lead = len(hop_candidates[0])
         own = flat == observer
         if np.count_nonzero(own):
@@ -217,6 +234,8 @@ class ProbingService:
                 lead = 0
             keep = ~own
             flat, prio = flat[keep], prio[keep]
+            if first is not None:
+                first = first[keep]  # every occurrence of one id goes
         if not len(flat):
             return None
         tbl = self._tables.get(observer)
@@ -224,7 +243,8 @@ class ProbingService:
             tbl = NeighborTable(self.config.budget)
         _, needed, known = tbl.merge(
             flat, prio if direct else prio + 1,
-            self.sim.now, self.config.ttl, lead, distinct,
+            self.sim.now, self.config.ttl, lead,
+            True if first is None else first,
         )
         if needed:
             self._tables[observer] = tbl
