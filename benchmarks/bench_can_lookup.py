@@ -3,7 +3,8 @@
 §3.2 allows "Chord [20] or CAN [16]" as the discovery substrate; this
 bench characterizes the CAN half the way C3 characterizes Chord, and
 prints them side by side: CAN's polynomial-root growth vs Chord's
-logarithmic growth.
+logarithmic growth.  The CAN is test-side (``tests/lookup/can.py``), so
+run from the repo root with ``python -m pytest``.
 """
 
 import math
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.reporting import banner, format_sweep_table
-from repro.lookup.can import CanNetwork
 from repro.lookup.chord import ChordRing
+from tests.lookup.can import CanNetwork
 
 SIZES = (64, 256, 1024)
 N_KEYS = 100

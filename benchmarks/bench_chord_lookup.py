@@ -4,7 +4,9 @@ The paper plugs in "Chord [20] or CAN [16]" for discovery and motivates
 them over flooding.  This bench verifies the substrate it actually runs
 on: mean Chord lookup hops grow like O(log N), while flooding sprays a
 message count that grows like O(N) -- the scalability argument of §1/§5,
-measured.
+measured.  The flooding overlay is test-side
+(``tests/lookup/flooding.py``), so run from the repo root with
+``python -m pytest``.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 
 from repro.experiments.reporting import banner, format_sweep_table
 from repro.lookup.chord import ChordRing
-from repro.lookup.flooding import FloodingOverlay
+from tests.lookup.flooding import FloodingOverlay
 
 RING_SIZES = (64, 256, 1024, 4096)
 N_KEYS = 200

@@ -4,9 +4,9 @@
 The paper closes its evaluation with "we do need runtime failure
 detection and recovery to improve the performance" under churn.  This
 example runs that future work (implemented in
-``repro.sessions.recovery``): a grid under churn with structured tracing
-enabled, so you can watch departures kill sessions in the baseline and
-get repaired in the extension, followed by the ψ comparison.
+``repro.sessions.recovery``): a grid under churn with telemetry enabled,
+so the event bus shows departures killing sessions in the baseline and
+getting repaired in the extension, followed by the ψ comparison.
 
 Run:  python examples/failure_recovery.py
 """
@@ -18,13 +18,13 @@ from repro.sessions.recovery import RecoveryConfig
 from repro.workload.generator import RequestGenerator
 
 
-def run(recovery, tracing=False, seed=31):
+def run(recovery, seed=31):
     config = GridConfig(
         n_peers=800,
         seed=seed,
         churn=ChurnConfig(rate_per_min=10.0),
         recovery=recovery,
-        tracing=tracing,
+        telemetry=True,
     )
     grid = P2PGrid(config)
     aggregator = grid.make_aggregator("qsa")
@@ -49,10 +49,10 @@ def main() -> None:
     print("800 peers, 15 req/min for 30 min, churn 10 peers/min\n")
 
     print("--- baseline (paper model: departures kill sessions) ---")
-    grid, metrics = run(recovery=None, tracing=True)
+    grid, metrics = run(recovery=None)
     failed = [
-        e for e in grid.tracer.events("session-failed")
-        if "departed" in str(e.fields.get("reason", ""))
+        e for e in grid.telemetry.bus.events("session.failed")
+        if "departed" in e.reason
     ]
     print(f"ψ = {metrics.success_ratio():.3f}; "
           f"{len(failed)} sessions killed by departures")
@@ -61,9 +61,8 @@ def main() -> None:
         print(f"  {event}")
 
     print("\n--- with runtime failure recovery ---")
-    grid, metrics = run(recovery=RecoveryConfig(detection_delay=0.5),
-                        tracing=True)
-    repairs = grid.tracer.events("session-repaired")
+    grid, metrics = run(recovery=RecoveryConfig(detection_delay=0.5))
+    repairs = grid.telemetry.bus.events("recovery.repaired")
     print(f"ψ = {metrics.success_ratio():.3f}; "
           f"{len(repairs)} sessions repaired in place "
           f"({grid.recovery.n_repair_failures} repairs failed)")

@@ -3,8 +3,7 @@
 ``repro info`` (CLI) and ``GET /status`` (the serving plane) both need to
 answer "what is this thing and what can it do" -- version, which fault
 kinds the injector understands, which named scenarios ``repro serve``
-loads, which aggregation algorithms and lookup protocols are wired.
-Before this module each
+loads, which aggregation algorithms are wired.  Before this module each
 surface assembled its own ad-hoc strings; now they all render
 :func:`build_descriptor`, so the two can never drift (tested in
 ``tests/serve/test_capabilities.py``).
@@ -42,5 +41,4 @@ def build_descriptor() -> Dict[str, Any]:
         "fault_kinds": sorted(FAULT_KINDS),
         "scenarios": sorted(SCENARIOS),
         "algorithms": ["fixed", "qsa", "random"],
-        "lookup_protocols": ["can", "chord"],
     }

@@ -662,7 +662,6 @@ def _cmd_info(args) -> int:
     print(f"{desc['name']} {desc['version']}  (api {desc['serve_api']})")
     print(f"paper: {desc['paper']}")
     print(f"algorithms:       {', '.join(desc['algorithms'])}")
-    print(f"lookup protocols: {', '.join(desc['lookup_protocols'])}")
     print(f"fault kinds:      {', '.join(desc['fault_kinds'])}")
     print(f"scenarios:        {', '.join(desc['scenarios'])}")
     print(f"paper scale active: {is_paper_scale()} "

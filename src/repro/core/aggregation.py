@@ -87,9 +87,6 @@ class BaseAggregator:
     """Template for all three §4.1 algorithms (QSA / random / fixed)."""
 
     name = "base"
-    #: Optional :class:`repro.sim.trace.Tracer`; set by the grid factory
-    #: when tracing is enabled.
-    tracer = None
     #: Optional :class:`repro.telemetry.bus.EventBus`; set by the grid
     #: factory.  Always receives one low-volume ``request.setup`` event
     #: per request -- the feed the metrics layer subscribes to -- whether
@@ -147,16 +144,7 @@ class BaseAggregator:
         """
         raise NotImplementedError
 
-    def _trace(self, result: AggregationResult) -> AggregationResult:
-        if self.tracer is not None:
-            self.tracer.emit(
-                "request",
-                request_id=result.request.request_id,
-                peer=result.request.peer_id,
-                application=result.request.application,
-                level=result.request.qos_level,
-                status=result.status.value,
-            )
+    def _report(self, result: AggregationResult) -> AggregationResult:
         if self.bus is not None:
             req = result.request
             self.bus.emit(
@@ -198,14 +186,14 @@ class BaseAggregator:
                 path.services, request.peer_id
             )
         if any(not specs for specs in candidates.values()):
-            return self._trace(AggregationResult(
+            return self._report(AggregationResult(
                 request, AggregationStatus.NO_CANDIDATES, lookup_hops=hops
             ))
 
         try:
             composed = self.compose(path, candidates, user_qos, request)
         except CompositionError:
-            return self._trace(AggregationResult(
+            return self._report(AggregationResult(
                 request, AggregationStatus.COMPOSITION_FAILED, lookup_hops=hops
             ))
 
@@ -223,7 +211,7 @@ class BaseAggregator:
 
         peers = self.select_peers(request, composed, hosts_selection_order)
         if peers is None:
-            return self._trace(AggregationResult(
+            return self._report(AggregationResult(
                 request,
                 AggregationStatus.SELECTION_FAILED,
                 composed=composed,
@@ -249,12 +237,12 @@ class BaseAggregator:
                 self.telemetry.metrics.counter(
                     "session.admission_rejected"
                 ).inc()
-            return self._trace(AggregationResult(
+            return self._report(AggregationResult(
                 request, status, composed=composed, peers=peers,
                 lookup_hops=hops, random_fallbacks=self._fallbacks,
             ))
 
-        return self._trace(AggregationResult(
+        return self._report(AggregationResult(
             request,
             AggregationStatus.ADMITTED,
             session=session,

@@ -17,8 +17,7 @@ Checked invariants
 * catalog: ``replicas`` and ``hosted_by`` are mutual inverses, and no
   departed peer hosts anything;
 * registry/DHT: every instance record matches the catalog's host set;
-  every alive peer is a DHT member and vice versa;
-* CAN only: zone volumes tile the whole space; neighbor sets symmetric.
+  every alive peer is a DHT member and vice versa.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import List
 import numpy as np
 
 from repro.grid import P2PGrid
-from repro.lookup.can import CanNetwork
 
 __all__ = ["check_grid_invariants"]
 
@@ -129,26 +127,6 @@ def _check_registry(grid: P2PGrid, problems: List[str]) -> None:
             )
 
 
-def _check_can(grid: P2PGrid, problems: List[str]) -> None:
-    net = grid.ring
-    if not isinstance(net, CanNetwork):
-        return
-    volume = net.total_volume()
-    if abs(volume - 1.0) > 1e-9:
-        problems.append(f"CAN: zone volumes sum to {volume}, expected 1.0")
-    for node in net._nodes.values():
-        for nb in node.neighbors:
-            other = net._nodes.get(nb)
-            if other is None:
-                problems.append(
-                    f"CAN: node {node.peer_id} lists departed neighbor {nb}"
-                )
-            elif node.peer_id not in other.neighbors:
-                problems.append(
-                    f"CAN: neighbor edge {node.peer_id}->{nb} not symmetric"
-                )
-
-
 def check_grid_invariants(grid: P2PGrid, registry: bool = True) -> List[str]:
     """Run every invariant check; returns findings (empty when clean).
 
@@ -161,5 +139,4 @@ def check_grid_invariants(grid: P2PGrid, registry: bool = True) -> List[str]:
     _check_catalog(grid, problems)
     if registry:
         _check_registry(grid, problems)
-    _check_can(grid, problems)
     return problems

@@ -51,7 +51,6 @@ def result_to_dict(
         "config": {
             "n_peers": result.config.grid.n_peers,
             "seed": result.config.grid.seed,
-            "lookup_protocol": result.config.grid.lookup_protocol,
             "probe_budget": result.config.grid.probing.budget,
             "rate_per_min": result.config.workload.rate_per_min,
             "horizon": result.config.workload.horizon,

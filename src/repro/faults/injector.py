@@ -157,23 +157,6 @@ class FaultInjector:
                 return True
         return False
 
-    def flood_drop(self, src: int, dst: int) -> bool:
-        """Whether one flooding query copy on edge ``src -> dst`` drops.
-
-        Shares the ``lookup_failure`` rate (per forwarded message) and
-        the partition cut, so the unstructured substrate degrades under
-        the same plan as the DHTs.
-        """
-        if self.partitioned(src, dst):
-            self.inject("partition", "flood", src=src, dst=dst)
-            return True
-        now = self.sim.now
-        for spec in self._lookup_failure:
-            if spec.active(now) and self._roll(spec.rate):
-                self.inject("lookup_failure", "flood", src=src, dst=dst)
-                return True
-        return False
-
     # -- admission faults ---------------------------------------------------
     def admission_fails(self, site: str, **fields: Any) -> bool:
         """Whether one reservation message transiently fails."""

@@ -21,7 +21,7 @@ This is the main entry point of the library::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.sim.sanitizer import Sanitizer
@@ -35,7 +35,6 @@ from repro.core.selection import PhiWeights
 from repro.faults.backoff import RetryPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.lookup.can import CanNetwork
 from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.network.churn import ChurnConfig, ChurnProcess
@@ -55,7 +54,6 @@ from repro.sessions.recovery import RecoveryConfig, RecoveryManager
 from repro.sessions.session import Session, SessionLedger
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
 from repro.telemetry import Telemetry
 
 __all__ = ["GridConfig", "P2PGrid"]
@@ -94,23 +92,13 @@ class GridConfig:
     #: ``None`` gives the paper's baseline behaviour -- any provisioning
     #: peer departing fails the whole session.
     recovery: Optional[RecoveryConfig] = None
-    #: Discovery substrate: ``"chord"`` or ``"can"`` (§3.2: "Chord [20]
-    #: or CAN [16]").
-    lookup_protocol: str = "chord"
-    #: Chord identifier-space width.
+    #: Chord identifier-space width (§3.2's discovery substrate).
     chord_bits: int = 32
-    #: CAN torus dimensionality.
-    can_dimensions: int = 3
     #: Application templates for the catalog; ``None`` = the paper's ten
     #: (:func:`repro.services.applications.default_applications`).  An
     #: explicit ``applications=`` argument to :class:`P2PGrid` overrides
     #: both.
     applications: Optional[Tuple[ApplicationTemplate, ...]] = None
-    #: Structured event tracing (``grid.tracer``); off by default so the
-    #: hot path of large experiments stays allocation-free.
-    tracing: bool = False
-    #: Retain at most this many trace events (None = unbounded).
-    trace_capacity: Optional[int] = 100_000
     #: Full telemetry (``grid.telemetry``): event-bus recording, the
     #: metrics registry and span tracing across every subsystem.  Off by
     #: default -- the bus then runs dispatch-only (request/session events
@@ -201,27 +189,10 @@ class P2PGrid:
         )
 
         # -- lookup -------------------------------------------------------------
-        if config.lookup_protocol == "chord":
-            self.ring = ChordRing(bits=config.chord_bits, seed=config.seed)
-        elif config.lookup_protocol == "can":
-            self.ring = CanNetwork(
-                dimensions=config.can_dimensions, seed=config.seed
-            )
-        else:
-            raise ValueError(
-                f"unknown lookup protocol {config.lookup_protocol!r} "
-                "(chord/can)"
-            )
+        self.ring = ChordRing(bits=config.chord_bits, seed=config.seed)
         for pid in self.directory.alive_ids:
             self.ring.join(pid)
         self.registry = ServiceRegistry(self.ring, self.catalog)
-
-        # -- tracing -----------------------------------------------------------
-        self.tracer = (
-            Tracer.for_simulator(self.sim, config.trace_capacity)
-            if config.tracing
-            else None
-        )
 
         # -- telemetry ---------------------------------------------------------
         #: Always present: the bus carries the request/session events the
@@ -257,13 +228,11 @@ class P2PGrid:
             telemetry=_tel,
             injector=self.injector,
         )
-        self.session_observers: List[Callable[[Session], None]] = []
         self.ledger = SessionLedger(
             self.sim,
             self.directory,
             self.network,
-            self._on_session_outcome,
-            tracer=self.tracer,
+            self._session_resolved,
             telemetry=_tel,
             injector=self.injector,
             admission_retry=config.admission_retry,
@@ -332,14 +301,10 @@ class P2PGrid:
         self.registry.peer_joined(
             peer.peer_id, self.catalog.hosted_instances(peer.peer_id)
         )
-        if self.tracer is not None:
-            self.tracer.emit("peer-arrived", peer=peer.peer_id)
         return peer
 
     def _on_peer_departure(self, peer_id: int) -> None:
         """Departure: fail/repair sessions, clean replicas/registry/probing."""
-        if self.tracer is not None:
-            self.tracer.emit("peer-departed", peer=peer_id)
         if self.injector is not None:
             # stale_state faults: the departed peer's soft state may
             # linger in observers' tables (decided before cleanup runs).
@@ -354,7 +319,10 @@ class P2PGrid:
         self.probing.drop_peer(peer_id)
 
     # -- sessions ---------------------------------------------------------------
-    def _on_session_outcome(self, session: Session) -> None:
+    def _session_resolved(self, session: Session) -> None:
+        # Always dispatched (the bus is dispatch-only when telemetry is
+        # off): subscribe to ``session.resolved`` to observe every
+        # completion, release and failure.
         self.telemetry.bus.emit(
             "session.resolved",
             session_id=session.session_id,
@@ -362,12 +330,6 @@ class P2PGrid:
             state=session.state.value,
             reason=session.failure_reason,
         )
-        for observer in self.session_observers:
-            observer(session)
-
-    def on_session_outcome(self, observer: Callable[[Session], None]) -> None:
-        """Register a callback fired at every session completion/failure."""
-        self.session_observers.append(observer)
 
     # -- requests ---------------------------------------------------------------
     def make_request(
@@ -410,7 +372,6 @@ class P2PGrid:
                 f"make_aggregator({name!r}) got unexpected option(s): "
                 + ", ".join(sorted(options))
             )
-        aggregator.tracer = self.tracer
         aggregator.bus = self.telemetry.bus
         _tel = self.telemetry if self.config.telemetry else None
         aggregator.telemetry = _tel

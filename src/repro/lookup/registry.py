@@ -44,8 +44,8 @@ __all__ = ["DhtProtocol", "ServiceRegistry"]
 class DhtProtocol(Protocol):
     """What the registry needs from a lookup substrate.
 
-    Satisfied by both :class:`~repro.lookup.chord.ChordRing` and
-    :class:`~repro.lookup.can.CanNetwork` (the paper's "Chord or CAN").
+    Satisfied by :class:`~repro.lookup.chord.ChordRing` and by the
+    test-side CAN of ``tests/lookup/can.py`` (the paper's "Chord or CAN").
     """
 
     def put(self, key: str, value: Any) -> None: ...

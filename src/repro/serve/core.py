@@ -42,6 +42,7 @@ from repro.core.aggregation import AggregationResult
 from repro.grid import GridConfig, P2PGrid
 from repro.sessions.session import Session
 from repro.sim.engine import Simulator
+from repro.telemetry.bus import BusEvent
 
 __all__ = [
     "ClockPolicy",
@@ -285,14 +286,16 @@ class GridRuntime:
         #: Setup metadata kept per admitted session so ``GET`` views can
         #: report what was composed (evicted with the outcome history).
         self._session_meta: Dict[int, Dict[str, Any]] = {}
-        self.grid.on_session_outcome(self._note_outcome)
+        self.grid.telemetry.bus.subscribe(
+            "session.resolved", self._note_outcome
+        )
 
     # -- lifecycle bookkeeping ---------------------------------------------
-    def _note_outcome(self, session: Session) -> None:
-        self._outcomes[session.session_id] = {
-            "state": session.state.value,
-            "reason": session.failure_reason,
-            "resolved_at": self.grid.sim.now,
+    def _note_outcome(self, event: BusEvent) -> None:
+        self._outcomes[event.session_id] = {
+            "state": event.state,
+            "reason": event.reason,
+            "resolved_at": event.time,
         }
         while len(self._outcomes) > self.config.outcome_history:
             oldest = next(iter(self._outcomes))

@@ -236,12 +236,6 @@ class RecoveryManager:
                 session_id=session_id,
                 dead_peer=dead_peer,
                 latency=latency,
-            )
-        if self.ledger.tracer is not None:
-            self.ledger.tracer.emit(
-                "session-repaired",
-                session_id=session_id,
-                dead_peer=dead_peer,
                 old_peers=old_peers,
                 new_peers=new_peers,
             )

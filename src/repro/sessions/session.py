@@ -6,8 +6,9 @@
 * schedules their completion on the simulation clock,
 * fails every session touching a departing peer
   (:meth:`SessionLedger.fail_peer`, called by the churn machinery), and
-* reports outcomes through an observer callback so the metrics layer
-  never needs to poll.
+* reports outcomes through an observer callback (the grid turns it into
+  the always-dispatched ``session.resolved`` bus event) so the metrics
+  layer never needs to poll.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class SessionLedger:
         directory: SoAPeerDirectory,
         network: NetworkModel,
         on_outcome: Optional[Callable[[Session], None]] = None,
-        tracer=None,
         telemetry=None,
         injector=None,
         admission_retry=None,
@@ -86,8 +86,6 @@ class SessionLedger:
         self.directory = directory
         self.network = network
         self.on_outcome = on_outcome
-        #: Optional :class:`repro.sim.trace.Tracer` for structured events.
-        self.tracer = tracer
         #: Optional :class:`repro.telemetry.Telemetry`: admit/complete/fail
         #: events + a detached sim-time span per session lifetime.
         self.telemetry = telemetry
@@ -145,13 +143,6 @@ class SessionLedger:
                 n=len(session.peers),
             )
         self.sim.call_in(duration, self._complete, session.session_id)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "session-admitted",
-                session_id=session.session_id,
-                request_id=request_id,
-                peers=tuple(peers),
-            )
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("session.admitted").inc()
@@ -204,12 +195,6 @@ class SessionLedger:
         self._release(session)
         self._detach(session)
         self.n_completed += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "session-completed",
-                session_id=session.session_id,
-                request_id=session.request_id,
-            )
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("session.completed").inc()
@@ -248,12 +233,6 @@ class SessionLedger:
         self._detach(session)
         self.n_completed += 1
         self.n_released += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "session-released",
-                session_id=session.session_id,
-                request_id=session.request_id,
-            )
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("session.released").inc()
@@ -287,13 +266,6 @@ class SessionLedger:
         self._release(session, skip_peer=skip_peer)
         self._detach(session)
         self.n_failed += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "session-failed",
-                session_id=session.session_id,
-                request_id=session.request_id,
-                reason=reason,
-            )
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("session.failed").inc()

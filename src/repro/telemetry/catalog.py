@@ -70,7 +70,7 @@ EVENT_CATALOG: Dict[str, tuple] = {
         "the serving plane answered one HTTP API request",
     ),
     "recovery.repaired": (
-        "session_id, dead_peer, latency",
+        "session_id, dead_peer, latency, old_peers, new_peers",
         "runtime failure recovery replaced the departed peer",
     ),
     "recovery.failed": (

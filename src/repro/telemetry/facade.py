@@ -9,7 +9,7 @@ in two modes:
 * **disabled** (default): the bus is dispatch-only (so the metrics layer
   still consumes request/session events over it), the tracer is the
   shared no-op, and hot-path subsystems receive ``None`` -- their
-  telemetry cost is one attribute check, same as the legacy tracer.
+  telemetry cost is one attribute check.
 
 ``export_jsonl``/``summary`` are the run-level outputs behind
 ``repro run --telemetry out.jsonl`` and ``repro telemetry summary``.

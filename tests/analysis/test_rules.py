@@ -4,11 +4,13 @@ matching clean twin stays silent.
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint_paths
+from repro.analysis.rules.shard import SharedMutableState
 
 
 def lint_snippet(tmp_path: Path, source: str, **kwargs):
@@ -429,7 +431,11 @@ class TestSHARD001:
         )
         assert report.ok
 
-    def test_allowlisted_singleton_is_clean(self, tmp_path):
+    def test_allowlisted_singleton_is_clean(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            SharedMutableState, "allowlist",
+            frozenset({("repro.telemetry.bus", "NULL_BUS")}),
+        )
         report = lint_tree(
             tmp_path,
             {
@@ -448,6 +454,12 @@ class TestSHARD001:
             whole_program=True,
         )
         assert report.ok
+
+    def test_allowlist_names_existing_symbols(self):
+        for module, name in SharedMutableState.allowlist:
+            assert hasattr(importlib.import_module(module), name), (
+                module, name,
+            )
 
     def test_offline_plane_owner_is_exempt(self, tmp_path):
         report = lint_tree(

@@ -70,7 +70,7 @@ class TestChordRoutingEdges:
 
 class TestCanRoutingEdges:
     def test_one_dimensional_can(self):
-        from repro.lookup.can import CanNetwork
+        from tests.lookup.can import CanNetwork
 
         net = CanNetwork(dimensions=1, seed=0)
         for pid in range(16):
@@ -84,7 +84,7 @@ class TestCanRoutingEdges:
             assert hops <= 16
 
     def test_single_node_can(self):
-        from repro.lookup.can import CanNetwork
+        from tests.lookup.can import CanNetwork
 
         net = CanNetwork(dimensions=2, seed=0)
         net.join(7)
@@ -93,7 +93,7 @@ class TestCanRoutingEdges:
         assert value == "v" and hops == 0
 
     def test_leave_to_empty_then_rejoin(self):
-        from repro.lookup.can import CanNetwork
+        from tests.lookup.can import CanNetwork
 
         net = CanNetwork(dimensions=2, seed=0)
         net.join(0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lookup.can import CanNetwork, Zone
+from tests.lookup.can import CanNetwork, Zone
 
 
 def can_with(n, d=2, seed=0):

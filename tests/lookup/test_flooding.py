@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lookup.flooding import FloodingOverlay
+from tests.lookup.flooding import FloodingOverlay
 
 
 def overlay(n=100, degree=4, seed=0):

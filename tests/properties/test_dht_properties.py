@@ -9,7 +9,7 @@ relies on for discovery correctness under topological variation.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.lookup.can import CanNetwork
+from tests.lookup.can import CanNetwork
 from repro.lookup.chord import ChordRing
 
 ops = st.lists(

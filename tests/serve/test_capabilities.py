@@ -20,12 +20,12 @@ class TestDescriptor:
         assert desc["fault_kinds"] == sorted(FAULT_KINDS)
         assert desc["scenarios"] == sorted(SCENARIOS)
         assert set(desc["algorithms"]) == {"qsa", "random", "fixed"}
-        assert set(desc["lookup_protocols"]) == {"chord", "can"}
-        # The whole surface: there is one peer-state representation, so
-        # nothing about it is advertised (or printed by ``repro info``).
+        # The whole surface: there is one peer-state representation and
+        # one lookup substrate, so neither is advertised (or printed by
+        # ``repro info``).
         assert sorted(desc) == [
-            "algorithms", "fault_kinds", "lookup_protocols", "name", "paper",
-            "scenarios", "serve_api", "version",
+            "algorithms", "fault_kinds", "name", "paper", "scenarios",
+            "serve_api", "version",
         ]
 
     def test_every_advertised_scenario_loads(self):
@@ -62,3 +62,4 @@ class TestInfoCommand:
         assert all(kind in out for kind in desc["fault_kinds"])
         assert all(name in out for name in desc["scenarios"])
         assert "peer state" not in out
+        assert "lookup protocols" not in out

@@ -54,6 +54,18 @@ class TestEmission:
         kept = bus.events()
         assert len(kept) == 3
         assert [e.i for e in kept] == [7, 8, 9]
+        assert bus.n_emitted == 10
+
+    def test_capacity_validation(self, clock):
+        with pytest.raises(ValueError):
+            EventBus(clock, capacity=0)
+
+    def test_str_rendering(self, bus, clock):
+        clock.now = 3.0
+        e = bus.emit("session.failed", session_id=4, reason="gone")
+        assert str(e) == (
+            "[    3.000] session.failed         session_id=4 reason=gone"
+        )
 
     def test_dispatch_only_mode_retains_nothing(self, clock):
         bus = EventBus(clock, record=False)

@@ -17,14 +17,14 @@ from repro.network.churn import ChurnConfig
 from repro.network.topology import NetworkModel
 from repro.services.qoscompiler import QoSCompiler
 from repro.workload.generator import WorkloadConfig
+from tests.lookup.can import CanNetwork, can_ring
 
 
-def config(seed=0, lookup="chord", churn=0.0):
+def config(seed=0, churn=0.0):
     return ExperimentConfig(
         grid=GridConfig(
             n_peers=200,
             seed=seed,
-            lookup_protocol=lookup,
             churn=ChurnConfig(rate_per_min=churn) if churn else None,
         ),
         workload=WorkloadConfig(rate_per_min=25.0, horizon=5.0,
@@ -56,9 +56,11 @@ class TestRunDeterminism:
         assert (a.n_arrivals, a.n_departures) == (b.n_arrivals, b.n_departures)
 
     @pytest.mark.slow
-    def test_identical_on_can(self):
-        a = run_experiment(config(lookup="can").with_algorithm("qsa"))
-        b = run_experiment(config(lookup="can").with_algorithm("qsa"))
+    def test_identical_on_can(self, monkeypatch):
+        monkeypatch.setattr(repro.grid, "ChordRing", can_ring)
+        a = run_experiment(config().with_algorithm("qsa"))
+        b = run_experiment(config().with_algorithm("qsa"))
+        assert isinstance(P2PGrid(a.config.grid).ring, CanNetwork)
         assert fingerprint(a) == fingerprint(b)
 
     def test_different_seed_different_run(self):

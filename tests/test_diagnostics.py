@@ -4,10 +4,12 @@ consistency of heavy churny workloads on both DHT substrates."""
 
 import pytest
 
+import repro.grid
 from repro.diagnostics import check_grid_invariants
 from repro.grid import GridConfig, P2PGrid
 from repro.network.churn import ChurnConfig
 from repro.sessions.recovery import RecoveryConfig
+from tests.lookup.can import CanNetwork, can_ring, check_can
 
 
 def drive(grid, minutes=20, per_minute=3):
@@ -51,15 +53,17 @@ class TestCleanGrids:
         assert check_grid_invariants(grid) == []
 
     @pytest.mark.slow
-    def test_can_grid_clean_under_churn(self):
+    def test_can_grid_clean_under_churn(self, monkeypatch):
+        monkeypatch.setattr(repro.grid, "ChordRing", can_ring)
         grid = P2PGrid(GridConfig(
             n_peers=120, seed=5,
-            lookup_protocol="can",
             churn=ChurnConfig(rate_per_min=4.0),
         ))
+        assert isinstance(grid.ring, CanNetwork)
         drive(grid, minutes=10, per_minute=2)
         grid.churn.stop()
         assert check_grid_invariants(grid) == []
+        assert check_can(grid.ring) == []
 
     def test_registry_audit_can_be_skipped(self):
         grid = P2PGrid(GridConfig(n_peers=150, seed=1))

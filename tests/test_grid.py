@@ -32,12 +32,11 @@ class TestConstruction:
         default nobody notices."""
         assert sorted(f.name for f in dataclasses.fields(GridConfig)) == [
             "access_capacity", "admission_retry", "applications",
-            "can_dimensions", "capacity_range", "catalog", "chord_bits",
-            "churn", "faults", "initial_uptime_max", "lookup_protocol",
-            "lookup_retry", "n_peers", "probing", "recovery",
-            "resource_names", "sanitize", "sanitize_epoch", "seed",
-            "telemetry", "telemetry_capacity", "trace_capacity", "tracing",
-        ]  # 23 (24 until PR 23 took ``peer_state_backend``)
+            "capacity_range", "catalog", "chord_bits", "churn", "faults",
+            "initial_uptime_max", "lookup_retry", "n_peers", "probing",
+            "recovery", "resource_names", "sanitize", "sanitize_epoch",
+            "seed", "telemetry", "telemetry_capacity",
+        ]  # 19: Chord is the one substrate, the bus the one event log
         commands = next(
             a for a in build_parser()._actions if a.dest == "command"
         ).choices
@@ -67,10 +66,6 @@ class TestConstruction:
             applications=arg_apps,
         )
         assert [a.name for a in g.applications] == ["from-arg"]
-
-    def test_unknown_lookup_protocol_rejected(self):
-        with pytest.raises(ValueError):
-            P2PGrid(GridConfig(n_peers=100, lookup_protocol="bogus"))
 
     def test_capacities_within_range(self, grid):
         for peer in grid.directory.alive_peers():
@@ -163,7 +158,7 @@ class TestChurnIntegration:
         g = P2PGrid(GridConfig(n_peers=100, seed=2))
         agg = g.make_aggregator("qsa")
         outcomes = []
-        g.on_session_outcome(outcomes.append)
+        g.telemetry.bus.subscribe("session.resolved", outcomes.append)
         # Admit a long session, then kill one of its peers.
         res = None
         for _ in range(10):
@@ -176,4 +171,5 @@ class TestChurnIntegration:
         g._on_peer_departure(victim)
         g.directory.depart(victim, g.sim.now)
         assert len(outcomes) == 1
-        assert outcomes[0].state.value == "failed"
+        assert outcomes[0].state == "failed"
+        assert outcomes[0].session_id == res.session.session_id
