@@ -265,9 +265,9 @@ class GridRuntime:
 
             self.observability = ObservabilityPlane(
                 self.grid.telemetry,
-                # Bind the simulator once: the plane's clock runs on the
+                # The bus's own sim clock: the plane's clock runs on the
                 # tap hot path (dozens of reads per request).
-                clock=lambda sim=self.grid.sim: sim.now,
+                clock=self.grid.telemetry.clock,
                 config=ObservabilityConfig(
                     window_width=config.window_width,
                     window_step=config.window_step,

@@ -34,6 +34,10 @@ __all__ = [
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
 
+#: ``json.dumps(payload, sort_keys=True)`` without building an encoder
+#: per response.
+_JSON = json.JSONEncoder(sort_keys=True)
+
 REASON_PHRASES: Dict[int, str] = {
     200: "OK",
     201: "Created",
@@ -104,7 +108,7 @@ class HttpResponse:
         else:
             body = b""
             if self.payload is not None:
-                body = (json.dumps(self.payload, sort_keys=True) + "\n").encode()
+                body = (_JSON.encode(self.payload) + "\n").encode()
             content_type = self.content_type or "application/json"
         reason = REASON_PHRASES.get(self.status, "Unknown")
         lines = [f"HTTP/1.1 {self.status} {reason}"]
@@ -121,74 +125,139 @@ class HttpResponse:
 Handler = Callable[[HttpRequest], Awaitable[HttpResponse]]
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
-    """Parse one request off the stream; ``None`` on clean EOF.
+#: Longest head line buffered while looking for its end: asyncio's
+#: default ``StreamReader`` limit, so the parser accepts exactly what a
+#: ``readline`` per line would.  A line past it gets the same 400 as an
+#: over-long line under it.
+_LINE_LIMIT = 2 ** 16
+#: Most bytes taken off the transport per read.
+_READ_SIZE = 2 ** 16
 
-    Raises :class:`HttpError` on malformed input (the caller answers
-    with the error status and closes the connection).
+
+class _RequestReader:
+    """One connection's inbound bytes, parsed one request at a time.
+
+    Whatever the transport has delivered is taken off the
+    ``StreamReader`` in one read and kept here; a request head is then
+    parsed in a single pass over those bytes, waiting for more only when
+    a line is still incomplete -- one await per request in the common
+    case, not one per head line.  Each line is checked as soon as it is
+    complete, so a client that sends a bad line and waits is answered at
+    once, and bytes after a request stay buffered for the next
+    (keep-alive).
     """
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
-    if not request_line.strip():
-        return None  # clean close (or a bare liveness connect)
-    if len(request_line) > MAX_HEADER_BYTES:
-        raise HttpError(400, "request line too long")
-    try:
-        text = request_line.decode("latin-1").strip()
-        method, target, version = text.split(" ", 2)
-    except ValueError:
-        raise HttpError(400, "malformed request line") from None
-    if not version.startswith("HTTP/1."):
-        raise HttpError(400, f"unsupported protocol {version!r}")
 
-    headers: Dict[str, str] = {}
-    total = 0
-    while True:
-        line = await reader.readline()
-        total += len(line)
-        if total > MAX_HEADER_BYTES:
-            raise HttpError(400, "header block too large")
-        if line in (b"\r\n", b"\n"):
-            break
-        if not line:
-            raise HttpError(400, "truncated header block")
-        try:
-            name, _, value = line.decode("latin-1").partition(":")
-        except UnicodeDecodeError:
-            raise HttpError(400, "undecodable header") from None
-        if not _:
-            raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+    __slots__ = ("_reader", "_data", "_eof")
 
-    body = b""
-    length_text = headers.get("content-length")
-    if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise HttpError(400, "malformed content-length") from None
-        if length < 0:
-            raise HttpError(400, "negative content-length")
-        if length > MAX_BODY_BYTES:
-            raise HttpError(413, "request body too large")
-        if length:
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._data = b""
+        self._eof = False
+
+    def _line_end(self, start: int) -> Optional[int]:
+        """End of the line starting at ``start``, past its newline.
+
+        ``None`` until the line is buffered; ``-1`` once it is longer
+        than the line limit; at EOF a partial line ends the data.
+        """
+        data = self._data
+        newline = data.find(b"\n", start)
+        if newline >= 0:
+            return newline + 1 if newline - start <= _LINE_LIMIT else -1
+        if len(data) - start > _LINE_LIMIT:
+            return -1
+        return len(data) if self._eof else None
+
+    async def _await_line(self, start: int) -> int:
+        while True:
+            chunk = await self._reader.read(_READ_SIZE)
+            if chunk:
+                self._data += chunk
+            else:
+                self._eof = True
+            end = self._line_end(start)
+            if end is not None:
+                return end
+
+    async def read(self) -> Optional[HttpRequest]:
+        """Parse one request; ``None`` on clean EOF.
+
+        Raises :class:`HttpError` on malformed input (the caller answers
+        with the error status and closes the connection).
+        """
+        end = self._line_end(0)
+        if end is None:
             try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                raise HttpError(400, "truncated request body") from None
-    elif headers.get("transfer-encoding"):
-        raise HttpError(501, "chunked transfer encoding not supported")
+                end = await self._await_line(0)
+            except ConnectionError:
+                return None
+        if end < 0:
+            raise HttpError(400, "request line too long")
+        request_line = self._data[:end]
+        if not request_line.strip():
+            return None  # clean close (or a bare liveness connect)
+        if end > MAX_HEADER_BYTES:
+            raise HttpError(400, "request line too long")
+        try:
+            text = request_line.decode("latin-1").strip()
+            method, target, version = text.split(" ", 2)
+        except ValueError:
+            raise HttpError(400, "malformed request line") from None
+        if not version.startswith("HTTP/1."):
+            raise HttpError(400, f"unsupported protocol {version!r}")
 
-    split = urlsplit(target)
-    return HttpRequest(
-        method=method.upper(),
-        path=split.path or "/",
-        query=dict(parse_qsl(split.query)),
-        headers=headers,
-        body=body,
-    )
+        headers: Dict[str, str] = {}
+        pos = end
+        while True:
+            end = self._line_end(pos)
+            if end is None:
+                end = await self._await_line(pos)
+            if end < 0 or end > MAX_HEADER_BYTES + len(request_line):
+                raise HttpError(400, "header block too large")
+            line = self._data[pos:end]
+            pos = end
+            if line == b"\r\n" or line == b"\n":
+                break
+            if not line:
+                raise HttpError(400, "truncated header block")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise HttpError(400, f"malformed header line {line!r}")
+            headers[name.strip().lower()] = value.strip()
+
+        body = b""
+        length_text = headers.get("content-length")
+        if length_text is not None:
+            try:
+                length = int(length_text)
+            except ValueError:
+                raise HttpError(400, "malformed content-length") from None
+            if length < 0:
+                raise HttpError(400, "negative content-length")
+            if length > MAX_BODY_BYTES:
+                raise HttpError(413, "request body too large")
+            if length:
+                body = self._data[pos:pos + length]
+                pos += length
+                if len(body) < length:
+                    try:
+                        body += await self._reader.readexactly(
+                            length - len(body)
+                        )
+                    except asyncio.IncompleteReadError:
+                        raise HttpError(400, "truncated request body") from None
+        elif headers.get("transfer-encoding"):
+            raise HttpError(501, "chunked transfer encoding not supported")
+        self._data = self._data[pos:]
+
+        split = urlsplit(target)
+        return HttpRequest(
+            method=method.upper(),
+            path=split.path or "/",
+            query=dict(parse_qsl(split.query)) if split.query else {},
+            headers=headers,
+            body=body,
+        )
 
 
 class HttpServer:
@@ -238,10 +307,11 @@ class HttpServer:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
+        requests = _RequestReader(reader)
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    request = await requests.read()
                 except HttpError as exc:
                     writer.write(HttpResponse(
                         exc.status, {"error": exc.message}

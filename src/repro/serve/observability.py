@@ -123,11 +123,11 @@ class ObservabilityPlane:
         self._unsubscribes = [
             telemetry.bus.subscribe("request.setup", self._on_setup),
             telemetry.bus.subscribe("fault.injected", self._on_fault),
-            telemetry.bus.subscribe("span", self._on_span),
+            telemetry.bus.subscribe("span", self._span_events.append),
+            telemetry.tracer.add_wall_observer(
+                self._on_request_close, name="serve.request"
+            ),
         ]
-        self._unsubscribes.append(
-            telemetry.tracer.add_wall_observer(self._on_span_close)
-        )
 
     def close(self) -> None:
         """Detach every hook (tests; a server keeps the plane for life)."""
@@ -148,14 +148,9 @@ class ObservabilityPlane:
     def _on_fault(self, event: BusEvent) -> None:
         self.windows.observe("serve.window.faults", 1.0, now=event.time)
 
-    def _on_span(self, event: BusEvent) -> None:
-        self._span_events.append(event)
-
-    def _on_span_close(
+    def _on_request_close(
         self, span: Span, wall_start: float, wall_end: float
     ) -> None:
-        if span.name != "serve.request":
-            return
         wall_us = (wall_end - wall_start) * 1e6
         self.windows.observe("serve.window.setup_latency_us", wall_us)
         self._recent.append({

@@ -33,19 +33,23 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Tuple,
     Union,
 )
 
 __all__ = ["BusEvent", "EventBus"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BusEvent:
     """One named, timestamped occurrence on the bus.
 
     ``time`` is simulated minutes; ``seq`` is a per-bus monotone counter
     that orders simultaneous events (the simulator fires ties FIFO, so
-    ``(time, seq)`` is a total, reproducible order).
+    ``(time, seq)`` is a total, reproducible order).  Events are
+    read-only by convention, not frozen: the bus builds one per emission
+    (dozens per serving request), and a frozen dataclass pays an
+    ``object.__setattr__`` per field to build one.
     """
 
     time: float
@@ -106,12 +110,20 @@ class EventBus:
         self._record = record
         self._events: Deque[BusEvent] = deque(maxlen=capacity)
         self._subscribers: Dict[str, List[Callable[[BusEvent], None]]] = {}
+        #: ``name -> (name subscribers..., "*" subscribers...)``, built
+        #: on a name's first emission and dropped whenever a subscription
+        #: changes, so each emit dispatches through one tuple.
+        self._dispatch: Dict[str, Tuple[Callable[[BusEvent], None], ...]] = {}
         self._seq = 0
-        self.n_emitted = 0
 
     @property
     def recording(self) -> bool:
         return self._record
+
+    @property
+    def n_emitted(self) -> int:
+        """Events emitted so far (retained or not)."""
+        return self._seq
 
     # -- emission ---------------------------------------------------------
     def emit(self, name: str, /, **fields: Any) -> BusEvent:
@@ -120,18 +132,7 @@ class EventBus:
         The event name is positional-only so payloads may themselves
         carry a ``name`` field (``span`` events do).
         """
-        event = BusEvent(self._clock(), self._seq, name, fields)
-        self._seq += 1
-        self.n_emitted += 1
-        if self._record:
-            self._events.append(event)
-        subs = self._subscribers
-        if subs:
-            for fn in subs.get(name, ()):
-                fn(event)
-            for fn in subs.get("*", ()):
-                fn(event)
-        return event
+        return self.emit_event(name, fields)
 
     def emit_event(self, name: str, fields: Dict[str, Any]) -> BusEvent:
         """:meth:`emit` with a pre-built fields dict.
@@ -140,17 +141,19 @@ class EventBus:
         once and hand over ownership of ``fields`` instead of paying a
         kwargs repack per event.
         """
-        event = BusEvent(self._clock(), self._seq, name, fields)
-        self._seq += 1
-        self.n_emitted += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = BusEvent(self._clock(), seq, name, fields)
         if self._record:
             self._events.append(event)
-        subs = self._subscribers
-        if subs:
-            for fn in subs.get(name, ()):
-                fn(event)
-            for fn in subs.get("*", ()):
-                fn(event)
+        targets = self._dispatch.get(name)
+        if targets is None:
+            subs = self._subscribers
+            targets = self._dispatch[name] = (
+                *subs.get(name, ()), *subs.get("*", ())
+            )
+        for fn in targets:
+            fn(event)
         return event
 
     # -- subscription -------------------------------------------------------
@@ -159,15 +162,19 @@ class EventBus:
     ) -> Callable[[], None]:
         """Call ``fn`` on every ``name`` event (``"*"`` = every event).
 
-        Returns an unsubscribe callable.
+        Name subscribers fire before ``"*"`` ones, each group in
+        subscription order.  Subscribing or unsubscribing takes effect
+        from the next emission.  Returns an unsubscribe callable.
         """
         self._subscribers.setdefault(name, []).append(fn)
+        self._dispatch.clear()
 
         def unsubscribe() -> None:
             try:
                 self._subscribers[name].remove(fn)
             except (KeyError, ValueError):
-                pass
+                return
+            self._dispatch.clear()
 
         return unsubscribe
 

@@ -193,21 +193,40 @@ class SloEngine:
         self.n_transitions = 0
 
     # -- measurement ---------------------------------------------------------
-    def _measure(self, obj: Objective, now: float, width: float) -> Tuple[float, int]:
+    def _count(
+        self, name: str, now: float, width: float, counts: Dict[Tuple[str, float], int]
+    ) -> int:
+        """``name``'s count over ``width``, measured once per evaluation."""
+        key = (name, width)
+        count = counts.get(key)
+        if count is None:
+            window = self.windows.series(name)
+            count = counts[key] = window.count(now, width) if window else 0
+        return count
+
+    def _measure(
+        self,
+        obj: Objective,
+        now: float,
+        width: float,
+        counts: Dict[Tuple[str, float], int],
+    ) -> Tuple[float, int]:
         window = self.windows.series(obj.series)
         if window is None:
             return 0.0, 0
-        count = window.count(now, width)
         if obj.stat == "ratio":
             assert obj.denominator is not None
-            denom_window = self.windows.series(obj.denominator)
-            denom = denom_window.count(now, width) if denom_window else 0
+            denom = self._count(obj.denominator, now, width, counts)
             if denom == 0:
                 return (1.0 if obj.kind == "floor" else 0.0), 0
-            return count / denom, denom
+            return self._count(obj.series, now, width, counts) / denom, denom
         if obj.stat == "rate":
-            return window.rate(now, width), count
-        return window.percentile(now, int(obj.stat[1:]), width), count
+            count = self._count(obj.series, now, width, counts)
+            return window.rate(now, width, count), count
+        # One merge of the window's samples gives the count with the
+        # percentile.
+        stats = window.stats(now, width)
+        return stats[obj.stat], stats["count"]
 
     def _classify(self, obj: Objective, burn_long: float, burn_short: float,
                   count_long: int) -> str:
@@ -225,10 +244,15 @@ class SloEngine:
         self._last_eval = now
         self.n_evaluations += 1
         out: List[SloStatus] = []
+        # Objectives share series (both ratios divide by the request
+        # count), so each (series, width) count is taken once per step.
+        counts: Dict[Tuple[str, float], int] = {}
         for obj in self.objectives:
             status = self._statuses[obj.name]
-            value_long, count_long = self._measure(obj, now, self.long_width)
-            value_short, _ = self._measure(obj, now, self.short_width)
+            value_long, count_long = self._measure(
+                obj, now, self.long_width, counts
+            )
+            value_short, _ = self._measure(obj, now, self.short_width, counts)
             burn_long = obj.burn(value_long)
             burn_short = obj.burn(value_short)
             new_state = self._classify(obj, burn_long, burn_short, count_long)

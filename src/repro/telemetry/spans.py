@@ -33,12 +33,15 @@ pays ~a method call when telemetry is off.
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.bus import BusEvent, EventBus
 
 __all__ = ["Span", "SpanTracer", "NullTracer", "NULL_TRACER", "render_span_tree"]
+
+#: ``fn(span, wall_start, wall_end)``, called as a span closes.
+WallObserver = Callable[["Span", float, float], None]
 
 
 class Span:
@@ -66,7 +69,7 @@ class Span:
         self.sim_start = sim_start
         self.fields = fields
         # In-process wall aggregate only; never enters the event stream.
-        self._wall_start = time.perf_counter()  # lint: disable=DET001 -- profiling feed
+        self._wall_start = perf_counter()  # lint: disable=DET001 -- profiling feed
         self._nested = nested
         self._closed = False
 
@@ -79,20 +82,31 @@ class Span:
 
     def end(self, **extra: Any) -> None:
         """Close the span: pop the stack (if nested) and emit the event."""
-        if self._closed:
-            return
-        self._closed = True
-        self.tracer._close(self, extra)
+        if not self._closed:
+            self._closed = True
+            self.tracer._close(self, extra)
 
     # -- context-manager protocol ------------------------------------------
     def __enter__(self) -> "Span":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.end()
-        else:
-            self.end(error=exc_type.__name__)
+        if not self._closed:
+            self._closed = True
+            self.tracer._close(
+                self, None if exc_type is None else {"error": exc_type.__name__}
+            )
+
+
+class _NameStats:
+    """Per-span-name wall aggregate plus the observers scoped to it."""
+
+    __slots__ = ("count", "total", "observers")
+
+    def __init__(self, observers: Tuple[WallObserver, ...]) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.observers = observers
 
 
 class SpanTracer:
@@ -103,55 +117,55 @@ class SpanTracer:
         self._clock = clock
         self._stack: List[int] = []
         self._next_id = 0
-        #: per-name wall-clock aggregates: name -> [count, total_seconds].
-        self._wall: Dict[str, List[float]] = {}
-        #: wall-clock close observers: fn(span, wall_start, wall_end).
-        #: In-process only (the profiler's feed); nothing an observer
-        #: sees ever reaches the bus, so the exported stream stays
-        #: byte-deterministic with observers attached.
-        self._wall_observers: List[Callable[[Span, float, float], None]] = []
+        #: per-name wall-clock aggregates (every closed span counts).
+        self._names: Dict[str, _NameStats] = {}
+        #: wall-clock close observers: ``(fn, name)``, where ``name=None``
+        #: sees every span.  In-process only (the profiler's and the
+        #: serving plane's feed); nothing an observer sees ever reaches
+        #: the bus, so the exported stream stays byte-deterministic with
+        #: observers attached.
+        self._wall_observers: List[Tuple[WallObserver, Optional[str]]] = []
 
     def _new(self, name: str, nested: bool, fields: Dict[str, Any]) -> Span:
+        stack = self._stack
+        span_id = self._next_id
+        self._next_id = span_id + 1
         span = Span(
-            self,
-            name,
-            span_id=self._next_id,
-            parent_id=self._stack[-1] if self._stack else None,
-            sim_start=self._clock(),
-            fields=fields,
-            nested=nested,
+            self, name, span_id, stack[-1] if stack else None,
+            self._clock(), fields, nested,
         )
-        self._next_id += 1
         if nested:
-            self._stack.append(span.span_id)
+            stack.append(span_id)
         return span
 
     def span(self, name: str, **fields: Any) -> Span:
         """A stack-nested span for a synchronous phase (use ``with``)."""
-        return self._new(name, nested=True, fields=fields)
+        return self._new(name, True, fields)
 
     def open(self, name: str, **fields: Any) -> Span:
         """A detached span whose interval outlives the opening call."""
-        return self._new(name, nested=False, fields=fields)
+        return self._new(name, False, fields)
 
-    def _close(self, span: Span, extra: Dict[str, Any]) -> None:
+    def _close(self, span: Span, extra: Optional[Dict[str, Any]]) -> None:
+        wall_end = perf_counter()  # lint: disable=DET001 -- profiling feed
         if span._nested:
             # Tolerate out-of-order closes (an exception unwinding through
             # several spans) by popping down to this span.
-            while self._stack and self._stack[-1] != span.span_id:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
-        wall_end = time.perf_counter()  # lint: disable=DET001 -- profiling feed
-        agg = self._wall.get(span.name)
-        if agg is None:
-            agg = self._wall[span.name] = [0, 0.0]
-        agg[0] += 1
-        agg[1] += wall_end - span._wall_start
-        for fn in self._wall_observers:
+            stack = self._stack
+            while stack and stack[-1] != span.span_id:
+                stack.pop()
+            if stack:
+                stack.pop()
+        name = span.name
+        stats = self._names.get(name)
+        if stats is None:
+            stats = self._names[name] = _NameStats(self._observers_of(name))
+        stats.count += 1
+        stats.total += wall_end - span._wall_start
+        for fn in stats.observers:
             fn(span, span._wall_start, wall_end)
         fields = {
-            "name": span.name,
+            "name": name,
             "id": span.span_id,
             "parent": span.parent_id,
             "start": span.sim_start,
@@ -162,34 +176,52 @@ class SpanTracer:
             fields.update(extra)
         self._bus.emit_event("span", fields)
 
+    def _observers_of(self, name: str) -> Tuple[WallObserver, ...]:
+        return tuple(
+            fn for fn, scope in self._wall_observers
+            if scope is None or scope == name
+        )
+
+    def _rescope(self) -> None:
+        for name, stats in self._names.items():
+            stats.observers = self._observers_of(name)
+
     # -- wall-clock summary (in-process only; never exported) ----------------
     def add_wall_observer(
-        self, fn: Callable[[Span, float, float], None]
+        self, fn: WallObserver, name: Optional[str] = None
     ) -> Callable[[], None]:
-        """Call ``fn(span, wall_start, wall_end)`` on every span close.
+        """Call ``fn(span, wall_start, wall_end)`` on span closes.
 
-        Returns an unsubscribe callable.  Times are ``perf_counter``
-        values; the observer must not emit bus events (that would leak
-        wall-clock ordering into the deterministic stream).
+        ``name`` scopes the observer to spans of that name; ``None``
+        (the default) observes every span.  Returns an unsubscribe
+        callable.  Times are ``perf_counter`` values; the observer must
+        not emit bus events (that would leak wall-clock ordering into
+        the deterministic stream).
         """
-        self._wall_observers.append(fn)
+        entry = (fn, name)
+        self._wall_observers.append(entry)
+        self._rescope()
 
         def remove() -> None:
             try:
-                self._wall_observers.remove(fn)
+                self._wall_observers.remove(entry)
             except ValueError:
-                pass
+                return
+            self._rescope()
 
         return remove
 
     def wall_totals(self) -> Dict[str, Tuple[int, float]]:
         """``name -> (count, total wall seconds)`` for closed spans."""
-        return {n: (int(c), t) for n, (c, t) in sorted(self._wall.items())}
+        return {
+            n: (stats.count, stats.total)
+            for n, stats in sorted(self._names.items())
+        }
 
     def wall_table(self) -> str:
-        if not self._wall:
+        if not self._names:
             return "(no spans recorded)"
-        width = max(len(n) for n in self._wall)
+        width = max(len(n) for n in self._names)
         lines = [f"{'span':<{width}}     count   total ms    mean µs"]
         for name, (count, total) in self.wall_totals().items():
             mean_us = (total / count) * 1e6 if count else 0.0
@@ -225,7 +257,9 @@ class NullTracer:
     def open(self, name: str, **fields: Any) -> "_NullSpan":
         return self._SPAN
 
-    def add_wall_observer(self, fn) -> Callable[[], None]:
+    def add_wall_observer(
+        self, fn: WallObserver, name: Optional[str] = None
+    ) -> Callable[[], None]:
         return lambda: None
 
     def wall_totals(self) -> Dict[str, Tuple[int, float]]:

@@ -174,15 +174,20 @@ class SlidingWindow:
     def count(self, now: float, width: Optional[float] = None) -> int:
         return sum(b.count for b in self._live(now, width))
 
-    def rate(self, now: float, width: Optional[float] = None) -> float:
+    def rate(
+        self, now: float, width: Optional[float] = None,
+        count: Optional[int] = None,
+    ) -> float:
         """Observations per clock unit, without touching the samples.
 
         Same covered-span denominator as :meth:`stats`, but skips the
         percentile merge/sort -- the SLO engine's per-step ``rate``
-        measurements stay O(buckets).
+        measurements stay O(buckets).  A caller that already holds
+        :meth:`count` for the same ``now``/``width`` passes it in.
         """
         span = self.config.width if width is None else min(width, self.config.width)
-        count = sum(b.count for b in self._live(now, span))
+        if count is None:
+            count = sum(b.count for b in self._live(now, span))
         if not count:
             return 0.0
         covered = span
@@ -252,10 +257,9 @@ class WindowedMetrics:
 
         This runs on every counter increment and histogram observation
         in the grid (~dozens per serving request), so the bucket-filing
-        logic of :meth:`SlidingWindow.observe` is inlined here -- the
-        observability plane's overhead budget (<3% end-to-end; see
-        docs/observability.md, "What the plane costs") is mostly this
-        function.
+        logic of :meth:`SlidingWindow.observe` is inlined here (what the
+        plane costs per request: docs/observability.md, "What the plane
+        costs").
         """
         if kind == "gauge":
             return  # gauges are last-write-wins; a window adds nothing
