@@ -15,7 +15,7 @@ from repro import ApplicationTemplate, GridConfig, P2PGrid
 from repro.core.explain import explain_result
 from repro.diagnostics import check_grid_invariants
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.replication import replicate
+from repro.experiments.sweep import algorithm_variants, paired_sweep, t_interval
 from repro.workload.generator import WorkloadConfig
 
 CUSTOM_APPS = [
@@ -55,11 +55,16 @@ def main() -> None:
         workload=WorkloadConfig(rate_per_min=12.0, horizon=20.0,
                                 duration_range=(1.0, 15.0)),
     )
-    rep = replicate(base, algorithms=("qsa", "random"), n_seeds=5)
-    print(rep.summary())
-    print(f"paired wins (qsa over random): "
-          f"{rep.wins('qsa', 'random')}/{len(rep.seeds)}")
-
+    seeds = range(5)
+    table = paired_sweep(
+        [("custom", base)], algorithm_variants("qsa", "random"), seeds
+    )
+    for algorithm in table.variants:
+        mean, hw = t_interval(table.psi(variant=algorithm))
+        print(f"{algorithm}: ψ = {mean:.3f} ± {hw:.3f} (n={len(seeds)})")
+    gap, gap_hw = t_interval(table.paired_differences("qsa", "random"))
+    print(f"paired gap (qsa - random): {gap:+.3f} ± {gap_hw:.3f}; "
+          f"qsa wins {table.wins('qsa', 'random')}/{len(seeds)} seeds")
 
 if __name__ == "__main__":
     main()

@@ -29,6 +29,7 @@ def build_descriptor() -> Dict[str, Any]:
     import repro
     from repro.experiments.config import SCENARIOS
     from repro.faults.plan import FAULT_KINDS
+    from repro.grid import ALGORITHMS
 
     return {
         "name": "repro",
@@ -40,5 +41,5 @@ def build_descriptor() -> Dict[str, Any]:
         "serve_api": SERVE_API_VERSION,
         "fault_kinds": sorted(FAULT_KINDS),
         "scenarios": sorted(SCENARIOS),
-        "algorithms": ["fixed", "qsa", "random"],
+        "algorithms": sorted(ALGORITHMS),
     }

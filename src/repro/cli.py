@@ -69,6 +69,7 @@ from repro.experiments import figures
 from repro.experiments.config import default_scale, is_paper_scale, scale_factor
 from repro.experiments.reporting import banner, format_series_table, format_sweep_table
 from repro.experiments.runner import run_experiment
+from repro.grid import ALGORITHMS
 
 __all__ = ["main", "build_parser"]
 
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     f8.add_argument("--plot", action="store_true")
 
     run = sub.add_parser("run", help="one custom experiment")
-    run.add_argument("--algorithm", choices=("qsa", "random", "fixed"),
+    run.add_argument("--algorithm", choices=ALGORITHMS,
                      default="qsa")
     run.add_argument("--rate", type=float, default=100.0,
                      help="request rate, req/min in paper units")
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_run = prof_sub.add_parser(
         "run", help="run one experiment under the profiler"
     )
-    prof_run.add_argument("--algorithm", choices=("qsa", "random", "fixed"),
+    prof_run.add_argument("--algorithm", choices=ALGORITHMS,
                           default="qsa")
     prof_run.add_argument("--rate", type=float, default=100.0,
                           help="request rate, req/min in paper units")

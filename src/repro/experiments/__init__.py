@@ -4,6 +4,8 @@
   per-request outcome tracking.
 * :mod:`~repro.experiments.runner` -- one simulation run: grid +
   workload + algorithm -> :class:`ExperimentResult`.
+* :mod:`~repro.experiments.sweep` -- points × variants × seeds through
+  the runner into one table; figures and ablations are sweep specs.
 * :mod:`~repro.experiments.figures` -- the four result figures.
 * :mod:`~repro.experiments.ablations` -- design-choice ablations
   (uptime term, probe budget, tier contributions).

@@ -10,8 +10,9 @@ The paper motivates three design decisions that these ablations isolate:
   selection, random composition with QSA peer selection, and the full
   model, to show both tiers matter.
 
-A3's hybrids are built by composing the strategy hooks of the QSA and
-random aggregators.
+Each is a :func:`~repro.experiments.sweep.paired_sweep` spec.  A3's hybrids
+compose the strategy hooks of the QSA and random aggregators and reach
+the run loop as ``make_aggregator`` factories.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from repro.core.aggregation import QSAAggregator
 from repro.core.baselines import RandomAggregator, random_consistent_path
 from repro.core.composition import ComposedPath, ConsistencyGraph
 from repro.core.composition_vec import compose_qcs
-from repro.experiments.config import ExperimentConfig, default_scale
-from repro.experiments.metrics import MetricsCollector
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.config import default_scale
+from repro.experiments.sweep import Variant, algorithm_variants, paired_sweep
 from repro.grid import P2PGrid
-from repro.workload.generator import RequestGenerator
 
 __all__ = [
     "ablation_uptime",
@@ -35,6 +34,9 @@ __all__ = [
     "ablation_tiers",
     "HybridCompositionOnly",
     "HybridSelectionOnly",
+    "TIER_VARIANTS",
+    "composition_only",
+    "selection_only",
 ]
 
 
@@ -49,16 +51,17 @@ def ablation_uptime(
     seed: int = 0,
 ) -> Dict[str, List[float]]:
     """ψ with/without the uptime term across churn rates."""
-    out: Dict[str, List[float]] = {"uptime-aware": [], "uptime-blind": []}
-    for churn in churn_rates:
-        base = default_scale(
-            rate_per_min=rate, horizon=horizon, churn_per_min=churn, seed=seed
-        )
-        on = run_experiment(base.with_algorithm("qsa", uptime_filter=True))
-        off = run_experiment(base.with_algorithm("qsa", uptime_filter=False))
-        out["uptime-aware"].append(on.success_ratio)
-        out["uptime-blind"].append(off.success_ratio)
-    return out
+    table = paired_sweep(
+        [(churn, default_scale(rate_per_min=rate, horizon=horizon,
+                               churn_per_min=churn))
+         for churn in churn_rates],
+        (
+            Variant("uptime-aware", "qsa", {"uptime_filter": True}),
+            Variant("uptime-blind", "qsa", {"uptime_filter": False}),
+        ),
+        (seed,),
+    )
+    return {v: table.psi(variant=v) for v in ("uptime-aware", "uptime-blind")}
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +75,15 @@ def ablation_probe_budget(
     seed: int = 0,
 ) -> Dict[int, float]:
     """ψ as a function of the probing budget M (0 = always random)."""
-    out: Dict[int, float] = {}
-    for budget in budgets:
-        base = default_scale(rate_per_min=rate, horizon=horizon, seed=seed)
-        grid_cfg = replace(
-            base.grid, probing=replace(base.grid.probing, budget=budget)
-        )
-        cfg = replace(base, grid=grid_cfg).with_algorithm("qsa")
-        out[budget] = run_experiment(cfg).success_ratio
-    return out
+    base = default_scale(rate_per_min=rate, horizon=horizon)
+    table = paired_sweep(
+        [(budget, replace(base, grid=replace(
+            base.grid, probing=replace(base.grid.probing, budget=budget))))
+         for budget in budgets],
+        algorithm_variants("qsa"),
+        (seed,),
+    )
+    return {row.label: row.psi for row in table.rows}
 
 
 # ---------------------------------------------------------------------------
@@ -108,45 +111,30 @@ class HybridSelectionOnly(QSAAggregator):
         return random_consistent_path(graph, self.rng)
 
 
-def _run_custom(config: ExperimentConfig, make_aggregator) -> ExperimentResult:
-    """run_experiment with a custom aggregator factory (grid -> aggregator)."""
-    import time
-
-    t0 = time.perf_counter()  # lint: disable=DET001 -- wall_seconds is display-only
-    grid = P2PGrid(config.grid)
-    aggregator = make_aggregator(grid)
-    aggregator.bus = grid.telemetry.bus
-    metrics = MetricsCollector()
-    metrics.attach(grid.telemetry.bus)
-
-    def sink(request):
-        aggregator.aggregate(request)
-
-    generator = RequestGenerator(
-        grid.sim,
-        config.workload,
-        grid.applications,
-        alive_peer_ids=lambda: grid.directory.alive_ids,
-        sink=sink,
-        rng=grid.rngs.stream("workload"),
+def composition_only(grid: P2PGrid) -> HybridCompositionOnly:
+    """A3's QCS-only hybrid on ``grid``, on its own RNG stream."""
+    return HybridCompositionOnly(
+        grid.compiler, grid.registry, grid.directory, grid.ledger,
+        grid.composition_weights, grid.rngs.stream("aggregator-hybrid-c"),
     )
-    generator.start()
-    grid.sim.run(until=config.workload.horizon + config.drain_minutes)
-    if grid.churn is not None:
-        grid.churn.stop()
-    grid.sim.run()
-    return ExperimentResult(
-        config=config,
-        algorithm=getattr(aggregator, "name", "custom"),
-        metrics=metrics,
-        n_requests=metrics.n_requests,
-        success_ratio=metrics.success_ratio(),
-        mean_lookup_hops=metrics.mean_lookup_hops(),
-        probe_overhead=grid.probing.overhead_ratio(),
-        n_arrivals=grid.churn.n_arrivals if grid.churn else 0,
-        n_departures=grid.churn.n_departures if grid.churn else 0,
-        wall_seconds=time.perf_counter() - t0,  # lint: disable=DET001 -- display-only
+
+
+def selection_only(grid: P2PGrid) -> HybridSelectionOnly:
+    """A3's Φ-only hybrid on ``grid``, on its own RNG stream."""
+    return HybridSelectionOnly(
+        grid.compiler, grid.registry, grid.directory, grid.ledger,
+        grid.probing, grid.composition_weights, grid.phi_weights,
+        grid.rngs.stream("aggregator-hybrid-s"),
     )
+
+
+#: A3's 2x2: the full model, each tier alone, and neither.
+TIER_VARIANTS = (
+    Variant("full-qsa", "qsa"),
+    Variant(HybridCompositionOnly.name, make_aggregator=composition_only),
+    Variant(HybridSelectionOnly.name, make_aggregator=selection_only),
+    Variant("neither (random)", "random"),
+)
 
 
 def ablation_tiers(
@@ -155,27 +143,6 @@ def ablation_tiers(
     seed: int = 0,
 ) -> Dict[str, float]:
     """ψ of the full model vs. each tier alone vs. neither."""
-    base = default_scale(rate_per_min=rate, horizon=horizon, seed=seed)
-
-    def composition_only(grid: P2PGrid):
-        return HybridCompositionOnly(
-            grid.compiler, grid.registry, grid.directory, grid.ledger,
-            grid.composition_weights, grid.rngs.stream("aggregator-hybrid-c"),
-        )
-
-    def selection_only(grid: P2PGrid):
-        return HybridSelectionOnly(
-            grid.compiler, grid.registry, grid.directory, grid.ledger,
-            grid.probing, grid.composition_weights, grid.phi_weights,
-            grid.rngs.stream("aggregator-hybrid-s"),
-        )
-
-    out = {
-        "full-qsa": run_experiment(base.with_algorithm("qsa")).success_ratio,
-        "qcs+random-peers": _run_custom(base, composition_only).success_ratio,
-        "random-path+phi-peers": _run_custom(base, selection_only).success_ratio,
-        "neither (random)": run_experiment(
-            base.with_algorithm("random")
-        ).success_ratio,
-    }
-    return out
+    base = default_scale(rate_per_min=rate, horizon=horizon)
+    table = paired_sweep([(rate, base)], TIER_VARIANTS, (seed,))
+    return {row.variant: row.psi for row in table.rows}

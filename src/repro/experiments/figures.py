@@ -26,8 +26,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig, default_scale
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.config import default_scale
+from repro.experiments.runner import ExperimentResult
+from repro.experiments.sweep import SweepTable, algorithm_variants, paired_sweep
+from repro.grid import ALGORITHMS
 
 __all__ = [
     "ALGORITHMS",
@@ -38,8 +40,6 @@ __all__ = [
     "figure7",
     "figure8",
 ]
-
-ALGORITHMS = ("qsa", "random", "fixed")
 
 
 @dataclass
@@ -54,6 +54,18 @@ class SweepResult:
     def winner_at(self, i: int) -> str:
         return max(self.ratios, key=lambda a: self.ratios[a][i])
 
+    @classmethod
+    def of(cls, x_label: str, x_values: Sequence[float],
+           table: SweepTable) -> "SweepResult":
+        """The view of a one-seed sweep whose labels are ``x_values``."""
+        return cls(
+            x_label,
+            list(x_values),
+            {v: table.psi(variant=v) for v in table.variants},
+            {v: [r.result for r in table.select(variant=v)]
+             for v in table.variants},
+        )
+
 
 @dataclass
 class SeriesResult:
@@ -63,39 +75,14 @@ class SeriesResult:
     ratios: Dict[str, np.ndarray]
     overall: Dict[str, float]
 
-
-def _sweep(
-    x_label: str,
-    x_values: Sequence[float],
-    make_config,
-    algorithms: Sequence[str] = ALGORITHMS,
-) -> SweepResult:
-    ratios: Dict[str, List[float]] = {a: [] for a in algorithms}
-    runs: Dict[str, List[ExperimentResult]] = {a: [] for a in algorithms}
-    for x in x_values:
-        base = make_config(x)
-        for algo in algorithms:
-            result = run_experiment(base.with_algorithm(algo))
-            ratios[algo].append(result.success_ratio)
-            runs[algo].append(result)
-    return SweepResult(x_label, list(x_values), ratios, runs)
-
-
-def _series(
-    config: ExperimentConfig,
-    bin_minutes: float = 2.0,
-    algorithms: Sequence[str] = ALGORITHMS,
-) -> SeriesResult:
-    times = None
-    ratios: Dict[str, np.ndarray] = {}
-    overall: Dict[str, float] = {}
-    for algo in algorithms:
-        result = run_experiment(config.with_algorithm(algo))
-        t, r = result.series(bin_minutes)
-        times = t
-        ratios[algo] = r
-        overall[algo] = result.success_ratio
-    return SeriesResult(times, ratios, overall)
+    @classmethod
+    def of(cls, table: SweepTable, bin_minutes: float = 2.0) -> "SeriesResult":
+        """The view of a one-point, one-seed sweep."""
+        times = None
+        ratios: Dict[str, np.ndarray] = {}
+        for row in table.rows:
+            times, ratios[row.variant] = row.result.series(bin_minutes)
+        return cls(times, ratios, {row.variant: row.psi for row in table.rows})
 
 
 def figure5(
@@ -104,11 +91,13 @@ def figure5(
     seed: int = 0,
 ) -> SweepResult:
     """Fig. 5: average ψ vs request rate (req/min), no churn, 400 min."""
-    return _sweep(
-        "request rate (req/min)",
-        rates,
-        lambda rate: default_scale(rate_per_min=rate, horizon=horizon, seed=seed),
+    table = paired_sweep(
+        [(rate, default_scale(rate_per_min=rate, horizon=horizon))
+         for rate in rates],
+        algorithm_variants(*ALGORITHMS),
+        (seed,),
     )
+    return SweepResult.of("request rate (req/min)", rates, table)
 
 
 def figure6(
@@ -118,8 +107,9 @@ def figure6(
     seed: int = 0,
 ) -> SeriesResult:
     """Fig. 6: ψ fluctuation at 200 req/min over 100 min, no churn."""
-    config = default_scale(rate_per_min=rate, horizon=horizon, seed=seed)
-    return _series(config, bin_minutes)
+    config = default_scale(rate_per_min=rate, horizon=horizon)
+    table = paired_sweep([(rate, config)], algorithm_variants(*ALGORITHMS), (seed,))
+    return SeriesResult.of(table, bin_minutes)
 
 
 def figure7(
@@ -129,13 +119,14 @@ def figure7(
     seed: int = 0,
 ) -> SweepResult:
     """Fig. 7: average ψ vs churn rate (peers/min), 100 req/min, 60 min."""
-    return _sweep(
-        "churn rate (peers/min)",
-        churn_rates,
-        lambda churn: default_scale(
-            rate_per_min=rate, horizon=horizon, churn_per_min=churn, seed=seed
-        ),
+    table = paired_sweep(
+        [(churn, default_scale(rate_per_min=rate, horizon=horizon,
+                               churn_per_min=churn))
+         for churn in churn_rates],
+        algorithm_variants(*ALGORITHMS),
+        (seed,),
     )
+    return SweepResult.of("churn rate (peers/min)", churn_rates, table)
 
 
 def figure8(
@@ -146,7 +137,6 @@ def figure8(
     seed: int = 0,
 ) -> SeriesResult:
     """Fig. 8: ψ fluctuation over 60 min at churn 100 peers/min."""
-    config = default_scale(
-        rate_per_min=rate, horizon=horizon, churn_per_min=churn, seed=seed
-    )
-    return _series(config, bin_minutes)
+    config = default_scale(rate_per_min=rate, horizon=horizon, churn_per_min=churn)
+    table = paired_sweep([(churn, config)], algorithm_variants(*ALGORITHMS), (seed,))
+    return SeriesResult.of(table, bin_minutes)

@@ -69,7 +69,7 @@ class ExperimentResult:
 
 
 def run_experiment(
-    config: ExperimentConfig, profiler=None
+    config: ExperimentConfig, profiler=None, make_aggregator=None
 ) -> ExperimentResult:
     """Build the grid, stream the workload, drain, and collect ψ.
 
@@ -77,6 +77,9 @@ def run_experiment(
     to the grid's span tracer for wall-clock attribution; it forces
     telemetry spans on but observes only in-process, so the exported
     stream is unchanged by profiling.
+
+    ``make_aggregator`` (``grid -> aggregator``: the A3 hybrids) stands in
+    for ``config.algorithm``; a result takes its aggregator's ``name``.
     """
     t0 = time.perf_counter()  # lint: disable=DET001 -- wall_seconds is display-only
     grid_config = config.grid
@@ -88,9 +91,12 @@ def run_experiment(
     grid = P2PGrid(grid_config)
     if profiler is not None:
         profiler.attach(grid)
-    aggregator = grid.make_aggregator(
-        config.algorithm, **dict(config.algorithm_options)
-    )
+    if make_aggregator is None:
+        aggregator = grid.make_aggregator(
+            config.algorithm, **dict(config.algorithm_options)
+        )
+    else:
+        aggregator = grid.attach_aggregator(make_aggregator(grid))
     # The collector rides the telemetry bus: the aggregator publishes
     # request.setup, the grid publishes session.resolved, and the bus
     # dispatches both even with full telemetry recording off.
@@ -128,7 +134,7 @@ def run_experiment(
     injector = grid.injector
     return ExperimentResult(
         config=config,
-        algorithm=config.algorithm,
+        algorithm=aggregator.name,
         metrics=metrics,
         n_requests=metrics.n_requests,
         success_ratio=metrics.success_ratio(),

@@ -17,11 +17,11 @@ Supported knobs
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig, default_scale
-from repro.experiments.runner import run_experiment
+from repro.experiments.sweep import algorithm_variants, paired_sweep
 from repro.probing.prober import ProbingConfig
 
 __all__ = ["KNOBS", "SensitivityRow", "sweep"]
@@ -69,26 +69,18 @@ KNOBS: Dict[str, Tuple[float, Callable[[ExperimentConfig, float], ExperimentConf
 }
 
 
+@dataclass(frozen=True)
 class SensitivityRow:
     """ψ for both algorithms at one knob value."""
 
-    __slots__ = ("knob", "value", "qsa", "random")
-
-    def __init__(self, knob: str, value: float, qsa: float, rnd: float) -> None:
-        self.knob = knob
-        self.value = value
-        self.qsa = qsa
-        self.random = rnd
+    knob: str
+    value: float
+    qsa: float
+    random: float
 
     @property
     def gap(self) -> float:
         return self.qsa - self.random
-
-    def __repr__(self) -> str:
-        return (
-            f"SensitivityRow({self.knob}={self.value:g}: "
-            f"qsa={self.qsa:.3f}, random={self.random:.3f})"
-        )
 
 
 def sweep(
@@ -105,13 +97,15 @@ def sweep(
         raise ValueError(
             f"unknown knob {knob!r}; choose from {sorted(KNOBS)}"
         ) from None
-    rows: List[SensitivityRow] = []
-    for value in values:
-        base = transform(
-            default_scale(rate_per_min=rate, horizon=horizon, seed=seed),
-            value,
+    table = paired_sweep(
+        [(value, transform(default_scale(rate, horizon), value))
+         for value in values],
+        algorithm_variants("qsa", "random"),
+        (seed,),
+    )
+    return [
+        SensitivityRow(knob, value, qsa, rnd)
+        for value, qsa, rnd in zip(
+            values, table.psi(variant="qsa"), table.psi(variant="random")
         )
-        qsa = run_experiment(base.with_algorithm("qsa")).success_ratio
-        rnd = run_experiment(base.with_algorithm("random")).success_ratio
-        rows.append(SensitivityRow(knob, value, qsa, rnd))
-    return rows
+    ]

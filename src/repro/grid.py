@@ -56,7 +56,10 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.telemetry import Telemetry
 
-__all__ = ["GridConfig", "P2PGrid"]
+__all__ = ["ALGORITHMS", "GridConfig", "P2PGrid"]
+
+#: The §4.1 algorithms :meth:`P2PGrid.make_aggregator` builds by name.
+ALGORITHMS = ("qsa", "random", "fixed")
 
 
 @dataclass(frozen=True)
@@ -372,6 +375,15 @@ class P2PGrid:
                 f"make_aggregator({name!r}) got unexpected option(s): "
                 + ", ".join(sorted(options))
             )
+        return self.attach_aggregator(aggregator)
+
+    def attach_aggregator(self, aggregator: BaseAggregator) -> BaseAggregator:
+        """Connect ``aggregator`` to this grid's event bus and telemetry.
+
+        :meth:`make_aggregator` does this for the named algorithms; an
+        aggregator built any other way (the A3 tier hybrids) needs it
+        for its ``request.setup`` events to reach the bus.
+        """
         aggregator.bus = self.telemetry.bus
         _tel = self.telemetry if self.config.telemetry else None
         aggregator.telemetry = _tel
@@ -403,7 +415,9 @@ class P2PGrid:
                 self.compiler, self.registry, self.directory, self.ledger,
                 self.composition_weights, rng,
             )
-        raise ValueError(f"unknown aggregator {name!r} (qsa/random/fixed)")
+        raise ValueError(
+            f"unknown aggregator {name!r} ({'/'.join(ALGORITHMS)})"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

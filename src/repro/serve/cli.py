@@ -13,6 +13,7 @@ import asyncio
 import signal
 import sys
 
+from repro.grid import ALGORITHMS
 from repro.serve.core import (
     GridRuntime,
     ServeConfig,
@@ -38,7 +39,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8177,
                         help="TCP port (0 = ephemeral; default 8177)")
-    parser.add_argument("--algorithm", choices=("qsa", "random", "fixed"),
+    parser.add_argument("--algorithm", choices=ALGORITHMS,
                         default="qsa")
     parser.add_argument("--wall-clock", action="store_true",
                         help="couple sim time to the wall clock instead of "

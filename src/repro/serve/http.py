@@ -250,7 +250,10 @@ class _RequestReader:
             raise HttpError(501, "chunked transfer encoding not supported")
         self._data = self._data[pos:]
 
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)
+        except ValueError:  # e.g. "//[": an unclosed IPv6 netloc
+            raise HttpError(400, "malformed request target") from None
         return HttpRequest(
             method=method.upper(),
             path=split.path or "/",

@@ -10,16 +10,26 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
-from repro.grid import GridConfig
+from repro.experiments.sweep import algorithm_variants, paired_sweep
+from repro.grid import ALGORITHMS, GridConfig
 from repro.network.churn import ChurnConfig
 from repro.workload.generator import WorkloadConfig
 
 
-def tiny(rate, horizon, churn=0.0, seed=0):
+def tiny_sweep(x_values, make_config, seed=0):
+    """A Fig. 5 / Fig. 7-shaped sweep of all three algorithms."""
+    table = paired_sweep(
+        [(x, make_config(x)) for x in x_values],
+        algorithm_variants(*ALGORITHMS),
+        (seed,),
+    )
+    return figures.SweepResult.of("x", x_values, table)
+
+
+def tiny(rate, horizon, churn=0.0):
     return ExperimentConfig(
         grid=GridConfig(
             n_peers=250,
-            seed=seed,
             churn=ChurnConfig(rate_per_min=churn) if churn > 0 else None,
         ),
         workload=WorkloadConfig(rate_per_min=rate, horizon=horizon,
@@ -29,7 +39,7 @@ def tiny(rate, horizon, churn=0.0, seed=0):
 
 class TestSweepMachinery:
     def test_sweep_runs_all_algorithms(self):
-        sweep = figures._sweep("x", [5.0], lambda x: tiny(x, 4.0))
+        sweep = tiny_sweep([5.0], lambda x: tiny(x, 4.0))
         assert set(sweep.ratios) == {"qsa", "random", "fixed"}
         assert all(len(v) == 1 for v in sweep.ratios.values())
 
@@ -44,9 +54,7 @@ class TestSweepMachinery:
 class TestFigureShapes:
     @pytest.fixture(scope="class")
     def mini_fig5(self):
-        return figures._sweep(
-            "rate", [10.0, 60.0], lambda r: tiny(r, 6.0, seed=3)
-        )
+        return tiny_sweep([10.0, 60.0], lambda r: tiny(r, 6.0), seed=3)
 
     def test_fig5_qsa_wins_everywhere(self, mini_fig5):
         for i in range(2):
@@ -58,17 +66,15 @@ class TestFigureShapes:
             assert r["fixed"][i] <= r["random"][i] + 0.05
 
     def test_series_machinery(self):
-        series = figures._series(tiny(30.0, 6.0, seed=4), bin_minutes=2.0)
+        table = paired_sweep([(30.0, tiny(30.0, 6.0))],
+                             algorithm_variants(*ALGORITHMS), (4,))
+        series = figures.SeriesResult.of(table, bin_minutes=2.0)
         assert set(series.ratios) == {"qsa", "random", "fixed"}
         assert len(series.times) == 3
         assert set(series.overall) == {"qsa", "random", "fixed"}
 
     def test_churn_sweep_degrades_qsa(self):
-        sweep = figures._sweep(
-            "churn",
-            [0.0, 8.0],
-            lambda c: tiny(30.0, 6.0, churn=c, seed=5),
-        )
+        sweep = tiny_sweep([0.0, 8.0], lambda c: tiny(30.0, 6.0, churn=c), seed=5)
         assert sweep.ratios["qsa"][1] <= sweep.ratios["qsa"][0] + 0.05
 
 

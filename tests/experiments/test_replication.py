@@ -1,13 +1,15 @@
-"""Unit tests for multi-seed replication statistics."""
+"""Multi-seed replication through the paired sweep, and its t-interval."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.replication import (
-    AlgorithmStats,
-    ReplicationResult,
-    replicate,
+from repro.experiments.sweep import (
+    Row,
+    SweepTable,
+    algorithm_variants,
+    paired_sweep,
     t_interval,
 )
 from repro.grid import GridConfig
@@ -36,11 +38,18 @@ class TestTInterval:
         assert mean == 0.5
         assert hw == pytest.approx(12.706 * sem)
 
-    def test_large_sample_uses_normal(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(0.5, 0.1, size=100)
-        mean, hw = t_interval(x)
-        assert hw == pytest.approx(1.96 * x.std(ddof=1) / 10, rel=1e-6)
+    def test_critical_value_tracks_exact_t(self):
+        # Every df in 1..5000: never narrower than exact t beyond the
+        # table's 3-digit rounding, and at most 2 % wider.
+        x = np.random.default_rng(0).normal(0.5, 0.1, size=5001)
+        dfs = np.arange(1, 5001)
+        ratios = np.array([
+            t_interval(x[: df + 1])[1]
+            / (x[: df + 1].std(ddof=1) / np.sqrt(df + 1))
+            for df in dfs
+        ]) / stats.t.ppf(0.975, dfs)
+        assert ratios.min() >= 0.9997
+        assert ratios.max() <= 1.0201
 
     def test_coverage_simulation(self):
         """~95% of intervals should cover the true mean."""
@@ -54,38 +63,45 @@ class TestTInterval:
         assert 0.88 <= covered / trials <= 1.0
 
 
-class TestAlgorithmStats:
-    def test_summary_string(self):
-        s = AlgorithmStats("qsa", [0.8, 0.9])
-        text = str(s)
-        assert "qsa" in text and "n=2" in text
+class _Psi:
+    """A bare ψ standing in for a run's result."""
 
-    def test_std_single(self):
-        assert AlgorithmStats("x", [0.5]).std == 0.0
+    def __init__(self, success_ratio):
+        self.success_ratio = success_ratio
 
 
 class TestReplicationResult:
+    """The table of a seed replication, read pair by pair."""
+
     def make(self):
-        return ReplicationResult(
-            stats={
-                "qsa": AlgorithmStats("qsa", [0.9, 0.8, 0.85]),
-                "random": AlgorithmStats("random", [0.7, 0.75, 0.9]),
-            },
-            seeds=(0, 1, 2),
-        )
+        return SweepTable([
+            Row("x", variant, seed, _Psi(psi))
+            for seed, qsa, rnd in ((0, 0.9, 0.7), (1, 0.8, 0.75), (2, 0.85, 0.9))
+            for variant, psi in (("qsa", qsa), ("random", rnd))
+        ])
 
     def test_wins(self):
         r = self.make()
         assert r.wins("qsa", "random") == 2
         assert r.wins("random", "qsa") == 1
+        assert r.wins("qsa", "qsa") == 0
 
     def test_dominates(self):
         r = self.make()
-        assert not r.dominates("qsa", "random")
+        assert r.wins("qsa", "random") < len(r.select(variant="qsa"))
 
-    def test_summary_lists_all(self):
-        text = self.make().summary()
-        assert "qsa" in text and "random" in text
+    def test_paired_differences(self):
+        d = self.make().paired_differences("qsa", "random")
+        assert d == pytest.approx([0.2, 0.05, -0.05])
+
+    def test_psi_in_run_order(self):
+        assert self.make().psi(variant="random") == [0.7, 0.75, 0.9]
+
+    def test_select_matches_every_key(self):
+        r = self.make()
+        assert len(r.select(seed=1)) == 2
+        assert len(r.select(variant="qsa", seed=1)) == 1
+        assert r.select(label="y") == []
 
 
 class TestReplicate:
@@ -96,19 +112,22 @@ class TestReplicate:
             workload=WorkloadConfig(rate_per_min=20.0, horizon=4.0,
                                     duration_range=(1.0, 3.0)),
         )
-        return replicate(base, algorithms=("qsa", "random"), n_seeds=3)
+        return paired_sweep(
+            [("base", base)], algorithm_variants("qsa", "random"), range(3)
+        )
 
     def test_runs_all_seeds(self, replication):
-        assert replication.seeds == (0, 1, 2)
-        assert len(replication.stats["qsa"].ratios) == 3
+        assert [r.seed for r in replication.select(variant="qsa")] == [0, 1, 2]
 
     def test_qsa_wins_most_seeds(self, replication):
         assert replication.wins("qsa", "random") >= 2
 
     def test_ratios_in_bounds(self, replication):
-        for stats in replication.stats.values():
-            assert all(0.0 <= r <= 1.0 for r in stats.ratios)
+        assert all(0.0 <= r <= 1.0 for r in replication.psi())
 
     def test_n_seeds_validated(self):
         with pytest.raises(ValueError):
-            replicate(ExperimentConfig(), n_seeds=0)
+            paired_sweep(
+                [("base", ExperimentConfig())], algorithm_variants("qsa"),
+                range(0),
+            )
