@@ -7,11 +7,12 @@ This module computes the *same function* as batched array operations:
 
 * the Eq. 1 ``Qout ⊇ Qin`` consistency checks between two services'
   instance populations become one boolean **adjacency matrix** per
-  service pair, filled by :func:`~repro.core.qos.satisfies_matrix` --
-  the scalar relation asked once per distinct (offered value, required
-  value) of each QoS dimension, not once per instance pair -- and
-  *patched* with only the new rows/columns when churn/admission
-  introduces instances the index has not seen (never rebuilt wholesale);
+  service pair, filled by :func:`~repro.core.qos.satisfies_classes` from
+  the instances' value-class codes -- the scalar relation asked once per
+  distinct (offered value, required value) of each QoS dimension, not
+  once per instance pair -- and *patched* with only the new
+  rows/columns when churn/admission introduces instances the index has
+  not seen (never rebuilt wholesale);
 * the Def. 3.1 sink→source relaxation becomes, per layer, one masked
   outer add + ``argmin`` row reduction over the scalar
   :class:`~repro.core.resources.WeightProfile` scores.
@@ -42,8 +43,12 @@ Incremental maintenance
 -----------------------
 :class:`ConsistencyIndex` keys everything by ``instance_id`` (service
 records are immutable after catalog populate).  Each service's instance
-*universe* only ever grows; pair matrices record the size they were
-filled against and patch only the new rows/columns.  The user's sink
+*universe* only ever grows, a block at a time: the candidates it has not
+seen are admitted together, their ``Qin`` / ``Qout`` codes read straight
+off their :class:`~repro.services.model.InstanceTable` and mapped onto
+the index's value classes, their scores one ``np.dot`` per row.  Pair
+matrices record the size they were filled against and patch only the
+new rows/columns.  The user's sink
 row (layer-0 outputs against the user's QoS vector) is a handful of
 clause checks plus one gather, asked once per (candidate set, user QoS).
 Departures need no patching at all: a request's candidate sets select
@@ -56,14 +61,20 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.composition import ComposedPath, CompositionError
-from repro.core.qos import QoSVector, satisfies_matrix_counted
+from repro.core.qos import Column, QoSValue, QoSVector, satisfies_classes
 from repro.core.resources import ResourceTuple, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import (
+    AbstractServicePath,
+    InstanceTable,
+    ServiceInstance,
+)
 from repro.telemetry.spans import NULL_TRACER
 
 __all__ = ["CacheStats", "ConsistencyIndex", "VectorizedComposer", "compose_qcs"]
@@ -89,62 +100,80 @@ class _Universe:
     """
 
     __slots__ = (
-        "service", "ids", "instances", "index", "scores", "costs",
-        "qins", "qouts", "_keyed", "_keyed_ids",
+        "service", "ids", "index", "scores", "codes", "_values", "_columns",
+        "_keyed", "_keyed_ids", "_keyed_rows",
     )
 
-    def __init__(self, service: str) -> None:
+    def __init__(self, service: str, values: List[QoSValue]) -> None:
         self.service = service
         self.ids: List[str] = []
-        self.instances: List[ServiceInstance] = []
         #: instance_id -> stable row/column index.
         self.index: Dict[str, int] = {}
-        #: Scalar Def. 3.1 scores, aligned with ``instances`` (computed
-        #: by the same WeightProfile.score call as the reference kernel).
-        self.scores: List[float] = []
-        #: Per-instance edge cost tuples ``(R, b)``, aligned.
-        self.costs: List[ResourceTuple] = []
-        #: Per-instance ``Qin`` / ``Qout`` vectors, aligned (the
-        #: populations :func:`satisfies_matrix` runs over).
-        self.qins: List[QoSVector] = []
-        self.qouts: List[QoSVector] = []
-        #: The last candidate tuple keyed and its ids (see ``ids_of``).
+        #: Scalar Def. 3.1 scores, aligned with ``ids`` (bit for bit the
+        #: reference kernel's ``WeightProfile.score``).
+        self.scores = np.zeros(0)
+        #: ``codes[0]`` / ``codes[1]``: per dimension name, each
+        #: instance's ``Qin`` / ``Qout`` value class (``-1``: absent),
+        #: aligned with ``ids``; ``_values[c]`` is class ``c``'s value.
+        self.codes: Tuple[Dict[str, np.ndarray], ...] = ({}, {})
+        self._values = values
+        #: The whole-population :meth:`columns` of each side, with the
+        #: version they were built at.
+        self._columns: List[Tuple[int, Dict[str, Column]]] = [(-1, {}), (-1, {})]
+        #: The last candidate tuple admitted, its ids and its rows (see
+        #: ``ConsistencyIndex.admit_candidates``).
         self._keyed: Tuple[ServiceInstance, ...] = ()
         self._keyed_ids: Tuple[str, ...] = ()
+        self._keyed_rows = np.zeros(0, dtype=np.intp)
 
     @property
     def version(self) -> int:
         return len(self.ids)
 
-    def ids_of(self, cands: Tuple[ServiceInstance, ...]) -> Tuple[str, ...]:
-        """The plan-key part of a candidate tuple, built once per tuple
-        *object*: the registry hands back one immutable record until
-        membership replaces it, and holding the reference keeps ``is``
-        sound (a list's fresh ``tuple()`` copy is re-read every call)."""
-        if cands is not self._keyed:
-            self._keyed = cands
-            self._keyed_ids = tuple(inst.instance_id for inst in cands)
-        return self._keyed_ids
+    def columns(
+        self, side: int, start: int = 0, stop: Optional[int] = None
+    ) -> Dict[str, Column]:
+        """Rows ``start:stop`` of the ``Qin`` (``side`` 0) or ``Qout``
+        (1) population as :func:`satisfies_classes` columns; the whole
+        population's are kept until the next admission."""
+        whole = start == 0 and stop is None
+        if whole and self._columns[side][0] == self.version:
+            return self._columns[side][1]
+        values = self._values
+        columns: Dict[str, Column] = {}
+        for name, codes in self.codes[side].items():
+            part = codes[start:stop]
+            classes = np.flatnonzero(np.bincount(part + 1)) - 1
+            columns[name] = (
+                [values[c] if c >= 0 else None for c in classes.tolist()],
+                classes.searchsorted(part),
+            )
+        if whole:
+            self._columns[side] = (self.version, columns)
+        return columns
 
-    def admit(self, inst: ServiceInstance, weights: WeightProfile) -> int:
-        """Register one unseen instance; returns its index."""
-        i = len(self.ids)
-        self.index[inst.instance_id] = i
-        self.ids.append(inst.instance_id)
-        self.instances.append(inst)
-        cost = ResourceTuple(inst.resources, inst.bandwidth)
-        self.scores.append(weights.score(cost))
-        self.costs.append(cost)
-        self.qins.append(inst.qin)
-        self.qouts.append(inst.qout)
-        return i
+
+def _extend(
+    columns: Dict[str, np.ndarray], n_old: int,
+    dims: Sequence[str], block: np.ndarray,
+) -> None:
+    """Append ``block``'s code columns (named ``dims``) to ``columns``;
+    a dimension one side lacks reads ``-1`` (absent) there."""
+    new = dict(zip(dims, block.T))
+    for name in [*columns, *(d for d in dims if d not in columns)]:
+        old = columns.get(name)
+        col = new.get(name)
+        columns[name] = np.concatenate([
+            np.full(n_old, -1) if old is None else old,
+            np.full(len(block), -1) if col is None else col,
+        ])
 
 
 class _PairMatrix:
     """The Eq. 1 adjacency between two universes, patched incrementally.
 
-    ``matrix[i, j]`` answers "may predecessor ``pred.instances[j]`` feed
-    current-layer ``cur.instances[i]``" -- i.e.
+    ``matrix[i, j]`` answers "may predecessor instance ``j`` feed
+    current-layer instance ``i``" -- i.e.
     ``satisfies(pred[j].qout, cur[i].qin)``.  ``sync`` extends the
     matrix by exactly the rows/columns admitted since the last call.
     """
@@ -168,12 +197,16 @@ class _PairMatrix:
         grown[:n_cur, :n_pred] = self.matrix
         # New current-layer rows against every predecessor, then the new
         # predecessor columns for the pre-existing rows.
-        grown[n_cur:], rows = satisfies_matrix_counted(
-            pred.qouts, cur.qins[n_cur:]
-        )
-        grown[:n_cur, n_pred:], cols = satisfies_matrix_counted(
-            pred.qouts[n_pred:], cur.qins[:n_cur]
-        )
+        rows = cols = 0
+        if nc > n_cur:
+            grown[n_cur:], rows = satisfies_classes(
+                pred.columns(1), cur.columns(0, n_cur), np_, nc - n_cur
+            )
+        if n_cur and np_ > n_pred:
+            grown[:n_cur, n_pred:], cols = satisfies_classes(
+                pred.columns(1, n_pred), cur.columns(0, 0, n_cur),
+                np_ - n_pred, n_cur,
+            )
         self.evaluations += rows + cols
         self.patched_rows += (nc - n_cur) + (np_ - n_pred)
         self.matrix = grown
@@ -197,7 +230,6 @@ class _Plan:
 
     layers: List[Tuple[ServiceInstance, ...]]
     weights: List[np.ndarray]
-    costs: List[List[ResourceTuple]]
     adjacency: List[np.ndarray]
     sink_universe: _Universe
     sink_rows: np.ndarray
@@ -206,14 +238,20 @@ class _Plan:
     outcomes: Dict[Hashable, Tuple[int, Optional[ComposedPath]]]
 
 
+#: One layer of a candidate set: its universe, its candidates and their
+#: rows in the universe.
+_Layer = Tuple[_Universe, Tuple[ServiceInstance, ...], np.ndarray]
+
+
 class ConsistencyIndex:
     """Incrementally maintained candidate matrices over the catalog.
 
-    Owns the per-service universes and the pairwise adjacency matrices.
-    Everything is keyed by ``instance_id`` and assumes service records
-    are immutable after catalog populate; universes only ever *grow* --
-    departures are handled by requests simply not selecting the absent
-    rows.
+    Owns the per-service universes, the pairwise adjacency matrices and
+    the value classes their codes refer to (one class per ``==``-distinct
+    QoS value, across every table admitted from).  Everything is keyed
+    by ``instance_id`` and assumes service records are immutable after
+    catalog populate; universes only ever *grow* -- departures are
+    handled by requests simply not selecting the absent rows.
     """
 
     def __init__(self, weights: WeightProfile) -> None:
@@ -221,24 +259,96 @@ class ConsistencyIndex:
         self._universes: Dict[str, _Universe] = {}
         self._pairs: Dict[Tuple[str, str], _PairMatrix] = {}
         self._sink_evaluations = 0
+        #: Value classes: value -> class, and class -> value.
+        self._classes: Dict[QoSValue, int] = {}
+        self._values: List[QoSValue] = []
+        #: Per table, the class of each of its value codes (``-1``: not
+        #: mapped yet).
+        self._remaps: Dict[InstanceTable, np.ndarray] = {}
 
     # -- universe maintenance ------------------------------------------------
     def universe(self, service: str) -> _Universe:
         uni = self._universes.get(service)
         if uni is None:
-            uni = self._universes[service] = _Universe(service)
+            uni = self._universes[service] = _Universe(service, self._values)
         return uni
 
+    def _classes_of(
+        self, table: InstanceTable, codes: np.ndarray
+    ) -> np.ndarray:
+        """The value classes of a block of ``table``'s QoS codes."""
+        remap = self._remaps.get(table)
+        if remap is None:
+            remap = self._remaps[table] = np.full(len(table.values), -1)
+        classes = remap[codes]
+        if (classes < 0).any():
+            known, values = self._classes, self._values
+            for code in np.flatnonzero(np.bincount(codes[classes < 0])).tolist():
+                value = table.values[code]
+                cls = known.get(value)
+                if cls is None:
+                    cls = known[value] = len(values)
+                    values.append(value)
+                remap[code] = cls
+            classes = remap[codes]
+        return classes
+
     def admit_candidates(
-        self, service: str, candidates: Sequence[ServiceInstance]
-    ) -> _Universe:
-        """Register any unseen candidate instances (incremental patch)."""
+        self, service: str, candidates: Tuple[ServiceInstance, ...]
+    ) -> Tuple[_Universe, Tuple[str, ...], np.ndarray]:
+        """Register the unseen candidates; the universe, the candidates'
+        ids (their plan-key part) and their rows in the universe.
+
+        The unseen candidates are admitted as one block per table they
+        come from (one, for a catalog's).  The answer is kept per tuple
+        *object*: the registry hands back one immutable record until
+        membership replaces it, so asking again with it costs nothing,
+        and holding the reference keeps ``is`` sound.
+        """
         uni = self.universe(service)
+        if candidates is uni._keyed:
+            return uni, uni._keyed_ids, uni._keyed_rows
         index = uni.index
-        for inst in candidates:
-            if inst.instance_id not in index:
-                uni.admit(inst, self.weights)
-        return uni
+        ids = tuple(inst.instance_id for inst in candidates)
+        fresh: Dict[str, ServiceInstance] = {}
+        for iid, inst in zip(ids, candidates):
+            if iid not in index and iid not in fresh:
+                fresh[iid] = inst
+        for table, run in groupby(fresh.values(), key=attrgetter("table")):
+            self._admit(uni, table, [inst.row for inst in run])
+        rows = np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+        uni._keyed, uni._keyed_ids, uni._keyed_rows = candidates, ids, rows
+        return uni, ids, rows
+
+    def _admit(
+        self, uni: _Universe, table: InstanceTable, rows: List[int]
+    ) -> None:
+        """Append ``table``'s ``rows`` to ``uni`` as one block."""
+        weights = self.weights
+        if table.resource_names != weights.resource_names:
+            raise ValueError(
+                f"tuple has dimensions {table.resource_names}, "
+                f"profile expects {weights.resource_names}"
+            )
+        n_old = uni.version
+        ids = [table.ids[row] for row in rows]
+        uni.index.update(zip(ids, range(n_old, n_old + len(ids))))
+        uni.ids += ids
+        for side, dims, codes in (
+            (0, table.in_dims, table.qin), (1, table.out_dims, table.qout)
+        ):
+            classes = self._classes_of(table, codes[rows])
+            _extend(uni.codes[side], n_old, dims, classes)
+        # WeightProfile.score, a block at a time: the same division and
+        # bandwidth term elementwise, and one np.dot per row -- a
+        # matrix-vector product would round differently.
+        scaled = table.resources[rows] / weights.maxima
+        dots = np.fromiter(
+            map(weights.weights.dot, scaled), np.float64, len(rows)
+        )
+        bandwidth = table.bandwidth[rows]
+        scores = dots + weights.bandwidth_weight * bandwidth / weights.bandwidth_max
+        uni.scores = np.concatenate([uni.scores, scores])
 
     def pair_matrix(self, cur: _Universe, pred: _Universe) -> np.ndarray:
         """The synced adjacency matrix between two universes."""
@@ -250,7 +360,12 @@ class ConsistencyIndex:
 
     def sink_row(self, uni: _Universe, user_qos: QoSVector) -> np.ndarray:
         """Boolean "satisfies the user requirement" row over a universe."""
-        matrix, evaluations = satisfies_matrix_counted(uni.qouts, (user_qos,))
+        one = np.zeros(1, dtype=np.intp)
+        matrix, evaluations = satisfies_classes(
+            uni.columns(1),
+            {name: ([value], one) for name, value in user_qos.items()},
+            uni.version, 1,
+        )
         self._sink_evaluations += evaluations
         return matrix[0]
 
@@ -308,40 +423,23 @@ class VectorizedComposer:
         self._plans.clear()
 
     # -- plan construction ---------------------------------------------------
-    def _build_plan(
-        self,
-        path: AbstractServicePath,
-        layer_candidates: List[Tuple[ServiceInstance, ...]],
-    ) -> _Plan:
+    def _build_plan(self, layers: List[_Layer]) -> _Plan:
+        """The plan of one candidate set, from its admitted layers."""
         index = self.index
-        weights_per_layer: List[np.ndarray] = []
-        costs_per_layer: List[List[ResourceTuple]] = []
-        universes: List[_Universe] = []
-        idx_arrays: List[np.ndarray] = []
-
-        for service, cands in zip(path.reversed(), layer_candidates):
-            uni = index.admit_candidates(service, cands)
-            rows = [uni.index[inst.instance_id] for inst in cands]
-            weights_per_layer.append(
-                np.array([uni.scores[i] for i in rows], dtype=np.float64)
-            )
-            costs_per_layer.append([uni.costs[i] for i in rows])
-            universes.append(uni)
-            idx_arrays.append(np.asarray(rows, dtype=np.intp))
-
+        universes = [uni for uni, _, _ in layers]
+        idx_arrays = [rows for _, _, rows in layers]
         adjacency = [
             index.pair_matrix(universes[t], universes[t + 1])
             .take(idx_arrays[t], axis=0).take(idx_arrays[t + 1], axis=1)
             for t in range(len(universes) - 1)
         ]
         return _Plan(
-            layers=layer_candidates,
-            weights=weights_per_layer,
-            costs=costs_per_layer,
+            layers=[cands for _, cands, _ in layers],
+            weights=[uni.scores[rows] for uni, _, rows in layers],
             adjacency=adjacency,
             sink_universe=universes[0],
             sink_rows=idx_arrays[0],
-            n_nodes=1 + sum(len(layer) for layer in layer_candidates),
+            n_nodes=1 + sum(len(cands) for _, cands, _ in layers),
             n_adjacent=sum(int(a.sum()) for a in adjacency),
             outcomes={},
         )
@@ -351,8 +449,8 @@ class VectorizedComposer:
         path: AbstractServicePath,
         candidates: Mapping[str, Sequence[ServiceInstance]],
     ) -> _Plan:
-        universe = self.index.universe
-        layer_candidates: List[Tuple[ServiceInstance, ...]] = []
+        admit = self.index.admit_candidates
+        layers: List[_Layer] = []
         key_parts: List[Hashable] = [path.services]
         for service in path.reversed():
             cands = tuple(candidates.get(service, ()))
@@ -360,13 +458,14 @@ class VectorizedComposer:
                 raise CompositionError(
                     f"no candidate instances discovered for service {service!r}"
                 )
-            layer_candidates.append(cands)
-            key_parts.append(universe(service).ids_of(cands))
+            uni, ids, rows = admit(service, cands)
+            layers.append((uni, cands, rows))
+            key_parts.append(ids)
         key = tuple(key_parts)
         plans = self._plans
         plan = plans.get(key)
         if plan is None:
-            plan = self._build_plan(path, layer_candidates)
+            plan = self._build_plan(layers)
             if len(plans) >= self.PLAN_CACHE_CAP:
                 plans.popitem(last=False)
             plans[key] = plan
@@ -399,10 +498,10 @@ class VectorizedComposer:
         indices = [j]
         for best in reversed(preds):
             indices.insert(0, int(best[indices[0]]))
-        total = ResourceTuple.zero(self.weights.resource_names)
-        for costs, choice in zip(plan.costs, indices):
-            total = total + costs[choice]
         chosen = [layer[i] for layer, i in zip(plan.layers, indices)]
+        total = ResourceTuple.zero(self.weights.resource_names)
+        for inst in chosen:
+            total = total + ResourceTuple(inst.resources, inst.bandwidth)
         return ComposedPath(tuple(reversed(chosen)), total=total, score=score)
 
     # -- public API ----------------------------------------------------------

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["ChordNode", "ChordRing"]
 
@@ -167,6 +169,40 @@ class ChordRing:
     # -- storage ---------------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
         self.responsible_node(key).store[key] = value
+
+    def put_many(self, keys: Sequence[str], values: Sequence[Any]) -> None:
+        """:meth:`put` for every ``(key, value)`` pair, in order.
+
+        One key-id pass (the digests are read as one little-endian
+        ``uint64`` block, the ids :func:`_hash_to_id` gives), one
+        ``searchsorted`` of the key ids over the ring's ids for the
+        responsible nodes, then the stores.  The key-id memo fills as
+        the same ``put`` calls would fill it.
+        """
+        if not self._ids:
+            raise RuntimeError("ring is empty")
+        blake2b = hashlib.blake2b
+        prefix = f"{self.seed}/key/"
+        digests = b"".join([
+            blake2b((prefix + key).encode("utf-8"), digest_size=8).digest()
+            for key in keys
+        ])
+        key_ids = np.frombuffer(digests, dtype="<u8") & np.uint64(
+            (1 << self.bits) - 1
+        )
+        memo = self._key_ids
+        if len(memo) + len(keys) <= self.KEY_ID_CAP:
+            memo.update(zip(keys, key_ids.tolist()))
+        else:
+            for key, kid in zip(keys, key_ids.tolist()):
+                if len(memo) >= self.KEY_ID_CAP:
+                    break
+                memo.setdefault(key, kid)
+        at = np.searchsorted(np.array(self._ids, dtype=np.uint64), key_ids)
+        at[at == len(self._ids)] = 0
+        nodes = [self._nodes[node_id] for node_id in self._ids]
+        for i, key, value in zip(at.tolist(), keys, values):
+            nodes[i].store[key] = value
 
     def get_local(self, key: str) -> Any:
         """Read without routing (used by maintenance code, not lookups)."""

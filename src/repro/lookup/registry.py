@@ -33,7 +33,7 @@ found", which the composition layer already treats as NO_CANDIDATES.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Protocol, Tuple
+from typing import Any, Dict, Iterable, Protocol, Sequence, Tuple
 
 from repro.services.catalog import ServiceCatalog, hosts_with, hosts_without
 from repro.services.model import ServiceInstance
@@ -49,6 +49,7 @@ class DhtProtocol(Protocol):
     """
 
     def put(self, key: str, value: Any) -> None: ...
+    def put_many(self, keys: Sequence[str], values: Sequence[Any]) -> None: ...
     def get(self, key: str, from_peer: int) -> Tuple[Any, int]: ...
     def lookup(self, key: str, from_peer: int) -> Tuple[Any, int]: ...
     def update(self, key: str, fn) -> Any: ...
@@ -87,10 +88,15 @@ class ServiceRegistry:
         self.retry = retry
 
     def _populate(self) -> None:
-        for service, instances in self.catalog.by_service.items():
-            self.ring.put(self.SERVICE_PREFIX + service, tuple(instances))
-        for iid, hosts in self.catalog.replicas.items():
-            self.ring.put(self.INSTANCE_PREFIX + iid, hosts)
+        """Every service record, then every instance record, in one put."""
+        by_service, replicas = self.catalog.by_service, self.catalog.replicas
+        self.ring.put_many(
+            [
+                *map(self.SERVICE_PREFIX.__add__, by_service),
+                *map(self.INSTANCE_PREFIX.__add__, replicas),
+            ],
+            [*map(tuple, by_service.values()), *replicas.values()],
+        )
 
     # -- discovery (routed; costs hops) -----------------------------------
     def _routed_get(self, key: str, from_peer: int) -> Tuple[Any, int]:

@@ -3,7 +3,8 @@
 This package provides the *inputs* to the QSA model:
 
 * :mod:`~repro.services.model` -- abstract services, service instances
-  ``(Qin, Qout, R, b)`` and abstract service paths (paper §2.1).
+  ``(Qin, Qout, R, b)`` as views over one instance table, and abstract
+  service paths (paper §2.1).
 * :mod:`~repro.services.applications` -- the distributed application
   templates (video-on-demand, content retrieval, ...) used by the paper's
   workload (§4.1: 10 applications, path lengths 2-5).
@@ -19,6 +20,7 @@ This package provides the *inputs* to the QSA model:
 
 from repro.services.model import (
     AbstractServicePath,
+    InstanceTable,
     ServiceInstance,
     instance_group,
 )
@@ -32,6 +34,7 @@ __all__ = [
     "AnalyticTranslator",
     "ApplicationTemplate",
     "CatalogConfig",
+    "InstanceTable",
     "QoSCompiler",
     "ServiceCatalog",
     "ServiceInstance",

@@ -293,6 +293,10 @@ class CanNetwork:
     def put(self, key: str, value: Any) -> None:
         self._owner(self.point_for_key(key)).store[key] = value
 
+    def put_many(self, keys, values) -> None:
+        for key, value in zip(keys, values):
+            self.put(key, value)
+
     def update(self, key: str, fn) -> Any:
         node = self._owner(self.point_for_key(key))
         node.store[key] = value = fn(node.store.get(key))

@@ -76,6 +76,31 @@ class TestResponsibility:
             ring.responsible_node("k")
         with pytest.raises(RuntimeError):
             ring.lookup("k", from_peer=0)
+        with pytest.raises(RuntimeError):
+            ring.put_many(["k"], [1])
+
+    @pytest.mark.parametrize("bits, cap", [(16, 1 << 16), (64, 1 << 16), (32, 40)])
+    def test_put_many_is_put_in_order(self, bits, cap):
+        """Same stores (key order included) and the same key-id memo,
+        also when the memo cap cuts it short or a key repeats."""
+        keys = [f"instance:s{i % 7}/{i}" for i in range(300)] + ["instance:s0/0"]
+        values = [(i,) for i in range(len(keys))]
+        bulk, one_by_one = ring_with(40, bits), ring_with(40, bits)
+        bulk.KEY_ID_CAP = one_by_one.KEY_ID_CAP = cap
+        bulk.key_id("instance:s3/3")  # a memo entry before the put
+        one_by_one.key_id("instance:s3/3")
+        bulk.put_many(keys, values)
+        for key, value in zip(keys, values):
+            one_by_one.put(key, value)
+        for ring in (bulk, one_by_one):
+            assert sum(len(n.store) for n in ring._nodes.values()) == 300
+        assert {
+            n.peer_id: list(n.store.items()) for n in bulk._nodes.values()
+        } == {
+            n.peer_id: list(n.store.items()) for n in one_by_one._nodes.values()
+        }
+        assert list(bulk._key_ids.items()) == list(one_by_one._key_ids.items())
+        assert all(bulk.key_id(k) == one_by_one.key_id(k) for k in keys)
 
 
 class TestHandoff:

@@ -12,12 +12,13 @@ those took one quality at a time are transcribed below as
 The production generator draws a different realization from the same
 distribution; ``tests/services/test_catalog_distribution.py`` holds both
 to the configured marginals with the same assertions, so this one shows
-the thresholds are calibrated.
+the thresholds are calibrated.  Its instances are stacked into one
+``InstanceTable`` (:func:`stack`) to make the ``ServiceCatalog``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector
 from repro.services.applications import ApplicationTemplate
 from repro.services.catalog import CatalogConfig, ServiceCatalog
-from repro.services.model import ServiceInstance
+from repro.services.model import InstanceTable, ServiceInstance
 from repro.services.translator import AnalyticTranslator
 
 
@@ -50,6 +51,40 @@ def _bandwidth_for(
             f"no bandwidth range configured for quality level {quality}"
         ) from None
     return float(rng.uniform(lo, hi))
+
+
+def stack(instances: Iterable[ServiceInstance]) -> InstanceTable:
+    """One table holding copies of ``instances``' rows, grouped by
+    service in order of first appearance.  Every instance must have the
+    same ``Qin`` / ``Qout`` dimensions and ``R`` names as the first."""
+    groups: Dict[str, List[ServiceInstance]] = {}
+    for inst in instances:
+        groups.setdefault(inst.service, []).append(inst)
+    rows = [inst for group in groups.values() for inst in group]
+    codes: Dict[object, int] = {}
+    values: List[object] = []
+
+    def coded(vector: QoSVector) -> List[int]:
+        return [codes.setdefault(v, len(codes)) for v in vector.values()]
+
+    qin = [coded(inst.qin) for inst in rows]
+    qout = [coded(inst.qout) for inst in rows]
+    values.extend(codes)
+    first = rows[0]
+    if any(
+        (tuple(i.qin), tuple(i.qout), i.resources.names)
+        != (tuple(first.qin), tuple(first.qout), first.resources.names)
+        for i in rows
+    ):
+        raise ValueError("instances differ in QoS dimensions or resource names")
+    return InstanceTable(
+        [inst.instance_id for inst in rows],
+        [(service, len(group)) for service, group in groups.items()],
+        values, tuple(first.qin), qin, tuple(first.qout), qout,
+        first.resources.names,
+        [inst.resources.values for inst in rows],
+        [inst.bandwidth for inst in rows],
+    )
 
 
 def generate_catalog(
@@ -129,4 +164,4 @@ def generate_catalog(
                 chosen = rng.choice(len(peer_ids), size=n_rep, replace=False)
                 replicas[iid] = tuple(sorted(peer_ids[c] for c in chosen.tolist()))
 
-    return ServiceCatalog(applications, instances, replicas)
+    return ServiceCatalog(applications, stack(instances.values()), replicas)
