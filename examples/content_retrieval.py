@@ -15,7 +15,6 @@ Run:  python examples/content_retrieval.py
 import numpy as np
 
 from repro import GridConfig, P2PGrid, compose_qcs
-from repro.core.composition import ConsistencyGraph
 
 
 def main() -> None:
@@ -38,12 +37,14 @@ def main() -> None:
               f"({hops} DHT hops total)")
 
     # -- tier 1: QCS ------------------------------------------------------
-    graph = ConsistencyGraph(path, candidates, user_qos,
-                             grid.composition_weights)
-    print(f"\nconsistency graph: {graph.n_nodes} nodes, "
-          f"{graph.n_edges} QoS-consistent edges")
+    # The kernel reports the size of the consistency graph it solved on
+    # its `qcs.composed` event.
+    graphs = []
+    grid.telemetry.bus.subscribe("qcs.composed", graphs.append)
     composed = compose_qcs(path, candidates, user_qos,
-                           grid.composition_weights)
+                           grid.composition_weights, telemetry=grid.telemetry)
+    print(f"\nconsistency graph: {graphs[-1].n_nodes} nodes, "
+          f"{graphs[-1].n_edges} QoS-consistent edges")
     chosen = composed.instances[-1]
     print(f"QCS choice: {chosen.instance_id} "
           f"(score {composed.score:.4f}, R={chosen.resources.values}, "

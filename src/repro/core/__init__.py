@@ -11,8 +11,8 @@ Sub-modules
     of Definition 3.1 (Eq. 2-3).
 ``composition``, ``composition_vec``
     The QCS ("QoS Consistent and Shortest") on-demand service composition
-    algorithm (paper §3.2, Fig. 3): result types and the explicit
-    consistency graph; the kernel (``compose_qcs``).
+    algorithm (paper §3.2, Fig. 3): result types; the kernel
+    (``compose_qcs``) and the consistent-path walk the comparators use.
 ``selection``
     The dynamic peer selection tier: the Φ metric (Eq. 4-5), uptime filter
     and distributed hop-by-hop selection (paper §3.3, Fig. 4).
@@ -24,11 +24,7 @@ Sub-modules
 
 from repro.core.qos import Interval, QoSVector, satisfies
 from repro.core.resources import ResourceTuple, ResourceVector, WeightProfile
-from repro.core.composition import (
-    CompositionError,
-    ComposedPath,
-    ConsistencyGraph,
-)
+from repro.core.composition import CompositionError, ComposedPath
 from repro.core.composition_vec import compose_qcs
 from repro.core.selection import PeerSelector, PhiWeights, SelectionOutcome
 from repro.core.aggregation import QSAAggregator, AggregationResult
@@ -38,7 +34,6 @@ __all__ = [
     "AggregationResult",
     "ComposedPath",
     "CompositionError",
-    "ConsistencyGraph",
     "FixedAggregator",
     "Interval",
     "PeerSelector",

@@ -9,7 +9,10 @@
   client-server systems."
 
 Both share the discovery/admission pipeline with QSA (same lookup costs,
-same atomic admission) and differ only in the two strategy hooks.
+same atomic admission) and differ only in the two strategy hooks.  Both
+compose by walking the plan of the QCS composer they hold
+(:meth:`~repro.core.composition_vec.VectorizedComposer.walk`): the same
+Eq. 1 matrices QSA's shortest path is taken over.
 """
 
 from __future__ import annotations
@@ -19,68 +22,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.aggregation import BaseAggregator
-from repro.core.composition import (
-    ComposedPath,
-    CompositionError,
-    ConsistencyGraph,
-)
-from repro.core.qos import QoSVector, satisfies
-from repro.core.resources import ResourceTuple, WeightProfile
+from repro.core.composition import ComposedPath, CompositionError
+from repro.core.composition_vec import VectorizedComposer
+from repro.core.qos import Interval, QoSVector, satisfies
+from repro.core.resources import WeightProfile
 from repro.lookup.registry import ServiceRegistry
 from repro.network.soa import SoAPeerDirectory
 from repro.services.model import AbstractServicePath, ServiceInstance
 from repro.services.qoscompiler import QoSCompiler, UserRequest
 from repro.sessions.session import SessionLedger
 
-__all__ = ["RandomAggregator", "FixedAggregator", "random_consistent_path"]
-
-
-def _viable_nodes(graph: ConsistencyGraph) -> set:
-    """Nodes from which the source layer is reachable via consistency edges."""
-    source_layer = graph.n_layers - 1
-    viable = {(source_layer, j) for j in range(len(graph.layers[source_layer]))}
-    for layer in range(source_layer - 1, -1, -1):
-        n_here = 1 if layer == 0 else len(graph.layers[layer])
-        for i in range(n_here):
-            for j, _score, _t in graph.edges.get((layer, i), ()):
-                if (layer + 1, j) in viable:
-                    viable.add((layer, i))
-                    break
-    return viable
-
-
-def random_consistent_path(
-    graph: ConsistencyGraph, rng: np.random.Generator
-) -> ComposedPath:
-    """A uniformly random walk over the *viable* consistency edges.
-
-    Viability pruning guarantees the walk never dead-ends, so the result
-    is always a complete QoS-consistent path; resource costs are ignored
-    in every choice, exactly as the paper's random heuristic prescribes.
-    """
-    viable = _viable_nodes(graph)
-    if (0, 0) not in viable:
-        raise CompositionError(
-            f"no QoS-consistent service path for {graph.path.application!r}"
-        )
-    chosen: List[ServiceInstance] = []
-    total = ResourceTuple.zero(graph.weights.resource_names)
-    node = (0, 0)
-    for layer in range(0, graph.n_layers - 1):
-        options = [
-            (j, t)
-            for j, _score, t in graph.edges.get(node, ())
-            if (layer + 1, j) in viable
-        ]
-        j, t = options[int(rng.integers(len(options)))]
-        chosen.append(graph.layers[layer + 1][j])
-        total = total + t
-        node = (layer + 1, j)
-    return ComposedPath(
-        instances=tuple(reversed(chosen)),
-        total=total,
-        score=graph.weights.score(total),
-    )
+__all__ = ["RandomAggregator", "FixedAggregator"]
 
 
 class RandomAggregator(BaseAggregator):
@@ -98,9 +50,9 @@ class RandomAggregator(BaseAggregator):
         rng: np.random.Generator,
     ) -> None:
         super().__init__(compiler, registry, directory, ledger, rng)
-        # Weights are only used to report comparable path scores; they
-        # never influence the random choices.
-        self.weights = weights
+        # The composer's weights only score the chosen path, so reports
+        # stay comparable; they never influence the random choices.
+        self.composer = VectorizedComposer(weights)
 
     def compose(
         self,
@@ -109,8 +61,10 @@ class RandomAggregator(BaseAggregator):
         user_qos: QoSVector,
         request: UserRequest,
     ) -> ComposedPath:
-        graph = ConsistencyGraph(path, candidates, user_qos, self.weights)
-        return random_consistent_path(graph, self.rng)
+        """A uniformly random walk over the viable consistency edges."""
+        return self.composer.walk(
+            path, candidates, user_qos, lambda n: int(self.rng.integers(n))
+        )
 
     def select_peers(
         self,
@@ -152,7 +106,7 @@ class FixedAggregator(BaseAggregator):
         rng: np.random.Generator,
     ) -> None:
         super().__init__(compiler, registry, directory, ledger, rng)
-        self.weights = weights
+        self.composer = VectorizedComposer(weights)
         self._plans: Dict[
             Tuple[str, str], Optional[Tuple[ComposedPath, Tuple[int, ...]]]
         ] = {}
@@ -165,28 +119,7 @@ class FixedAggregator(BaseAggregator):
         user_qos: QoSVector,
     ) -> ComposedPath:
         """Deterministic first viable path (ignores resource costs)."""
-        graph = ConsistencyGraph(path, candidates, user_qos, self.weights)
-        viable = _viable_nodes(graph)
-        if (0, 0) not in viable:
-            raise CompositionError("no consistent path")
-        chosen: List[ServiceInstance] = []
-        total = ResourceTuple.zero(self.weights.resource_names)
-        node = (0, 0)
-        for layer in range(0, graph.n_layers - 1):
-            options = [
-                (j, t)
-                for j, _score, t in graph.edges.get(node, ())
-                if (layer + 1, j) in viable
-            ]
-            j, t = min(options, key=lambda jt: jt[0])
-            chosen.append(graph.layers[layer + 1][j])
-            total = total + t
-            node = (layer + 1, j)
-        return ComposedPath(
-            instances=tuple(reversed(chosen)),
-            total=total,
-            score=self.weights.score(total),
-        )
+        return self.composer.walk(path, candidates, user_qos, lambda n: 0)
 
     def _build_plan(
         self,
@@ -194,8 +127,6 @@ class FixedAggregator(BaseAggregator):
         candidates: Dict[str, Tuple[ServiceInstance, ...]],
         fmt: str,
     ) -> Optional[Tuple[ComposedPath, Tuple[int, ...]]]:
-        from repro.core.qos import Interval
-
         # Prefer a chain able to serve the highest quality so one plan
         # covers as many user levels as possible.
         for min_quality in (3, 2, 1):

@@ -31,29 +31,26 @@ non-negative additive edge scores.  The worst-case work is ``O(K V^2)``
 in the paper's notation (``V`` candidate instances overall, ``K``
 candidates for the source service).
 
-This module holds the result types and the explicit per-node graph of
-steps 1-3, :class:`ConsistencyGraph` -- what the *random* / *fixed*
-comparators (:mod:`repro.core.baselines`) walk.  Step 4, and the one QCS
-kernel the ``qsa`` pipeline runs, is
-:func:`repro.core.composition_vec.compose_qcs`; the line-for-line
-Dijkstra of §3.2 and the one-sweep dp it is held to live with the tests
-(``tests/core/reference_kernels.py``).
+This module holds the result types.  Steps 1-3 are the plan of
+:class:`repro.core.composition_vec.VectorizedComposer` (Eq. 1 adjacency
+matrices sliced per candidate set), and step 4 -- the one QCS kernel
+the ``qsa`` pipeline runs -- is
+:func:`repro.core.composition_vec.compose_qcs`.  The *random* / *fixed*
+comparators (:mod:`repro.core.baselines`) walk the same plan.  The
+explicit per-node graph of steps 1-3, with the line-for-line Dijkstra
+of §3.2 and the one-sweep dp over it, lives with the tests
+(``tests/core/reference_kernels.py``) as their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Tuple
 
-from repro.core.qos import QoSVector, satisfies
-from repro.core.resources import ResourceTuple, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.core.resources import ResourceTuple
+from repro.services.model import ServiceInstance
 
-__all__ = [
-    "CompositionError",
-    "ComposedPath",
-    "ConsistencyGraph",
-]
+__all__ = ["CompositionError", "ComposedPath"]
 
 
 class CompositionError(Exception):
@@ -99,71 +96,3 @@ class ComposedPath:
     def __repr__(self) -> str:
         chain = " -> ".join(i.instance_id for i in self.instances)
         return f"<ComposedPath {chain} (score={self.score:.4f})>"
-
-
-class ConsistencyGraph:
-    """The layered QoS-consistency graph of Fig. 3.
-
-    Layers are indexed in *reverse flow order*: layer 0 is the virtual
-    sink (the user host), layer 1 the user-adjacent abstract service, ...,
-    layer ``n`` the source service.  ``edges[(layer, i)]`` lists
-    ``(pred_index, tuple_score, resource_tuple)`` for every consistent
-    predecessor instance in layer ``layer + 1``.
-    """
-
-    def __init__(
-        self,
-        path: AbstractServicePath,
-        candidates: Mapping[str, Sequence[ServiceInstance]],
-        user_qos: QoSVector,
-        weights: WeightProfile,
-    ) -> None:
-        self.path = path
-        self.user_qos = user_qos
-        self.weights = weights
-        #: layers[k] for k >= 1: candidate instances of the k-th service
-        #: from the user side.  layers[0] is a placeholder for the sink.
-        self.layers: List[List[ServiceInstance]] = [[]]
-        for service in path.reversed():
-            cands = list(candidates.get(service, ()))
-            if not cands:
-                raise CompositionError(
-                    f"no candidate instances discovered for service {service!r}"
-                )
-            self.layers.append(cands)
-        self.n_layers = len(self.layers)  # sink layer + one per service
-        # Adjacency: edge from node (k, i) to predecessor (k+1, j).
-        self.edges: Dict[Tuple[int, int], List[Tuple[int, float, ResourceTuple]]] = {}
-        self._build()
-
-    # -- construction --------------------------------------------------------
-    def _build(self) -> None:
-        """Add every consistency edge; cost = (R_pred, b_pred) per Def. 3.1."""
-        score = self.weights.score
-        for layer in range(self.n_layers - 1):
-            preds = self.layers[layer + 1]
-            costs = [ResourceTuple(p.resources, p.bandwidth) for p in preds]
-            scores = [score(cost) for cost in costs]
-            # Layer 0 is the sink: its requirement is the user's
-            # end-to-end QoS vector.
-            qins = (
-                [inst.qin for inst in self.layers[layer]]
-                if layer else [self.user_qos]
-            )
-            for i, qin in enumerate(qins):
-                out = [
-                    (j, scores[j], costs[j])
-                    for j, pred in enumerate(preds)
-                    if satisfies(pred.qout, qin)
-                ]
-                if out:
-                    self.edges[(layer, i)] = out
-
-    # -- statistics ----------------------------------------------------------
-    @property
-    def n_nodes(self) -> int:
-        return 1 + sum(len(layer) for layer in self.layers[1:])
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(v) for v in self.edges.values())

@@ -39,6 +39,12 @@ differentials under ``tests/perf/`` (reference kernel patched in for
 ``QSAAggregator.compose``) hold it to that bar; optimality is
 ``tests/core/reference_bruteforce.py``'s.
 
+The §4.1 comparators ask the same Eq. 1 question of the same plan:
+:meth:`VectorizedComposer.walk` picks a consistent path hop by hop with
+a caller's chooser (a uniform draw for *random*, the first option for
+*fixed*) and ignores resource costs -- the walk the test-side graph
+(``tests/core/reference_kernels.py``) is held to, option for option.
+
 Incremental maintenance
 -----------------------
 :class:`ConsistencyIndex` keys everything by ``instance_id`` (service
@@ -63,7 +69,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -498,10 +514,21 @@ class VectorizedComposer:
         indices = [j]
         for best in reversed(preds):
             indices.insert(0, int(best[indices[0]]))
-        chosen = [layer[i] for layer, i in zip(plan.layers, indices)]
+        return self._path(
+            [layer[i] for layer, i in zip(plan.layers, indices)], score
+        )
+
+    def _path(
+        self, chosen: List[ServiceInstance], score: Optional[float] = None
+    ) -> ComposedPath:
+        """The :class:`ComposedPath` of ``chosen`` (user-adjacent first),
+        its total re-accumulated through the ``zero + e1 + e2 + ...``
+        :class:`ResourceTuple` chain; ``score`` defaults to the total's."""
         total = ResourceTuple.zero(self.weights.resource_names)
         for inst in chosen:
             total = total + ResourceTuple(inst.resources, inst.bandwidth)
+        if score is None:
+            score = self.weights.score(total)
         return ComposedPath(tuple(reversed(chosen)), total=total, score=score)
 
     # -- public API ----------------------------------------------------------
@@ -570,6 +597,43 @@ class VectorizedComposer:
                 hops=composed.hops,
             )
         return composed
+
+    def walk(
+        self,
+        path: AbstractServicePath,
+        candidates: Mapping[str, Sequence[ServiceInstance]],
+        user_qos: QoSVector,
+        choose: Callable[[int], int],
+    ) -> ComposedPath:
+        """A QoS-consistent path picked hop by hop, resource costs ignored.
+
+        From the sink towards the source, ``choose(n)`` picks one of the
+        ``n`` consistent predecessors (ascending candidate order) from
+        which the source layer is still reachable, so the walk never
+        dead-ends.  The *random* comparator passes a uniform draw,
+        *fixed* the first option.  The score is the chosen total's.
+        Raises :class:`CompositionError` for missing candidates or when
+        no consistent path exists (before ``choose`` is ever called).
+        """
+        plan = self._plan_for(path, candidates)
+        # viable[t]: the layers[t] candidates the source is reachable from.
+        viable = [np.ones(len(plan.layers[-1]), dtype=bool)]
+        for adjacency in reversed(plan.adjacency):
+            viable.insert(0, (adjacency & viable[0]).any(axis=1))
+        sink_mask = self.index.sink_row(plan.sink_universe, user_qos)
+        options = np.flatnonzero(sink_mask[plan.sink_rows] & viable[0])
+        if not options.size:
+            raise CompositionError(
+                f"no QoS-consistent service path for application "
+                f"{path.application!r} at requirement {user_qos!r}"
+            )
+        chosen: List[ServiceInstance] = []
+        for t, layer in enumerate(plan.layers):
+            if t:
+                options = np.flatnonzero(plan.adjacency[t - 1][j] & viable[t])
+            j = int(options[choose(len(options))])
+            chosen.append(layer[j])
+        return self._path(chosen)
 
 
 def compose_qcs(

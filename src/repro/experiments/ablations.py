@@ -11,8 +11,9 @@ The paper motivates three design decisions that these ablations isolate:
   model, to show both tiers matter.
 
 Each is a :func:`~repro.experiments.sweep.paired_sweep` spec.  A3's hybrids
-compose the strategy hooks of the QSA and random aggregators and reach
-the run loop as ``make_aggregator`` factories.
+compose the strategy hooks of the QSA and random aggregators, each
+through the composer its aggregator holds, and reach the run loop as
+``make_aggregator`` factories.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import replace
 from typing import Dict, List, Sequence
 
 from repro.core.aggregation import QSAAggregator
-from repro.core.baselines import RandomAggregator, random_consistent_path
-from repro.core.composition import ComposedPath, ConsistencyGraph
-from repro.core.composition_vec import compose_qcs
+from repro.core.baselines import RandomAggregator
+from repro.core.composition import ComposedPath
 from repro.experiments.config import default_scale
 from repro.experiments.sweep import Variant, algorithm_variants, paired_sweep
 from repro.grid import P2PGrid
@@ -96,7 +96,7 @@ class HybridCompositionOnly(RandomAggregator):
     name = "qcs+random-peers"
 
     def compose(self, path, candidates, user_qos, request) -> ComposedPath:
-        return compose_qcs(path, candidates, user_qos, self.weights)
+        return self.composer.compose(path, candidates, user_qos)
 
 
 class HybridSelectionOnly(QSAAggregator):
@@ -105,10 +105,9 @@ class HybridSelectionOnly(QSAAggregator):
     name = "random-path+phi-peers"
 
     def compose(self, path, candidates, user_qos, request) -> ComposedPath:
-        graph = ConsistencyGraph(
-            path, candidates, user_qos, self.composition_weights
+        return RandomAggregator.compose(
+            self, path, candidates, user_qos, request
         )
-        return random_consistent_path(graph, self.rng)
 
 
 def composition_only(grid: P2PGrid) -> HybridCompositionOnly:

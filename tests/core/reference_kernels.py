@@ -1,6 +1,9 @@
-"""The reference QCS kernels: §3.2's Dijkstra and the one-sweep dp.
+"""The reference QCS kernels: §3.2's Dijkstra and the one-sweep dp, the
+explicit consistency graph they walk, and the comparators' graph walk.
 
-Moved here from ``repro.core.composition`` unchanged: the line-for-line
+:class:`ConsistencyGraph` is Fig. 3 as per-node adjacency lists, one
+scalar Eq. 1 ``satisfies`` call per instance pair.  Moved here from
+``repro.core.composition`` unchanged, as were the kernels: the line-for-line
 Dijkstra from the sink that §3.2 prescribes, the layered-DAG dynamic
 programme that gives the same answer in ``O(E)``, and the
 ``compose_qcs(method=...)`` entry around them *with* its span, counter
@@ -8,9 +11,16 @@ and bus-event emission -- so a whole run with this function patched in
 for ``QSAAggregator.compose`` must export the same telemetry, byte for
 byte, as the production kernel
 (:func:`repro.core.composition_vec.compose_qcs`).  Both walk the
-explicit :class:`~repro.core.composition.ConsistencyGraph`; neither
-shares code with the numpy relaxation they judge.  Optimality itself is
+explicit :class:`ConsistencyGraph`; neither shares code with the numpy
+relaxation they judge.  Optimality itself is
 ``reference_bruteforce.py``'s job.
+
+The *random* / *fixed* comparators' walk over the same graph moved here
+from ``repro.core.baselines`` unchanged (``_viable_nodes``,
+:func:`random_consistent_path`, and :func:`first_viable_path`, the old
+body of ``FixedAggregator._first_viable_path``): it is the oracle of
+:meth:`repro.core.composition_vec.VectorizedComposer.walk`, which the
+comparators run, and :func:`patch_walks` puts it back under a whole run.
 """
 
 from __future__ import annotations
@@ -18,16 +28,83 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.aggregation import QSAAggregator
-from repro.core.composition import (
-    ComposedPath,
-    CompositionError,
-    ConsistencyGraph,
-)
-from repro.core.qos import QoSVector
+from repro.core.baselines import FixedAggregator, RandomAggregator
+from repro.core.composition import ComposedPath, CompositionError
+from repro.core.qos import QoSVector, satisfies
 from repro.core.resources import ResourceTuple, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
 from repro.telemetry.spans import NULL_TRACER
+
+
+class ConsistencyGraph:
+    """The layered QoS-consistency graph of Fig. 3.
+
+    Layers are indexed in *reverse flow order*: layer 0 is the virtual
+    sink (the user host), layer 1 the user-adjacent abstract service, ...,
+    layer ``n`` the source service.  ``edges[(layer, i)]`` lists
+    ``(pred_index, tuple_score, resource_tuple)`` for every consistent
+    predecessor instance in layer ``layer + 1``.
+    """
+
+    def __init__(
+        self,
+        path: AbstractServicePath,
+        candidates: Mapping[str, Sequence[ServiceInstance]],
+        user_qos: QoSVector,
+        weights: WeightProfile,
+    ) -> None:
+        self.path = path
+        self.user_qos = user_qos
+        self.weights = weights
+        #: layers[k] for k >= 1: candidate instances of the k-th service
+        #: from the user side.  layers[0] is a placeholder for the sink.
+        self.layers: List[List[ServiceInstance]] = [[]]
+        for service in path.reversed():
+            cands = list(candidates.get(service, ()))
+            if not cands:
+                raise CompositionError(
+                    f"no candidate instances discovered for service {service!r}"
+                )
+            self.layers.append(cands)
+        self.n_layers = len(self.layers)  # sink layer + one per service
+        # Adjacency: edge from node (k, i) to predecessor (k+1, j).
+        self.edges: Dict[Tuple[int, int], List[Tuple[int, float, ResourceTuple]]] = {}
+        self._build()
+
+    # -- construction --------------------------------------------------------
+    def _build(self) -> None:
+        """Add every consistency edge; cost = (R_pred, b_pred) per Def. 3.1."""
+        score = self.weights.score
+        for layer in range(self.n_layers - 1):
+            preds = self.layers[layer + 1]
+            costs = [ResourceTuple(p.resources, p.bandwidth) for p in preds]
+            scores = [score(cost) for cost in costs]
+            # Layer 0 is the sink: its requirement is the user's
+            # end-to-end QoS vector.
+            qins = (
+                [inst.qin for inst in self.layers[layer]]
+                if layer else [self.user_qos]
+            )
+            for i, qin in enumerate(qins):
+                out = [
+                    (j, scores[j], costs[j])
+                    for j, pred in enumerate(preds)
+                    if satisfies(pred.qout, qin)
+                ]
+                if out:
+                    self.edges[(layer, i)] = out
+
+    # -- statistics ----------------------------------------------------------
+    @property
+    def n_nodes(self) -> int:
+        return 1 + sum(len(layer) for layer in self.layers[1:])
+
+    @property
+    def n_edges(self) -> int:
+        return sum(len(v) for v in self.edges.values())
 
 
 def _shortest_dp(
@@ -222,6 +299,102 @@ def compose_qcs(
         )
     return ComposedPath(
         instances=tuple(reversed(chosen_reverse)), total=total, score=score
+    )
+
+
+def _viable_nodes(graph: ConsistencyGraph) -> set:
+    """Nodes from which the source layer is reachable via consistency edges."""
+    source_layer = graph.n_layers - 1
+    viable = {(source_layer, j) for j in range(len(graph.layers[source_layer]))}
+    for layer in range(source_layer - 1, -1, -1):
+        n_here = 1 if layer == 0 else len(graph.layers[layer])
+        for i in range(n_here):
+            for j, _score, _t in graph.edges.get((layer, i), ()):
+                if (layer + 1, j) in viable:
+                    viable.add((layer, i))
+                    break
+    return viable
+
+
+def random_consistent_path(
+    graph: ConsistencyGraph, rng: np.random.Generator
+) -> ComposedPath:
+    """A uniformly random walk over the *viable* consistency edges.
+
+    Viability pruning guarantees the walk never dead-ends, so the result
+    is always a complete QoS-consistent path; resource costs are ignored
+    in every choice, exactly as the paper's random heuristic prescribes.
+    """
+    viable = _viable_nodes(graph)
+    if (0, 0) not in viable:
+        raise CompositionError(
+            f"no QoS-consistent service path for {graph.path.application!r}"
+        )
+    chosen: List[ServiceInstance] = []
+    total = ResourceTuple.zero(graph.weights.resource_names)
+    node = (0, 0)
+    for layer in range(0, graph.n_layers - 1):
+        options = [
+            (j, t)
+            for j, _score, t in graph.edges.get(node, ())
+            if (layer + 1, j) in viable
+        ]
+        j, t = options[int(rng.integers(len(options)))]
+        chosen.append(graph.layers[layer + 1][j])
+        total = total + t
+        node = (layer + 1, j)
+    return ComposedPath(
+        instances=tuple(reversed(chosen)),
+        total=total,
+        score=graph.weights.score(total),
+    )
+
+
+def first_viable_path(graph: ConsistencyGraph) -> ComposedPath:
+    """Deterministic first viable path (ignores resource costs)."""
+    viable = _viable_nodes(graph)
+    if (0, 0) not in viable:
+        raise CompositionError("no consistent path")
+    chosen: List[ServiceInstance] = []
+    total = ResourceTuple.zero(graph.weights.resource_names)
+    node = (0, 0)
+    for layer in range(0, graph.n_layers - 1):
+        options = [
+            (j, t)
+            for j, _score, t in graph.edges.get(node, ())
+            if (layer + 1, j) in viable
+        ]
+        j, t = min(options, key=lambda jt: jt[0])
+        chosen.append(graph.layers[layer + 1][j])
+        total = total + t
+        node = (layer + 1, j)
+    return ComposedPath(
+        instances=tuple(reversed(chosen)),
+        total=total,
+        score=graph.weights.score(total),
+    )
+
+
+def patch_walks(monkeypatch) -> None:
+    """Make *random* and *fixed* compose by walking a freshly built
+    :class:`ConsistencyGraph`, as they did before they walked the
+    composer's plan (same weights, same RNG).  A3's random-path hybrid
+    calls ``RandomAggregator.compose``, so it follows."""
+
+    def random_compose(self, path, candidates, user_qos, request):
+        graph = ConsistencyGraph(
+            path, candidates, user_qos, self.composer.weights
+        )
+        return random_consistent_path(graph, self.rng)
+
+    def fixed_first_viable_path(self, path, candidates, user_qos):
+        return first_viable_path(ConsistencyGraph(
+            path, candidates, user_qos, self.composer.weights
+        ))
+
+    monkeypatch.setattr(RandomAggregator, "compose", random_compose)
+    monkeypatch.setattr(
+        FixedAggregator, "_first_viable_path", fixed_first_viable_path
     )
 
 

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core.baselines import _viable_nodes, random_consistent_path
-from repro.core.composition import CompositionError, ConsistencyGraph
+from repro.core.composition import CompositionError
+from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
+from repro.experiments.ablations import composition_only, selection_only
+from repro.grid import GridConfig, P2PGrid
 from repro.services.model import AbstractServicePath, ServiceInstance
+from tests.core.reference_kernels import (
+    ConsistencyGraph,
+    _viable_nodes,
+    random_consistent_path,
+)
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)
@@ -116,3 +123,34 @@ class TestRandomConsistentPath:
         path = random_consistent_path(g, np.random.default_rng(0))
         manual = sum(i.resources.values[0] for i in path.instances)
         assert path.total.resources.values[0] == pytest.approx(manual)
+
+
+class TestAggregatorHeldComposer:
+    """random, fixed and both A3 hybrids compose through the composer
+    their aggregator holds: one plan per candidate set, kept across
+    requests, and no second consistency relation."""
+
+    @pytest.mark.parametrize("make", [
+        lambda grid: grid.make_aggregator("random"),
+        lambda grid: grid.make_aggregator("fixed"),
+        composition_only,
+        selection_only,
+    ], ids=["random", "fixed", "composition-only", "selection-only"])
+    def test_plans_are_held_across_requests(self, make):
+        grid = P2PGrid(GridConfig(n_peers=150, seed=5))
+        agg = make(grid)
+        results = [
+            agg.aggregate(grid.make_request("video-on-demand", duration=5.0))
+            for _ in range(8)
+        ]
+        assert any(r.composed is not None for r in results)
+        assert isinstance(agg.composer, VectorizedComposer)
+        assert agg.composer.weights is grid.composition_weights
+        assert 0 < len(agg.composer._plans) < len(results)
+
+    def test_graph_is_not_on_the_production_surface(self):
+        import repro.core
+        import repro.core.composition
+
+        assert not hasattr(repro.core, "ConsistencyGraph")
+        assert not hasattr(repro.core.composition, "ConsistencyGraph")

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.composition import CompositionError, ConsistencyGraph
+from repro.core.composition import CompositionError
 from repro.core.composition_vec import VectorizedComposer, compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
 from tests.core import reference_kernels
 from tests.core.reference_bruteforce import best_path
+from tests.core.reference_kernels import ConsistencyGraph
 from tests.core.test_qos_matrix import class_bound
 
 NAMES = ("cpu", "memory")

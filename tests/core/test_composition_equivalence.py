@@ -15,6 +15,13 @@ vectorized kernel is additionally held to its *amortized* contract: a
 second compose of the same request must hit the plan cache and still
 return the identical result.
 
+The *random* / *fixed* comparators' walk over the same plan
+(``VectorizedComposer.walk``) is held, on the same generated cases and
+for both choosers, to the graph walk it replaced: same instances, total
+bits and score, same ``CompositionError`` cases, and the same RNG draws
+(identical generator state afterwards) -- also when the second of two
+user QoS vectors walks a plan the first one built.
+
 This is the oracle-differential methodology of docs/performance.md: the
 reference kernels (``tests/core/reference_kernels.py``) are slow but
 obviously faithful to §3.2, so agreement over hundreds of adversarial
@@ -23,6 +30,7 @@ inputs is the exactness evidence for the numpy kernel.
 
 import itertools
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.composition import CompositionError
@@ -181,3 +189,112 @@ class TestTieBreaking:
         ]
         assert ids[0] == ids[1] == ids[2] == ("tie/a/0", "tie/b/0")
         assert results[0].score == results[1].score == results[2].score
+
+
+def _same_bits(a, b):
+    """Same instances, score and total, compared bit for bit."""
+    assert a.instances == b.instances, (a, b)
+    assert a.score.hex() == b.score.hex(), (a.score, b.score)
+    assert a.total.resources.names == b.total.resources.names
+    assert a.total.resources.values.tobytes() == b.total.resources.values.tobytes()
+    assert a.total.bandwidth.hex() == b.total.bandwidth.hex()
+
+
+class TestPlanWalkMatchesGraphWalk:
+    """``VectorizedComposer.walk`` against the reference graph walk."""
+
+    @staticmethod
+    def _walks(chooser, seed):
+        """The plan walk's chooser and the reference walk for one of the
+        comparators, each over its own generator seeded ``seed``; and the
+        two generators."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if chooser == "random":
+            return (
+                lambda n: int(ours.integers(n)),
+                lambda graph: reference_kernels.random_consistent_path(
+                    graph, theirs
+                ),
+                ours, theirs,
+            )
+        return (
+            lambda n: 0, reference_kernels.first_viable_path, ours, theirs
+        )
+
+    @staticmethod
+    def _check(composer, case, choose, reference, ours, theirs):
+        path, candidates, user_qos = case
+        got, got_err = _outcome(
+            composer.walk, path, candidates, user_qos, choose
+        )
+        want, want_err = _outcome(
+            lambda: reference(reference_kernels.ConsistencyGraph(
+                path, candidates, user_qos, WEIGHTS
+            ))
+        )
+        # The two walks word their refusals differently; the cases match.
+        assert (got_err is None) == (want_err is None), (case, got_err, want_err)
+        if got is not None:
+            _same_bits(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        return got_err
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        case=layered_cases(),
+        chooser=st.sampled_from(("random", "fixed")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_path_bits_refusals_and_draws(self, case, chooser, seed):
+        walks = self._walks(chooser, seed)
+        self._check(VectorizedComposer(WEIGHTS), case, *walks)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        case=layered_cases(min_candidates=1),
+        second_quality=st.integers(min_value=1, max_value=3),
+        chooser=st.sampled_from(("random", "fixed")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_plan_cache_hit_under_a_second_user_qos(
+        self, case, second_quality, chooser, seed
+    ):
+        path, candidates, user_qos = case
+        second = QoSVector(
+            format=user_qos["format"], quality=Interval(second_quality, 3)
+        )
+        composer = VectorizedComposer(WEIGHTS)
+        walks = self._walks(chooser, seed)
+        self._check(composer, case, *walks)
+        self._check(composer, (path, candidates, second), *walks)
+        assert len(composer._plans) == 1
+
+    @staticmethod
+    def _inst(service, fmt_in, fmt_out):
+        return ServiceInstance(
+            instance_id=f"i{next(_IDS)}",
+            service=service,
+            qin=QoSVector(format=fmt_in, quality=Interval(1, 3)),
+            qout=QoSVector(format=fmt_out, quality=3),
+            resources=ResourceVector(NAMES, [10.0, 10.0]),
+            bandwidth=100.0,
+        )
+
+    def test_refusal_cases(self):
+        path = AbstractServicePath("app", ("a", "b"))
+        user_qos = QoSVector(format="f2", quality=Interval(1, 3))
+        cases = {
+            "no candidates": {"a": [], "b": [self._inst("b", "f1", "f2")]},
+            "no viable sink edge": {
+                "a": [self._inst("a", "f0", "f1")],
+                "b": [self._inst("b", "off", "f2"),
+                      self._inst("b", "f1", "off")],
+            },
+        }
+        for chooser in ("random", "fixed"):
+            for candidates in cases.values():
+                walks = self._walks(chooser, 0)
+                assert self._check(
+                    VectorizedComposer(WEIGHTS),
+                    (path, candidates, user_qos), *walks,
+                ) is not None

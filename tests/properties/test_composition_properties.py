@@ -3,13 +3,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.composition import CompositionError, ConsistencyGraph
+from repro.core.composition import CompositionError
 from repro.core.composition_vec import compose_qcs
-from repro.core.baselines import random_consistent_path
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
 from tests.core import reference_kernels
+from tests.core.reference_kernels import ConsistencyGraph, random_consistent_path
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)

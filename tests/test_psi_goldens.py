@@ -3,8 +3,8 @@
 ``tests/goldens/psi-<name>.json`` are :func:`save_baseline` fingerprints
 (ψ, request count, full status breakdown) of seed 0 under ``qsa``;
 ``psi-smoke-random.json`` / ``psi-smoke-fixed.json`` pin the two §4.1
-comparators, which compose over :class:`ConsistencyGraph` rather than
-the QCS kernel.  Any refactor that perturbs an RNG draw order, a
+comparators, which walk the QCS kernel's plan
+(``VectorizedComposer.walk``) instead of taking its shortest path.  Any refactor that perturbs an RNG draw order, a
 tie-break or an admission decision moves at least one of them; a change
 that *means* to move them re-records with ``save_baseline`` and says so.
 
