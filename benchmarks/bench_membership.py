@@ -11,17 +11,24 @@ paper's §4.1 scale) and 10^5 peers -- and times, per event,
 * ``ring``: ``ChordRing.join`` + ``leave`` of the same peers,
 * ``lookup``: the first routed lookup after the event (uncached, like
   every lookup),
-* ``uptimes``: one ``uptimes()`` read after the event (what
-  ``ChurnProcess.pick_departing_peer`` reads, and where the old
-  rebuild-on-read cost landed).
+* ``uptimes``: one ``uptimes()`` read after the event (what a
+  departure draw from scratch reads, and where the old rebuild-on-read
+  cost landed),
+* ``draw``: one ``ChurnProcess`` departure draw inside a 50-event burst
+  at one ``sim.now`` (a churn minute; arrivals and departures
+  alternate), net of the minute's prefix-table build,
+* ``table``: that build, once per burst.
 
-Best of five repetitions of 200 events each; absolute numbers are host
-dependent, the growth between decades is the assertion.  ``total`` is
-the membership event (directory + ring + lookup) and is what is gated.
-``uptimes`` is printed beside it, not gated: it returns one uptime per
-alive peer, so it is O(N) by the churn model's definition (about 300 µs
-of a 400 µs event at 10^5 peers), and inside the total it made the
-ratio swing across the bound with host noise alone.
+Best of five repetitions of 200 events (twenty bursts for the draw);
+absolute numbers are host dependent, the growth between decades is the
+assertion.  ``total`` is the membership event (directory + ring +
+lookup) and is gated, and so is ``draw``.  ``uptimes`` and ``table`` are
+printed beside them, not gated: each touches one uptime per alive peer,
+so each is O(N) by the churn model's definition (about 300 µs of a 400
+µs event at 10^5 peers), and inside the total ``uptimes`` made the ratio
+swing across the bound with host noise alone.  The table is built once
+per churn minute, not per event: a burst's draws share it, so a draw
+amortised over the burst costs ``draw + table / 25``.
 """
 
 import time
@@ -32,11 +39,14 @@ import pytest
 from repro.core.resources import ResourceVector
 from repro.experiments.reporting import banner, format_sweep_table
 from repro.lookup.chord import ChordRing
+from repro.network.churn import ChurnConfig, ChurnProcess
 from repro.network.soa import SoAPeerDirectory
+from repro.sim import Simulator
 
 SIZES = (1_000, 10_000, 100_000)
 EVENTS = 200
 REPEATS = 5
+BURST = 50
 NAMES = ("cpu", "memory")
 
 
@@ -81,11 +91,53 @@ def _per_event_us(directory, ring, capacity, rng):
     return tuple(1e6 * t / EVENTS for t in (t_dir, t_ring, t_lookup, t_up))
 
 
+def _draw_us(n, rng):
+    """``(draw, table)`` microseconds, one repeat: per departure draw
+    net of the table build, and per build (one per burst)."""
+    capacity = ResourceVector(NAMES, np.array([500.0, 500.0]))
+    directory = SoAPeerDirectory(NAMES, initial_rows=n)
+    for uptime in rng.uniform(0.0, 120.0, n).tolist():
+        directory.create_peer(capacity, 1e5, joined_at=-uptime)
+    sim = Simulator()
+    churn = ChurnProcess(
+        sim, directory, ChurnConfig(rate_per_min=BURST),
+        spawn_peer=lambda now: directory.create_peer(capacity, 1e5, now),
+        on_departure=lambda pid: None, rng=rng,
+    )
+    spent = {"pick": 0.0, "build": 0.0}
+    clock = time.perf_counter
+
+    def timed(fn, key):
+        def call(*args):
+            t0 = clock()
+            out = fn(*args)
+            spent[key] += clock() - t0
+            return out
+        return call
+
+    # Instance attributes: depart() and the pick reach them through self.
+    churn.pick_departing_peer = timed(churn.pick_departing_peer, "pick")
+    churn._build = timed(churn._build, "build")
+    bursts = EVENTS // 10
+    for minute in range(1, bursts + 1):
+        sim.run(until=float(minute))
+        for event in range(BURST):
+            churn.arrive() if event % 2 else churn.depart()
+    assert churn.n_exact_fallbacks == 0 and directory.n_alive == n
+    draws = bursts * BURST // 2
+    return (
+        1e6 * (spent["pick"] - spent["build"]) / draws,
+        1e6 * spent["build"] / bursts,
+    )
+
+
 def measure(n, seed=0):
     directory, ring, capacity = _build(n)
     rng = np.random.default_rng(seed)
     repeats = [
-        _per_event_us(directory, ring, capacity, rng) for _ in range(REPEATS)
+        _per_event_us(directory, ring, capacity, rng)
+        + _draw_us(n, rng)
+        for _ in range(REPEATS)
     ]
     assert directory.n_alive == len(ring) == n  # joins and leaves balance
     return tuple(min(column) for column in zip(*repeats))
@@ -98,7 +150,9 @@ def test_membership_event_cost_grows_sublinearly(benchmark):
     )
     columns = {
         name: [row[i] for row in costs]
-        for i, name in enumerate(("directory", "ring", "lookup", "uptimes"))
+        for i, name in enumerate(
+            ("directory", "ring", "lookup", "uptimes", "draw", "table")
+        )
     }
     columns["total"] = [sum(row[:3]) for row in costs]
 
@@ -106,7 +160,8 @@ def test_membership_event_cost_grows_sublinearly(benchmark):
     print(banner(
         "Membership under churn -- cost of one join + leave + first lookup",
         f"microseconds per event, best of {REPEATS} x {EVENTS} events; "
-        "total excludes the O(N) uptimes() read",
+        "total excludes the O(N) uptimes() read; table is per "
+        f"{BURST}-event burst",
     ))
     print(format_sweep_table(
         "N (peers)", SIZES, columns, value_format="{:8.1f}",
@@ -120,3 +175,8 @@ def test_membership_event_cost_grows_sublinearly(benchmark):
     assert large < 15.0 * small
     # The first post-churn walk stays an O(log N)-hop affair.
     assert columns["lookup"][2] < 6.0 * columns["lookup"][0]
+    # A departure draw is a searchsorted on the minute's table plus one
+    # step per departure already in it; a pass over the population per
+    # draw (the draw from scratch) grows ~100x here.
+    small, _, large = columns["draw"]
+    assert large < 3.0 * small

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.aggregation import BaseAggregator, QSAAggregator
 from repro.core.baselines import FixedAggregator, RandomAggregator
-from repro.core.resources import ResourceVector, WeightProfile
+from repro.core.resources import WeightProfile
 from repro.core.selection import PhiWeights
 from repro.faults.backoff import RetryPolicy
 from repro.faults.injector import FaultInjector
@@ -287,13 +287,9 @@ class P2PGrid:
     # -- peer lifecycle ----------------------------------------------------------
     def _spawn_peer_inner(self, joined_at: float, rng: np.random.Generator) -> Peer:
         lo, hi = self.config.capacity_range
-        scale = float(rng.uniform(lo, hi))
-        capacity = ResourceVector(
-            self.config.resource_names,
-            np.full(len(self.config.resource_names), scale),
-        )
+        # One scale for every dimension, written straight into the row.
         return self.directory.create_peer(
-            capacity, self.config.access_capacity, joined_at
+            float(rng.uniform(lo, hi)), self.config.access_capacity, joined_at
         )
 
     def _spawn_peer_churn(self, now: float) -> Peer:
@@ -316,7 +312,7 @@ class P2PGrid:
             self.recovery.on_peer_departure(peer_id)
         else:
             self.ledger.fail_peer(peer_id)
-        hosted = set(self.catalog.hosted_instances(peer_id))
+        hosted = self.catalog.hosted_instances(peer_id)
         self.catalog.remove_peer(peer_id)
         self.registry.peer_departed(peer_id, hosted)
         self.probing.drop_peer(peer_id)

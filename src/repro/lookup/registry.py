@@ -11,14 +11,17 @@ churn by the ring's key handoff):
 * ``service:<name>``  -> tuple of candidate :class:`ServiceInstance`
   specs (the co-located QoS specifications of assumption 1, §3.1);
 * ``instance:<id>``   -> the instance's host record, an ascending tuple
-  of hosting peer ids (the locations).  At populate time it is the
-  catalog's own tuple, not a copy.
+  of hosting peer ids (the locations).  It is the catalog's own tuple,
+  not a copy, at populate time and after every churn event.
 
 Every discovery is one routed read: nothing is cached, so plain, churned
 and faulted runs take the same path.  Host records change under churn;
 :meth:`ServiceRegistry.peer_departed` and
 :meth:`ServiceRegistry.peer_joined` keep them in sync with the catalog's
-ground truth while exercising real DHT update paths.
+ground truth while exercising real DHT update paths.  When the catalog
+already reflects the event (the grid updates it first), the registry
+writes the catalog's record to the DHT, so each host record is rebuilt
+once per event; without a catalog update it edits the stored record.
 
 Fault tolerance
 ---------------
@@ -33,12 +36,19 @@ found", which the composition layer already treats as NO_CANDIDATES.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Protocol, Sequence, Tuple
+from bisect import bisect_left
+from typing import Any, Callable, Dict, Iterable, Protocol, Sequence, Tuple
 
 from repro.services.catalog import ServiceCatalog, hosts_with, hosts_without
 from repro.services.model import ServiceInstance
 
 __all__ = ["DhtProtocol", "ServiceRegistry"]
+
+
+def _lists(hosts: Tuple[int, ...], peer_id: int) -> bool:
+    """Whether the ascending host record ``hosts`` holds ``peer_id``."""
+    i = bisect_left(hosts, peer_id)
+    return i < len(hosts) and hosts[i] == peer_id
 
 
 class DhtProtocol(Protocol):
@@ -166,11 +176,7 @@ class ServiceRegistry:
         content updates stay ordered like the real protocol (the
         successor inherits already-cleaned records).
         """
-        def drop(hosts):
-            return hosts_without(hosts or (), peer_id)
-
-        for iid in hosted:
-            self.ring.update(self.INSTANCE_PREFIX + iid, drop)
+        self._publish(peer_id, hosted, hosts_without, listed=False)
         if peer_id in self.ring:
             self.ring.leave(peer_id)
 
@@ -178,12 +184,26 @@ class ServiceRegistry:
         """Add an arriving peer to the ring and its hosted records."""
         if peer_id not in self.ring:
             self.ring.join(peer_id)
+        self._publish(peer_id, hosted, hosts_with, listed=True)
 
-        def add(hosts):
-            return hosts_with(hosts or (), peer_id)
-
+    def _publish(
+        self,
+        peer_id: int,
+        hosted: Iterable[str],
+        edit: Callable[[Tuple[int, ...], int], Tuple[int, ...]],
+        listed: bool,
+    ) -> None:
+        """Each record of ``hosted`` after ``peer_id`` joined (``listed``)
+        or left: the catalog's record when it already says so, else the
+        stored record through ``edit``."""
+        replicas, ring = self.catalog.replicas, self.ring
+        prefix = self.INSTANCE_PREFIX
         for iid in hosted:
-            self.ring.update(self.INSTANCE_PREFIX + iid, add)
+            record = replicas.get(iid)
+            if record is not None and _lists(record, peer_id) is listed:
+                ring.put(prefix + iid, record)
+            else:
+                ring.update(prefix + iid, lambda hosts: edit(hosts or (), peer_id))
 
     @property
     def mean_discovery_hops(self) -> float:

@@ -50,6 +50,15 @@ from repro.network.peer import Peer
 __all__ = ["PeerStore", "PeerRowView", "SoAPeerDirectory"]
 
 
+def _vector(names: Tuple[str, ...], values: np.ndarray) -> ResourceVector:
+    """A :class:`ResourceVector` over ``values`` as they are (no copy and
+    no validation: the values are a store row or a copy of one)."""
+    rv = ResourceVector.__new__(ResourceVector)
+    rv.names = names
+    rv.values = values
+    return rv
+
+
 def _doubled(index: np.ndarray) -> np.ndarray:
     """``index`` (an int64 row index) at twice the length, -1 padded."""
     grown = np.full(2 * len(index), -1, dtype=np.int64)
@@ -140,7 +149,11 @@ class PeerStore:
         self.generation += 1
 
     def init_row(
-        self, row: int, capacity: np.ndarray, access_bw: float, joined_at: float
+        self,
+        row: int,
+        capacity: np.ndarray | float,
+        access_bw: float,
+        joined_at: float,
     ) -> None:
         self.capacity[row] = capacity
         self.available[row] = capacity
@@ -202,17 +215,11 @@ class PeerRowView:
     # -- state views -----------------------------------------------------
     @property
     def capacity(self) -> ResourceVector:
-        rv = ResourceVector.__new__(ResourceVector)
-        rv.names = self._store.resource_names
-        rv.values = self._store.capacity[self._row]
-        return rv
+        return _vector(self._store.resource_names, self._store.capacity[self._row])
 
     @property
     def available(self) -> ResourceVector:
-        rv = ResourceVector.__new__(ResourceVector)
-        rv.names = self._store.resource_names
-        rv.values = self._store.available[self._row]
-        return rv
+        return _vector(self._store.resource_names, self._store.available[self._row])
 
     @property
     def access_bw(self) -> float:
@@ -332,8 +339,17 @@ class SoAPeerDirectory:
 
     # -- population ------------------------------------------------------
     def create_peer(
-        self, capacity: ResourceVector, access_bw: float, joined_at: float
+        self, capacity: ResourceVector | float, access_bw: float, joined_at: float
     ):
+        """A new alive peer.  ``capacity`` is its resource vector, or one
+        scale that every dimension shares (written into the row as is)."""
+        values: np.ndarray | float
+        if isinstance(capacity, ResourceVector):
+            values = capacity.values
+        elif capacity < 0:
+            raise ValueError(f"negative resource amounts: {capacity}")
+        else:
+            values = capacity
         if access_bw <= 0:
             raise ValueError(
                 f"peer {self._next_id}: access bandwidth must be positive"
@@ -344,7 +360,7 @@ class SoAPeerDirectory:
         self._next_id += 1
         self._n_total += 1
         row = self.store.alloc_row()
-        self.store.init_row(row, capacity.values, float(access_bw), float(joined_at))
+        self.store.init_row(row, values, float(access_bw), float(joined_at))
         if pid >= len(self._row_of):
             self._row_of = _doubled(self._row_of)
         self._row_of[pid] = row
@@ -370,16 +386,16 @@ class SoAPeerDirectory:
         store = self.store
         # Freeze the final mutable state into a detached tombstone so
         # post-departure mutations (rollback credits, ghost snapshots)
-        # can never touch a recycled row.
-        corpse = Peer(
-            peer_id,
-            ResourceVector(self.resource_names, store.capacity[row].copy()),
-            float(store.access_bw[row]),
-            float(store.joined_at[row]),
-        )
-        corpse.available.values[:] = store.available[row]
-        corpse.avail_up = float(store.avail_up[row])
-        corpse.avail_down = float(store.avail_down[row])
+        # can never touch a recycled row.  The row was validated when it
+        # was created, so its values go into the slots as they are.
+        corpse = Peer.__new__(Peer)
+        corpse.peer_id = peer_id
+        corpse.capacity = _vector(self.resource_names, store.capacity[row].copy())
+        corpse.available = _vector(self.resource_names, store.available[row].copy())
+        corpse.access_bw = store.access_bw.item(row)
+        corpse.avail_up = store.avail_up.item(row)
+        corpse.avail_down = store.avail_down.item(row)
+        corpse.joined_at = store.joined_at.item(row)
         corpse.departed_at = now
         store.departed_at[row] = now
         store.free_row(row)

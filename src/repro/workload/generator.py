@@ -83,11 +83,14 @@ class RequestGenerator:
         rng = self.rng
         app = self.applications[int(rng.integers(len(self.applications)))]
         lo, hi = self.config.duration_range
+        levels = self.config.qos_levels
         request = UserRequest(
             request_id=self._next_id,
             peer_id=ids[int(rng.integers(len(ids)))],
             application=app.name,
-            qos_level=str(rng.choice(self.config.qos_levels)),
+            # rng.choice(levels) draws this same index, at several times
+            # the cost (tests/workload/test_generator.py pins the two).
+            qos_level=levels[int(rng.integers(len(levels)))],
             session_duration=float(rng.uniform(lo, hi)),
             arrival_time=self.sim.now,
         )

@@ -138,3 +138,22 @@ class TestRegistryRecordCache:
         registry.peer_joined(newcomer, [iid])
         after, _ = registry.discover_hosts(iid, from_peer=2)
         assert after == hosts + (newcomer,)
+
+
+def test_churned_ring_holds_the_catalogs_own_records():
+    """After a churned run every instance record on the ring is the
+    catalog's tuple itself, not an equal copy: the catalog rebuilds a
+    record once per event and the registry publishes that object."""
+    from repro.grid import GridConfig, P2PGrid
+    from repro.network.churn import ChurnConfig
+    from repro.probing.prober import ProbingConfig
+
+    grid = P2PGrid(GridConfig(
+        n_peers=1000, probing=ProbingConfig(budget=10),
+        churn=ChurnConfig(rate_per_min=10.0), seed=0,
+    ))
+    grid.sim.run(until=10.0)
+    assert grid.churn.n_arrivals > 0 and grid.churn.n_departures > 0
+    prefix = ServiceRegistry.INSTANCE_PREFIX
+    for iid, record in grid.catalog.replicas.items():
+        assert grid.ring.get_local(prefix + iid) is record, iid

@@ -129,6 +129,38 @@ class TestDirectoryLifecycle:
         corpse.release(rv(1.0, 1.0))
         assert fresh.available.values.tolist() == [5.0, 5.0]
 
+    def test_tombstone_equals_a_constructed_peer(self):
+        """The slots depart() fills directly hold what ``Peer(...)`` plus
+        the row's residual state would: same values, same types, and
+        vectors that alias neither the store nor each other."""
+        d = make_directory()
+        p = d.create_peer(rv(4.0, 8.0), 2e5, joined_at=-3.5)
+        assert p.reserve(rv(1.0, 2.0)) and p.reserve_up(5e4)
+        corpse = d.depart(p.peer_id, now=7.0)
+        model = Peer(p.peer_id, rv(4.0, 8.0), 2e5, joined_at=-3.5)
+        model.reserve(rv(1.0, 2.0))
+        model.reserve_up(5e4)
+        model.departed_at = 7.0
+        for slot in Peer.__slots__:
+            got, want = getattr(corpse, slot), getattr(model, slot)
+            if isinstance(want, ResourceVector):
+                assert got.names == want.names
+                assert got.values.tolist() == want.values.tolist()
+                assert got.values.dtype == np.float64
+            else:
+                assert (type(got), got) == (type(want), want), slot
+        assert not np.shares_memory(corpse.capacity.values, corpse.available.values)
+        d.create_peer(rv(9.0, 9.0), 1e5, joined_at=8.0)  # recycles the row
+        assert corpse.capacity.values.tolist() == [4.0, 8.0]
+
+    def test_create_peer_from_one_scale(self):
+        d = make_directory()
+        p = d.create_peer(250.0, 1e5, joined_at=0.0)
+        assert p.capacity.values.tolist() == [250.0, 250.0]
+        assert p.available.values.tolist() == [250.0, 250.0]
+        with pytest.raises(ValueError):
+            d.create_peer(-1.0, 1e5, joined_at=0.0)
+
     def test_depart_twice_and_unknown_raise(self):
         d = make_directory()
         p = d.create_peer(rv(1.0, 1.0), 1e5, joined_at=0.0)

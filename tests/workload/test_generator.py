@@ -95,3 +95,17 @@ class TestGeneration:
                 sim, WorkloadConfig(), [], lambda: [0],
                 lambda r: None, np.random.default_rng(0),
             )
+
+
+def test_qos_draw_is_rng_choice_by_index():
+    """``make_request`` draws the level as ``levels[rng.integers(n)]``;
+    that is ``rng.choice(levels)`` -- the same level and the same
+    generator state after it -- at a fraction of the cost."""
+    levels = WorkloadConfig().qos_levels
+    for seed in range(200):
+        by_choice = np.random.default_rng(seed)
+        by_index = np.random.default_rng(seed)
+        for _ in range(50):
+            want = str(by_choice.choice(levels))
+            assert levels[int(by_index.integers(len(levels)))] == want
+        assert by_index.bit_generator.state == by_choice.bit_generator.state
