@@ -410,7 +410,8 @@ class PeerSelector:
             )
 
         scores = self.weights.phi_batch(
-            avail[qidx], requirement.values, betas[qidx], bandwidth_req,
+            avail.take(qidx, axis=0), requirement.values, betas[qidx],
+            bandwidth_req,
             latencies_ms=None if latencies is None else latencies[qidx],
         )
         best = int(scores.argmax())

@@ -20,6 +20,7 @@ This is the main entry point of the library::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -133,8 +134,18 @@ class GridConfig:
         if self.n_peers < 2:
             raise ValueError("need at least two peers")
         lo, hi = self.capacity_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"bad capacity range ({lo}, {hi})")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"bad capacity_range ({lo}, {hi})")
+        if not 0 < self.access_capacity < math.inf:
+            raise ValueError(
+                f"access_capacity must be positive and finite, "
+                f"got {self.access_capacity}"
+            )
+        if not 0 <= self.initial_uptime_max < math.inf:
+            raise ValueError(
+                f"initial_uptime_max must be non-negative and finite, "
+                f"got {self.initial_uptime_max}"
+            )
 
 
 class P2PGrid:
@@ -169,12 +180,17 @@ class P2PGrid:
             config.resource_names, initial_rows=config.n_peers
         )
         self.directory.sanitizer = self.sanitizer
-        peer_rng = self.rngs.stream("peers")
-        for _ in range(config.n_peers):
-            self._spawn_peer_inner(
-                joined_at=-float(peer_rng.uniform(0, config.initial_uptime_max)),
-                rng=peer_rng,
-            )
+        # One draw call for the population: per peer a prior uptime in
+        # [0, initial_uptime_max), then a capacity scale, interleaved as
+        # 2N scalar ``uniform`` calls would draw them (same values, same
+        # generator state).
+        n, (lo, hi) = config.n_peers, config.capacity_range
+        draws = self.rngs.stream("peers").uniform(
+            np.tile((0.0, lo), n), np.tile((config.initial_uptime_max, hi), n)
+        )
+        self.directory.create_peers(
+            draws[1::2], config.access_capacity, -draws[0::2]
+        )
 
         # -- network ---------------------------------------------------------
         self.network = NetworkModel(self.directory, seed=config.seed)
@@ -193,8 +209,7 @@ class P2PGrid:
 
         # -- lookup -------------------------------------------------------------
         self.ring = ChordRing(bits=config.chord_bits, seed=config.seed)
-        for pid in self.directory.alive_ids:
-            self.ring.join(pid)
+        self.ring.join_many(self.directory.alive_ids)
         self.registry = ServiceRegistry(self.ring, self.catalog)
 
         # -- telemetry ---------------------------------------------------------
@@ -285,17 +300,14 @@ class P2PGrid:
         self._next_request_id = 0
 
     # -- peer lifecycle ----------------------------------------------------------
-    def _spawn_peer_inner(self, joined_at: float, rng: np.random.Generator) -> Peer:
-        lo, hi = self.config.capacity_range
-        # One scale for every dimension, written straight into the row.
-        return self.directory.create_peer(
-            float(rng.uniform(lo, hi)), self.config.access_capacity, joined_at
-        )
-
     def _spawn_peer_churn(self, now: float) -> Peer:
         """Arrival under churn: resources + replicas + ring membership."""
         rng = self.rngs.stream("churn-arrivals")
-        peer = self._spawn_peer_inner(joined_at=now, rng=rng)
+        lo, hi = self.config.capacity_range
+        # One scale for every dimension, written straight into the row.
+        peer = self.directory.create_peer(
+            float(rng.uniform(lo, hi)), self.config.access_capacity, now
+        )
         self.catalog.assign_new_peer(peer.peer_id, rng)
         self.registry.peer_joined(
             peer.peer_id, self.catalog.hosted_instances(peer.peer_id)

@@ -21,16 +21,16 @@ fully converged stabilization protocol) rather than stored or
 incrementally maintained -- the simplification and its rationale are
 recorded in DESIGN.md §4.  No finger table and no route memo exist, so
 a membership change has nothing to invalidate and every lookup takes
-the same path.  Ring membership itself is explicit: ``join``/``leave``
-mutate a sorted id list (bisect-based, O(log N) search plus a C-speed
-splice).
+the same path.  Ring membership itself is explicit: ``join_many`` /
+``leave`` mutate a sorted id list (one sort for a block of joiners; a
+bisect plus a C-speed splice for one joiner or leaver).
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +89,20 @@ class ChordRing:
     def node_id_for(self, peer_id: int) -> int:
         return _hash_to_id(f"{self.seed}/peer/{peer_id}", self.bits)
 
+    def _hash_ids(self, kind: str, labels: Iterable[str]) -> np.ndarray:
+        """:func:`_hash_to_id` of ``{seed}/{kind}/{label}`` for every
+        label, as one ``uint64`` array: the digests are read as one
+        little-endian block."""
+        blake2b = hashlib.blake2b
+        prefix = f"{self.seed}/{kind}/"
+        digests = b"".join([
+            blake2b((prefix + label).encode("utf-8"), digest_size=8).digest()
+            for label in labels
+        ])
+        return np.frombuffer(digests, dtype="<u8") & np.uint64(
+            (1 << self.bits) - 1
+        )
+
     def key_id(self, key: str) -> int:
         kid = self._key_ids.get(key)
         if kid is None:
@@ -106,37 +120,55 @@ class ChordRing:
 
     def join(self, peer_id: int) -> ChordNode:
         """Add a peer; it takes over its share of keys from its successor."""
-        if peer_id in self._peer_to_id:
-            raise ValueError(f"peer {peer_id} already in the ring")
-        node_id = self.node_id_for(peer_id)
-        while node_id in self._nodes:  # vanishingly rare id collision
-            node_id = (node_id + 1) % (1 << self.bits)
-        node = ChordNode(node_id, peer_id)
-        if self._ids:
-            successor = self._successor_node(node_id)
-            # Keys in (pred(node), node] move from the successor to the
-            # new node: exactly the keys whose responsible node is now
-            # us.  The circular-interval test is equivalent to (and much
-            # cheaper than) re-running responsibility with the candidate
-            # id spliced in per key.
-            pred = self._ids[bisect.bisect_left(self._ids, node_id) - 1]
-            kid = self.key_id
-            if pred < node_id:
-                moving = [
-                    k for k in successor.store if pred < kid(k) <= node_id
-                ]
-            else:
-                moving = [
-                    k
-                    for k in successor.store
-                    if kid(k) > pred or kid(k) <= node_id
-                ]
-            for k in moving:
-                node.store[k] = successor.store.pop(k)
-        bisect.insort(self._ids, node_id)
-        self._nodes[node_id] = node
-        self._peer_to_id[peer_id] = node_id
-        return node
+        return self.join_many((peer_id,))[0]
+
+    def join_many(self, peer_ids: Sequence[int]) -> List[ChordNode]:
+        """:meth:`join` for every peer, in order; returns the new nodes.
+
+        One node-id pass (the digests read as one ``uint64`` block, as in
+        :meth:`put_many`); an id collision moves the later joiner one id
+        clockwise, in join order, as sequential joins would; then one
+        sort of the ids.  Keys move only off members that hold some and
+        gained a joiner in the arc ending at them: each key goes to its
+        responsible node, in the order its holder stored them, which is
+        where and in what order the sequential handoffs would put it.
+        """
+        seen = set()
+        for peer_id in peer_ids:
+            if peer_id in self._peer_to_id or peer_id in seen:
+                raise ValueError(f"peer {peer_id} already in the ring")
+            seen.add(peer_id)
+        ids, nodes = self._ids, self._nodes
+        space = 1 << self.bits
+        joined = []
+        for peer_id, node_id in zip(
+            peer_ids, self._hash_ids("peer", map(str, peer_ids)).tolist()
+        ):
+            while node_id in nodes:  # vanishingly rare id collision
+                node_id = (node_id + 1) % space
+            node = nodes[node_id] = ChordNode(node_id, peer_id)
+            self._peer_to_id[peer_id] = node_id
+            joined.append(node)
+        donors = []
+        if ids:
+            for node in joined:
+                at = bisect.bisect_left(ids, node.node_id)
+                donor = nodes[ids[at if at < len(ids) else 0]]
+                if donor.store and donor not in donors:
+                    donors.append(donor)
+        if len(joined) == 1:  # a churn arrival: no pass over the ring
+            bisect.insort(ids, joined[0].node_id)
+        elif joined:
+            ids.extend(node.node_id for node in joined)
+            ids.sort()
+        kid = self.key_id
+        for donor in donors:
+            store = donor.store
+            for key in list(store):
+                owner = self._successor_node(kid(key))
+                if owner is not donor:
+                    owner.store[key] = store.pop(key)
+        return joined
 
     def leave(self, peer_id: int) -> None:
         """Remove a peer; its keys hand off to its successor."""
@@ -173,23 +205,14 @@ class ChordRing:
     def put_many(self, keys: Sequence[str], values: Sequence[Any]) -> None:
         """:meth:`put` for every ``(key, value)`` pair, in order.
 
-        One key-id pass (the digests are read as one little-endian
-        ``uint64`` block, the ids :func:`_hash_to_id` gives), one
+        One key-id pass (:meth:`_hash_ids`), one
         ``searchsorted`` of the key ids over the ring's ids for the
         responsible nodes, then the stores.  The key-id memo fills as
         the same ``put`` calls would fill it.
         """
         if not self._ids:
             raise RuntimeError("ring is empty")
-        blake2b = hashlib.blake2b
-        prefix = f"{self.seed}/key/"
-        digests = b"".join([
-            blake2b((prefix + key).encode("utf-8"), digest_size=8).digest()
-            for key in keys
-        ])
-        key_ids = np.frombuffer(digests, dtype="<u8") & np.uint64(
-            (1 << self.bits) - 1
-        )
+        key_ids = self._hash_ids("key", keys)
         memo = self._key_ids
         if len(memo) + len(keys) <= self.KEY_ID_CAP:
             memo.update(zip(keys, key_ids.tolist()))

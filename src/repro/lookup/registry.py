@@ -64,6 +64,7 @@ class DhtProtocol(Protocol):
     def lookup(self, key: str, from_peer: int) -> Tuple[Any, int]: ...
     def update(self, key: str, fn) -> Any: ...
     def join(self, peer_id: int): ...
+    def join_many(self, peer_ids: Sequence[int]): ...
     def leave(self, peer_id: int) -> None: ...
     def __contains__(self, peer_id: int) -> bool: ...
 

@@ -59,9 +59,15 @@ def _vector(names: Tuple[str, ...], values: np.ndarray) -> ResourceVector:
     return rv
 
 
-def _doubled(index: np.ndarray) -> np.ndarray:
-    """``index`` (an int64 row index) at twice the length, -1 padded."""
-    grown = np.full(2 * len(index), -1, dtype=np.int64)
+def _doubled(index: np.ndarray, need: int) -> np.ndarray:
+    """``index`` (an int64 row index) doubled until it holds ``need``
+    entries, -1 padded (as many single doublings would leave it)."""
+    size = len(index)
+    if size >= need:
+        return index
+    while size < need:
+        size *= 2
+    grown = np.full(size, -1, dtype=np.int64)
     grown[: len(index)] = index
     return grown
 
@@ -69,9 +75,9 @@ def _doubled(index: np.ndarray) -> np.ndarray:
 class PeerStore:
     """Contiguous per-peer state arrays with row recycling.
 
-    Rows are allocated by :meth:`alloc_row` (free list first, then the
+    Rows are allocated by :meth:`alloc_rows` (free list first, then the
     append cursor; arrays grow by doubling) and returned by
-    :meth:`free_row`.  ``generation`` increments on every allocation
+    :meth:`free_row`.  ``generation`` increments on every allocated row
     and every free.
     """
 
@@ -114,7 +120,9 @@ class PeerStore:
         return self._high - len(self._free)
 
     def _grow(self, min_rows: int) -> None:
-        new = max(min_rows, 2 * self.row_capacity)
+        new = self.row_capacity
+        while new < min_rows:
+            new *= 2
         for name in (
             "capacity", "available", "access_bw", "avail_up", "avail_down",
             "joined_at", "departed_at", "alive",
@@ -130,17 +138,22 @@ class PeerStore:
             fresh[: len(old)] = old
             setattr(self, name, fresh)
 
-    def alloc_row(self) -> int:
-        if self._free:
-            row = self._free.pop()
-            self.rows_recycled += 1
-        else:
-            if self._high >= self.row_capacity:
-                self._grow(self._high + 1)
-            row = self._high
-            self._high += 1
-        self.generation += 1
-        return row
+    def alloc_rows(self, n: int) -> np.ndarray:
+        """``n`` rows, in the order ``n`` single allocations would take
+        them: the free list last-freed first, then the append cursor."""
+        free = self._free
+        k = min(n, len(free))
+        high = self._high + n - k
+        if high > self.row_capacity:
+            self._grow(high)
+        rows = np.arange(high - n, high)
+        if k:
+            rows[:k] = free[len(free) - k :][::-1]
+            del free[len(free) - k :]
+            self.rows_recycled += k
+        self._high = high
+        self.generation += n
+        return rows
 
     def free_row(self, row: int) -> None:
         self.alive[row] = False
@@ -148,22 +161,26 @@ class PeerStore:
         self._free.append(row)
         self.generation += 1
 
-    def init_row(
+    def init_rows(
         self,
-        row: int,
-        capacity: np.ndarray | float,
-        access_bw: float,
-        joined_at: float,
+        rows: np.ndarray,
+        capacity: np.ndarray,
+        access_bw: np.ndarray | float,
+        joined_at: np.ndarray,
     ) -> None:
-        self.capacity[row] = capacity
-        self.available[row] = capacity
-        self.access_bw[row] = access_bw
-        self.avail_up[row] = access_bw
-        self.avail_down[row] = access_bw
-        self.joined_at[row] = joined_at
-        self.departed_at[row] = np.nan
-        self.alive[row] = True
-        self.snap_epoch[row] = -1
+        """Fresh state in ``rows``: ``capacity`` holds one row per peer,
+        ``(n, m)``, or one scale per peer that every dimension shares."""
+        if capacity.ndim == 1:
+            capacity = capacity[:, None]
+        self.capacity[rows] = capacity
+        self.available[rows] = capacity
+        self.access_bw[rows] = access_bw
+        self.avail_up[rows] = access_bw
+        self.avail_down[rows] = access_bw
+        self.joined_at[rows] = joined_at
+        self.departed_at[rows] = np.nan
+        self.alive[rows] = True
+        self.snap_epoch[rows] = -1
 
     # -- introspection ---------------------------------------------------
     def memory_bytes(self) -> int:
@@ -318,8 +335,9 @@ class SoAPeerDirectory:
         self.store = PeerStore(resource_names, initial_rows)
         #: pid -> row for alive peers; -1 once departed (grown with ids).
         self._row_of = np.full(max(initial_rows, 16), -1, dtype=np.int64)
-        #: Lazily materialized facades: PeerRowView while alive, a
-        #: detached ``Peer`` tombstone after departure.
+        #: Lazily materialized facades: a PeerRowView made on first
+        #: access while alive, a detached ``Peer`` tombstone after
+        #: departure.
         self._views: Dict[int, object] = {}
         self._departed: Dict[int, Peer] = {}
         #: Alive ids, ascending (ids are allocated monotonically), and
@@ -338,44 +356,65 @@ class SoAPeerDirectory:
         return self.store.generation
 
     # -- population ------------------------------------------------------
+    def create_peers(
+        self,
+        capacity: np.ndarray,
+        access_bw: np.ndarray | float,
+        joined_at: np.ndarray,
+    ) -> range:
+        """``len(joined_at)`` new alive peers with consecutive ids, as one
+        block; returns the ids.
+
+        ``capacity`` holds one scale per peer that every dimension
+        shares, or one resource row per peer; ``access_bw`` is one link
+        capacity for all of them or one per peer.  Rows, ids, the alive
+        set, the generation and the ``peer-create`` writes (one per
+        peer, stamped with the generation its own creation reached) are
+        what as many :meth:`create_peer` calls would leave.
+        """
+        joined = np.asarray(joined_at, dtype=np.float64)
+        n = len(joined)
+        values = np.asarray(capacity, dtype=np.float64)
+        access = np.asarray(access_bw, dtype=np.float64)
+        first = self._next_id
+        if n and values.min() < 0:
+            raise ValueError(f"negative resource amounts: {values.min()}")
+        if n and not access.min() > 0:  # NaN fails too
+            bad = np.flatnonzero(~(np.broadcast_to(access, (n,)) > 0))[0]
+            raise ValueError(
+                f"peer {first + bad}: access bandwidth must be positive"
+            )
+        end = first + n
+        if (end - 1) >> 28:  # a pair class keys the pair as ``lo << 28 | hi``
+            raise OverflowError("peer ids must stay below 2**28")
+        self._next_id = end
+        self._n_total += n
+        rows = self.store.alloc_rows(n)
+        self.store.init_rows(rows, values, access, joined)
+        self._row_of = _doubled(self._row_of, end)
+        self._row_of[first:end] = rows
+        n_alive = len(self._alive_ids)
+        self._alive_rows = _doubled(self._alive_rows, n_alive + n)
+        self._alive_rows[n_alive : n_alive + n] = rows
+        self._alive_ids.extend(range(first, end))
+        if self.sanitizer is not None:
+            gen = self.store.generation - n
+            for i in range(1, n + 1):
+                self.sanitizer.note_write("network", "peer-create", gen + i)
+        return range(first, end)
+
     def create_peer(
         self, capacity: ResourceVector | float, access_bw: float, joined_at: float
     ):
-        """A new alive peer.  ``capacity`` is its resource vector, or one
-        scale that every dimension shares (written into the row as is)."""
-        values: np.ndarray | float
+        """A new alive peer: the one-element :meth:`create_peers`.
+        ``capacity`` is its resource vector, or one scale that every
+        dimension shares."""
         if isinstance(capacity, ResourceVector):
-            values = capacity.values
-        elif capacity < 0:
-            raise ValueError(f"negative resource amounts: {capacity}")
+            values = capacity.values[None]
         else:
-            values = capacity
-        if access_bw <= 0:
-            raise ValueError(
-                f"peer {self._next_id}: access bandwidth must be positive"
-            )
-        pid = self._next_id
-        if pid >> 28:  # a pair class keys the pair as ``lo << 28 | hi``
-            raise OverflowError("peer ids must stay below 2**28")
-        self._next_id += 1
-        self._n_total += 1
-        row = self.store.alloc_row()
-        self.store.init_row(row, values, float(access_bw), float(joined_at))
-        if pid >= len(self._row_of):
-            self._row_of = _doubled(self._row_of)
-        self._row_of[pid] = row
-        n_alive = len(self._alive_ids)
-        if n_alive >= len(self._alive_rows):
-            self._alive_rows = _doubled(self._alive_rows)
-        self._alive_rows[n_alive] = row
-        self._alive_ids.append(pid)
-        view = PeerRowView(pid, self.store, row)
-        self._views[pid] = view
-        if self.sanitizer is not None:
-            self.sanitizer.note_write(
-                "network", "peer-create", self.store.generation
-            )
-        return view
+            values = np.array((capacity,), dtype=np.float64)
+        pid = self.create_peers(values, access_bw, (joined_at,)).start
+        return self[pid]
 
     def depart(self, peer_id: int, now: float):
         row = int(self._row_of[peer_id]) if peer_id < self._next_id else -1
@@ -417,16 +456,22 @@ class SoAPeerDirectory:
 
     # -- lookup ----------------------------------------------------------
     def __getitem__(self, peer_id: int):
-        view = self._views.get(peer_id)
+        view = self.get(peer_id)
         if view is None:
             raise KeyError(peer_id)
         return view
 
     def get(self, peer_id: int):
-        return self._views.get(peer_id)
+        view = self._views.get(peer_id)
+        if view is None and self.is_alive(peer_id):
+            pid = int(peer_id)
+            view = self._views[pid] = PeerRowView(
+                pid, self.store, int(self._row_of[pid])
+            )
+        return view
 
     def __contains__(self, peer_id: int) -> bool:
-        return peer_id in self._views
+        return peer_id in self._views or self.is_alive(peer_id)
 
     def __len__(self) -> int:
         return self._n_total
@@ -461,7 +506,7 @@ class SoAPeerDirectory:
         return len(self._alive_ids)
 
     def alive_peers(self) -> Iterator[object]:
-        return (self._views[pid] for pid in self.alive_ids)
+        return map(self.__getitem__, self.alive_ids)
 
     # -- vectorized views -------------------------------------------------
     def uptimes(self, now: float) -> Tuple[np.ndarray, List[int]]:

@@ -287,7 +287,7 @@ class ProbingService:
         """Copy the live state of (distinct) store ``rows`` into the epoch
         snapshot."""
         store = self._store
-        store.snap_avail[rows] = store.available[rows]
+        store.snap_avail[rows] = store.available.take(rows, axis=0)
         store.snap_up[rows] = store.avail_up[rows]
         store.snap_uptime[rows] = np.maximum(
             self.sim.now - store.joined_at[rows], 0.0
@@ -444,7 +444,9 @@ class ProbingService:
             if np.count_nonzero(stale):
                 self._refresh_rows(ids[stale], rows[stale], epoch)
             avail, uplinks, uptimes = (
-                store.snap_avail[rows], store.snap_up[rows], store.snap_uptime[rows]
+                store.snap_avail.take(rows, axis=0),
+                store.snap_up[rows],
+                store.snap_uptime[rows],
             )
         betas = self.network.available_bandwidth_batch(ids, observer, uplinks)
         return (

@@ -111,7 +111,8 @@ class QoSCompiler:
                 raise ValueError(
                     "out_format unset and no rng provided to choose one"
                 )
-            fmt = str(self.rng.choice(app.user_formats()))
+            fmts = app.user_formats()
+            fmt = fmts[int(self.rng.integers(len(fmts)))]
         elif fmt not in app.user_formats():
             raise ValueError(
                 f"format {fmt!r} is not offered by {app.name!r} "

@@ -221,6 +221,10 @@ class CanNetwork:
         self._recompute_neighbors({owner.peer_id, peer_id})
         return node
 
+    def join_many(self, peer_ids) -> List[CanNode]:
+        """:meth:`join` for every peer, in order."""
+        return [self.join(pid) for pid in peer_ids]
+
     def leave(self, peer_id: int) -> None:
         """Hand each zone to its smallest adjacent neighbor."""
         node = self._nodes.pop(peer_id, None)

@@ -201,3 +201,66 @@ class TestRouting:
         value, hops = ring.get("k", from_peer=0)
         assert value == "v"
         assert hops == 0
+
+
+def _ring_state(ring):
+    return (
+        list(ring._ids),
+        list(ring._peer_to_id.items()),
+        {
+            node.peer_id: list(node.store.items())
+            for node in ring._nodes.values()
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, n_peers, bits",
+    [(seed, n, 32) for seed in range(5) for n in (2, 300)]
+    + [(seed, 200, 8) for seed in range(5)],  # 8 bits: id collisions
+)
+def test_join_many_equals_sequential_joins(seed, n_peers, bits):
+    """A block join leaves the ring ``join`` per peer leaves -- ids,
+    peer -> node id and every node's keys, in order -- and the two stay
+    equal through 20 churned minutes in which the block ring takes each
+    minute's arrivals as one ``join_many`` while it holds keys."""
+    rng = np.random.default_rng(seed)
+    block = ChordRing(bits=bits, seed=seed)
+    sequential = ChordRing(bits=bits, seed=seed)
+    nodes = block.join_many(range(n_peers))
+    assert [node.peer_id for node in nodes] == list(range(n_peers))
+    for pid in range(n_peers):
+        sequential.join(pid)
+    if bits == 8:  # the collisions really happened
+        hashed = {block.node_id_for(pid) for pid in range(n_peers)}
+        assert len(hashed) < n_peers
+    assert _ring_state(block) == _ring_state(sequential)
+    keys = [f"instance:s{i % 9}/{i}" for i in range(400)]
+    for ring in (block, sequential):
+        ring.put_many(keys, [(i,) for i in range(len(keys))])
+    assert _ring_state(block) == _ring_state(sequential)
+    members, next_pid = list(range(n_peers)), n_peers
+    for _ in range(20):
+        departing = min(int(rng.integers(0, 4)), len(members) - 1)
+        for _ in range(departing):
+            pid = members.pop(int(rng.integers(len(members))))
+            block.leave(pid)
+            sequential.leave(pid)
+        n_arriving = departing + int(rng.integers(0, 2))
+        arrivals = list(range(next_pid, next_pid + n_arriving))
+        next_pid += len(arrivals)
+        members += arrivals
+        block.join_many(arrivals)
+        for pid in arrivals:
+            sequential.join(pid)
+        assert _ring_state(block) == _ring_state(sequential)
+    for key in keys:
+        assert block.get_local(key) is not None
+
+
+def test_join_many_rejects_duplicates_before_joining():
+    ring = ring_with(3)
+    for batch in ([5, 6, 5], [7, 1]):
+        with pytest.raises(ValueError):
+            ring.join_many(batch)
+        assert len(ring) == 3 and 5 not in ring and 7 not in ring

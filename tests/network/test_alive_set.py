@@ -146,3 +146,76 @@ def test_backends_agree_on_one_interleaved_schedule():
         assert soa.alive_ids == obj.alive_ids
         assert soa.generation == obj.generation
     assert soa.store.rows_recycled > 0
+
+
+class _Writes:
+    """A sanitizer stand-in that keeps the write records."""
+
+    def __init__(self):
+        self.writes = []
+
+    def note_write(self, plane, op, gen, n=1):
+        self.writes.append((plane, op, gen, n))
+
+
+def _same_directories(block, sequential, reference):
+    store_a, store_b = block.store, sequential.store
+    assert block.alive_ids == sequential.alive_ids == reference.alive_ids
+    assert block.alive_rows().tolist() == sequential.alive_rows().tolist()
+    assert block.generation == sequential.generation == reference.generation
+    assert len(block) == len(sequential) == len(reference)
+    assert block._row_of.tolist() == sequential._row_of.tolist()
+    assert store_a._free == store_b._free and store_a._high == store_b._high
+    assert store_a.row_capacity == store_b.row_capacity
+    assert store_a.rows_recycled == store_b.rows_recycled
+    rows = block.alive_rows()
+    for name in ("capacity", "available", "access_bw", "avail_up",
+                 "avail_down", "joined_at", "alive", "snap_epoch"):
+        a, b = getattr(store_a, name), getattr(store_b, name)
+        assert a[rows].tobytes() == b[rows].tobytes(), name
+    assert block.sanitizer.writes == sequential.sanitizer.writes
+    assert block.sanitizer.writes == reference.sanitizer.writes
+    assert [
+        (p.peer_id, p.capacity.values.tolist(), p.joined_at)
+        for p in block.alive_peers()
+    ] == [
+        (p.peer_id, p.capacity.values.tolist(), p.joined_at)
+        for p in sequential.alive_peers()
+    ]
+
+
+@pytest.mark.parametrize("n_peers", [2, 300])
+@pytest.mark.parametrize("seed", range(5))
+def test_block_build_equals_the_peer_by_peer_build(seed, n_peers):
+    """``create_peers`` leaves what ``create_peer`` per peer leaves, and
+    the two stay equal through 20 churned minutes in which the block
+    directory takes each minute's arrivals as one block (recycled rows
+    included)."""
+    rng = np.random.default_rng(seed)
+    block, sequential = _directory("soa"), _directory("soa")
+    reference = _directory("object")
+    for d in (block, sequential, reference):
+        d.sanitizer = _Writes()
+
+    def arrive(scales, joined):
+        block.create_peers(scales, 1e5, joined)
+        for scale, at in zip(scales.tolist(), joined.tolist()):
+            sequential.create_peer(scale, 1e5, at)
+            reference.create_peer(
+                ResourceVector(NAMES, [scale, scale]), 1e5, at
+            )
+
+    arrive(rng.uniform(100.0, 1000.0, n_peers), -rng.uniform(0.0, 120.0, n_peers))
+    assert block.sanitizer.writes == [
+        ("network", "peer-create", g, 1) for g in range(1, n_peers + 1)
+    ]
+    _same_directories(block, sequential, reference)
+    for minute in range(1, 21):
+        for _ in range(min(int(rng.integers(0, 5)), block.n_alive - 1)):
+            pid = block.alive_ids[int(rng.integers(block.n_alive))]
+            for d in (block, sequential, reference):
+                d.depart(pid, float(minute))
+        k = int(rng.integers(0, 5))
+        arrive(rng.uniform(100.0, 1000.0, k), np.full(k, float(minute)))
+        _same_directories(block, sequential, reference)
+    assert block.store.rows_recycled > 0

@@ -28,29 +28,37 @@ def make_directory(initial_rows=16):
 class TestPeerStoreRows:
     def test_alloc_appends_then_recycles_lifo(self):
         store = PeerStore(NAMES, initial_rows=16)
-        r0, r1, r2 = store.alloc_row(), store.alloc_row(), store.alloc_row()
+        r0, r1, r2 = store.alloc_rows(3).tolist()
         assert (r0, r1, r2) == (0, 1, 2)
         store.free_row(r0)
         store.free_row(r2)
         # Free list is LIFO: the most recently freed row comes back first.
-        assert store.alloc_row() == r2
-        assert store.alloc_row() == r0
+        assert store.alloc_rows(1).tolist() == [r2]
+        assert store.alloc_rows(1).tolist() == [r0]
         assert store.rows_recycled == 2
         # Only fresh appends move the high-water mark.
-        assert store.alloc_row() == 3
+        assert store.alloc_rows(1).tolist() == [3]
+        # A block takes the same rows in the same order.
+        store.free_row(r0)
+        store.free_row(r2)
+        assert store.alloc_rows(3).tolist() == [r2, r0, 4]
+        assert store.rows_recycled == 4
 
     def test_generation_bumps_on_alloc_and_free(self):
         store = PeerStore(NAMES, initial_rows=16)
         g0 = store.generation
-        row = store.alloc_row()
+        (row,) = store.alloc_rows(1)
         assert store.generation == g0 + 1
         store.free_row(row)
         assert store.generation == g0 + 2
+        store.alloc_rows(3)
+        assert store.generation == g0 + 5
 
     def test_free_resets_alive_and_snap_epoch(self):
         store = PeerStore(NAMES, initial_rows=16)
-        row = store.alloc_row()
-        store.init_row(row, np.array([4.0, 8.0]), 1e5, joined_at=0.0)
+        rows = store.alloc_rows(1)
+        store.init_rows(rows, np.array([[4.0, 8.0]]), 1e5, np.zeros(1))
+        (row,) = rows
         store.snap_epoch[row] = 7  # pretend the prober snapshotted it
         store.free_row(row)
         assert not store.alive[row]
@@ -61,8 +69,8 @@ class TestPeerStoreRows:
         store = PeerStore(NAMES, initial_rows=16)
         cap = store.row_capacity
         for i in range(cap + 1):  # force one doubling
-            row = store.alloc_row()
-            store.init_row(row, np.array([1.0 + i, 2.0]), 1e5, joined_at=float(i))
+            rows = store.alloc_rows(1)
+            store.init_rows(rows, np.array([[1.0 + i, 2.0]]), 1e5, [float(i)])
         assert store.row_capacity >= 2 * cap
         assert store.capacity[0, 0] == 1.0
         assert store.joined_at[cap] == float(cap)
@@ -160,6 +168,41 @@ class TestDirectoryLifecycle:
         assert p.available.values.tolist() == [250.0, 250.0]
         with pytest.raises(ValueError):
             d.create_peer(-1.0, 1e5, joined_at=0.0)
+
+    def test_create_peers_block_and_lazy_views(self):
+        d = make_directory()
+        ids = d.create_peers(
+            np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+            np.array([1e5, 2e5, 3e5]),
+            np.array([-1.0, -2.0, -3.0]),
+        )
+        assert ids == range(0, 3) and d.alive_ids == [0, 1, 2]
+        assert not d._views  # no facade until one is asked for
+        assert 1 in d and 3 not in d and d.get(3) is None
+        view = d[1]
+        assert isinstance(view, PeerRowView) and d[1] is view
+        assert view.capacity.values.tolist() == [3.0, 4.0]
+        assert (view.access_bw, view.joined_at) == (2e5, -2.0)
+        assert [p.peer_id for p in d.alive_peers()] == [0, 1, 2]
+        corpse = d.depart(2, now=1.0)
+        assert d[2] is corpse and 2 in d and not d[2].alive
+        assert d.create_peers(np.empty(0), 1e5, np.empty(0)) == range(3, 3)
+
+    def test_create_peers_rejects_before_writing(self):
+        d = make_directory()
+        d.create_peer(rv(1.0, 1.0), 1e5, joined_at=0.0)
+        g0 = d.generation
+        with pytest.raises(ValueError, match="peer 3: access bandwidth"):
+            d.create_peers(
+                np.ones(3), np.array([1e5, 1e5, np.nan]), np.zeros(3)
+            )
+        with pytest.raises(ValueError, match="negative"):
+            d.create_peers(np.array([1.0, -1.0]), 1e5, np.zeros(2))
+        d._next_id = 2**28 - 2
+        with pytest.raises(OverflowError):
+            d.create_peers(np.ones(3), 1e5, np.zeros(3))
+        d._next_id = 1
+        assert d.generation == g0 and d.alive_ids == [0] and len(d) == 1
 
     def test_depart_twice_and_unknown_raise(self):
         d = make_directory()

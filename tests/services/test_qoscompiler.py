@@ -55,6 +55,28 @@ class TestCompile:
                  for _ in range(40)}
         assert drawn == set(app.user_formats())
 
+    @pytest.mark.parametrize("vocabulary", [1, 3, 8])
+    def test_format_draw_is_rng_choice_by_index(self, vocabulary):
+        """``compile`` draws the format as ``fmts[rng.integers(n)]``:
+        the format ``rng.choice(fmts)`` picks and the generator state
+        it leaves, one draw call per request."""
+        apps = default_applications(formats_per_interface=vocabulary)
+        app = apps[0]
+        fmts = app.user_formats()
+        assert len(fmts) == vocabulary
+        by_choice = np.random.default_rng(vocabulary)
+        compiler = QoSCompiler.from_templates(
+            apps, np.random.default_rng(vocabulary)
+        )
+        request = make_request(application=app.name)
+        for _ in range(20_000):
+            want = str(by_choice.choice(fmts))
+            assert compiler.compile(request)[1]["format"] == want
+        assert (
+            compiler.rng.bit_generator.state
+            == by_choice.bit_generator.state
+        )
+
     def test_explicit_format_respected(self, compiler):
         app = {a.name: a for a in default_applications()}["video-on-demand"]
         fmt = app.user_formats()[1]

@@ -264,15 +264,21 @@ class TestRunDifferential:
 
     def test_ledger_records_peer_creation_writes(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        run_with_ledger(small_config(), path)
+        config = small_config()
+        result = run_with_ledger(config, path)
         records = [json.loads(ln) for ln in path.read_text().splitlines()]
         creates = [
             r for r in records
             if r["kind"] == "write" and r["op"] == "peer-create"
         ]
-        # Initial population + churn arrivals; generations stamp strictly
+        # One write per peer: the initial population (built as one
+        # block) plus every churn arrival; generations stamp strictly
         # increasing membership versions.
-        assert len(creates) >= 200
+        assert result.n_arrivals > 0
+        assert len(creates) == config.grid.n_peers + result.n_arrivals
+        assert [r["gen"] for r in creates[: config.grid.n_peers]] == list(
+            range(1, config.grid.n_peers + 1)
+        )
         gens = [r["gen"] for r in records if r["kind"] == "write"]
         assert gens == sorted(gens) or len(set(gens)) > 1
         admits = [

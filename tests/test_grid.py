@@ -26,6 +26,36 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GridConfig(capacity_range=(0, 10))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("access_capacity", float("nan")),
+            ("access_capacity", float("inf")),
+            ("access_capacity", 0.0),
+            ("initial_uptime_max", -1.0),
+            ("initial_uptime_max", float("nan")),
+            ("initial_uptime_max", float("inf")),
+            ("capacity_range", (100.0, float("inf"))),
+            ("capacity_range", (float("inf"), float("inf"))),
+            ("capacity_range", (float("nan"), 1000.0)),
+        ],
+    )
+    def test_population_inputs_rejected_by_field(self, field, value):
+        """A population input numpy would only fail on inside the draw
+        (or a NaN access link, which passes no bandwidth filter) is
+        refused where it enters, with the field named."""
+        with pytest.raises(ValueError, match=field):
+            GridConfig(**{field: value})
+
+    def test_population_input_edges_accepted(self):
+        config = GridConfig(
+            n_peers=20, initial_uptime_max=0.0, capacity_range=(5.0, 5.0)
+        )
+        directory = P2PGrid(config).directory
+        ups, _ = directory.uptimes(now=0.0)
+        assert (ups == 0.0).all()
+        assert (directory.store.capacity[directory.alive_rows()] == 5.0).all()
+
     def test_config_surface(self):
         """Every way to configure a run, pinned: a new ``GridConfig``
         field or ``repro run`` flag shows up as a diff here, not as a
