@@ -32,7 +32,6 @@ lint:
 		echo "compiled artifacts tracked in git:"; echo "$$tracked"; exit 1; \
 	fi
 	$(PYTHON) -m repro lint src tests
-	$(PYTHON) -m repro lint --whole-program src tests
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check src tests || exit 1; \
 	else echo "ruff not installed; skipping (CI runs it)"; fi

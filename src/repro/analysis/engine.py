@@ -21,7 +21,9 @@ Pragma syntax::
     x = time.time()  # lint: disable=DET001 -- wall time is display-only
     # lint: disable-file=DET003 -- this whole module is offline tooling
 
-Everything after ``--`` is the (strongly encouraged) justification.
+Everything after ``--`` is the justification, and it is required: a
+pragma without one, or one naming a rule id the registry does not
+know (a stale pragma suppresses nothing), is an ``E001`` finding.
 ``disable=all`` suppresses every rule on the line.
 """
 
@@ -62,9 +64,8 @@ __all__ = [
 #: Rule id attached to files the engine cannot parse.
 PARSE_RULE_ID = "E000"
 
-#: Rule id attached to pragmas that lack a ``-- why`` justification.
-#: Only enforced under ``--whole-program`` (the strict CI lane) so ad-hoc
-#: scratch scans stay quiet.
+#: Rule id attached to pragmas that lack a ``-- why`` justification or
+#: name a rule id the registry does not know.
 PRAGMA_RULE_ID = "E001"
 
 _PRAGMA_RE = re.compile(
@@ -102,18 +103,14 @@ class FileContext:
     """One parsed file plus the helpers every rule needs."""
 
     def __init__(self, path: Path, rel: str, source: str,
-                 tree: ast.Module, whole_program: bool = False) -> None:
+                 tree: ast.Module) -> None:
         self.path = path
         #: Path as reported in findings (relative to the CWD when under it).
         self.rel = rel
         self.source = source
         self.tree = tree
-        #: True when this scan is a whole-program pass over the package
-        #: (``repro lint --whole-program``); cross-module rules gate on it.
-        self.whole_program = whole_program
         self.lines = source.splitlines()
         parts = path.resolve().parts
-        self.parts = parts
         #: Posix path *inside* the repro package ("sim/rng.py",
         #: "telemetry/catalog.py", ...) or None outside it.  Uses the
         #: last "repro" path component so a checkout directory named
@@ -204,12 +201,10 @@ class FileContext:
 class ProjectState:
     """What ``Rule.finalize`` sees: the merged per-file contributions."""
 
-    def __init__(self, whole_program: bool = False) -> None:
+    def __init__(self) -> None:
         self.contributions: Dict[str, List[Any]] = {}
         #: Every scanned file's ``FileContext.pkg`` (None entries dropped).
         self.scanned_pkgs: Set[str] = set()
-        #: True for ``repro lint --whole-program`` scans.
-        self.whole_program = whole_program
         #: finding-path -> (per-line, per-file) pragma maps, so findings
         #: produced by ``Rule.finalize`` honour suppression pragmas too.
         self.pragmas: Dict[str, Tuple[Dict[int, Set[str]], Set[str]]] = {}
@@ -253,17 +248,17 @@ def _comment_lines(source: str, lines: Sequence[str]) -> Iterable[Tuple[int, str
 
 
 def _parse_pragmas(
-    source: str, lines: Sequence[str]
-) -> Tuple[Dict[int, Set[str]], Set[str], List[int]]:
-    """``(line -> suppressed ids, file-wide suppressed ids, unjustified)``.
+    source: str, lines: Sequence[str], known: Set[str]
+) -> Tuple[Dict[int, Set[str]], Set[str], List[Tuple[int, str]]]:
+    """``(line -> suppressed ids, file-wide suppressed ids, problems)``.
 
-    ``unjustified`` lists the line numbers of pragmas with no ``-- why``
-    justification text after the rule list (reported as
-    :data:`PRAGMA_RULE_ID` findings under ``--whole-program``).
+    ``problems`` lists ``(line, message)`` for every pragma with no
+    ``-- why`` justification after the rule list, or naming an id
+    outside ``known`` (reported as :data:`PRAGMA_RULE_ID` findings).
     """
     per_line: Dict[int, Set[str]] = {}
     per_file: Set[str] = set()
-    unjustified: List[int] = []
+    problems: List[Tuple[int, str]] = []
     for lineno, text in _comment_lines(source, lines):
         if "lint:" not in text:
             continue
@@ -275,9 +270,16 @@ def _parse_pragmas(
             per_file |= rules
         else:
             per_line.setdefault(lineno, set()).update(rules)
+        unknown = sorted(rules - known)
+        if unknown:
+            problems.append((lineno, (
+                f"lint pragma names unknown rule id(s) {', '.join(unknown)}; "
+                "a stale pragma suppresses nothing")))
         if not text[match.end():].lstrip().startswith("--"):
-            unjustified.append(lineno)
-    return per_line, per_file, unjustified
+            problems.append((lineno, (
+                "lint pragma lacks a '-- why' justification; "
+                "every suppression must say why it is safe")))
+    return per_line, per_file, problems
 
 
 def _suppressed(finding: Finding, per_line: Dict[int, Set[str]],
@@ -331,11 +333,7 @@ class ScanResult(NamedTuple):
     pragmas: Tuple[Dict[int, Set[str]], Set[str]]
 
 
-def _scan_one(
-    path_str: str,
-    select: Optional[frozenset] = None,
-    whole_program: bool = False,
-) -> ScanResult:
+def _scan_one(path_str: str, select: Optional[frozenset] = None) -> ScanResult:
     """Parse one file *once* and run every applicable rule over it."""
     from repro.analysis.registry import all_rules
 
@@ -350,18 +348,18 @@ def _scan_one(
                           message=f"cannot parse file: {exc}")
         return ScanResult([finding], 0, {}, None, rel, ({}, set()))
 
-    ctx = FileContext(path, rel, source, tree, whole_program=whole_program)
-    per_line, per_file, unjustified = _parse_pragmas(source, ctx.lines)
-    findings: List[Finding] = []
+    ctx = FileContext(path, rel, source, tree)
+    rules = all_rules()
+    per_line, per_file, problems = _parse_pragmas(
+        source, ctx.lines, {rule.id for rule in rules} | {"all"}
+    )
+    findings = [
+        Finding(path=rel, line=lineno, col=0, rule=PRAGMA_RULE_ID,
+                message=message)
+        for lineno, message in problems
+    ]
     suppressed = 0
-    if whole_program:
-        for lineno in unjustified:
-            findings.append(Finding(
-                path=rel, line=lineno, col=0, rule=PRAGMA_RULE_ID,
-                message=("lint pragma lacks a '-- why' justification; "
-                         "every suppression must say why it is safe"),
-            ))
-    for rule in all_rules():
+    for rule in rules:
         if select is not None and rule.id not in select:
             continue
         if not rule.applies(ctx):
@@ -431,7 +429,6 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     disable: Optional[Iterable[str]] = None,
     jobs: Optional[int] = None,
-    whole_program: bool = False,
 ) -> LintReport:
     """Lint files/directories; the API behind ``repro lint``.
 
@@ -439,9 +436,8 @@ def lint_paths(
     ids from the (possibly selected) set -- both validated against the
     registry so typos fail loudly.  ``jobs`` caps the worker processes
     (default: one per CPU, serial for small scans where pool start-up
-    would dominate).  ``whole_program`` arms the cross-module pass:
-    dataflow rules (DET004/SHARD001/TEL002) activate, and pragmas
-    without a ``-- why`` justification become E001 findings.
+    would dominate).  Every pragma must carry a ``-- why`` and name
+    registered ids, or it is an E001 finding.
     """
     from repro.analysis.registry import all_rules, get_rule
 
@@ -460,7 +456,7 @@ def lint_paths(
     files = iter_python_files(paths)
     findings: List[Finding] = []
     suppressed = 0
-    project = ProjectState(whole_program=whole_program)
+    project = ProjectState()
 
     def _absorb(result: ScanResult) -> None:
         nonlocal suppressed
@@ -478,14 +474,13 @@ def lint_paths(
                 _scan_one,
                 [str(p) for p in files],
                 [selected] * len(files),
-                [whole_program] * len(files),
                 chunksize=max(1, len(files) // (jobs * 4)),
             )
             for result in results:
                 _absorb(result)
     else:
         for path in files:
-            _absorb(_scan_one(str(path), selected, whole_program))
+            _absorb(_scan_one(str(path), selected))
 
     for rule in all_rules():
         if rule.id in selected:

@@ -1,13 +1,14 @@
 """The rule registry: how invariant checks plug into the lint engine.
 
-A *rule* encodes one repo-specific invariant as a class with a stable
-id (``DET001``, ``TEL001``, ...).  Registration is one decorator::
+A *rule* encodes one repo-specific invariant about a single file as a
+class with a stable id (``DET001``, ``TEL001``, ...).  Registration is
+one decorator::
 
     from repro.analysis.registry import Rule, register
 
     @register
     class NoSleep(Rule):
-        id = "DET004"
+        id = "DET005"
         name = "no-thread-sleep"
         invariant = "sim code never blocks the OS thread"
 

@@ -208,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes (default: one per CPU)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the registered rules and exit")
-    lint.add_argument("--whole-program", action="store_true",
-                      help="arm the cross-module pass (DET004/SHARD001/"
-                           "TEL002) and require '-- why' on pragmas")
 
     sanitize = sub.add_parser(
         "sanitize", help="determinism sanitizer ledger tools"
@@ -582,7 +579,6 @@ def _cmd_lint(args) -> int:
             select=args.select,
             disable=args.disable,
             jobs=args.jobs,
-            whole_program=args.whole_program,
         )
     except KeyError as exc:
         print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)

@@ -56,7 +56,7 @@ class Session:
         return self.start + self.duration
 
     @property
-    def participants(self) -> Set[int]:  # lint: disable=TEL002 -- set-algebra API; every iterating consumer sorts first (session.py, diagnostics.py), the rest are membership tests
+    def participants(self) -> Set[int]:
         """Provisioning peers (the user's own host is not provisioned)."""
         return set(self.peers)
 
@@ -344,6 +344,6 @@ class SessionLedger:
 
         Sorted list (not the index's set): failure recovery iterates
         this across the module boundary, and repair order must not
-        depend on hash order (TEL002).
+        depend on set order.
         """
         return sorted(self._by_peer.get(peer_id, ()))

@@ -1,8 +1,8 @@
 """The runtime determinism sanitizer: draw ledgers and write barriers.
 
-The static pass (``repro lint --whole-program``) proves the *shape* of
-the program keeps RNG streams and mutable state plane-local; this module
-proves each *run* actually behaved: it records, in order,
+The per-file lint rules (``repro lint``) keep wall clocks, un-streamed
+draws and set iteration out of each module; this module proves each
+*run* actually behaved: it records, in order,
 
 * **draws** -- every method call on every seeded stream handed out by
   :class:`repro.sim.rng.RngStreams`, counted per stream, with periodic
@@ -16,12 +16,15 @@ into one ordered ledger exported as canonical JSONL.  Two runs are
 behaviourally identical iff their ledgers are byte-identical;
 :func:`compare_ledgers` names the first divergent record (and, inside
 an epoch record, the first divergent stream) so a cross-implementation
-or cross-shard regression points at the plane that drifted.
+regression points at the plane that drifted.
 
-This is the differential instrument the sharded engine (ROADMAP item 1)
-will be validated with: N shards vs 1 shard must produce the same
-ledger, exactly as the production prober and the scalar reference
-prober of ``tests/probing/reference_prober.py`` must today
+The ledger is the repo's cross-module determinism check.  The
+hash-seed differential (``tests/sim/test_hash_seed_differential.py``)
+makes one seeded run under two ``PYTHONHASHSEED`` values and requires
+byte-identical ledgers and telemetry exports, so hash order that
+reaches any output is caught wherever it crosses a module.  The
+production prober and the scalar reference prober of
+``tests/probing/reference_prober.py`` are held to the same ledger
 (``tests/sim/test_sanitizer.py``).
 
 Design constraints, in order:

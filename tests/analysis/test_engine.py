@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from repro.analysis import lint_paths
 from repro.analysis.engine import PARSE_RULE_ID
@@ -40,7 +41,7 @@ class TestPragmas:
     def test_disable_all_pragma(self, tmp_path):
         report = lint_snippet(
             tmp_path,
-            "import time\nt = time.time()  # lint: disable=all\n",
+            "import time\nt = time.time()  # lint: disable=all -- fixture\n",
         )
         assert report.ok
         assert report.suppressed == 1
@@ -60,7 +61,7 @@ class TestPragmas:
         report = lint_snippet(
             tmp_path,
             "import time, random  # lint: disable=DET001,DET002 -- fixture\n"
-            "t = time.time()  # lint: disable=DET001\n",
+            "t = time.time()  # lint: disable=DET001 -- fixture\n",
         )
         assert report.ok
         assert report.suppressed == 2
@@ -166,42 +167,49 @@ class TestCli:
     def test_list_rules(self):
         proc = self.run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule_id in ("DET001", "DET002", "DET003", "TEL001", "SHARD001"):
+        for rule_id in ("DET001", "DET002", "DET003", "TEL001"):
             assert rule_id in proc.stdout
 
 
 class TestPragmaJustification:
-    # E001: under --whole-program every pragma must carry a `-- why`.
-    def test_unjustified_pragma_fires_under_whole_program(self, tmp_path):
+    # E001: every pragma must carry a `-- why` and name registered ids;
+    # a pragma naming a deleted rule is stale and suppresses nothing.
+    @pytest.mark.parametrize("pragma, message", [
+        ("disable=DET001", "'-- why'"),
+        ("disable=DET001,TEL002 -- rule since deleted",
+         "unknown rule id(s) TEL002"),
+        ("disable-file=SHARD001,DET001 -- rule since deleted",
+         "unknown rule id(s) SHARD001"),
+    ], ids=["unjustified", "unknown-rule", "unknown-rule-file"])
+    def test_bad_pragma_is_e001(self, tmp_path, pragma, message):
         report = lint_snippet(
-            tmp_path,
-            "import time\nt = time.time()  # lint: disable=DET001\n",
-            whole_program=True,
+            tmp_path, f"import time\nt = time.time()  # lint: {pragma}\n",
         )
         assert [f.rule for f in report.findings] == ["E001"]
-        assert report.suppressed == 1  # the pragma itself still suppresses
+        assert message in report.findings[0].message
+        assert report.suppressed == 1  # the known id still suppresses
 
     def test_justified_pragma_is_clean(self, tmp_path):
         report = lint_snippet(
             tmp_path,
             "import time\n"
             "t = time.time()  # lint: disable=DET001 -- fixture timing\n",
-            whole_program=True,
         )
         assert report.ok
 
-    def test_default_scan_does_not_require_justification(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            "import time\nt = time.time()  # lint: disable=DET001\n",
+    def test_default_scan_requires_justification(self, tmp_path):
+        # The plain `repro lint` run is the strict one: no flag arms E001.
+        (tmp_path / "m.py").write_text(
+            "import time\nt = time.time()  # lint: disable=DET001\n"
         )
-        assert report.ok
+        proc = TestCli().run_cli(str(tmp_path), "--format", "json")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["rules"] == {"E001": 1}
 
     def test_pragma_text_in_a_docstring_is_ignored(self, tmp_path):
         report = lint_snippet(
             tmp_path,
             '"""Mentions # lint: disable=DET001 in prose."""\nx = 1\n',
-            whole_program=True,
         )
         assert report.ok
 

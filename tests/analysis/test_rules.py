@@ -4,13 +4,11 @@ matching clean twin stays silent.
 
 from __future__ import annotations
 
-import importlib
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint_paths
-from repro.analysis.rules.shard import SharedMutableState
 
 
 def lint_snippet(tmp_path: Path, source: str, **kwargs):
@@ -291,275 +289,3 @@ class TestPluginRegistry:
             assert [f.rule for f in report.findings] == ["TMP999"]
         finally:
             _RULES.pop("TMP999")
-
-
-def lint_tree(tmp_path: Path, files: dict, **kwargs):
-    """Write a multi-file fixture tree and lint it as one scan."""
-    paths = []
-    for rel, source in files.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-        paths.append(path)
-    return lint_paths(sorted(paths), jobs=1, **kwargs)
-
-
-DRAW = "def f(rngs):\n    return rngs.stream('churn').random()\n"
-
-
-class TestDET004:
-    def test_stream_drawn_from_two_planes_fires(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {"repro/network/a.py": DRAW, "repro/sessions/b.py": DRAW},
-            whole_program=True,
-        )
-        assert [f.rule for f in report.findings] == ["DET004"]
-        message = report.findings[0].message
-        assert "'churn'" in message
-        assert "network" in message and "sessions" in message
-
-    def test_two_files_one_plane_is_clean(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {"repro/network/a.py": DRAW, "repro/network/b.py": DRAW},
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_distinct_streams_are_clean(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/network/a.py": DRAW,
-                "repro/sessions/b.py":
-                    "def f(rngs):\n"
-                    "    return rngs.stream('requests').random()\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_handoff_attributes_to_the_receiving_plane(self, tmp_path):
-        # The wiring module hands the stream to network; network also
-        # draws it directly -- one plane total, clean.
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/wiring.py":
-                    "from repro.network.churn import ChurnProcess\n"
-                    "def build(rngs):\n"
-                    "    return ChurnProcess(rng=rngs.stream('churn'))\n",
-                "repro/network/churn.py":
-                    "class ChurnProcess:\n"
-                    "    def __init__(self, rng):\n"
-                    "        self.rng = rng\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_not_armed_without_whole_program(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {"repro/network/a.py": DRAW, "repro/sessions/b.py": DRAW},
-        )
-        assert report.ok
-
-    def test_tests_are_exempt(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "tests/repro/network/a.py": DRAW,
-                "tests/repro/sessions/b.py": DRAW,
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-
-MUTATED_STATE = (
-    "REGISTRY = {}\n"
-    "\n"
-    "def put(key, value):\n"
-    "    REGISTRY.setdefault(key, []).append(value)\n"
-)
-
-
-class TestSHARD001:
-    def test_cross_plane_mutable_state_fires(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/network/state.py": MUTATED_STATE,
-                "repro/sessions/user.py":
-                    "from repro.network.state import REGISTRY\n"
-                    "def read(key):\n"
-                    "    return REGISTRY.get(key)\n",
-            },
-            whole_program=True,
-        )
-        assert [f.rule for f in report.findings] == ["SHARD001"]
-        assert "'REGISTRY'" in report.findings[0].message
-        assert report.findings[0].path.endswith("state.py")
-
-    def test_single_plane_state_is_clean(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/network/state.py": MUTATED_STATE,
-                "repro/network/user.py":
-                    "from repro.network.state import REGISTRY\n"
-                    "def read(key):\n"
-                    "    return REGISTRY.get(key)\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_unmutated_state_is_clean(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/network/state.py": "REGISTRY = {'a': 1}\n",
-                "repro/sessions/user.py":
-                    "from repro.network.state import REGISTRY\n"
-                    "def read(key):\n"
-                    "    return REGISTRY.get(key)\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_allowlisted_singleton_is_clean(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            SharedMutableState, "allowlist",
-            frozenset({("repro.telemetry.bus", "NULL_BUS")}),
-        )
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/telemetry/bus.py":
-                    "class Bus:\n"
-                    "    pass\n"
-                    "NULL_BUS = Bus()\n"
-                    "def reset():\n"
-                    "    global NULL_BUS\n"
-                    "    NULL_BUS = Bus()\n",
-                "repro/serve/app.py":
-                    "from repro.telemetry.bus import NULL_BUS\n"
-                    "def handler():\n"
-                    "    return NULL_BUS\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_allowlist_names_existing_symbols(self):
-        for module, name in SharedMutableState.allowlist:
-            assert hasattr(importlib.import_module(module), name), (
-                module, name,
-            )
-
-    def test_offline_plane_owner_is_exempt(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/analysis/registry.py": MUTATED_STATE,
-                "repro/network/user.py":
-                    "from repro.analysis.registry import REGISTRY\n"
-                    "def read(key):\n"
-                    "    return REGISTRY.get(key)\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-
-class TestTEL002:
-    def test_set_into_telemetry_emit_fires(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/network/x.py":
-                    "def f(bus, xs):\n"
-                    "    bus.emit('lookup.done', peers=set(xs))\n",
-            },
-            whole_program=True,
-        )
-        assert [f.rule for f in report.findings] == ["TEL002"]
-
-    def test_sorted_emit_payload_is_clean(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/network/x.py":
-                    "def f(bus, xs):\n"
-                    "    bus.emit('lookup.done', peers=sorted(set(xs)))\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_cross_plane_set_return_fires(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/services/cat.py":
-                    "def hosts():\n"
-                    "    return {1, 2}\n",
-                "repro/sessions/user.py":
-                    "from repro.services.cat import hosts\n"
-                    "def read():\n"
-                    "    return hosts()\n",
-            },
-            whole_program=True,
-        )
-        assert [f.rule for f in report.findings] == ["TEL002"]
-        assert "hosts()" in report.findings[0].message
-        assert "sessions" in report.findings[0].message
-
-    def test_set_return_without_foreign_importer_is_clean(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/services/cat.py":
-                    "def hosts():\n"
-                    "    return {1, 2}\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_private_set_return_is_clean(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/services/cat.py":
-                    "def _hosts():\n"
-                    "    return {1, 2}\n",
-                "repro/sessions/user.py":
-                    "from repro.services import cat\n"
-                    "def read():\n"
-                    "    return cat._hosts()\n",
-            },
-            whole_program=True,
-        )
-        assert report.ok
-
-    def test_annotated_set_return_fires(self, tmp_path):
-        report = lint_tree(
-            tmp_path,
-            {
-                "repro/services/cat.py":
-                    "from typing import Set\n"
-                    "def hosts() -> Set[int]:\n"
-                    "    return build()\n"
-                    "def build():\n"
-                    "    return None\n",
-                "repro/sessions/user.py":
-                    "from repro.services.cat import hosts\n",
-            },
-            whole_program=True,
-        )
-        assert [f.rule for f in report.findings] == ["TEL002"]
