@@ -58,7 +58,7 @@ def _runtime(mode: str, seed: int) -> Any:
             SCENARIOS[scenario](seed).grid,
             seed=seed,
             telemetry=True,
-            telemetry_capacity=ServeConfig.telemetry_capacity,
+            telemetry_capacity=0,
         )
         config = ServeConfig(
             scenario=scenario, seed=seed, grid=grid, observability=False

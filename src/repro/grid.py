@@ -109,7 +109,9 @@ class GridConfig:
     #: still reach the metrics layer) and hot paths pay one ``None``
     #: check, nothing more.
     telemetry: bool = False
-    #: Retain at most this many bus events (None = unbounded).
+    #: Retain at most this many bus events (None = unbounded, 0 = none:
+    #: full telemetry that only dispatches, as ``repro serve`` runs it
+    #: without an export path).
     telemetry_capacity: Optional[int] = None
     #: Fault injection plan; ``None`` (or an empty plan) keeps every
     #: substrate operation reliable and the hot paths fault-check-free.

@@ -112,12 +112,10 @@ class ServeConfig:
     outcome_history: int = 10_000
     #: Run the observability plane (windowed metrics, SLO engine,
     #: Prometheus exposition, trace index).  Forces full telemetry on the
-    #: resident grid; when the grid config did not already ask for
-    #: telemetry the bus is bounded to :attr:`telemetry_capacity` events
-    #: so a resident server cannot grow without bound.
+    #: resident grid; when neither the grid config nor
+    #: :attr:`telemetry_path` asked for telemetry, the bus retains no
+    #: event (nothing would export it): the plane reads its subscriptions.
     observability: bool = True
-    #: Bus retention cap applied when observability forces telemetry on.
-    telemetry_capacity: int = 100_000
     #: Sliding-window width/step for the observability plane, in sim
     #: minutes (the serving clock's unit in both modes).
     window_width: float = 5.0
@@ -132,8 +130,6 @@ class ServeConfig:
             raise ValueError("wall_minutes_per_second must be positive")
         if self.outcome_history < 1:
             raise ValueError("outcome_history must be positive")
-        if self.telemetry_capacity < 1:
-            raise ValueError("telemetry_capacity must be positive")
         if self.window_width <= 0 or self.window_step <= 0:
             raise ValueError("window width/step must be positive")
 
@@ -223,15 +219,10 @@ def _resolve_grid_config(config: ServeConfig) -> GridConfig:
     if config.telemetry_path is not None and not grid_config.telemetry:
         grid_config = replace(grid_config, telemetry=True)
     if config.observability and not grid_config.telemetry:
-        # The observability plane needs the full telemetry handle; bound
-        # the bus so a resident server's retained stream cannot grow
-        # without limit (an explicit telemetry=True grid keeps whatever
-        # capacity it asked for).
-        grid_config = replace(
-            grid_config,
-            telemetry=True,
-            telemetry_capacity=config.telemetry_capacity,
-        )
+        # The observability plane needs the full telemetry handle, but
+        # nothing exports this stream: the bus retains no event (an
+        # explicit telemetry=True grid records as it asked).
+        grid_config = replace(grid_config, telemetry=True, telemetry_capacity=0)
     if config.faults_path is not None:
         from repro.faults.plan import FaultPlan
 
@@ -461,7 +452,9 @@ class GridRuntime:
         view = {
             "enabled": telemetry.enabled,
             "events_emitted": telemetry.bus.n_emitted,
+            # 0 unless the stream is recorded for export.
             "events_retained": len(telemetry.bus),
+            # Emission totals per name, whatever the bus retains.
             "event_counts": dict(telemetry.bus.counts()),
             # Histogram percentiles here are cumulative: they cover the
             # reservoir (first 10k observations) only -- see the

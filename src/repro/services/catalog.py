@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -105,7 +105,9 @@ class ServiceCatalog:
 
     ``table`` holds the instances; ``instances`` / ``by_service`` map ids
     and service names onto its row views.  ``hosted_by`` (peer -> the
-    ids of the instances it hosts) is the inverse of ``replicas``.
+    ids of the instances it hosts) is the inverse of ``replicas``, built
+    on first read: only churn, diagnostics and tests ask for it, so a
+    run without churn never pays its one set per hosting peer.
     """
 
     def __init__(
@@ -125,21 +127,28 @@ class ServiceCatalog:
             for k, service in enumerate(table.services)
         }
         self.replicas = replicas
-        hosted_by: Dict[int, Set[str]] = {}
-        for iid, hosts in replicas.items():
-            for pid in hosts:
-                hosted = hosted_by.get(pid)
-                if hosted is None:
-                    hosted_by[pid] = {iid}
-                else:
-                    hosted.add(iid)
-        self.hosted_by = hosted_by
+        self._hosted_by: Optional[Dict[int, Set[str]]] = None
         #: Average number of replicas per peer that hosts at least one at
         #: generation time; used to provision arriving peers under churn.
-        n_hosting = max(len(self.hosted_by), 1)
-        self._replicas_per_peer = (
-            sum(map(len, self.hosted_by.values())) / n_hosting
-        )
+        #: A host record lists distinct peers, so the replica total is
+        #: the sum of the records' lengths.
+        n_hosting = max(len(set().union(*replicas.values())), 1)
+        self._replicas_per_peer = sum(map(len, replicas.values())) / n_hosting
+
+    @property
+    def hosted_by(self) -> Dict[int, Set[str]]:
+        """``peer -> ids of the instances it hosts``, built on first read."""
+        hosted_by = self._hosted_by
+        if hosted_by is None:
+            hosted_by = self._hosted_by = {}
+            for iid, hosts in self.replicas.items():
+                for pid in hosts:
+                    hosted = hosted_by.get(pid)
+                    if hosted is None:
+                        hosted_by[pid] = {iid}
+                    else:
+                        hosted.add(iid)
+        return hosted_by
 
     # -- queries ---------------------------------------------------------
     def candidates(self, service: str) -> List[ServiceInstance]:

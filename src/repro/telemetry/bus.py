@@ -9,7 +9,9 @@ The bus is the single spine every telemetry signal travels over:
 * consumers **subscribe** by event name (or ``"*"``) and receive each
   event synchronously, in emission order;
 * when ``record=True`` the bus additionally retains events (optionally
-  bounded) for later export as JSONL.
+  bounded) for later export as JSONL;
+* in every mode the bus keeps per-name emission totals
+  (:meth:`EventBus.counts`), one dict increment per event.
 
 Dispatch-only mode (``record=False``) is what a disabled-telemetry grid
 runs: the low-volume request/session events still reach the metrics
@@ -114,6 +116,8 @@ class EventBus:
         #: on a name's first emission and dropped whenever a subscription
         #: changes, so each emit dispatches through one tuple.
         self._dispatch: Dict[str, Tuple[Callable[[BusEvent], None], ...]] = {}
+        #: ``name -> events emitted`` (retained or not).
+        self._totals: Dict[str, int] = {}
         self._seq = 0
 
     @property
@@ -143,6 +147,8 @@ class EventBus:
         """
         seq = self._seq
         self._seq = seq + 1
+        totals = self._totals
+        totals[name] = totals.get(name, 0) + 1
         event = BusEvent(self._clock(), seq, name, fields)
         if self._record:
             self._events.append(event)
@@ -205,8 +211,12 @@ class EventBus:
         return [e for e in self._events if match(e) and since <= e.time <= until]
 
     def counts(self) -> Counter:
-        """Retained events by name."""
-        return Counter(e.name for e in self._events)
+        """Events emitted so far by name (retained or not).
+
+        A bounded or dispatch-only bus reports the same counts as an
+        unbounded one fed the same events.
+        """
+        return Counter(self._totals)
 
     # -- export -----------------------------------------------------------
     def export_jsonl(self, destination: Union[str, IO[str]]) -> int:

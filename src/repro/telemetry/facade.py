@@ -5,7 +5,10 @@ in two modes:
 
 * **enabled** (``GridConfig.telemetry=True``): the bus records events,
   the registry fills, the tracer emits spans, and every instrumented
-  subsystem receives the handle.
+  subsystem receives the handle.  ``capacity=0`` keeps all of that but
+  retains no event: the bus dispatches, stamps ``seq`` and counts, and
+  subscribers (the serving plane's windows and trace index) are the only
+  readers.  This is what ``repro serve`` runs without ``--telemetry``.
 * **disabled** (default): the bus is dispatch-only (so the metrics layer
   still consumes request/session events over it), the tracer is the
   shared no-op, and hot-path subsystems receive ``None`` -- their
@@ -39,7 +42,9 @@ class Telemetry:
         self.enabled = enabled
         #: The simulated clock every timestamp is read from.
         self.clock = clock
-        self.bus = EventBus(clock, record=enabled, capacity=capacity)
+        self.bus = EventBus(
+            clock, record=enabled and capacity != 0, capacity=capacity or None
+        )
         self.metrics = MetricsRegistry()
         self.tracer: Union[SpanTracer, NullTracer] = (
             SpanTracer(self.bus, clock) if enabled else NULL_TRACER
