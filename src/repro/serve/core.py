@@ -462,6 +462,9 @@ class GridRuntime:
             "metrics": telemetry.metrics.snapshot(),
         }
         if self.observability is not None:
+            # Request span trees in the plane's trace index (bounded by
+            # ObservabilityConfig.recent_traces; the CI soak job gates it).
+            view["traces_retained"] = self.observability.n_traces()
             view["windows"] = self.observability.windows_snapshot()
         return view
 

@@ -295,7 +295,7 @@ class SoakReport:
 
     loadgen: LoadgenReport = field(default_factory=LoadgenReport)
     #: Periodic ``{wall_s, rss_kb, slo_state, active_sessions,
-    #: events_retained}`` samples.
+    #: events_retained, traces_retained}`` samples.
     samples: List[Dict[str, Any]] = field(default_factory=list)
     #: Every SLO worst-state observed, in sample order (deduplicated).
     slo_states: List[str] = field(default_factory=list)
@@ -376,6 +376,7 @@ def run_soak(config: SoakConfig) -> SoakReport:
                 try:
                     metrics = client.metrics()
                     sample["events_retained"] = metrics.get("events_retained")
+                    sample["traces_retained"] = metrics.get("traces_retained")
                 except (ServeApiError, OSError, TimeoutError):
                     pass
                 with lock:

@@ -11,10 +11,10 @@ telemetry handle and the runtime views the API layer serves.  It owns
 * a :class:`~repro.telemetry.slo.SloEngine` evaluating the stock serving
   objectives once per window step, emitting catalogued ``slo.state``
   transition events;
-* a bounded trace index: recent ``span`` events keyed so one serve
-  request's whole span tree (serve -> aggregation -> composition ->
-  probing) is retrievable by its ``trace_id``, plus a small ring of
-  recent/worst request traces for ``repro top``.
+* a bounded trace index: one ring of per-request trace records, so one
+  serve request's whole span tree (serve -> aggregation -> composition
+  -> probing) is retrievable by its ``trace_id``, and the same ring
+  lists the recent/worst request traces for ``repro top``.
 
 Determinism contract: the plane only *observes*.  Its tap and bus
 subscriptions never mutate instruments or emit events, the wall-clock
@@ -26,9 +26,11 @@ byte-identical JSONL stream (``tests/serve/test_determinism.py``).
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.telemetry.bus import BusEvent
 from repro.telemetry.facade import Telemetry
@@ -49,16 +51,43 @@ class ObservabilityConfig:
     window_step: float = 0.25
     #: Per-bucket percentile sample bound.
     sample_cap: int = 512
-    #: Retain at most this many recent ``span`` events for trace queries.
-    trace_buffer: int = 50_000
-    #: Retain at most this many recent request traces for ``repro top``.
+    #: Retain the span trees of at most this many recent requests (trace
+    #: queries and ``repro top``).
     recent_traces: int = 256
     #: SLO target overrides by objective name (None = stock targets).
     slo_targets: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
-        if self.trace_buffer < 1 or self.recent_traces < 1:
-            raise ValueError("trace buffers must be positive")
+        if self.recent_traces < 1:
+            raise ValueError("recent_traces must be positive")
+
+
+class _TraceRecord:
+    """One serve request: its ``/traces`` summary and its ``span`` events
+    in close order (children before the root, late joiners after).
+
+    The tracer numbers spans in open order, and every span opened while
+    the root is open nests below it, so the request's spans are the ids
+    ``root_id .. last_id`` (the highest id that closed inside it).
+    """
+
+    __slots__ = ("root_id", "last_id", "summary", "events")
+
+    def __init__(
+        self,
+        root_id: int,
+        summary: Dict[str, Any],
+        events: List[BusEvent],
+    ) -> None:
+        self.root_id = root_id
+        self.last_id = max(
+            (event.fields["id"] for event in events), default=root_id
+        )
+        self.summary = summary
+        self.events = events
+
+
+_root_id = attrgetter("root_id")
 
 
 class ObservabilityPlane:
@@ -105,14 +134,15 @@ class ObservabilityPlane:
             bus=telemetry.bus,
         )
 
-        #: Recent ``span`` events, oldest evicted first (trace queries).
-        self._span_events: Deque[BusEvent] = deque(
-            maxlen=self.config.trace_buffer
-        )
-        #: Recent serve.request closes: trace_id, op and wall latency.
-        self._recent: Deque[Dict[str, Any]] = deque(
-            maxlen=self.config.recent_traces
-        )
+        #: The trace index: one record per recent ``serve.request``
+        #: close, oldest first (so ascending in ``root_id``).
+        self._records: List[_TraceRecord] = []
+        #: trace_id -> its newest retained record.
+        self._by_trace: Dict[Any, _TraceRecord] = {}
+        #: ``span`` events closed since the last drain, in close order.
+        #: Appending is the whole per-span cost; ``_drain`` files them
+        #: into records once per request close and before each read.
+        self._pending: List[BusEvent] = []
 
         # Histogram observations mirror into the windows per update (the
         # observations themselves are irrecoverable); counters -- the
@@ -123,7 +153,7 @@ class ObservabilityPlane:
         self._unsubscribes = [
             telemetry.bus.subscribe("request.setup", self._on_setup),
             telemetry.bus.subscribe("fault.injected", self._on_fault),
-            telemetry.bus.subscribe("span", self._span_events.append),
+            telemetry.bus.subscribe("span", self._pending.append),
             telemetry.tracer.add_wall_observer(
                 self._on_request_close, name="serve.request"
             ),
@@ -151,14 +181,60 @@ class ObservabilityPlane:
     def _on_request_close(
         self, span: Span, wall_start: float, wall_end: float
     ) -> None:
+        """Retain one request: a record of its subtree, evicting the
+        oldest record past ``recent_traces``.
+
+        The tracer calls this just before it emits the root's own
+        ``span`` event, which joins the record at the next drain.
+        """
         wall_us = (wall_end - wall_start) * 1e6
         self.windows.observe("serve.window.setup_latency_us", wall_us)
-        self._recent.append({
+        root_id = span.span_id
+        record = _TraceRecord(root_id, {
             "trace_id": span.fields.get("trace_id"),
             "op": span.fields.get("op"),
             "sim_start": span.sim_start,
             "wall_us": wall_us,
-        })
+        }, self._drain(root_id))
+        self._by_trace[record.summary["trace_id"]] = record
+        records = self._records
+        records.append(record)
+        if len(records) > self.config.recent_traces:
+            old = records.pop(0)
+            old_id = old.summary["trace_id"]
+            if self._by_trace.get(old_id) is old:
+                del self._by_trace[old_id]
+
+    def _record_of(self, span_id: int) -> Optional[_TraceRecord]:
+        """The retained record whose id range holds ``span_id``."""
+        records = self._records
+        i = bisect_right(records, span_id, key=_root_id)
+        if i and span_id <= records[i - 1].last_id:
+            return records[i - 1]
+        return None
+
+    def _drain(self, root_id: float = math.inf) -> List[BusEvent]:
+        """Empty the pending spans; return the closing root's subtree.
+
+        A span opened after the closing root (``id > root_id``) and
+        closed before it is in its subtree.  An older span whose parent
+        is in a retained record joins it (a session span closing after
+        its request), as does a root's own event.  Any other span can
+        join no retained trace and is dropped.
+        """
+        subtree: List[BusEvent] = []
+        for event in self._pending:
+            fields = event.fields
+            span_id = fields["id"]
+            if span_id > root_id:
+                subtree.append(event)
+                continue
+            parent = fields["parent"]
+            record = self._record_of(span_id if parent is None else parent)
+            if record is not None:
+                record.events.append(event)
+        self._pending.clear()
+        return subtree
 
     def _flush_counters(self, now: float) -> None:
         """Fold counter growth since the last sample into the windows."""
@@ -197,54 +273,41 @@ class ObservabilityPlane:
         doc["series"] = self.windows.snapshot(now)
         return doc
 
+    def n_traces(self) -> int:
+        """Request traces the index retains (``traces_retained``)."""
+        return len(self._records)
+
+    def n_spans(self) -> int:
+        """``span`` events the index retains."""
+        self._drain()
+        return sum(len(record.events) for record in self._records)
+
     def recent_traces(self) -> List[Dict[str, Any]]:
         """Most recent first."""
-        return list(reversed(self._recent))
+        return [record.summary for record in reversed(self._records)]
 
     def worst_traces(self, limit: int = 10) -> List[Dict[str, Any]]:
         """Recent serve.request closes, slowest (wall) first."""
         ranked = sorted(
-            self._recent, key=lambda t: t["wall_us"], reverse=True
+            (record.summary for record in self._records),
+            key=lambda t: t["wall_us"], reverse=True,
         )
         return ranked[:limit]
 
     def trace(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """One request's span tree by ``trace_id`` (None if unknown).
 
-        The tree is every retained span whose parent chain reaches the
-        ``serve.request`` root carrying the id -- detached session spans
-        opened during the request belong to it too.
+        The tree is every span whose parent chain reaches the newest
+        retained ``serve.request`` root carrying the id -- detached
+        session spans opened during the request belong to it too, also
+        when they close during a later request.  Only the
+        ``recent_traces`` newest requests are retained.
         """
-        events = list(self._span_events)
-        root: Optional[BusEvent] = None
-        for event in reversed(events):
-            fields = event.fields
-            if (
-                fields.get("name") == "serve.request"
-                and fields.get("trace_id") == trace_id
-            ):
-                root = event
-                break
-        if root is None:
+        self._drain()
+        record = self._by_trace.get(trace_id)
+        if record is None:
             return None
-        root_id = root.fields["id"]
-        by_id = {e.fields["id"]: e for e in events}
-
-        def in_trace(event: BusEvent) -> bool:
-            seen = set()
-            cursor: Optional[BusEvent] = event
-            while cursor is not None:
-                span_id = cursor.fields["id"]
-                if span_id == root_id:
-                    return True
-                if span_id in seen:
-                    return False
-                seen.add(span_id)
-                parent = cursor.fields.get("parent")
-                cursor = by_id.get(parent) if parent is not None else None
-            return False
-
-        members = [e for e in events if in_trace(e)]
+        members = list(record.events)
         return {
             "trace_id": trace_id,
             "n_spans": len(members),

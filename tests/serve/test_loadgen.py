@@ -109,7 +109,9 @@ class TestSoak:
         assert report.samples, "the sampler thread collected nothing"
         sample = report.samples[0]
         assert set(sample) >= {"wall_s", "rss_kb", "slo_state",
-                               "active_sessions", "events_retained"}
+                               "active_sessions", "events_retained",
+                               "traces_retained"}
+        assert 0 <= sample["traces_retained"] <= 256
         assert report.slo_states  # worst-states observed, deduplicated
         assert set(report.slo_states) <= {"ok", "warn", "breach"}
         doc = report.as_dict()
