@@ -21,21 +21,28 @@ answers: every β the walk's blocks computed equals the per-target
 its dedup: a walk whose hops share peers hands every table merge the
 plan's first-occurrence mask, so ``merge``'s regrouping path runs zero
 times, and it leaves the tables a walk resolved without the plan
-leaves, hop by hop.
+leaves, hop by hop -- and its plan's lifetime: repeated walks of one
+composed path over the same host records build the plan once, a
+replaced record rebuilds it, and the kept plan's arrays reject writes.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.resources import ResourceVector
+from repro.core.aggregation import QSAAggregator
+from repro.core.composition import ComposedPath
+from repro.core.qos import QoSVector
+from repro.core.resources import ResourceTuple, ResourceVector, WeightProfile
 from repro.core.selection import PeerSelector, PhiWeights
 from repro.experiments.reporting import banner
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.neighbors import NeighborTable
 from repro.probing.prober import ProbingConfig, ProbingService
+from repro.services.model import ServiceInstance
 from repro.sim import Simulator
 
 NAMES = ("cpu", "memory")
@@ -230,3 +237,75 @@ def test_selection_hop_walk_dedup_is_planned(benchmark, monkeypatch):
     # The same walk with every hop planning only its own suffix.
     assert twin_walk(False) == planned
     assert regrouped == []
+
+
+def make_walker(seed):
+    """A plane, three host records and a QSA aggregator walking them."""
+    rng, sim, probing, selector = make_plane(seed)
+    hops = make_hops(rng)
+    agg = QSAAggregator(
+        None, None, probing.directory, None, probing,
+        WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e7),
+        PhiWeights.uniform(NAMES), rng,
+    )
+    fmt = QoSVector(format="raw")
+    composed = ComposedPath(
+        tuple(
+            ServiceInstance(f"s{k}/0", f"s{k}", fmt, fmt, REQUIREMENT,
+                            BANDWIDTH_REQ)
+            for k in range(len(hops))
+        ),
+        total=ResourceTuple.zero(NAMES), score=0.0,
+    )
+    requester = next(o for o in range(N_PEERS) if all(o not in h for h in hops))
+    request = SimpleNamespace(peer_id=requester, session_duration=DURATION)
+    return agg, composed, request, hops
+
+
+@pytest.mark.benchmark(group="claims")
+def test_selection_hop_walk_plan_is_kept_per_path(benchmark, monkeypatch):
+    """Host-independent: one plan per (path, host records), read-only."""
+    built = []
+    real = ProbingService.selection_plan
+
+    def counting(self, hop_candidates):
+        built.append(hop_candidates)
+        return real(self, hop_candidates)
+
+    monkeypatch.setattr(ProbingService, "selection_plan", counting)
+    agg, composed, request, hops = make_walker(seed=7)
+
+    def walks(n):
+        return [agg.select_peers(request, composed, list(hops))
+                for _ in range(n)]
+
+    peers = benchmark.pedantic(walks, (5,), rounds=1, iterations=1)
+    assert len(built) == 1 and None not in peers[0]
+    plan = composed._walk
+    print(f"\nkept walk plan: {plan.nbytes} bytes for "
+          f"{sum(map(len, hops))} candidate hosts")
+
+    # One record replaced by an equal but new tuple: rebuilt once, kept.
+    hops[1] = tuple(list(hops[1]))
+    walks(3)
+    assert len(built) == 2 and built[-1][1] is hops[1]
+    assert composed._walk is not plan
+
+    arrays = [composed.requirements, composed._walk.flat]
+    for ids, prio, first in composed._walk:
+        arrays.append(ids)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+    # The same walks with a plan built per walk choose the same peers.
+    monkeypatch.setattr(
+        ComposedPath, "walk_plan", lambda self, hosts, build: build(hosts)
+    )
+    twin, twin_path, twin_request, twin_hops = make_walker(seed=7)
+    assert twin_hops[1] == hops[1]
+    assert peers == [
+        twin.select_peers(twin_request, twin_path, list(twin_hops))
+        for _ in range(5)
+    ]
+    assert len(built) == 2 + 5

@@ -37,7 +37,7 @@ from repro.core.resources import WeightProfile
 from repro.core.selection import PeerSelector, PhiWeights
 from repro.lookup.registry import ServiceRegistry
 from repro.network.soa import SoAPeerDirectory
-from repro.probing.prober import ProbingService
+from repro.probing.prober import ProbingService, SelectionPlan
 from repro.services.model import AbstractServicePath, ServiceInstance
 from repro.services.qoscompiler import QoSCompiler, UserRequest
 from repro.sessions.admission import AdmissionError
@@ -227,6 +227,7 @@ class BaseAggregator:
                     instances=composed.instances,
                     peers=peers,
                     duration=request.session_duration,
+                    requirements=composed.requirements,
                 )
         except AdmissionError as exc:
             status = {
@@ -312,27 +313,37 @@ class QSAAggregator(BaseAggregator):
         """Distributed hop-by-hop selection in reverse flow order (§3.3)."""
         self._fallbacks = 0
         self._hop_outcomes = []
+        # The candidate lists flattened once per path and host records,
+        # not once per walk.
+        plan = composed.walk_plan(
+            hosts_selection_order, self.probing.selection_plan
+        )
         if self.telemetry is None:
-            return self._select_walk(request, composed, hosts_selection_order)
+            return self._select_walk(
+                request, composed, hosts_selection_order, plan
+            )
         with self.telemetry.tracer.span(
             "selection", hops=len(composed.instances)
         ):
-            return self._select_walk(request, composed, hosts_selection_order)
+            return self._select_walk(
+                request, composed, hosts_selection_order, plan
+            )
 
     def _select_walk(
         self,
         request: UserRequest,
         composed: ComposedPath,
         hosts_selection_order: List[Sequence[int]],
+        plan: Optional[SelectionPlan] = None,
     ) -> Optional[Tuple[int, ...]]:
         tel = self.telemetry
         tracer = tel.tracer if tel is not None else NULL_TRACER
         n = len(composed.instances)
         selected_reverse: List[int] = []
         current = request.peer_id
-        # Flatten the candidate lists once; each hop's resolve gets its
-        # suffix as a ready block instead of re-flattening.
-        plan = self.probing.selection_plan(hosts_selection_order)
+        # Each hop's resolve gets its suffix of the plan as a ready block.
+        if plan is None:
+            plan = self.probing.selection_plan(hosts_selection_order)
         for i in range(n):
             inst = composed.instances[n - 1 - i]  # i hops from the user
             # Dynamic neighbor resolution: the selecting peer learns the

@@ -44,8 +44,11 @@ of §3.2 and the one-sweep dp over it, lives with the tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.resources import ResourceTuple
 from repro.services.model import ServiceInstance
@@ -74,15 +77,52 @@ class ComposedPath:
     score:
         ``WeightProfile.score(total)`` -- the Dijkstra distance at the
         source node.
+
+    A path is composed once and handed to every request its plan
+    answers, so it also carries what consumers derive from it alone
+    (:attr:`requirements`, :meth:`walk_plan`); that derived data is not
+    part of its value and lives exactly as long as the path does.
     """
 
     instances: Tuple[ServiceInstance, ...]
     total: ResourceTuple
     score: float
+    #: The last :meth:`walk_plan` built (``None``: none yet).
+    _walk: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def hops(self) -> int:
         return len(self.instances)
+
+    @cached_property
+    def requirements(self) -> np.ndarray:
+        """Every instance's ``R``, flow order: a read-only ``(hops, m)``
+        block (what admission debits from the selected peers' rows)."""
+        block = np.array([inst.resources.values for inst in self.instances])
+        block.setflags(write=False)
+        return block
+
+    def walk_plan(
+        self,
+        hosts: Sequence[Sequence[int]],
+        build: Callable[[Sequence[Sequence[int]]], Any],
+    ) -> Any:
+        """The selection walk's plan over ``hosts`` (selection order):
+        the one kept here while it was built from these very host
+        records (``plan.built_from(hosts)``), else ``build(hosts)``, kept
+        in its place.
+
+        The registry hands out one immutable record per instance until
+        membership replaces it, so a record that is still the same
+        object still has the same hosts; one plan is kept per path.
+        """
+        plan = self._walk
+        if plan is None or not plan.built_from(hosts):
+            plan = build(hosts)
+            object.__setattr__(self, "_walk", plan)
+        return plan
 
     def edge_bandwidths(self) -> Tuple[float, ...]:
         """Bandwidth per connection, selection order (user side first).

@@ -225,6 +225,7 @@ class _PairMatrix:
             )
         self.evaluations += rows + cols
         self.patched_rows += (nc - n_cur) + (np_ - n_pred)
+        grown.setflags(write=False)  # plans may hold it (``_build_plan``)
         self.matrix = grown
         self.n_cur, self.n_pred = nc, np_
         return self.matrix
@@ -365,6 +366,7 @@ class ConsistencyIndex:
         bandwidth = table.bandwidth[rows]
         scores = dots + weights.bandwidth_weight * bandwidth / weights.bandwidth_max
         uni.scores = np.concatenate([uni.scores, scores])
+        uni.scores.setflags(write=False)  # plans may hold it
 
     def pair_matrix(self, cur: _Universe, pred: _Universe) -> np.ndarray:
         """The synced adjacency matrix between two universes."""
@@ -440,18 +442,35 @@ class VectorizedComposer:
 
     # -- plan construction ---------------------------------------------------
     def _build_plan(self, layers: List[_Layer]) -> _Plan:
-        """The plan of one candidate set, from its admitted layers."""
+        """The plan of one candidate set, from its admitted layers.
+
+        A layer whose rows are its whole universe in order gathers
+        nothing: the plan refers to the index's own score vector and
+        adjacency matrix, which are read-only and replaced, never
+        written, when the index grows.
+        """
         index = self.index
         universes = [uni for uni, _, _ in layers]
         idx_arrays = [rows for _, _, rows in layers]
-        adjacency = [
-            index.pair_matrix(universes[t], universes[t + 1])
-            .take(idx_arrays[t], axis=0).take(idx_arrays[t + 1], axis=1)
-            for t in range(len(universes) - 1)
+        whole = [
+            len(rows) == uni.version
+            and np.array_equal(rows, np.arange(len(rows)))
+            for uni, _, rows in layers
         ]
+        adjacency = []
+        for t in range(len(universes) - 1):
+            matrix = index.pair_matrix(universes[t], universes[t + 1])
+            if not whole[t]:
+                matrix = matrix.take(idx_arrays[t], axis=0)
+            if not whole[t + 1]:
+                matrix = matrix.take(idx_arrays[t + 1], axis=1)
+            adjacency.append(matrix)
         return _Plan(
             layers=[cands for _, cands, _ in layers],
-            weights=[uni.scores[rows] for uni, _, rows in layers],
+            weights=[
+                uni.scores if w else uni.scores[rows]
+                for (uni, _, rows), w in zip(layers, whole)
+            ],
             adjacency=adjacency,
             sink_universe=universes[0],
             sink_rows=idx_arrays[0],

@@ -51,8 +51,9 @@ replaced is the executable spec in ``tests/probing/reference_prober.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from operator import is_
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,9 +65,9 @@ from repro.network.topology import NetworkModel
 from repro.probing.neighbors import NeighborTable
 from repro.sim.engine import Simulator
 
-__all__ = ["ProbingConfig", "ProbingService"]
+__all__ = ["ProbingConfig", "ProbingService", "SelectionPlan"]
 
-#: One hop of :meth:`ProbingService.selection_plan`: ``(ids, prio, first)``.
+#: One hop of a :class:`SelectionPlan`: ``(ids, prio, first)``.
 PlanEntry = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
@@ -93,6 +94,92 @@ class ProbingConfig:
             raise ValueError("neighbor TTL must be positive")
         if self.timeout <= 0:
             raise ValueError("probe timeout must be positive")
+
+
+class SelectionPlan(Sequence[PlanEntry]):
+    """A selection walk's candidate lists, flattened once.
+
+    ``_select_walk`` resolves the suffix ``hosts[i:]`` at hop ``i``;
+    entry ``i`` of the plan is that suffix as one block, ``(ids, prio,
+    first)``: the flattened ids, each one's priority as a *direct*
+    relation of that hop's selector (``2 * hop``; an indirect one is 1
+    more) and which of them is its id's first occurrence in the block --
+    ``None`` when no id repeats in it.  Its ids begin with hop ``i``'s
+    own candidates.
+
+    The repeats are found here, once per plan: one stable sort of the
+    flattened ids gives each position ``j`` the last earlier position
+    naming the same id, ``prev[j]`` (-1 if none), and the suffix starting
+    at ``start`` sees ``j`` first exactly when ``prev[j] < start``.  The
+    table merge keeps newcomers by that mask instead of grouping the
+    repeats again at every hop.
+
+    A plan is a pure function of the candidate lists, so a caller may
+    keep one while they stay the same objects (:meth:`built_from`).  It
+    stores the flattened ids, the first hop's priorities and the masks
+    as read-only arrays and slices every later entry on demand:
+    :attr:`nbytes` is 16 bytes per flattened id, plus one per id of
+    each masked suffix.
+    """
+
+    __slots__ = ("hosts", "flat", "prio", "_starts", "_firsts")
+
+    def __init__(self, hop_candidates: Sequence[Sequence[int]]) -> None:
+        #: The candidate lists the plan was built from, as given.
+        self.hosts = tuple(hop_candidates)
+        lens = [len(c) for c in self.hosts]
+        flat = np.fromiter(chain.from_iterable(self.hosts), np.int64, sum(lens))
+        prio = np.repeat(np.arange(2, 2 * len(lens) + 2, 2), lens)
+        starts = [0, *accumulate(lens)]
+        order = flat.argsort(kind="stable")
+        grouped = flat[order]
+        again = grouped[1:] == grouped[:-1]
+        # The masks of the leading hops whose suffix repeats an id.
+        firsts = []
+        if np.count_nonzero(again):
+            prev = np.full(len(flat), -1)
+            prev[order[1:][again]] = order[:-1][again]
+            for start in starts[:-1]:
+                first = prev[start:] < start
+                if np.count_nonzero(first) == len(first):
+                    break  # so is every later suffix
+                first.setflags(write=False)
+                firsts.append(first)
+        flat.setflags(write=False)
+        prio.setflags(write=False)
+        self.flat, self.prio = flat, prio
+        self._starts = starts
+        self._firsts = tuple(firsts)
+
+    def __len__(self) -> int:
+        return len(self.hosts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self.hosts)
+        if not 0 <= i < len(self.hosts):
+            raise IndexError("selection plan index out of range")
+        first = self._firsts[i] if i < len(self._firsts) else None
+        if not i:
+            return self.flat, self.prio, first
+        start = self._starts[i]
+        return self.flat[start:], self.prio[start:] - 2 * i, first
+
+    def built_from(self, hop_candidates: Sequence[Sequence[int]]) -> bool:
+        """Whether ``hop_candidates`` are the very lists (``is``, not
+        ``==``) this plan was built from."""
+        hosts = self.hosts
+        return len(hop_candidates) == len(hosts) and all(
+            map(is_, hop_candidates, hosts)
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the plan holds (the candidate lists are
+        the caller's)."""
+        return sum(a.nbytes for a in (self.flat, self.prio, *self._firsts))
 
 
 class ProbingService:
@@ -125,6 +212,11 @@ class ProbingService:
         #: peers whose soft state lingers (``stale_state`` faults), by peer
         #: id; released when the ghost expires.
         self._ghost_rows: Dict[int, Tuple[np.ndarray, float, float]] = {}
+        #: The leading candidates of the last resolve and their ids as an
+        #: array (a view into its block); see :meth:`observe_block`.
+        self._lead: Tuple[Optional[Sequence[int]], Optional[np.ndarray]] = (
+            None, None
+        )
         self.probe_messages = 0
         self.resolution_messages = 0
 
@@ -157,43 +249,11 @@ class ProbingService:
 
     def selection_plan(
         self, hop_candidates: Sequence[Sequence[int]]
-    ) -> List[PlanEntry]:
-        """Pre-flatten a selection walk's candidate lists, once.
-
-        ``_select_walk`` resolves the suffix ``hop_candidates[i:]`` at hop
-        ``i``; entry ``i`` of the plan is that suffix as one block, ``(ids,
-        prio, first)``: the flattened ids, each one's priority as a
-        *direct* relation of that hop's selector (``2 * hop``; an indirect
-        one is 1 more) and which of them is its id's first occurrence in
-        the block -- ``None`` when no id repeats in it.
-
-        The repeats are found here, once per walk: one stable sort of the
-        flattened ids gives each position ``j`` the last earlier position
-        naming the same id, ``prev[j]`` (-1 if none), and the suffix
-        starting at ``start`` sees ``j`` first exactly when ``prev[j] <
-        start``.  The table merge keeps newcomers by that mask instead of
-        grouping the repeats again at every hop.
-        """
-        lens = [len(c) for c in hop_candidates]
-        flat = np.fromiter(chain.from_iterable(hop_candidates), np.int64, sum(lens))
-        prio = np.repeat(np.arange(2, 2 * len(lens) + 2, 2), lens)
-        order = flat.argsort(kind="stable")
-        grouped = flat[order]
-        again = grouped[1:] == grouped[:-1]
-        prev = None
-        if np.count_nonzero(again):
-            prev = np.full(len(flat), -1)
-            prev[order[1:][again]] = order[:-1][again]
-        plan, start = [], 0
-        for i, n in enumerate(lens):
-            first = None
-            if prev is not None:
-                first = prev[start:] < start
-                if np.count_nonzero(first) == len(first):
-                    first = prev = None  # so is every later suffix
-            plan.append((flat[start:], prio[start:] - 2 * i, first))
-            start += n
-        return plan
+    ) -> SelectionPlan:
+        """Pre-flatten a selection walk's candidate lists, once: the
+        :class:`SelectionPlan` of ``hop_candidates``, whose entry ``i`` is
+        the resolve block of hop ``i``."""
+        return SelectionPlan(hop_candidates)
 
     def resolve_selection_hops(
         self,
@@ -228,6 +288,10 @@ class ProbingService:
             plan = self.selection_plan(hop_candidates)[0]
         flat, prio, first = plan
         lead = len(hop_candidates[0])
+        if type(hop_candidates[0]) is tuple:
+            # The hop's own ids lead the block: ``observe_block`` is asked
+            # about that (immutable) tuple next.
+            self._lead = hop_candidates[0], flat[:lead]
         own = flat == observer
         if np.count_nonzero(own):
             if np.count_nonzero(own[:lead]):
@@ -418,10 +482,13 @@ class ProbingService:
         expired/departed entries are pruned and stale rows probed once,
         in target order.  ``known`` is what :meth:`resolve_selection_hops`
         just returned for these targets at this observer; without it the
-        table is searched.
+        table is searched.  When ``targets`` is the very tuple the last
+        resolve led with, its ids are read off that resolve's block.
         """
         store = self._store
-        ids = np.fromiter(targets, np.int64, len(targets))
+        lead, ids = self._lead
+        if targets is not lead:
+            ids = np.fromiter(targets, np.int64, len(targets))
         if known is None:
             tbl = self._tables.get(observer)
             known = tbl.lookup(ids, self.sim.now) if tbl is not None else ids[:0]

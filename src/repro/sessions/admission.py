@@ -25,7 +25,7 @@ exponential backoff; budget exhaustion surfaces as a
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,8 +82,12 @@ def reserve_session(
     user_peer: int,
     injector=None,
     retry=None,
+    requirements: Optional[np.ndarray] = None,
 ) -> None:
     """Reserve all resources for a session; raise and roll back on failure.
+
+    ``requirements`` is the instances' ``R`` stacked in order, when the
+    caller holds it (the vectorized stage stacks it otherwise).
 
     Raises
     ------
@@ -100,7 +104,9 @@ def reserve_session(
             f"{len(instances)} instances but {len(peers)} peers selected"
         )
     if injector is None:
-        if not _soa_reserve(directory, network, instances, peers, user_peer):
+        if not _soa_reserve(
+            directory, network, instances, peers, user_peer, requirements
+        ):
             _reserve_attempt(directory, network, instances, peers, user_peer)
         return
     attempts = 0
@@ -129,6 +135,7 @@ def _soa_reserve(
     instances: Sequence[ServiceInstance],
     peers: Sequence[int],
     user_peer: int,
+    requirements: Optional[np.ndarray] = None,
 ) -> bool:
     """Vectorized resource stage over the peer store.
 
@@ -156,7 +163,9 @@ def _soa_reserve(
     if len(set(rows)) != len(rows):
         return False  # duplicate peers need sequential accounting
     rows_arr = np.fromiter(rows, np.int64, len(rows))
-    reqs = np.stack([inst.resources.values for inst in instances])
+    reqs = requirements
+    if reqs is None:
+        reqs = np.stack([inst.resources.values for inst in instances])
     avail = store.available[rows_arr]
     if not (avail >= reqs).all():
         return False  # shortage: scalar replay of mutate-then-rollback

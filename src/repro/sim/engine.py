@@ -120,6 +120,10 @@ class Event:
         if callbacks:
             for fn in callbacks:
                 fn(self)
+        elif self._ok is False:
+            # A failure nobody waits on (a crashed process, say) is not
+            # dropped: it raises out of the step that fires it.
+            raise self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"
@@ -199,7 +203,12 @@ class Simulator:
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one event.
+
+        A failed event with no callback re-raises its exception here, as
+        an unhandled failure does in SimPy, so :meth:`run` cannot return
+        normally past a process that crashed.
+        """
         if not self._heap:
             raise SimulationError("no events to step")
         when, _seq, ev = heapq.heappop(self._heap)

@@ -6,7 +6,10 @@ resumes when the yielded event fires, receiving the event's value via
 ``send`` (or the event's exception via ``throw`` if the event failed).
 
 Processes are themselves events: they trigger with the generator's return
-value when it finishes, so processes can wait on each other.
+value when it finishes, so processes can wait on each other.  A generator
+that raises fails its process with the exception; when nothing waits on
+the process, the exception propagates out of ``Simulator.step`` (and so
+out of ``Simulator.run``) instead of being dropped.
 
 This mirrors the SimPy programming model closely enough that anyone who
 has used SimPy can read the churn/probing/workload processes in this

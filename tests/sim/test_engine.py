@@ -111,9 +111,21 @@ def test_event_fail_carries_exception():
     ev = sim.event()
     exc = ValueError("boom")
     ev.fail(exc)
-    sim.run()
+    # No callback handles the failure, so firing it raises.
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
     assert not ev.ok
     assert ev.value is exc
+
+
+def test_failure_with_a_callback_is_handled():
+    sim = Simulator()
+    seen = []
+    ev = sim.event()
+    ev.add_callback(lambda e: seen.append(e.value))
+    ev.fail(ValueError("boom"))
+    sim.run()
+    assert [str(v) for v in seen] == ["boom"]
 
 
 def test_event_fail_requires_exception():

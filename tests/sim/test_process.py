@@ -100,9 +100,31 @@ def test_process_propagates_failure():
         raise RuntimeError("kaput")
 
     p = Process(sim, bad())
-    sim.run()
+    # Nothing waits on the process: its failure surfaces from run().
+    with pytest.raises(RuntimeError, match="kaput"):
+        sim.run(until=10.0)
+    assert sim.now == 1.0
     assert p.triggered and not p.ok
     assert isinstance(p.value, RuntimeError)
+
+
+def test_failure_of_awaited_process_reaches_the_waiter_not_run():
+    sim = Simulator()
+    caught = []
+
+    def bad():
+        yield sim.timeout(1.0)
+        raise RuntimeError("kaput")
+
+    def parent():
+        try:
+            yield Process(sim, bad())
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    p = Process(sim, parent())
+    sim.run()
+    assert caught == ["kaput"] and p.ok
 
 
 def test_waiting_on_failed_event_throws_into_process():
@@ -203,6 +225,7 @@ def test_yield_non_event_raises():
         yield 123
 
     p = Process(sim, proc())
-    sim.run()
+    with pytest.raises(TypeError, match="not an Event"):
+        sim.run()
     assert p.triggered and not p.ok
     assert isinstance(p.value, TypeError)
