@@ -23,7 +23,7 @@ test:
 test-full:
 	$(PYTHON) -m pytest tests/
 
-# Project invariants (repro lint) always run; ruff/mypy run when
+# Project invariants (tests/analysis) always run; ruff/mypy run when
 # installed (the pinned dev container ships neither) and their
 # failures still fail the target.
 lint:
@@ -31,7 +31,7 @@ lint:
 	if [ -n "$$tracked" ]; then \
 		echo "compiled artifacts tracked in git:"; echo "$$tracked"; exit 1; \
 	fi
-	$(PYTHON) -m repro lint src tests
+	$(PYTHON) -m pytest tests/analysis -q
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check src tests || exit 1; \
 	else echo "ruff not installed; skipping (CI runs it)"; fi

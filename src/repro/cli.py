@@ -25,12 +25,6 @@ Commands
     Run one experiment under wall-clock profiling: hot-path span
     attribution, throughput counters, optional cProfile top-N, optional
     wall-trace export for the ``trace`` commands.
-``lint``
-    The determinism & invariant linter (see
-    :mod:`repro.analysis`): AST rules DET001/DET002/DET003 (wall clock,
-    un-streamed RNG, unordered iteration) and TEL001 (two-way
-    event/span catalog check).  Exits non-zero on findings;
-    ``--format json`` for machine consumption.
 ``serve``
     Run the grid as a long-lived QoS-composition service over HTTP
     (see :mod:`repro.serve` and docs/serving.md): ``POST /compose``,
@@ -52,8 +46,6 @@ Examples::
     python -m repro trace critical-path events.jsonl
     python -m repro profile run --rate 100 --cprofile --trace-out prof.jsonl
     python -m repro trace flame prof.jsonl --out prof.folded
-    python -m repro lint src tests
-    python -m repro lint --select DET001 --format json src
     python -m repro serve --scenario baseline --port 8177 --telemetry serve.jsonl
     python -m repro loadgen --port 8177 -n 500 --concurrency 8
     REPRO_PAPER_SCALE=1 python -m repro figure7
@@ -193,21 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof_run.add_argument("--trace-out", metavar="PATH", default=None,
                           help="export the wall-span trace as JSONL "
                                "(feed to `repro trace`)")
-
-    lint = sub.add_parser("lint", help="determinism & invariant linter")
-    lint.add_argument("paths", nargs="*", default=["src", "tests"],
-                      help="files/directories to scan (default: src tests)")
-    lint.add_argument("--format", choices=("text", "json"), default="text",
-                      dest="output_format",
-                      help="report format (default: text)")
-    lint.add_argument("--select", nargs="+", default=None, metavar="RULE",
-                      help="run only these rule ids")
-    lint.add_argument("--disable", nargs="+", default=None, metavar="RULE",
-                      help="skip these rule ids")
-    lint.add_argument("--jobs", type=int, default=None,
-                      help="worker processes (default: one per CPU)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the registered rules and exit")
 
     sanitize = sub.add_parser(
         "sanitize", help="determinism sanitizer ledger tools"
@@ -563,33 +540,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis import all_rules, lint_paths
-
-    if args.list_rules:
-        rules = all_rules()
-        width = max(len(r.id) for r in rules)
-        for rule in rules:
-            print(f"{rule.id:<{width}}  {rule.name}")
-            print(f"{'':<{width}}  invariant: {rule.invariant}")
-        return 0
-    try:
-        report = lint_paths(
-            args.paths,
-            select=args.select,
-            disable=args.disable,
-            jobs=args.jobs,
-        )
-    except KeyError as exc:
-        print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)
-        return 2
-    if args.output_format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return report.exit_code
-
-
 def _cmd_sanitize(args) -> int:
     if args.sanitize_action == "compare":
         from repro.sim.sanitizer import compare_ledger_files
@@ -610,7 +560,7 @@ def _cmd_sanitize(args) -> int:
     import hashlib
     import os
     import tempfile
-    import time as _time  # lint: disable=DET001 -- overhead measurement is wall-clock by definition
+    import time as _time
 
     def _arm(sanitize_path) -> tuple:
         config = default_scale(args.rate, args.horizon, 0.0, args.seed)
@@ -623,9 +573,9 @@ def _cmd_sanitize(args) -> int:
             config = config.with_sanitize(sanitize_path)
         best = float("inf")
         for _ in range(max(1, args.repeat)):
-            t0 = _time.perf_counter()  # lint: disable=DET001 -- measuring wall overhead, not sim state
+            t0 = _time.perf_counter()
             run_experiment(config)
-            elapsed = _time.perf_counter() - t0  # lint: disable=DET001 -- same measurement
+            elapsed = _time.perf_counter() - t0
             best = min(best, elapsed)
         with open(tel_path, "rb") as fh:
             digest = hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
@@ -680,7 +630,6 @@ _COMMANDS = {
     "telemetry": _cmd_telemetry,
     "trace": _cmd_trace,
     "profile": _cmd_profile,
-    "lint": _cmd_lint,
     "sanitize": _cmd_sanitize,
     "info": _cmd_info,
 }

@@ -81,7 +81,7 @@ def run_experiment(
     ``make_aggregator`` (``grid -> aggregator``: the A3 hybrids) stands in
     for ``config.algorithm``; a result takes its aggregator's ``name``.
     """
-    t0 = time.perf_counter()  # lint: disable=DET001 -- wall_seconds is display-only
+    t0 = time.perf_counter()
     grid_config = config.grid
     needs_telemetry = config.telemetry_export is not None or profiler is not None
     if needs_telemetry and not grid_config.telemetry:
@@ -142,7 +142,7 @@ def run_experiment(
         probe_overhead=grid.probing.overhead_ratio(),
         n_arrivals=grid.churn.n_arrivals if grid.churn else 0,
         n_departures=grid.churn.n_departures if grid.churn else 0,
-        wall_seconds=time.perf_counter() - t0,  # lint: disable=DET001 -- display-only
+        wall_seconds=time.perf_counter() - t0,
         n_routed_discoveries=grid.registry.n_routed_discoveries,
         n_admitted=metrics.n_admitted,
         n_telemetry_events=n_events,

@@ -36,13 +36,13 @@ def wait_ready(host: str, port: int, timeout: float = 30.0) -> None:
     """
     # Readiness polling is wall-clock by nature (we are waiting for a
     # real socket); nothing here feeds the seeded event stream.
-    deadline = time.monotonic() + timeout  # lint: disable=DET001 -- socket readiness deadline
+    deadline = time.monotonic() + timeout
     while True:
         try:
             with socket.create_connection((host, port), timeout=1.0):
                 return
         except OSError:
-            now = time.monotonic()  # lint: disable=DET001 -- socket readiness deadline
+            now = time.monotonic()
             if now >= deadline:
                 raise TimeoutError(
                     f"server at {host}:{port} not accepting connections "

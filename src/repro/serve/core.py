@@ -165,7 +165,7 @@ class WallClock:
 
         # Wall-clock serving is explicitly non-deterministic; the read
         # never reaches a seeded experiment (sim mode is the default).
-        now = time.monotonic()  # lint: disable=DET001 -- wall-clock serving mode
+        now = time.monotonic()
         if self._wall_start is None:
             self._wall_start = now
             self._sim_start = sim.now

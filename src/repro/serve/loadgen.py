@@ -172,13 +172,13 @@ def _send_one(
     try:
         # Wall-clock RTT measurement: this is the load generator's whole
         # purpose; it never feeds the seeded event stream.
-        t0 = time.perf_counter()  # lint: disable=DET001 -- client-side RTT measurement
+        t0 = time.perf_counter()
         payload = client.compose(
             application=body["application"],
             qos_level=body["qos_level"],
             duration=body["duration"],
         )
-        elapsed_us = (time.perf_counter() - t0) * 1e6  # lint: disable=DET001 -- client-side RTT measurement
+        elapsed_us = (time.perf_counter() - t0) * 1e6
     except (ServeApiError, OSError, TimeoutError):
         with lock:
             report.sent += 1
@@ -215,8 +215,9 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
     clients = threading.local()
 
     # The arrival process is wall-clock by definition (it offers load to
-    # a real server); DET001 pragmas mark every read.
-    start = time.perf_counter()  # lint: disable=DET001 -- loadgen wall-clock window
+    # a real server); this module is on the wall-clock allowlist of
+    # tests/analysis/test_invariants.py.
+    start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         if config.mode == "closed":
             futures = [
@@ -234,7 +235,7 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
                 time.sleep(float(rng.exponential(mean_gap)))
         for future in futures:
             future.result()
-    report.wall_seconds = time.perf_counter() - start  # lint: disable=DET001 -- loadgen wall-clock window
+    report.wall_seconds = time.perf_counter() - start
     return report
 
 
@@ -345,7 +346,8 @@ def run_soak(config: SoakConfig) -> SoakReport:
     """Drive one soak against ``config.host:port``; returns the report.
 
     Wall-clock by definition -- it sustains real load against a real
-    server for a real duration; every clock read is pragma'd.
+    server for a real duration (the module is on the wall-clock
+    allowlist of tests/analysis/test_invariants.py).
     """
     from repro.serve.client import ServeApiError, ServeClient, wait_ready
 
@@ -356,13 +358,13 @@ def run_soak(config: SoakConfig) -> SoakReport:
     rng = RngStreams(config.seed).stream("loadgen-arrivals")
     bodies = iter([])
     stop = threading.Event()
-    start = time.perf_counter()  # lint: disable=DET001 -- soak wall-clock window
+    start = time.perf_counter()
 
     def _sample_loop() -> None:
         client = ServeClient(config.host, config.port)
         try:
             while not stop.wait(config.sample_interval):
-                now = time.perf_counter() - start  # lint: disable=DET001 -- soak sample timestamp
+                now = time.perf_counter() - start
                 try:
                     status = client.status()
                 except (ServeApiError, OSError, TimeoutError):
@@ -407,7 +409,7 @@ def run_soak(config: SoakConfig) -> SoakReport:
     try:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             futures = []
-            while (time.perf_counter() - start) < config.duration_seconds:  # lint: disable=DET001 -- soak duration window
+            while (time.perf_counter() - start) < config.duration_seconds:
                 body = next(bodies, None)
                 if body is None:
                     # Re-seed per batch so a long soak does not replay
@@ -432,5 +434,5 @@ def run_soak(config: SoakConfig) -> SoakReport:
     finally:
         stop.set()
         sampler.join(timeout=10)
-    report.loadgen.wall_seconds = time.perf_counter() - start  # lint: disable=DET001 -- soak wall-clock window
+    report.loadgen.wall_seconds = time.perf_counter() - start
     return report

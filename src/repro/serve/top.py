@@ -134,7 +134,7 @@ def run_top(
             if iterations is not None and n >= iterations:
                 break
             # A live operator view is wall-paced by definition.
-            time.sleep(interval)  # lint: disable=DET001 -- live polling cadence
+            time.sleep(interval)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:

@@ -1,8 +1,8 @@
 """The runtime determinism sanitizer: draw ledgers and write barriers.
 
-The per-file lint rules (``repro lint``) keep wall clocks, un-streamed
-draws and set iteration out of each module; this module proves each
-*run* actually behaved: it records, in order,
+The AST checks of ``tests/analysis/test_invariants.py`` keep wall
+clocks, un-streamed draws and set iteration out of each module; this
+module proves each *run* actually behaved: it records, in order,
 
 * **draws** -- every method call on every seeded stream handed out by
   :class:`repro.sim.rng.RngStreams`, counted per stream, with periodic

@@ -138,7 +138,8 @@ METRIC_CATALOG: Dict[str, tuple] = {
     "retry.exhausted": ("counter", "retry budgets that ran dry"),
     # windowed series (kind "window") are derived rolling views fed by the
     # serving plane's observability layer, never cumulative instruments;
-    # TEL001 closes them over the literal ``track(...)`` sites.
+    # tests/analysis/test_invariants.py matches them to the literal
+    # ``track(...)`` sites both ways.
     "serve.window.requests": ("window", "compose requests, rolling window"),
     "serve.window.admits": ("window", "admitted composes, rolling window"),
     "serve.window.denials": ("window", "denied composes, rolling window"),
@@ -152,8 +153,8 @@ METRIC_CATALOG: Dict[str, tuple] = {
 
 #: span name -> description.  Span events all share the ``span`` entry of
 #: EVENT_CATALOG; this indexes the *names* those events may carry, so the
-#: linter (TEL001) can hold tracer call sites and catalog two-way
-#: consistent just like plain events.
+#: catalog test (tests/analysis/test_invariants.py) can hold tracer call
+#: sites and catalog two-way consistent just like plain events.
 SPAN_CATALOG: Dict[str, str] = {
     "request": "one user request's whole setup pipeline",
     "qcs.compose": "QoS-consistent composition for one request",
@@ -179,9 +180,9 @@ SPAN_CATALOG: Dict[str, str] = {
 
 
 #: SLO name -> description.  Objectives declared in code
-#: (``repro.telemetry.slo``) must use names registered here; the linter
-#: (TEL001) holds ``Objective(name=...)`` sites and this catalog two-way
-#: consistent, same as events and spans.
+#: (``repro.telemetry.slo``) must use names registered here;
+#: tests/analysis/test_invariants.py holds ``Objective(name=...)`` sites
+#: and this catalog two-way consistent, same as events and spans.
 SLO_CATALOG: Dict[str, str] = {
     "slo.psi": "rolling aggregation grade ψ must stay above its floor",
     "slo.setup_latency_p95": "rolling p95 setup latency must stay under ceiling",

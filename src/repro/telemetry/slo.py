@@ -123,7 +123,8 @@ def default_serving_objectives(
     """The serving plane's stock objectives; ``targets`` overrides by name.
 
     Every name here must exist in ``SLO_CATALOG``
-    (:mod:`repro.telemetry.catalog`); TEL001 holds the two in sync.
+    (:mod:`repro.telemetry.catalog`); tests/analysis/test_invariants.py
+    holds the two in sync.
     """
     overrides = targets or {}
 

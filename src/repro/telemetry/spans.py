@@ -69,7 +69,7 @@ class Span:
         self.sim_start = sim_start
         self.fields = fields
         # In-process wall aggregate only; never enters the event stream.
-        self._wall_start = perf_counter()  # lint: disable=DET001 -- profiling feed
+        self._wall_start = perf_counter()
         self._nested = nested
         self._closed = False
 
@@ -147,7 +147,7 @@ class SpanTracer:
         return self._new(name, False, fields)
 
     def _close(self, span: Span, extra: Optional[Dict[str, Any]]) -> None:
-        wall_end = perf_counter()  # lint: disable=DET001 -- profiling feed
+        wall_end = perf_counter()
         if span._nested:
             # Tolerate out-of-order closes (an exception unwinding through
             # several spans) by popping down to this span.

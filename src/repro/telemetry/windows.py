@@ -218,8 +218,8 @@ class WindowedMetrics:
     Registry-fed series appear automatically through :meth:`record` (the
     tap); derived series (request/denial tallies, wall latencies) are
     declared up front with :meth:`track` so their names are part of the
-    telemetry catalog contract (TEL001 closes over literal ``track``
-    sites).
+    telemetry catalog contract (tests/analysis/test_invariants.py
+    matches literal ``track`` sites and the catalog both ways).
     """
 
     def __init__(
