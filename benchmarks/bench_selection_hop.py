@@ -18,10 +18,9 @@ probe messages of a walk equal its distinct stale targets (none on a
 repeat in the same epoch, all of them again in the next) -- its
 answers: every β the walk's blocks computed equals the per-target
 ``available_bandwidth`` of that candidate towards the observer -- and
-its dedup: a walk whose hops share peers hands every table merge the
-plan's first-occurrence mask, so ``merge``'s regrouping path runs zero
-times, and it leaves the tables a walk resolved without the plan
-leaves, hop by hop -- and its plan's lifetime: repeated walks of one
+its dedup: a walk whose hops share peers, planned once, leaves the
+tables a walk resolved hop by hop with only its own suffix planned
+leaves -- and its plan's lifetime: repeated walks of one
 composed path over the same host records build the plan once, a
 replaced record rebuilds it, and the kept plan's arrays reject writes.
 """
@@ -40,10 +39,10 @@ from repro.core.selection import PeerSelector, PhiWeights
 from repro.experiments.reporting import banner
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
-from repro.probing.neighbors import NeighborTable
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.services.model import ServiceInstance
 from repro.sim import Simulator
+from tests.probing.flood import table_of
 
 NAMES = ("cpu", "memory")
 N_PEERS = 10_000
@@ -106,7 +105,7 @@ def walk(probing, selector, requester, hops, rng, planned=True, tables=None):
         if tables is not None:
             tables.append([
                 (e.peer_id, e.hop, e.direct, e.expires_at)
-                for e in probing.table(current).entries()
+                for e in table_of(probing, current).entries()
             ])
         if known is not None:  # None: the observer is among its candidates
             seen.update(hops[i][p] for p in known.tolist())
@@ -138,7 +137,7 @@ def time_hops(full: bool, repeats=5):
         if full:
             for o in batch:
                 probing.resolve_selection_hops(o, other, direct=False)
-                assert len(probing.table(o)) == BUDGET
+                assert len(table_of(probing, o)) == BUDGET
         t0 = time.perf_counter()
         for o in batch:
             one_hop(probing, selector, o, hops, rng, entry)
@@ -204,17 +203,9 @@ def test_selection_hop_walk_work_is_exact(benchmark, monkeypatch):
 
 
 @pytest.mark.benchmark(group="claims")
-def test_selection_hop_walk_dedup_is_planned(benchmark, monkeypatch):
-    """Host-independent: a walk whose hops share peers never regroups."""
-    regrouped = []
-    real = NeighborTable.merge
-
-    def counting(self, pids, prio, now, ttl, lead=0, distinct=False):
-        if distinct is False:
-            regrouped.append(len(pids))
-        return real(self, pids, prio, now, ttl, lead, distinct)
-
-    monkeypatch.setattr(NeighborTable, "merge", counting)
+def test_selection_hop_walk_dedup_is_planned(benchmark):
+    """Host-independent: a walk whose hops share peers, planned once,
+    equals the walk planned per suffix."""
 
     def twin_walk(planned):
         rng, sim, probing, selector = make_plane(seed=5)
@@ -232,11 +223,9 @@ def test_selection_hop_walk_dedup_is_planned(benchmark, monkeypatch):
         return peers, tables
 
     planned = benchmark.pedantic(twin_walk, (True,), rounds=1, iterations=1)
-    assert regrouped == []
     assert None not in planned[0]
     # The same walk with every hop planning only its own suffix.
     assert twin_walk(False) == planned
-    assert regrouped == []
 
 
 def make_walker(seed):

@@ -334,7 +334,7 @@ class QSAAggregator(BaseAggregator):
         request: UserRequest,
         composed: ComposedPath,
         hosts_selection_order: List[Sequence[int]],
-        plan: Optional[SelectionPlan] = None,
+        plan: SelectionPlan,
     ) -> Optional[Tuple[int, ...]]:
         tel = self.telemetry
         tracer = tel.tracer if tel is not None else NULL_TRACER
@@ -342,8 +342,6 @@ class QSAAggregator(BaseAggregator):
         selected_reverse: List[int] = []
         current = request.peer_id
         # Each hop's resolve gets its suffix of the plan as a ready block.
-        if plan is None:
-            plan = self.probing.selection_plan(hosts_selection_order)
         for i in range(n):
             inst = composed.instances[n - 1 - i]  # i hops from the user
             # Dynamic neighbor resolution: the selecting peer learns the

@@ -278,11 +278,11 @@ class PeerSelector:
     uptime_filter:
         Whether to require candidate uptime >= session duration (QSA's
         churn-tolerance heuristic; the ablation benches switch this off).
-    feasibility_filter:
-        Whether to require known availability to cover the requirement
-        before ranking by Φ (the paper's "match between ... the candidate
-        peer's resource availability and the service instance's resource
-        requirements").
+
+    The resource match is not optional: known availability must cover
+    the requirement, and β the bandwidth, before Φ ranks a candidate
+    (the paper's "match between ... the candidate peer's resource
+    availability and the service instance's resource requirements").
     """
 
     #: Optional :class:`repro.telemetry.Telemetry`; set by the grid when
@@ -294,13 +294,11 @@ class PeerSelector:
         view: PerformanceView,
         weights: PhiWeights,
         uptime_filter: bool = True,
-        feasibility_filter: bool = True,
         telemetry: Optional[Any] = None,
     ) -> None:
         self.view = view
         self.weights = weights
         self.uptime_filter = uptime_filter
-        self.feasibility_filter = feasibility_filter
         if telemetry is not None:
             self.telemetry = telemetry
 
@@ -379,12 +377,11 @@ class PeerSelector:
             pick = int(rng.integers(n_candidates))
             return SelectionOutcome(candidates[pick], True, n_candidates, 0)
 
-        qual = uptimes >= session_duration if self.uptime_filter else True
-        if self.feasibility_filter:
-            qual &= (avail >= requirement.values).all(axis=1)
-            qual &= betas >= bandwidth_req
-        # ``True``: no filter is on, every known candidate qualifies.
-        qidx = np.arange(n_known) if qual is True else qual.nonzero()[0]
+        qual = (avail >= requirement.values).all(axis=1)
+        qual &= betas >= bandwidth_req
+        if self.uptime_filter:
+            qual &= uptimes >= session_duration
+        qidx = qual.nonzero()[0]
 
         if len(qidx) == 0:
             known_ids = {candidates[i] for i in kpos}

@@ -14,15 +14,19 @@ are treated as absent (and lazily pruned when touched).
 Layout: three parallel arrays in insertion order (``pids``, ``prio``,
 ``expires``; hop and directness are the two halves of the priority), so
 one selection hop resolves and looks up its whole candidate block with a
-handful of array operations.  The scalar methods are thin views over the
-same arrays; ``tests/probing/reference_table.py`` is the dict-of-objects
-table this one must match entry for entry, order included.
+handful of array operations.  Blocks are the only way in: :meth:`merge`
+takes a selection walk's block (:class:`~repro.probing.prober.SelectionPlan`)
+and :meth:`lookup` answers a candidate list; ``entries()`` copies the
+rows out.  ``tests/probing/reference_table.py`` is the dict-of-objects
+table this one must match entry for entry, order included, and
+``tests/probing/flood.py`` floods it one ``(peer, hop, direct)`` triple
+list at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,9 +64,6 @@ class NeighborTable:
     def __len__(self) -> int:
         return len(self.pids)
 
-    def __contains__(self, peer_id: int) -> bool:
-        return bool((self.pids == peer_id).any())
-
     def entries(self) -> List[NeighborEntry]:
         return [
             NeighborEntry(pid, prio >> 1, not prio & 1, expires_at)
@@ -70,9 +71,6 @@ class NeighborTable:
                 self.pids.tolist(), self.prio.tolist(), self.expires.tolist()
             )
         ]
-
-    def active_ids(self, now: float) -> List[int]:
-        return self.pids[self.expires >= now].tolist()
 
     # -- membership -----------------------------------------------------------
     def _rows(self, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -101,26 +99,11 @@ class NeighborTable:
         if not keep.all():
             self._keep(keep)
 
-    def get(self, peer_id: int, now: float) -> Optional[NeighborEntry]:
-        """The active entry for ``peer_id``, or ``None`` (expired counts
-        as absent and is pruned)."""
-        rows = np.flatnonzero(self.pids == peer_id)
-        if not len(rows):
-            return None
-        row = rows[0]
-        if self.expires[row] < now:
-            self.drop(peer_id)
-            return None
-        prio = int(self.prio[row])
-        return NeighborEntry(
-            peer_id, prio >> 1, not prio & 1, float(self.expires[row])
-        )
-
     def lookup(self, targets: np.ndarray, now: float) -> np.ndarray:
         """Positions in ``targets`` that name an active entry, ascending.
 
-        Block form of :meth:`get`: exactly the expired entries the
-        targets touch are pruned, nothing else.
+        An expired entry counts as absent: exactly the expired entries
+        the targets touch are pruned, nothing else.
         """
         member, rows = self._rows(targets)
         pos = np.flatnonzero(member)
@@ -133,26 +116,6 @@ class NeighborTable:
         return pos
 
     # -- resolution -----------------------------------------------------------
-    def resolve(
-        self,
-        neighbors: Iterable[Tuple[int, int, bool]],
-        now: float,
-        ttl: float,
-    ) -> int:
-        """Add/refresh ``(peer_id, hop, direct)`` relations; enforce budget.
-
-        An existing entry is refreshed (expiry extended) and upgraded to
-        the better (lower) priority of old vs. new.  Returns the number
-        of entries *newly added* (refreshes are free under the budget).
-        """
-        triples = np.array(list(neighbors), dtype=np.int64).reshape(-1, 3)
-        if not len(triples):
-            return 0
-        prio = 2 * triples[:, 1] + 1 - triples[:, 2]
-        if prio.min() < 2:
-            raise ValueError("hop must be >= 1")
-        return self.merge(triples[:, 0], prio, now, ttl)[0]
-
     def merge(
         self,
         pids: np.ndarray,
@@ -160,12 +123,17 @@ class NeighborTable:
         now: float,
         ttl: float,
         lead: int = 0,
-        distinct: Union[bool, np.ndarray] = False,
+        first: Optional[np.ndarray] = None,
     ) -> Tuple[int, int, Optional[np.ndarray]]:
-        """:meth:`resolve` for relations ``(pids[i], prio[i])``, in array order.
+        """Add/refresh the relations ``(pids[i], prio[i])`` of one selection
+        walk's block, in array order; enforce the budget.
 
-        Every ``prio`` is a relation at hop >= 1 (``resolve`` checks the
-        triples it is handed; a selection walk's hops start at 1).
+        The block is an entry of a
+        :class:`~repro.probing.prober.SelectionPlan` (its ``first`` mask
+        with it): every ``prio`` is a relation at hop >= 1, and the
+        priorities never decrease along the block.  A held entry is
+        refreshed (expiry extended) and upgraded to the better priority
+        of old vs. new; a newcomer is appended at its first position.
 
         Returns ``(newly added, needed, active)``.  ``needed`` counts the
         notifications that could change anything: refreshes of entries
@@ -178,23 +146,17 @@ class NeighborTable:
         instead of a second search; ``None`` when ``lead`` is 0 or a
         leading newcomer repeats.
 
-        ``distinct`` says how ids repeat in ``pids``.  ``False``: unknown,
-        so newcomers are grouped here (first position, best priority of
-        their occurrences).  ``True``: no id repeats.  A boolean array:
-        a selection walk's first-occurrence mask
-        (:meth:`~repro.probing.prober.ProbingService.selection_plan`),
-        True where ``pids[i]`` is its id's first occurrence in the block;
-        the walk's priorities are non-decreasing, so a first occurrence
-        already has its id's best priority and the mask alone keeps the
-        newcomers, with no grouping.  Held rows take the better priority
-        by one ``minimum.at`` only when an id may repeat (not ``True``);
-        asking the mask whether a *member* repeats costs more than the
-        ``minimum.at`` it would spare.
+        ``first`` is True where ``pids[i]`` is its id's first occurrence
+        in the block, ``None`` when no id repeats.  Priorities never
+        decrease, so a first occurrence already has its id's best
+        priority and the mask alone keeps the newcomers.  Held rows take
+        the better priority by one ``minimum.at`` only when an id may
+        repeat; asking the mask whether a *member* repeats costs more
+        than the ``minimum.at`` it would spare.
         """
         expires_at = now + ttl
         n = len(self.pids)
-        mask = distinct if isinstance(distinct, np.ndarray) else None
-        newcomers = mask  # the positions to append; None: all of them
+        newcomers = first  # the positions to append; None: all of them
         needed = 0
         lead_rows = None  # merged-array row per leading id; None: n, n+1, ...
         if n:
@@ -207,7 +169,7 @@ class NeighborTable:
                 stale |= held > known
                 needed = int(np.count_nonzero(stale))
                 self.expires[at] = np.maximum(until, expires_at)
-                if distinct is True:
+                if first is None:
                     self.prio[at] = np.minimum(held, known)
                 else:
                     np.minimum.at(self.prio, at, known)
@@ -218,37 +180,17 @@ class NeighborTable:
                     lead_rows = fresh[:lead].cumsum()
                     lead_rows += n - 1
                     np.copyto(lead_rows, rows[:lead], where=member[:lead])
-                newcomers = fresh if mask is None else fresh & mask
-        if mask is not None and lead and np.count_nonzero(mask[:lead]) < lead:
+                newcomers = fresh if first is None else fresh & first
+        if first is not None and lead and np.count_nonzero(first[:lead]) < lead:
             # Leading newcomers keep their rank among the survivors only
             # if none repeats an earlier leading id.
-            repeats = ~mask[:lead]
+            repeats = ~first[:lead]
             if n:
                 repeats &= ~member[:lead]
             if repeats.any():
                 lead = 0
         if newcomers is not None:
             pids, prio = pids[newcomers], prio[newcomers]
-        if distinct is False:
-            # Newcomers: first position, best priority of their occurrences
-            # (a stable sort groups repeats with the first occurrence leading).
-            order = pids.argsort(kind="stable")
-            grouped = pids[order]
-            leads = np.ones(len(grouped), dtype=bool)
-            leads[1:] = grouped[1:] != grouped[:-1]
-            if np.count_nonzero(leads) < len(leads):
-                starts = leads.nonzero()[0]
-                best = np.minimum.reduceat(prio[order], starts)
-                first = order[starts]
-                arrival = first.argsort()
-                first = first[arrival]
-                if lead:
-                    # Leading newcomers keep their rank among the survivors
-                    # only if each is its id's first occurrence.
-                    ahead = lead - np.count_nonzero(member[:lead]) if n else lead
-                    if not np.array_equal(first[:ahead], np.arange(ahead)):
-                        lead = 0
-                pids, prio = pids[first], best[arrival]
         added = len(pids)
         needed += min(added, self.budget)
         total = n + added

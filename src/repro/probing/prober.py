@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import is_
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,24 +221,6 @@ class ProbingService:
         self.resolution_messages = 0
 
     # -- neighbor resolution (paper §3.3) ------------------------------------
-    def table(self, peer_id: int) -> NeighborTable:
-        tbl = self._tables.get(peer_id)
-        if tbl is None:
-            tbl = NeighborTable(self.config.budget)
-            self._tables[peer_id] = tbl
-        return tbl
-
-    def resolve(
-        self,
-        observer: int,
-        neighbors: Iterable[Tuple[int, int, bool]],
-    ) -> int:
-        """Resolve ``(peer_id, hop, direct)`` relations at ``observer``."""
-        triples = list(neighbors)
-        added = self.table(observer).resolve(triples, self.sim.now, self.config.ttl)
-        self._count_resolution(len(triples))
-        return added
-
     def _count_resolution(self, n_messages: int) -> None:
         self.resolution_messages += n_messages
         tel = self.telemetry
@@ -307,8 +289,7 @@ class ProbingService:
             tbl = NeighborTable(self.config.budget)
         _, needed, known = tbl.merge(
             flat, prio if direct else prio + 1,
-            self.sim.now, self.config.ttl, lead,
-            True if first is None else first,
+            self.sim.now, self.config.ttl, lead, first,
         )
         if needed:
             self._tables[observer] = tbl
@@ -535,7 +516,3 @@ class ProbingService:
             return 0.0
         mean_table = sum(len(t) for t in self._tables.values()) / len(self._tables)
         return mean_table / n
-
-    @property
-    def n_tables(self) -> int:
-        return len(self._tables)

@@ -24,7 +24,7 @@ Clock modes
     the same request trace produce the same JSONL stream (enforced by
     ``tests/serve/test_determinism.py``).
 ``wall``
-    Simulated time tracks the wall clock at ``wall_minutes_per_second``
+    Simulated time tracks the wall clock at :data:`WALL_MINUTES_PER_SECOND`
     sim-minutes per real second -- sessions expire while you watch.
     Inherently non-deterministic; for demos and soak runs.
 """
@@ -67,6 +67,12 @@ __all__ = [
 #: that almost never pays one.
 _SERVING_GC_THRESHOLDS = (50_000, 20, 20)
 
+#: Sim-minutes per wall-clock second (wall mode).
+WALL_MINUTES_PER_SECOND = 1.0
+#: Retain the outcomes of at most this many resolved sessions for
+#: ``GET /sessions/{id}`` after teardown.
+OUTCOME_HISTORY = 10_000
+
 
 def tune_gc_for_serving() -> None:
     """Raise the allocation-triggered GC thresholds for a resident server.
@@ -98,8 +104,6 @@ class ServeConfig:
     mode: str = "sim"
     #: Sim-minutes the event heap advances per API request (sim mode).
     tick_minutes: float = 0.05
-    #: Sim-minutes per wall-clock second (wall mode).
-    wall_minutes_per_second: float = 1.0
     #: Export the telemetry stream here (JSONL) at shutdown; also forces
     #: full telemetry recording on the grid.
     telemetry_path: Optional[str] = None
@@ -107,31 +111,18 @@ class ServeConfig:
     faults_path: Optional[str] = None
     #: Explicit grid configuration (tests/benches); bypasses scenario.
     grid: Optional[GridConfig] = None
-    #: Retain the outcomes of at most this many resolved sessions for
-    #: ``GET /sessions/{id}`` after teardown.
-    outcome_history: int = 10_000
     #: Run the observability plane (windowed metrics, SLO engine,
     #: Prometheus exposition, trace index).  Forces full telemetry on the
     #: resident grid; when neither the grid config nor
     #: :attr:`telemetry_path` asked for telemetry, the bus retains no
     #: event (nothing would export it): the plane reads its subscriptions.
     observability: bool = True
-    #: Sliding-window width/step for the observability plane, in sim
-    #: minutes (the serving clock's unit in both modes).
-    window_width: float = 5.0
-    window_step: float = 0.25
 
     def __post_init__(self) -> None:
         if self.mode not in ("sim", "wall"):
             raise ValueError(f"unknown clock mode {self.mode!r} (sim/wall)")
         if self.tick_minutes < 0:
             raise ValueError("tick_minutes must be >= 0")
-        if self.wall_minutes_per_second <= 0:
-            raise ValueError("wall_minutes_per_second must be positive")
-        if self.outcome_history < 1:
-            raise ValueError("outcome_history must be positive")
-        if self.window_width <= 0 or self.window_step <= 0:
-            raise ValueError("window width/step must be positive")
 
 
 class ClockPolicy(Protocol):
@@ -194,7 +185,7 @@ def _rss_kb() -> Optional[int]:
 
 def _build_clock(config: ServeConfig) -> ClockPolicy:
     if config.mode == "wall":
-        return WallClock(config.wall_minutes_per_second)
+        return WallClock(WALL_MINUTES_PER_SECOND)
     return SimTickClock(config.tick_minutes)
 
 
@@ -249,20 +240,13 @@ class GridRuntime:
         #: off, or when an explicit grid config disabled telemetry).
         self.observability: Optional[Any] = None
         if config.observability and self.grid.telemetry.enabled:
-            from repro.serve.observability import (
-                ObservabilityConfig,
-                ObservabilityPlane,
-            )
+            from repro.serve.observability import ObservabilityPlane
 
             self.observability = ObservabilityPlane(
                 self.grid.telemetry,
                 # The bus's own sim clock: the plane's clock runs on the
                 # tap hot path (dozens of reads per request).
                 clock=self.grid.telemetry.clock,
-                config=ObservabilityConfig(
-                    window_width=config.window_width,
-                    window_step=config.window_step,
-                ),
             )
         #: Per-API-plane tallies (ψ's serving-side view).
         self.n_http_requests = 0
@@ -272,7 +256,7 @@ class GridRuntime:
         self.n_released = 0
         self.total_lookup_hops = 0
         #: ``session_id -> final outcome`` for resolved sessions, bounded
-        #: to ``config.outcome_history`` entries (oldest evicted first).
+        #: to :data:`OUTCOME_HISTORY` entries (oldest evicted first).
         self._outcomes: Dict[int, Dict[str, Any]] = {}
         #: Setup metadata kept per admitted session so ``GET`` views can
         #: report what was composed (evicted with the outcome history).
@@ -288,7 +272,7 @@ class GridRuntime:
             "reason": event.reason,
             "resolved_at": event.time,
         }
-        while len(self._outcomes) > self.config.outcome_history:
+        while len(self._outcomes) > OUTCOME_HISTORY:
             oldest = next(iter(self._outcomes))
             del self._outcomes[oldest]
             self._session_meta.pop(oldest, None)
@@ -463,7 +447,7 @@ class GridRuntime:
         }
         if self.observability is not None:
             # Request span trees in the plane's trace index (bounded by
-            # ObservabilityConfig.recent_traces; the CI soak job gates it).
+            # observability.RECENT_TRACES; the CI soak job gates it).
             view["traces_retained"] = self.observability.n_traces()
             view["windows"] = self.observability.windows_snapshot()
         return view

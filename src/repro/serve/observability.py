@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
@@ -38,28 +37,12 @@ from repro.telemetry.slo import SloEngine, default_serving_objectives
 from repro.telemetry.spans import Span, render_span_tree
 from repro.telemetry.windows import WindowConfig, WindowedMetrics
 
-__all__ = ["ObservabilityConfig", "ObservabilityPlane"]
+__all__ = ["ObservabilityPlane", "RECENT_TRACES"]
 
 
-@dataclass(frozen=True)
-class ObservabilityConfig:
-    """Knobs for the serving plane's observability layer."""
-
-    #: Sliding-window width/step, in the runtime's clock unit (sim
-    #: minutes for the default sim-mode server).
-    window_width: float = 5.0
-    window_step: float = 0.25
-    #: Per-bucket percentile sample bound.
-    sample_cap: int = 512
-    #: Retain the span trees of at most this many recent requests (trace
-    #: queries and ``repro top``).
-    recent_traces: int = 256
-    #: SLO target overrides by objective name (None = stock targets).
-    slo_targets: Optional[Dict[str, float]] = None
-
-    def __post_init__(self) -> None:
-        if self.recent_traces < 1:
-            raise ValueError("recent_traces must be positive")
+#: Retain the span trees of at most this many recent requests (trace
+#: queries and ``repro top``; the CI soak job gates on it).
+RECENT_TRACES = 256
 
 
 class _TraceRecord:
@@ -97,7 +80,6 @@ class ObservabilityPlane:
         self,
         telemetry: Telemetry,
         clock: Callable[[], float],
-        config: Optional[ObservabilityConfig] = None,
     ) -> None:
         if not telemetry.enabled:
             raise ValueError(
@@ -106,16 +88,10 @@ class ObservabilityPlane:
             )
         self.telemetry = telemetry
         self.clock = clock
-        self.config = config or ObservabilityConfig()
 
-        self.windows = WindowedMetrics(
-            clock,
-            WindowConfig(
-                width=self.config.window_width,
-                step=self.config.window_step,
-                sample_cap=self.config.sample_cap,
-            ),
-        )
+        # 5-minute windows in 0.25-minute steps of the runtime's clock
+        # (sim minutes in both serving modes), 512 samples per bucket.
+        self.windows = WindowedMetrics(clock, WindowConfig())
         # Derived serving series.  The sim-clock tallies come from bus
         # subscriptions below; setup latency is the one wall-clock feed
         # (span close observer) and is flagged so exposition labels it
@@ -130,7 +106,7 @@ class ObservabilityPlane:
 
         self.engine = SloEngine(
             self.windows,
-            default_serving_objectives(self.config.slo_targets),
+            default_serving_objectives(),
             bus=telemetry.bus,
         )
 
@@ -182,7 +158,7 @@ class ObservabilityPlane:
         self, span: Span, wall_start: float, wall_end: float
     ) -> None:
         """Retain one request: a record of its subtree, evicting the
-        oldest record past ``recent_traces``.
+        oldest record past :data:`RECENT_TRACES`.
 
         The tracer calls this just before it emits the root's own
         ``span`` event, which joins the record at the next drain.
@@ -199,7 +175,7 @@ class ObservabilityPlane:
         self._by_trace[record.summary["trace_id"]] = record
         records = self._records
         records.append(record)
-        if len(records) > self.config.recent_traces:
+        if len(records) > RECENT_TRACES:
             old = records.pop(0)
             old_id = old.summary["trace_id"]
             if self._by_trace.get(old_id) is old:
@@ -301,7 +277,7 @@ class ObservabilityPlane:
         retained ``serve.request`` root carrying the id -- detached
         session spans opened during the request belong to it too, also
         when they close during a later request.  Only the
-        ``recent_traces`` newest requests are retained.
+        :data:`RECENT_TRACES` newest requests are retained.
         """
         self._drain()
         record = self._by_trace.get(trace_id)

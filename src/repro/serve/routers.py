@@ -158,7 +158,9 @@ def build_router(runtime: GridRuntime) -> Router:
 
     async def compose(request: HttpRequest, params: Dict[str, str]) -> HttpResponse:
         spec = parse_compose(request.json(), applications)
-        if spec.peer_id is not None and runtime.grid.directory.get(spec.peer_id) is None:
+        if spec.peer_id is not None and not runtime.grid.directory.is_alive(
+            spec.peer_id
+        ):
             raise ApiError(400, f"peer {spec.peer_id} is not alive")
         result = runtime.compose(
             application=spec.application,

@@ -36,6 +36,7 @@ from repro.services.model import ServiceInstance
 
 __all__ = [
     "AdmissionError",
+    "chain_edges",
     "TransientAdmissionError",
     "reserve_session",
     "rollback_session",
@@ -59,7 +60,7 @@ class TransientAdmissionError(AdmissionError):
         super().__init__(message, stage="transient")
 
 
-def _edges(
+def chain_edges(
     peers: Sequence[int], user_peer: int, instances: Sequence[ServiceInstance]
 ) -> List[Tuple[int, int, float]]:
     """``(src, dst, bw)`` per connection, flow order.
@@ -171,7 +172,7 @@ def _soa_reserve(
         return False  # shortage: scalar replay of mutate-then-rollback
     store.available[rows_arr] = avail - reqs
     held_bw: List[Tuple[int, int, float]] = []
-    for src, dst, bw in _edges(peers, user_peer, instances):
+    for src, dst, bw in chain_edges(peers, user_peer, instances):
         if network.reserve(src, dst, bw):
             held_bw.append((src, dst, bw))
             continue
@@ -220,7 +221,7 @@ def _reserve_attempt(
                     stage="resources",
                 )
             held_res.append((pid, inst.resources))
-        for src, dst, bw in _edges(peers, user_peer, instances):
+        for src, dst, bw in chain_edges(peers, user_peer, instances):
             if injector is not None and injector.partitioned(src, dst):
                 injector.inject("partition", "admission", src=src, dst=dst)
                 raise TransientAdmissionError(

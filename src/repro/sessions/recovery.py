@@ -49,6 +49,7 @@ from repro.core.selection import PeerSelector
 from repro.faults.backoff import RetryPolicy
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
+from repro.sessions.admission import chain_edges
 from repro.sessions.session import Session, SessionLedger
 from repro.sim.engine import Simulator
 
@@ -289,14 +290,8 @@ class RecoveryManager:
         n = len(old_peers)
         inj = self.injector
 
-        def edges(peers):
-            out = []
-            for i, inst in enumerate(instances):
-                dst = peers[i + 1] if i + 1 < n else session.user_peer
-                out.append((peers[i], dst, inst.bandwidth))
-            return out
-
-        old_edges, new_edges = edges(old_peers), edges(new_peers)
+        old_edges = session.connections()
+        new_edges = chain_edges(new_peers, session.user_peer, instances)
         changed = [
             (o, w) for o, w in zip(old_edges, new_edges) if o != w
         ]

@@ -22,7 +22,11 @@ import numpy as np
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.services.model import ServiceInstance
-from repro.sessions.admission import reserve_session, rollback_session
+from repro.sessions.admission import (
+    chain_edges,
+    reserve_session,
+    rollback_session,
+)
 from repro.sim.engine import Simulator
 
 __all__ = ["Session", "SessionLedger", "SessionState"]
@@ -64,11 +68,7 @@ class Session:
 
     def connections(self) -> List[Tuple[int, int, float]]:
         """``(src, dst, bw)`` per connection, flow order."""
-        out = []
-        for i, inst in enumerate(self.instances):
-            dst = self.peers[i + 1] if i + 1 < len(self.peers) else self.user_peer
-            out.append((self.peers[i], dst, inst.bandwidth))
-        return out
+        return chain_edges(self.peers, self.user_peer, self.instances)
 
 
 class SessionLedger:

@@ -117,26 +117,19 @@ class SloStatus:
         }
 
 
-def default_serving_objectives(
-    targets: Optional[Dict[str, float]] = None,
-) -> Tuple[Objective, ...]:
-    """The serving plane's stock objectives; ``targets`` overrides by name.
+def default_serving_objectives() -> Tuple[Objective, ...]:
+    """The serving plane's stock objectives.
 
     Every name here must exist in ``SLO_CATALOG``
     (:mod:`repro.telemetry.catalog`); tests/analysis/test_invariants.py
     holds the two in sync.
     """
-    overrides = targets or {}
-
-    def tgt(name: str, default: float) -> float:
-        return float(overrides.get(name, default))
-
     return (
         Objective(
             name="slo.psi",
             description="rolling aggregation grade ψ (admitted/requests)",
             kind="floor",
-            target=tgt("slo.psi", 0.85),
+            target=0.85,
             series="serve.window.admits",
             stat="ratio",
             denominator="serve.window.requests",
@@ -145,7 +138,7 @@ def default_serving_objectives(
             name="slo.setup_latency_p95",
             description="rolling p95 serve-side setup latency, wall µs",
             kind="ceiling",
-            target=tgt("slo.setup_latency_p95", 50_000.0),
+            target=50_000.0,
             series="serve.window.setup_latency_us",
             stat="p95",
         ),
@@ -153,7 +146,7 @@ def default_serving_objectives(
             name="slo.denial_rate",
             description="rolling denied-compose fraction",
             kind="ceiling",
-            target=tgt("slo.denial_rate", 0.25),
+            target=0.25,
             series="serve.window.denials",
             stat="ratio",
             denominator="serve.window.requests",
@@ -162,7 +155,7 @@ def default_serving_objectives(
             name="slo.fault_rate",
             description="rolling injected-fault rate per clock unit",
             kind="ceiling",
-            target=tgt("slo.fault_rate", 2.0),
+            target=2.0,
             series="serve.window.faults",
             stat="rate",
         ),

@@ -27,6 +27,7 @@ from repro.core.selection import PeerSelector, PhiWeights
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.grid import GridConfig, P2PGrid
 from repro.probing.prober import ProbingConfig
+from tests.probing.flood import flood
 from tests.probing.reference_prober import patch_prober
 
 NAMES = ("cpu", "memory", "disk")
@@ -35,7 +36,7 @@ UNIFORM = PhiWeights.uniform(NAMES)
 LATENCY_AWARE = PhiWeights.latency_aware(NAMES)
 
 
-def scalar_hop(cands, known, req, b, duration, w, rng, use_uptime, use_feasible):
+def scalar_hop(cands, known, req, b, duration, w, rng, use_uptime):
     """``known``: ``(position, availability, beta, uptime, latency)`` rows.
     Returns ``(peer, random_fallback, n_known, phi)``."""
     if not known:
@@ -56,8 +57,7 @@ def scalar_hop(cands, known, req, b, duration, w, rng, use_uptime, use_feasible)
     qualified = [
         row for row in known
         if (not use_uptime or row[3] >= duration)
-        and (not use_feasible
-             or (all(a >= r for a, r in zip(row[1], req)) and row[2] >= b))
+        and all(a >= r for a, r in zip(row[1], req)) and row[2] >= b
     ]
     if not qualified:
         known_ids = {cands[row[0]] for row in known}
@@ -91,7 +91,7 @@ def _hops(draw):
         b=draw(st.sampled_from((0.0, 8.0, 64.0, 1024.0))),
         duration=draw(st.sampled_from((0.5, 5.0, 60.0))),
         w=draw(st.sampled_from((UNIFORM, LATENCY_AWARE))),
-        use_uptime=draw(st.booleans()), use_feasible=draw(st.booleans()),
+        use_uptime=draw(st.booleans()),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -108,10 +108,7 @@ def _both(case):
         np.array([k[4] for k in known], dtype=np.float64)
         if w.latency_weight > 0 else None,
     )
-    selector = PeerSelector(
-        None, w, uptime_filter=case["use_uptime"],
-        feasibility_filter=case["use_feasible"],
-    )
+    selector = PeerSelector(None, w, uptime_filter=case["use_uptime"])
     rng_block = np.random.default_rng(case["seed"])
     rng_scalar = np.random.default_rng(case["seed"])
     out = selector._select_hop_block(
@@ -120,7 +117,7 @@ def _both(case):
     )
     expected = scalar_hop(
         case["cands"], known, case["req"], case["b"], case["duration"], w,
-        rng_scalar, case["use_uptime"], case["use_feasible"],
+        rng_scalar, case["use_uptime"],
     )
     got = (out.peer_id, out.random_fallback, out.n_known,
            None if out.phi is None else float(out.phi).hex())
@@ -145,7 +142,7 @@ def test_block_selector_matches_scalar_transcription(case):
 def _case(rows, **over):
     case = dict(
         cands=tuple(range(10, 10 + len(rows))), rows=rows, req=(2.0, 2.0, 2.0),
-        b=64.0, duration=5.0, w=UNIFORM, use_uptime=True, use_feasible=True,
+        b=64.0, duration=5.0, w=UNIFORM, use_uptime=True,
         seed=7,
     )
     case.update(over)
@@ -189,8 +186,9 @@ def test_named_branches():
 # ``QSAAggregator._select_walk`` is resolve -> observe -> filter -> Φ ->
 # fallback, hop by hop, each hop run by the peer the previous one chose
 # (Fig. 4).  ``scalar_walk`` is that loop with nothing array-shaped in it:
-# the flood as ``(peer, hop, direct)`` triples, one ``observe`` per
-# candidate on the scalar reference prober, then ``scalar_hop`` above.  It
+# the flood as ``(peer, hop, direct)`` triples (``tests/probing/flood.py``),
+# one ``observe`` per candidate on the scalar reference prober, then
+# ``scalar_hop`` above.  It
 # is the only scalar selection code in the repository.  The grids are real
 # ones whose capacities are floored to integers (requirements are powers
 # of two and the §4.1 bandwidth classes whole numbers), so Eq. 4 stays
@@ -213,7 +211,7 @@ def scalar_walk(grid, requester, hops, instances, duration, w, rng):
             if pid != current
         ]
         if triples:
-            probing.resolve(current, triples)
+            flood(probing, current, triples)
         known = []
         for position, pid in enumerate(cands):
             info = probing.observe(current, pid)
@@ -223,7 +221,7 @@ def scalar_walk(grid, requester, hops, instances, duration, w, rng):
                     info.bandwidth_to_observer, info.uptime, info.latency,
                 ))
         req, b = instances[len(hops) - 1 - i]
-        outcome = scalar_hop(cands, known, req, b, duration, w, rng, True, True)
+        outcome = scalar_hop(cands, known, req, b, duration, w, rng, True)
         outcomes.append(outcome)
         current = outcome[0]
     return outcomes
@@ -285,6 +283,7 @@ def test_walk_matches_scalar_transcription(faulted, seed, walks, w):
                 for req, b in instances
             ]),
             hops,
+            kernel.probing.selection_plan(hops),
         )
         expected = scalar_walk(scalar, requester, hops, instances, duration, w, rng)
         got = [

@@ -72,8 +72,8 @@ def test_kept_plans_are_fresh_plans_under_churn(seed, monkeypatch):
     walk = QSAAggregator._select_walk
     stats = {"walks": 0, "built": 0, "paths": {}, "samples": 0}
 
-    def checked(self, request, composed, hosts, plan=None):
-        assert plan is not None and plan.built_from(hosts)
+    def checked(self, request, composed, hosts, plan):
+        assert plan.built_from(hosts)
         fresh = SelectionPlan(hosts)
         assert len(plan) == len(fresh) == len(hosts)
         for i, hop in enumerate(hosts):

@@ -15,6 +15,7 @@ from repro.sessions.admission import (
     reserve_session,
 )
 from repro.sim import Simulator
+from tests.probing.flood import flood, get, holds, table_of
 
 NAMES = ("cpu", "memory")
 
@@ -99,13 +100,13 @@ class TestProberExhaustion:
         inj = injector_for(sim, FaultSpec(kind="probe_loss", rate=1.0))
         prober = self.make_prober(sim, directory, network, inj, retries=2)
         a, b = directory.alive_ids[:2]
-        prober.resolve(a, [(b, 1, True)])
+        flood(prober, a, [(b, 1, True)])
         assert prober.observe(a, b) is None
         # 1 initial + 2 retries, then exhaustion; the neighbor entry and
         # the peer itself survive (a probe failure is not a death).
         assert prober.probe_messages == 3
         assert inj.n_exhausted == 1
-        assert prober.table(a).get(b, sim.now) is not None
+        assert get(table_of(prober, a), b, sim.now) is not None
 
     def test_exhaustion_serves_stale_snapshot(self):
         sim, directory, network = build_world()
@@ -113,11 +114,11 @@ class TestProberExhaustion:
         inj = injector_for(sim, spec)
         prober = self.make_prober(sim, directory, network, inj)
         a, b = directory.alive_ids[:2]
-        prober.resolve(a, [(b, 1, True)])
+        flood(prober, a, [(b, 1, True)])
         fresh = prober.observe(a, b)
         assert fresh is not None  # epoch 0, before the loss window
         sim.run(until=1.2)  # next epoch, loss active
-        prober.resolve(a, [(b, 1, True)])
+        flood(prober, a, [(b, 1, True)])
         stale = prober.observe(a, b)
         assert stale is not None
         assert np.array_equal(stale.availability.values,
@@ -142,7 +143,7 @@ class TestProberExhaustion:
         ))
         prober = self.make_prober(sim, directory, network, inj)
         a, b, c = directory.alive_ids[:3]
-        prober.resolve(a, [(b, 1, True)])
+        flood(prober, a, [(b, 1, True)])
         fresh = prober.observe(a, b)
         sim.run(until=1.0)
 
@@ -167,14 +168,14 @@ class TestProberExhaustion:
         depart(c)  # outside the fault window: leaves no ghost of its own
         assert inj._ghosts == {} and prober._ghost_rows == {}
         assert prober.observe(a, b) is None  # the death is discovered now
-        assert b not in prober.table(a)
+        assert not holds(table_of(prober, a), b)
 
     def test_budget_counts_attempts(self):
         sim, directory, network = build_world()
         inj = injector_for(sim, FaultSpec(kind="probe_loss", rate=1.0))
         prober = self.make_prober(sim, directory, network, inj, retries=0)
         a, b = directory.alive_ids[:2]
-        prober.resolve(a, [(b, 1, True)])
+        flood(prober, a, [(b, 1, True)])
         prober.observe(a, b)
         assert prober.probe_messages == 1  # zero-retry budget: one shot
         assert inj.n_retries == 0

@@ -4,7 +4,8 @@ This is the scalar plane ``repro.probing.prober`` ran until PR 23 --
 for every run with a fault injector attached, and for the object
 directory -- kept test-side, verbatim, as the reference the array plane
 must match: one ``_Snapshot`` object per probed peer in a dict, a
-per-target ``observe`` (table ``get``, partition check, lazy epoch
+per-target ``observe`` (a one-entry table read,
+``tests/probing/flood.py::get``, partition check, lazy epoch
 snapshot, ghost fallback, departure pruning) and the per-object retry /
 degrade loop of ``_probe_with_faults``.  ``observe_block`` here is only
 the stacking of those scalar observations into the block the selector
@@ -29,6 +30,7 @@ import numpy as np
 from repro.core.resources import ResourceVector
 from repro.core.selection import ObservedBlock, PeerInfo
 from repro.probing.prober import ProbingService
+from tests.probing.flood import get
 
 __all__ = ["PROBERS", "ReferenceProber", "patch_prober"]
 
@@ -131,7 +133,7 @@ class ReferenceProber(ProbingService):
         tbl = self._tables.get(observer)
         if tbl is None:
             return None
-        entry = tbl.get(target, self.sim.now)
+        entry = get(tbl, target, self.sim.now)
         if entry is None:
             return None
         inj = self.injector

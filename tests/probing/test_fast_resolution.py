@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.selection import PhiWeights
 from repro.grid import GridConfig, P2PGrid
+from tests.probing.flood import table_of
 from tests.probing.reference_prober import ReferenceProber, patch_prober
 from tests.probing.reference_table import NeighborTable as ReferenceTable
 
@@ -103,7 +104,7 @@ def _check_block_matches_reference_scalar(monkeypatch, latency_weighted):
     pids = list(block_side.directory.alive_ids)
     for observer in observers:
         targets = ([int(p) for p in rng.choice(pids, size=20)]
-                   + [e.peer_id for e in block_side.table(observer).entries()][:10])
+                   + [e.peer_id for e in table_of(block_side, observer).entries()][:10])
         known, avail, betas, uptimes, lats = block_side.observe_block(
             observer, targets, latency=latency_weighted
         )

@@ -7,6 +7,7 @@ from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.sim import Simulator
+from tests.probing.flood import flood, get, holds, table_of
 
 NAMES = ("cpu", "memory")
 
@@ -42,7 +43,7 @@ class TestVisibility:
 
     def test_resolved_target_visible(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         info = probing.observe(0, 1)
         assert info is not None
         assert info.peer_id == 1
@@ -50,37 +51,37 @@ class TestVisibility:
 
     def test_visibility_not_symmetric(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         assert probing.observe(1, 0) is None
 
     def test_budget_limits_visibility(self):
         sim, d, net, probing = make(n=10, budget=3)
-        probing.resolve(0, [(i, 1, True) for i in range(1, 10)])
+        flood(probing, 0, [(i, 1, True) for i in range(1, 10)])
         visible = [i for i in range(1, 10) if probing.observe(0, i) is not None]
         assert len(visible) == 3
 
     def test_departed_target_dropped_on_observe(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         d.depart(1, 0.0)
         assert probing.observe(0, 1) is None
-        assert 1 not in probing.table(0)
+        assert not holds(table_of(probing, 0), 1)
 
     def test_resolve_selection_hops_direct_and_skip_self(self):
         sim, d, net, probing = make()
         probing.resolve_selection_hops(0, [[1, 0], [2, 3]], direct=True)
         assert probing.observe(0, 1) is not None
         assert probing.observe(0, 2) is not None
-        assert 0 not in probing.table(0)
-        e1 = probing.table(0).get(1, 0.0)
-        e2 = probing.table(0).get(2, 0.0)
+        assert not holds(table_of(probing, 0), 0)
+        e1 = get(table_of(probing, 0), 1, 0.0)
+        e2 = get(table_of(probing, 0), 2, 0.0)
         assert e1.hop == 1 and e2.hop == 2 and e1.direct
 
 
 class TestStaleness:
     def test_same_epoch_serves_snapshot(self):
         sim, d, net, probing = make(period=1.0)
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         before = probing.observe(0, 1)
         # The target's load changes mid-epoch...
         d[1].reserve(rv(50, 50))
@@ -90,7 +91,7 @@ class TestStaleness:
 
     def test_new_epoch_refreshes(self):
         sim, d, net, probing = make(period=1.0)
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         probing.observe(0, 1)
         d[1].reserve(rv(50, 50))
         sim.timeout(1.5)
@@ -100,8 +101,8 @@ class TestStaleness:
 
     def test_snapshot_shared_across_observers(self):
         sim, d, net, probing = make(period=1.0)
-        probing.resolve(0, [(2, 1, True)])
-        probing.resolve(1, [(2, 1, True)])
+        flood(probing, 0, [(2, 1, True)])
+        flood(probing, 1, [(2, 1, True)])
         probing.observe(0, 2)
         msgs = probing.probe_messages
         probing.observe(1, 2)  # same epoch: no second probe message
@@ -109,7 +110,7 @@ class TestStaleness:
 
     def test_uptime_reported_from_snapshot(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(3, 1, True)])
+        flood(probing, 0, [(3, 1, True)])
         info = probing.observe(0, 3)
         assert info.uptime == pytest.approx(3.0)  # joined at -3
 
@@ -117,7 +118,7 @@ class TestStaleness:
 class TestBandwidth:
     def test_beta_bounded_by_pair_and_links(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         info = probing.observe(0, 1)
         assert info.bandwidth_to_observer <= net.pair_capacity(1, 0)
         assert info.bandwidth_to_observer <= d[1].avail_up
@@ -125,7 +126,7 @@ class TestBandwidth:
 
     def test_latency_reported(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         info = probing.observe(0, 1)
         assert info.latency == net.latency_ms(1, 0)
 
@@ -133,7 +134,7 @@ class TestBandwidth:
 class TestOverhead:
     def test_overhead_ratio_tracks_budget(self):
         sim, d, net, probing = make(n=10, budget=2)
-        probing.resolve(0, [(i, 1, True) for i in range(1, 10)])
+        flood(probing, 0, [(i, 1, True) for i in range(1, 10)])
         # One table with 2 entries over 10 alive peers = 0.2.
         assert probing.overhead_ratio() == pytest.approx(0.2)
 
@@ -143,7 +144,7 @@ class TestOverhead:
 
     def test_message_counters(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(1, 1, True), (2, 2, False)])
+        flood(probing, 0, [(1, 1, True), (2, 2, False)])
         assert probing.resolution_messages == 2
         probing.observe(0, 1)
         probing.observe(0, 2)
@@ -151,10 +152,10 @@ class TestOverhead:
 
     def test_drop_peer_clears_state(self):
         sim, d, net, probing = make()
-        probing.resolve(0, [(1, 1, True)])
+        flood(probing, 0, [(1, 1, True)])
         probing.observe(0, 1)
         probing.drop_peer(0)
-        assert probing.n_tables == 0
+        assert len(probing._tables) == 0
 
 
 class TestResolutionReport:
@@ -191,7 +192,7 @@ class TestResolutionReport:
             _, probing = self.make_soa(budget=budget)
             hops = [(1, 5, 6, 9), (2, 5)]
             known = probing.resolve_selection_hops(5, hops, direct=True)
-            assert 5 not in probing.table(5)
+            assert not holds(table_of(probing, 5), 5)
             expected = [0, 2, 3] if budget == 100 else [2, 3]
             block = probing.observe_block(5, hops[0], known=known)
             assert block[0].tolist() == expected
@@ -203,12 +204,12 @@ class TestResolutionReport:
         first = probing.resolve_selection_hops(0, hops, direct=True)
         messages = probing.resolution_messages
         state = [(e.peer_id, e.hop, e.direct, e.expires_at)
-                 for e in probing.table(0).entries()]
+                 for e in table_of(probing, 0).entries()]
         again = probing.resolve_selection_hops(0, hops, direct=True)
         assert first.tolist() == again.tolist() == [0, 1, 2]
         assert probing.resolution_messages == messages  # nothing needed
         assert state == [(e.peer_id, e.hop, e.direct, e.expires_at)
-                         for e in probing.table(0).entries()]
+                         for e in table_of(probing, 0).entries()]
 
     def test_plain_path_and_repeated_candidates_report_nothing(self):
         _, probing = self.make_soa()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.grid import GridConfig, P2PGrid
 from repro.probing.prober import ProbingConfig
+from tests.probing.flood import active_ids, get, table_of
 
 
 def fresh_grid(budget=100, ttl=10.0, seed=33):
@@ -36,13 +37,13 @@ class TestResolutionThroughAggregation:
         # hop relationship is observable.
         grid = fresh_grid(budget=500)
         req, res = admit(grid)
-        table = grid.probing.table(req.peer_id)
+        table = table_of(grid.probing, req.peer_id)
         # The user-adjacent instance's hosts are 1-hop direct neighbors.
         last_inst = res.composed.instances[-1]
         for pid in list(grid.catalog.hosts(last_inst.instance_id))[:10]:
             if pid == req.peer_id:
                 continue
-            entry = table.get(pid, grid.sim.now)
+            entry = get(table, pid, grid.sim.now)
             assert entry is not None
             assert entry.direct
             assert entry.hop == 1
@@ -53,7 +54,7 @@ class TestResolutionThroughAggregation:
         for pid in list(grid.catalog.hosts(src_inst.instance_id))[:10]:
             if pid == req.peer_id:
                 continue
-            entry = table.get(pid, grid.sim.now)
+            entry = get(table, pid, grid.sim.now)
             assert entry is not None
             assert 1 <= entry.hop <= n
 
@@ -65,11 +66,11 @@ class TestResolutionThroughAggregation:
         first_selected = res.peers[-1]
         if first_selected == req.peer_id:
             pytest.skip("self-selection")
-        table = grid.probing.table(first_selected)
+        table = table_of(grid.probing, first_selected)
         pred_inst = res.composed.instances[-2]
         found_indirect = 0
         for pid in grid.catalog.hosts(pred_inst.instance_id):
-            entry = table.get(pid, grid.sim.now)
+            entry = get(table, pid, grid.sim.now)
             if entry is not None and not entry.direct:
                 found_indirect += 1
         assert found_indirect > 0
@@ -77,10 +78,10 @@ class TestResolutionThroughAggregation:
     def test_soft_state_expires(self):
         grid = fresh_grid(ttl=2.0)
         req, res = admit(grid)
-        table = grid.probing.table(req.peer_id)
-        assert len(table.active_ids(grid.sim.now)) > 0
+        table = table_of(grid.probing, req.peer_id)
+        assert len(active_ids(table, grid.sim.now)) > 0
         grid.sim.run(until=grid.sim.now + 5.0)
-        assert table.active_ids(grid.sim.now) == []
+        assert active_ids(table, grid.sim.now) == []
 
     def test_budget_respected_across_many_requests(self):
         grid = fresh_grid(budget=25)
@@ -91,7 +92,7 @@ class TestResolutionThroughAggregation:
                                     peer_id=requester)
             agg.aggregate(req)
             grid.sim.run()
-        assert len(grid.probing.table(requester)) <= 25
+        assert len(table_of(grid.probing, requester)) <= 25
 
     def test_budget_keeps_nearest_hops(self):
         grid = fresh_grid(budget=25)
@@ -102,7 +103,7 @@ class TestResolutionThroughAggregation:
                                     peer_id=requester)
             agg.aggregate(req)
             grid.sim.run()
-        entries = grid.probing.table(requester).entries()
+        entries = table_of(grid.probing, requester).entries()
         hops = [e.hop for e in entries]
         # Eviction by benefit: the retained set skews to low hop counts.
         assert sum(1 for h in hops if h <= 2) >= len(hops) * 0.5

@@ -1,7 +1,7 @@
 """Differential proof: the array NeighborTable is the reference table.
 
 Hypothesis drives random schedules of ``resolve`` / ``merge`` of a plain
-block / ``merge`` with a reported leading segment / ``get`` /
+walk block / ``merge`` with a reported leading segment / ``get`` /
 ``lookup`` / ``drop`` / ``active_ids`` / time advances through the
 production parallel-array table and the dict-of-objects reference
 (``reference_table.py``, the table this repo shipped before), and after
@@ -12,19 +12,26 @@ as a different neighbor set many steps later.
 
 Small id and hop ranges make collisions (refreshes, upgrades, duplicate
 newcomers, over-budget floods, expired-but-unpruned entries) the common
-case rather than the rare one.  The ``lead`` step is a selection hop's
-flood: a leading segment of (mostly) distinct ids at hop 1 -- often
-longer than the budget, so the hop's own candidates evict each other on
-insertion-order ties -- followed by later hops that may name the same
-ids again; ``merge`` must say which leading ids hold a row afterwards,
-exactly as ``get`` on the reference does.
+case rather than the rare one.  The production table reaches the
+scalar steps (``resolve`` of triples in any order, one-entry ``get``,
+``active_ids``, membership) through ``tests/probing/flood.py``; the
+block steps hand ``merge`` what a selection walk hands it: a
+``SelectionPlan`` block (hops in order) and its first-occurrence mask.
+The ``lead`` step is a selection hop's flood: a leading segment of
+(mostly) distinct ids at hop 1 -- often longer than the budget, so the
+hop's own candidates evict each other on insertion-order ties --
+followed by later hops that may name the same ids again; ``merge`` must
+say which leading ids hold a row afterwards, exactly as ``get`` on the
+reference does.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.probing.neighbors import NeighborTable
+from repro.probing.prober import SelectionPlan
 
+from tests.probing.flood import active_ids, get, holds, resolve
 from tests.probing.reference_table import NeighborTable as ReferenceTable
 
 _pid = st.integers(min_value=0, max_value=24)
@@ -32,7 +39,7 @@ _hop = st.integers(min_value=1, max_value=4)
 _triples = st.lists(st.tuples(_pid, _hop, st.booleans()), max_size=30)
 _ttl = st.sampled_from((0.5, 2.0, 10.0))
 
-#: (leading ids, later-hop pairs, direct, ttl, claim distinctness when true).
+#: (leading ids, later-hop pairs, direct, ttl, pass no mask when no id repeats).
 _lead = st.tuples(
     st.just("lead"),
     st.one_of(st.lists(_pid, min_size=1, max_size=12, unique=True),
@@ -82,22 +89,32 @@ def _reference_needed(ref, pairs, direct, now, ttl):
     return needed + min(len(newcomers), ref.budget)
 
 
+def _walk_block(pairs, direct, claim=True):
+    """``pairs`` as a selection walk's block: hop by hop, in their order
+    within a hop, through ``SelectionPlan``.  Returns ``(pairs in block
+    order, ids, prio, first)``; with ``claim`` false the mask is passed
+    even when no id repeats."""
+    hops = [[p for p, h in pairs if h == k]
+            for k in range(1, max(h for _, h in pairs) + 1)]
+    ids, prio, first = SelectionPlan(hops)[0]
+    if first is None and not claim:
+        first = np.ones(len(ids), dtype=bool)
+    block = [(p, k + 1) for k, hop in enumerate(hops) for p in hop]
+    return block, ids, prio + (0 if direct else 1), first
+
+
 def _merge_hop_flood(arr, ref, lead_ids, later, direct, now, ttl, claim=True):
     """A hop's flood through ``merge`` and the reference: leading ids at
-    hop 1, then ``later``.  Checks ``added`` / ``needed`` and the
-    leading-segment report (``resolve`` the triples, then ``get`` each
-    leading id); returns the report."""
-    pairs = [(p, 1) for p in lead_ids] + later
-    ids = [p for p, _ in pairs]
+    hop 1, then ``later`` hop by hop.  Checks ``added`` / ``needed`` and
+    the leading-segment report (``resolve`` the triples, then ``get``
+    each leading id); returns the report."""
+    pairs, ids, prio, first = _walk_block(
+        [(p, 1) for p in lead_ids] + later, direct, claim
+    )
     held = {e.peer_id for e in ref.entries()}
     needed = _reference_needed(ref, pairs, direct, now, ttl)
     added = ref.resolve([(p, h, direct) for p, h in pairs], now, ttl)
-    got = arr.merge(
-        np.array(ids, dtype=np.int64),
-        2 * np.array([h for _, h in pairs], dtype=np.int64) + (0 if direct else 1),
-        now, ttl, lead=len(lead_ids),
-        distinct=claim and len(set(ids)) == len(ids),
-    )
+    got = arr.merge(ids, prio, now, ttl, lead=len(lead_ids), first=first)
     assert got[:2] == (added, needed)
     if got[2] is None:
         # Only a repeated leading newcomer may go unreported.
@@ -120,22 +137,19 @@ def test_array_table_matches_reference(budget, steps):
         op = step[0]
         if op == "resolve":
             _, triples, ttl = step
-            assert arr.resolve(triples, now, ttl) == ref.resolve(triples, now, ttl)
+            assert resolve(arr, triples, now, ttl) == ref.resolve(triples, now, ttl)
         elif op == "block":
             _, pairs, direct, ttl = step
+            pairs, ids, prio, first = _walk_block(pairs, direct)
             expected = _reference_needed(ref, pairs, direct, now, ttl)
             ref.resolve([(p, h, direct) for p, h in pairs], now, ttl)
-            hops = np.array([h for _, h in pairs], dtype=np.int64)
-            got = arr.merge(
-                np.array([p for p, _ in pairs], dtype=np.int64),
-                2 * hops + (0 if direct else 1), now, ttl,
-            )
+            got = arr.merge(ids, prio, now, ttl, first=first)
             assert got[1] == expected
         elif op == "lead":
             _, lead_ids, later, direct, ttl, claim = step
             _merge_hop_flood(arr, ref, lead_ids, later, direct, now, ttl, claim)
         elif op == "get":
-            assert _row(arr.get(step[1], now)) == _row(ref.get(step[1], now))
+            assert _row(get(arr, step[1], now)) == _row(ref.get(step[1], now))
         elif op == "lookup":
             targets = step[1]
             expected = [i for i, t in enumerate(targets)
@@ -146,20 +160,20 @@ def test_array_table_matches_reference(budget, steps):
             arr.drop(step[1])
             ref.drop(step[1])
         elif op == "active":
-            assert arr.active_ids(now) == ref.active_ids(now)
+            assert active_ids(arr, now) == ref.active_ids(now)
         else:
             now += step[1]
         assert _state(arr) == _state(ref)
         assert len(arr) == len(ref) <= budget
         for pid in (0, 7, 24):
-            assert (pid in arr) == (pid in ref)
+            assert holds(arr, pid) == (pid in ref)
 
 
 def _lead_case(budget, setup, now, lead_ids, later, direct=True, ttl=2.0):
     """One hop flood after the ``setup`` resolves; returns merge's report."""
     arr, ref = NeighborTable(budget), ReferenceTable(budget)
     for at, triples in setup:
-        arr.resolve(triples, at, 2.0)
+        resolve(arr, triples, at, 2.0)
         ref.resolve(triples, at, 2.0)
     report = _merge_hop_flood(arr, ref, lead_ids, later, direct, now, ttl)
     assert _state(arr) == _state(ref)

@@ -9,8 +9,9 @@ grouping repeats itself.  Two properties pin that down:
 * the plan's masks are the brute-force "not seen earlier in this
   suffix" (``None`` exactly when nothing repeats);
 * a walk's hops through the mask path leave the same table as the same
-  blocks through ``merge(..., distinct=False)`` -- the regrouping path --
-  on a twin table: ``entries()`` in order, ``added``, ``needed`` (and
+  blocks through ``tests/probing/flood.py::regroup_merge`` -- the
+  regrouping the table did before the plan marked repeats -- on a twin
+  table: ``entries()`` in order, ``added``, ``needed`` (and
   ``probe.resolution_messages``) and the leading-segment report.
 
 Small id ranges make every case common: the observer among its own
@@ -27,6 +28,7 @@ from repro.network.soa import SoAPeerDirectory
 from repro.probing.neighbors import NeighborTable
 from repro.probing.prober import ProbingConfig, ProbingService
 from repro.sim import Simulator
+from tests.probing.flood import regroup_merge
 
 _pid = st.integers(min_value=0, max_value=15)
 _hops = st.lists(st.lists(_pid, min_size=1, max_size=8), min_size=1, max_size=4)
@@ -65,8 +67,8 @@ def _entries(table):
 
 
 def _regroup_hop(twin, observer, hops, direct, now, ttl):
-    """The hop's flood, built by hand and merged with ``distinct=False``;
-    ``None`` when nothing is left after the observer filter."""
+    """The hop's flood, built by hand and merged by regrouping; ``None``
+    when nothing is left after the observer filter."""
     pairs = [
         (pid, k + 1) for k, hop in enumerate(hops) for pid in hop
         if pid != observer
@@ -75,10 +77,11 @@ def _regroup_hop(twin, observer, hops, direct, now, ttl):
         return None
     lead = 0 if observer in hops[0] else len(hops[0])
     bias = 0 if direct else 1
-    return twin.merge(
+    return regroup_merge(
+        twin,
         np.array([p for p, _ in pairs], dtype=np.int64),
         np.array([2 * h + bias for _, h in pairs], dtype=np.int64),
-        now, ttl, lead, distinct=False,
+        now, ttl, lead,
     )
 
 

@@ -26,7 +26,7 @@ from tests.serve.reference_trace_index import reference_trace
 APPS = ("video-on-demand", "audio-streaming", "content-retrieval")
 LEVELS = ("low", "average", "high")
 CHAOS_PLAN = Path(__file__).resolve().parents[2] / "examples/plans/ci-chaos.json"
-#: ObservabilityConfig.recent_traces, the index's default bound.
+#: observability.RECENT_TRACES, the index's bound.
 RETAINED = 256
 #: Trace ids minted twice, as a client's ``x-repro-trace`` header would:
 #: the first pair's older root is evicted before its newer one, the

@@ -54,15 +54,6 @@ class TestObjective:
         objectives = default_serving_objectives()
         assert {o.name for o in objectives} == set(SLO_CATALOG)
 
-    def test_target_overrides_by_name(self):
-        objectives = default_serving_objectives({"slo.psi": 0.6})
-        psi = next(o for o in objectives if o.name == "slo.psi")
-        assert psi.target == pytest.approx(0.6)
-        others = [o for o in objectives if o.name != "slo.psi"]
-        defaults = {o.name: o.target for o in default_serving_objectives()}
-        for o in others:
-            assert o.target == defaults[o.name]
-
 
 def _engine(bus=None, **objective_overrides):
     windows = WindowedMetrics(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.aggregation import AggregationStatus
 from repro.grid import GridConfig, P2PGrid
+from tests.probing.flood import table_of
 
 
 @pytest.fixture()
@@ -75,7 +76,7 @@ class TestQSA:
     def test_neighbor_tables_populated_after_selection(self, grid):
         agg = grid.make_aggregator("qsa")
         req, res = admit_one(grid, agg)
-        assert len(grid.probing.table(req.peer_id)) > 0
+        assert len(table_of(grid.probing, req.peer_id)) > 0
 
 
 class TestRandom:
