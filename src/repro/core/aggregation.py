@@ -61,7 +61,7 @@ class AggregationStatus(enum.Enum):
     TRANSIENT_DENIED = "transient-denied"
 
 
-@dataclass
+@dataclass(slots=True)
 class AggregationResult:
     """Everything the metrics layer wants to know about a setup attempt."""
 

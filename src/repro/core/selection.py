@@ -250,7 +250,7 @@ class PhiWeights:
 _RATIO_CAP = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionOutcome:
     """The result of one hop's selection step.
 

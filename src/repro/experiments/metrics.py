@@ -30,7 +30,7 @@ from repro.sessions.session import SessionState
 __all__ = ["RequestRecord", "MetricsCollector"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Final accounting for one request."""
 

@@ -14,10 +14,13 @@ are treated as absent (and lazily pruned when touched).
 Layout: three parallel arrays in insertion order (``pids``, ``prio``,
 ``expires``; hop and directness are the two halves of the priority), so
 one selection hop resolves and looks up its whole candidate block with a
-handful of array operations.  Blocks are the only way in: :meth:`merge`
-takes a selection walk's block (:class:`~repro.probing.prober.SelectionPlan`)
-and :meth:`lookup` answers a candidate list; ``entries()`` copies the
-rows out.  ``tests/probing/reference_table.py`` is the dict-of-objects
+handful of array operations.  A row is 17 bytes: an ``int64`` id (the
+hop's pair keys are built from ``int64`` ids, so a narrower id would
+cost a cast per hop), an ``int8`` priority and a ``float64`` expiry
+(``expires < now`` must compare exactly).  Blocks are the only way in:
+:meth:`merge` takes a selection walk's block
+(:class:`~repro.probing.prober.SelectionPlan`) and :meth:`lookup`
+answers a candidate list; ``entries()`` copies the rows out.  ``tests/probing/reference_table.py`` is the dict-of-objects
 table this one must match entry for entry, order included, and
 ``tests/probing/flood.py`` floods it one ``(peer, hop, direct)`` triple
 list at a time.
@@ -30,7 +33,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["NeighborEntry", "NeighborTable"]
+__all__ = ["NeighborEntry", "NeighborTable", "PRIO_DTYPE"]
+
+#: A priority is ``2 * hop + (0 if direct else 1)``: up to 127 is 63 hops.
+PRIO_DTYPE = np.int8
+_PRIO_MAX = np.iinfo(PRIO_DTYPE).max
+
+
+def _as_priorities(prio: np.ndarray) -> np.ndarray:
+    """``prio`` as :data:`PRIO_DTYPE`; raises if a priority does not fit."""
+    if prio.dtype == PRIO_DTYPE:
+        return prio
+    if len(prio) and not 0 <= prio.min() <= prio.max() <= _PRIO_MAX:
+        raise OverflowError(f"priorities up to {prio.max()} exceed int8")
+    return prio.astype(PRIO_DTYPE)
 
 
 @dataclass(slots=True)
@@ -51,12 +67,14 @@ class NeighborEntry:
 class NeighborTable:
     """The neighbor set one peer maintains (bounded by the probe budget)."""
 
+    __slots__ = ("budget", "pids", "prio", "expires", "_index")
+
     def __init__(self, budget: int) -> None:
         if budget < 0:
             raise ValueError("budget must be non-negative")
         self.budget = budget
         self.pids = np.empty(0, dtype=np.int64)
-        self.prio = np.empty(0, dtype=np.int64)
+        self.prio = np.empty(0, dtype=PRIO_DTYPE)
         self.expires = np.empty(0, dtype=np.float64)
         #: ``(sorted pids, sorter)`` for membership; rebuilt after a change.
         self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -154,6 +172,7 @@ class NeighborTable:
         repeat; asking the mask whether a *member* repeats costs more
         than the ``minimum.at`` it would spare.
         """
+        prio = _as_priorities(prio)
         expires_at = now + ttl
         n = len(self.pids)
         newcomers = first  # the positions to append; None: all of them

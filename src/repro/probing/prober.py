@@ -62,7 +62,7 @@ from repro.core.selection import ObservedBlock, PeerInfo
 from repro.faults.backoff import RetryPolicy
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
-from repro.probing.neighbors import NeighborTable
+from repro.probing.neighbors import PRIO_DTYPE, NeighborTable
 from repro.sim.engine import Simulator
 
 __all__ = ["ProbingConfig", "ProbingService", "SelectionPlan"]
@@ -118,8 +118,10 @@ class SelectionPlan(Sequence[PlanEntry]):
     keep one while they stay the same objects (:meth:`built_from`).  It
     stores the flattened ids, the first hop's priorities and the masks
     as read-only arrays and slices every later entry on demand:
-    :attr:`nbytes` is 16 bytes per flattened id, plus one per id of
-    each masked suffix.
+    :attr:`nbytes` is 9 bytes per flattened id (an ``int64`` id and an
+    ``int8`` priority, the table's own types, so a merge never casts),
+    plus one per id of each masked suffix.  A walk of more than 63 hops
+    would overflow the priority, and raises.
     """
 
     __slots__ = ("hosts", "flat", "prio", "_starts", "_firsts")
@@ -128,8 +130,12 @@ class SelectionPlan(Sequence[PlanEntry]):
         #: The candidate lists the plan was built from, as given.
         self.hosts = tuple(hop_candidates)
         lens = [len(c) for c in self.hosts]
+        if 2 * len(lens) + 1 > np.iinfo(PRIO_DTYPE).max:
+            raise OverflowError(f"a {len(lens)}-hop walk overflows the priority")
         flat = np.fromiter(chain.from_iterable(self.hosts), np.int64, sum(lens))
-        prio = np.repeat(np.arange(2, 2 * len(lens) + 2, 2), lens)
+        prio = np.repeat(
+            np.arange(2, 2 * len(lens) + 2, 2, dtype=PRIO_DTYPE), lens
+        )
         starts = [0, *accumulate(lens)]
         order = flat.argsort(kind="stable")
         grouped = flat[order]

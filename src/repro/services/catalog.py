@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,9 +105,10 @@ class ServiceCatalog:
 
     ``table`` holds the instances; ``instances`` / ``by_service`` map ids
     and service names onto its row views.  ``hosted_by`` (peer -> the
-    ids of the instances it hosts) is the inverse of ``replicas``, built
-    on first read: only churn, diagnostics and tests ask for it, so a
-    run without churn never pays its one set per hosting peer.
+    sorted ids of the instances it hosts, the tuple
+    :meth:`hosted_instances` returns) is the inverse of ``replicas``,
+    built on first read: only churn, diagnostics and tests ask for it,
+    so a run without churn never pays its one tuple per hosting peer.
     """
 
     def __init__(
@@ -127,7 +128,7 @@ class ServiceCatalog:
             for k, service in enumerate(table.services)
         }
         self.replicas = replicas
-        self._hosted_by: Optional[Dict[int, Set[str]]] = None
+        self._hosted_by: Optional[Dict[int, Tuple[str, ...]]] = None
         #: Average number of replicas per peer that hosts at least one at
         #: generation time; used to provision arriving peers under churn.
         #: A host record lists distinct peers, so the replica total is
@@ -136,18 +137,22 @@ class ServiceCatalog:
         self._replicas_per_peer = sum(map(len, replicas.values())) / n_hosting
 
     @property
-    def hosted_by(self) -> Dict[int, Set[str]]:
-        """``peer -> ids of the instances it hosts``, built on first read."""
+    def hosted_by(self) -> Dict[int, Tuple[str, ...]]:
+        """``peer -> sorted ids of the instances it hosts``, built on
+        first read."""
         hosted_by = self._hosted_by
         if hosted_by is None:
-            hosted_by = self._hosted_by = {}
+            lists: Dict[int, List[str]] = {}
             for iid, hosts in self.replicas.items():
                 for pid in hosts:
-                    hosted = hosted_by.get(pid)
+                    hosted = lists.get(pid)
                     if hosted is None:
-                        hosted_by[pid] = {iid}
+                        lists[pid] = [iid]
                     else:
-                        hosted.add(iid)
+                        hosted.append(iid)
+            hosted_by = self._hosted_by = {
+                pid: tuple(sorted(iids)) for pid, iids in lists.items()
+            }
         return hosted_by
 
     # -- queries ---------------------------------------------------------
@@ -161,7 +166,7 @@ class ServiceCatalog:
 
     def hosted_instances(self, peer_id: int) -> Tuple[str, ...]:
         """Instance ids replicated on ``peer_id``, sorted."""
-        return tuple(sorted(self.hosted_by.get(peer_id, ())))
+        return self.hosted_by.get(peer_id, ())
 
     @property
     def n_instances(self) -> int:
@@ -192,15 +197,17 @@ class ServiceCatalog:
         if peer_id in self.hosted_by:
             raise ValueError(f"peer {peer_id} already hosts replicas")
         k = min(int(rng.poisson(self._replicas_per_peer)), self.n_instances)
-        hosted = self.hosted_by[peer_id] = set()
         if k == 0:
+            self.hosted_by[peer_id] = ()
             return
         ids = self.table.ids
         replicas = self.replicas
+        hosted = []
         for idx in rng.choice(len(ids), size=k, replace=False).tolist():
             iid = ids[idx]
             replicas[iid] = hosts_with(replicas.get(iid, ()), peer_id)
-            hosted.add(iid)
+            hosted.append(iid)
+        self.hosted_by[peer_id] = tuple(sorted(hosted))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -27,7 +27,7 @@ from repro.services.model import AbstractServicePath
 __all__ = ["UserRequest", "QoSCompiler"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserRequest:
     """One service aggregation request (workload unit of §4.1).
 

@@ -38,7 +38,7 @@ class SessionState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """One admitted aggregation: instances pinned to peers, holding state."""
 

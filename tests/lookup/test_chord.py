@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.lookup.chord import ChordRing
+
+
+def _stores(ring):
+    """Member peer -> its records, in store order."""
+    return {pid: list(ring.records(pid).items()) for pid in ring.peers()}
 
 
 def ring_with(n, bits=16, seed=0):
@@ -93,12 +99,8 @@ class TestResponsibility:
         for key, value in zip(keys, values):
             one_by_one.put(key, value)
         for ring in (bulk, one_by_one):
-            assert sum(len(n.store) for n in ring._nodes.values()) == 300
-        assert {
-            n.peer_id: list(n.store.items()) for n in bulk._nodes.values()
-        } == {
-            n.peer_id: list(n.store.items()) for n in one_by_one._nodes.values()
-        }
+            assert sum(len(ring.records(p)) for p in ring.peers()) == 300
+        assert _stores(bulk) == _stores(one_by_one)
         assert list(bulk._key_ids.items()) == list(one_by_one._key_ids.items())
         assert all(bulk.key_id(k) == one_by_one.key_id(k) for k in keys)
 
@@ -151,7 +153,7 @@ class TestHandoff:
         ring = ring_with(64, bits=32)
         for i in range(6400):
             ring.put(f"key-{i}", i)
-        sizes = [len(n.store) for n in ring._nodes.values()]
+        sizes = [len(ring.records(pid)) for pid in ring.peers()]
         assert sum(sizes) == 6400
         # Consistent hashing balance: max node holds O(log n / n) share.
         assert max(sizes) < 6400 * 0.15
@@ -206,11 +208,8 @@ class TestRouting:
 def _ring_state(ring):
     return (
         list(ring._ids),
-        list(ring._peer_to_id.items()),
-        {
-            node.peer_id: list(node.store.items())
-            for node in ring._nodes.values()
-        },
+        sorted(ring._peer_to_id.items()),
+        _stores(ring),
     )
 
 
@@ -227,8 +226,8 @@ def test_join_many_equals_sequential_joins(seed, n_peers, bits):
     rng = np.random.default_rng(seed)
     block = ChordRing(bits=bits, seed=seed)
     sequential = ChordRing(bits=bits, seed=seed)
-    nodes = block.join_many(range(n_peers))
-    assert [node.peer_id for node in nodes] == list(range(n_peers))
+    block.join_many(range(n_peers))
+    assert sorted(block.peers()) == list(range(n_peers))
     for pid in range(n_peers):
         sequential.join(pid)
     if bits == 8:  # the collisions really happened
@@ -264,3 +263,25 @@ def test_join_many_rejects_duplicates_before_joining():
         with pytest.raises(ValueError):
             ring.join_many(batch)
         assert len(ring) == 3 and 5 not in ring and 7 not in ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=3),
+    members=st.lists(st.integers(0, 150), min_size=1, max_size=60, unique=True),
+    block=st.lists(st.integers(0, 150), min_size=1, max_size=90, unique=True),
+)
+def test_join_many_seats_collisions_as_sequential_joins(seed, members, block):
+    """On an 8-bit circle a block collides with members, with itself and
+    with the ids its moved joiners land on; every joiner still gets the
+    id a sequential join would give it."""
+    block = [pid for pid in block if pid not in members]
+    assume(block)
+    rings = ChordRing(bits=8, seed=seed), ChordRing(bits=8, seed=seed)
+    for ring in rings:
+        ring.join_many(members)
+        ring.put_many([f"k{i}" for i in range(40)], list(range(40)))
+    rings[0].join_many(block)
+    for pid in block:
+        rings[1].join(pid)
+    assert _ring_state(rings[0]) == _ring_state(rings[1])

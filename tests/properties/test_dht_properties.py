@@ -110,7 +110,7 @@ def test_chord_storage_partition_is_exact(schedule):
             ring.put(f"key-{arg}", arg)
             keys.add(f"key-{arg}")
         holders = {
-            k: sum(1 for n in ring._nodes.values() if k in n.store)
+            k: sum(1 for pid in ring.peers() if k in ring.records(pid))
             for k in keys
         }
         assert all(count == 1 for count in holders.values()), holders

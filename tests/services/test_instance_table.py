@@ -72,9 +72,7 @@ def _ring(peers):
 
 def _stores(ring):
     """Peer -> the keys its node stores, in store order."""
-    return {
-        node.peer_id: list(node.store) for node in ring._nodes.values()
-    }
+    return {pid: list(ring.records(pid)) for pid in ring.peers()}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -104,7 +102,9 @@ def test_table_build_matches_the_object_build(shape, seed):
     ] == [
         (s, [i.instance_id for i in v]) for s, v in objects.by_service.items()
     ]
-    assert table.hosted_by == objects.hosted_by
+    assert {pid: set(iids) for pid, iids in table.hosted_by.items()} == (
+        objects.hosted_by
+    )
 
     ring = _ring(peers)
     ServiceRegistry(ring, table)

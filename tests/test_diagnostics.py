@@ -88,7 +88,9 @@ class TestDetectsCorruption:
         grid = P2PGrid(GridConfig(n_peers=100, seed=7))
         iid = next(iter(grid.catalog.instances))
         some_host = next(iter(grid.catalog.hosts(iid)))
-        grid.catalog.hosted_by[some_host].discard(iid)  # break the inverse
+        hosted = grid.catalog.hosted_by[some_host]
+        # break the inverse
+        grid.catalog.hosted_by[some_host] = tuple(i for i in hosted if i != iid)
         problems = check_grid_invariants(grid, registry=False)
         assert any("hosted_by disagrees" in p for p in problems)
 
