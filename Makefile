@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test test-full test-log bench bench-micro bench-log bench-paper \
         figures figures-quick examples coverage clean profile \
-        lint serve loadgen top soak sanitize
+        lint serve loadgen top soak sanitize reach
 
 # Coverage floor enforced by `make coverage` and the CI test job.
 COV_MIN ?= 70
@@ -100,6 +100,12 @@ sanitize:
 	$(PYTHON) -m repro sanitize compare $$tmp/fa.jsonl $$tmp/fb.jsonl; \
 	$(PYTHON) -m repro sanitize overhead --rate 100 \
 		--horizon 20 --seed 0 --repeat 3
+
+# Reachability audit (scripts/reach.py): which src/repro definitions a
+# production entry point runs and which only tests or benches reach.
+# Not part of `make test`: tier-1 under its profile hook takes ~15 min.
+reach:
+	$(PYTHON) scripts/reach.py
 
 figures:
 	$(PYTHON) examples/paper_figures.py

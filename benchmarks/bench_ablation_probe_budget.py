@@ -13,7 +13,7 @@ uniformly.
 
 import pytest
 
-from repro.experiments.ablations import ablation_probe_budget
+from benchmarks.ablations import ablation_probe_budget
 from repro.experiments.reporting import banner, format_sweep_table
 
 BUDGETS = (0, 5, 20, 100)

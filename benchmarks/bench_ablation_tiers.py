@@ -9,7 +9,7 @@ selection contribute independently.
 
 import pytest
 
-from repro.experiments.ablations import ablation_tiers
+from benchmarks.ablations import ablation_tiers
 from repro.experiments.reporting import banner, format_sweep_table
 
 

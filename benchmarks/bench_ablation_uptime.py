@@ -8,7 +8,7 @@ more ψ at high churn; without churn the two variants should be close.
 
 import pytest
 
-from repro.experiments.ablations import ablation_uptime
+from benchmarks.ablations import ablation_uptime
 from repro.experiments.reporting import banner, format_sweep_table
 
 CHURN_RATES = (0, 50, 100, 200)

@@ -11,11 +11,11 @@ replica set.
 import numpy as np
 import pytest
 
+from benchmarks.scenarios import FlashCrowd, VariableRateGenerator
 from repro.experiments.config import default_scale
 from repro.experiments.metrics import MetricsCollector
 from repro.experiments.reporting import banner, format_sweep_table
 from repro.grid import P2PGrid
-from repro.workload.scenarios import FlashCrowd, VariableRateGenerator
 
 HOT_APP = "video-on-demand"
 HORIZON = 30.0

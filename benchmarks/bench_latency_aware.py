@@ -11,9 +11,9 @@ must not regress materially.
 import numpy as np
 import pytest
 
+from benchmarks.latency import mean_path_latency, setup_latency_ms
 from repro.core.selection import PhiWeights
 from repro.experiments.config import default_scale
-from repro.experiments.latency import mean_path_latency, setup_latency_ms
 from repro.experiments.metrics import MetricsCollector
 from repro.experiments.reporting import banner, format_sweep_table
 from repro.grid import P2PGrid

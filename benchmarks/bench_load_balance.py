@@ -20,8 +20,8 @@ and random placement:
 
 import pytest
 
+from benchmarks.loadbalance import UtilizationSampler
 from repro.experiments.config import default_scale
-from repro.experiments.loadbalance import UtilizationSampler
 from repro.experiments.metrics import MetricsCollector
 from repro.experiments.reporting import banner, format_sweep_table
 from repro.grid import P2PGrid

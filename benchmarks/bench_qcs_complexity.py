@@ -21,8 +21,9 @@ import pytest
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.experiments.reporting import banner, format_sweep_table
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core.reference_kernels import compose_qcs
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)
@@ -37,7 +38,7 @@ def make_catalog(per_layer: int, rng: np.random.Generator):
         fmt_in = f"if{k}"
         fmt_out = f"if{k+1}" if k < N_SERVICES - 1 else "final"
         cat[svc] = [
-            ServiceInstance(
+            make_instance(
                 f"{svc}/{j}",
                 svc,
                 qin=QoSVector(format=fmt_in, quality=Interval(1, 3)),

@@ -44,8 +44,9 @@ from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
 from repro.experiments.reporting import banner, format_sweep_table
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core.reference_kernels import compose_qcs
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)
@@ -76,7 +77,7 @@ def make_catalog(per_layer: int, rng: np.random.Generator):
                 int(rng.integers(N_FORMATS)),
                 int(rng.integers(N_FORMATS)),
             )
-            layer.append(ServiceInstance(
+            layer.append(make_instance(
                 f"k{per_layer}/{svc}/{j}",
                 svc,
                 qin=QoSVector(
@@ -136,9 +137,11 @@ def time_kernels(per_layer: int):
     ) / BATCH
 
     # Structure misses: dropping the memoized plans before each batch
-    # makes every timed compose slice its plan from the warm index.
+    # (plans never go stale, so production never drops them; the index
+    # and the hit/miss stats are kept) makes every timed compose slice
+    # its plan from the warm index.
     def structure_miss_batch():
-        composer.invalidate_plans()
+        composer._plans.clear()
         for r in steady:
             composer.compose(path, r, USER)
 

@@ -40,9 +40,9 @@ from repro.experiments.reporting import banner
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
-from repro.services.model import ServiceInstance
 from repro.sim import Simulator
 from tests.probing.flood import table_of
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 N_PEERS = 10_000
@@ -240,7 +240,7 @@ def make_walker(seed):
     fmt = QoSVector(format="raw")
     composed = ComposedPath(
         tuple(
-            ServiceInstance(f"s{k}/0", f"s{k}", fmt, fmt, REQUIREMENT,
+            make_instance(f"s{k}/0", f"s{k}", fmt, fmt, REQUIREMENT,
                             BANDWIDTH_REQ)
             for k in range(len(hops))
         ),

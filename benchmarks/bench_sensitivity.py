@@ -9,8 +9,8 @@ point and checks that QSA's lead over random survives everywhere.
 
 import pytest
 
+from benchmarks.sensitivity import sweep
 from repro.experiments.reporting import banner, format_sweep_table
-from repro.experiments.sensitivity import sweep
 
 SWEEPS = {
     "replicas": (30.0, 60.0, 90.0),

@@ -431,15 +431,6 @@ class VectorizedComposer:
         self._plans: OrderedDict[Hashable, _Plan] = OrderedDict()
         self.plan_stats = CacheStats()
 
-    def invalidate_plans(self) -> None:
-        """Drop every memoized plan (the incremental index is kept).
-
-        Plans can never go stale -- their key captures the full semantic
-        input -- so this exists for memory pressure and for benchmarks
-        that want to time the plan-miss path; hit/miss stats survive.
-        """
-        self._plans.clear()
-
     # -- plan construction ---------------------------------------------------
     def _build_plan(self, layers: List[_Layer]) -> _Plan:
         """The plan of one candidate set, from its admitted layers.

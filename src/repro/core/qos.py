@@ -34,8 +34,6 @@ __all__ = [
     "QoSVector",
     "satisfies",
     "satisfies_classes",
-    "satisfies_matrix",
-    "satisfies_matrix_counted",
 ]
 
 
@@ -62,10 +60,6 @@ class Interval:
         """The overlap of two intervals, or ``None`` if disjoint."""
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
     def __str__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
@@ -110,7 +104,7 @@ class QoSVector(Mapping[str, QoSValue]):
 
         q = QoSVector(format="MPEG", frame_rate=Interval(10, 30))
         q["format"]        # 'MPEG'
-        q.dim              # 2
+        len(q)             # 2: Dim(Q) in the paper
     """
 
     __slots__ = ("_params",)
@@ -141,11 +135,6 @@ class QoSVector(Mapping[str, QoSValue]):
         return len(self._params)
 
     # -- paper-facing API ----------------------------------------------------
-    @property
-    def dim(self) -> int:
-        """``Dim(Q)`` in the paper: the number of parameters."""
-        return len(self._params)
-
     def satisfies(self, requirement: "QoSVector") -> bool:
         """``self ⪯ requirement``: Eq. 1 with ``self`` as the offered Qout."""
         return satisfies(self, requirement)
@@ -190,64 +179,10 @@ def satisfies(offered: QoSVector, required: QoSVector) -> bool:
     return True
 
 
-def satisfies_matrix(
-    offered: Sequence[QoSVector], required: Sequence[QoSVector]
-) -> np.ndarray:
-    """Eq. 1 over two populations: ``M[i, j] == satisfies(offered[j], required[i])``.
-
-    Returns ``bool[len(required), len(offered)]``.  See
-    :func:`satisfies_matrix_counted` for how it avoids asking the scalar
-    relation once per cell.
-    """
-    return satisfies_matrix_counted(offered, required)[0]
-
-
 #: One QoS dimension over a population: its distinct values (``None``:
 #: the vector lacks the dimension) and, per vector, the index of its
 #: value among them.
 Column = Tuple[Sequence[Optional[QoSValue]], np.ndarray]
-
-
-def satisfies_matrix_counted(
-    offered: Sequence[QoSVector], required: Sequence[QoSVector]
-) -> Tuple[np.ndarray, int]:
-    """:func:`satisfies_matrix` plus the scalar clause evaluations it spent.
-
-    Eq. 1 is a conjunction of independent per-dimension clauses, and a
-    clause sees nothing of a vector but the one value it carries under
-    that name.  So, per dimension name any requirement mentions, the
-    distinct values on each side are interned by Python equality
-    ("absent" -- ``None``, which no vector can carry -- is a class of
-    its own) into a :data:`Column`, and :func:`satisfies_classes` asks
-    :func:`_value_satisfies` once per distinct (offered value, required
-    value).  Values equal under ``==`` (``1`` and ``1.0``,
-    ``Interval(1, 2)`` and ``Interval(1.0, 2.0)``) share a class only
-    because every comparison the clause makes is exact on them, i.e. the
-    clause cannot tell them apart; ints that merely collide as floats
-    differ under ``==`` and do not.
-
-    The second element is the number of ``_value_satisfies`` calls:
-    ``sum over dimensions of |required values| * |offered values|``,
-    against ``len(required) * len(offered)`` vector checks cell by cell.
-    """
-
-    def column(vectors: Sequence[QoSVector], name: str) -> Column:
-        classes: Dict[Optional[QoSValue], int] = {}
-        at = [
-            classes.setdefault(v._params.get(name), len(classes))
-            for v in vectors
-        ]
-        return list(classes), np.array(at, dtype=np.intp)
-
-    names: Dict[str, QoSValue] = {}  # an ordered set; values unused
-    for vector in required:
-        names.update(vector._params)
-    return satisfies_classes(
-        {name: column(offered, name) for name in names},
-        {name: column(required, name) for name in names},
-        len(offered),
-        len(required),
-    )
 
 
 def satisfies_classes(

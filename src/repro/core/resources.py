@@ -15,16 +15,16 @@ compares (aggregated) tuples with Definition 3.1:
 with non-negative weights summing to 1 (Eq. 3).  The comparison is
 equivalent to comparing the scalar *scores*
 ``score(t) = Σ w_i r_i / r_max_i + w_{m+1} b / b_max`` -- the difference of
-two scores is exactly the left-hand side above.  We expose both forms: the
-literal pairwise comparison (for fidelity and tests) and the scalar score
-(used as the additive edge weight for Dijkstra, which requires a total
-order compatible with addition).
+two scores is exactly the left-hand side above.  Production ranks by the
+scalar score (the additive edge weight Dijkstra needs, a total order
+compatible with addition); the literal pairwise comparison is the test
+oracle ``tests/core/reference_kernels.py::compare``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -57,36 +57,8 @@ class ResourceVector:
             raise ValueError(f"negative resource amounts: {self.values}")
 
     @classmethod
-    def rows(cls, names: Sequence[str], block: np.ndarray) -> List["ResourceVector"]:
-        """One vector per row of the ``(n, len(names))`` array ``block``.
-
-        The constructor's shape and non-negativity checks run once on the
-        whole block; every vector's ``values`` is a row of one private
-        copy of it, so callers cannot alias any of them either.
-        """
-        names = tuple(names)
-        values = np.asarray(block).astype(np.float64)
-        if values.ndim != 2 or values.shape[1] != len(names):
-            raise ValueError(
-                f"{len(names)} names but a block of shape {values.shape}"
-            )
-        if (values < 0).any():
-            raise ValueError(f"negative resource amounts: {values.min()}")
-        out: List[ResourceVector] = []
-        for row in values:
-            vector = cls.__new__(cls)
-            vector.names = names
-            vector.values = row
-            out.append(vector)
-        return out
-
-    @classmethod
     def zeros_like(cls, other: "ResourceVector") -> "ResourceVector":
         return cls(other.names, np.zeros(len(other.names)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
 
     def _check(self, other: "ResourceVector") -> None:
         if self.names != other.names:
@@ -258,32 +230,6 @@ class WeightProfile:
             np.dot(self.weights, t.resources.values / self.maxima)
             + self.bandwidth_weight * t.bandwidth / self.bandwidth_max
         )
-
-    def compare(self, t1: ResourceTuple, t2: ResourceTuple) -> int:
-        """Literal Def. 3.1: +1 if ``t1 > t2``, -1 if ``t1 < t2``, else 0.
-
-        Evaluates the weighted-normalized difference sum exactly as
-        written in Eq. 2 (rather than via :meth:`score`); a property test
-        asserts the two forms induce the same ordering.
-        """
-        if t1.resources.names != self.resource_names:
-            raise ValueError("t1 dimension mismatch")
-        if t2.resources.names != self.resource_names:
-            raise ValueError("t2 dimension mismatch")
-        diff = float(
-            np.dot(
-                self.weights,
-                (t1.resources.values - t2.resources.values) / self.maxima,
-            )
-            + self.bandwidth_weight
-            * (t1.bandwidth - t2.bandwidth)
-            / self.bandwidth_max
-        )
-        if diff > 0:
-            return 1
-        if diff < 0:
-            return -1
-        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = ", ".join(

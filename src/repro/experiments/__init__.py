@@ -1,4 +1,4 @@
-"""Experiment harness: §4.1 methodology, Fig. 5-8 and the ablations.
+"""Experiment harness: §4.1 methodology and Fig. 5-8.
 
 * :mod:`~repro.experiments.metrics` -- the success-ratio metric ψ and
   per-request outcome tracking.
@@ -7,9 +7,10 @@
 * :mod:`~repro.experiments.sweep` -- points × variants × seeds through
   the runner into one table; figures and ablations are sweep specs.
 * :mod:`~repro.experiments.figures` -- the four result figures.
-* :mod:`~repro.experiments.ablations` -- design-choice ablations
-  (uptime term, probe budget, tier contributions).
 * :mod:`~repro.experiments.reporting` -- plain-text tables/series.
+
+The ablation, sensitivity, load-balance and latency drivers live beside
+their benches in ``benchmarks/``.
 """
 
 from repro.experiments.config import ExperimentConfig, paper_scale, default_scale

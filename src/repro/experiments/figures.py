@@ -51,9 +51,6 @@ class SweepResult:
     ratios: Dict[str, List[float]]
     runs: Dict[str, List[ExperimentResult]] = field(default_factory=dict)
 
-    def winner_at(self, i: int) -> str:
-        return max(self.ratios, key=lambda a: self.ratios[a][i])
-
     @classmethod
     def of(cls, x_label: str, x_values: Sequence[float],
            table: SweepTable) -> "SweepResult":

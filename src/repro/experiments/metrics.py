@@ -137,9 +137,3 @@ class MetricsCollector:
         if not self.records:
             return 0.0
         return float(np.mean([r.lookup_hops for r in self.records.values()]))
-
-    def fallback_rate(self) -> float:
-        """Mean random-fallback selections per request (QSA diagnostics)."""
-        if not self.records:
-            return 0.0
-        return float(np.mean([r.random_fallbacks for r in self.records.values()]))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    Dict,
     Hashable,
     Iterable,
     List,
@@ -27,7 +26,6 @@ from typing import (
 import numpy as np
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.regression import fingerprint
 from repro.experiments.runner import ExperimentResult, run_experiment
 
 __all__ = [
@@ -73,10 +71,6 @@ class Row:
     @property
     def psi(self) -> float:
         return self.result.success_ratio
-
-    @property
-    def fingerprint(self) -> Dict:
-        return fingerprint(self.result)
 
 
 @dataclass

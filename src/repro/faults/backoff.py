@@ -15,7 +15,6 @@ driven, schedules its retries at real simulated delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 __all__ = ["RetryPolicy"]
 
@@ -65,8 +64,3 @@ class RetryPolicy:
         if rng is not None and self.jitter > 0:
             d *= (1.0 - self.jitter) + self.jitter * float(rng.random())
         return d
-
-    def delays(self, rng=None, n: Optional[int] = None) -> List[float]:
-        """The full backoff schedule (``n`` defaults to the budget)."""
-        count = self.max_retries if n is None else n
-        return [self.delay(k, rng) for k in range(1, count + 1)]

@@ -128,19 +128,6 @@ class FaultSpec:
         """Whether the spec's window covers simulated time ``now``."""
         return now >= self.start and (self.end is None or now < self.end)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready dict (defaults omitted for readability)."""
-        out: Dict[str, Any] = {"kind": self.kind}
-        defaults = {
-            "rate": 0.0, "start": 0.0, "end": None,
-            "delay": 0.0, "staleness": 0.0, "fraction": 0.5,
-        }
-        for key, default in defaults.items():
-            value = getattr(self, key)
-            if value != default:
-                out[key] = value
-        return out
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -197,15 +184,6 @@ class FaultPlan:
         """Read a plan from a JSON file."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"faults": [s.to_dict() for s in self.faults]}
-        if self.name:
-            out["name"] = self.name
-        return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def __str__(self) -> str:
         label = self.name or "fault plan"

@@ -164,12 +164,6 @@ class ChordRing:
             pass
         return -1
 
-    @property
-    def _peer_to_id(self) -> Dict[int, int]:
-        """``peer id -> node id`` of every member, as a new dict (O(N);
-        for inspection, not for the ring's own paths)."""
-        return dict(zip(self._peers, self._ids))
-
     def join(self, peer_id: int) -> None:
         """Add a peer; it takes over its share of keys from its successor."""
         self.join_many((peer_id,))
@@ -337,11 +331,6 @@ class ChordRing:
             _NO_RECORDS if store is None else MappingProxyType(store),
         )
 
-    def responsible_node(self, key: str) -> ChordNode:
-        return self._node_at(
-            bisect.bisect_left(self._ids, self._responsible_id(key))
-        )
-
     # -- storage ---------------------------------------------------------------
     def _records_at(self, node_id: int) -> Dict[str, Any]:
         """The (writable) records of the member ``node_id``, made on its
@@ -350,13 +339,6 @@ class ChordRing:
         if store is None:
             store = self._stores[node_id] = {}
         return store
-
-    def records(self, peer_id: int) -> Mapping[str, Any]:
-        """The records member ``peer_id`` stores, in store order, read-only."""
-        at = self._index_of(peer_id)
-        if at < 0:
-            raise KeyError(f"peer {peer_id} is not in the ring")
-        return self._node_at(at).store
 
     def put(self, key: str, value: Any) -> None:
         self._records_at(self._responsible_id(key))[key] = value
@@ -389,11 +371,6 @@ class ChordRing:
             records[i] = self._records_at(ids[i])
         for i, key, value in zip(owners, keys, values):
             records[i][key] = value
-
-    def get_local(self, key: str) -> Any:
-        """Read without routing (used by maintenance code, not lookups)."""
-        store = self._stores.get(self._responsible_id(key))
-        return None if store is None else store.get(key)
 
     def update(self, key: str, fn) -> Any:
         """Read-modify-write at the responsible node."""
@@ -480,7 +457,3 @@ class ChordRing:
         target, hops = self._route(key, from_peer)
         store = self._stores.get(target)
         return (None if store is None else store.get(key)), hops
-
-    @property
-    def mean_hops(self) -> float:
-        return self.total_hops / self.n_lookups if self.n_lookups else 0.0

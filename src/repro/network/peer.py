@@ -24,8 +24,6 @@ credits after its row has been recycled.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.resources import ResourceVector
@@ -34,7 +32,13 @@ __all__ = ["Peer"]
 
 
 class Peer:
-    """One peer host."""
+    """One peer host's state, as a departed peer's tombstone holds it.
+
+    :meth:`~repro.network.soa.SoAPeerDirectory.depart` fills the slots;
+    the ``release*`` methods are the rollback credits.  ``alive`` and
+    ``reserve*`` answer the admission, recovery and link reservations
+    that reach a departed peer's tombstone.
+    """
 
     __slots__ = (
         "peer_id",
@@ -47,37 +51,9 @@ class Peer:
         "departed_at",
     )
 
-    def __init__(
-        self,
-        peer_id: int,
-        capacity: ResourceVector,
-        access_bw: float,
-        joined_at: float = 0.0,
-    ) -> None:
-        self.peer_id = peer_id
-        self.capacity = capacity
-        self.available = capacity.copy()
-        if access_bw <= 0:
-            raise ValueError(f"peer {peer_id}: access bandwidth must be positive")
-        self.access_bw = float(access_bw)
-        self.avail_up = float(access_bw)
-        self.avail_down = float(access_bw)
-        self.joined_at = float(joined_at)
-        self.departed_at: Optional[float] = None
-
-    # -- lifecycle ---------------------------------------------------------
     @property
     def alive(self) -> bool:
         return self.departed_at is None
-
-    def uptime(self, now: float) -> float:
-        """Time connected to the grid so far (paper's peer-selection metric)."""
-        end = self.departed_at if self.departed_at is not None else now
-        return max(0.0, end - self.joined_at)
-
-    # -- end-system resource accounting -----------------------------------
-    def can_fit(self, requirement: ResourceVector) -> bool:
-        return self.available.covers(requirement)
 
     def reserve(self, requirement: ResourceVector) -> bool:
         """Atomically reserve ``requirement``; False if it does not fit."""
@@ -95,7 +71,6 @@ class Peer:
                 f"(avail={self.available.values}, cap={self.capacity.values})"
             )
 
-    # -- access-link accounting ---------------------------------------------
     def reserve_up(self, bw: float) -> bool:
         if bw > self.avail_up + 1e-9:
             return False
@@ -113,7 +88,3 @@ class Peer:
 
     def release_down(self, bw: float) -> None:
         self.avail_down = min(self.avail_down + bw, self.access_bw)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self.alive else "departed"
-        return f"<Peer {self.peer_id} {state} avail={self.available.values}>"

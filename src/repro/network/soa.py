@@ -40,7 +40,7 @@ stale-state fault's last snapshot is the prober's to keep:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,10 +253,6 @@ class PeerRowView:
     @property
     def avail_down(self) -> float:
         return float(self._store.avail_down[self._row])
-
-    @avail_down.setter
-    def avail_down(self, value: float) -> None:
-        self._store.avail_down[self._row] = value
 
     @property
     def joined_at(self) -> float:
@@ -514,22 +510,6 @@ class SoAPeerDirectory:
         ids = self.alive_ids
         up = now - self.store.joined_at[self.alive_rows()]
         return up, ids
-
-    def availability_matrix(self, peer_ids: Iterable[int]) -> np.ndarray:
-        """Rows of ``available`` vectors for the given peers."""
-        ids = list(peer_ids)
-        if not ids:
-            return np.empty((0, len(self.resource_names)))
-        rows = self._row_of[np.asarray(ids, dtype=np.int64)]
-        if (rows >= 0).all():
-            return self.store.available[rows].copy()
-        out = np.empty((len(ids), len(self.resource_names)))
-        for i, (pid, row) in enumerate(zip(ids, rows)):
-            if row >= 0:
-                out[i] = self.store.available[row]
-            else:
-                out[i] = self._departed[pid].available.values
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

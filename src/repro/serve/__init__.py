@@ -9,7 +9,7 @@ module          concern
 ``logic``       request validation + JSON views (pure functions)
 ``routers``     URL surface -> runtime operations
 ``core``        :class:`ServeConfig`, the resident-grid runtime, the
-                single-writer server, background-thread harness
+                single-writer server
 ``client``      stdlib HTTP client (tests, loadgen, scripting)
 ``loadgen``     open/closed-loop §4.1 workload over HTTP
 ``cli``         ``repro serve`` / ``repro loadgen`` entry points
@@ -23,8 +23,6 @@ from repro.serve.core import (
     GridRuntime,
     ServeConfig,
     ServeServer,
-    ServerHandle,
-    start_server_thread,
     tune_gc_for_serving,
 )
 
@@ -32,7 +30,5 @@ __all__ = [
     "GridRuntime",
     "ServeConfig",
     "ServeServer",
-    "ServerHandle",
-    "start_server_thread",
     "tune_gc_for_serving",
 ]

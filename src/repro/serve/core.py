@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Protocol, Tuple
 
@@ -49,10 +48,8 @@ __all__ = [
     "GridRuntime",
     "ServeConfig",
     "ServeServer",
-    "ServerHandle",
     "SimTickClock",
     "WallClock",
-    "start_server_thread",
     "tune_gc_for_serving",
 ]
 
@@ -77,8 +74,8 @@ OUTCOME_HISTORY = 10_000
 def tune_gc_for_serving() -> None:
     """Raise the allocation-triggered GC thresholds for a resident server.
 
-    Called by both server boot paths (``repro serve`` and
-    :func:`start_server_thread`).  Process-global and deliberately not
+    Called by every server boot path (``repro serve`` and the tests'
+    background-thread harness).  Process-global and deliberately not
     undone on shutdown: thresholds only defer collections, they never
     change observable behaviour, and a process that hosted a server once
     keeps hosting its runtime state anyway.
@@ -528,66 +525,3 @@ class ServeServer:
             response, route = await router.dispatch(request)
             self.runtime.note_http(request.method, route, response.status)
             return response
-
-
-class ServerHandle:
-    """An in-process server running on a background thread.
-
-    Used by the endpoint tests: the asyncio loop lives on its own daemon
-    thread, clients talk real TCP from the calling thread, and
-    :meth:`stop` shuts everything down and exports telemetry.
-    """
-
-    def __init__(
-        self,
-        runtime: GridRuntime,
-        server: ServeServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
-        self.runtime = runtime
-        self.server = server
-        self._loop = loop
-        self._thread = thread
-        self.host, self.port = server.address
-
-    def stop(self) -> int:
-        """Stop the loop, join the thread, export telemetry (line count)."""
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=30)
-        return self.runtime.export_telemetry()
-
-
-def start_server_thread(config: ServeConfig) -> ServerHandle:
-    """Boot a server on a daemon thread; returns once it accepts TCP."""
-    tune_gc_for_serving()
-    runtime = GridRuntime(config)
-    server = ServeServer(runtime, config.host, config.port)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    failure: List[BaseException] = []
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # pragma: no cover - startup failure
-            failure.append(exc)
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-            loop.run_until_complete(server.stop())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="repro-serve", daemon=True)
-    thread.start()
-    if not started.wait(timeout=60):  # pragma: no cover - hung startup
-        raise RuntimeError("serve thread did not start within 60s")
-    if failure:
-        raise RuntimeError(f"serve thread failed to start: {failure[0]!r}")
-    return ServerHandle(runtime, server, loop, thread)

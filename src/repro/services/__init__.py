@@ -22,7 +22,6 @@ from repro.services.model import (
     AbstractServicePath,
     InstanceTable,
     ServiceInstance,
-    instance_group,
 )
 from repro.services.applications import ApplicationTemplate, default_applications
 from repro.services.catalog import CatalogConfig, ServiceCatalog, generate_catalog
@@ -41,5 +40,4 @@ __all__ = [
     "UserRequest",
     "default_applications",
     "generate_catalog",
-    "instance_group",
 ]

@@ -156,10 +156,6 @@ class ServiceCatalog:
         return hosted_by
 
     # -- queries ---------------------------------------------------------
-    def candidates(self, service: str) -> List[ServiceInstance]:
-        """All instances implementing ``service`` (discovery result)."""
-        return self.by_service.get(service, [])
-
     def hosts(self, instance_id: str) -> Tuple[int, ...]:
         """Peers hosting a replica of ``instance_id``: the host record."""
         return self.replicas.get(instance_id, ())

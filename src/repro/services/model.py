@@ -19,7 +19,7 @@ Terminology (paper §2.1 and §2.3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "AbstractServicePath",
     "InstanceTable",
     "ServiceInstance",
-    "instance_group",
 ]
 
 
@@ -169,9 +168,9 @@ class InstanceTable:
 class ServiceInstance:
     """A concrete implementation of an abstract service.
 
-    A read-only view over one row of an :class:`InstanceTable`; the
-    constructor builds a one-row table, a catalog hands out views over
-    its one table.  Every field reads as a plain Python value.
+    A read-only view over one row of an :class:`InstanceTable`
+    (:meth:`InstanceTable.views`); a catalog hands out views over its
+    one table.  Every field reads as a plain Python value.
 
     Attributes
     ----------
@@ -193,29 +192,6 @@ class ServiceInstance:
     """
 
     __slots__ = ("_table", "_row")
-
-    def __init__(
-        self,
-        instance_id: str,
-        service: str,
-        qin: QoSVector,
-        qout: QoSVector,
-        resources: ResourceVector,
-        bandwidth: float,
-    ) -> None:
-        n_in = len(qin)
-        table = InstanceTable(
-            [instance_id], [(service, 1)],
-            [*qin.values(), *qout.values()],
-            tuple(qin), [range(n_in)],
-            tuple(qout), [range(n_in, n_in + len(qout))],
-            resources.names, [resources.values], [bandwidth],
-        )
-        # The vectors given are the ones the view hands back.
-        table._vectors[(0, *range(n_in))] = qin
-        table._vectors[(1, *range(n_in, n_in + len(qout)))] = qout
-        self._table = table
-        self._row = 0
 
     @property
     def table(self) -> InstanceTable:
@@ -273,8 +249,8 @@ class ServiceInstance:
 class AbstractServicePath:
     """An ordered list of abstract services in flow (source -> user) order.
 
-    ``hops`` equals the number of services: an *n*-hop service aggregation
-    involves *n* peers besides the requesting peer (paper §2.1).
+    An *n*-service path is an *n*-hop service aggregation: it involves
+    *n* peers besides the requesting peer (paper §2.1).
     """
 
     application: str
@@ -289,20 +265,6 @@ class AbstractServicePath:
                 f"{self.services}"
             )
 
-    @property
-    def hops(self) -> int:
-        return len(self.services)
-
-    @property
-    def source(self) -> str:
-        """The data source service (e.g. the video server)."""
-        return self.services[0]
-
-    @property
-    def last(self) -> str:
-        """The service adjacent to the user (the final processing step)."""
-        return self.services[-1]
-
     def reversed(self) -> Tuple[str, ...]:
         """Services in aggregation/selection order (user side first)."""
         return tuple(reversed(self.services))
@@ -313,13 +275,3 @@ class AbstractServicePath:
     def __iter__(self):
         return iter(self.services)
 
-
-def instance_group(
-    instances: Iterable[ServiceInstance],
-) -> Dict[str, List[ServiceInstance]]:
-    """Group instances by abstract service name (the paper's
-    "service instance group for the same service", Fig. 3)."""
-    groups: Dict[str, List[ServiceInstance]] = {}
-    for inst in instances:
-        groups.setdefault(inst.service, []).append(inst)
-    return groups

@@ -62,11 +62,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded.  Only meaningful once triggered."""
         if self._ok is None:
@@ -193,15 +188,6 @@ class Simulator:
         heapq.heappush(self._heap, (when, next(self._seq), ev))
 
     # -- execution ---------------------------------------------------------
-    @property
-    def queue_length(self) -> int:
-        """Number of scheduled-but-unfired events."""
-        return len(self._heap)
-
-    def peek(self) -> float:
-        """Time of the next event, or ``float('inf')`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def step(self) -> None:
         """Process exactly one event.
 

@@ -133,8 +133,3 @@ class Process(Event):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.is_alive else "finished"
         return f"<Process {self.name!r} {state}>"
-
-
-def process(sim: Simulator, generator: Generator[Event, Any, Any], name: str = None) -> Process:
-    """Convenience wrapper: ``process(sim, gen())`` == ``Process(sim, gen())``."""
-    return Process(sim, generator, name=name)

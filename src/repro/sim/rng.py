@@ -69,16 +69,5 @@ class RngStreams:
             self._streams[name] = gen
         return gen
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for ``name``, at its initial state."""
-        return np.random.default_rng(derive_seed(self.seed, name))
-
-    def spawn(self, name: str) -> "RngStreams":
-        """A child ``RngStreams`` whose root seed is derived from ``name``.
-
-        Useful for per-trial isolation: ``streams.spawn(f"trial-{i}")``.
-        """
-        return RngStreams(derive_seed(self.seed, name))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStreams(seed={self.seed}, streams={sorted(self._streams)})"

@@ -49,7 +49,6 @@ __all__ = [
     "SpanRecord",
     "SpanNode",
     "TraceAnalysisError",
-    "spans_from_events",
     "load_jsonl_spans",
     "build_forest",
     "aggregate_spans",
@@ -117,24 +116,6 @@ class SpanNode:
 
 
 # -- ingestion -------------------------------------------------------------
-
-def spans_from_events(events: Iterable[Any]) -> List[SpanRecord]:
-    """Span records from in-memory bus events (``event.name == "span"``)."""
-    out: List[SpanRecord] = []
-    for e in events:
-        if e.name != "span":
-            continue
-        f = e.fields
-        out.append(SpanRecord(
-            name=f["name"],
-            span_id=f["id"],
-            parent_id=f.get("parent"),
-            start=f["start"],
-            end=e.time,
-            fields={k: v for k, v in f.items() if k not in _STRUCTURAL},
-        ))
-    return out
-
 
 def load_jsonl_spans(
     source: Union[str, IO[str]]
@@ -399,7 +380,8 @@ def render_folded(stacks: Mapping[str, int]) -> str:
 def render_forest(
     forest: Sequence[SpanNode], unit: str, limit: int = 200
 ) -> str:
-    """Indented tree view with durations (offline twin of ``span_tree``)."""
+    """Indented tree view with durations (offline twin of
+    :func:`~repro.telemetry.spans.render_span_tree`)."""
     if not forest:
         return "(no spans)"
     scale, dur_unit = (1e3, "ms") if unit == "s" else (1.0, "min")

@@ -25,7 +25,7 @@ from typing import IO, Callable, Optional, Union
 
 from repro.telemetry.bus import EventBus
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import NULL_TRACER, NullTracer, SpanTracer, render_span_tree
+from repro.telemetry.spans import NULL_TRACER, NullTracer, SpanTracer
 
 __all__ = ["Telemetry"]
 
@@ -60,18 +60,10 @@ class Telemetry:
         clock = MethodType(type(sim).now.fget, sim)
         return cls(clock, enabled=enabled, capacity=capacity)
 
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        """A dispatch-only instance on a frozen clock (for tests/tools)."""
-        return cls(lambda: 0.0, enabled=False)
-
     # -- outputs -----------------------------------------------------------
     def export_jsonl(self, destination: Union[str, IO[str]]) -> int:
         """Write the retained event stream as JSONL; returns line count."""
         return self.bus.export_jsonl(destination)
-
-    def span_tree(self, limit: int = 200) -> str:
-        return render_span_tree(list(self.bus), limit=limit)
 
     def summary(self) -> str:
         """Event counts, the metrics registry and span wall totals."""

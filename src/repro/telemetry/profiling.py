@@ -32,10 +32,8 @@ from repro.telemetry.analysis import (
     SpanRecord,
     aggregate_spans,
     build_forest,
-    folded_stacks,
     format_span_table,
     phase_report,
-    render_folded,
 )
 from repro.telemetry.metrics import Histogram
 
@@ -145,9 +143,6 @@ class ProfileReport:
         return phase_report(
             build_forest(self.wall_spans), root_name=root or "request"
         )
-
-    def folded(self) -> str:
-        return render_folded(folded_stacks(build_forest(self.wall_spans)))
 
     def export_trace_jsonl(self, destination) -> int:
         """Write the wall-span records in the span-event JSONL shape.

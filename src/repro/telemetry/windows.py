@@ -198,19 +198,6 @@ class SlidingWindow:
     def total(self, now: float, width: Optional[float] = None) -> float:
         return sum(b.total for b in self._live(now, width))
 
-    def percentile(
-        self, now: float, q: float, width: Optional[float] = None
-    ) -> float:
-        samples: List[float] = []
-        for b in self._live(now, width):
-            samples.extend(b.samples)
-        if not samples:
-            return 0.0
-        samples.sort()
-        rank = min(len(samples) - 1,
-                   max(0, round(q / 100 * (len(samples) - 1))))
-        return samples[rank]
-
 
 class WindowedMetrics:
     """Every catalogued counter/histogram, windowed, behind one clock.
@@ -247,9 +234,6 @@ class WindowedMetrics:
 
     def series(self, name: str) -> Optional[SlidingWindow]:
         return self._series.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._series)
 
     # -- feeds ---------------------------------------------------------------
     def record(self, name: str, kind: str, value: float) -> None:
@@ -343,21 +327,3 @@ class WindowedMetrics:
             stats["wall"] = window.wall
             out[name] = stats
         return out
-
-    def summary_table(self, now: Optional[float] = None) -> str:
-        """The windowed series as an aligned text section."""
-        if not self._series:
-            return "(no windowed series)"
-        t = self.clock() if now is None else now
-        width = max(len(n) for n in self._series)
-        header = (f"windowed (last {self.config.width:g})"
-                  f"{'':<{max(0, width - 14)}}"
-                  "count       rate        p50        p95        p99")
-        lines = [header]
-        for name in sorted(self._series):
-            s = self._series[name].stats(t)
-            lines.append(
-                f"  {name:<{width}}  {s['count']:>8d} {s['rate']:>10.3f} "
-                f"{s['p50']:>10.3f} {s['p95']:>10.3f} {s['p99']:>10.3f}"
-            )
-        return "\n".join(lines)

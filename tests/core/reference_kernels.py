@@ -21,6 +21,14 @@ from ``repro.core.baselines`` unchanged (``_viable_nodes``,
 body of ``FixedAggregator._first_viable_path``): it is the oracle of
 :meth:`repro.core.composition_vec.VectorizedComposer.walk`, which the
 comparators run, and :func:`patch_walks` puts it back under a whole run.
+
+:func:`satisfies_matrix` is Eq. 1 over two populations of vectors,
+moved from ``repro.core.qos`` unchanged: it interns the vectors' values
+into the per-dimension classes that production's ``ConsistencyIndex``
+builds from the instance table's value codes, and hands them to the
+same :func:`~repro.core.qos.satisfies_classes`.  :func:`compare` is
+Def. 3.1 as the literal pairwise difference, moved from
+``WeightProfile.compare``; production ranks by ``WeightProfile.score``.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 from repro.core.aggregation import QSAAggregator
 from repro.core.baselines import FixedAggregator, RandomAggregator
 from repro.core.composition import ComposedPath, CompositionError
-from repro.core.qos import QoSVector, satisfies
+from repro.core.qos import Column, QoSValue, QoSVector, satisfies, satisfies_classes
 from repro.core.resources import ResourceTuple, WeightProfile
 from repro.services.model import AbstractServicePath, ServiceInstance
 from repro.telemetry.spans import NULL_TRACER
@@ -420,3 +428,85 @@ def patch_compose(monkeypatch, method: Optional[str]) -> None:
         )
 
     monkeypatch.setattr(QSAAggregator, "compose", compose)
+
+
+def satisfies_matrix(
+    offered: Sequence[QoSVector], required: Sequence[QoSVector]
+) -> np.ndarray:
+    """Eq. 1 over two populations: ``M[i, j] == satisfies(offered[j], required[i])``.
+
+    Returns ``bool[len(required), len(offered)]``.  See
+    :func:`satisfies_matrix_counted` for how it avoids asking the scalar
+    relation once per cell.
+    """
+    return satisfies_matrix_counted(offered, required)[0]
+
+
+def satisfies_matrix_counted(
+    offered: Sequence[QoSVector], required: Sequence[QoSVector]
+) -> Tuple[np.ndarray, int]:
+    """:func:`satisfies_matrix` plus the scalar clause evaluations it spent.
+
+    Eq. 1 is a conjunction of independent per-dimension clauses, and a
+    clause sees nothing of a vector but the one value it carries under
+    that name.  So, per dimension name any requirement mentions, the
+    distinct values on each side are interned by Python equality
+    ("absent" -- ``None``, which no vector can carry -- is a class of
+    its own) into a :data:`Column`, and :func:`~repro.core.qos.satisfies_classes`
+    asks ``_value_satisfies`` once per distinct (offered value, required
+    value).  Values equal under ``==`` (``1`` and ``1.0``,
+    ``Interval(1, 2)`` and ``Interval(1.0, 2.0)``) share a class only
+    because every comparison the clause makes is exact on them, i.e. the
+    clause cannot tell them apart; ints that merely collide as floats
+    differ under ``==`` and do not.
+
+    The second element is the number of ``_value_satisfies`` calls:
+    ``sum over dimensions of |required values| * |offered values|``,
+    against ``len(required) * len(offered)`` vector checks cell by cell.
+    """
+
+    def column(vectors: Sequence[QoSVector], name: str) -> Column:
+        classes: Dict[Optional[QoSValue], int] = {}
+        at = [
+            classes.setdefault(v._params.get(name), len(classes))
+            for v in vectors
+        ]
+        return list(classes), np.array(at, dtype=np.intp)
+
+    names: Dict[str, QoSValue] = {}  # an ordered set; values unused
+    for vector in required:
+        names.update(vector._params)
+    return satisfies_classes(
+        {name: column(offered, name) for name in names},
+        {name: column(required, name) for name in names},
+        len(offered),
+        len(required),
+    )
+
+
+def compare(profile: WeightProfile, t1: ResourceTuple, t2: ResourceTuple) -> int:
+    """Literal Def. 3.1 under ``profile``: +1 if ``t1 > t2``, -1 if ``t1 < t2``,
+    else 0.
+
+    Evaluates the weighted-normalized difference sum exactly as
+    written in Eq. 2 (rather than via ``WeightProfile.score``); a property test
+    asserts the two forms induce the same ordering.
+    """
+    if t1.resources.names != profile.resource_names:
+        raise ValueError("t1 dimension mismatch")
+    if t2.resources.names != profile.resource_names:
+        raise ValueError("t2 dimension mismatch")
+    diff = float(
+        np.dot(
+            profile.weights,
+            (t1.resources.values - t2.resources.values) / profile.maxima,
+        )
+        + profile.bandwidth_weight
+        * (t1.bandwidth - t2.bandwidth)
+        / profile.bandwidth_max
+    )
+    if diff > 0:
+        return 1
+    if diff < 0:
+        return -1
+    return 0

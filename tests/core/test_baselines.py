@@ -2,19 +2,20 @@
 
 import numpy as np
 import pytest
+from benchmarks.ablations import composition_only, selection_only
 
 from repro.core.composition import CompositionError
 from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
-from repro.experiments.ablations import composition_only, selection_only
 from repro.grid import GridConfig, P2PGrid
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core.reference_kernels import (
     ConsistencyGraph,
     _viable_nodes,
     random_consistent_path,
 )
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)
@@ -22,7 +23,7 @@ USER = QoSVector(format="final", quality=Interval(1, 3))
 
 
 def inst(iid, service, fmt_in, fmt_out, cpu=10.0, quality=3):
-    return ServiceInstance(
+    return make_instance(
         iid, service,
         qin=QoSVector(format=fmt_in, quality=Interval(quality, 3)),
         qout=QoSVector(format=fmt_out, quality=quality),

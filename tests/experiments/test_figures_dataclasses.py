@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.experiments.figures import SeriesResult, SweepResult
+from tests.experiments.test_figures import winner_at
 
 
 class TestSweepResult:
@@ -19,12 +20,12 @@ class TestSweepResult:
 
     def test_winner_at_each_point(self):
         sweep = self.make()
-        assert sweep.winner_at(0) == "qsa"
-        assert sweep.winner_at(1) == "qsa"
+        assert winner_at(sweep, 0) == "qsa"
+        assert winner_at(sweep, 1) == "qsa"
 
     def test_winner_changes_with_data(self):
         sweep = SweepResult("x", [0.0], {"a": [0.1], "b": [0.9]})
-        assert sweep.winner_at(0) == "b"
+        assert winner_at(sweep, 0) == "b"
 
     def test_runs_default_empty(self):
         assert self.make().runs == {}

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-
-from repro.core.selection import PeerInfo, PeerSelector, PhiWeights
-from repro.core.resources import ResourceVector
-from repro.experiments.latency import (
+from benchmarks.latency import (
     mean_overlay_hop_ms,
     mean_path_latency,
     path_latency_ms,
     setup_latency_ms,
 )
+
+from repro.core.selection import PeerInfo, PeerSelector, PhiWeights
+from repro.core.resources import ResourceVector
 from repro.grid import GridConfig, P2PGrid
 from tests.core.test_selection import DictView
 

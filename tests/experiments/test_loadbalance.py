@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from benchmarks.loadbalance import UtilizationSampler, jain_index
 
 from repro.core.resources import ResourceVector
-from repro.experiments.loadbalance import UtilizationSampler, jain_index
 from repro.network.soa import SoAPeerDirectory
 from repro.sim import Simulator
 

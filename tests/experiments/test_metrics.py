@@ -126,4 +126,3 @@ class TestSeries:
         m, bus = collector()
         setup(bus, 0, AggregationStatus.ADMITTED, hops=7)
         assert m.mean_lookup_hops() == 7.0
-        assert m.fallback_rate() == 0.0

@@ -5,14 +5,14 @@ import json
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.regression import (
+from repro.experiments.runner import run_experiment
+from repro.grid import GridConfig
+from repro.workload.generator import WorkloadConfig
+from tests.experiments.regression import (
     compare_to_baseline,
     fingerprint,
     save_baseline,
 )
-from repro.experiments.runner import run_experiment
-from repro.grid import GridConfig
-from repro.workload.generator import WorkloadConfig
 
 
 def run(seed=0, algorithm="qsa", rate=20.0):

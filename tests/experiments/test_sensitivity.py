@@ -1,9 +1,9 @@
 """Unit tests for the sensitivity harness."""
 
 import pytest
+from benchmarks.sensitivity import KNOBS, SensitivityRow, sweep
 
 from repro.experiments.config import default_scale
-from repro.experiments.sensitivity import KNOBS, SensitivityRow, sweep
 
 
 class TestTransformers:

@@ -3,14 +3,14 @@
 import json
 
 import pytest
+from benchmarks.ablations import TIER_VARIANTS
 
-from repro.experiments.ablations import TIER_VARIANTS
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.regression import fingerprint
 from repro.experiments.sweep import Variant, algorithm_variants, paired_sweep
 from repro.grid import ALGORITHMS, GridConfig
 from repro.network.churn import ChurnConfig
 from repro.workload.generator import WorkloadConfig
+from tests.experiments.regression import fingerprint
 
 
 def tiny(rate=20.0, horizon=4.0, churn=0.0, seed=0):
@@ -89,10 +89,9 @@ class TestPairing:
                 assert row.result.n_admitted > 0
                 assert row.result.n_routed_discoveries > 0
 
-    def test_row_fingerprint_is_the_regression_fingerprint(self, table):
+    def test_row_seed_is_the_fingerprinted_seed(self, table):
         row = table.rows[0]
-        assert row.fingerprint == fingerprint(row.result)
-        assert row.fingerprint["seed"] == row.seed
+        assert fingerprint(row.result)["seed"] == row.seed
 
 
 class TestHybridTelemetry:
@@ -124,7 +123,7 @@ class TestSweepArguments:
             [("a", tiny(horizon=2.0, seed=3))], algorithm_variants("random"), (7,)
         )
         assert table.rows[0].seed == 7
-        assert table.rows[0].fingerprint["seed"] == 7
+        assert fingerprint(table.rows[0].result)["seed"] == 7
 
     def test_variant_sets_algorithm_and_options(self):
         blind = Variant("blind", "qsa", {"uptime_filter": False})

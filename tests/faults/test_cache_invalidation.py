@@ -19,6 +19,7 @@ from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.services.applications import default_applications
 from repro.services.catalog import CatalogConfig, generate_catalog
+from tests.lookup.reference_fingers import get_local
 
 # op = (kind, a, b): kind 0 = depart a host, 1 = rejoin, 2 = discover
 registry_ops = st.lists(
@@ -53,7 +54,7 @@ def test_host_sets_never_stale_under_churn(ops):
     # One record per instance, held once: the ring stores the catalog's
     # own tuple, not a copy.
     for iid, record in catalog.replicas.items():
-        assert ring.get_local(registry.INSTANCE_PREFIX + iid) is record
+        assert get_local(ring, registry.INSTANCE_PREFIX + iid) is record
 
     model = {iid: set(hosts) for iid, hosts in catalog.replicas.items()}
     iids = sorted(model)

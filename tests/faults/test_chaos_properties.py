@@ -17,12 +17,12 @@ from repro.core.resources import ResourceVector
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec, RetryPolicy
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
-from repro.services.model import ServiceInstance
 from repro.sessions.admission import AdmissionError
 from repro.sessions.session import SessionLedger
 from repro.sim import Simulator
-
 from tests.conftest import CHAOS_EXAMPLES
+from tests.services.reference_catalog import make_instance
+
 
 NAMES = ("cpu", "memory")
 N_PEERS = 8
@@ -115,7 +115,7 @@ def test_faulted_ledger_conserves_resources(plan, schedule, seed):
             peers = [alive[int(rng.integers(len(alive)))] for _ in range(n_hops)]
             user = alive[int(rng.integers(len(alive)))]
             instances = [
-                ServiceInstance(
+                make_instance(
                     f"i/{req_id}/{k}",
                     f"s{k}",
                     QoSVector(),

@@ -32,8 +32,9 @@ from repro.core.composition import CompositionError
 from repro.core.composition_vec import VectorizedComposer
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core.reference_kernels import compose_qcs
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e7)
@@ -66,7 +67,7 @@ def _mint(service_index, quality, cpu, consistent, codec_in=None,
         qin["codec"] = codec_in
     if codec_out is not None:  # ... and an offer of it
         qout["codec"] = codec_out
-    return ServiceInstance(
+    return make_instance(
         instance_id=f"inc{next(_IDS)}",
         service=SERVICES[k],
         qin=QoSVector(qin),

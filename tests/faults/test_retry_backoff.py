@@ -9,13 +9,18 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
-from repro.services.model import ServiceInstance
 from repro.sessions.admission import (
     TransientAdmissionError,
     reserve_session,
 )
 from repro.sim import Simulator
 from tests.probing.flood import flood, get, holds, table_of
+
+
+def delays(policy: RetryPolicy, rng=None) -> list:
+    """The full backoff schedule, one delay per retry of the budget."""
+    return [policy.delay(k, rng) for k in range(1, policy.max_retries + 1)]
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 
@@ -34,7 +39,7 @@ class TestRetryPolicy:
     def test_capped_exponential_schedule(self):
         p = RetryPolicy(max_retries=5, backoff_base=0.1, backoff_cap=0.5,
                         multiplier=2.0, jitter=0.0)
-        assert p.delays() == [0.1, 0.2, 0.4, 0.5, 0.5]
+        assert delays(p) == [0.1, 0.2, 0.4, 0.5, 0.5]
 
     def test_jitter_bounds(self):
         p = RetryPolicy(backoff_base=0.1, backoff_cap=10.0, multiplier=1.0,
@@ -50,8 +55,8 @@ class TestRetryPolicy:
 
     def test_seeded_jitter_is_deterministic(self):
         p = RetryPolicy(jitter=0.5)
-        a = p.delays(np.random.default_rng(3))
-        b = p.delays(np.random.default_rng(3))
+        a = delays(p, np.random.default_rng(3))
+        b = delays(p, np.random.default_rng(3))
         assert a == b
 
     def test_validation(self):
@@ -243,7 +248,7 @@ class TestAdmissionExhaustion:
     def make_args(self, directory):
         pid = directory.alive_ids[0]
         user = directory.alive_ids[1]
-        inst = ServiceInstance(
+        inst = make_instance(
             "i/0", "s0", QoSVector(), QoSVector(),
             ResourceVector(NAMES, [10.0, 10.0]), 1e4,
         )

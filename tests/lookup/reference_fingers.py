@@ -10,16 +10,18 @@ forwards to the *farthest* finger inside the open circular interval
 join/leave schedules.
 
 Works on any sorted id list, so it needs nothing from the ring but its
-membership and identifier width.
+membership and identifier width.  The three readers at the end look into a
+``ChordRing``'s records without routing; they are the ring's record reads
+that only the tests ever made, moved here unchanged.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 __all__ = ["in_open_interval", "successor", "fingers", "closest_preceding",
-           "walk"]
+           "walk", "responsible_node", "records", "get_local"]
 
 
 def in_open_interval(x: int, a: int, b: int) -> bool:
@@ -72,3 +74,22 @@ def walk(
             current = succ if nxt == current else nxt
         hops += 1
     return current, hops
+
+
+def responsible_node(ring, key: str):
+    """The ``ChordNode`` that holds ``key``."""
+    return ring._node_at(bisect.bisect_left(ring._ids, ring._responsible_id(key)))
+
+
+def records(ring, peer_id: int) -> Mapping[str, Any]:
+    """The records member ``peer_id`` stores, in store order, read-only."""
+    at = ring._index_of(peer_id)
+    if at < 0:
+        raise KeyError(f"peer {peer_id} is not in the ring")
+    return ring._node_at(at).store
+
+
+def get_local(ring, key: str) -> Any:
+    """Read ``key`` at its responsible node without routing."""
+    store = ring._stores.get(ring._responsible_id(key))
+    return None if store is None else store.get(key)

@@ -66,7 +66,7 @@ def _check_ring(ring, extra, step):
         key = f"k{k}"
         ring._key_ids[key] = k
         for from_peer in (members[j % len(members)], 1000 + j):
-            start = ring._peer_to_id.get(from_peer)
+            start = dict(zip(members, ids)).get(from_peer)
             if start is None:  # outsider: bootstraps via its hashed spot
                 start = ref.successor(ids, ring.node_id_for(from_peer))
             want = ref.walk(ids, start, k, bits)

@@ -7,6 +7,7 @@ from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.services.applications import default_applications
 from repro.services.catalog import CatalogConfig, generate_catalog
+from tests.lookup.reference_fingers import get_local
 
 
 @pytest.fixture()
@@ -33,7 +34,7 @@ class TestDiscovery:
         service = apps[0].services[0]
         specs, hops = registry.discover_service(service, from_peer=5)
         assert {s.instance_id for s in specs} == {
-            s.instance_id for s in catalog.candidates(service)
+            s.instance_id for s in catalog.by_service.get(service, [])
         }
         assert hops >= 0
 
@@ -156,4 +157,4 @@ def test_churned_ring_holds_the_catalogs_own_records():
     assert grid.churn.n_arrivals > 0 and grid.churn.n_departures > 0
     prefix = ServiceRegistry.INSTANCE_PREFIX
     for iid, record in grid.catalog.replicas.items():
-        assert grid.ring.get_local(prefix + iid) is record, iid
+        assert get_local(grid.ring, prefix + iid) is record, iid

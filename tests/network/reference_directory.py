@@ -5,7 +5,9 @@ until PR 23, verbatim: one :class:`~repro.network.peer.Peer` object per
 host in a dict, departed corpses kept forever, ``alive_ids`` an ascending
 list edited in place.  ``tests/network/test_alive_set.py`` drives it and
 :class:`~repro.network.soa.SoAPeerDirectory` through the same schedules;
-nothing under ``src/`` imports it.
+nothing under ``src/`` imports it.  Its peers are :class:`ScalarPeer`
+objects: the constructor, ``uptime`` and ``can_fit`` of the scalar
+``Peer``, moved here unchanged when production kept only the tombstone.
 """
 
 from bisect import bisect_left
@@ -16,7 +18,40 @@ import numpy as np
 from repro.core.resources import ResourceVector
 from repro.network.peer import Peer
 
-__all__ = ["PeerDirectory"]
+__all__ = ["PeerDirectory", "ScalarPeer", "availability_matrix"]
+
+
+class ScalarPeer(Peer):
+    """A live :class:`~repro.network.peer.Peer` object, the model of a
+    ``PeerRowView`` row."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        peer_id: int,
+        capacity: ResourceVector,
+        access_bw: float,
+        joined_at: float = 0.0,
+    ) -> None:
+        self.peer_id = peer_id
+        self.capacity = capacity
+        self.available = capacity.copy()
+        if access_bw <= 0:
+            raise ValueError(f"peer {peer_id}: access bandwidth must be positive")
+        self.access_bw = float(access_bw)
+        self.avail_up = float(access_bw)
+        self.avail_down = float(access_bw)
+        self.joined_at = float(joined_at)
+        self.departed_at: Optional[float] = None
+
+    def uptime(self, now: float) -> float:
+        """Time connected to the grid so far (paper's peer-selection metric)."""
+        end = self.departed_at if self.departed_at is not None else now
+        return max(0.0, end - self.joined_at)
+
+    def can_fit(self, requirement: ResourceVector) -> bool:
+        return self.available.covers(requirement)
 
 
 class PeerDirectory:
@@ -24,7 +59,7 @@ class PeerDirectory:
 
     def __init__(self, resource_names: Sequence[str] = ("cpu", "memory")) -> None:
         self.resource_names = tuple(resource_names)
-        self._peers: Dict[int, Peer] = {}
+        self._peers: Dict[int, ScalarPeer] = {}
         #: Alive ids, ascending (ids are allocated monotonically).
         self._alive_ids: List[int] = []
         self._next_id = 0
@@ -37,10 +72,10 @@ class PeerDirectory:
     # -- population ----------------------------------------------------------
     def create_peer(
         self, capacity: ResourceVector, access_bw: float, joined_at: float
-    ) -> Peer:
+    ) -> ScalarPeer:
         pid = self._next_id
         self._next_id += 1
-        peer = Peer(pid, capacity, access_bw, joined_at)
+        peer = ScalarPeer(pid, capacity, access_bw, joined_at)
         self._peers[pid] = peer
         self._alive_ids.append(pid)
         self.generation += 1
@@ -48,7 +83,7 @@ class PeerDirectory:
             self.sanitizer.note_write("network", "peer-create", self.generation)
         return peer
 
-    def depart(self, peer_id: int, now: float) -> Peer:
+    def depart(self, peer_id: int, now: float) -> ScalarPeer:
         peer = self._peers[peer_id]
         if not peer.alive:
             raise ValueError(f"peer {peer_id} already departed")
@@ -60,10 +95,10 @@ class PeerDirectory:
         return peer
 
     # -- lookup ----------------------------------------------------------
-    def __getitem__(self, peer_id: int) -> Peer:
+    def __getitem__(self, peer_id: int) -> ScalarPeer:
         return self._peers[peer_id]
 
-    def get(self, peer_id: int) -> Optional[Peer]:
+    def get(self, peer_id: int) -> Optional[ScalarPeer]:
         return self._peers.get(peer_id)
 
     def __contains__(self, peer_id: int) -> bool:
@@ -85,7 +120,7 @@ class PeerDirectory:
     def n_alive(self) -> int:
         return len(self._alive_ids)
 
-    def alive_peers(self) -> Iterator[Peer]:
+    def alive_peers(self) -> Iterator[ScalarPeer]:
         return (self._peers[pid] for pid in self.alive_ids)
 
     # -- vectorized views ---------------------------------------------------
@@ -99,12 +134,14 @@ class PeerDirectory:
         )
         return up, ids
 
-    def availability_matrix(self, peer_ids: Iterable[int]) -> np.ndarray:
-        """Rows of ``available`` vectors for the given peers."""
-        rows = [self._peers[pid].available.values for pid in peer_ids]
-        if not rows:
-            return np.empty((0, len(self.resource_names)))
-        return np.stack(rows)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PeerDirectory {self.n_alive} alive / {len(self._peers)} total>"
+
+
+def availability_matrix(directory, peer_ids: Iterable[int]) -> np.ndarray:
+    """Rows of ``available`` vectors for the given peers, departed ones
+    included, of either directory."""
+    rows = [directory[pid].available.values for pid in peer_ids]
+    if not rows:
+        return np.empty((0, len(directory.resource_names)))
+    return np.stack(rows)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import Peer
 from repro.network.soa import SoAPeerDirectory
+from tests.network.reference_directory import ScalarPeer, availability_matrix
 
 NAMES = ("cpu", "memory")
 
@@ -14,7 +14,7 @@ def rv(cpu, mem):
 
 
 def make_peer(pid=0, cpu=100.0, mem=100.0, access=1e6, joined=0.0):
-    return Peer(pid, rv(cpu, mem), access, joined)
+    return ScalarPeer(pid, rv(cpu, mem), access, joined)
 
 
 class TestPeer:
@@ -116,14 +116,14 @@ class TestPeerDirectory:
     def test_availability_matrix(self):
         d = self.make(3)
         d[0].reserve(rv(50, 50))
-        m = d.availability_matrix([0, 2])
+        m = availability_matrix(d, [0, 2])
         assert m.shape == (2, 2)
         assert list(m[0]) == [50.0, 50.0]
         assert list(m[1]) == [102.0, 102.0]
 
     def test_availability_matrix_empty(self):
         d = self.make(1)
-        assert d.availability_matrix([]).shape == (0, 2)
+        assert availability_matrix(d, []).shape == (0, 2)
 
     def test_alive_peers_iterates_alive_only(self):
         d = self.make(3)

@@ -13,6 +13,7 @@ import pytest
 from repro.core.resources import ResourceVector
 from repro.network.peer import Peer
 from repro.network.soa import PeerRowView, PeerStore, SoAPeerDirectory
+from tests.network.reference_directory import ScalarPeer, availability_matrix
 
 NAMES = ("cpu", "memory")
 
@@ -145,7 +146,7 @@ class TestDirectoryLifecycle:
         p = d.create_peer(rv(4.0, 8.0), 2e5, joined_at=-3.5)
         assert p.reserve(rv(1.0, 2.0)) and p.reserve_up(5e4)
         corpse = d.depart(p.peer_id, now=7.0)
-        model = Peer(p.peer_id, rv(4.0, 8.0), 2e5, joined_at=-3.5)
+        model = ScalarPeer(p.peer_id, rv(4.0, 8.0), 2e5, joined_at=-3.5)
         model.reserve(rv(1.0, 2.0))
         model.reserve_up(5e4)
         model.departed_at = 7.0
@@ -241,7 +242,7 @@ class TestDirectoryLifecycle:
         b = d.create_peer(rv(2.0, 2.0), 1e5, joined_at=0.0)
         assert a.reserve(rv(1.0, 1.0))
         d.depart(b.peer_id, now=1.0)
-        mat = d.availability_matrix([a.peer_id, b.peer_id])
+        mat = availability_matrix(d, [a.peer_id, b.peer_id])
         assert mat.tolist() == [[3.0, 7.0], [2.0, 2.0]]
 
     def test_directory_grows_row_index_past_initial_rows(self):

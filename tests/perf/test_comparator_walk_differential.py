@@ -13,15 +13,15 @@ reference differential (``test_membership_exactness.py``).
 """
 
 import pytest
+from benchmarks.ablations import selection_only
 
-from repro.experiments.ablations import selection_only
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.regression import fingerprint
 from repro.experiments.runner import run_experiment
 from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig
 from repro.workload.generator import WorkloadConfig
 from tests.core.reference_kernels import patch_walks
+from tests.experiments.regression import fingerprint
 
 #: label -> (algorithm, make_aggregator factory or None).
 ALGORITHMS = {

@@ -13,12 +13,12 @@ hash, every membership write and its generation).
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.regression import fingerprint
 from repro.experiments.runner import run_experiment
 from repro.grid import GridConfig
 from repro.network.churn import ChurnConfig, ChurnProcess
 from repro.probing.prober import ProbingConfig
 from repro.workload.generator import WorkloadConfig
+from tests.experiments.regression import fingerprint
 from tests.network.reference_churn import patch_pick
 
 

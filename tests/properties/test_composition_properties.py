@@ -7,9 +7,10 @@ from repro.core.composition import CompositionError
 from repro.core.composition_vec import compose_qcs
 from repro.core.qos import Interval, QoSVector
 from repro.core.resources import ResourceVector, WeightProfile
-from repro.services.model import AbstractServicePath, ServiceInstance
+from repro.services.model import AbstractServicePath
 from tests.core import reference_kernels
 from tests.core.reference_kernels import ConsistencyGraph, random_consistent_path
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 WEIGHTS = WeightProfile.uniform(NAMES, (1000.0, 1000.0), 1e6)
@@ -34,7 +35,7 @@ def catalogs(draw):
             )
             quality = int(rng.integers(1, 4))
             instances.append(
-                ServiceInstance(
+                make_instance(
                     f"{svc}/{j}",
                     svc,
                     qin=QoSVector(format=fmt_in, quality=Interval(quality, 3)),

@@ -9,8 +9,9 @@ relies on for discovery correctness under topological variation.
 
 from hypothesis import given, settings, strategies as st
 
-from tests.lookup.can import CanNetwork
 from repro.lookup.chord import ChordRing
+from tests.lookup.can import CanNetwork
+from tests.lookup.reference_fingers import records
 
 ops = st.lists(
     st.one_of(
@@ -110,7 +111,7 @@ def test_chord_storage_partition_is_exact(schedule):
             ring.put(f"key-{arg}", arg)
             keys.add(f"key-{arg}")
         holders = {
-            k: sum(1 for pid in ring.peers() if k in ring.records(pid))
+            k: sum(1 for pid in ring.peers() if k in records(ring, pid))
             for k in keys
         }
         assert all(count == 1 for count in holders.values()), holders

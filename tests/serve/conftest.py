@@ -3,8 +3,9 @@
 import pytest
 
 from repro.grid import GridConfig
-from repro.serve import ServeConfig, start_server_thread
+from repro.serve import ServeConfig
 from repro.serve.client import ServeClient, wait_ready
+from tests.serve.server_thread import start_server_thread
 
 
 @pytest.fixture(scope="module")

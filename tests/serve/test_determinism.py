@@ -8,8 +8,9 @@ trace, and requires the exported JSONL streams to be *byte-identical*.
 """
 
 from repro.grid import GridConfig
-from repro.serve import ServeConfig, start_server_thread
+from repro.serve import ServeConfig
 from repro.serve.client import ServeClient, wait_ready
+from tests.serve.server_thread import start_server_thread
 
 APPS = ("video-on-demand", "audio-streaming", "content-retrieval")
 LEVELS = ("low", "average", "high")

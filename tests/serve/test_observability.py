@@ -9,9 +9,10 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.grid import GridConfig
-from repro.serve import ServeConfig, start_server_thread
+from repro.serve import ServeConfig
 from repro.serve.client import ServeApiError, ServeClient, wait_ready
 from repro.serve.top import render_top
+from tests.serve.server_thread import start_server_thread
 
 
 def _raw_get(server, path, headers=None):
@@ -219,7 +220,7 @@ class TestObservabilityDisabled:
         from repro.telemetry import Telemetry
 
         with pytest.raises(ValueError):
-            ObservabilityPlane(Telemetry.disabled(), clock=lambda: 0.0)
+            ObservabilityPlane(Telemetry(lambda: 0.0, enabled=False), clock=lambda: 0.0)
 
 
 class TestRenderTop:

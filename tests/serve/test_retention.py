@@ -16,9 +16,10 @@ from dataclasses import fields
 import pytest
 
 from repro.grid import GridConfig
-from repro.serve import ServeConfig, start_server_thread
+from repro.serve import ServeConfig
 from repro.serve.client import ServeClient, wait_ready
 from repro.serve.core import GridRuntime, _resolve_grid_config
+from tests.serve.server_thread import start_server_thread
 
 APPS = ("video-on-demand", "audio-streaming", "content-retrieval")
 LEVELS = ("low", "average", "high")

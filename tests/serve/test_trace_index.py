@@ -18,10 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro.grid import GridConfig
-from repro.serve import ServeConfig, start_server_thread
+from repro.serve import ServeConfig
 from repro.serve.client import ServeApiError, ServeClient, wait_ready
 from repro.serve.core import GridRuntime
 from tests.serve.reference_trace_index import reference_trace
+from tests.serve.server_thread import start_server_thread
 
 APPS = ("video-on-demand", "audio-streaming", "content-retrieval")
 LEVELS = ("low", "average", "high")

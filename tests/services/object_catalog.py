@@ -28,6 +28,32 @@ from repro.services.applications import ApplicationTemplate
 from repro.services.catalog import CatalogConfig, _distinct_rows
 from repro.services.model import ServiceInstance
 from repro.services.translator import AnalyticTranslator
+from tests.services.reference_catalog import make_instance
+
+
+def vector_rows(names: Sequence[str], block: np.ndarray) -> List[ResourceVector]:
+    """One vector per row of the ``(n, len(names))`` array ``block``
+    (``ResourceVector.rows``, moved here unchanged).
+
+    The constructor's shape and non-negativity checks run once on the
+    whole block; every vector's ``values`` is a row of one private
+    copy of it, so callers cannot alias any of them either.
+    """
+    names = tuple(names)
+    values = np.asarray(block).astype(np.float64)
+    if values.ndim != 2 or values.shape[1] != len(names):
+        raise ValueError(
+            f"{len(names)} names but a block of shape {values.shape}"
+        )
+    if (values < 0).any():
+        raise ValueError(f"negative resource amounts: {values.min()}")
+    out: List[ResourceVector] = []
+    for row in values:
+        vector = ResourceVector.__new__(ResourceVector)
+        vector.names = names
+        vector.values = row
+        out.append(vector)
+    return out
 
 
 @dataclass
@@ -77,7 +103,7 @@ def generate_catalog(
             qualities = levels[quality_cdf.searchsorted(rng.random(n), side="right")]
             in_index = rng.integers(len(in_formats), size=n)
             out_index = rng.integers(len(out_formats), size=n)
-            resources = ResourceVector.rows(
+            resources = vector_rows(
                 translator.resource_names, translator.resources_for(qualities, rng)
             )
             bandwidths = translator.bandwidth_for(qualities, rng)
@@ -102,7 +128,7 @@ def generate_catalog(
                         format=out_format, quality=quality
                     )
                 iid = f"{service}/{j}"
-                instances[iid] = ServiceInstance(
+                instances[iid] = make_instance(
                     instance_id=iid,
                     service=service,
                     qin=qin,

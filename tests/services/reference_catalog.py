@@ -14,6 +14,10 @@ distribution; ``tests/services/test_catalog_distribution.py`` holds both
 to the configured marginals with the same assertions, so this one shows
 the thresholds are calibrated.  Its instances are stacked into one
 ``InstanceTable`` (:func:`stack`) to make the ``ServiceCatalog``.
+
+:func:`make_instance` (a ``ServiceInstance`` over a one-row table) and
+:func:`instance_group` are the instance constructor and grouping helper
+that production, which only views its catalog's one table, dropped.
 """
 
 from __future__ import annotations
@@ -53,13 +57,45 @@ def _bandwidth_for(
     return float(rng.uniform(lo, hi))
 
 
+def make_instance(
+    instance_id: str,
+    service: str,
+    qin: QoSVector,
+    qout: QoSVector,
+    resources: ResourceVector,
+    bandwidth: float,
+) -> ServiceInstance:
+    """A :class:`ServiceInstance` viewing a one-row table of its own."""
+    n_in = len(qin)
+    table = InstanceTable(
+        [instance_id], [(service, 1)],
+        [*qin.values(), *qout.values()],
+        tuple(qin), [range(n_in)],
+        tuple(qout), [range(n_in, n_in + len(qout))],
+        resources.names, [resources.values], [bandwidth],
+    )
+    # The vectors given are the ones the view hands back.
+    table._vectors[(0, *range(n_in))] = qin
+    table._vectors[(1, *range(n_in, n_in + len(qout)))] = qout
+    return table.views()[0]
+
+
+def instance_group(
+    instances: Iterable[ServiceInstance],
+) -> Dict[str, List[ServiceInstance]]:
+    """Group instances by abstract service name (the paper's
+    "service instance group for the same service", Fig. 3)."""
+    groups: Dict[str, List[ServiceInstance]] = {}
+    for inst in instances:
+        groups.setdefault(inst.service, []).append(inst)
+    return groups
+
+
 def stack(instances: Iterable[ServiceInstance]) -> InstanceTable:
     """One table holding copies of ``instances``' rows, grouped by
     service in order of first appearance.  Every instance must have the
     same ``Qin`` / ``Qout`` dimensions and ``R`` names as the first."""
-    groups: Dict[str, List[ServiceInstance]] = {}
-    for inst in instances:
-        groups.setdefault(inst.service, []).append(inst)
+    groups = instance_group(instances)
     rows = [inst for group in groups.values() for inst in group]
     codes: Dict[object, int] = {}
     values: List[object] = []
@@ -152,7 +188,7 @@ def generate_catalog(
                         format=out_format, quality=quality
                     )
                 iid = f"{service}/{j}"
-                instances[iid] = ServiceInstance(
+                instances[iid] = make_instance(
                     instance_id=iid,
                     service=service,
                     qin=qin,

@@ -47,7 +47,7 @@ class TestGeneration:
     def test_every_service_of_every_app_covered(self, catalog):
         for app in catalog.applications:
             for service in app.services:
-                assert catalog.candidates(service)
+                assert catalog.by_service.get(service, [])
 
     def test_instance_qos_vocabulary(self, catalog):
         """Formats come from the owning app's interface vocabularies and
@@ -56,7 +56,7 @@ class TestGeneration:
             for k, service in enumerate(app.services):
                 in_formats = set(app.interface_formats(k - 1))
                 out_formats = set(app.interface_formats(k))
-                for inst in catalog.candidates(service):
+                for inst in catalog.by_service.get(service, []):
                     assert inst.qin["format"] in in_formats
                     assert inst.qout["format"] in out_formats
                     q = inst.qout["quality"]
@@ -122,7 +122,7 @@ class TestGeneration:
         )
         owners = {
             inst.qin["format"].split("/")[0]
-            for inst in merged.candidates("shared")
+            for inst in merged.by_service.get("shared", [])
         }
         assert owners == {"a", "b"}
         with pytest.raises(ValueError, match="'shared'"):

@@ -118,7 +118,7 @@ def pooled(generator: str, config: str) -> Pooled:
         )
         for app in applications:
             for k, service in enumerate(app.services):
-                candidates = catalog.candidates(service)
+                candidates = catalog.by_service.get(service, [])
                 out.instances_per_service[len(candidates)] += 1
                 ins = out.formats.setdefault(("in", app.name, k - 1), Counter())
                 outs = out.formats.setdefault(("out", app.name, k), Counter())

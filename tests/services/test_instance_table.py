@@ -30,7 +30,9 @@ from repro.services.applications import ApplicationTemplate, default_application
 from repro.services.catalog import CatalogConfig, generate_catalog
 from repro.services.model import InstanceTable, ServiceInstance
 from repro.services.translator import AnalyticTranslator
+from tests.lookup.reference_fingers import get_local, records
 from tests.services import object_catalog
+from tests.services.reference_catalog import make_instance
 
 
 def cold_apps(n):
@@ -72,7 +74,7 @@ def _ring(peers):
 
 def _stores(ring):
     """Peer -> the keys its node stores, in store order."""
-    return {pid: list(ring.records(pid)) for pid in ring.peers()}
+    return {pid: list(records(ring, pid)) for pid in ring.peers()}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -113,9 +115,9 @@ def test_table_build_matches_the_object_build(shape, seed):
     assert _stores(ring) == _stores(reference)
     assert ring._key_ids == reference._key_ids
     for iid, hosts in table.replicas.items():
-        assert ring.get_local(ServiceRegistry.INSTANCE_PREFIX + iid) is hosts
+        assert get_local(ring, ServiceRegistry.INSTANCE_PREFIX + iid) is hosts
     for service, instances in table.by_service.items():
-        record = ring.get_local(ServiceRegistry.SERVICE_PREFIX + service)
+        record = get_local(ring, ServiceRegistry.SERVICE_PREFIX + service)
         assert record == tuple(instances)
 
 
@@ -168,7 +170,7 @@ NAMES = ("cpu", "memory")
 
 
 def _inst(iid, service, qin, qout, r=(1.0, 2.0), b=3.0):
-    return ServiceInstance(
+    return make_instance(
         iid, service, QoSVector(qin), QoSVector(qout),
         ResourceVector(NAMES, r), b,
     )
@@ -177,7 +179,7 @@ def _inst(iid, service, qin, qout, r=(1.0, 2.0), b=3.0):
 class TestViews:
     def test_constructor_builds_a_one_row_table(self):
         qin, qout = QoSVector(format="a"), QoSVector(format="b", quality=2)
-        inst = ServiceInstance(
+        inst = make_instance(
             "s/0", "s", qin, qout, ResourceVector(NAMES, [1, 2]), 5.0
         )
         assert inst.table.ids == ["s/0"] and inst.row == 0

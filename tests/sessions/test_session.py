@@ -6,10 +6,10 @@ from repro.core.qos import QoSVector
 from repro.core.resources import ResourceVector
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
-from repro.services.model import ServiceInstance
 from repro.sessions.admission import AdmissionError
 from repro.sessions.session import SessionLedger, SessionState
 from repro.sim import Simulator
+from tests.services.reference_catalog import make_instance
 
 NAMES = ("cpu", "memory")
 
@@ -19,7 +19,7 @@ def rv(cpu, mem):
 
 
 def inst(iid, cpu=10.0, mem=10.0, bw=100.0):
-    return ServiceInstance(
+    return make_instance(
         iid, iid.split("/")[0], QoSVector(), QoSVector(), rv(cpu, mem), bw
     )
 

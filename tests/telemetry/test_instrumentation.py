@@ -12,6 +12,7 @@ from repro.grid import GridConfig, P2PGrid
 from repro.network.churn import ChurnConfig
 from repro.sessions.recovery import RecoveryConfig
 from repro.telemetry import EVENT_CATALOG
+from repro.telemetry.spans import render_span_tree
 
 
 def drive(grid, minutes=15, per_minute=3):
@@ -78,7 +79,7 @@ class TestEnabledGrid:
         assert hist.total == traced_grid.ring.total_hops
 
     def test_span_tree_renders(self, traced_grid):
-        tree = traced_grid.telemetry.span_tree()
+        tree = render_span_tree(list(traced_grid.telemetry.bus))
         assert "request" in tree
         assert "qcs.compose" in tree
 

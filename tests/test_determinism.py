@@ -18,6 +18,7 @@ from repro.network.topology import NetworkModel
 from repro.services.qoscompiler import QoSCompiler
 from repro.workload.generator import WorkloadConfig
 from tests.lookup.can import CanNetwork, can_ring
+from tests.sim.test_rng import fresh
 
 
 def config(seed=0, churn=0.0):
@@ -106,10 +107,10 @@ class TestPairedWorkloads:
     def test_aggregator_streams_are_isolated(self):
         """Draw order in one algorithm's stream cannot perturb another's."""
         grid = P2PGrid(config().grid)
-        qsa_rng_a = grid.rngs.fresh("aggregator-qsa")
+        qsa_rng_a = fresh(grid.rngs, "aggregator-qsa")
         # Consume heavily from the random algorithm's stream.
         grid.rngs.stream("aggregator-random").random(10_000)
-        qsa_rng_b = grid.rngs.fresh("aggregator-qsa")
+        qsa_rng_b = fresh(grid.rngs, "aggregator-qsa")
         assert (qsa_rng_a.random(8) == qsa_rng_b.random(8)).all()
 
 

@@ -84,7 +84,7 @@ class TestConstruction:
         apps = (ApplicationTemplate("custom", ("alpha", "beta")),)
         g = P2PGrid(GridConfig(n_peers=100, seed=1, applications=apps))
         assert [a.name for a in g.applications] == ["custom"]
-        assert g.catalog.candidates("alpha")
+        assert g.catalog.by_service.get("alpha", [])
 
     def test_explicit_applications_override_config(self):
         from repro.services.applications import ApplicationTemplate

@@ -25,12 +25,12 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import SCENARIOS, ExperimentConfig, default_scale
-from repro.experiments.regression import compare_to_baseline
 from repro.experiments.runner import run_experiment
 from repro.grid import GridConfig, P2PGrid
 from repro.probing.prober import ProbingConfig
 from repro.services.catalog import CatalogConfig
 from repro.workload.generator import RequestGenerator, WorkloadConfig
+from tests.experiments.regression import compare_to_baseline
 
 GOLDENS = Path(__file__).parent / "goldens"
 

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-
-from repro.services.applications import default_applications
-from repro.sim import Simulator
-from repro.workload.scenarios import (
+from benchmarks.scenarios import (
     ConstantRate,
     DiurnalRate,
     FlashCrowd,
     VariableRateGenerator,
 )
+
+from repro.services.applications import default_applications
+from repro.sim import Simulator
 
 
 def drive(profile, horizon, seed=0):
