@@ -55,7 +55,7 @@ def _build(n):
     ring = ChordRing(bits=32, seed=0)
     capacity = ResourceVector(NAMES, np.array([500.0, 500.0]))
     for _ in range(n):
-        ring.join(directory.create_peer(capacity, 1e5, joined_at=0.0).peer_id)
+        ring.join(directory.create_peer(capacity, 1e5, joined_at=0.0))
     for i in range(64):
         ring.put(f"service:{i}", i)
     return directory, ring, capacity
@@ -72,7 +72,7 @@ def _per_event_us(directory, ring, capacity, rng):
         asker_at = int(rng.integers(directory.n_alive - 1))
 
         t0 = clock()
-        joiner = directory.create_peer(capacity, 1e5, joined_at=now).peer_id
+        joiner = directory.create_peer(capacity, 1e5, joined_at=now)
         leaver = directory.alive_ids[leaver_at]
         directory.depart(leaver, now)
         t1 = clock()

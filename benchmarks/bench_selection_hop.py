@@ -280,7 +280,7 @@ def test_selection_hop_walk_plan_is_kept_per_path(benchmark, monkeypatch):
     assert len(built) == 2 and built[-1][1] is hops[1]
     assert composed._walk is not plan
 
-    arrays = [composed.requirements, composed._walk.flat]
+    arrays = [composed._walk.flat]
     for ids, prio, first in composed._walk:
         arrays.append(ids)
     for array in arrays:

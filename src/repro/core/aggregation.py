@@ -227,7 +227,6 @@ class BaseAggregator:
                     instances=composed.instances,
                     peers=peers,
                     duration=request.session_duration,
-                    requirements=composed.requirements,
                 )
         except AdmissionError as exc:
             status = {

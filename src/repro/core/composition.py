@@ -45,10 +45,7 @@ of §3.2 and the one-sweep dp over it, lives with the tests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.resources import ResourceTuple
 from repro.services.model import ServiceInstance
@@ -79,9 +76,9 @@ class ComposedPath:
         source node.
 
     A path is composed once and handed to every request its plan
-    answers, so it also carries what consumers derive from it alone
-    (:attr:`requirements`, :meth:`walk_plan`); that derived data is not
-    part of its value and lives exactly as long as the path does.
+    answers, so it also carries the selection walk's plan
+    (:meth:`walk_plan`); that derived data is not part of its value
+    and lives exactly as long as the path does.
     """
 
     instances: Tuple[ServiceInstance, ...]
@@ -95,14 +92,6 @@ class ComposedPath:
     @property
     def hops(self) -> int:
         return len(self.instances)
-
-    @cached_property
-    def requirements(self) -> np.ndarray:
-        """Every instance's ``R``, flow order: a read-only ``(hops, m)``
-        block (what admission debits from the selected peers' rows)."""
-        block = np.array([inst.resources.values for inst in self.instances])
-        block.setflags(write=False)
-        return block
 
     def walk_plan(
         self,

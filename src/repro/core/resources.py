@@ -90,13 +90,6 @@ class ResourceVector:
 
     __rmul__ = __mul__
 
-    def covers(self, requirement: "ResourceVector") -> bool:
-        """Component-wise ``self >= requirement`` (admission test)."""
-        self._check(requirement)
-        # ndarray.all() over np.all(): same reduction, minus the
-        # fromnumeric dispatch wrapper (this runs per candidate per hop).
-        return bool((self.values >= requirement.values).all())
-
     def ratio_to(self, requirement: "ResourceVector") -> np.ndarray:
         """Component-wise availability/requirement ratios (Φ's ra_i/r_i)."""
         self._check(requirement)

@@ -39,7 +39,6 @@ from repro.faults.plan import FaultPlan
 from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.network.churn import ChurnConfig, ChurnProcess
-from repro.network.peer import Peer
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.prober import ProbingConfig, ProbingService
@@ -302,19 +301,17 @@ class P2PGrid:
         self._next_request_id = 0
 
     # -- peer lifecycle ----------------------------------------------------------
-    def _spawn_peer_churn(self, now: float) -> Peer:
+    def _spawn_peer_churn(self, now: float) -> int:
         """Arrival under churn: resources + replicas + ring membership."""
         rng = self.rngs.stream("churn-arrivals")
         lo, hi = self.config.capacity_range
         # One scale for every dimension, written straight into the row.
-        peer = self.directory.create_peer(
+        pid = self.directory.create_peer(
             float(rng.uniform(lo, hi)), self.config.access_capacity, now
         )
-        self.catalog.assign_new_peer(peer.peer_id, rng)
-        self.registry.peer_joined(
-            peer.peer_id, self.catalog.hosted_instances(peer.peer_id)
-        )
-        return peer
+        self.catalog.assign_new_peer(pid, rng)
+        self.registry.peer_joined(pid, self.catalog.hosted_instances(pid))
+        return pid
 
     def _on_peer_departure(self, peer_id: int) -> None:
         """Departure: fail/repair sessions, clean replicas/registry/probing."""

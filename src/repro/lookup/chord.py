@@ -372,14 +372,6 @@ class ChordRing:
         for i, key, value in zip(owners, keys, values):
             records[i][key] = value
 
-    def update(self, key: str, fn) -> Any:
-        """Read-modify-write at the responsible node."""
-        node_id = self._responsible_id(key)
-        store = self._stores.get(node_id)
-        value = fn(None if store is None else store.get(key))
-        self._records_at(node_id)[key] = value
-        return value
-
     # -- routing ------------------------------------------------------------
     def lookup(self, key: str, from_peer: int) -> Tuple[ChordNode, int]:
         """Route from ``from_peer`` to the node holding ``key``.

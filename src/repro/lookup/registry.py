@@ -18,10 +18,10 @@ Every discovery is one routed read: nothing is cached, so plain, churned
 and faulted runs take the same path.  Host records change under churn;
 :meth:`ServiceRegistry.peer_departed` and
 :meth:`ServiceRegistry.peer_joined` keep them in sync with the catalog's
-ground truth while exercising real DHT update paths.  When the catalog
-already reflects the event (the grid updates it first), the registry
-writes the catalog's record to the DHT, so each host record is rebuilt
-once per event; without a catalog update it edits the stored record.
+ground truth while exercising real DHT update paths.  The grid updates
+the catalog first, so the registry writes the catalog's record to the
+DHT, and each host record is rebuilt once per event; a record the
+catalog lacks, or one that contradicts the event, is a ``ValueError``.
 
 Fault tolerance
 ---------------
@@ -37,9 +37,9 @@ found", which the composition layer already treats as NO_CANDIDATES.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterable, Protocol, Sequence, Tuple
 
-from repro.services.catalog import ServiceCatalog, hosts_with, hosts_without
+from repro.services.catalog import ServiceCatalog
 from repro.services.model import ServiceInstance
 
 __all__ = ["DhtProtocol", "ServiceRegistry"]
@@ -62,7 +62,6 @@ class DhtProtocol(Protocol):
     def put_many(self, keys: Sequence[str], values: Sequence[Any]) -> None: ...
     def get(self, key: str, from_peer: int) -> Tuple[Any, int]: ...
     def lookup(self, key: str, from_peer: int) -> Tuple[Any, int]: ...
-    def update(self, key: str, fn) -> Any: ...
     def join(self, peer_id: int): ...
     def join_many(self, peer_ids: Sequence[int]): ...
     def leave(self, peer_id: int) -> None: ...
@@ -177,7 +176,7 @@ class ServiceRegistry:
         content updates stay ordered like the real protocol (the
         successor inherits already-cleaned records).
         """
-        self._publish(peer_id, hosted, hosts_without, listed=False)
+        self._publish(peer_id, hosted, listed=False)
         if peer_id in self.ring:
             self.ring.leave(peer_id)
 
@@ -185,26 +184,21 @@ class ServiceRegistry:
         """Add an arriving peer to the ring and its hosted records."""
         if peer_id not in self.ring:
             self.ring.join(peer_id)
-        self._publish(peer_id, hosted, hosts_with, listed=True)
+        self._publish(peer_id, hosted, listed=True)
 
-    def _publish(
-        self,
-        peer_id: int,
-        hosted: Iterable[str],
-        edit: Callable[[Tuple[int, ...], int], Tuple[int, ...]],
-        listed: bool,
-    ) -> None:
-        """Each record of ``hosted`` after ``peer_id`` joined (``listed``)
-        or left: the catalog's record when it already says so, else the
-        stored record through ``edit``."""
+    def _publish(self, peer_id: int, hosted: Iterable[str], listed: bool) -> None:
+        """Put the catalog's record of each of ``hosted`` after ``peer_id``
+        joined (``listed``) or left; the catalog must already say so."""
         replicas, ring = self.catalog.replicas, self.ring
         prefix = self.INSTANCE_PREFIX
         for iid in hosted:
             record = replicas.get(iid)
-            if record is not None and _lists(record, peer_id) is listed:
-                ring.put(prefix + iid, record)
-            else:
-                ring.update(prefix + iid, lambda hosts: edit(hosts or (), peer_id))
+            if record is None or _lists(record, peer_id) is not listed:
+                raise ValueError(
+                    f"catalog record of {iid!r} does not show peer {peer_id} "
+                    f"{'joined' if listed else 'departed'}: {record!r}"
+                )
+            ring.put(prefix + iid, record)
 
     @property
     def mean_discovery_hops(self) -> float:

@@ -1,9 +1,10 @@
 """The P2P network substrate (paper §2.2 network model, §4.1 setup).
 
-* :mod:`~repro.network.peer` / :mod:`~repro.network.soa` -- heterogeneous
-  peers with end-system resource capacity/availability, access-link
-  bandwidth and uptime, stored as struct-of-arrays rows behind
-  :class:`SoAPeerDirectory`.
+* :mod:`~repro.network.soa` -- heterogeneous peers with end-system
+  resource capacity/availability, access-link bandwidth and uptime
+  (paper §4.1's RA = [cpu, memory] and access link), stored only as
+  struct-of-arrays rows behind :class:`SoAPeerDirectory`, which holds
+  each reservation rule once.
 * :mod:`~repro.network.topology` -- O(1)-memory pairwise bottleneck
   bandwidth / latency classes and end-to-end available-bandwidth
   computation with reservation accounting.
@@ -13,7 +14,6 @@
   (matching the measurement study the paper builds on [17]).
 """
 
-from repro.network.peer import Peer
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import (
     BANDWIDTH_CLASSES,
@@ -30,6 +30,5 @@ __all__ = [
     "LATENCY_CLASSES_MS",
     "NetworkModel",
     "PairwiseClasses",
-    "Peer",
     "SoAPeerDirectory",
 ]

@@ -62,7 +62,6 @@ from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.network.peer import Peer
 from repro.network.soa import SoAPeerDirectory
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
@@ -113,9 +112,9 @@ class ChurnProcess:
     config:
         Churn parameters.
     spawn_peer:
-        Called to create an arriving peer (returns the new
-        :class:`Peer`); typically provisions resources, catalog replicas
-        and lookup-ring membership.
+        Called to create an arriving peer (returns the new peer's id);
+        typically provisions resources, catalog replicas and lookup-ring
+        membership.
     on_departure:
         Called with the departing peer id *before* the directory marks it
         departed, so session/registry state can be cleaned up.
@@ -128,7 +127,7 @@ class ChurnProcess:
         sim: Simulator,
         directory: SoAPeerDirectory,
         config: ChurnConfig,
-        spawn_peer: Callable[[float], Peer],
+        spawn_peer: Callable[[float], int],
         on_departure: Callable[[int], None],
         rng: np.random.Generator,
         telemetry=None,
@@ -155,17 +154,17 @@ class ChurnProcess:
         self._picked = -1              # table position of the last pick
 
     # -- single events ------------------------------------------------------
-    def arrive(self) -> Peer:
+    def arrive(self) -> int:
         generation = self.directory.generation
-        peer = self.spawn_peer(self.sim.now)
+        pid = self.spawn_peer(self.sim.now)
         if self._advance(generation):
-            self._append(peer)
+            self._append(pid)
         self.n_arrivals += 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("churn.arrivals").inc()
-            self.telemetry.bus.emit("churn.join", peer=peer.peer_id)
+            self.telemetry.bus.emit("churn.join", peer=pid)
             self._update_store_gauges()
-        return peer
+        return pid
 
     def pick_departing_peer(self) -> Optional[int]:
         """Weighted draw over alive peers; ``None`` if at the floor."""
@@ -241,12 +240,14 @@ class ChurnProcess:
         self._key = None
         return False
 
-    def _append(self, peer: Peer) -> None:
+    def _append(self, pid: int) -> None:
         """An arrival's weight, at the end of the id-ordered table."""
-        if self.directory.alive_ids[-1] != peer.peer_id:
+        directory = self.directory
+        if directory.alive_ids[-1] != pid:
             self._key = None  # not the largest id: not an append
             return
-        uptime = np.array([self.sim.now - peer.joined_at])
+        joined_at = directory.store.joined_at.item(directory.row_of(pid))
+        uptime = np.array([self.sim.now - joined_at])
         weight = (1.0 + uptime) ** (-self.config.departure_bias)
         size = self._size
         if size == len(self._prefix):

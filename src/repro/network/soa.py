@@ -3,11 +3,12 @@
 One Python object per host would make every hot plane -- candidate
 selection, prober snapshot refresh, admission accounting -- a Python
 loop over objects.  This module stores per-peer state as contiguous
-numpy arrays (:class:`PeerStore`) so those planes operate on array
-slices, and offers the ``Peer`` surface as a thin row-view facade
-(:class:`PeerRowView`) for callers that want one peer at a time.  The
-dict-of-objects directory this replaced is the model in
-``tests/network/reference_directory.py``.
+numpy arrays (:class:`PeerStore`), and those rows are the only peer
+state there is.  :class:`SoAPeerDirectory` owns the id space and holds
+each ledger rule exactly once, as one operation by peer id; a
+read-only :class:`PeerRowView` is made on demand for callers that want
+one alive peer at a time.  The dict-of-objects directory this replaced
+is the model in ``tests/network/reference_directory.py``.
 
 Layout
 ------
@@ -25,27 +26,34 @@ Rows are recycled through a free list when peers depart; ``generation``
 bumps on every membership change, so anything holding row indices can
 cheaply detect staleness.
 
+Ledger rules
+------------
+* :meth:`SoAPeerDirectory.reserve` debits ``R`` if it fits,
+  :meth:`SoAPeerDirectory.release` credits it back and raises
+  ``ValueError`` past capacity;
+* :meth:`SoAPeerDirectory.reserve_link` debits an uplink and a
+  downlink with 1e-9 slack, :meth:`SoAPeerDirectory.release_link`
+  credits them capped at ``access_bw``.
+
 Departure semantics
 -------------------
-Departed peers stay addressable forever (session rollback deliberately
-credits them).  A departing peer's final state is copied into a detached
-:class:`~repro.network.peer.Peer` tombstone before its row returns to
-the free list -- mutations on the corpse (rollback credits) hit the
-tombstone, never a recycled row, and the directory keeps answering
-``get``/``__getitem__``/``__contains__`` for departed ids.  (The
-stale-state fault's last snapshot is the prober's to keep:
-``ProbingService.drop_peer``.)
+A departing peer takes its resources with it: its row returns to the
+free list and nothing of it is kept.  Afterwards its id is "not alive"
+to every operation -- ``get`` answers ``None``, a debit fails, and a
+credit (a late rollback, a repair dropping a dead peer's connections)
+is dropped, so no credit can ever reach a recycled row.  Ids are never
+reused.  (The stale-state fault's last snapshot is the prober's to
+keep: ``ProbingService.drop_peer``.)
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import Peer
 
 __all__ = ["PeerStore", "PeerRowView", "SoAPeerDirectory"]
 
@@ -202,12 +210,12 @@ class PeerStore:
 
 
 class PeerRowView:
-    """A ``Peer``-shaped facade over one :class:`PeerStore` row.
+    """A read-only view of one alive peer's :class:`PeerStore` row.
 
-    Never caches array views: every property fetches through the store
-    so buffer growth (reallocation) can never leave a stale alias.
-    Row views exist only for *alive* peers -- departure replaces the
-    view with a detached tombstone (see :class:`SoAPeerDirectory`).
+    :meth:`SoAPeerDirectory.get` makes one on demand and keeps none.
+    Every property reads through the store (buffer growth can never
+    leave a stale alias) and returns a copy: the rows change only
+    through the directory's ledger operations.
     """
 
     __slots__ = ("peer_id", "_store", "_row")
@@ -217,95 +225,31 @@ class PeerRowView:
         self._store = store
         self._row = row
 
-    # -- lifecycle -------------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        return True
-
-    @property
-    def departed_at(self) -> Optional[float]:
-        return None
-
-    def uptime(self, now: float) -> float:
-        return max(0.0, now - self._store.joined_at[self._row])
-
-    # -- state views -----------------------------------------------------
     @property
     def capacity(self) -> ResourceVector:
-        return _vector(self._store.resource_names, self._store.capacity[self._row])
+        store = self._store
+        return _vector(store.resource_names, store.capacity[self._row].copy())
 
     @property
     def available(self) -> ResourceVector:
-        return _vector(self._store.resource_names, self._store.available[self._row])
+        store = self._store
+        return _vector(store.resource_names, store.available[self._row].copy())
 
     @property
     def access_bw(self) -> float:
-        return float(self._store.access_bw[self._row])
+        return self._store.access_bw.item(self._row)
 
     @property
     def avail_up(self) -> float:
-        return float(self._store.avail_up[self._row])
-
-    @avail_up.setter
-    def avail_up(self, value: float) -> None:
-        self._store.avail_up[self._row] = value
+        return self._store.avail_up.item(self._row)
 
     @property
     def avail_down(self) -> float:
-        return float(self._store.avail_down[self._row])
+        return self._store.avail_down.item(self._row)
 
     @property
     def joined_at(self) -> float:
-        return float(self._store.joined_at[self._row])
-
-    # -- end-system resource accounting ---------------------------------
-    def can_fit(self, requirement: ResourceVector) -> bool:
-        return bool(
-            (self._store.available[self._row] >= requirement.values).all()
-        )
-
-    def reserve(self, requirement: ResourceVector) -> bool:
-        avail = self._store.available[self._row]
-        if not (avail >= requirement.values).all():
-            return False
-        avail -= requirement.values
-        return True
-
-    def release(self, requirement: ResourceVector) -> None:
-        store, row = self._store, self._row
-        store.available[row] += requirement.values
-        if np.any(store.available[row] > store.capacity[row] + 1e-9):
-            raise ValueError(
-                f"peer {self.peer_id}: release exceeds capacity "
-                f"(avail={store.available[row]}, cap={store.capacity[row]})"
-            )
-
-    # -- access-link accounting ------------------------------------------
-    def reserve_up(self, bw: float) -> bool:
-        store, row = self._store, self._row
-        if bw > store.avail_up[row] + 1e-9:
-            return False
-        store.avail_up[row] -= bw
-        return True
-
-    def reserve_down(self, bw: float) -> bool:
-        store, row = self._store, self._row
-        if bw > store.avail_down[row] + 1e-9:
-            return False
-        store.avail_down[row] -= bw
-        return True
-
-    def release_up(self, bw: float) -> None:
-        store, row = self._store, self._row
-        store.avail_up[row] = min(
-            store.avail_up[row] + bw, store.access_bw[row]
-        )
-
-    def release_down(self, bw: float) -> None:
-        store, row = self._store, self._row
-        store.avail_down[row] = min(
-            store.avail_down[row] + bw, store.access_bw[row]
-        )
+        return self._store.joined_at.item(self._row)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -317,9 +261,11 @@ class PeerRowView:
 class SoAPeerDirectory:
     """The id space and alive set of the grid, on a :class:`PeerStore`.
 
-    Per-peer access (create/depart/get/alive views) goes through row
-    views; :attr:`store` plus vectorized row resolution let the hot
-    planes (selection, probing, admission) bypass the facade.
+    Every change to a peer's ledgers is one operation here by peer id
+    (:meth:`reserve`/:meth:`release` for the end-system vector,
+    :meth:`reserve_link`/:meth:`release_link` for the access links);
+    :attr:`store` plus vectorized row resolution let the hot planes
+    (selection, probing) read the rows directly.
     """
 
     def __init__(
@@ -331,18 +277,12 @@ class SoAPeerDirectory:
         self.store = PeerStore(resource_names, initial_rows)
         #: pid -> row for alive peers; -1 once departed (grown with ids).
         self._row_of = np.full(max(initial_rows, 16), -1, dtype=np.int64)
-        #: Lazily materialized facades: a PeerRowView made on first
-        #: access while alive, a detached ``Peer`` tombstone after
-        #: departure.
-        self._views: Dict[int, object] = {}
-        self._departed: Dict[int, Peer] = {}
         #: Alive ids, ascending (ids are allocated monotonically), and
         #: their store rows in the aligned prefix of a doubling buffer;
         #: every create/depart keeps the two in step.
         self._alive_ids: List[int] = []
         self._alive_rows = np.full(max(initial_rows, 16), -1, dtype=np.int64)
         self._next_id = 0
-        self._n_total = 0
         #: Optional :class:`repro.sim.sanitizer.Sanitizer` write barrier.
         self.sanitizer = None
 
@@ -384,7 +324,6 @@ class SoAPeerDirectory:
         if (end - 1) >> 28:  # a pair class keys the pair as ``lo << 28 | hi``
             raise OverflowError("peer ids must stay below 2**28")
         self._next_id = end
-        self._n_total += n
         rows = self.store.alloc_rows(n)
         self.store.init_rows(rows, values, access, joined)
         self._row_of = _doubled(self._row_of, end)
@@ -401,42 +340,27 @@ class SoAPeerDirectory:
 
     def create_peer(
         self, capacity: ResourceVector | float, access_bw: float, joined_at: float
-    ):
-        """A new alive peer: the one-element :meth:`create_peers`.
+    ) -> int:
+        """A new alive peer's id: the one-element :meth:`create_peers`.
         ``capacity`` is its resource vector, or one scale that every
         dimension shares."""
         if isinstance(capacity, ResourceVector):
             values = capacity.values[None]
         else:
             values = np.array((capacity,), dtype=np.float64)
-        pid = self.create_peers(values, access_bw, (joined_at,)).start
-        return self[pid]
+        return self.create_peers(values, access_bw, (joined_at,)).start
 
-    def depart(self, peer_id: int, now: float):
-        row = int(self._row_of[peer_id]) if peer_id < self._next_id else -1
+    def depart(self, peer_id: int, now: float) -> None:
+        """Retire ``peer_id``: its row returns to the free list, and with
+        it everything the peer held."""
+        row = self.row_of(peer_id)
         if row < 0:
-            if peer_id in self._departed:
+            if 0 <= peer_id < self._next_id:
                 raise ValueError(f"peer {peer_id} already departed")
             raise KeyError(peer_id)
-        store = self.store
-        # Freeze the final mutable state into a detached tombstone so
-        # post-departure mutations (rollback credits, ghost snapshots)
-        # can never touch a recycled row.  The row was validated when it
-        # was created, so its values go into the slots as they are.
-        corpse = Peer.__new__(Peer)
-        corpse.peer_id = peer_id
-        corpse.capacity = _vector(self.resource_names, store.capacity[row].copy())
-        corpse.available = _vector(self.resource_names, store.available[row].copy())
-        corpse.access_bw = store.access_bw.item(row)
-        corpse.avail_up = store.avail_up.item(row)
-        corpse.avail_down = store.avail_down.item(row)
-        corpse.joined_at = store.joined_at.item(row)
-        corpse.departed_at = now
-        store.departed_at[row] = now
-        store.free_row(row)
+        self.store.departed_at[row] = now
+        self.store.free_row(row)
         self._row_of[peer_id] = -1
-        self._departed[peer_id] = corpse
-        self._views[peer_id] = corpse
         # Splice the id out of the ascending alive sequence (the order
         # the workload RNG indexes into) and its row out of the aligned
         # array: one bisect plus two C-speed shifts per departure.
@@ -448,32 +372,80 @@ class SoAPeerDirectory:
             self.sanitizer.note_write(
                 "network", "peer-depart", self.store.generation
             )
-        return corpse
 
     # -- lookup ----------------------------------------------------------
-    def __getitem__(self, peer_id: int):
+    def __getitem__(self, peer_id: int) -> PeerRowView:
         view = self.get(peer_id)
         if view is None:
             raise KeyError(peer_id)
         return view
 
-    def get(self, peer_id: int):
-        view = self._views.get(peer_id)
-        if view is None and self.is_alive(peer_id):
-            pid = int(peer_id)
-            view = self._views[pid] = PeerRowView(
-                pid, self.store, int(self._row_of[pid])
-            )
-        return view
-
-    def __contains__(self, peer_id: int) -> bool:
-        return peer_id in self._views or self.is_alive(peer_id)
-
-    def __len__(self) -> int:
-        return self._n_total
+    def get(self, peer_id: int) -> Optional[PeerRowView]:
+        """A read-only view of an alive peer's row; ``None`` otherwise."""
+        row = self.row_of(peer_id)
+        return PeerRowView(int(peer_id), self.store, row) if row >= 0 else None
 
     def is_alive(self, peer_id: int) -> bool:
         return 0 <= peer_id < self._next_id and self._row_of[peer_id] >= 0
+
+    # -- the ledger rules ------------------------------------------------
+    def reserve(self, peer_id: int, requirement: ResourceVector) -> bool:
+        """Debit ``requirement`` from an alive peer's availability if it
+        fits; ``False`` (nothing debited) if not, or if not alive."""
+        row = self.row_of(peer_id)
+        if row < 0:
+            return False
+        avail = self.store.available[row]
+        if not (avail >= requirement.values).all():
+            return False
+        avail -= requirement.values
+        return True
+
+    def release(self, peer_id: int, requirement: ResourceVector) -> None:
+        """Credit ``requirement`` back; a departed peer's credit is
+        dropped (its ledger left with it).  Raises ``ValueError`` when
+        the credit lifts availability past capacity (a release that
+        matches no reservation)."""
+        row = self.row_of(peer_id)
+        if row < 0:
+            return
+        store = self.store
+        avail = store.available[row]
+        avail += requirement.values
+        if (avail > store.capacity[row] + 1e-9).any():
+            raise ValueError(
+                f"peer {peer_id}: release exceeds capacity "
+                f"(avail={avail}, cap={store.capacity[row]})"
+            )
+
+    def reserve_link(self, src: int, dst: int, bw: float) -> bool:
+        """Debit ``bw`` from ``src``'s uplink and ``dst``'s downlink, both
+        or neither; ``False`` when either residual is short by more than
+        1e-9 or either peer is not alive."""
+        up_row, down_row = self.row_of(src), self.row_of(dst)
+        store = self.store
+        if (
+            up_row < 0
+            or down_row < 0
+            or bw > store.avail_up[up_row] + 1e-9
+            or bw > store.avail_down[down_row] + 1e-9
+        ):
+            return False
+        store.avail_up[up_row] -= bw
+        store.avail_down[down_row] -= bw
+        return True
+
+    def release_link(self, src: int, dst: int, bw: float) -> None:
+        """Credit ``bw`` to ``src``'s uplink and ``dst``'s downlink, each
+        capped at its access bandwidth; a departed end's credit is
+        dropped."""
+        store = self.store
+        for residual, row in (
+            (store.avail_up, self.row_of(src)),
+            (store.avail_down, self.row_of(dst)),
+        ):
+            if row >= 0:
+                residual[row] = min(residual[row] + bw, store.access_bw[row])
 
     # -- row resolution (the SoA fast-plane entry point) -----------------
     def row_of(self, peer_id: int) -> int:
@@ -501,7 +473,7 @@ class SoAPeerDirectory:
     def n_alive(self) -> int:
         return len(self._alive_ids)
 
-    def alive_peers(self) -> Iterator[object]:
+    def alive_peers(self) -> Iterator[PeerRowView]:
         return map(self.__getitem__, self.alive_ids)
 
     # -- vectorized views -------------------------------------------------
@@ -513,6 +485,6 @@ class SoAPeerDirectory:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<SoAPeerDirectory {self.n_alive} alive / {self._n_total} total, "
+            f"<SoAPeerDirectory {self.n_alive} alive / {self._next_id} total, "
             f"{self.store.memory_bytes()} B>"
         )

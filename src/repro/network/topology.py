@@ -20,8 +20,9 @@ End-to-end *available* bandwidth additionally accounts for consumption:
 ``beta(a, b) = min(pair_class(a,b) - reserved(a,b), a.avail_up, b.avail_down)``
 
 where per-pair reservations live in a sparse per-peer adjacency (only
-pairs with active flows appear) and the access-link residuals live on
-the peers.  The access-link terms are our substitution for shared-path
+pairs with active flows appear) and the access-link residuals are the
+peer store's rows, debited and credited only by the directory's link
+rules.  The access-link terms are our substitution for shared-path
 contention -- see DESIGN.md §4.
 """
 
@@ -186,26 +187,28 @@ class NetworkModel:
         return flows.get(b, 0.0) if flows else 0.0
 
     def available_bandwidth(self, src: int, dst: int) -> float:
-        """β: end-to-end available bandwidth for a ``src -> dst`` flow."""
+        """β: end-to-end available bandwidth for a ``src -> dst`` flow
+        (0 when either end is not alive)."""
         if src == dst:
             return float("inf")
+        up_row, down_row = self.peers.row_of(src), self.peers.row_of(dst)
+        if up_row < 0 or down_row < 0:
+            return 0.0
         path_avail = self.pair_capacity(src, dst) - self.pair_reserved(src, dst)
-        up = self.peers[src].avail_up
-        down = self.peers[dst].avail_down
+        store = self.peers.store
+        up = store.avail_up.item(up_row)
+        down = store.avail_down.item(down_row)
         return max(0.0, min(path_avail, up, down))
 
     def available_bandwidth_batch(
-        self,
-        sources: np.ndarray,
-        dst: int,
-        uplinks: Optional[np.ndarray] = None,
+        self, sources: np.ndarray, dst: int, uplinks: np.ndarray
     ) -> np.ndarray:
         """β for many candidate sources towards one destination peer.
 
         Elementwise :meth:`available_bandwidth` (same subtraction, same
-        minima, so bit-identical).  ``uplinks`` replaces the sources'
-        live uplink residuals -- the prober passes its epoch snapshots.
-        A ``dst`` the directory has never seen imposes no downlink bound.
+        minima, so bit-identical), with ``uplinks`` in place of the
+        sources' live uplink residuals -- the prober passes its epoch
+        snapshots.  A ``dst`` that is not alive imposes no downlink bound.
         """
         betas = self.pair_capacities(dst, sources)
         flows = self._reserved.get(dst)
@@ -214,16 +217,10 @@ class NetworkModel:
                 hit = sources == other
                 if np.count_nonzero(hit):  # most flows end elsewhere
                     betas[hit] -= bw
-        if uplinks is None:
-            peers = self.peers
-            uplinks = np.fromiter(
-                (peers[s].avail_up for s in sources.tolist()),
-                np.float64, len(sources),
-            )
         np.minimum(betas, uplinks, out=betas)
-        dst_peer = self.peers.get(dst)
-        if dst_peer is not None:
-            np.minimum(betas, dst_peer.avail_down, out=betas)
+        dst_row = self.peers.row_of(dst)
+        if dst_row >= 0:
+            np.minimum(betas, self.peers.store.avail_down[dst_row], out=betas)
         np.maximum(betas, 0.0, out=betas)
         betas[sources == dst] = np.inf  # local connection
         return betas
@@ -237,11 +234,7 @@ class NetworkModel:
             return True
         if self.available_bandwidth(src, dst) + 1e-9 < bw:
             return False
-        src_peer, dst_peer = self.peers[src], self.peers[dst]
-        if not src_peer.reserve_up(bw):
-            return False
-        if not dst_peer.reserve_down(bw):
-            src_peer.release_up(bw)
+        if not self.peers.reserve_link(src, dst, bw):
             return False
         total = self.pair_reserved(src, dst) + bw
         self._reserved.setdefault(src, {})[dst] = total
@@ -261,12 +254,7 @@ class NetworkModel:
                 flows.pop(b, None)
                 if not flows:
                     del self._reserved[a]
-        src_peer = self.peers.get(src)
-        if src_peer is not None:
-            src_peer.release_up(bw)
-        dst_peer = self.peers.get(dst)
-        if dst_peer is not None:
-            dst_peer.release_down(bw)
+        self.peers.release_link(src, dst, bw)
 
     @property
     def n_reserved_pairs(self) -> int:

@@ -25,9 +25,7 @@ exponential backoff; budget exhaustion surfaces as a
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.core.resources import ResourceVector
 from repro.network.soa import SoAPeerDirectory
@@ -83,12 +81,8 @@ def reserve_session(
     user_peer: int,
     injector=None,
     retry=None,
-    requirements: Optional[np.ndarray] = None,
 ) -> None:
     """Reserve all resources for a session; raise and roll back on failure.
-
-    ``requirements`` is the instances' ``R`` stacked in order, when the
-    caller holds it (the vectorized stage stacks it otherwise).
 
     Raises
     ------
@@ -104,12 +98,6 @@ def reserve_session(
         raise ValueError(
             f"{len(instances)} instances but {len(peers)} peers selected"
         )
-    if injector is None:
-        if not _soa_reserve(
-            directory, network, instances, peers, user_peer, requirements
-        ):
-            _reserve_attempt(directory, network, instances, peers, user_peer)
-        return
     attempts = 0
     while True:
         try:
@@ -130,65 +118,6 @@ def reserve_session(
             )
 
 
-def _soa_reserve(
-    directory: SoAPeerDirectory,
-    network: NetworkModel,
-    instances: Sequence[ServiceInstance],
-    peers: Sequence[int],
-    user_peer: int,
-    requirements: Optional[np.ndarray] = None,
-) -> bool:
-    """Vectorized resource stage over the peer store.
-
-    Returns ``True`` when the whole reservation was handled here.
-    Returns ``False`` -- with *no state mutated* -- whenever the scalar
-    path must run instead: duplicate peers (NumPy fancy-index writes do
-    not accumulate), a dead/unknown peer, or a resource shortage.  The
-    last two matter for bit-exactness: the
-    scalar attempt mutates earlier peers and then rolls them back, and
-    ``(a - r) + r`` need not equal ``a`` in floats, so the failure path
-    must replay the exact mutate-then-rollback sequence.  On the success
-    path an elementwise fancy-index subtract over *distinct* rows is
-    bitwise-identical to the sequential per-peer subtracts.
-    """
-    if not peers:
-        return False
-    store = directory.store
-    row_of = directory.row_of
-    rows: List[int] = []
-    for pid in peers:
-        row = row_of(pid)
-        if row < 0:
-            return False  # dead/unknown: scalar replay for exact errors
-        rows.append(row)
-    if len(set(rows)) != len(rows):
-        return False  # duplicate peers need sequential accounting
-    rows_arr = np.fromiter(rows, np.int64, len(rows))
-    reqs = requirements
-    if reqs is None:
-        reqs = np.stack([inst.resources.values for inst in instances])
-    avail = store.available[rows_arr]
-    if not (avail >= reqs).all():
-        return False  # shortage: scalar replay of mutate-then-rollback
-    store.available[rows_arr] = avail - reqs
-    held_bw: List[Tuple[int, int, float]] = []
-    for src, dst, bw in chain_edges(peers, user_peer, instances):
-        if network.reserve(src, dst, bw):
-            held_bw.append((src, dst, bw))
-            continue
-        # Bandwidth shortage: credit the vector debit back (elementwise
-        # adds over the same distinct rows -- the bits the scalar
-        # release sequence produces) and release the held edges.
-        store.available[rows_arr] += reqs
-        for s, d, b in held_bw:
-            network.release(s, d, b)
-        raise AdmissionError(
-            f"no {bw:.0f} bps available on {src} -> {dst}",
-            stage="bandwidth",
-        )
-    return True
-
-
 def _reserve_attempt(
     directory: SoAPeerDirectory,
     network: NetworkModel,
@@ -197,13 +126,14 @@ def _reserve_attempt(
     user_peer: int,
     injector=None,
 ) -> None:
-    """One all-or-nothing reservation pass (rolled back on any failure)."""
+    """One all-or-nothing pass, in flow order: each peer's ``R``, then
+    each connection's ``b``; the first failure credits back what this
+    pass debited, in the order it debited it."""
     held_res: List[Tuple[int, ResourceVector]] = []
     held_bw: List[Tuple[int, int, float]] = []
     try:
         for inst, pid in zip(instances, peers):
-            peer = directory.get(pid)
-            if peer is None or not peer.alive:
+            if not directory.is_alive(pid):
                 raise AdmissionError(
                     f"peer {pid} is not alive", stage="resources"
                 )
@@ -213,11 +143,11 @@ def _reserve_attempt(
                 raise TransientAdmissionError(
                     f"reservation message to peer {pid} lost"
                 )
-            if not peer.reserve(inst.resources):
+            if not directory.reserve(pid, inst.resources):
                 raise AdmissionError(
                     f"peer {pid} cannot fit {inst.instance_id} "
                     f"(needs {inst.resources.values}, "
-                    f"has {peer.available.values})",
+                    f"has {directory[pid].available.values})",
                     stage="resources",
                 )
             held_res.append((pid, inst.resources))
@@ -247,32 +177,13 @@ def rollback_session(
 ) -> None:
     """Release previously reserved resources/bandwidth.
 
-    ``skip_peer`` suppresses the end-system release for one peer -- used
-    when that peer departed (its ledger died with it; releasing onto the
-    corpse would be harmless but misleading in stats).
+    ``skip_peer`` suppresses the end-system credit for one peer -- the
+    one departing now: departure handling runs before the directory
+    retires the peer, so its row is still alive, but its ledger is
+    leaving with it.
     """
-    if skip_peer is None and held_res:
-        # Block credit: one fancy-index add over distinct live rows is
-        # bitwise-identical to the sequential per-peer releases.  Any
-        # corpse (row -1), duplicate peer, or over-release (the scalar
-        # guard would raise peer-by-peer) falls through to the exact
-        # scalar sequence.
-        rows = [directory.row_of(pid) for pid, _ in held_res]
-        if min(rows) >= 0 and len(set(rows)) == len(rows):
-            store = directory.store
-            rows_arr = np.fromiter(rows, np.int64, len(rows))
-            reqs = np.stack([req.values for _, req in held_res])
-            new = store.available[rows_arr] + reqs
-            if not (new > store.capacity[rows_arr] + 1e-9).any():
-                store.available[rows_arr] = new
-                for src, dst, bw in held_bw:
-                    network.release(src, dst, bw)
-                return
     for pid, req in held_res:
-        if pid == skip_peer:
-            continue
-        peer = directory.get(pid)
-        if peer is not None:
-            peer.release(req)
+        if pid != skip_peer:
+            directory.release(pid, req)
     for src, dst, bw in held_bw:
         network.release(src, dst, bw)

@@ -301,7 +301,7 @@ class RecoveryManager:
 
         def undo_res() -> None:
             for s, pid in acquired_res:
-                self.directory[pid].release(instances[s].resources)
+                self.directory.release(pid, instances[s].resources)
 
         for slot in range(n):
             if old_peers[slot] != dead_peer:
@@ -311,8 +311,9 @@ class RecoveryManager:
             ):
                 undo_res()
                 return "transient"
-            peer = self.directory.get(new_peers[slot])
-            if peer is None or not peer.reserve(instances[slot].resources):
+            if not self.directory.reserve(
+                new_peers[slot], instances[slot].resources
+            ):
                 undo_res()
                 return "shortage"
             acquired_res.append((slot, new_peers[slot]))

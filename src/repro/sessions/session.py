@@ -17,8 +17,6 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.services.model import ServiceInstance
@@ -115,19 +113,15 @@ class SessionLedger:
         instances: Sequence[ServiceInstance],
         peers: Sequence[int],
         duration: float,
-        requirements: Optional[np.ndarray] = None,
     ) -> Session:
         """Admit a session (raises :class:`AdmissionError` on shortage).
 
         On success the session holds all its reservations and its
         completion is scheduled ``duration`` minutes out.
-        ``requirements``: the instances' ``R`` already stacked
-        (:attr:`~repro.core.composition.ComposedPath.requirements`).
         """
         reserve_session(
             self.directory, self.network, instances, peers, user_peer,
             injector=self.injector, retry=self.admission_retry,
-            requirements=requirements,
         )
         session = Session(
             session_id=self._next_id,

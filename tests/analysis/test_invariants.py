@@ -31,6 +31,9 @@ CLOCK_READERS = {
 RNG_OWNERS = {"src/repro/sim/rng.py": "RngStreams"}
 #: Packages whose iteration order reaches only reports.
 ORDER_EXEMPT = ("src/repro/telemetry/", "src/repro/experiments/")
+#: The one module that writes a peer ledger: every reservation rule lives there once.
+LEDGER_WRITERS = {"src/repro/network/soa.py": "SoAPeerDirectory's ledger rules"}
+LEDGERS = {"available", "avail_up", "avail_down"}
 
 CLOCK_CALLS = {f"time.{f}{ns}" for ns in ("", "_ns") for f in (
     "time", "perf_counter", "monotonic", "process_time", "clock_gettime")} | {
@@ -113,6 +116,15 @@ def telemetry_sites(mod: Parsed) -> List[Tuple[str, str, int]]:
     return out
 
 
+def ledger_writes(mod: Parsed) -> List[int]:
+    """Assignments into a subscript of ``<x>.available`` / ``.avail_up`` / ``.avail_down``."""
+    targets = [t for n in mod.nodes if isinstance(n, (ast.Assign, ast.AugAssign))
+               for t in getattr(n, "targets", [getattr(n, "target", None)])]
+    targets += [e for t in targets if isinstance(t, ast.Tuple) for e in t.elts]
+    return [t.lineno for t in targets if isinstance(t, ast.Subscript)
+            and isinstance(t.value, ast.Attribute) and t.value.attr in LEDGERS]
+
+
 def uncatalogued(mod: Parsed) -> List[int]:
     return [line for kind, name, line in telemetry_sites(mod) if name not in CATALOGS[kind]]
 
@@ -143,6 +155,7 @@ CHECKS = {  # id -> (detector, scope, exempt packages, the modules allowed to hi
     "randomness": (rng_uses, ("src/",), (), RNG_OWNERS),
     "unordered-iteration": (unordered_loops, ("src/",), ORDER_EXEMPT, {}),
     "uncatalogued-name": (uncatalogued, ("src/",), (), {}),
+    "ledger-write": (ledger_writes, ("src/",), (), LEDGER_WRITERS),
 }
 
 
@@ -192,6 +205,9 @@ CASES = {  # id -> (detector, source, expected hits)
     "event": (uncatalogued, "bus.emit('lookup.done', hops=2)", 0),
     "slo": (uncatalogued, "Objective(name='slo.psi', target=0.85)", 0),
     "window": (uncatalogued, "windows.track('serve.window.requests')", 0),
+    "ledger-debit": (ledger_writes, "def f(s, r, b):\n    s.avail_up[r] -= b\n", 1),
+    "ledger-block": (ledger_writes, "def f(s, r):\n    x, s.available[r] = 0, 1\n", 1),
+    "ledger-read": (ledger_writes, "def f(s, r):\n    s.snap_up[r] = s.avail_up[r]\n", 0),
 }
 
 

@@ -61,8 +61,8 @@ class TestStatusBranches:
             peers = original(req, composed, hosts)
             if peers:
                 # Drain the first peer so admission must fail.
-                peer = grid.directory[peers[0]]
-                peer.available.values[:] = 0.0
+                d = grid.directory
+                d.store.available[d.row_of(peers[0])] = 0.0
             return peers
 
         agg.select_peers = select_then_drain
@@ -76,7 +76,8 @@ class TestStatusBranches:
         def select_then_choke(req, composed, hosts):
             peers = original(req, composed, hosts)
             if peers:
-                grid.directory[peers[0]].avail_up = 0.0
+                d = grid.directory
+                d.store.avail_up[d.row_of(peers[0])] = 0.0
             return peers
 
         agg.select_peers = select_then_choke

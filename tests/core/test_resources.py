@@ -48,11 +48,6 @@ class TestResourceVector:
         with pytest.raises(ValueError):
             rv(1, 2) + other
 
-    def test_covers(self):
-        assert rv(10, 10).covers(rv(10, 10))
-        assert rv(10, 10).covers(rv(5, 10))
-        assert not rv(10, 10).covers(rv(11, 0))
-
     def test_ratio_to(self):
         r = rv(10, 50).ratio_to(rv(5, 100))
         assert list(r) == [2.0, 0.5]

@@ -302,7 +302,7 @@ def test_walk_matches_scalar_transcription(faulted, seed, walks, w):
             # Load the chosen peers (whole units, so Φ stays exact) and
             # let snapshots go stale / soft state expire.
             for pid in chosen:
-                grid.directory[pid].reserve(ResourceVector(NAMES, (8.0, 4.0, 2.0)))
+                grid.directory.reserve(pid, ResourceVector(NAMES, (8.0, 4.0, 2.0)))
             grid.sim.run(until=grid.sim.now + wait)
         if faulted:
             assert (kernel.rngs.stream("faults").bit_generator.state

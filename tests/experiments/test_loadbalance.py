@@ -62,7 +62,7 @@ class TestUtilizationSampler:
 
     def test_detects_skew(self):
         sim, d, sampler = self.make()
-        d[0].reserve(ResourceVector(NAMES, [80, 80]))
+        d.reserve(0, ResourceVector(NAMES, [80, 80]))
         j = sampler.sample_once()
         assert j < 1.0
         assert sampler.peak_util[-1] == pytest.approx(0.8)
@@ -76,7 +76,7 @@ class TestUtilizationSampler:
 
     def test_report_aggregates(self):
         sim, d, sampler = self.make(period=1.0, horizon=5.0)
-        d[0].reserve(ResourceVector(NAMES, [50, 50]))
+        d.reserve(0, ResourceVector(NAMES, [50, 50]))
         sampler.start()
         sim.run()
         report = sampler.report(skip_warmup=1)

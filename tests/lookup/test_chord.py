@@ -70,13 +70,6 @@ class TestResponsibility:
             if kid <= node.node_id:
                 assert not (kid <= other_id < node.node_id)
 
-    def test_update_read_modify_write(self):
-        ring = ring_with(10)
-        ring.put("hosts", frozenset({1}))
-        ring.update("hosts", lambda h: frozenset(h | {2}))
-        value, _ = ring.get("hosts", from_peer=0)
-        assert value == frozenset({1, 2})
-
     def test_empty_ring_raises(self):
         ring = ChordRing(bits=16)
         with pytest.raises(RuntimeError):

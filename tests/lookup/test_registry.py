@@ -6,7 +6,7 @@ import pytest
 from repro.lookup.chord import ChordRing
 from repro.lookup.registry import ServiceRegistry
 from repro.services.applications import default_applications
-from repro.services.catalog import CatalogConfig, generate_catalog
+from repro.services.catalog import CatalogConfig, generate_catalog, hosts_with
 from tests.lookup.reference_fingers import get_local
 
 
@@ -65,6 +65,14 @@ class TestDiscovery:
         assert registry.mean_discovery_hops >= 0.0
 
 
+def catalog_joins(catalog, pid, iids):
+    """What ``catalog.assign_new_peer`` leaves, for chosen instances: the
+    catalog learns of an arrival before the registry does."""
+    for iid in iids:
+        catalog.replicas[iid] = hosts_with(catalog.replicas[iid], pid)
+    catalog.hosted_by[pid] = tuple(sorted(iids))
+
+
 class TestChurnMaintenance:
     def test_departed_peer_removed_from_host_records(self, setup):
         apps, catalog, ring, registry = setup
@@ -72,6 +80,7 @@ class TestChurnMaintenance:
         pid = next(iter(catalog.hosted_by))
         hosted = set(catalog.hosted_instances(pid))
         assert hosted
+        catalog.remove_peer(pid)
         registry.peer_departed(pid, hosted)
         for iid in hosted:
             hosts, _ = registry.discover_hosts(iid, from_peer=0)
@@ -82,6 +91,7 @@ class TestChurnMaintenance:
         apps, catalog, ring, registry = setup
         new_pid = 10_000
         some_iids = list(catalog.instances)[:3]
+        catalog_joins(catalog, new_pid, some_iids)
         registry.peer_joined(new_pid, some_iids)
         assert new_pid in ring
         for iid in some_iids:
@@ -100,6 +110,17 @@ class TestChurnMaintenance:
             registry.peer_departed(pid, hosted)
         after, _ = registry.discover_service(service, from_peer=150)
         assert {s.instance_id for s in after} == {s.instance_id for s in before}
+
+    def test_a_record_the_catalog_does_not_show_raises(self, setup):
+        _, catalog, ring, registry = setup
+        pid = next(iter(catalog.hosted_by))
+        hosted = catalog.hosted_instances(pid)
+        with pytest.raises(ValueError, match="departed"):
+            registry.peer_departed(pid, hosted)  # the catalog still lists it
+        with pytest.raises(ValueError, match="joined"):
+            registry.peer_joined(10_000, hosted[:1])  # not in the catalog
+        with pytest.raises(ValueError, match="joined"):
+            registry.peer_joined(10_001, ["no-such-instance"])
 
 
 class TestRegistryRecordCache:
@@ -127,7 +148,9 @@ class TestRegistryRecordCache:
         iid = next(iter(catalog.instances))
         hosts, _ = registry.discover_hosts(iid, from_peer=2)
         victim = hosts[0]
-        registry.peer_departed(victim, [iid])
+        hosted = catalog.hosted_instances(victim)
+        catalog.remove_peer(victim)
+        registry.peer_departed(victim, hosted)
         after, _ = registry.discover_hosts(iid, from_peer=2)
         assert after == hosts[1:]
 
@@ -136,6 +159,7 @@ class TestRegistryRecordCache:
         iid = next(iter(catalog.instances))
         hosts, _ = registry.discover_hosts(iid, from_peer=2)
         newcomer = 10_000
+        catalog_joins(catalog, newcomer, [iid])
         registry.peer_joined(newcomer, [iid])
         after, _ = registry.discover_hosts(iid, from_peer=2)
         assert after == hosts + (newcomer,)

@@ -1,13 +1,16 @@
 """The dict-of-objects peer directory: the model the SoA directory is held to.
 
 This is the ``PeerDirectory`` that lived in ``src/repro/network/peer.py``
-until PR 23, verbatim: one :class:`~repro.network.peer.Peer` object per
-host in a dict, departed corpses kept forever, ``alive_ids`` an ascending
-list edited in place.  ``tests/network/test_alive_set.py`` drives it and
+until the struct-of-arrays store replaced it, verbatim: one peer object
+per host in a dict, departed
+corpses kept forever, ``alive_ids`` an ascending list edited in place.
+``tests/network/test_alive_set.py`` drives it and
 :class:`~repro.network.soa.SoAPeerDirectory` through the same schedules;
 nothing under ``src/`` imports it.  Its peers are :class:`ScalarPeer`
-objects: the constructor, ``uptime`` and ``can_fit`` of the scalar
-``Peer``, moved here unchanged when production kept only the tombstone.
+objects: the scalar ``Peer`` of ``src/repro/network/peer.py`` with its
+reservation methods, kept here as the model of the directory's ledger
+rules (``tests/sessions/reference_admission.py`` replays admission on
+it) after production kept peer state only in the store's rows.
 """
 
 from bisect import bisect_left
@@ -16,16 +19,33 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import Peer
 
 __all__ = ["PeerDirectory", "ScalarPeer", "availability_matrix"]
 
 
-class ScalarPeer(Peer):
-    """A live :class:`~repro.network.peer.Peer` object, the model of a
-    ``PeerRowView`` row."""
+class ScalarPeer:
+    """One peer host as an object (paper §4.1: a resource vector
+    RA = [cpu, memory] and an access link), the model of one
+    :class:`~repro.network.soa.PeerStore` row and of the directory's
+    ledger rules over it.
 
-    __slots__ = ()
+    * ``capacity``  -- the fixed end-system resource vector,
+    * ``available`` -- capacity minus active reservations,
+    * ``access_bw`` -- the access-link rate, with separate up/down
+      residual counters, and
+    * ``joined_at`` -- for uptime (= ``now - joined_at``).
+    """
+
+    __slots__ = (
+        "peer_id",
+        "capacity",
+        "available",
+        "access_bw",
+        "avail_up",
+        "avail_down",
+        "joined_at",
+        "departed_at",
+    )
 
     def __init__(
         self,
@@ -45,13 +65,51 @@ class ScalarPeer(Peer):
         self.joined_at = float(joined_at)
         self.departed_at: Optional[float] = None
 
+    @property
+    def alive(self) -> bool:
+        return self.departed_at is None
+
     def uptime(self, now: float) -> float:
         """Time connected to the grid so far (paper's peer-selection metric)."""
         end = self.departed_at if self.departed_at is not None else now
         return max(0.0, end - self.joined_at)
 
     def can_fit(self, requirement: ResourceVector) -> bool:
-        return self.available.covers(requirement)
+        return bool((self.available.values >= requirement.values).all())
+
+    def reserve(self, requirement: ResourceVector) -> bool:
+        """Atomically reserve ``requirement``; False if it does not fit."""
+        if not self.can_fit(requirement):
+            return False
+        self.available.values -= requirement.values
+        return True
+
+    def release(self, requirement: ResourceVector) -> None:
+        self.available.values += requirement.values
+        # Guard against release/reserve mismatches inflating capacity.
+        if np.any(self.available.values > self.capacity.values + 1e-9):
+            raise ValueError(
+                f"peer {self.peer_id}: release exceeds capacity "
+                f"(avail={self.available.values}, cap={self.capacity.values})"
+            )
+
+    def reserve_up(self, bw: float) -> bool:
+        if bw > self.avail_up + 1e-9:
+            return False
+        self.avail_up -= bw
+        return True
+
+    def reserve_down(self, bw: float) -> bool:
+        if bw > self.avail_down + 1e-9:
+            return False
+        self.avail_down -= bw
+        return True
+
+    def release_up(self, bw: float) -> None:
+        self.avail_up = min(self.avail_up + bw, self.access_bw)
+
+    def release_down(self, bw: float) -> None:
+        self.avail_down = min(self.avail_down + bw, self.access_bw)
 
 
 class PeerDirectory:
@@ -72,7 +130,7 @@ class PeerDirectory:
     # -- population ----------------------------------------------------------
     def create_peer(
         self, capacity: ResourceVector, access_bw: float, joined_at: float
-    ) -> ScalarPeer:
+    ) -> int:
         pid = self._next_id
         self._next_id += 1
         peer = ScalarPeer(pid, capacity, access_bw, joined_at)
@@ -81,7 +139,7 @@ class PeerDirectory:
         self.generation += 1
         if self.sanitizer is not None:
             self.sanitizer.note_write("network", "peer-create", self.generation)
-        return peer
+        return pid
 
     def depart(self, peer_id: int, now: float) -> ScalarPeer:
         peer = self._peers[peer_id]
@@ -139,8 +197,8 @@ class PeerDirectory:
 
 
 def availability_matrix(directory, peer_ids: Iterable[int]) -> np.ndarray:
-    """Rows of ``available`` vectors for the given peers, departed ones
-    included, of either directory."""
+    """Rows of ``available`` vectors for the given peers, of either
+    directory (a :class:`PeerDirectory` answers for departed ones too)."""
     rows = [directory[pid].available.values for pid in peer_ids]
     if not rows:
         return np.empty((0, len(directory.resource_names)))

@@ -10,7 +10,7 @@ against a plain dict model, and after *every* step requires
 
 * ``alive_ids`` ascending and equal to the model's filter,
 * ``alive_rows()`` equal to ``rows_for(alive_ids)`` (SoA),
-* ``uptimes(now)`` equal to the per-peer scalar ``uptime(now)``,
+* ``uptimes(now)`` equal to ``now - joined_at`` read peer by peer,
 * ``pick_departing_peer`` choosing the id -- and leaving the generator in
   the state -- that the departure-weight expression evaluated from
   scratch on the model gives with a cloned generator (bias 0 and 1),
@@ -73,7 +73,7 @@ def _check(directory, joined, alive, now):
     up, up_ids = directory.uptimes(now)
     assert list(up_ids) == alive
     assert up.dtype == np.float64 and up.shape == (len(alive),)
-    assert up.tolist() == [directory[pid].uptime(now) for pid in alive]
+    assert up.tolist() == [now - directory[pid].joined_at for pid in alive]
     assert up.tolist() == [now - joined[pid] for pid in alive]
     if isinstance(directory, SoAPeerDirectory):
         rows = directory.alive_rows()
@@ -98,12 +98,12 @@ def test_alive_set_tracks_the_model(backend, steps, seed):
     for op, arg in steps:
         if op == "create":
             now += arg
-            peer = directory.create_peer(
+            pid = directory.create_peer(
                 ResourceVector(NAMES, np.array([4.0, 8.0])), 1e5, joined_at=now
             )
-            assert peer.peer_id == len(joined)  # ids are monotone
-            joined[peer.peer_id] = now
-            alive.append(peer.peer_id)
+            assert pid == len(joined)  # ids are monotone
+            joined[pid] = now
+            alive.append(pid)
         elif op == "depart":
             if not alive:
                 continue
@@ -125,8 +125,10 @@ def test_alive_set_tracks_the_model(backend, steps, seed):
             assert churn.pick_departing_peer() == want
             assert rng.bit_generator.state == clone.bit_generator.state
         _check(directory, joined, alive, now)
-    for pid in departed:  # corpses stay addressable, never alive
-        assert pid in directory and not directory[pid].alive
+    for pid in departed:  # never alive again; the SoA rows keep nothing
+        assert not directory.is_alive(pid)
+        if backend == "soa":
+            assert directory.get(pid) is None
 
 
 def test_backends_agree_on_one_interleaved_schedule():
@@ -163,7 +165,7 @@ def _same_directories(block, sequential, reference):
     assert block.alive_ids == sequential.alive_ids == reference.alive_ids
     assert block.alive_rows().tolist() == sequential.alive_rows().tolist()
     assert block.generation == sequential.generation == reference.generation
-    assert len(block) == len(sequential) == len(reference)
+    assert block._next_id == sequential._next_id == reference._next_id
     assert block._row_of.tolist() == sequential._row_of.tolist()
     assert store_a._free == store_b._free and store_a._high == store_b._high
     assert store_a.row_capacity == store_b.row_capacity

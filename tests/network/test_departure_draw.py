@@ -87,10 +87,10 @@ class _Model:
         self._create(self.sim.now - self.pending)
 
     def _create(self, joined_at):
-        peer = self.directory.create_peer(CAPACITY, 1e5, joined_at=joined_at)
-        self.joined[peer.peer_id] = peer.joined_at
-        self.alive.append(peer.peer_id)
-        return peer
+        pid = self.directory.create_peer(CAPACITY, 1e5, joined_at=joined_at)
+        self.joined[pid] = self.directory[pid].joined_at
+        self.alive.append(pid)
+        return pid
 
     def reference(self, rng):
         config = self.churn.config

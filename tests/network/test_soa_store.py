@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core.resources import ResourceVector
-from repro.network.peer import Peer
 from repro.network.soa import PeerRowView, PeerStore, SoAPeerDirectory
-from tests.network.reference_directory import ScalarPeer, availability_matrix
+from tests.network.reference_directory import (
+    PeerDirectory,
+    ScalarPeer,
+    availability_matrix,
+)
 
 NAMES = ("cpu", "memory")
 
@@ -91,80 +94,83 @@ class TestPeerStoreRows:
 
 
 class TestDirectoryLifecycle:
-    def test_create_returns_row_view_with_peer_surface(self):
+    def test_create_returns_the_id_and_get_a_read_only_view(self):
         d = make_directory()
-        p = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
+        pid = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
+        assert pid == 0 and d.is_alive(0)
+        p = d[pid]
         assert isinstance(p, PeerRowView)
         assert p.peer_id == 0
-        assert p.alive and p.departed_at is None
         assert p.capacity.names == NAMES
         assert p.available.values.tolist() == [4.0, 8.0]
-        assert p.uptime(5.0) == 5.0
-        assert d.is_alive(0) and 0 in d and d[0] is p
+        assert (p.access_bw, p.avail_up, p.avail_down, p.joined_at) == (
+            1e5, 1e5, 1e5, 0.0
+        )
+        # The view hands out copies: the row changes only through the
+        # directory's ledger operations.
+        p.available.values[:] = 0.0
+        assert d[pid].available.values.tolist() == [4.0, 8.0]
+        assert d.reserve(pid, rv(1.0, 1.0))
+        assert p.available.values.tolist() == [3.0, 7.0]  # reads through
 
     def test_depart_recycles_row_and_rejoin_reuses_it(self):
         d = make_directory()
         a = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
         b = d.create_peer(rv(2.0, 2.0), 1e5, joined_at=0.0)
-        row_a = d.row_of(a.peer_id)
-        d.depart(a.peer_id, now=3.0)
-        assert d.row_of(a.peer_id) == -1
-        assert not d.is_alive(a.peer_id)
+        row_a = d.row_of(a)
+        d.depart(a, now=3.0)
+        assert d.row_of(a) == -1
+        assert not d.is_alive(a)
         # The rejoining peer gets a fresh id but recycles a's row.
         c = d.create_peer(rv(9.0, 9.0), 2e5, joined_at=3.0)
-        assert c.peer_id == 2
-        assert d.row_of(c.peer_id) == row_a
+        assert c == 2
+        assert d.row_of(c) == row_a
         assert d.store.rows_recycled == 1
         # The recycled row carries only the new tenant's state.
-        assert c.available.values.tolist() == [9.0, 9.0]
-        assert c.joined_at == 3.0
+        assert d[c].available.values.tolist() == [9.0, 9.0]
+        assert d[c].joined_at == 3.0
         assert d.store.snap_epoch[row_a] == -1
-        assert b.available.values.tolist() == [2.0, 2.0]
+        assert d[b].available.values.tolist() == [2.0, 2.0]
 
-    def test_departed_peer_becomes_detached_tombstone(self):
+    def test_departed_peer_leaves_no_state_behind(self):
         d = make_directory()
         p = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
-        assert p.reserve(rv(1.0, 1.0))
-        corpse = d.depart(p.peer_id, now=7.0)
-        assert isinstance(corpse, Peer)
-        assert corpse.departed_at == 7.0
-        assert corpse.available.values.tolist() == [3.0, 7.0]
-        # The directory still answers for the departed id ...
-        assert d.get(p.peer_id) is corpse
-        assert p.peer_id in d
-        # ... and corpse mutations (rollback credits) never touch the
-        # store: recycle the row and check the new tenant is unharmed.
-        fresh = d.create_peer(rv(5.0, 5.0), 1e5, joined_at=8.0)
-        corpse.release(rv(1.0, 1.0))
-        assert fresh.available.values.tolist() == [5.0, 5.0]
+        q = d.create_peer(rv(2.0, 2.0), 1e5, joined_at=0.0)
+        assert d.reserve(p, rv(1.0, 1.0))
+        assert d.reserve_link(p, q, 2e4)
+        assert d.depart(p, now=7.0) is None
+        # The directory answers "not alive" for the departed id and
+        # refuses debits to it.
+        assert d.get(p) is None
+        with pytest.raises(KeyError):
+            d[p]
+        assert not d.reserve(p, rv(1.0, 1.0))
+        assert not d.reserve_link(q, p, 1.0) and not d.reserve_link(p, q, 1.0)
+        assert d[q].avail_up == 1e5  # the failed debits left q alone
 
-    def test_tombstone_equals_a_constructed_peer(self):
-        """The slots depart() fills directly hold what ``Peer(...)`` plus
-        the row's residual state would: same values, same types, and
-        vectors that alias neither the store nor each other."""
+    def test_departed_peer_becomes_detached_tombstone(self):
+        """A departed id is detached from the store: late credits
+        (rollbacks) addressed to it are dropped, so they never reach the
+        row a new peer recycles, while the live end of a link is
+        credited."""
         d = make_directory()
-        p = d.create_peer(rv(4.0, 8.0), 2e5, joined_at=-3.5)
-        assert p.reserve(rv(1.0, 2.0)) and p.reserve_up(5e4)
-        corpse = d.depart(p.peer_id, now=7.0)
-        model = ScalarPeer(p.peer_id, rv(4.0, 8.0), 2e5, joined_at=-3.5)
-        model.reserve(rv(1.0, 2.0))
-        model.reserve_up(5e4)
-        model.departed_at = 7.0
-        for slot in Peer.__slots__:
-            got, want = getattr(corpse, slot), getattr(model, slot)
-            if isinstance(want, ResourceVector):
-                assert got.names == want.names
-                assert got.values.tolist() == want.values.tolist()
-                assert got.values.dtype == np.float64
-            else:
-                assert (type(got), got) == (type(want), want), slot
-        assert not np.shares_memory(corpse.capacity.values, corpse.available.values)
-        d.create_peer(rv(9.0, 9.0), 1e5, joined_at=8.0)  # recycles the row
-        assert corpse.capacity.values.tolist() == [4.0, 8.0]
+        p = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
+        q = d.create_peer(rv(2.0, 2.0), 1e5, joined_at=0.0)
+        assert d.reserve(p, rv(1.0, 1.0))
+        assert d.reserve_link(p, q, 2e4)
+        d.depart(p, now=7.0)
+        assert d.store.departed_at[0] == 7.0 and not d.store.alive[0]
+        fresh = d.create_peer(rv(5.0, 5.0), 1e5, joined_at=8.0)
+        assert d.row_of(fresh) == 0
+        d.release(p, rv(1.0, 1.0))
+        d.release_link(p, q, 2e4)
+        assert d[fresh].available.values.tolist() == [5.0, 5.0]
+        assert d[fresh].avail_up == 1e5
+        assert d[q].avail_down == 1e5  # the live end is credited
 
     def test_create_peer_from_one_scale(self):
         d = make_directory()
-        p = d.create_peer(250.0, 1e5, joined_at=0.0)
+        p = d[d.create_peer(250.0, 1e5, joined_at=0.0)]
         assert p.capacity.values.tolist() == [250.0, 250.0]
         assert p.available.values.tolist() == [250.0, 250.0]
         with pytest.raises(ValueError):
@@ -178,15 +184,15 @@ class TestDirectoryLifecycle:
             np.array([-1.0, -2.0, -3.0]),
         )
         assert ids == range(0, 3) and d.alive_ids == [0, 1, 2]
-        assert not d._views  # no facade until one is asked for
-        assert 1 in d and 3 not in d and d.get(3) is None
+        assert d.is_alive(1) and not d.is_alive(3) and d.get(3) is None
         view = d[1]
-        assert isinstance(view, PeerRowView) and d[1] is view
+        assert isinstance(view, PeerRowView)
+        assert d[1] is not view  # made on demand, none kept
         assert view.capacity.values.tolist() == [3.0, 4.0]
         assert (view.access_bw, view.joined_at) == (2e5, -2.0)
         assert [p.peer_id for p in d.alive_peers()] == [0, 1, 2]
-        corpse = d.depart(2, now=1.0)
-        assert d[2] is corpse and 2 in d and not d[2].alive
+        d.depart(2, now=1.0)
+        assert d.get(2) is None and not d.is_alive(2)
         assert d.create_peers(np.empty(0), 1e5, np.empty(0)) == range(3, 3)
 
     def test_create_peers_rejects_before_writing(self):
@@ -203,14 +209,14 @@ class TestDirectoryLifecycle:
         with pytest.raises(OverflowError):
             d.create_peers(np.ones(3), 1e5, np.zeros(3))
         d._next_id = 1
-        assert d.generation == g0 and d.alive_ids == [0] and len(d) == 1
+        assert d.generation == g0 and d.alive_ids == [0] and d.n_alive == 1
 
     def test_depart_twice_and_unknown_raise(self):
         d = make_directory()
         p = d.create_peer(rv(1.0, 1.0), 1e5, joined_at=0.0)
-        d.depart(p.peer_id, now=1.0)
+        d.depart(p, now=1.0)
         with pytest.raises(ValueError):
-            d.depart(p.peer_id, now=2.0)
+            d.depart(p, now=2.0)
         with pytest.raises(KeyError):
             d.depart(99, now=2.0)
 
@@ -220,30 +226,37 @@ class TestDirectoryLifecycle:
         a = d.create_peer(rv(1.0, 1.0), 1e5, joined_at=0.0)
         d.create_peer(rv(1.0, 1.0), 1e5, joined_at=0.0)
         assert d.store.generation == g0 + 2
-        d.depart(a.peer_id, now=1.0)
+        d.depart(a, now=1.0)
         assert d.store.generation == g0 + 3
 
     def test_alive_views_stay_aligned_under_churn(self):
         d = make_directory()
         peers = [d.create_peer(rv(1.0, 1.0), 1e5, joined_at=0.0)
                  for _ in range(5)]
-        d.depart(peers[1].peer_id, now=1.0)
-        d.depart(peers[3].peer_id, now=1.0)
+        d.depart(peers[1], now=1.0)
+        d.depart(peers[3], now=1.0)
         assert d.alive_ids == [0, 2, 4]
-        assert d.n_alive == 3 and len(d) == 5
+        assert d.n_alive == 3
         rows = d.alive_rows()
         assert rows.tolist() == [d.row_of(pid) for pid in d.alive_ids]
         up, ids = d.uptimes(4.0)
         assert ids == [0, 2, 4] and up.tolist() == [4.0, 4.0, 4.0]
 
     def test_availability_matrix_covers_departed_ids(self):
-        d = make_directory()
-        a = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
-        b = d.create_peer(rv(2.0, 2.0), 1e5, joined_at=0.0)
-        assert a.reserve(rv(1.0, 1.0))
-        d.depart(b.peer_id, now=1.0)
-        mat = availability_matrix(d, [a.peer_id, b.peer_id])
+        """The scalar reference directory answers for a departed id with
+        its last availability; the SoA directory freed that row, so it
+        refuses the id rather than read a recycled tenant's state."""
+        ref, d = PeerDirectory(NAMES), make_directory()
+        for directory in (ref, d):
+            a = directory.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
+            b = directory.create_peer(rv(2.0, 2.0), 1e5, joined_at=0.0)
+            directory.depart(b, now=1.0)
+        assert ref[a].reserve(rv(1.0, 1.0)) and d.reserve(a, rv(1.0, 1.0))
+        mat = availability_matrix(ref, [a, b])
         assert mat.tolist() == [[3.0, 7.0], [2.0, 2.0]]
+        assert availability_matrix(d, [a]).tolist() == [[3.0, 7.0]]
+        with pytest.raises(KeyError):
+            availability_matrix(d, [a, b])
 
     def test_directory_grows_row_index_past_initial_rows(self):
         d = make_directory(initial_rows=16)
@@ -253,16 +266,35 @@ class TestDirectoryLifecycle:
         assert d.row_of(39) >= 0
 
     def test_row_view_accounting_matches_object_peer(self):
+        """Each ledger rule, applied by id, leaves the row what the
+        scalar model's method leaves its object, bit for bit."""
         d = make_directory()
-        p = d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
-        assert p.can_fit(rv(4.0, 8.0))
-        assert p.reserve(rv(3.0, 3.0))
-        assert not p.reserve(rv(2.0, 1.0))  # atomic: nothing deducted
-        assert p.available.values.tolist() == [1.0, 5.0]
-        p.release(rv(3.0, 3.0))
+        p, q = (d.create_peer(rv(4.0, 8.0), 1e5, joined_at=0.0)
+                for _ in range(2))
+        model = ScalarPeer(p, rv(4.0, 8.0), 1e5)
+        other = ScalarPeer(q, rv(4.0, 8.0), 1e5)
+        assert d.reserve(p, rv(4.0, 8.0)) and model.reserve(rv(4.0, 8.0))
+        d.release(p, rv(4.0, 8.0))
+        model.release(rv(4.0, 8.0))
+        assert d.reserve(p, rv(3.0, 3.0)) and model.reserve(rv(3.0, 3.0))
+        assert not d.reserve(p, rv(2.0, 1.0))  # atomic: nothing deducted
+        assert not model.reserve(rv(2.0, 1.0))
+        assert d[p].available.values.tolist() == [1.0, 5.0]
+        d.release(p, rv(3.0, 3.0))
+        model.release(rv(3.0, 3.0))
         with pytest.raises(ValueError):
-            p.release(rv(1.0, 1.0))  # over capacity
-        assert p.reserve_up(4e4) and p.reserve_down(2e4)
-        assert p.avail_up == 6e4 and p.avail_down == 8e4
-        p.release_up(9e5)  # clamped at access_bw
-        assert p.avail_up == 1e5
+            d.release(p, rv(1.0, 1.0))  # over capacity
+        with pytest.raises(ValueError):
+            model.release(rv(1.0, 1.0))
+        assert d[p].available.values.tobytes() == model.available.values.tobytes()
+        for bw in (4e4, 1.1e4 / 3, 7e4):
+            ok = d.reserve_link(p, q, bw)
+            assert ok == (model.reserve_up(bw) and other.reserve_down(bw))
+        assert not d.reserve_link(p, q, 1e5)  # short: neither end debited
+        assert (d[p].avail_up, d[q].avail_down) == (model.avail_up, other.avail_down)
+        assert d[p].avail_up == 6e4 - 1.1e4 / 3
+        d.release_link(p, q, 9e5)  # clamped at access_bw
+        model.release_up(9e5)
+        other.release_down(9e5)
+        assert (d[p].avail_up, d[q].avail_down) == (1e5, 1e5)
+        assert (model.avail_up, other.avail_down) == (1e5, 1e5)

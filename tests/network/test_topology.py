@@ -25,6 +25,11 @@ def make_net(n=10, access=1e6, seed=0, weights=None):
     return d, NetworkModel(d, seed=seed, bandwidth_weights=weights)
 
 
+def live_uplinks(d, sources):
+    """The sources' live uplink residuals (the prober passes snapshots)."""
+    return d.store.avail_up[d.rows_for(sources)]
+
+
 def _transcribed_class(seed, weights, n_classes, a, b):
     """One pair's class, from the SplitMix64 definition in plain ints."""
     lo, hi = min(a, b), max(a, b)
@@ -215,11 +220,21 @@ class TestNetworkModel:
         d.depart(1, 0.0)
         net.release(0, 1, 100.0)  # must not raise
         assert net.n_reserved_pairs == 0
+        assert d[0].avail_up == 1e6  # the live end is credited
+
+    def test_a_departed_end_has_no_bandwidth(self):
+        d, net = make_net()
+        d.depart(1, 0.0)
+        assert net.available_bandwidth(0, 1) == net.available_bandwidth(1, 0) == 0.0
+        assert not net.reserve(0, 1, 100.0) and not net.reserve(1, 0, 100.0)
+        assert net.n_reserved_pairs == 0 and d[0].avail_up == 1e6
 
     def test_available_bandwidth_batch(self):
         d, net = make_net(n=6)
         sources = np.array([0, 1, 2])
-        batch = net.available_bandwidth_batch(sources, dst=5)
+        batch = net.available_bandwidth_batch(
+            sources, 5, live_uplinks(d, sources)
+        )
         for i, src in enumerate(sources):
             assert batch[i] == net.available_bandwidth(int(src), 5)
 
@@ -268,7 +283,9 @@ class TestPairBlocks:
         assert net.reserve(2, 5, 300.0)
         assert net.reserve(5, 1, 200.0)
         sources = np.array([0, 1, 2, 5, 2], dtype=np.int64)
-        batch = net.available_bandwidth_batch(sources, dst=5)
+        batch = net.available_bandwidth_batch(
+            sources, 5, live_uplinks(d, sources)
+        )
         assert batch.tolist() == [
             net.available_bandwidth(int(s), 5) for s in sources
         ]

@@ -12,6 +12,9 @@ host-independent: allocated bytes under ``tracemalloc`` and array
 * a neighbour-table row: ``int64`` id, ``int8`` priority, ``float64``
   expiry, 17 B, and no instance ``__dict__`` on the table;
 * a selection-plan id: ``int64`` id plus ``int8`` priority, 9 B;
+* a departed peer: its recycled store row and one ``int64`` slot of the
+  id -> row index, nothing else (≈ 690 B per departure while each left a
+  ``Peer`` tombstone and a cached row view behind);
 * the per-request records a run retains carry no ``__dict__``.
 """
 
@@ -24,6 +27,7 @@ from repro.core.aggregation import AggregationResult, AggregationStatus
 from repro.core.selection import SelectionOutcome
 from repro.experiments.metrics import RequestRecord
 from repro.lookup.chord import ChordRing
+from repro.network.soa import SoAPeerDirectory
 from repro.probing.neighbors import NeighborTable
 from repro.probing.prober import SelectionPlan
 from repro.services.qoscompiler import UserRequest
@@ -52,6 +56,31 @@ def test_ring_keeps_records_only_where_keys_live():
     ring.put_many([f"k{i}" for i in range(10)], list(range(10)))
     assert 0 < len(ring._stores) <= 10
     assert all(ring._stores.values())
+
+
+DEPARTURES = 2_000
+BYTES_PER_DEPARTURE = 64
+
+
+def test_departed_peer_bytes():
+    directory = SoAPeerDirectory(("cpu", "memory"), initial_rows=1024)
+    directory.create_peers(np.full(1000, 500.0), 1e5, np.zeros(1000))
+
+    def cycles(n, start):
+        for now in range(start, start + n):
+            directory.depart(directory.create_peer(250.0, 1e5, now), now)
+
+    cycles(100, 0)  # warm: the store's free list and row buffers settle
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        cycles(DEPARTURES, 100)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert directory.n_alive == 1000 and directory.store.n_rows == 1000
+    per_cycle = (held - before) / DEPARTURES
+    assert per_cycle <= BYTES_PER_DEPARTURE, per_cycle
 
 
 def test_neighbor_table_row_bytes():

@@ -12,9 +12,9 @@ the stacking of those scalar observations into the block the selector
 consumes, so the selection arithmetic downstream is shared and any
 difference is the prober's.
 
-It reads peers through the directory's per-peer facade (``get`` /
-``alive`` / ``available`` / ``avail_up`` / ``uptime``) and never touches
-the store's ``snap_*`` arrays.  ``patch_prober`` injects it into
+It reads peers through the directory's read-only row views (``get`` /
+``available`` / ``avail_up`` / ``avail_down`` / ``joined_at``) and never
+touches the store's ``snap_*`` arrays.  ``patch_prober`` injects it into
 ``P2PGrid`` the way ``tests/core/reference_kernels.py::patch_compose``
 injects kernels; ``tests/probing/test_prober_equivalence.py`` and the
 whole-run differentials under ``tests/perf/`` drive both.
@@ -72,7 +72,7 @@ class ReferenceProber(ProbingService):
             epoch=epoch,
             availability=peer.available.values.copy(),
             avail_up=peer.avail_up,
-            uptime=peer.uptime(self.sim.now),
+            uptime=max(0.0, self.sim.now - peer.joined_at),
         )
         self._snapshots[target] = snap
         tel = self.telemetry
@@ -88,7 +88,7 @@ class ReferenceProber(ProbingService):
         alive, or a (possibly stale) :class:`_Snapshot` otherwise.
         """
         peer = self.directory.get(target)
-        if peer is None or not peer.alive:
+        if peer is None:
             return None
         epoch = int(self.sim.now / self.config.period)
         snap = self._snapshots.get(target)

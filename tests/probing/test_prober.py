@@ -84,7 +84,7 @@ class TestStaleness:
         flood(probing, 0, [(1, 1, True)])
         before = probing.observe(0, 1)
         # The target's load changes mid-epoch...
-        d[1].reserve(rv(50, 50))
+        d.reserve(1, rv(50, 50))
         after = probing.observe(0, 1)
         # ...but the observer still sees the epoch snapshot.
         assert list(after.availability.values) == list(before.availability.values)
@@ -93,7 +93,7 @@ class TestStaleness:
         sim, d, net, probing = make(period=1.0)
         flood(probing, 0, [(1, 1, True)])
         probing.observe(0, 1)
-        d[1].reserve(rv(50, 50))
+        d.reserve(1, rv(50, 50))
         sim.timeout(1.5)
         sim.run()  # advance the clock past the epoch boundary
         info = probing.observe(0, 1)

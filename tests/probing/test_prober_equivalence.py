@@ -157,7 +157,7 @@ def _apply(side, step, apps):
         # targets from every id ever allocated, repeats allowed, plus the
         # observer's own rows.
         directory, tables = grid.directory, side.probing._tables
-        n_ids = len(directory)
+        n_ids = directory._next_id  # every id ever allocated
         holders = sorted(tables) or [0]
         observers = [holders[min(int(o * len(holders)), len(holders) - 1)]]
         observers += [

@@ -1,10 +1,11 @@
 """``POST /compose`` for a departed ``peer_id`` is a clean 400.
 
-The directory keeps a departed peer's row view (a tombstone ``Peer``)
-for ids it handed out, so ``directory.get`` is not an aliveness check;
-the route asks ``directory.is_alive``.  A request naming a departed
-peer must leave the session ledger, the neighbour tables and the
-network's bandwidth reservations exactly as they were.
+A departed peer leaves nothing in the directory: its row is recycled,
+``directory.get`` answers ``None`` and every ledger operation treats
+the id as not alive.  The route asks ``directory.is_alive`` before it
+builds a request.  A request naming a departed peer must leave the
+session ledger, the neighbour tables and the network's bandwidth
+reservations exactly as they were.
 """
 
 import asyncio
@@ -38,7 +39,7 @@ def test_compose_for_a_departed_peer_is_400_and_changes_nothing():
                 if not directory.is_alive(p)]
     assert departed
     peer = departed[0]
-    assert directory.get(peer) is not None  # the tombstone the bug admitted
+    assert directory.get(peer) is None  # no state is kept for it
     router = build_router(runtime)
     before = _state(grid)
     body = {"application": "video-on-demand", "peer_id": peer}

@@ -73,14 +73,15 @@ class TestCleanGrids:
 class TestDetectsCorruption:
     def test_detects_resource_leak(self):
         grid = P2PGrid(GridConfig(n_peers=100, seed=6))
-        peer = grid.directory[0]
-        peer.available.values += 50.0  # availability beyond capacity
+        d = grid.directory
+        d.store.available[d.row_of(0)] += 50.0  # availability beyond capacity
         problems = check_grid_invariants(grid, registry=False)
         assert any("exceeds capacity" in p for p in problems)
 
     def test_detects_negative_availability(self):
         grid = P2PGrid(GridConfig(n_peers=100, seed=6))
-        grid.directory[0].available.values -= 1e9
+        d = grid.directory
+        d.store.available[d.row_of(0)] -= 1e9
         problems = check_grid_invariants(grid, registry=False)
         assert any("negative availability" in p for p in problems)
 

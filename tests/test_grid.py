@@ -176,13 +176,13 @@ class TestChurnIntegration:
 
     def test_arrival_provisions_everything(self):
         g = P2PGrid(GridConfig(n_peers=100, seed=1))
-        peer = g._spawn_peer_churn(now=0.0)
-        assert g.directory.is_alive(peer.peer_id)
-        assert peer.peer_id in g.ring
-        hosted = g.catalog.hosted_instances(peer.peer_id)
+        pid = g._spawn_peer_churn(now=0.0)
+        assert g.directory.is_alive(pid)
+        assert pid in g.ring
+        hosted = g.catalog.hosted_instances(pid)
         for iid in hosted:
             hosts, _ = g.registry.discover_hosts(iid, from_peer=0)
-            assert peer.peer_id in hosts
+            assert pid in hosts
 
     def test_sessions_fail_on_departure(self):
         g = P2PGrid(GridConfig(n_peers=100, seed=2))
