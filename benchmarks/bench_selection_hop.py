@@ -196,8 +196,7 @@ def test_selection_hop_walk_work_is_exact(benchmark, monkeypatch):
     assert again == peers and seen_again == seen
     assert probing.probe_messages == probed  # same epoch: nothing stale
 
-    sim.timeout(probing.config.period)
-    sim.run()  # next epoch: every snapshot is stale again
+    sim.run(until=sim.now + probing.config.period)  # next epoch: all stale
     walk(probing, selector, requester, hops, rng)
     assert probing.probe_messages == probed + len(seen)
 

@@ -5,8 +5,8 @@ heterogeneous environments", and §4.2 explains QSA's win partly by
 "always selecting the peers which have the most abundant resources".
 This module quantifies that:
 
-* :class:`UtilizationSampler` -- a simulation process that periodically
-  snapshots every alive peer's end-system utilization
+* :class:`UtilizationSampler` -- a self-rescheduling simulator callback
+  that periodically snapshots every alive peer's end-system utilization
   (1 - available/capacity, averaged over resource dimensions).
 * :func:`jain_index` -- Jain's fairness index
   ``(Σx)² / (n·Σx²)`` ∈ (0, 1]; 1 = perfectly even utilization.
@@ -20,13 +20,12 @@ the same workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
 from repro.network.soa import SoAPeerDirectory
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
 __all__ = ["jain_index", "UtilizationSampler", "UtilizationReport"]
 
@@ -114,13 +113,16 @@ class UtilizationSampler:
         self.peak_util.append(float(arr.max()) if arr.size else 0.0)
         return j
 
-    def _run(self) -> Iterator:
-        while self.horizon is None or self.sim.now < self.horizon:
-            yield self.sim.timeout(self.period)
-            self.sample_once()
+    def _schedule_next(self) -> None:
+        if self.horizon is None or self.sim.now < self.horizon:
+            self.sim.call_in(self.period, self._sample)
 
-    def start(self) -> Process:
-        return Process(self.sim, self._run(), name="utilization-sampler")
+    def _sample(self) -> None:
+        self.sample_once()
+        self._schedule_next()
+
+    def start(self) -> None:
+        self.sim.call_in(0.0, self._schedule_next)
 
     def report(self, skip_warmup: int = 1) -> UtilizationReport:
         """Aggregate samples (dropping the first ``skip_warmup``)."""

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.services.applications import ApplicationTemplate
 from repro.services.qoscompiler import UserRequest
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
 __all__ = [
     "RateProfile",
@@ -192,18 +191,11 @@ class VariableRateGenerator:
         self._next_id += 1
         return request
 
-    def _run(self) -> Iterator:
-        env = self.profile.max_rate
-        mean_gap = 1.0 / env
-        while True:
-            gap = float(self.rng.exponential(mean_gap))
-            if self.sim.now + gap > self.horizon:
-                return
-            yield self.sim.timeout(gap)
-            t = self.sim.now
-            # Thinning: accept with probability λ(t)/λ_max.
-            if self.rng.random() > self.profile.rate_at(t) / env:
-                continue
+    def _candidate(self) -> None:
+        """One envelope-rate candidate: thin it, then draw the next gap."""
+        t = self.sim.now
+        # Thinning: accept with probability λ(t)/λ_max.
+        if self.rng.random() <= self.profile.rate_at(t) / self.profile.max_rate:
             hot = self.profile.app_bias_at(t)
             if hot is not None:
                 # Only the burst *excess* rushes the hot application; the
@@ -216,6 +208,12 @@ class VariableRateGenerator:
             if request is not None:
                 self.n_generated += 1
                 self.sink(request)
+        self._schedule_next()
 
-    def start(self) -> Process:
-        return Process(self.sim, self._run(), name="variable-workload")
+    def _schedule_next(self) -> None:
+        gap = float(self.rng.exponential(1.0 / self.profile.max_rate))
+        if self.sim.now + gap <= self.horizon:
+            self.sim.call_in(gap, self._candidate)
+
+    def start(self) -> None:
+        self.sim.call_in(0.0, self._schedule_next)

@@ -113,15 +113,6 @@ class ComposedPath:
             object.__setattr__(self, "_walk", plan)
         return plan
 
-    def edge_bandwidths(self) -> Tuple[float, ...]:
-        """Bandwidth per connection, selection order (user side first).
-
-        Element ``i`` is the bandwidth on the connection *out of* the
-        ``i``-th peer counted from the user, i.e.
-        ``instances[-1].bandwidth`` first.
-        """
-        return tuple(inst.bandwidth for inst in reversed(self.instances))
-
     def __repr__(self) -> str:
         chain = " -> ".join(i.instance_id for i in self.instances)
         return f"<ComposedPath {chain} (score={self.score:.4f})>"

@@ -56,11 +56,6 @@ class Interval:
         """Whether ``other`` ⊆ ``self``."""
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """The overlap of two intervals, or ``None`` if disjoint."""
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
-
     def __str__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
 
@@ -133,15 +128,6 @@ class QoSVector(Mapping[str, QoSValue]):
 
     def __len__(self) -> int:
         return len(self._params)
-
-    # -- paper-facing API ----------------------------------------------------
-    def satisfies(self, requirement: "QoSVector") -> bool:
-        """``self ⪯ requirement``: Eq. 1 with ``self`` as the offered Qout."""
-        return satisfies(self, requirement)
-
-    def merged_with(self, other: "QoSVector") -> "QoSVector":
-        """A new vector with ``other``'s parameters overriding ``self``'s."""
-        return QoSVector({**self._params, **other._params})
 
     # -- misc ---------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

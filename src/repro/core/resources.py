@@ -56,10 +56,6 @@ class ResourceVector:
         if (self.values < 0).any():
             raise ValueError(f"negative resource amounts: {self.values}")
 
-    @classmethod
-    def zeros_like(cls, other: "ResourceVector") -> "ResourceVector":
-        return cls(other.names, np.zeros(len(other.names)))
-
     def _check(self, other: "ResourceVector") -> None:
         if self.names != other.names:
             raise ValueError(
@@ -73,22 +69,6 @@ class ResourceVector:
         out.names = self.names
         out.values = self.values + other.values
         return out
-
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        """Difference; may go negative (used for availability deltas)."""
-        self._check(other)
-        out = ResourceVector.__new__(ResourceVector)
-        out.names = self.names
-        out.values = self.values - other.values
-        return out
-
-    def __mul__(self, k: float) -> "ResourceVector":
-        out = ResourceVector.__new__(ResourceVector)
-        out.names = self.names
-        out.values = self.values * k
-        return out
-
-    __rmul__ = __mul__
 
     def ratio_to(self, requirement: "ResourceVector") -> np.ndarray:
         """Component-wise availability/requirement ratios (Φ's ra_i/r_i)."""
@@ -112,9 +92,6 @@ class ResourceVector:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v:g}" for n, v in zip(self.names, self.values))
         return f"ResourceVector({inner})"
-
-    def copy(self) -> "ResourceVector":
-        return ResourceVector(self.names, self.values.copy())
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,3 @@ class ServiceRegistry:
                     f"{'joined' if listed else 'departed'}: {record!r}"
                 )
             ring.put(prefix + iid, record)
-
-    @property
-    def mean_discovery_hops(self) -> float:
-        if self.n_routed_discoveries == 0:
-            return 0.0
-        return self.discovery_hops / self.n_routed_discoveries

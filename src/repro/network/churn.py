@@ -58,13 +58,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.network.soa import SoAPeerDirectory
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
 __all__ = ["ChurnConfig", "ChurnProcess"]
 
@@ -144,7 +143,7 @@ class ChurnProcess:
         self.n_departures = 0
         #: Picks the prefix table could not decide (reference path).
         self.n_exact_fallbacks = 0
-        self._process: Optional[Process] = None
+        self._stopped = False
         # The departure prefix table: valid at ``_key == (now, generation)``.
         self._key: Optional[tuple] = None
         self._prefix = np.empty(0)
@@ -301,29 +300,25 @@ class ChurnProcess:
         metrics.gauge("store.generation").set(store.generation)
         metrics.gauge("store.rows_recycled").set(store.rows_recycled)
 
-    # -- the per-minute process -------------------------------------------------
-    def _run(self) -> Iterator:
-        while True:
-            yield self.sim.timeout(1.0)
-            n_events = int(self.rng.poisson(self.config.rate_per_min))
-            for _ in range(n_events):
-                if self.rng.random() < 0.5:
-                    self.arrive()
-                else:
-                    self.depart()
+    # -- the per-minute tick ----------------------------------------------------
+    def _tick(self) -> None:
+        """One minute's Poisson batch of joins and leaves, then the next tick."""
+        if self._stopped:
+            return
+        n_events = int(self.rng.poisson(self.config.rate_per_min))
+        for _ in range(n_events):
+            if self.rng.random() < 0.5:
+                self.arrive()
+            else:
+                self.depart()
+        self.sim.call_in(1.0, self._tick)
 
-    def start(self) -> Process:
-        """Start the churn loop (no-op process when the rate is zero)."""
-        if self.config.rate_per_min == 0:
-            def idle():
-                return
-                yield  # pragma: no cover
-
-            self._process = Process(self.sim, idle(), name="churn-idle")
-        else:
-            self._process = Process(self.sim, self._run(), name="churn")
-        return self._process
+    def start(self) -> None:
+        """Start the minute tick (schedules nothing when the rate is zero)."""
+        if self.config.rate_per_min > 0:
+            # Arm the first tick from the current instant, one minute on.
+            self.sim.call_in(0.0, self.sim.call_in, 1.0, self._tick)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stop")
+        """The pending tick fires and does nothing; no further tick follows."""
+        self._stopped = True

@@ -2,18 +2,25 @@
 
 Design notes
 ------------
-The engine is a classic event-heap simulator.  Events are scheduled at an
-absolute simulated time; ties are broken by a monotonically increasing
-sequence number so that simultaneous events fire in FIFO order (this makes
-runs bit-for-bit reproducible, which every experiment in
-:mod:`repro.experiments` relies on).
+The engine is a heap of timed callbacks.  Each heap entry is a tuple
+``(when, seq, fn, args)``: ``when`` is the absolute simulated time the
+callback fires at, ``seq`` a monotonically increasing sequence number
+that breaks ties so simultaneous callbacks fire in the order they were
+scheduled (this makes runs bit-for-bit reproducible, which every
+experiment in :mod:`repro.experiments` relies on), and ``fn(*args)`` the
+work.  :meth:`Simulator.call_at` / :meth:`Simulator.call_in` are the only
+way to schedule; a loop that recurs (the workload's arrivals, churn's
+minute tick) is a method that does one step's work and then ``call_in``\\ s
+itself.
 
 Time is a ``float`` in *minutes* by convention throughout this project
 (the paper's evaluation section is phrased entirely in minutes), although
 nothing in the kernel itself assumes a unit.
 
-The hot path is ``schedule()``/``step()``; both are kept free of
-per-call object churn beyond the unavoidable heap entry.
+:meth:`Simulator.run` dispatches every event through
+:meth:`Simulator.step`, so wrapping ``step`` on an instance sees every
+event.  An exception raised by a callback propagates unchanged out of
+``step`` (and so out of ``run``) at that event's time.
 """
 
 from __future__ import annotations
@@ -22,109 +29,11 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["Event", "Simulator", "SimulationError"]
+__all__ = ["Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling into the past, etc.)."""
-
-
-#: Sentinel for "event has not yet fired".
-_PENDING = object()
-
-
-class Event:
-    """A one-shot occurrence in simulated time.
-
-    An event starts *pending*, is optionally *scheduled*, and eventually
-    either *succeeds* (with a value) or *fails* (with an exception).
-    Callbacks registered through :meth:`add_callback` run inside the event
-    loop when the event fires, in registration order.
-
-    Events are also what :class:`repro.sim.process.Process` instances
-    ``yield`` to suspend themselves.
-    """
-
-    __slots__ = ("sim", "_value", "_ok", "_callbacks", "scheduled_at")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._value: Any = _PENDING
-        self._ok: Optional[bool] = None
-        self._callbacks: Optional[List[Callable[["Event"], None]]] = []
-        #: Simulated time the event was scheduled to fire at, or ``None``.
-        self.scheduled_at: Optional[float] = None
-
-    # -- state inspection ------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """True once the event has a value (it may not have fired yet)."""
-        return self._value is not _PENDING
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only meaningful once triggered."""
-        if self._ok is None:
-            raise SimulationError("event has not been triggered yet")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The event's value (or exception instance, if it failed)."""
-        if self._value is _PENDING:
-            raise SimulationError("event has not been triggered yet")
-        return self._value
-
-    # -- triggering ------------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Mark the event successful and schedule its callbacks.
-
-        ``delay`` is relative to the current simulated time.
-        """
-        if self._value is not _PENDING:
-            raise SimulationError("event already triggered")
-        self._value = value
-        self._ok = True
-        self.sim._enqueue(self, delay)
-        return self
-
-    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
-        """Mark the event failed; its value becomes the exception."""
-        if self._value is not _PENDING:
-            raise SimulationError("event already triggered")
-        if not isinstance(exc, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exc!r}")
-        self._value = exc
-        self._ok = False
-        self.sim._enqueue(self, delay)
-        return self
-
-    def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        """Register ``fn(event)`` to run when the event fires.
-
-        If the event has already been processed the callback runs
-        immediately (still inside the current step).
-        """
-        if self._callbacks is None:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
-        elif self._ok is False:
-            # A failure nobody waits on (a crashed process, say) is not
-            # dropped: it raises out of the step that fires it.
-            raise self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "pending"
-        if self.triggered:
-            state = "ok" if self._ok else "failed"
-        return f"<Event {state} at t={self.sim.now:.4g}>"
 
 
 class Simulator:
@@ -142,7 +51,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = itertools.count()
         self._running = False
 
@@ -152,54 +61,29 @@ class Simulator:
         """Current simulated time."""
         return self._now
 
-    # -- event construction ----------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh, untriggered event bound to this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        ev = Event(self)
-        ev._value = value
-        ev._ok = True
-        self._enqueue(ev, delay)
-        return ev
-
-    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Event:
+    # -- scheduling --------------------------------------------------------
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when} (now is t={self._now})"
             )
-        ev = self.timeout(when - self._now)
-        ev.add_callback(lambda _ev: fn(*args))
-        return ev
+        heapq.heappush(self._heap, (when, next(self._seq), fn, args))
 
-    def call_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def call_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` time units."""
-        return self.call_at(self._now + delay, fn, *args)
-
-    # -- scheduling internals ----------------------------------------------
-    def _enqueue(self, ev: Event, delay: float) -> None:
-        when = self._now + delay
-        ev.scheduled_at = when
-        heapq.heappush(self._heap, (when, next(self._seq), ev))
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn, args))
 
     # -- execution ---------------------------------------------------------
     def step(self) -> None:
-        """Process exactly one event.
-
-        A failed event with no callback re-raises its exception here, as
-        an unhandled failure does in SimPy, so :meth:`run` cannot return
-        normally past a process that crashed.
-        """
+        """Pop the earliest entry, advance the clock to it and run it."""
         if not self._heap:
             raise SimulationError("no events to step")
-        when, _seq, ev = heapq.heappop(self._heap)
+        when, _seq, fn, args = heapq.heappop(self._heap)
         self._now = when
-        ev._fire()
+        fn(*args)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap is empty or simulated time reaches ``until``.

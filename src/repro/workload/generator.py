@@ -17,14 +17,13 @@ session duration and hands the request to a sink callable (usually
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.services.applications import ApplicationTemplate
 from repro.services.qoscompiler import UserRequest
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
 
 __all__ = ["WorkloadConfig", "RequestGenerator"]
 
@@ -97,17 +96,19 @@ class RequestGenerator:
         self._next_id += 1
         return request
 
-    def _run(self) -> Iterator:
-        mean_gap = 1.0 / self.config.rate_per_min
-        while True:
-            gap = float(self.rng.exponential(mean_gap))
-            if self.sim.now + gap > self.config.horizon:
-                return
-            yield self.sim.timeout(gap)
-            request = self.make_request()
-            if request is not None:
-                self.n_generated += 1
-                self.sink(request)
+    def _arrive(self) -> None:
+        """One arrival: hand a request to the sink, then draw the next gap."""
+        request = self.make_request()
+        if request is not None:
+            self.n_generated += 1
+            self.sink(request)
+        self._schedule_next()
 
-    def start(self) -> Process:
-        return Process(self.sim, self._run(), name="workload")
+    def _schedule_next(self) -> None:
+        gap = float(self.rng.exponential(1.0 / self.config.rate_per_min))
+        if self.sim.now + gap <= self.config.horizon:
+            self.sim.call_in(gap, self._arrive)
+
+    def start(self) -> None:
+        """Begin the stream at the current time (first gap drawn then)."""
+        self.sim.call_in(0.0, self._schedule_next)

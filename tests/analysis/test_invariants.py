@@ -116,13 +116,40 @@ def telemetry_sites(mod: Parsed) -> List[Tuple[str, str, int]]:
     return out
 
 
+def _ledger(node: ast.AST, aliases: frozenset = frozenset()) -> bool:
+    """``<x>.available`` / ``.avail_up`` / ``.avail_down``, a name in ``aliases``,
+    or a subscript of either."""
+    node = node.value if isinstance(node, ast.Subscript) else node
+    return (isinstance(node, ast.Attribute) and node.attr in LEDGERS) or (
+        isinstance(node, ast.Name) and node.id in aliases)
+
+
+def _bindings(target: ast.AST, value: ast.AST):
+    """``(name, expression)`` pairs one binding makes, unpacked through tuples."""
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, ast.Tuple) and isinstance(value, (ast.Tuple, ast.List)):
+        for t, v in zip(target.elts, value.elts):
+            yield from _bindings(t, v)
+
+
 def ledger_writes(mod: Parsed) -> List[int]:
-    """Assignments into a subscript of ``<x>.available`` / ``.avail_up`` / ``.avail_down``."""
-    targets = [t for n in mod.nodes if isinstance(n, (ast.Assign, ast.AugAssign))
-               for t in getattr(n, "targets", [getattr(n, "target", None)])]
+    """Subscript assignments and augmented assignments into a ledger, directly or
+    through a name bound from one (by ``=`` or a ``for`` over a tuple of them),
+    and ``out=`` keywords that name one."""
+    bound = [(t, n.value) for n in mod.nodes if isinstance(n, ast.Assign) for t in n.targets]
+    bound += [(n.target, v) for n in mod.nodes if isinstance(n, ast.For)
+              and isinstance(n.iter, (ast.Tuple, ast.List)) for v in n.iter.elts]
+    aliases = frozenset(name for t, v in bound for name, e in _bindings(t, v) if _ledger(e))
+    targets = [t for t, _ in bound if not isinstance(t, ast.Name)]
     targets += [e for t in targets if isinstance(t, ast.Tuple) for e in t.elts]
-    return [t.lineno for t in targets if isinstance(t, ast.Subscript)
-            and isinstance(t.value, ast.Attribute) and t.value.attr in LEDGERS]
+    augmented = [n.target for n in mod.nodes if isinstance(n, ast.AugAssign)]
+    outs = [k.value for n in mod.nodes if isinstance(n, ast.Call)
+            for k in n.keywords if k.arg == "out"]
+    return [t.lineno for t in targets + augmented if isinstance(t, ast.Subscript)
+            and _ledger(t.value, aliases)] + [
+        t.lineno for t in augmented if isinstance(t, ast.Name) and t.id in aliases] + [
+        o.lineno for o in outs if _ledger(o, aliases)]
 
 
 def uncatalogued(mod: Parsed) -> List[int]:
@@ -208,6 +235,14 @@ CASES = {  # id -> (detector, source, expected hits)
     "ledger-debit": (ledger_writes, "def f(s, r, b):\n    s.avail_up[r] -= b\n", 1),
     "ledger-block": (ledger_writes, "def f(s, r):\n    x, s.available[r] = 0, 1\n", 1),
     "ledger-read": (ledger_writes, "def f(s, r):\n    s.snap_up[r] = s.avail_up[r]\n", 0),
+    "ledger-alias": (ledger_writes, "def f(s, r, q):\n    avail = s.available[r]\n"
+                     "    avail -= q\n", 1),
+    "ledger-loop": (ledger_writes, "def f(s, a):\n    for res, row in ((s.avail_up, a),):\n"
+                    "        res[row] = 0\n", 1),
+    "ledger-out": (ledger_writes, "def f(np, s, r, x, q):\n"
+                   "    np.subtract(x, q, out=s.available[r])\n", 1),
+    "ledger-alias-read": (ledger_writes, "def f(s, r, q):\n    avail = s.available[r]\n"
+                          "    return (avail >= q).all()\n", 0),
 }
 
 

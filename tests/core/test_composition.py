@@ -142,11 +142,6 @@ class TestComposeQCS:
         path = compose_qcs(PATH2, two_hop_catalog(), USER, WEIGHTS)
         assert np.isclose(path.score, WEIGHTS.score(path.total))
 
-    def test_edge_bandwidths_selection_order(self):
-        path = compose_qcs(PATH2, two_hop_catalog(), USER, WEIGHTS)
-        # selection order = user side first: last's bw, then src's bw.
-        assert path.edge_bandwidths() == (200.0, 100.0)
-
     def test_user_requirement_enforced_at_last_hop(self):
         cat = two_hop_catalog()
         strict_user = QoSVector(format="final", quality=Interval(3, 3))

@@ -31,11 +31,6 @@ class TestInterval:
         assert not Interval(10, 20).contains_interval(Interval(5, 15))
         assert not Interval(10, 20).contains_interval(Interval(15, 25))
 
-    def test_intersect(self):
-        assert Interval(0, 10).intersect(Interval(5, 15)) == Interval(5, 10)
-        assert Interval(0, 10).intersect(Interval(10, 20)) == Interval(10, 10)
-        assert Interval(0, 10).intersect(Interval(11, 20)) is None
-
 
 class TestQoSVector:
     def test_mapping_protocol(self):
@@ -63,12 +58,6 @@ class TestQoSVector:
         b = QoSVector(q=Interval(1, 3), format="MPEG")
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_merged_with(self):
-        a = QoSVector(x=1, y=2)
-        b = QoSVector(y=9, z=3)
-        m = a.merged_with(b)
-        assert m == QoSVector(x=1, y=9, z=3)
 
     def test_as_tuple_sorted(self):
         q = QoSVector(b=2, a=1)
@@ -129,8 +118,3 @@ class TestSatisfies:
             offered,
             QoSVector(format="MPEG", rate=Interval(10, 20)),
         )
-
-    def test_method_form_matches_function(self):
-        offered = QoSVector(format="MPEG")
-        required = QoSVector(format="MPEG")
-        assert offered.satisfies(required) == satisfies(offered, required)

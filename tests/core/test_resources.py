@@ -35,14 +35,6 @@ class TestResourceVector:
     def test_add(self):
         assert rv(1, 2) + rv(3, 4) == rv(4, 6)
 
-    def test_sub_can_go_negative(self):
-        d = rv(1, 5) - rv(3, 1)
-        assert list(d.values) == [-2.0, 4.0]
-
-    def test_scalar_mul(self):
-        assert 2 * rv(1, 2) == rv(2, 4)
-        assert rv(1, 2) * 3 == rv(3, 6)
-
     def test_dimension_mismatch_raises(self):
         other = ResourceVector(("cpu",), [1.0])
         with pytest.raises(ValueError):
@@ -56,13 +48,11 @@ class TestResourceVector:
         r = rv(10, 50).ratio_to(rv(0, 100))
         assert r[0] == np.inf
 
-    def test_zeros_like(self):
-        z = ResourceVector.zeros_like(rv(3, 4))
-        assert z == rv(0, 0)
-
     def test_copy_is_independent(self):
+        """The constructor copies: a vector built from another's values
+        does not alias them."""
         a = rv(1, 2)
-        b = a.copy()
+        b = ResourceVector(a.names, a.values)
         b.values[0] = 99
         assert a.values[0] == 1.0
 

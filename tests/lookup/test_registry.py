@@ -57,13 +57,6 @@ class TestDiscovery:
         assert hops >= 0
         assert registry.n_routed_discoveries == len(services)
 
-    def test_mean_discovery_hops(self, setup):
-        _, catalog, _, registry = setup
-        assert registry.mean_discovery_hops == 0.0
-        iid = next(iter(catalog.instances))
-        registry.discover_hosts(iid, from_peer=1)
-        assert registry.mean_discovery_hops >= 0.0
-
 
 def catalog_joins(catalog, pid, iids):
     """What ``catalog.assign_new_peer`` leaves, for chosen instances: the

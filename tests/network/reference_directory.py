@@ -56,7 +56,7 @@ class ScalarPeer:
     ) -> None:
         self.peer_id = peer_id
         self.capacity = capacity
-        self.available = capacity.copy()
+        self.available = ResourceVector(capacity.names, capacity.values)
         if access_bw <= 0:
             raise ValueError(f"peer {peer_id}: access bandwidth must be positive")
         self.access_bw = float(access_bw)

@@ -60,6 +60,7 @@ class TestChurnProcess:
     def test_zero_rate_is_noop(self):
         sim, d, churn, departures = make(rate=0.0)
         churn.start()
+        assert not sim._heap  # a zero rate schedules nothing
         sim.run(until=10.0)
         assert churn.n_arrivals == churn.n_departures == 0
         assert not departures
@@ -115,3 +116,18 @@ class TestChurnProcess:
         before = churn.n_arrivals + churn.n_departures
         sim.run(until=20.0)
         assert churn.n_arrivals + churn.n_departures == before
+
+    def test_pending_tick_after_stop_changes_nothing(self):
+        sim, d, churn, departures = make(n=100, rate=50.0)
+        churn.start()
+        sim.run(until=5.5)
+        churn.stop()
+        assert [entry[0] for entry in sim._heap] == [6.0]  # the pending tick
+        state = churn.rng.bit_generator.state
+        before = (churn.n_arrivals, churn.n_departures, len(departures),
+                  d.generation, list(d.alive_ids))
+        sim.run()
+        assert sim.now == 6.0 and not sim._heap  # it fired, nothing follows
+        assert churn.rng.bit_generator.state == state  # no churn draw
+        assert (churn.n_arrivals, churn.n_departures, len(departures),
+                d.generation, list(d.alive_ids)) == before

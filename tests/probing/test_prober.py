@@ -94,8 +94,7 @@ class TestStaleness:
         flood(probing, 0, [(1, 1, True)])
         probing.observe(0, 1)
         d.reserve(1, rv(50, 50))
-        sim.timeout(1.5)
-        sim.run()  # advance the clock past the epoch boundary
+        sim.run(until=sim.now + 1.5)  # past the epoch boundary
         info = probing.observe(0, 1)
         assert list(info.availability.values) == [50.0, 50.0]
 

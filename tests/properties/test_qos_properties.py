@@ -41,14 +41,6 @@ def test_interval_contains_itself(iv):
     assert iv.contains_interval(iv)
 
 
-@given(intervals(), intervals())
-def test_intersection_contained_in_both(a, b):
-    inter = a.intersect(b)
-    if inter is not None:
-        assert a.contains_interval(inter)
-        assert b.contains_interval(inter)
-
-
 @given(intervals(), intervals(), intervals())
 def test_interval_containment_transitive(a, b, c):
     if a.contains_interval(b) and b.contains_interval(c):

@@ -20,17 +20,18 @@ def test_clock_custom_start():
     assert sim.now == 5.0
 
 
-def test_timeout_advances_clock():
+def test_call_in_advances_clock():
     sim = Simulator()
-    sim.timeout(3.5)
+    sim.call_in(3.5, lambda: None)
     sim.run()
     assert sim.now == 3.5
 
 
-def test_negative_timeout_rejected():
+def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.timeout(-1.0)
+        sim.call_in(-1.0, lambda: None)
+    assert not sim._heap
 
 
 def test_call_at_runs_at_time():
@@ -95,80 +96,6 @@ def test_run_until_past_raises():
         sim.run(until=5.0)
 
 
-def test_event_value_roundtrip():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("payload")
-    sim.run()
-    assert ev.ok and ev.value == "payload"
-
-
-def test_event_double_trigger_rejected():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed(1)
-    with pytest.raises(SimulationError):
-        ev.succeed(2)
-
-
-def test_event_fail_carries_exception():
-    sim = Simulator()
-    ev = sim.event()
-    exc = ValueError("boom")
-    ev.fail(exc)
-    # No callback handles the failure, so firing it raises.
-    with pytest.raises(ValueError, match="boom"):
-        sim.run()
-    assert not ev.ok
-    assert ev.value is exc
-
-
-def test_failure_with_a_callback_is_handled():
-    sim = Simulator()
-    seen = []
-    ev = sim.event()
-    ev.add_callback(lambda e: seen.append(e.value))
-    ev.fail(ValueError("boom"))
-    sim.run()
-    assert [str(v) for v in seen] == ["boom"]
-
-
-def test_event_fail_requires_exception():
-    sim = Simulator()
-    ev = sim.event()
-    with pytest.raises(TypeError):
-        ev.fail("not an exception")
-
-
-def test_untriggered_event_value_raises():
-    sim = Simulator()
-    ev = sim.event()
-    with pytest.raises(SimulationError):
-        _ = ev.value
-    with pytest.raises(SimulationError):
-        _ = ev.ok
-
-
-def test_callback_after_processed_runs_immediately():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed(99)
-    sim.run()
-    seen = []
-    ev.add_callback(lambda e: seen.append(e.value))
-    assert seen == [99]
-
-
-def test_callbacks_run_in_registration_order():
-    sim = Simulator()
-    ev = sim.timeout(1.0)
-    seen = []
-    ev.add_callback(lambda e: seen.append("a"))
-    ev.add_callback(lambda e: seen.append("b"))
-    sim.run()
-    assert seen == ["a", "b"]
-
-
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert peek(sim) == float("inf")
@@ -204,3 +131,93 @@ def test_many_events_scale():
     sim.run()
     assert len(counter) == 10_000
     assert sim.now == 99.0
+
+
+def test_call_passes_its_arguments():
+    sim = Simulator()
+    seen = []
+    sim.call_in(1.0, lambda *args: seen.append(args), "a", 2)
+    sim.run()
+    assert seen == [("a", 2)]
+
+
+def test_heap_entry_holds_the_callback_and_its_arguments():
+    sim = Simulator()
+    fn = print
+    sim.call_at(2.0, fn, "x")
+    assert sim._heap == [(2.0, 0, fn, ("x",))]
+
+
+def test_run_dispatches_every_event_through_step():
+    """A ``step`` replaced on the instance sees every event ``run`` fires."""
+    sim = Simulator()
+    stepped = []
+    step = sim.step
+    sim.step = lambda: (stepped.append(sim._heap[0][0]), step())
+    sim.call_at(1.0, sim.call_in, 1.0, lambda: None)
+    sim.call_at(5.0, lambda: None)
+    sim.run(until=3.0)
+    sim.run()
+    assert stepped == [1.0, 2.0, 5.0]
+
+
+class Ticker:
+    """A loop in callback form, shaped like the workload generator."""
+
+    def __init__(self, sim, trace, name, period, steps=3):
+        self.sim, self.trace, self.name = sim, trace, name
+        self.period, self.left = period, steps
+
+    def start(self):
+        self.sim.call_in(0.0, self._schedule_next)
+
+    def _schedule_next(self):
+        if self.left:
+            self.sim.call_in(self.period, self._step)
+
+    def _step(self):
+        self.left -= 1
+        self.trace.append((self.name, self.sim.now))
+        self._schedule_next()
+
+
+def test_loop_starts_at_current_time_not_before():
+    sim = Simulator()
+    trace = []
+    sim.call_at(5.0, Ticker(sim, trace, "a", 0.0, steps=1).start)
+    sim.run()
+    assert trace == [("a", 5.0)]
+
+
+def test_loops_interleave_by_time_then_seq():
+    sim = Simulator()
+    trace = []
+    Ticker(sim, trace, "a", 1.0).start()
+    Ticker(sim, trace, "b", 1.5).start()
+    sim.run()
+    # At t=3.0 both fire; b's call was scheduled earlier (at t=1.5 vs
+    # a's at t=2.0), so the lower sequence number runs b first.
+    assert trace == [
+        ("a", 1.0),
+        ("b", 1.5),
+        ("a", 2.0),
+        ("b", 3.0),
+        ("a", 3.0),
+        ("b", 4.5),
+    ]
+
+
+def test_raising_callback_propagates_at_its_time():
+    sim = Simulator()
+    seen = []
+
+    def bad():
+        raise RuntimeError("kaput")
+
+    sim.call_at(1.0, bad)
+    sim.call_at(1.0, seen.append, "after")
+    with pytest.raises(RuntimeError, match="kaput"):
+        sim.run(until=10.0)
+    assert sim.now == 1.0 and seen == []
+    sim.run()  # the kernel is usable again; the rest of the heap runs
+    assert seen == ["after"]
