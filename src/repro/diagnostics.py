@@ -70,10 +70,7 @@ def _check_sessions(grid: P2PGrid, problems: List[str]) -> None:
                 )
     for pid in list(getattr(ledger, "_by_peer", {})):
         for sid in ledger.sessions_on_peer(pid):
-            session = next(
-                (s for s in ledger.active_sessions() if s.session_id == sid),
-                None,
-            )
+            session = ledger.active_session(sid)
             if session is None:
                 problems.append(
                     f"peer {pid}: index references inactive session {sid}"

@@ -1,8 +1,9 @@
 """Capped exponential backoff with deterministic, seeded jitter.
 
-One :class:`RetryPolicy` shape is shared by every hardened consumer --
-the prober, the lookup registry, session admission and runtime recovery
--- so the backoff discipline (and its tests) live in one place.
+Every hardened consumer -- the prober, the lookup registry, session
+admission and runtime recovery -- retries under one :class:`RetryPolicy`,
+the one its run's :class:`~repro.faults.injector.FaultInjector` holds
+and applies (:meth:`~repro.faults.injector.FaultInjector.retry_delay`).
 
 Backoff delays are *simulated* minutes.  Where the consumer runs inside
 the synchronous setup pipeline (probing, lookup, admission) the delay is

@@ -11,16 +11,18 @@ telemetry included (``tests/telemetry/test_determinism.py``).
 Besides the decisions the injector owns the fault bookkeeping: the
 ``fault.injected`` / ``retry.attempt`` / ``retry.exhausted`` telemetry
 events, the matching counters, and the per-kind tallies behind
-:meth:`FaultInjector.summary`.
+:meth:`FaultInjector.summary`, and the one retry rule every hardened
+site follows after a failed attempt (:meth:`FaultInjector.retry_delay`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.faults.backoff import RetryPolicy
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import derive_seed
 
@@ -53,6 +55,8 @@ class FaultInjector:
         self.plan = plan
         self.rng = rng
         self.telemetry = telemetry
+        #: The retry budget and backoff of every hardened site.
+        self.retry = RetryPolicy()
         #: Total faults injected, and the per-``(kind, site)`` tallies.
         self.n_injected = 0
         self.counts: Counter = Counter()
@@ -86,28 +90,29 @@ class FaultInjector:
             tel.metrics.counter("fault.injected").inc()
             tel.bus.emit("fault.injected", kind=kind, site=site, **fields)
 
-    def retry_attempt(
-        self, site: str, attempt: int, delay: float, **fields: Any
-    ) -> None:
-        """Record one backoff retry at a hardened site."""
-        self.n_retries += 1
+    def retry_delay(
+        self, site: str, attempts: int, **fields: Any
+    ) -> Optional[float]:
+        """After the ``attempts``-th failed attempt at ``site``: ``None``
+        when the budget is spent (recorded as ``retry.exhausted``), else
+        the backoff before the next attempt, drawn and recorded as
+        ``retry.attempt``."""
         tel = self.telemetry
+        if attempts > self.retry.max_retries:
+            self.n_exhausted += 1
+            if tel is not None:
+                tel.metrics.counter("retry.exhausted").inc()
+                tel.bus.emit("retry.exhausted", site=site, attempts=attempts, **fields)
+            return None
+        delay = self.retry.delay(attempts, self.rng)
+        self.n_retries += 1
         if tel is not None:
             tel.metrics.counter("retry.attempts").inc()
             tel.bus.emit(
-                "retry.attempt", site=site, attempt=attempt,
+                "retry.attempt", site=site, attempt=attempts,
                 delay=round(delay, 9), **fields,
             )
-
-    def retry_exhausted(self, site: str, attempts: int, **fields: Any) -> None:
-        """Record a retry budget running dry (plain failure path follows)."""
-        self.n_exhausted += 1
-        tel = self.telemetry
-        if tel is not None:
-            tel.metrics.counter("retry.exhausted").inc()
-            tel.bus.emit(
-                "retry.exhausted", site=site, attempts=attempts, **fields
-            )
+        return delay
 
     # -- probing faults -----------------------------------------------------
     def probe_lost(self, target: int) -> bool:

@@ -33,7 +33,6 @@ from repro.core.aggregation import BaseAggregator, QSAAggregator
 from repro.core.baselines import FixedAggregator, RandomAggregator
 from repro.core.resources import WeightProfile
 from repro.core.selection import PhiWeights
-from repro.faults.backoff import RetryPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.lookup.chord import ChordRing
@@ -115,10 +114,6 @@ class GridConfig:
     #: Fault injection plan; ``None`` (or an empty plan) keeps every
     #: substrate operation reliable and the hot paths fault-check-free.
     faults: Optional[FaultPlan] = None
-    #: Retry budget + backoff for faulted DHT lookups.
-    lookup_retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Retry budget + backoff for transient admission failures.
-    admission_retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Determinism sanitizer (``grid.sanitizer``): per-stream RNG draw
     #: ledger with epoch state hashes, plus a write barrier around peer
     #: and session mutations.  Off by default -- when off, streams are
@@ -126,8 +121,6 @@ class GridConfig:
     #: byte-identical.  See docs/static-analysis.md ("The determinism
     #: contract") and ``repro sanitize``.
     sanitize: bool = False
-    #: Sim-time width of one sanitizer checkpoint epoch (minutes).
-    sanitize_epoch: float = 5.0
     #: Root seed for every RNG stream.
     seed: int = 0
 
@@ -166,9 +159,7 @@ class P2PGrid:
         if config.sanitize:
             from repro.sim.sanitizer import Sanitizer as _Sanitizer
 
-            self.sanitizer = _Sanitizer(
-                clock=lambda: self.sim.now, epoch=config.sanitize_epoch
-            )
+            self.sanitizer = _Sanitizer(clock=lambda: self.sim.now)
             self.sanitizer.begin(config.seed)
         self.rngs = RngStreams(config.seed, sanitizer=self.sanitizer)
         self.applications = list(
@@ -239,7 +230,7 @@ class P2PGrid:
                 self.rngs.stream("faults"),
                 telemetry=_tel,
             )
-            self.registry.configure_faults(self.injector, config.lookup_retry)
+            self.registry.injector = self.injector
 
         # -- probing & sessions ----------------------------------------------
         self.probing = ProbingService(
@@ -254,7 +245,6 @@ class P2PGrid:
             self._session_resolved,
             telemetry=_tel,
             injector=self.injector,
-            admission_retry=config.admission_retry,
         )
         self.ledger.sanitizer = self.sanitizer
 
@@ -269,7 +259,7 @@ class P2PGrid:
 
         # -- runtime failure recovery (optional extension) -------------------
         self.recovery: Optional[RecoveryManager] = None
-        if config.recovery is not None and config.recovery.enabled:
+        if config.recovery is not None:
             self.recovery = RecoveryManager(
                 self.sim,
                 self.directory,

@@ -26,8 +26,8 @@ catalog lacks, or one that contradicts the event, is a ``ValueError``.
 Fault tolerance
 ---------------
 With a :class:`~repro.faults.injector.FaultInjector` attached
-(:meth:`ServiceRegistry.configure_faults`), each routed query may fail
-in flight.  The registry retries with capped exponential backoff,
+(``registry.injector``, set by the grid), each routed query may fail in
+flight.  The registry retries under the injector's backoff rule,
 re-routing around the hop that dropped the previous copy (retry with
 exclusion -- each copy's fate is an independent draw, and each retry
 re-pays the routing hops).  Budget exhaustion degrades to "no record
@@ -37,6 +37,7 @@ found", which the composition layer already treats as NO_CANDIDATES.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import count
 from typing import Any, Dict, Iterable, Protocol, Sequence, Tuple
 
 from repro.services.catalog import ServiceCatalog
@@ -77,6 +78,9 @@ class ServiceRegistry:
     #: Optional :class:`repro.telemetry.Telemetry`; set by the grid (the
     #: discovery counter is metrics-only, never a bus event).
     telemetry = None
+    #: Optional :class:`repro.faults.injector.FaultInjector`; set by the
+    #: grid when the run has a fault plan.
+    injector = None
     #: Always 0: nothing is served from a cache.  Read only by
     #: ``bench/inproc.py``, until a ``benchmark`` PR drops its
     #: ``lookup.cached`` / ``lookup.cache_hit_ratio`` metrics.
@@ -88,14 +92,7 @@ class ServiceRegistry:
         #: Discovery accounting: every discovery is one routed read.
         self.n_routed_discoveries = 0
         self.discovery_hops = 0
-        self.injector = None
-        self.retry = None
         self._populate()
-
-    def configure_faults(self, injector, retry) -> None:
-        """Attach a fault injector + :class:`~repro.faults.RetryPolicy`."""
-        self.injector = injector
-        self.retry = retry
 
     def _populate(self) -> None:
         """Every service record, then every instance record, in one put."""
@@ -114,21 +111,15 @@ class ServiceRegistry:
         inj = self.injector
         if inj is None:
             return self.ring.get(key, from_peer)
-        retry = self.retry
         total_hops = 0
-        attempts = 0
-        while True:
+        for attempt in count(1):
             node, hops = self.ring.lookup(key, from_peer)
             total_hops += hops
             if not inj.lookup_fails(key, from_peer, node.peer_id):
-                return node.store.get(key), total_hops
-            attempts += 1
-            if attempts > retry.max_retries:
-                inj.retry_exhausted("lookup", attempts=attempts, key=key)
+                break
+            if inj.retry_delay("lookup", attempt, key=key) is None:
                 return None, total_hops
-            inj.retry_attempt(
-                "lookup", attempts, retry.delay(attempts, inj.rng), key=key
-            )
+        return node.store.get(key), total_hops
 
     def _discover(self, key: str, from_peer: int) -> Tuple[Any, int]:
         """One accounted discovery: ``(record or None, hops)``."""

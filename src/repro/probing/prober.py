@@ -32,9 +32,10 @@ Fault tolerance
 ---------------
 With a :class:`~repro.faults.injector.FaultInjector` attached, probe
 messages may be lost or delayed.  An attempt whose injected delay
-exceeds ``ProbingConfig.timeout`` counts as lost; lost attempts retry
-with the capped exponential backoff of ``ProbingConfig.retry``.  When
-the retry budget runs dry the prober degrades instead of failing: it
+exceeds :data:`PROBE_TIMEOUT` counts as lost; lost attempts retry under
+the injector's backoff rule
+(:meth:`~repro.faults.injector.FaultInjector.retry_delay`).  When the
+retry budget runs dry the prober degrades instead of failing: it
 keeps serving the previous epoch's snapshot row (re-stamped, values
 kept) or, with no snapshot to fall back on, reports the target as
 unknown -- which sends the selector down its plain random-fallback path.
@@ -50,8 +51,8 @@ replaced is the executable spec in ``tests/probing/reference_prober.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from dataclasses import dataclass
+from itertools import accumulate, chain, count
 from operator import is_
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -59,13 +60,15 @@ import numpy as np
 
 from repro.core.resources import ResourceVector
 from repro.core.selection import ObservedBlock, PeerInfo
-from repro.faults.backoff import RetryPolicy
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
 from repro.probing.neighbors import PRIO_DTYPE, NeighborTable
 from repro.sim.engine import Simulator
 
-__all__ = ["ProbingConfig", "ProbingService", "SelectionPlan"]
+__all__ = ["PROBE_TIMEOUT", "ProbingConfig", "ProbingService", "SelectionPlan"]
+
+#: A probe attempt slower than this (minutes) counts as lost.
+PROBE_TIMEOUT = 0.25
 
 #: One hop of a :class:`SelectionPlan`: ``(ids, prio, first)``.
 PlanEntry = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
@@ -81,19 +84,12 @@ class ProbingConfig:
     period: float = 1.0
     #: Soft-state TTL for neighbor entries, minutes.
     ttl: float = 10.0
-    #: A probe attempt slower than this (minutes) counts as lost.
-    timeout: float = 0.25
-    #: Retry budget + backoff for lost/timed-out probes (only exercised
-    #: when a fault injector is attached).
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ValueError("probe period must be positive")
         if self.ttl <= 0:
             raise ValueError("neighbor TTL must be positive")
-        if self.timeout <= 0:
-            raise ValueError("probe timeout must be positive")
 
 
 class SelectionPlan(Sequence[PlanEntry]):
@@ -368,25 +364,19 @@ class ProbingService:
     def _probe_with_faults(self, target: int, epoch: int, inj) -> bool:
         """The messages of one refresh under fault injection: timeout,
         retry, give up.  True when a probe got through."""
-        retry = self.config.retry
         tel = self.telemetry
-        attempts = 0
-        while True:
+        for attempt in count(1):
             self._record_probe()
             # A reply that misses the timeout window counts as a loss.
             if not inj.probe_lost(target) and (
-                inj.probe_delay(target) <= self.config.timeout
+                inj.probe_delay(target) <= PROBE_TIMEOUT
             ):
-                if tel is not None:
-                    tel.bus.emit("probe.refresh", target=target, epoch=epoch)
-                return True
-            attempts += 1
-            if attempts > retry.max_retries:
-                inj.retry_exhausted("probe", attempts=attempts, target=target)
+                break
+            if inj.retry_delay("probe", attempt, target=target) is None:
                 return False
-            inj.retry_attempt(
-                "probe", attempts, retry.delay(attempts, inj.rng), target=target
-            )
+        if tel is not None:
+            tel.bus.emit("probe.refresh", target=target, epoch=epoch)
+        return True
 
     def _observe_faulted(
         self, observer: int, known: np.ndarray, ids: np.ndarray,

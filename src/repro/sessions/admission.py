@@ -1,16 +1,20 @@
 """Atomic multi-peer admission: reserve everything or nothing.
 
-Admission walks the delivery chain reserving
+One pass, :func:`reserve_all`, reserves
 
-* each instance's end-system requirement ``R`` on its selected peer, and
+* each hold's end-system requirement ``R`` on its peer, and
 * each connection's bandwidth ``b`` on the network model (which debits
   the sender's uplink, the receiver's downlink and the pair's bottleneck
   capacity),
 
 rolling back every prior reservation on the first shortage so a rejected
-request leaves no residue.  The rollback discipline is what keeps the
-grid's books balanced across hundreds of thousands of simulated requests
-(property-tested in ``tests/sessions/test_conservation.py``).
+request leaves no residue.  Admission (:func:`reserve_session`) runs it
+over the whole delivery chain; a runtime repair
+(:mod:`repro.sessions.recovery`) runs it over the replacement peers'
+holds and the connections they change, so every release credits exactly
+what one of these passes debited.  The rollback discipline is what keeps
+the grid's books balanced across hundreds of thousands of simulated
+requests (property-tested in ``tests/sessions/test_conservation.py``).
 
 Fault tolerance
 ---------------
@@ -18,13 +22,14 @@ With a :class:`~repro.faults.injector.FaultInjector`, individual
 reservation messages may transiently fail (``admission_failure``) and
 connections crossing an active partition fail deterministically.  Each
 transient failure rolls back the whole attempt (the all-or-nothing
-discipline is not relaxed under faults) and retries with capped
-exponential backoff; budget exhaustion surfaces as a
+discipline is not relaxed under faults) and retries under the injector's
+backoff rule; budget exhaustion surfaces as a
 :class:`TransientAdmissionError`, which callers treat as a rejection.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import List, Sequence, Tuple
 
 from repro.core.resources import ResourceVector
@@ -36,6 +41,7 @@ __all__ = [
     "AdmissionError",
     "chain_edges",
     "TransientAdmissionError",
+    "reserve_all",
     "reserve_session",
     "rollback_session",
 ]
@@ -66,11 +72,8 @@ def chain_edges(
     ``peers[i]`` hosts ``instances[i]``; the final connection delivers to
     the user's own host.
     """
-    edges = []
-    for i, inst in enumerate(instances):
-        dst = peers[i + 1] if i + 1 < len(peers) else user_peer
-        edges.append((peers[i], dst, inst.bandwidth))
-    return edges
+    dsts = [*peers[1:], user_peer]
+    return [(s, d, inst.bandwidth) for s, d, inst in zip(peers, dsts, instances)]
 
 
 def reserve_session(
@@ -80,9 +83,11 @@ def reserve_session(
     peers: Sequence[int],
     user_peer: int,
     injector=None,
-    retry=None,
 ) -> None:
     """Reserve all resources for a session; raise and roll back on failure.
+
+    :func:`reserve_all` over the whole chain, retried under the
+    injector's backoff rule after each transient failure.
 
     Raises
     ------
@@ -90,7 +95,7 @@ def reserve_session(
         If any peer cannot fit its instance's ``R`` (stage
         ``"resources"``) or any connection cannot fit its ``b`` (stage
         ``"bandwidth"``).  With an ``injector``, a transient failure
-        that survives the ``retry`` budget raises
+        that survives the retry budget raises
         :class:`TransientAdmissionError` (stage ``"transient"``).  No
         reservations remain held afterwards in any case.
     """
@@ -98,47 +103,48 @@ def reserve_session(
         raise ValueError(
             f"{len(instances)} instances but {len(peers)} peers selected"
         )
-    attempts = 0
-    while True:
+    holds = list(zip(peers, instances))
+    edges = chain_edges(peers, user_peer, instances)
+    for attempt in count(1):
         try:
-            _reserve_attempt(
-                directory, network, instances, peers, user_peer, injector
-            )
+            reserve_all(directory, network, holds, edges, injector)
             return
         except TransientAdmissionError:
-            attempts += 1
-            if retry is None or attempts > retry.max_retries:
-                injector.retry_exhausted(
-                    "admission", attempts=attempts, user_peer=user_peer
-                )
+            if injector.retry_delay("admission", attempt, user_peer=user_peer) is None:
                 raise
-            injector.retry_attempt(
-                "admission", attempts, retry.delay(attempts, injector.rng),
-                user_peer=user_peer,
-            )
 
 
-def _reserve_attempt(
+def reserve_all(
     directory: SoAPeerDirectory,
     network: NetworkModel,
-    instances: Sequence[ServiceInstance],
-    peers: Sequence[int],
-    user_peer: int,
+    holds: Sequence[Tuple[int, ServiceInstance]],
+    edges: Sequence[Tuple[int, int, float]],
     injector=None,
+    session_id: int | None = None,
 ) -> None:
-    """One all-or-nothing pass, in flow order: each peer's ``R``, then
-    each connection's ``b``; the first failure credits back what this
-    pass debited, in the order it debited it."""
+    """The one all-or-nothing reservation pass, admission's and repair's.
+
+    Each ``(peer, instance)`` hold debits the instance's ``R`` on the
+    peer, then each ``(src, dst, b)`` edge debits ``b`` on the network;
+    the first failure credits back what this pass debited, in the order
+    it debited it, and raises :class:`AdmissionError`.  Injected faults
+    are recorded at site ``"admission"`` naming each hold's instance, or,
+    for the repair of ``session_id``, at site ``"recovery"`` naming the
+    session.
+    """
+    site = "admission" if session_id is None else "recovery"
     held_res: List[Tuple[int, ResourceVector]] = []
     held_bw: List[Tuple[int, int, float]] = []
     try:
-        for inst, pid in zip(instances, peers):
+        for pid, inst in holds:
             if not directory.is_alive(pid):
                 raise AdmissionError(
                     f"peer {pid} is not alive", stage="resources"
                 )
             if injector is not None and injector.admission_fails(
-                "admission", peer=pid, instance=inst.instance_id
+                site, peer=pid,
+                **({"instance": inst.instance_id} if session_id is None
+                   else {"session_id": session_id}),
             ):
                 raise TransientAdmissionError(
                     f"reservation message to peer {pid} lost"
@@ -151,9 +157,9 @@ def _reserve_attempt(
                     stage="resources",
                 )
             held_res.append((pid, inst.resources))
-        for src, dst, bw in chain_edges(peers, user_peer, instances):
+        for src, dst, bw in edges:
             if injector is not None and injector.partitioned(src, dst):
-                injector.inject("partition", "admission", src=src, dst=dst)
+                injector.inject("partition", site, src=src, dst=dst)
                 raise TransientAdmissionError(
                     f"connection {src} -> {dst} crosses a partition"
                 )

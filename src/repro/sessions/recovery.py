@@ -14,9 +14,11 @@ it so the claim can be measured rather than asserted:
   re-runs for the slots the departed peer held.  Replacements come from
   the instance's surviving replicas via the same Φ/uptime selector, with
   the session's *remaining* duration as the uptime target.  Reservations
-  follow make-before-break: the replacement's resources and connections
-  are acquired first, then the stale ones are released, so a failed
-  repair can always fall back to the plain failure path without
+  follow make-before-break: the replacements' resources and the changed
+  connections are acquired first, through the admission pass
+  (:func:`~repro.sessions.admission.reserve_all`), then the stale
+  connections are released, so a failed repair holds nothing new and
+  can always fall back to the plain failure path without
   double-releasing anything.
 
 If re-selection or re-admission fails, the attempt budget is exhausted,
@@ -28,7 +30,8 @@ Fault tolerance
 With a :class:`~repro.faults.injector.FaultInjector`, individual repair
 reservations may transiently fail.  Unlike the synchronous setup path,
 recovery is event driven, so transient failures reschedule the repair at
-a *real* simulated backoff delay (``RecoveryConfig.retry``); transient
+a *real* simulated delay, the injector's backoff
+(:meth:`~repro.faults.injector.FaultInjector.retry_delay`); transient
 retries do not consume the ``max_attempts`` repair budget.  A genuine
 shortage, or a drained transient budget, falls through to the plain
 failure path -- make-before-break guarantees nothing was double-released
@@ -40,16 +43,20 @@ recovery enabled and reports the improvement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.selection import PeerSelector
-from repro.faults.backoff import RetryPolicy
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
-from repro.sessions.admission import chain_edges
+from repro.sessions.admission import (
+    AdmissionError,
+    TransientAdmissionError,
+    chain_edges,
+    reserve_all,
+)
 from repro.sessions.session import Session, SessionLedger
 from repro.sim.engine import Simulator
 
@@ -58,26 +65,19 @@ __all__ = ["RecoveryConfig", "RecoveryManager"]
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs for runtime failure recovery.
+    """Knobs for runtime failure recovery (``GridConfig.recovery=None``
+    turns it off).
 
     Attributes
     ----------
-    enabled:
-        Master switch (``False`` reduces to plain ``fail_peer``).
     detection_delay:
         Minutes between departure and repair attempt.
     max_attempts:
         How many repairs one session may consume over its lifetime.
-    retry:
-        Backoff for *transient* reservation failures during a repair
-        (fault injection only); these retries reschedule on the sim
-        clock and do not consume ``max_attempts``.
     """
 
-    enabled: bool = True
     detection_delay: float = 0.0
     max_attempts: int = 3
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.detection_delay < 0:
@@ -122,20 +122,14 @@ class RecoveryManager:
         self.telemetry = telemetry
         #: Optional fault injection (transient repair failures).
         self.injector = injector
-        self._attempts: dict[int, int] = {}
-        #: session id -> transient retries consumed for the current repair.
-        self._transient: dict[int, int] = {}
         self.n_repairs = 0
         self.n_repair_failures = 0
 
     # -- entry point -----------------------------------------------------------
     def on_peer_departure(self, peer_id: int) -> None:
         """Handle a departure: repair what can be repaired, fail the rest."""
-        if not self.config.enabled:
-            self.ledger.fail_peer(peer_id)
-            return
-        for sid in list(self.ledger.sessions_on_peer(peer_id)):
-            session = self._active(sid)
+        for sid in self.ledger.sessions_on_peer(peer_id):
+            session = self.ledger.active_session(sid)
             if session is None:
                 continue
             if session.user_peer == peer_id:
@@ -154,14 +148,7 @@ class RecoveryManager:
                 self._attempt(sid, peer_id, departed_at)
 
     # -- internals ---------------------------------------------------------------
-    def _active(self, session_id: int) -> Optional[Session]:
-        for s in self.ledger.active_sessions():
-            if s.session_id == session_id:
-                return s
-        return None
-
     def _give_up(self, session_id: int, dead_peer: int) -> None:
-        self._transient.pop(session_id, None)
         self.n_repair_failures += 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("recovery.failed").inc()
@@ -169,62 +156,49 @@ class RecoveryManager:
                 "recovery.failed", session_id=session_id, dead_peer=dead_peer
             )
         self.ledger.fail_session(
-            session_id,
-            f"peer {dead_peer} departed (unrecovered)",
-            skip_peer=dead_peer,
+            session_id, f"peer {dead_peer} departed (unrecovered)", dead_peer
         )
 
     def _attempt(
         self, session_id: int, dead_peer: int, departed_at: float
     ) -> None:
-        session = self._active(session_id)
+        session = self.ledger.active_session(session_id)
         if session is None:  # completed or failed during the window
             return
-        # A second departure during the detection window is fatal.
-        others_alive = all(
+        # A second departure during the detection window is fatal, and
+        # so is a spent repair budget.
+        if session.repair_attempts >= self.config.max_attempts or not all(
             self.directory.is_alive(pid)
-            for pid in session.peers
+            for pid in (*session.peers, session.user_peer)
             if pid != dead_peer
-        )
-        if not others_alive or not self.directory.is_alive(session.user_peer):
+        ):
             self._give_up(session_id, dead_peer)
             return
-        attempts = self._attempts.get(session_id, 0)
-        if attempts >= self.config.max_attempts:
-            self._give_up(session_id, dead_peer)
-            return
-        self._attempts[session_id] = attempts + 1
-
+        session.repair_attempts += 1
         new_peers = self._select_replacements(session, dead_peer)
-        swap = (
-            "shortage" if new_peers is None
-            else self._swap_reservations(session, dead_peer, new_peers)
-        )
-        if swap == "transient":
+        if new_peers is None:
+            self._give_up(session_id, dead_peer)
+            return
+        try:
+            self._swap_reservations(session, dead_peer, new_peers)
+        except TransientAdmissionError:
             # An injected hiccup, not a shortage: back off on the sim
             # clock and retry without consuming the repair budget.
-            self._attempts[session_id] = attempts
-            n = self._transient.get(session_id, 0) + 1
-            inj = self.injector
-            retry = self.config.retry
-            if n > retry.max_retries:
-                inj.retry_exhausted(
-                    "recovery", attempts=n, session_id=session_id
-                )
-                self._give_up(session_id, dead_peer)
-                return
-            self._transient[session_id] = n
-            delay = retry.delay(n, inj.rng)
-            inj.retry_attempt(
-                "recovery", n, delay, session_id=session_id
+            session.repair_attempts -= 1
+            session.repair_retries += 1
+            delay = self.injector.retry_delay(
+                "recovery", session.repair_retries, session_id=session_id
             )
-            self.sim.call_in(delay, self._attempt, session_id, dead_peer,
-                             departed_at)
+            if delay is None:
+                self._give_up(session_id, dead_peer)
+            else:
+                self.sim.call_in(delay, self._attempt, session_id, dead_peer,
+                                 departed_at)
             return
-        if swap != "ok":
+        except AdmissionError:
             self._give_up(session_id, dead_peer)
             return
-        self._transient.pop(session_id, None)
+        session.repair_retries = 0
         old_peers = tuple(session.peers)
         self.ledger.reassign_session_peers(session_id, new_peers)
         self.n_repairs += 1
@@ -279,65 +253,26 @@ class RecoveryManager:
         session: Session,
         dead_peer: int,
         new_peers: Tuple[int, ...],
-    ) -> str:
-        """Make-before-break: acquire the repaired holds, then drop the
-        stale ones.  Returns ``"ok"``, ``"shortage"`` (a ledger genuinely
-        ran short) or ``"transient"`` (an injected hiccup worth a
-        backoff-retry).  On any failure everything acquired here is
-        rolled back and the session's original holds are untouched."""
-        instances = session.instances
-        old_peers = session.peers
-        n = len(old_peers)
-        inj = self.injector
-
-        old_edges = session.connections()
-        new_edges = chain_edges(new_peers, session.user_peer, instances)
+    ) -> None:
+        """Make-before-break: the admission pass acquires the dead slots'
+        replacement holds and the changed connections (raising
+        :class:`AdmissionError`, with nothing new held, on failure), then
+        the stale connections are dropped.  The dead peer's own
+        end-system share died with it: nothing to release there."""
+        new_edges = chain_edges(new_peers, session.user_peer, session.instances)
         changed = [
-            (o, w) for o, w in zip(old_edges, new_edges) if o != w
+            (old, new)
+            for old, new in zip(session.connections(), new_edges)
+            if old != new
         ]
-
-        # 1. Acquire end-system resources on the replacement peers.
-        acquired_res: List[Tuple[int, int]] = []  # (slot, peer)
-
-        def undo_res() -> None:
-            for s, pid in acquired_res:
-                self.directory.release(pid, instances[s].resources)
-
-        for slot in range(n):
-            if old_peers[slot] != dead_peer:
-                continue
-            if inj is not None and inj.admission_fails(
-                "recovery", peer=new_peers[slot], session_id=session.session_id
-            ):
-                undo_res()
-                return "transient"
-            if not self.directory.reserve(
-                new_peers[slot], instances[slot].resources
-            ):
-                undo_res()
-                return "shortage"
-            acquired_res.append((slot, new_peers[slot]))
-
-        # 2. Acquire the changed connections.
-        acquired_bw: List[Tuple[int, int, float]] = []
-
-        def undo_all() -> None:
-            for s, t, b in acquired_bw:
-                self.network.release(s, t, b)
-            undo_res()
-
-        for _old, (src, dst, bw) in changed:
-            if inj is not None and inj.partitioned(src, dst):
-                inj.inject("partition", "recovery", src=src, dst=dst)
-                undo_all()
-                return "transient"
-            if not self.network.reserve(src, dst, bw):
-                undo_all()
-                return "shortage"
-            acquired_bw.append((src, dst, bw))
-
-        # 3. Break: drop the stale connections (the dead peer's own
-        # end-system share died with it -- nothing to release there).
+        holds = [
+            (new, inst)
+            for old, new, inst in zip(session.peers, new_peers, session.instances)
+            if old == dead_peer
+        ]
+        reserve_all(
+            self.directory, self.network, holds, [new for _, new in changed],
+            self.injector, session_id=session.session_id,
+        )
         for (src, dst, bw), _new in changed:
             self.network.release(src, dst, bw)
-        return "ok"

@@ -9,13 +9,17 @@
 * reports outcomes through an observer callback (the grid turns it into
   the always-dispatched ``session.resolved`` bus event) so the metrics
   layer never needs to poll.
+
+A completion, an early release and a failure are one teardown
+(:meth:`SessionLedger._resolve`): they differ only in the outcome they
+record.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.network.soa import SoAPeerDirectory
 from repro.network.topology import NetworkModel
@@ -54,6 +58,10 @@ class Session:
     #: delete vs. scheduled completion vs. recovery) can never
     #: double-credit the resource books.
     released: bool = False
+    #: Runtime recovery's budgets, which die with the session: repairs
+    #: tried so far, and transient retries of the current repair.
+    repair_attempts: int = 0
+    repair_retries: int = 0
 
     @property
     def end(self) -> float:
@@ -80,7 +88,6 @@ class SessionLedger:
         on_outcome: Optional[Callable[[Session], None]] = None,
         telemetry=None,
         injector=None,
-        admission_retry=None,
     ) -> None:
         self.sim = sim
         self.directory = directory
@@ -90,9 +97,8 @@ class SessionLedger:
         #: events + a detached sim-time span per session lifetime.
         self.telemetry = telemetry
         #: Optional fault injection: transient admission failures retry
-        #: under ``admission_retry`` before surfacing as a rejection.
+        #: (the injector's rule) before surfacing as a rejection.
         self.injector = injector
-        self.admission_retry = admission_retry
         #: Optional :class:`repro.sim.sanitizer.Sanitizer` write barrier;
         #: set by the grid when ``GridConfig.sanitize`` is on.
         self.sanitizer = None
@@ -121,7 +127,7 @@ class SessionLedger:
         """
         reserve_session(
             self.directory, self.network, instances, peers, user_peer,
-            injector=self.injector, retry=self.admission_retry,
+            injector=self.injector,
         )
         session = Session(
             session_id=self._next_id,
@@ -142,7 +148,9 @@ class SessionLedger:
                 "sessions", "admit", self.directory.generation,
                 n=len(session.peers),
             )
-        self.sim.call_in(duration, self._complete, session.session_id)
+        self.sim.call_in(
+            duration, self._resolve, session.session_id, "completed"
+        )
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("session.admitted").inc()
@@ -178,76 +186,75 @@ class SessionLedger:
             self.directory, self.network, held_res, held_bw, skip_peer=skip_peer
         )
 
-    def _detach(self, session: Session) -> None:
-        self._active.pop(session.session_id, None)
-        for pid in sorted(session.participants | {session.user_peer}):
+    def _unlink(self, session_id: int, pids: Iterable[int]) -> None:
+        """Drop ``session_id`` from the peer index of each of ``pids``."""
+        for pid in pids:
             members = self._by_peer.get(pid)
             if members is not None:
-                members.discard(session.session_id)
+                members.discard(session_id)
                 if not members:
                     del self._by_peer[pid]
 
-    def _complete(self, session_id: int) -> None:
+    def _resolve(
+        self,
+        session_id: int,
+        outcome: str,
+        reason: Optional[str] = None,
+        skip_peer: Optional[int] = None,
+    ) -> Optional[Session]:
+        """The one teardown of an active session (``None`` if it is not):
+        ``outcome`` is ``"completed"``, ``"released"`` or ``"failed"``;
+        only the state, tallies and ``session.<outcome>`` records differ."""
         session = self._active.get(session_id)
-        if session is None:  # already failed
-            return
-        session.state = SessionState.COMPLETED
-        self._release(session)
-        self._detach(session)
-        self.n_completed += 1
+        if session is None:
+            return None
+        failed = outcome == "failed"
+        session.state = SessionState.FAILED if failed else SessionState.COMPLETED
+        session.failure_reason = reason
+        self._release(session, skip_peer=skip_peer)
+        del self._active[session_id]
+        self._unlink(session_id, sorted(session.participants | {session.user_peer}))
+        if failed:
+            self.n_failed += 1
+        else:
+            self.n_completed += 1
+            self.n_released += outcome == "released"
         tel = self.telemetry
         if tel is not None:
-            tel.metrics.counter("session.completed").inc()
-            tel.bus.emit(
-                "session.completed",
-                session_id=session.session_id,
-                request_id=session.request_id,
-            )
-            span = self._spans.pop(session.session_id, None)
+            tel.metrics.counter("session." + outcome).inc()
+            request_id = session.request_id
+            if failed:
+                tel.bus.emit("session.failed", session_id=session_id,
+                             request_id=request_id, reason=reason)
+            elif outcome == "released":
+                tel.bus.emit("session.released", session_id=session_id,
+                             request_id=request_id,
+                             held_minutes=self.sim.now - session.start)
+            else:
+                tel.bus.emit("session.completed", session_id=session_id,
+                             request_id=request_id)
+            span = self._spans.pop(session_id, None)
             if span is not None:
-                span.end(outcome="completed")
+                span.end(outcome=outcome)
         if self.on_outcome is not None:
             self.on_outcome(session)
+        return session
 
     def release_session(self, session_id: int) -> Optional[Session]:
         """Tear an active session down early at the owner's request.
 
-        This is the serving plane's ``DELETE /sessions/{id}`` path: every
-        end-system and network reservation is rolled back through the
-        same :func:`~repro.sessions.admission.rollback_session` discipline
-        a completion uses, the scheduled completion becomes a no-op (the
-        session is no longer active when it fires), and the outcome is
-        reported as a completion with reason ``"client-release"``.
+        This is the serving plane's ``DELETE /sessions/{id}`` path: the
+        teardown a completion runs, so the scheduled completion becomes
+        a no-op (the session is no longer active when it fires), and the
+        outcome is reported as a completion with reason
+        ``"client-release"``.
 
         Returns the released session, or ``None`` if ``session_id`` is
         not active (already completed, failed, or released) -- callers
         can therefore retry the call safely; nothing is ever released
         twice (see :meth:`_release`).
         """
-        session = self._active.get(session_id)
-        if session is None:
-            return None
-        session.state = SessionState.COMPLETED
-        session.failure_reason = "client-release"
-        self._release(session)
-        self._detach(session)
-        self.n_completed += 1
-        self.n_released += 1
-        tel = self.telemetry
-        if tel is not None:
-            tel.metrics.counter("session.released").inc()
-            tel.bus.emit(
-                "session.released",
-                session_id=session.session_id,
-                request_id=session.request_id,
-                held_minutes=self.sim.now - session.start,
-            )
-            span = self._spans.pop(session.session_id, None)
-            if span is not None:
-                span.end(outcome="released")
-        if self.on_outcome is not None:
-            self.on_outcome(session)
-        return session
+        return self._resolve(session_id, "released", "client-release")
 
     def fail_session(
         self, session_id: int, reason: str, skip_peer: Optional[int] = None
@@ -258,29 +265,7 @@ class SessionLedger:
         peer (its ledger died with it).  Returns the failed session, or
         ``None`` if it was not active.
         """
-        session = self._active.get(session_id)
-        if session is None:
-            return None
-        session.state = SessionState.FAILED
-        session.failure_reason = reason
-        self._release(session, skip_peer=skip_peer)
-        self._detach(session)
-        self.n_failed += 1
-        tel = self.telemetry
-        if tel is not None:
-            tel.metrics.counter("session.failed").inc()
-            tel.bus.emit(
-                "session.failed",
-                session_id=session.session_id,
-                request_id=session.request_id,
-                reason=reason,
-            )
-            span = self._spans.pop(session.session_id, None)
-            if span is not None:
-                span.end(outcome="failed")
-        if self.on_outcome is not None:
-            self.on_outcome(session)
-        return session
+        return self._resolve(session_id, "failed", reason, skip_peer)
 
     def fail_peer(self, peer_id: int) -> List[Session]:
         """Fail every session that ``peer_id`` participates in.
@@ -322,12 +307,7 @@ class SessionLedger:
                 "sessions", "repair", self.directory.generation,
                 n=len(new_peers),
             )
-        for pid in old - new:
-            members = self._by_peer.get(pid)
-            if members is not None:
-                members.discard(session_id)
-                if not members:
-                    del self._by_peer[pid]
+        self._unlink(session_id, old - new)
         for pid in new - old:
             self._by_peer.setdefault(pid, set()).add(session_id)
 
@@ -338,6 +318,10 @@ class SessionLedger:
 
     def active_sessions(self) -> List[Session]:
         return list(self._active.values())
+
+    def active_session(self, session_id: int) -> Optional[Session]:
+        """The active session ``session_id``, or ``None``."""
+        return self._active.get(session_id)
 
     def sessions_on_peer(self, peer_id: int) -> List[int]:
         """Session ids provisioned on ``peer_id``, ascending.

@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, cast
 import numpy as np
 
 __all__ = [
+    "EPOCH",
     "LEDGER_VERSION",
     "LedgeredStream",
     "Sanitizer",
@@ -62,6 +63,9 @@ __all__ = [
 
 #: Ledger schema version; bump on any record-shape change.
 LEDGER_VERSION = 1
+
+#: Sim-time width of one checkpoint epoch (minutes).
+EPOCH = 5.0
 
 #: Generator attributes returned unwrapped: non-drawing surfaces and the
 #: state accessor the sanitizer itself hashes.
@@ -115,14 +119,9 @@ class LedgeredStream:
 class Sanitizer:
     """Collects the ordered draw/write ledger for one seeded run."""
 
-    def __init__(self, clock: Callable[[], float],
-                 epoch: float = 5.0) -> None:
-        if epoch <= 0:
-            raise ValueError(f"epoch must be positive, got {epoch}")
+    def __init__(self, clock: Callable[[], float]) -> None:
         #: Sim-clock reader (``lambda: sim.now``); never the wall clock.
         self._clock = clock
-        #: Sim-time width of one checkpoint epoch.
-        self.epoch = float(epoch)
         self._gens: Dict[str, np.random.Generator] = {}
         self._draws: Dict[str, int] = {}
         self._records: List[Dict[str, Any]] = []
@@ -148,7 +147,7 @@ class Sanitizer:
             "kind": "meta",
             "version": LEDGER_VERSION,
             "seed": int(seed),
-            "epoch": self.epoch,
+            "epoch": EPOCH,
         })
 
     def wrap_stream(self, name: str,
@@ -197,8 +196,8 @@ class Sanitizer:
         }
 
     def _checkpoint(self, now: float) -> None:
-        epoch = math.floor(now / self.epoch) * self.epoch
-        self._next_boundary = epoch + self.epoch
+        epoch = math.floor(now / EPOCH) * EPOCH
+        self._next_boundary = epoch + EPOCH
         self._records.append({
             "kind": "epoch",
             "t": epoch,

@@ -98,11 +98,8 @@ def test_faulted_ledger_conserves_resources(plan, schedule, seed):
         )
     network = NetworkModel(directory, seed=0)
     injector = FaultInjector(sim, plan, np.random.default_rng(seed))
-    ledger = SessionLedger(
-        sim, directory, network,
-        injector=injector,
-        admission_retry=RetryPolicy(max_retries=2),
-    )
+    injector.retry = RetryPolicy(max_retries=2)
+    ledger = SessionLedger(sim, directory, network, injector=injector)
     req_id = 0
 
     for op, op_seed in schedule:
@@ -163,10 +160,7 @@ def test_faulted_grid_run_conserves_resources(plan, seed):
             seed=seed % 1000,
             faults=plan,
             churn=ChurnConfig(rate_per_min=1.0),
-            recovery=RecoveryConfig(
-                detection_delay=0.3,
-                retry=RetryPolicy(max_retries=2, backoff_base=0.05),
-            ),
+            recovery=RecoveryConfig(detection_delay=0.3),
         ),
         workload=WorkloadConfig(rate_per_min=6.0, horizon=5.0,
                                 duration_range=(0.5, 3.0)),

@@ -125,8 +125,9 @@ class TestTelemetry:
             FaultSpec(kind="probe_loss", rate=1.0), telemetry=tel, sim=sim
         )
         inj.probe_lost(3)
-        inj.retry_attempt("probe", 1, 0.05, target=3)
-        inj.retry_exhausted("probe", attempts=4, target=3)
+        # Within the default budget of 3 retries: a jittered backoff.
+        assert 0.025 <= inj.retry_delay("probe", 1, target=3) <= 0.05
+        assert inj.retry_delay("probe", 4, target=3) is None  # spent
         names = [ev.name for ev in tel.bus.events()]
         assert names == ["fault.injected", "retry.attempt", "retry.exhausted"]
         for name in names:
@@ -139,7 +140,7 @@ class TestTelemetry:
         inj, _ = make_injector(FaultSpec(kind="probe_loss", rate=1.0))
         inj.probe_lost(1)
         inj.probe_lost(2)
-        inj.retry_attempt("probe", 1, 0.05)
+        inj.retry_delay("probe", 1)
         text = inj.summary()
         assert "2 injected" in text
         assert "1 retries" in text

@@ -1,4 +1,7 @@
-"""RetryPolicy + budget exhaustion across the hardened consumers."""
+"""RetryPolicy + budget exhaustion across the hardened consumers.
+
+Every site retries under its injector's policy (``injector.retry``); the
+tests below replace it to script budgets and drop jitter."""
 
 import numpy as np
 import pytest
@@ -93,11 +96,10 @@ def injector_for(sim, *specs, seed=0):
 
 class TestProberExhaustion:
     def make_prober(self, sim, directory, network, injector, retries=2):
-        config = ProbingConfig(
-            budget=10, retry=RetryPolicy(max_retries=retries, jitter=0.0)
-        )
+        injector.retry = RetryPolicy(max_retries=retries, jitter=0.0)
         return ProbingService(
-            sim, directory, network, config, injector=injector
+            sim, directory, network, ProbingConfig(budget=10),
+            injector=injector,
         )
 
     def test_total_loss_degrades_to_unknown(self):
@@ -211,9 +213,8 @@ class TestLookupExhaustion:
         inj = injector_for(
             sim, FaultSpec(kind="lookup_failure", rate=fail_rate), seed=seed
         )
-        registry.configure_faults(
-            inj, RetryPolicy(max_retries=retries, jitter=0.0)
-        )
+        registry.injector = inj
+        inj.retry = RetryPolicy(max_retries=retries, jitter=0.0)
         return registry, inj, catalog, directory
 
     def test_total_failure_degrades_to_no_record(self):
@@ -257,11 +258,11 @@ class TestAdmissionExhaustion:
     def test_exhaustion_raises_transient(self):
         sim, directory, network = build_world()
         inj = injector_for(sim, FaultSpec(kind="admission_failure", rate=1.0))
+        inj.retry = RetryPolicy(max_retries=3, jitter=0.0)
         instances, peers, user = self.make_args(directory)
         with pytest.raises(TransientAdmissionError):
             reserve_session(
-                directory, network, instances, peers, user,
-                injector=inj, retry=RetryPolicy(max_retries=3, jitter=0.0),
+                directory, network, instances, peers, user, injector=inj
             )
         assert inj.n_retries == 3
         assert inj.n_exhausted == 1
@@ -276,10 +277,10 @@ class TestAdmissionExhaustion:
         # Scripted draws: first attempt fails (0.1 < 0.5), the retry's
         # draw passes (0.9 >= 0.5) -- jitter 0 keeps the script aligned.
         inj = FaultInjector(sim, plan, ScriptedRng([0.1, 0.9]))
+        inj.retry = RetryPolicy(max_retries=3, jitter=0.0)
         instances, peers, user = self.make_args(directory)
         reserve_session(
-            directory, network, instances, peers, user,
-            injector=inj, retry=RetryPolicy(max_retries=3, jitter=0.0),
+            directory, network, instances, peers, user, injector=inj
         )
         assert inj.n_retries == 1
         assert inj.n_exhausted == 0

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.resources import ResourceVector
 from repro.core.selection import ObservedBlock, PeerInfo
-from repro.probing.prober import ProbingService
+from repro.probing.prober import PROBE_TIMEOUT, ProbingService
 from tests.probing.flood import get
 
 __all__ = ["PROBERS", "ReferenceProber", "patch_prober"]
@@ -102,19 +102,17 @@ class ReferenceProber(ProbingService):
 
     def _probe_with_faults(self, peer, target, epoch, prev, inj):
         """One refresh under fault injection: timeout, retry, degrade."""
-        retry = self.config.retry
         attempts = 0
         while True:
             self._record_probe()
             lost = inj.probe_lost(target)
             if not lost:
                 delay = inj.probe_delay(target)
-                if delay <= self.config.timeout:
+                if delay <= PROBE_TIMEOUT:
                     return self._take_snapshot(peer, target, epoch)
                 # The reply missed the timeout window: count as a loss.
             attempts += 1
-            if attempts > retry.max_retries:
-                inj.retry_exhausted("probe", attempts=attempts, target=target)
+            if inj.retry_delay("probe", attempts, target=target) is None:
                 if prev is not None:
                     # Degrade to the previous epoch's values; marking the
                     # current epoch avoids re-burning the budget on every
@@ -123,10 +121,6 @@ class ReferenceProber(ProbingService):
                     prev.stale = True
                     return prev
                 return _LOST
-            inj.retry_attempt(
-                "probe", attempts, retry.delay(attempts, inj.rng),
-                target=target,
-            )
 
     def observe(self, observer: int, target: int) -> Optional[PeerInfo]:
         """The observer's (stale, bounded) view of target; None if unknown."""

@@ -1,16 +1,21 @@
-"""Admission as one object per peer: the model ``reserve_session`` is held to.
+"""Admission and repair as one object per peer: the models
+``reserve_session`` and recovery's reservation swap are held to.
 
 Until peer state lived only in the store's rows, admission kept two
 paths: a vectorised block debit over the selected rows, and the scalar
 pass below -- ``_reserve_attempt`` and the peer-by-peer rollback -- that
-it replayed whenever a peer was dead, repeated, or short.  This module
-keeps that scalar pass, verbatim, over :class:`ScalarPeer` objects in
-the dict-of-objects :class:`~tests.network.reference_directory.PeerDirectory`
-(departed peers stay behind as corpses there, and late credits land on
-them), with :class:`ScalarNetwork`, the link accounting ``NetworkModel``
-did on those objects.  ``tests/sessions/test_admission_differential.py``
-drives it beside the production directory and compares the bits.
-Nothing under ``src/`` imports it.
+it replayed whenever a peer was dead, repeated, or short.  Until repair
+went through that same pass, recovery acquired and undid its holds with
+its own code, kept below as :func:`reference_swap`.  This module keeps
+both, verbatim, over :class:`ScalarPeer` objects in the dict-of-objects
+:class:`~tests.network.reference_directory.PeerDirectory` (departed
+peers stay behind as corpses there, and late credits land on them),
+with :class:`ScalarNetwork`, the link accounting ``NetworkModel`` did
+on those objects.  ``tests/sessions/test_admission_differential.py``
+drives them beside the production directory and compares the bits.
+Their retry loops ask the injector for each backoff
+(``FaultInjector.retry_delay``), as production does.  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ from repro.sessions.admission import (
 )
 from tests.network.reference_directory import PeerDirectory
 
-__all__ = ["ScalarNetwork", "reference_reserve", "reference_rollback"]
+__all__ = [
+    "ScalarNetwork",
+    "reference_reserve",
+    "reference_rollback",
+    "reference_swap",
+]
 
 
 class ScalarNetwork:
@@ -98,7 +108,6 @@ def reference_reserve(
     peers: Sequence[int],
     user_peer: int,
     injector=None,
-    retry=None,
 ) -> None:
     """``reserve_session``'s retry loop around the scalar pass."""
     if len(instances) != len(peers):
@@ -114,15 +123,10 @@ def reference_reserve(
             return
         except TransientAdmissionError:
             attempts += 1
-            if retry is None or attempts > retry.max_retries:
-                injector.retry_exhausted(
-                    "admission", attempts=attempts, user_peer=user_peer
-                )
+            if injector.retry_delay(
+                "admission", attempts, user_peer=user_peer
+            ) is None:
                 raise
-            injector.retry_attempt(
-                "admission", attempts, retry.delay(attempts, injector.rng),
-                user_peer=user_peer,
-            )
 
 
 def _reserve_attempt(
@@ -190,3 +194,72 @@ def reference_rollback(
             peer.release(req)
     for src, dst, bw in held_bw:
         network.release(src, dst, bw)
+
+
+def reference_swap(
+    directory: PeerDirectory,
+    network: ScalarNetwork,
+    session,
+    dead_peer: int,
+    new_peers: Tuple[int, ...],
+    injector=None,
+) -> str:
+    """Make-before-break: acquire the repaired holds, then drop the
+    stale ones.  Returns ``"ok"``, ``"shortage"`` (a ledger genuinely
+    ran short) or ``"transient"`` (an injected hiccup worth a
+    backoff-retry).  On any failure everything acquired here is
+    rolled back and the session's original holds are untouched."""
+    instances = session.instances
+    old_peers = session.peers
+    n = len(old_peers)
+    inj = injector
+
+    old_edges = session.connections()
+    new_edges = chain_edges(new_peers, session.user_peer, instances)
+    changed = [
+        (o, w) for o, w in zip(old_edges, new_edges) if o != w
+    ]
+
+    # 1. Acquire end-system resources on the replacement peers.
+    acquired_res: List[Tuple[int, int]] = []  # (slot, peer)
+
+    def undo_res() -> None:
+        for s, pid in acquired_res:
+            directory[pid].release(instances[s].resources)
+
+    for slot in range(n):
+        if old_peers[slot] != dead_peer:
+            continue
+        if inj is not None and inj.admission_fails(
+            "recovery", peer=new_peers[slot], session_id=session.session_id
+        ):
+            undo_res()
+            return "transient"
+        if not directory[new_peers[slot]].reserve(instances[slot].resources):
+            undo_res()
+            return "shortage"
+        acquired_res.append((slot, new_peers[slot]))
+
+    # 2. Acquire the changed connections.
+    acquired_bw: List[Tuple[int, int, float]] = []
+
+    def undo_all() -> None:
+        for s, t, b in acquired_bw:
+            network.release(s, t, b)
+        undo_res()
+
+    for _old, (src, dst, bw) in changed:
+        if inj is not None and inj.partitioned(src, dst):
+            inj.inject("partition", "recovery", src=src, dst=dst)
+            undo_all()
+            return "transient"
+        if not network.reserve(src, dst, bw):
+            undo_all()
+            return "shortage"
+        acquired_bw.append((src, dst, bw))
+
+    # 3. Break: drop the stale connections (the dead peer's own
+    # end-system share died with it -- nothing to release there).
+    for (src, dst, bw), _new in changed:
+        network.release(src, dst, bw)
+    return "ok"

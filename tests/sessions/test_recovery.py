@@ -113,31 +113,33 @@ class TestRepair:
         g.sim.run(until=g.sim.now + 3.0)
         assert session.state is SessionState.FAILED
 
-    def test_disabled_config_falls_back_to_failure(self):
-        g = make_grid(recovery=RecoveryConfig(enabled=False))
-        # Grid treats disabled the same as absent.
-        assert g.recovery is None
+
+def drained_churny_run():
+    """30 minutes of requests on 200 peers under churn with recovery,
+    then churn stops and every session drains."""
+    g = P2PGrid(GridConfig(
+        n_peers=200,
+        seed=3,
+        churn=ChurnConfig(rate_per_min=8.0),
+        recovery=RecoveryConfig(),
+    ))
+    agg = g.make_aggregator("qsa")
+
+    def tick():
+        req = g.make_request("video-on-demand", duration=5.0)
+        agg.aggregate(req)
+
+    for t in range(30):
+        g.sim.call_at(float(t), tick)
+    g.sim.run(until=30.0)
+    g.churn.stop()
+    g.sim.run()
+    return g
 
 
 class TestConservationUnderRecovery:
     def test_books_balance_after_churny_run(self):
-        g = P2PGrid(GridConfig(
-            n_peers=200,
-            seed=3,
-            churn=ChurnConfig(rate_per_min=8.0),
-            recovery=RecoveryConfig(),
-        ))
-        agg = g.make_aggregator("qsa")
-
-        def tick():
-            req = g.make_request("video-on-demand", duration=5.0)
-            agg.aggregate(req)
-
-        for t in range(30):
-            g.sim.call_at(float(t), tick)
-        g.sim.run(until=30.0)
-        g.churn.stop()
-        g.sim.run()
+        g = drained_churny_run()
         assert g.ledger.n_active == 0
         assert g.network.n_reserved_pairs == 0
         for peer in g.directory.alive_peers():
@@ -147,6 +149,17 @@ class TestConservationUnderRecovery:
             assert np.allclose(peer.available.values, peer.capacity.values)
             assert peer.avail_up == pytest.approx(peer.access_bw)
             assert peer.avail_down == pytest.approx(peer.access_bw)
+
+    def test_drained_run_leaves_no_per_session_recovery_state(self):
+        """Repair budgets live and die with their session: once every
+        session resolved, the manager holds no per-session entry."""
+        g = drained_churny_run()
+        assert g.recovery.n_repairs > 0 and g.ledger.n_active == 0
+        held = {
+            name: value for name, value in vars(g.recovery).items()
+            if isinstance(value, (dict, list, set)) and value
+        }
+        assert held == {}
 
     @pytest.mark.slow
     def test_recovery_improves_psi_under_churn(self):

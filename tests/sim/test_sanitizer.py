@@ -88,7 +88,7 @@ class TestSanitizerUnit:
 
     def test_epoch_checkpoints_on_sim_clock_boundaries(self):
         clock = FakeClock()
-        sanitizer = Sanitizer(clock, epoch=5.0)
+        sanitizer = Sanitizer(clock)  # epochs are EPOCH = 5 minutes wide
         sanitizer.begin(seed=0)
         s = sanitizer.wrap_stream("s", np.random.default_rng(0))
         s.random()          # t=0: first draw checkpoints epoch 0

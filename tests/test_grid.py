@@ -61,12 +61,11 @@ class TestConstruction:
         field or ``repro run`` flag shows up as a diff here, not as a
         default nobody notices."""
         assert sorted(f.name for f in dataclasses.fields(GridConfig)) == [
-            "access_capacity", "admission_retry", "applications",
-            "capacity_range", "catalog", "chord_bits", "churn", "faults",
-            "initial_uptime_max", "lookup_retry", "n_peers", "probing",
-            "recovery", "resource_names", "sanitize", "sanitize_epoch",
+            "access_capacity", "applications", "capacity_range", "catalog",
+            "chord_bits", "churn", "faults", "initial_uptime_max",
+            "n_peers", "probing", "recovery", "resource_names", "sanitize",
             "seed", "telemetry", "telemetry_capacity",
-        ]  # 19: Chord is the one substrate, the bus the one event log
+        ]  # 16: Chord is the one substrate, the bus the one event log
         commands = next(
             a for a in build_parser()._actions if a.dest == "command"
         ).choices
